@@ -286,7 +286,7 @@ _RUNS = {
 
 def _stage_analyze(bv, chart, seed):
     scan = regularity_scan(bv, chart, counts=9, seed=seed)
-    cls = classify(bv, chart, counts=9, seed=seed)
+    cls = classify(bv, chart, counts=9, seed=seed, scan=scan)
     out = {
         "status": "pass" if scan.regular_on_samples else "fail",
         "observed_ranks": sorted(int(r) for r in scan.witnesses),

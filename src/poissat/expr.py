@@ -11,11 +11,13 @@ with func one of sin, cos, exp.  Variables are x1..xn for arity n; the
 usual short names (x, y, z, th) are accepted for low arities, and callers
 may pass an explicit name table.  Expressions are immutable trees; eval is
 vectorized over numpy point batches and derivatives are exact trees, never
-finite differences.
+finite differences.  compile_kernel turns a set of trees into one
+straight-line numpy function for repeated evaluation.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -466,6 +468,87 @@ def evaluate(e: Expression, pts):
     if single:
         return float(out[0])
     return np.array(out, dtype=float)
+
+
+# Compiled evaluation, in the manner of SymPy's cse + lambdify.  Nodes are
+# hash-consed on (operation, operand names), so a subtree shared between
+# entries runs once; constants are keyed by their float bits, so 0.0 and
+# -0.0 stay apart.  Every node runs the numpy operation its _ev applies, on
+# the same contiguous columns and Python-float constants, and nothing is
+# rewritten, so kernel results are bitwise those of evaluate.
+
+_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def compile_kernel(slots, shape):
+    """Compile (slot, tree) pairs into kernel(pts) -> (m, *shape) array.
+
+    pts is a 2d float array (m, arity).  The kernel sets out[:, *slot] to
+    the tree's value for every pair and leaves unlisted slots 0.0.  It
+    returns None when any entry is non-finite or Python arithmetic on
+    constants raises; the caller then re-runs its per-entry evaluate loop,
+    which raises the EvalError naming the entry, operation and point.
+    """
+    namespace = {f: getattr(np, f) for f in FUNCS}
+    names = {}  # structural key -> local name
+    by_id = {}  # id(node) -> local name, shortcut for shared node objects
+    lines = []
+
+    def emit(node):
+        name = by_id.get(id(node))
+        if name is not None:
+            return name
+        if isinstance(node, Num):
+            key, code = ("num", struct.pack("<d", node.value)), None
+        elif isinstance(node, Var):
+            key = code = f"cols[{node.index}]"
+        elif isinstance(node, Neg):
+            a = emit(node.a)
+            key, code = ("neg", a), f"-{a}"
+        elif isinstance(node, Pow):
+            a = emit(node.base)
+            key, code = ("pow", a, node.exponent), f"{a} ** ({node.exponent})"
+        elif isinstance(node, Call):
+            a = emit(node.a)
+            key, code = (node.func, a), f"{node.func}({a})"
+        elif type(node) in _BINARY:
+            a, b = emit(node.a), emit(node.b)
+            op = _BINARY[type(node)]
+            key, code = (op, a, b), f"{a} {op} {b}"
+        else:
+            raise TypeError(f"not an Expression: {node!r}")
+        name = names.get(key)
+        if name is None:
+            if code is None:
+                name = f"c{len(names)}"
+                namespace[name] = node.value
+            else:
+                name = f"t{len(names)}"
+                lines.append(f"    {name} = {code}")
+            names[key] = name
+        by_id[id(node)] = name
+        return name
+
+    for slot, tree in slots:
+        value = emit(tree)
+        lines.append(f"    out[:, {', '.join(str(i) for i in slot)}] = {value}")
+    source = "def fill(cols, out):\n" + ("\n".join(lines) or "    pass") + "\n"
+    exec(compile(source, "<poissat kernel>", "exec"), namespace)
+    fill = namespace["fill"]
+    shape = tuple(shape)
+
+    def kernel(pts):
+        out = np.zeros((pts.shape[0],) + shape)
+        cols = tuple(np.ascontiguousarray(pts[:, i]) for i in range(pts.shape[1]))
+        try:
+            with np.errstate(all="ignore"):
+                fill(cols, out)
+        except ArithmeticError:
+            return None
+        return out if np.isfinite(out).all() else None
+
+    kernel.source = source
+    return kernel
 
 
 # Printing.  Parenthesization reproduces the exact tree on re-parse, so a

@@ -2,8 +2,9 @@
 
 Entries are expression trees in x1..xn, stored as the strict upper
 triangle; the lower triangle is the exact negated tree, so antisymmetry
-is structural.  Loading certifies the Jacobi identity on a seeded sample
-of the domain box.
+is structural.  The entries and their partials are compiled once into
+numpy kernels (expr.compile_kernel).  Loading certifies the Jacobi
+identity on a seeded sample of the domain box.
 
 Conventions (see also the report convention string):
   sharp(a)  = PI(x) @ a        (anchor applied to a covector)
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr
-from .expr import Expression, Num, derive, evaluate
+from .expr import Expression, Neg, Num, compile_kernel, derive, evaluate
 from .linear import rank_svd
 
 
@@ -67,6 +68,17 @@ class BivectorField:
             [[derive(grid[i][j], k) for k in range(dim)] for j in range(dim)]
             for i in range(dim)
         ]
+        upper = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        self._matrix_kernel = compile_kernel(
+            [pair for i, j in upper if grid[i][j] != Num(0.0)
+             for pair in (((i, j), grid[i][j]), ((j, i), Neg(grid[i][j])))],
+            (dim, dim),
+        )
+        self._jac_kernel = compile_kernel(
+            [pair for i, j in upper for k, d in enumerate(self._dgrid[i][j]) if d != Num(0.0)
+             for pair in (((i, j, k), d), ((j, i, k), Neg(d)))],
+            (dim, dim, dim),
+        )
         if certify:
             rng = np.random.default_rng(seed)
             pts = rng.uniform(self.domain[:, 0], self.domain[:, 1], size=(1000, dim))
@@ -86,6 +98,11 @@ class BivectorField:
     def matrix(self, pts):
         """Evaluate PI at a point batch; returns (m, n, n)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = self._matrix_kernel(pts)
+        return out if out is not None else self._matrix_entrywise(pts)
+
+    def _matrix_entrywise(self, pts):
+        """Per-entry evaluate loop: the kernel's reference and error path."""
         m, n = pts.shape[0], self.dim
         out = np.zeros((m, n, n))
         for i in range(n):
@@ -104,6 +121,11 @@ class BivectorField:
     def matrix_jac(self, pts):
         """Entry derivatives; returns (m, n, n, n) with [.., i, j, k] = d_k PI^ij."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = self._jac_kernel(pts)
+        return out if out is not None else self._matrix_jac_entrywise(pts)
+
+    def _matrix_jac_entrywise(self, pts):
+        """Per-entry evaluate loop: the kernel's reference and error path."""
         m, n = pts.shape[0], self.dim
         out = np.zeros((m, n, n, n))
         for i in range(n):

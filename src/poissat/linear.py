@@ -170,11 +170,6 @@ def subspace_intersect(a, b):
     return orth(qa @ ns[: qa.shape[1]])
 
 
-def subspace_sum(a, b):
-    joined = np.hstack([np.atleast_2d(a), np.atleast_2d(b)])
-    return orth(joined)
-
-
 def annihilator(basis, dim=None):
     """Covectors vanishing on span(basis), via the Euclidean pairing.
 

@@ -504,23 +504,31 @@ def saturation_chart(bv, chart, comp, steps=1024, u_counts=5, radius=0.2, per_u=
 
 
 def full_fiber_landing(sat: SaturationChart, count=10, radius=0.05, seed=1, tol=1e-4):
-    """Check that exp of full-fiber covectors lands on the chart image."""
+    """Check that exp of full-fiber covectors lands on the chart image.
+
+    Probes whose flow leaves the domain box are skipped and counted; the
+    check fails when no probe was checked at all.
+    """
     bv, chart = sat.bv, sat.chart
     rng = np.random.default_rng(seed)
     us = chart.sample(count, seed=seed + 1)
     worst = 0.0
+    checked = skipped = 0
     for u in us:
         x = chart.point_at(u)
         a = rng.normal(size=bv.dim)
         a *= radius / np.linalg.norm(a)
         res = flow(bv, x[None, :], a[None, :], steps=sat.steps)
         if res.exited.any():
+            skipped += 1
             continue
         y = res.x[0]
         init = np.concatenate([u, np.zeros(sat.comp.rank_perp)])
         _, dist = sat.project(y, init)
         worst = max(worst, dist)
-    return {"max_distance": worst, "ok": worst <= tol, "tol": tol}
+        checked += 1
+    return {"max_distance": worst, "ok": checked > 0 and worst <= tol, "tol": tol,
+            "checked": checked, "skipped": skipped}
 
 
 def saturation_residuals(bv, sat: SaturationChart):

@@ -36,18 +36,6 @@ def canonical_matrix(n: int):
     return c
 
 
-class CotangentState:
-    """A base point with a covector, both in R^n."""
-
-    def __init__(self, x, xi):
-        self.x = np.asarray(x, dtype=float)
-        self.xi = np.asarray(xi, dtype=float)
-        if self.x.shape != self.xi.shape:
-            raise ValueError("base point and covector shapes differ")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.xi))):
-            raise ValueError("non-finite state")
-
-
 class FlowResult:
     """Endpoint of the spray flow with optional derivative data.
 
@@ -67,12 +55,6 @@ class FlowResult:
         self.trajectory = trajectory
         self.exited = exited
         self.exit_step = exit_step
-
-    @property
-    def end(self):
-        if self._squeeze:
-            return CotangentState(self.x[0], self.xi[0])
-        return CotangentState(self.x, self.xi)
 
     def base(self):
         return self.x[0] if self._squeeze else self.x

@@ -1,11 +1,12 @@
 """Parametrized submanifolds of a Poisson coordinate box.
 
 A Chart is a parametrization u -> X(u) (never a level set), with exact
-Jacobian trees.  point_data collects the tangent space TX, its
-annihilator TX0, the bivector image TXperp = sharp(TX0) and the pulled
-back Dirac space; regularity_scan samples the rank of TXperp over a
-parameter grid and refines near rank boundaries; classify reduces the
-sampled ranks to the standard submanifold classes.
+Jacobian trees; components and Jacobian are compiled once into numpy
+kernels.  point_data collects the tangent space TX, its annihilator TX0,
+the bivector image TXperp = sharp(TX0) and the pulled back Dirac space;
+regularity_scan samples the rank of TXperp over a parameter grid and
+refines near rank boundaries; classify reduces the sampled ranks to the
+standard submanifold classes.
 
 All verdicts are about the sampled set only and are reported as such.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr, linear
-from .expr import Num, derive, evaluate
+from .expr import Num, compile_kernel, derive, evaluate
 from .field import BivectorField
 from .linear import (
     DiracSpace,
@@ -55,6 +56,14 @@ class Chart:
         self._jac = [
             [derive(c, a) for a in range(self.param_dim)] for c in self.components
         ]
+        self._points_kernel = compile_kernel(
+            [((i,), c) for i, c in enumerate(self.components)], (self.ambient_dim,)
+        )
+        self._jacobian_kernel = compile_kernel(
+            [((i, a), d) for i, row in enumerate(self._jac) for a, d in enumerate(row)
+             if d != Num(0.0)],
+            (self.ambient_dim, self.param_dim),
+        )
         if check and self.param_dim:
             self._immersion_check()
 
@@ -67,6 +76,11 @@ class Chart:
 
     def points(self, us):
         us = np.atleast_2d(np.asarray(us, dtype=float))
+        out = self._points_kernel(us)
+        return out if out is not None else self._points_entrywise(us)
+
+    def _points_entrywise(self, us):
+        """Per-entry evaluate loop: the kernel's reference and error path."""
         out = np.zeros((us.shape[0], self.ambient_dim))
         for i, c in enumerate(self.components):
             out[:, i] = evaluate(c, us) if not isinstance(c, Num) else c.value
@@ -77,6 +91,11 @@ class Chart:
 
     def jacobian(self, us):
         us = np.atleast_2d(np.asarray(us, dtype=float))
+        out = self._jacobian_kernel(us)
+        return out if out is not None else self._jacobian_entrywise(us)
+
+    def _jacobian_entrywise(self, us):
+        """Per-entry evaluate loop: the kernel's reference and error path."""
         out = np.zeros((us.shape[0], self.ambient_dim, self.param_dim))
         for i in range(self.ambient_dim):
             for a in range(self.param_dim):
@@ -239,15 +258,18 @@ class Classification:
         return self.flags[key]
 
 
-def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, tol=1e-10):
+def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, tol=1e-10, scan=None):
     """Sampled classification flags for the chart inside the structure.
 
     Flags: regular, transversal, poisson_submanifold, coisotropic,
     pre_poisson, poisson_dirac.  Implications (transversal => regular,
     poisson_submanifold => regular, coisotropic and regular =>
-    pre_poisson) hold by construction of the rank tests.
+    pre_poisson) hold by construction of the rank tests.  scan is the
+    regularity_scan(bv, chart, counts, seed) result when the caller
+    already has it; otherwise it is run here.
     """
-    scan = regularity_scan(bv, chart, counts, seed)
+    if scan is None:
+        scan = regularity_scan(bv, chart, counts, seed)
     n, k = bv.dim, chart.param_dim
     extra = chart.sample(10, seed=seed + 1)
     params = np.vstack([scan.params, extra]) if k else scan.params

@@ -279,6 +279,15 @@ def test_malformed_expression_exits_4_with_position(tmp_path):
     assert rep["exit_code"] == 4
 
 
+def test_non_finite_entry_exits_4_naming_the_operation(tmp_path):
+    path = tmp_path / "pole.scene"
+    path.write_text('[poisson]\ndim = 2\nentry = 1 2 "1/(x - x)"\n'
+                    '[submanifold]\nparams = 1\ncomponent = "u"\ncomponent = "0"\n')
+    code, out = run_main(["analyze", str(path)])
+    assert code == 4
+    assert json.loads(out)["error"].startswith("non-finite result from division at point (")
+
+
 def test_missing_file_exits_4(tmp_path):
     code, out = run_main(["analyze", str(tmp_path / "absent.scene")])
     assert code == 4

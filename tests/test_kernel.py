@@ -1,0 +1,149 @@
+"""Compiled kernels against the per-entry evaluate path, bit for bit."""
+
+import numpy as np
+import pytest
+
+from poissat import cli
+from poissat.expr import (
+    Add,
+    Call,
+    Div,
+    EvalError,
+    Mul,
+    Neg,
+    Num,
+    Pow,
+    Sub,
+    Var,
+    compile_kernel,
+    evaluate,
+    parse,
+)
+from poissat.field import BivectorField
+from poissat.fixtures import FIXTURES
+from poissat.submanifold import Chart
+
+POISSON_FIXTURES = [name for name, text in FIXTURES.items() if "[poisson]" in text]
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def random_tree(rng, arity, depth, pool):
+    """Raw constructors only, so no folding hides ±0.0 leaves or sharing."""
+    if pool and rng.uniform() < 0.25:
+        return pool[rng.integers(len(pool))]  # the same object: a shared subtree
+    if depth == 0 or rng.uniform() < 0.2:
+        kind = rng.integers(4)
+        if kind == 0:
+            return Num(float(rng.choice([0.0, -0.0, 1.0, -2.5, 0.3])))
+        return Var(int(rng.integers(arity)))
+    kind = rng.integers(8)
+    sub = lambda: random_tree(rng, arity, depth - 1, pool)  # noqa: E731
+    if kind < 4:
+        node = (Add, Sub, Mul, Div)[kind](sub(), sub())
+    elif kind == 4:
+        node = Pow(sub(), int(rng.integers(-2, 4)))
+    elif kind == 5:
+        node = Neg(sub())
+    else:
+        node = Call(str(rng.choice(["sin", "cos", "exp"])), sub())
+    pool.append(node)
+    return node
+
+
+def entrywise(trees, pts):
+    """Reference: one evaluate call per tree; None when any raises."""
+    try:
+        return np.stack([evaluate(t, pts) for t in trees], axis=-1)
+    except (EvalError, ArithmeticError):
+        return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_trees_match_evaluate_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    arity = int(rng.integers(1, 4))
+    pool = []
+    trees = [random_tree(rng, arity, 4, pool) for _ in range(6)]
+    # structurally equal, separately built copies are merged by the kernel
+    trees.append(Mul(Call("sin", Var(0)), Num(2.0)))
+    trees.append(Mul(Call("sin", Var(0)), Num(2.0)))
+    kernel = compile_kernel([((i,), t) for i, t in enumerate(trees)], (len(trees),))
+    singles = [compile_kernel([((0,), t)], (1,)) for t in trees]
+    for m in (1, 5):
+        pts = rng.uniform(-2, 2, size=(m, arity))
+        pts[0, 0] = rng.choice([0.0, -0.0, 1.0])
+        for group, k in [(trees, kernel)] + [([t], s) for t, s in zip(trees, singles)]:
+            ref, got = entrywise(group, pts), k(pts)
+            if ref is None:
+                assert got is None
+            else:
+                assert_bitwise(got, ref)
+
+
+def test_kernel_keeps_signed_zeros_apart_and_shares_subtrees():
+    x = Var(0)
+    trees = [Mul(x, Num(0.0)), Mul(x, Num(-0.0)), Call("sin", x), Add(Call("sin", x), x)]
+    kernel = compile_kernel([((i,), t) for i, t in enumerate(trees)], (4,))
+    out = kernel(np.array([[1.5]]))
+    assert_bitwise(out, entrywise(trees, np.array([[1.5]])))
+    assert np.signbit(out[0, 1]) and not np.signbit(out[0, 0])
+    assert kernel.source.count("sin(") == 1
+
+
+def fixture_objects(name):
+    scene = cli.parse_scene(FIXTURES[name])
+    bv = cli.build_bivector(scene)
+    return bv, cli.build_chart(scene, bv.dim)
+
+
+@pytest.mark.parametrize("name", POISSON_FIXTURES)
+def test_fixture_kernels_match_entrywise(name):
+    bv, chart = fixture_objects(name)
+    rng = np.random.default_rng(3)
+    xs = np.vstack([rng.uniform(bv.domain[:, 0], bv.domain[:, 1], size=(9, bv.dim)),
+                    chart.points(chart.grid(3))])
+    us = np.vstack([chart.grid(3), chart.sample(7, seed=5)])
+    for pts in (xs, xs[:1]):
+        assert_bitwise(bv.matrix(pts), bv._matrix_entrywise(pts))
+        assert_bitwise(bv.matrix_jac(pts), bv._matrix_jac_entrywise(pts))
+    for pts in (us, us[:1]):
+        assert_bitwise(chart.points(pts), chart._points_entrywise(pts))
+        assert_bitwise(chart.jacobian(pts), chart._jacobian_entrywise(pts))
+
+
+def test_eval_error_unchanged_through_kernels():
+    point = np.array([[0.0, 1.0, 2.0]])
+    # entry order decides: (1, 2) comes before (2, 3), so the power is named
+    bv = BivectorField(3, {(0, 1): "x^-1", (1, 2): "1/x"}, certify=False)
+    with pytest.raises(EvalError) as err:
+        bv.matrix(point)
+    with pytest.raises(EvalError) as ref:
+        evaluate(parse("x^-1", 3), point)
+    assert str(err.value) == str(ref.value)
+    assert "integer power" in str(err.value)
+    assert err.value.point == (0.0, 1.0, 2.0)
+    with pytest.raises(EvalError) as err:
+        bv.matrix_jac(point)
+    assert "integer power" in str(err.value)
+
+    chart = Chart(1, 2, ["1/u", "u"], domain=[(-1, 1)], check=False)
+    with pytest.raises(EvalError) as err:
+        chart.points([[0.0]])
+    assert str(err.value) == "non-finite result from division at point (0.0,)"
+    assert err.value.point == (0.0,)
+    with pytest.raises(EvalError):
+        chart.jacobian([[0.0]])
+
+
+def test_constant_chart_component_stays_unchecked():
+    # Chart.points writes constant components without evaluate, so an
+    # infinite literal passes through on both paths
+    chart = Chart(1, 2, ["u", "1e400"], domain=[(-1, 1)])
+    out = chart.points([[0.5]])
+    assert_bitwise(out, chart._points_entrywise(np.array([[0.5]])))
+    assert np.isinf(out[0, 1])

@@ -265,7 +265,16 @@ def test_saturation_coiso_line(coiso_line):
     rep = model.verify_saturation_poisson(bv, sat, tol=1e-8)
     assert rep["ok"]
     land = model.full_fiber_landing(sat)
-    assert land["ok"]
+    assert land["ok"] and (land["checked"], land["skipped"]) == (10, 0)
+
+
+def test_landing_fails_when_every_probe_leaves_the_box(coiso_line):
+    bv, chart = coiso_line
+    comp = model.ComplementChoice(bv, chart, mode="coisotropic")
+    sat = model.saturation_chart(bv, chart, comp, steps=16, u_counts=3, radius=0.2)
+    land = model.full_fiber_landing(sat, radius=1e3)
+    assert (land["checked"], land["skipped"]) == (0, 10)
+    assert land["max_distance"] == 0.0 and not land["ok"]
 
 
 def test_saturation_sphere_rank0(sphere_so3):

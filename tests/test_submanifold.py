@@ -126,6 +126,15 @@ def test_classify_plane_in_so3():
     assert cl.ranks["sum"] == [2]
 
 
+def test_classify_reuses_a_given_scan():
+    bv, chart = flat_rank2_r3(), cubic_graph()
+    scan = regularity_scan(bv, chart, counts=9, seed=2)
+    given = classify(bv, chart, counts=9, seed=2, scan=scan)
+    own = classify(bv, chart, counts=9, seed=2)
+    assert given.flags == own.flags and given.ranks == own.ranks
+    assert given.sample_count == own.sample_count == len(scan.params) + 10
+
+
 def test_classify_transversal_ray():
     cl = classify(so3_star(), transversal_ray())
     assert cl["transversal"]
