@@ -33,8 +33,8 @@ from .linear import NotPoisson, RankDeficient, SkewForm, dirac_graph
 from .model import (
     ComplementChoice,
     GotayModel,
-    eta_canonical,
     eta_closedness_residual,
+    eta_forms,
     eta_zero_section,
     extraction_radius,
     full_fiber_landing,
@@ -325,10 +325,10 @@ def _stage_model(bv, chart, comp, p):
     u0 = chart.center()
     sigma, tau = sigma_tau(bv, chart, comp, u0)
     fr = comp.at(u0)
-    zero_resid = 0.0
-    for u in chart.grid(3):
-        eta = eta_canonical(bv, chart, comp, u, np.zeros(comp.rank_perp), steps=p["steps"])
-        zero_resid = max(zero_resid, float(np.abs(eta - eta_zero_section(bv, chart, comp, u)).max()))
+    grid = chart.grid(3)
+    etas = eta_forms(bv, comp, grid, np.zeros((len(grid), comp.rank_perp)), steps=p["steps"])
+    zero_resid = max([0.0, *(float(np.abs(eta - eta_zero_section(bv, chart, comp, u)).max())
+                             for u, eta in zip(grid, etas))])
     zeta = np.full(comp.rank_perp, p["xi_radius"] / 4)
     closed = eta_closedness_residual(bv, chart, comp, u0, zeta,
                                      steps=min(p["steps"], 256))
@@ -438,15 +438,7 @@ def run_scene(scene: Scene, command, scene_name="scene", steps_override=None,
     if command not in _RUNS:
         raise ValueError(f"unknown command {command!r}")
     p = scene_parameters(scene, steps_override, tol_override)
-    report = {
-        "schema": 1,
-        "convention": CONVENTION,
-        "scene": scene_name,
-        "command": command,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "parameters": p,
-        "stages": {},
-    }
+    report = {**_report_head(scene_name, command), "parameters": p, "stages": {}}
     if scene.has("presymplectic"):
         code, _ = _run_gotay(scene, command, report, p)
         return code, report, None
@@ -547,16 +539,13 @@ def _build_parser():
     return ap
 
 
+def _report_head(scene_name, command):
+    return {"schema": 1, "convention": CONVENTION, "scene": scene_name, "command": command,
+            "generated_at": datetime.now(timezone.utc).isoformat()}
+
+
 def _error_report(scene_name, command, message):
-    return {
-        "schema": 1,
-        "convention": CONVENTION,
-        "scene": scene_name,
-        "command": command,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "error": message,
-        "exit_code": 4,
-    }
+    return {**_report_head(scene_name, command), "error": message, "exit_code": 4}
 
 
 def _emit(report, csv_text, out_dir, stream):

@@ -59,7 +59,7 @@ class Num(Expression):
         return self.value
 
     def _diag(self, cols):
-        return self.value
+        return np.float64(self.value)  # numpy scalar: overflow and 1/0 give inf, not raise
 
 
 @dataclass(frozen=True, eq=True)
@@ -223,7 +223,10 @@ def pow_(base, k):
     if k == 1:
         return base
     if _is_num(base):
-        return Num(base.value**k)
+        try:
+            return Num(base.value**k)
+        except ArithmeticError:  # 10^400, 0^-1: left for evaluate to report
+            pass
     return Pow(base, k)
 
 
@@ -449,7 +452,10 @@ def evaluate(e: Expression, pts):
     m = pts.shape[0]
     cols = tuple(np.ascontiguousarray(pts[:, i]) for i in range(pts.shape[1]))
     with np.errstate(all="ignore"):
-        out = np.broadcast_to(np.asarray(e._ev(cols), dtype=float), (m,))
+        try:
+            out = np.broadcast_to(np.asarray(e._ev(cols), dtype=float), (m,))
+        except ArithmeticError:  # Python-float arithmetic on constants: 1/0, 10.0**400
+            out = np.full(m, np.nan)
     bad = ~np.isfinite(out)
     if bad.any():
         k = int(np.argmax(bad))

@@ -21,6 +21,8 @@ J(u) are meaningful.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .field import BivectorField
@@ -87,7 +89,19 @@ def _span_in(big, small_perp):
     return big @ coeff if coeff.shape[1] else np.zeros((big.shape[0], 0))
 
 
-class ComplementChoice:
+class FrameAligner:
+    """Aligns every basis stored under a key to the first (sign-fixed) one."""
+
+    def _aligned(self, key, basis):
+        ref = self._refs.get(key)
+        if ref is None:
+            basis = fix_signs(basis)
+            self._refs[key] = basis
+            return basis
+        return align_frame(basis, ref)
+
+
+class ComplementChoice(FrameAligner):
     """Smooth complement W of TXperp along a regular chart.
 
     Modes:
@@ -119,14 +133,6 @@ class ComplementChoice:
         self.cap_dim = anchor.cap_dim
         self.corank = point_data(bv, chart, self.u0).corank
 
-    def _aligned(self, key, basis):
-        ref = self._refs.get(key)
-        if ref is None:
-            basis = fix_signs(basis)
-            self._refs[key] = basis
-            return basis
-        return align_frame(basis, ref)
-
     def at(self, u) -> ComplementFrame:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         pd = point_data(self.bv, self.chart, u)
@@ -149,6 +155,15 @@ class ComplementChoice:
         if frame.j.size and np.abs(frame.w.T @ frame.j).max() > 1e-10:
             raise RankDeficient("inclusion does not annihilate the complement")
         return frame
+
+    def _lagrangian(self, key, s, omega, lag):
+        """Lagrangian complement of span(lag) in span(s), aligned to the first one."""
+        if not lag.shape[1]:
+            return np.zeros((s.shape[0], 0))
+        ref = s.T @ self._refs[key] if key in self._refs else None
+        out = lagrangian_complement(s, omega, lag, ref=ref)
+        self._refs.setdefault(key, out)
+        return out
 
     def _symplectic_on_image(self, p, ann):
         """Orthobasis of sharp(span(ann)) with the induced symplectic matrix."""
@@ -177,11 +192,7 @@ class ComplementChoice:
         s, omega = self._symplectic_on_image(p, ann_g)
         if s.shape[1] != 2 * r:
             raise RankDeficient("sharp(G0) has unexpected rank")
-        ref = None
-        if "v" in self._refs:
-            ref = s.T @ self._refs["v"]
-        v = lagrangian_complement(s, omega, txperp, ref=ref) if r else np.zeros((n, 0))
-        self._refs.setdefault("v", v)
+        v = self._lagrangian("v", s, omega, txperp)
         h = self._aligned("h", null(np.hstack([txperp, v, g]).T)
                           if n - 2 * r - g.shape[1] else np.zeros((n, 0)))
         w = np.hstack([v, g, h])
@@ -209,11 +220,7 @@ class ComplementChoice:
         s, omega = self._symplectic_on_image(p, ann)
         if s.shape[1] != 2 * c_dim:
             raise RankDeficient("sharp((G+H)0) has unexpected rank")
-        ref = None
-        if "c" in self._refs:
-            ref = s.T @ self._refs["c"]
-        c_lag = lagrangian_complement(s, omega, cap, ref=ref) if c_dim else np.zeros((n, 0))
-        self._refs.setdefault("c", c_lag)
+        c_lag = self._lagrangian("c", s, omega, cap)
         used = np.hstack([cap, h, g, c_lag])
         if rank_svd(used)[0] != used.shape[1]:
             raise RankDeficient("splitting pieces are not independent")
@@ -256,30 +263,61 @@ def sigma_tau(bv: BivectorField, chart: Chart, comp: ComplementChoice, u):
 def _bundle_embedding(comp: ComplementChoice, u, zeta, fd_h=1e-5):
     """State e(u, zeta) = (X(u), J(u) zeta) and its differential."""
     fr = comp.at(u)
-    n = fr.x.shape[0]
-    k, r = fr.dx.shape[1], fr.rank_perp
+    (n, k), r = fr.dx.shape, fr.rank_perp
     zeta = np.asarray(zeta, dtype=float).reshape(r)
-    state_x = fr.x
-    state_xi = fr.j @ zeta
     de = np.zeros((2 * n, k + r))
     de[:n, :k] = fr.dx
     de[n:, k:] = fr.j
-    for a in range(k):
-        du = np.zeros(k)
-        du[a] = fd_h
-        jp = comp.at(fr.u + du).j
-        jm = comp.at(fr.u - du).j
-        de[n:, a] = (jp - jm) @ zeta / (2 * fd_h)
-    return fr, state_x, state_xi, de
+    de[n:, :k] = _central_diff(lambda uu: comp.at(uu).j, fr.u, zeta, n, fd_h)
+    return fr, fr.x, fr.j @ zeta, de
+
+
+def _central_diff(f, u, vec, rows, h):
+    """(rows, len(u)) matrix whose column a is d/du_a (f(u) @ vec), central differences."""
+    out = np.zeros((rows, len(u)))
+    for a in range(len(u)):
+        du = np.zeros(len(u))
+        du[a] = h
+        out[:, a] = (f(u + du) - f(u - du)) @ vec / (2 * h)
+    return out
+
+
+def _bundle_flow(bv, comp, us, zetas, steps, with_jac=False, with_omega=False):
+    """Embed every (u, zeta) row and flow all of them in one batch.
+
+    Returns the per-row embeddings of _bundle_embedding and the
+    FlowResult; batched rows are bitwise those of single-row flows.
+    """
+    frames = [_bundle_embedding(comp, u, z) for u, z in zip(us, zetas)]
+    res = flow(bv, np.stack([f[1] for f in frames]), np.stack([f[2] for f in frames]),
+               steps=steps, with_jac=with_jac, with_omega=with_omega)
+    return frames, res
+
+
+def _phi_jacs(bv, frames, res):
+    """dPhi = d(exp)_base . de at every flowed row."""
+    return np.stack([res.jac[i][:bv.dim, :] @ f[3] for i, f in enumerate(frames)])
+
+
+def _eta_of(frame, omega):
+    return -frame[3].T @ omega @ frame[3]
+
+
+def _require_inside(res):
+    if res.exited.any():
+        raise ValueError("state flows out of the domain box")
+
+
+def eta_forms(bv, comp, us, zetas, steps=1024):
+    """eta = -e*(averaged flow form) at every (u, zeta) row, in one flow."""
+    frames, res = _bundle_flow(bv, comp, us, zetas, steps, with_omega=True)
+    _require_inside(res)
+    return np.stack([_eta_of(f, res.omega[i]) for i, f in enumerate(frames)])
 
 
 def eta_canonical(bv, chart, comp, u, zeta, steps=1024):
     """Gauge form eta(u, zeta) = -e*(averaged flow form) on the bundle."""
-    fr, x, xi, de = _bundle_embedding(comp, u, zeta)
-    res = flow(bv, x[None, :], xi[None, :], steps=steps, with_omega=True)
-    if res.exited.any():
-        raise ValueError("state flows out of the domain box")
-    return -de.T @ res.omega[0] @ de
+    return eta_forms(bv, comp, [u], [zeta], steps)[0]
 
 
 def eta_zero_section(bv, chart, comp, u):
@@ -300,49 +338,49 @@ def eta_canonical_form_source(bv, chart, comp, u, zeta, fd_h=1e-5):
     chart coordinates the restriction of J(u) is exactly tau(u), so the
     pullback of the canonical form is tau plus a base curvature term.
     """
-    fr = comp.at(u)
-    k, r = fr.dx.shape[1], fr.rank_perp
-    zeta = np.asarray(zeta, dtype=float).reshape(r)
+    zeta = np.asarray(zeta, dtype=float).reshape(comp.rank_perp)
 
     def tau_at(uu):
         f = comp.at(uu)
         return f.dx.T @ f.j
 
-    tau0 = tau_at(fr.u)
-    d = np.zeros((k, k))
-    for a in range(k):
-        du = np.zeros(k)
-        du[a] = fd_h
-        d[:, a] = (tau_at(fr.u + du) - tau_at(fr.u - du)) @ zeta / (2 * fd_h)
-    out = np.zeros((k + r, k + r))
-    out[:k, :k] = d - d.T
-    out[:k, k:] = tau0
-    out[k:, :k] = -tau0.T
+    return _canonical_form_gauge(tau_at, np.atleast_1d(np.asarray(u, dtype=float)), zeta, fd_h)
+
+
+def _canonical_form_gauge(f, u, vec, h):
+    """Canonical-form gauge [[D - D^T, B], [-B^T, 0]], B = f(u), D = d/du (f(u) @ vec)."""
+    b = f(u)
+    d = _central_diff(f, u, vec, len(b), h)
+    return _gauge_blocks(d - d.T, b)
+
+
+def _gauge_blocks(a, b):
+    """[[A, B], [-B^T, 0]], the block shape of canonical-form gauges."""
+    k, m = b.shape
+    out = np.zeros((k + m, k + m))
+    out[:k, :k] = a
+    out[:k, k:] = b
+    out[k:, :k] = -b.T
     return out
+
+
+def _fd_gradient(f, point, h):
+    """Central-difference gradient, grads[a] = d/dp_a f at point; f maps the
+    (2d, d) stack of probe points to their stacked values in one call."""
+    offsets = h * np.eye(len(point))
+    vals = f(np.vstack([point + offsets, point - offsets]))
+    return (vals[:len(point)] - vals[len(point):]) / (2 * h)
 
 
 def eta_closedness_residual(bv, chart, comp, u, zeta, steps=256, h=1e-4):
     """Max finite-difference exterior-derivative component of eta."""
-    fr = comp.at(u)
-    k, r = fr.dx.shape[1], fr.rank_perp
-    d = k + r
-    point = np.concatenate([np.atleast_1d(u), np.asarray(zeta, dtype=float).reshape(r)])
-
-    def eta_at(p):
-        return eta_canonical(bv, chart, comp, p[:k], p[k:], steps=steps)
-
-    grads = np.zeros((d, d, d))
-    for a in range(d):
-        dp = np.zeros(d)
-        dp[a] = h
-        grads[a] = (eta_at(point + dp) - eta_at(point - dp)) / (2 * h)
-    worst = 0.0
-    for a in range(d):
-        for b in range(a + 1, d):
-            for c in range(b + 1, d):
-                val = grads[a][b, c] + grads[b][c, a] + grads[c][a, b]
-                worst = max(worst, abs(val))
-    return worst
+    k = chart.param_dim
+    zeta = np.asarray(zeta, dtype=float).reshape(comp.rank_perp)
+    point = np.concatenate([np.atleast_1d(u), zeta])
+    grads = _fd_gradient(lambda ps: eta_forms(bv, comp, ps[:, :k], ps[:, k:], steps=steps),
+                         point, h)
+    return max([0.0, *(abs(grads[a][b, c] + grads[b][c, a] + grads[c][a, b])
+                       for a, b, c in combinations(range(len(point)), 3))])
 
 
 def local_model_bivector(bv, chart, comp, u, zeta, steps=1024, eta_source="flow"):
@@ -352,25 +390,35 @@ def local_model_bivector(bv, chart, comp, u, zeta, steps=1024, eta_source="flow"
     gauges by eta and extracts; NotPoisson propagates when the gauged
     space has no bivector presentation (expected far from zeta = 0).
     """
-    fr = comp.at(u)
-    k, r = fr.dx.shape[1], fr.rank_perp
-    base = pullback_dirac(bv, chart, fr.u, ref_corank=comp.corank)
-    dpr = np.hstack([np.eye(k), np.zeros((k, r))])
-    lifted = dirac_pullback(base, dpr)
     if eta_source == "flow":
         eta = eta_canonical(bv, chart, comp, u, zeta, steps=steps)
     elif eta_source == "canonical_form":
         eta = eta_canonical_form_source(bv, chart, comp, u, zeta)
     else:
         raise ValueError(f"unknown eta source {eta_source!r}")
-    return SkewForm(dirac_to_bivector(dirac_gauge(lifted, eta)))
+    return SkewForm(_model_from_eta(bv, chart, comp, u, eta))
+
+
+def _model_from_eta(bv, chart, comp, u, eta):
+    """Model bivector matrix at u: pull back, lift, gauge by eta, extract."""
+    k = chart.param_dim
+    base = pullback_dirac(bv, chart, u, ref_corank=comp.corank)
+    dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
+    return dirac_to_bivector(dirac_gauge(dirac_pullback(base, dpr), eta))
+
+
+def _pushforward_mismatch(dphi, model, target):
+    """Max entry of dphi model dphi^T - target, compressed to the frame of dphi."""
+    q = orth(dphi)
+    return float(np.abs(q.T @ (dphi @ model @ dphi.T - target) @ q).max())
 
 
 def extraction_radius(bv, chart, comp, u, steps=256, start=0.5, count=6, seed=0):
     """Largest probed fiber radius where model extraction succeeds.
 
     Halves the radius until `count` seeded directions all extract, down
-    to the radius floor; returns 0.0 if even the floor fails.
+    to the radius floor; returns 0.0 if even the floor fails.  Each
+    radius flows all directions in one batch.
     """
     r = comp.rank_perp
     if r == 0:
@@ -381,8 +429,8 @@ def extraction_radius(bv, chart, comp, u, steps=256, start=0.5, count=6, seed=0)
     radius = start
     while radius >= RADIUS_FLOOR:
         try:
-            for d in dirs:
-                local_model_bivector(bv, chart, comp, u, radius * d, steps=steps)
+            for eta in eta_forms(bv, comp, [u] * count, radius * dirs, steps=steps):
+                _model_from_eta(bv, chart, comp, u, eta)
             return radius
         except (NotPoisson, ValueError):
             radius *= 0.5
@@ -402,9 +450,8 @@ def _sigma_grid(chart, comp, u_counts, radius, per_u, seed, include_zero=True):
             dirs = rng.normal(size=(per_u, r))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             scales = rng.uniform(0.2, 1.0, size=(per_u, 1))
-            for z in radius * dirs * scales:
-                rows_u.append(u)
-                rows_z.append(z)
+            rows_u += [u] * per_u
+            rows_z += list(radius * dirs * scales)
     return np.array(rows_u).reshape(len(rows_u), -1), np.array(rows_z).reshape(len(rows_z), r)
 
 
@@ -426,46 +473,69 @@ class SaturationChart:
     def model_dim(self):
         return self.chart.param_dim + self.comp.rank_perp
 
-    def map_and_jac(self, u, zeta):
-        fr, x, xi, de = _bundle_embedding(self.comp, u, zeta)
-        res = flow(self.bv, x[None, :], xi[None, :], steps=self.steps, with_jac=True)
-        if res.exited.any():
-            raise ValueError("state flows out of the domain box")
-        n = self.bv.dim
-        return res.x[0], res.jac[0][:n, :] @ de
+    def map_and_jac(self, us, zetas):
+        """Phi and dPhi at every (u, zeta) row, in one flow."""
+        frames, res = _bundle_flow(self.bv, self.comp, us, zetas, self.steps, with_jac=True)
+        _require_inside(res)
+        return res.x, _phi_jacs(self.bv, frames, res)
 
-    def project(self, y, init, max_iter=50, tol=1e-10):
-        """Nearest-point parameters on the chart image, Gauss-Newton."""
-        p = np.asarray(init, dtype=float).copy()
+    def project(self, ys, inits, max_iter=50, tol=1e-10):
+        """Nearest-point parameters on the chart image, Gauss-Newton.
+
+        All probes iterate in lockstep, each with its own best point and
+        stop, so every probe takes the steps it would take alone; only
+        the probes still iterating are flowed.  Returns the best
+        parameters and distances, one row per probe.
+        """
+        p = np.array(inits, dtype=float)
         k = self.chart.param_dim
-        best = (np.inf, p.copy())
+        best_p = p.copy()
+        best_d = np.full(len(p), np.inf)
+        active = np.ones(len(p), dtype=bool)
         for _ in range(max_iter):
-            val, jac = self.map_and_jac(p[:k], p[k:])
-            resid = y - val
-            dist = np.linalg.norm(resid)
-            if dist < best[0]:
-                best = (dist, p.copy())
-            if dist <= tol:
+            rows = np.flatnonzero(active)
+            if not rows.size:
                 break
-            step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-            if np.linalg.norm(step) > 1.0:
-                step *= 1.0 / np.linalg.norm(step)
-            p = p + step
-        return best[1], best[0]
+            vals, jacs = self.map_and_jac(p[rows, :k], p[rows, k:])
+            for i, val, jac in zip(rows, vals, jacs):
+                resid = ys[i] - val
+                dist = np.linalg.norm(resid)
+                if dist < best_d[i]:
+                    best_d[i], best_p[i] = dist, p[i]
+                if dist <= tol:
+                    active[i] = False
+                    continue
+                step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
+                if np.linalg.norm(step) > 1.0:
+                    step *= 1.0 / np.linalg.norm(step)
+                p[i] = p[i] + step
+        return best_p, best_d
 
     def complement_frame(self, u):
         """Frame spanning a complement of TP along the zero section."""
         fr = self.comp.at(u)
         p = self.bv.matrix_at(fr.x)
         span = np.hstack([fr.dx, p @ fr.j])
-        key = "_tube"
-        basis = null(span.T) if span.size else np.eye(self.bv.dim)
-        ref = self.comp._refs.get(key)
-        if ref is None:
-            basis = fix_signs(basis)
-            self.comp._refs[key] = basis
-            return basis
-        return align_frame(basis, ref)
+        return self.comp._aligned("_tube", null(span.T) if span.size else np.eye(self.bv.dim))
+
+
+def _sampled_bundle_flow(bv, chart, comp, steps, u_counts, radius, per_u, seed,
+                         with_omega=False):
+    """Flow the sampled (u, zeta) grid with jac, halving the fiber radius
+    (down to a floor) until no trajectory leaves the domain box.
+
+    Returns us, zetas, frames, the FlowResult and the radius used.
+    """
+    radius_used = radius
+    while True:
+        us, zetas = _sigma_grid(chart, comp, u_counts, radius_used, per_u, seed)
+        frames, res = _bundle_flow(bv, comp, us, zetas, steps, with_jac=True,
+                                   with_omega=with_omega)
+        if not res.exited.any():
+            return us, zetas, frames, res, radius_used
+        if radius_used * 0.5 < RADIUS_FLOOR:
+            raise ValueError("flow leaves the domain box even at the radius floor")
+        radius_used *= 0.5
 
 
 def saturation_chart(bv, chart, comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
@@ -476,20 +546,9 @@ def saturation_chart(bv, chart, comp, steps=1024, u_counts=5, radius=0.2, per_u=
     Immersion rank and the zero-section tangent identity
     TP = span[dX, sharp(J)] are checked at every sample.
     """
-    radius_used = radius
-    while True:
-        us, zetas = _sigma_grid(chart, comp, u_counts, radius_used, per_u, seed)
-        frames = [_bundle_embedding(comp, u, z) for u, z in zip(us, zetas)]
-        xs = np.stack([f[1] for f in frames])
-        xis = np.stack([f[2] for f in frames])
-        res = flow(bv, xs, xis, steps=steps, with_jac=True)
-        if not res.exited.any():
-            break
-        if radius_used * 0.5 < RADIUS_FLOOR:
-            raise ValueError("flow leaves the domain box even at the radius floor")
-        radius_used *= 0.5
-    n = bv.dim
-    jacs = np.stack([res.jac[i][:n, :] @ frames[i][3] for i in range(len(frames))])
+    us, zetas, frames, res, radius_used = _sampled_bundle_flow(
+        bv, chart, comp, steps, u_counts, radius, per_u, seed)
+    jacs = _phi_jacs(bv, frames, res)
     sat = SaturationChart(bv, chart, comp, steps, us, zetas, res.x, jacs, radius_used)
     dim = sat.model_dim
     for i, (u, z) in enumerate(zip(us, zetas)):
@@ -506,29 +565,21 @@ def saturation_chart(bv, chart, comp, steps=1024, u_counts=5, radius=0.2, per_u=
 def full_fiber_landing(sat: SaturationChart, count=10, radius=0.05, seed=1, tol=1e-4):
     """Check that exp of full-fiber covectors lands on the chart image.
 
-    Probes whose flow leaves the domain box are skipped and counted; the
-    check fails when no probe was checked at all.
+    All probes flow in one batch and are projected together.  Probes
+    whose flow leaves the domain box are skipped and counted; the check
+    fails when no probe was checked at all.
     """
     bv, chart = sat.bv, sat.chart
     rng = np.random.default_rng(seed)
     us = chart.sample(count, seed=seed + 1)
-    worst = 0.0
-    checked = skipped = 0
-    for u in us:
-        x = chart.point_at(u)
-        a = rng.normal(size=bv.dim)
-        a *= radius / np.linalg.norm(a)
-        res = flow(bv, x[None, :], a[None, :], steps=sat.steps)
-        if res.exited.any():
-            skipped += 1
-            continue
-        y = res.x[0]
-        init = np.concatenate([u, np.zeros(sat.comp.rank_perp)])
-        _, dist = sat.project(y, init)
-        worst = max(worst, dist)
-        checked += 1
-    return {"max_distance": worst, "ok": checked > 0 and worst <= tol, "tol": tol,
-            "checked": checked, "skipped": skipped}
+    covs = [a * (radius / np.linalg.norm(a)) for a in rng.normal(size=(len(us), bv.dim))]
+    res = flow(bv, np.stack([chart.point_at(u) for u in us]), np.stack(covs), steps=sat.steps)
+    kept = np.flatnonzero(~res.exited)
+    inits = np.hstack([us[kept], np.zeros((kept.size, sat.comp.rank_perp))])
+    _, dists = sat.project(res.x[kept], inits)
+    worst = max([0.0, *dists])
+    return {"max_distance": worst, "ok": kept.size > 0 and worst <= tol, "tol": tol,
+            "checked": int(kept.size), "skipped": int(len(us) - kept.size)}
 
 
 def saturation_residuals(bv, sat: SaturationChart):
@@ -559,52 +610,25 @@ def verify_normal_form(bv, chart, comp, steps=1024, u_counts=5, radius=0.2, per_
     the chart differential and compared with the ambient bivector at the
     image point, both compressed to the orthonormalized chart frame.
     """
-    radius_used = radius
-    while True:
-        us, zetas = _sigma_grid(chart, comp, u_counts, radius_used, per_u, seed)
-        frames = [_bundle_embedding(comp, u, z) for u, z in zip(us, zetas)]
-        xs = np.stack([f[1] for f in frames])
-        xis = np.stack([f[2] for f in frames])
-        res = flow(bv, xs, xis, steps=steps, with_jac=True, with_omega=True)
-        if not res.exited.any():
-            break
-        if radius_used * 0.5 < RADIUS_FLOOR:
-            raise ValueError("flow leaves the domain box even at the radius floor")
-        radius_used *= 0.5
-    n = bv.dim
-    k = chart.param_dim
-    dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
+    us, zetas, frames, res, radius_used = _sampled_bundle_flow(
+        bv, chart, comp, steps, u_counts, radius, per_u, seed, with_omega=True)
+    dphis = _phi_jacs(bv, frames, res)
     worst = 0.0
     for i, (u, z) in enumerate(zip(us, zetas)):
-        de = frames[i][3]
-        if eta_source == "flow":
-            eta = -de.T @ res.omega[i] @ de
-        else:
-            eta = eta_canonical_form_source(bv, chart, comp, u, z)
-        base = pullback_dirac(bv, chart, u, ref_corank=comp.corank)
-        model = dirac_to_bivector(dirac_gauge(dirac_pullback(base, dpr), eta))
-        dphi = res.jac[i][:n, :] @ de
-        q = orth(dphi)
-        push = dphi @ model @ dphi.T
-        ambient = bv.matrix_at(res.x[i])
-        mism = np.abs(q.T @ (push - ambient) @ q).max()
-        worst = max(worst, float(mism))
-    return {
-        "max_mismatch": worst,
-        "ok": worst <= tol,
-        "tol": tol,
-        "radius_used": radius_used,
-        "samples": len(us),
-        "steps": steps,
-    }
+        eta = (_eta_of(frames[i], res.omega[i]) if eta_source == "flow"
+               else eta_canonical_form_source(bv, chart, comp, u, z))
+        model = _model_from_eta(bv, chart, comp, u, eta)
+        worst = max(worst, _pushforward_mismatch(dphis[i], model, bv.matrix_at(res.x[i])))
+    return {"max_mismatch": worst, "ok": worst <= tol, "tol": tol, "radius_used": radius_used,
+            "samples": len(us), "steps": steps}
 
 
 def tubular_map(bv, chart, comp, sat: SaturationChart, u, zeta, c):
     """Extension of the saturation chart by an affine complement frame."""
     frame = sat.complement_frame(u)
-    val, jac = sat.map_and_jac(u, zeta)
+    vals, jacs = sat.map_and_jac([u], [zeta])
     c = np.asarray(c, dtype=float).reshape(frame.shape[1])
-    return val + frame @ c, np.hstack([jac, frame])
+    return vals[0] + frame @ c, np.hstack([jacs[0], frame])
 
 
 def tubular_rank_check(bv, chart, comp, sat, count=50, radius=0.1, seed=2):
@@ -658,6 +682,9 @@ def compare_complements(bv, chart, comp_a, comp_b, steps=1024, count=20, radius=
     Samples bundle points of the first complement, locates the same
     ambient points in the second chart by projection, and compares the
     two pushforward bivectors compressed to the shared tangent frame.
+    Samples whose model does not extract (NotPoisson) are skipped and
+    counted; the check fails when no sample was checked at all.  Each
+    side flows all its samples in one batch.
     """
     sat_a = saturation_chart(bv, chart, comp_a, steps=steps, u_counts=3,
                              radius=radius, per_u=1, seed=seed)
@@ -666,36 +693,43 @@ def compare_complements(bv, chart, comp_a, comp_b, steps=1024, count=20, radius=
     rng = np.random.default_rng(seed)
     us = chart.sample(count, seed=seed + 2)
     k, r = chart.param_dim, comp_a.rank_perp
-    worst_mismatch = 0.0
-    worst_dist = 0.0
-    for u in us:
+    zetas = []
+    for _ in us:
         zeta = rng.normal(size=r)
         if r:
             zeta *= min(radius, sat_a.radius_used) * rng.uniform(0.1, 1.0) / max(
                 np.linalg.norm(zeta), 1e-12)
+        zetas.append(zeta)
+
+    def flowed(comp, us, zetas):
+        frames, res = _bundle_flow(bv, comp, us, zetas, steps, with_jac=True, with_omega=True)
+        _require_inside(res)
+        etas = [_eta_of(f, w) for f, w in zip(frames, res.omega)]
+        return res.x, _phi_jacs(bv, frames, res), etas
+
+    ya, jas, etas = flowed(comp_a, us, zetas)
+    kept, models_a = [], []
+    for i, (u, eta) in enumerate(zip(us, etas)):
         try:
-            pa = local_model_bivector(bv, chart, comp_a, u, zeta, steps=steps)
+            models_a.append(SkewForm(_model_from_eta(bv, chart, comp_a, u, eta)).matrix)
+            kept.append(i)
         except NotPoisson:
             continue
-        ya, ja = sat_a.map_and_jac(u, zeta)
-        params, dist = sat_b.project(ya, np.concatenate([u, np.zeros(comp_b.rank_perp)]))
-        worst_dist = max(worst_dist, dist)
-        pb = local_model_bivector(bv, chart, comp_b, params[:k], params[k:], steps=steps)
-        yb, jb = sat_b.map_and_jac(params[:k], params[k:])
-        q = orth(ja)
-        push_a = ja @ pa.matrix @ ja.T
-        push_b = jb @ pb.matrix @ jb.T
-        mism = float(np.abs(q.T @ (push_a - push_b) @ q).max())
-        worst_mismatch = max(worst_mismatch, mism)
-    return {
-        "max_mismatch": worst_mismatch,
-        "max_projection_distance": worst_dist,
-        "ok": worst_mismatch <= tol,
-        "tol": tol,
-    }
+    worst_mismatch, dists = 0.0, []
+    if kept:
+        inits = np.hstack([us[kept], np.zeros((len(kept), comp_b.rank_perp))])
+        params, dists = sat_b.project(ya[kept], inits)
+        _, jbs, etas_b = flowed(comp_b, params[:, :k], params[:, k:])
+        for row, i in enumerate(kept):
+            pb = SkewForm(_model_from_eta(bv, chart, comp_b, params[row, :k], etas_b[row])).matrix
+            mism = _pushforward_mismatch(jas[i], models_a[row], jbs[row] @ pb @ jbs[row].T)
+            worst_mismatch = max(worst_mismatch, mism)
+    return {"max_mismatch": worst_mismatch, "max_projection_distance": max([0.0, *dists]),
+            "ok": bool(kept) and worst_mismatch <= tol, "tol": tol,
+            "checked": len(kept), "skipped": len(us) - len(kept)}
 
 
-class GotayModel:
+class GotayModel(FrameAligner):
     """Coisotropic-embedding model of a Dirac chart.
 
     Given Dirac data L on R^k with constant-rank tangent kernel K, the
@@ -720,14 +754,6 @@ class GotayModel:
         self.fiber_dim = None
         self.fiber_dim = self._kernel(np.zeros(self.dim)).shape[1]
 
-    def _aligned(self, key, basis):
-        ref = self._refs.get(key)
-        if ref is None:
-            basis = fix_signs(basis)
-            self._refs[key] = basis
-            return basis
-        return align_frame(basis, ref)
-
     def _kernel(self, x):
         l = self._l_at(np.asarray(x, dtype=float))
         k = self.dim
@@ -749,19 +775,8 @@ class GotayModel:
         return np.linalg.solve(stack.T, rhs)
 
     def gauge_form(self, x, c, fd_h=1e-5):
-        k, m = self.dim, self.fiber_dim
-        c = np.asarray(c, dtype=float).reshape(m)
-        j0 = self._inclusion(x)
-        d = np.zeros((k, k))
-        for a in range(k):
-            dx = np.zeros(k)
-            dx[a] = fd_h
-            d[:, a] = (self._inclusion(x + dx) - self._inclusion(x - dx)) @ c / (2 * fd_h)
-        out = np.zeros((k + m, k + m))
-        out[:k, :k] = d - d.T
-        out[:k, k:] = j0
-        out[k:, :k] = -j0.T
-        return out
+        c = np.asarray(c, dtype=float).reshape(self.fiber_dim)
+        return _canonical_form_gauge(self._inclusion, x, c, fd_h)
 
     def bivector_at(self, x, c):
         k, m = self.dim, self.fiber_dim
@@ -793,16 +808,11 @@ class GotayModel:
         return {"coisotropy": coiso, "reproduction_angle": angles, "jacobi_fd": jacobi}
 
     def _fd_jacobi(self, x, c, h):
-        d = self.dim + self.fiber_dim
+        k = self.dim
         point = np.concatenate([np.asarray(x, dtype=float), np.asarray(c, dtype=float)])
-        p0 = self.bivector_at(point[: self.dim], point[self.dim:])
-        grads = np.zeros((d, d, d))
-        for a in range(d):
-            dp = np.zeros(d)
-            dp[a] = h
-            pp = self.bivector_at(point[: self.dim] + dp[: self.dim], point[self.dim:] + dp[self.dim:])
-            pm = self.bivector_at(point[: self.dim] - dp[: self.dim], point[self.dim:] - dp[self.dim:])
-            grads[a] = (pp - pm) / (2 * h)
+        p0 = self.bivector_at(point[:k], point[k:])
+        grads = _fd_gradient(lambda ps: np.array([self.bivector_at(q[:k], q[k:]) for q in ps]),
+                             point, h)
         t1 = np.einsum("lk,lij->ijk", p0, grads)
         t2 = np.einsum("li,ljk->ijk", p0, grads)
         t3 = np.einsum("lj,lki->ijk", p0, grads)
@@ -828,13 +838,8 @@ def fiberwise_reflection_residual(l_base: DiracSpace, a_block, b_block):
     a = np.asarray(a_block, dtype=float)
     b = np.atleast_2d(np.asarray(b_block, dtype=float))
     r = b.shape[1]
-    d = k + r
-    eta_here = np.zeros((d, d))
-    eta_here[:k, :k] = a
-    eta_here[:k, k:] = b
-    eta_here[k:, :k] = -b.T
-    eta_mirror = eta_here.copy()
-    eta_mirror[:k, :k] = -a
+    eta_here = _gauge_blocks(a, b)
+    eta_mirror = _gauge_blocks(-a, b)
     m = np.diag(np.concatenate([np.ones(k), -np.ones(r)]))
     dpr = np.hstack([np.eye(k), np.zeros((k, r))])
     lifted = dirac_pullback(l_base, dpr)

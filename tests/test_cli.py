@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from poissat import cli
+from poissat import cli, model
 from poissat.cli import (
     Scene,
     SceneError,
@@ -286,6 +286,36 @@ def test_non_finite_entry_exits_4_naming_the_operation(tmp_path):
     code, out = run_main(["analyze", str(path)])
     assert code == 4
     assert json.loads(out)["error"].startswith("non-finite result from division at point (")
+
+
+@pytest.mark.parametrize("entry,operation", [
+    ("x + 1/0", "division"),           # Python 1.0 / 0.0 raises ZeroDivisionError
+    ("x + 10^400", "integer power"),   # Python 10.0 ** 400 raises OverflowError
+])
+def test_literal_arithmetic_error_exits_4_naming_the_operation(tmp_path, entry, operation):
+    path = tmp_path / "literal.scene"
+    path.write_text(f'[poisson]\ndim = 2\nentry = 1 2 "{entry}"\n'
+                    '[submanifold]\nparams = 1\ncomponent = "u"\ncomponent = "0"\n')
+    code, out = run_main(["analyze", str(path)])
+    assert code == 4
+    assert json.loads(out)["error"].startswith(f"non-finite result from {operation} at point (")
+
+
+def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch):
+    # saturate: grid 1, landing probes 1, lockstep projection 4 iterations;
+    # model: zero-section grid 1, closedness 1, extraction 1; verify: grid 1
+    calls = []
+    real_flow = model.flow
+
+    def counting_flow(*args, **kwargs):
+        calls.append(len(np.atleast_2d(args[1])))
+        return real_flow(*args, **kwargs)
+
+    monkeypatch.setattr(model, "flow", counting_flow)
+    code, _ = run_main(["all", write_fixture(tmp_path, "transversal-ray"), "--steps", "32"])
+    assert code == 0
+    assert len(calls) == 10
+    assert min(calls) > 1  # no single-trajectory flows remain
 
 
 def test_missing_file_exits_4(tmp_path):

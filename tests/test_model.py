@@ -15,7 +15,8 @@ Closed forms used below (all derivable by hand):
 import numpy as np
 import pytest
 
-from poissat import field, model, submanifold
+from poissat import cli, field, model, submanifold
+from poissat.fixtures import FIXTURES
 from poissat.linear import (
     NotPoisson,
     RankDeficient,
@@ -373,6 +374,20 @@ def test_compare_complements_coiso_line(coiso_line):
     assert rep["ok"], rep
 
 
+def test_compare_complements_fails_when_nothing_extracts(coiso_line, monkeypatch):
+    bv, chart = coiso_line
+    comp_a = model.ComplementChoice(bv, chart, mode="default")
+    comp_b = model.ComplementChoice(bv, chart, mode="coisotropic")
+
+    def never_extracts(space):
+        raise NotPoisson("no bivector presentation", 1)
+
+    monkeypatch.setattr(model, "dirac_to_bivector", never_extracts)
+    rep = model.compare_complements(bv, chart, comp_a, comp_b, steps=16, count=5)
+    assert (rep["checked"], rep["skipped"]) == (0, 5)
+    assert rep["max_mismatch"] == 0.0 and not rep["ok"]
+
+
 def test_compare_complements_skewed(coiso_line):
     # a genuinely different complement: sheared against the fiber
     bv, chart = coiso_line
@@ -382,6 +397,68 @@ def test_compare_complements_skewed(coiso_line):
     rep = model.compare_complements(bv, chart, comp_a, comp_b, steps=256, count=10)
     assert rep["ok"], rep
     assert rep["max_projection_distance"] <= 1e-8
+
+
+# --- batched bundle flows ---
+
+
+def scene_parts(name):
+    sc = cli.parse_scene(FIXTURES[name])
+    bv = cli.build_bivector(sc)
+    chart = cli.build_chart(sc, bv.dim)
+    return bv, chart, cli.build_complement(sc, bv, chart)
+
+
+def project_one(sat, y, init, max_iter=50, tol=1e-10):
+    """Per-probe Gauss-Newton reference: one single-row flow per iteration."""
+    p = np.asarray(init, dtype=float).copy()
+    k = sat.chart.param_dim
+    best = (np.inf, p.copy())
+    for _ in range(max_iter):
+        vals, jacs = sat.map_and_jac([p[:k]], [p[k:]])
+        resid = y - vals[0]
+        dist = np.linalg.norm(resid)
+        if dist < best[0]:
+            best = (dist, p.copy())
+        if dist <= tol:
+            break
+        step, *_ = np.linalg.lstsq(jacs[0], resid, rcond=None)
+        if np.linalg.norm(step) > 1.0:
+            step *= 1.0 / np.linalg.norm(step)
+        p = p + step
+    return best[1], best[0]
+
+
+@pytest.mark.parametrize("name", ["transversal-ray", "coiso-line"])
+@pytest.mark.parametrize("max_iter", [50, 2])
+def test_lockstep_project_matches_per_probe_loop(name, max_iter):
+    bv, chart, comp = scene_parts(name)
+    sat = model.saturation_chart(bv, chart, comp, steps=32, u_counts=3, radius=0.05)
+    rng = np.random.default_rng(5)
+    us = chart.sample(5, seed=6)
+    covs = rng.normal(size=(5, bv.dim))
+    covs *= 0.05 / np.linalg.norm(covs, axis=1, keepdims=True)
+    ys = model.flow(bv, np.stack([chart.point_at(u) for u in us]), covs, steps=32).x
+    inits = np.hstack([us, np.zeros((5, comp.rank_perp))])
+    # the last probe starts on its own target, so it stops at the first
+    # iteration while the others go on: the stop masks must keep them apart
+    ys[-1] = sat.map_and_jac(inits[-1:, :1], inits[-1:, 1:])[0][0]
+    params, dists = sat.project(ys, inits, max_iter=max_iter)
+    assert dists[-1] == 0.0
+    for i in range(5):
+        ref_p, ref_d = project_one(sat, ys[i], inits[i], max_iter=max_iter)
+        assert np.array_equal(params[i], ref_p) and dists[i] == ref_d
+
+
+@pytest.mark.parametrize("name", ["transversal-ray", "coiso-line"])
+def test_batched_eta_forms_match_per_row_eta(name):
+    bv, chart, comp = scene_parts(name)
+    rng = np.random.default_rng(8)
+    us = chart.sample(4, seed=9)
+    zetas = 0.05 * rng.uniform(-1.0, 1.0, size=(4, comp.rank_perp))
+    etas = model.eta_forms(bv, comp, us, zetas, steps=32)
+    for u, z, eta in zip(us, zetas, etas):
+        assert np.array_equal(eta, model.eta_canonical(bv, chart, comp, u, z, steps=32))
 
 
 # --- Gotay embedding ---
