@@ -442,7 +442,8 @@ def test_lockstep_project_matches_per_probe_loop(name, max_iter):
     inits = np.hstack([us, np.zeros((5, comp.rank_perp))])
     # the last probe starts on its own target, so it stops at the first
     # iteration while the others go on: the stop masks must keep them apart
-    ys[-1] = sat.map_and_jac(inits[-1:, :1], inits[-1:, 1:])[0][0]
+    k = chart.param_dim
+    ys[-1] = sat.map_and_jac(inits[-1:, :k], inits[-1:, k:])[0][0]
     params, dists = sat.project(ys, inits, max_iter=max_iter)
     assert dists[-1] == 0.0
     for i in range(5):
