@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import CONVENTION, __version__
-from .expr import ExprError, evaluate, parse
+from .expr import ExprError, Neg, compile_kernel, parse
 from .field import BivectorField, JacobiError
 from .fixtures import FIXTURES
 from .linear import NotPoisson, RankDeficient, SkewForm, dirac_graph
@@ -214,21 +214,21 @@ def _frame_columns(scene, key, chart):
     vars_rows = scene.rows("submanifold", "vars")
     if vars_rows:
         names = vars_rows[-1][0]
-    cols = []
-    for tokens, line in rows:
+    slots = []
+    for c, (tokens, line) in enumerate(rows):
         if len(tokens) != n:
             raise SceneError(f"'{key}' column needs {n} expressions, got {len(tokens)}", line)
-        cols.append([parse(t, k, names) for t in tokens])
+        slots += [((c, i), parse(t, k, names)) for i, t in enumerate(tokens)]
+    kernel = compile_kernel(slots, (len(rows), n))
     probes = np.vstack([chart.grid(2), chart.sample(3, seed=7)]) if k else np.zeros((1, 0))
-    flat = np.array([[evaluate(e, probes) for e in col] for col in cols])
-    if np.ptp(flat, axis=-1).max() == 0.0:
-        return flat[..., 0].T  # (n, cols) constant frame
+    vals = kernel(probes)
+    if np.ptp(vals, axis=0).max() == 0.0:
+        return vals[0].T  # (n, cols) constant frame
     if key != "w":
         raise SceneError(f"'{key}' must be a constant frame", rows[0][1])
 
     def at(u):
-        pts = np.atleast_1d(np.asarray(u, dtype=float))[None, :]
-        return np.array([[evaluate(e, pts)[0] for e in col] for col in cols]).T
+        return kernel(np.atleast_1d(np.asarray(u, dtype=float))[None, :])[0].T
 
     return at
 
@@ -382,15 +382,14 @@ def _run_gotay(scene, command, report, p):
     radius = scene.scalar("presymplectic", "radius", default=0.1, convert=float)
     entries = _entries(scene, "presymplectic", dim)
     trees = {ij: parse(text, dim) for ij, text in entries.items()}
+    kernel = compile_kernel(
+        [pair for (i, j), t in trees.items() for pair in (((i, j), t), ((j, i), Neg(t)))],
+        (dim, dim),
+    )
     stages = report["stages"]
 
     def form_at(x):
-        m = np.zeros((dim, dim))
-        for (i, j), tree in trees.items():
-            v = float(evaluate(tree, np.asarray(x, dtype=float)[None, :])[0])
-            m[i, j] = v
-            m[j, i] = -v
-        return dirac_graph(SkewForm(m), "two_form")
+        return dirac_graph(SkewForm(kernel(np.asarray(x, dtype=float)[None, :])[0]), "two_form")
 
     exit_code = 0
     try:

@@ -487,13 +487,13 @@ _BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
 def compile_kernel(slots, shape):
-    """Compile (slot, tree) pairs into kernel(pts) -> (m, *shape) array.
+    """Compile a list of (slot, tree) pairs into kernel(pts) -> (m, *shape) array.
 
     pts is a 2d float array (m, arity).  The kernel sets out[:, *slot] to
-    the tree's value for every pair and leaves unlisted slots 0.0.  It
-    returns None when any entry is non-finite or Python arithmetic on
-    constants raises; the caller then re-runs its per-entry evaluate loop,
-    which raises the EvalError naming the entry, operation and point.
+    the tree's value for every pair and leaves unlisted slots 0.0.  When
+    any entry is non-finite, or Python arithmetic on constants raises, it
+    re-runs evaluate slot by slot in slot order, which raises the
+    EvalError naming the first failing entry's operation and point.
     """
     namespace = {f: getattr(np, f) for f in FUNCS}
     names = {}  # structural key -> local name
@@ -549,9 +549,13 @@ def compile_kernel(slots, shape):
         try:
             with np.errstate(all="ignore"):
                 fill(cols, out)
+            if np.isfinite(out).all():
+                return out
         except ArithmeticError:
-            return None
-        return out if np.isfinite(out).all() else None
+            pass
+        for slot, tree in slots:
+            out[(slice(None), *slot)] = evaluate(tree, pts)
+        return out
 
     kernel.source = source
     return kernel

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr
-from .expr import Expression, Neg, Num, compile_kernel, derive, evaluate
+from .expr import Expression, Neg, Num, compile_kernel, derive
 from .linear import rank_svd
 
 
@@ -64,18 +64,15 @@ class BivectorField:
             for j in range(i + 1, dim):
                 grid[j][i] = expr.neg(grid[i][j])
         self._grid = grid
-        self._dgrid = [
-            [[derive(grid[i][j], k) for k in range(dim)] for j in range(dim)]
-            for i in range(dim)
-        ]
         upper = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        dgrid = {(i, j): [derive(grid[i][j], k) for k in range(dim)] for i, j in upper}
         self._matrix_kernel = compile_kernel(
             [pair for i, j in upper if grid[i][j] != Num(0.0)
              for pair in (((i, j), grid[i][j]), ((j, i), Neg(grid[i][j])))],
             (dim, dim),
         )
         self._jac_kernel = compile_kernel(
-            [pair for i, j in upper for k, d in enumerate(self._dgrid[i][j]) if d != Num(0.0)
+            [pair for (i, j), row in dgrid.items() for k, d in enumerate(row) if d != Num(0.0)
              for pair in (((i, j, k), d), ((j, i, k), Neg(d)))],
             (dim, dim, dim),
         )
@@ -97,47 +94,14 @@ class BivectorField:
 
     def matrix(self, pts):
         """Evaluate PI at a point batch; returns (m, n, n)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = self._matrix_kernel(pts)
-        return out if out is not None else self._matrix_entrywise(pts)
-
-    def _matrix_entrywise(self, pts):
-        """Per-entry evaluate loop: the kernel's reference and error path."""
-        m, n = pts.shape[0], self.dim
-        out = np.zeros((m, n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = self._grid[i][j]
-                if e == Num(0.0):
-                    continue
-                v = evaluate(e, pts)
-                out[:, i, j] = v
-                out[:, j, i] = -v
-        return out
+        return self._matrix_kernel(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def matrix_at(self, x):
         return self.matrix(np.asarray(x, dtype=float)[None, :])[0]
 
     def matrix_jac(self, pts):
         """Entry derivatives; returns (m, n, n, n) with [.., i, j, k] = d_k PI^ij."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = self._jac_kernel(pts)
-        return out if out is not None else self._matrix_jac_entrywise(pts)
-
-    def _matrix_jac_entrywise(self, pts):
-        """Per-entry evaluate loop: the kernel's reference and error path."""
-        m, n = pts.shape[0], self.dim
-        out = np.zeros((m, n, n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    d = self._dgrid[i][j][k]
-                    if d == Num(0.0):
-                        continue
-                    v = evaluate(d, pts)
-                    out[:, i, j, k] = v
-                    out[:, j, i, k] = -v
-        return out
+        return self._jac_kernel(np.atleast_2d(np.asarray(pts, dtype=float)))
 
     def inside(self, pts):
         """Boolean mask: rows of pts inside the declared domain box."""

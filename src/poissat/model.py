@@ -638,13 +638,16 @@ def tubular_rank_check(bv, chart, comp, sat, count=50, radius=0.1, seed=2):
     n = bv.dim
     r = comp.rank_perp
     e_dim = n - chart.param_dim - r
-    for u in us:
+    zetas = []
+    for _ in us:
         zeta = rng.normal(size=r)
         if r:
             zeta *= radius * rng.uniform(0, 1) / max(np.linalg.norm(zeta), 1e-12)
-        c = rng.uniform(-radius, radius, e_dim)
-        _, dpsi = tubular_map(bv, chart, comp, sat, u, zeta, c)
-        if rank_svd(dpsi)[0] != n:
+        zetas.append(zeta)
+        rng.uniform(-radius, radius, e_dim)  # the affine offset: dpsi does not depend on it
+    _, jacs = sat.map_and_jac(us, np.array(zetas).reshape(len(us), r))
+    for u, jac in zip(us, jacs):
+        if rank_svd(np.hstack([jac, sat.complement_frame(u)]))[0] != n:
             return {"ok": False, "witness": tuple(float(x) for x in u)}
     return {"ok": True, "samples": int(count)}
 

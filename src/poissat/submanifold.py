@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import expr, linear
-from .expr import Num, compile_kernel, derive, evaluate
+from .expr import Num, compile_kernel, derive
 from .field import BivectorField
 from .linear import (
     DiracSpace,
@@ -75,35 +75,13 @@ class Chart:
                 raise ValueError(f"chart is not an immersion at u = {tuple(u)}")
 
     def points(self, us):
-        us = np.atleast_2d(np.asarray(us, dtype=float))
-        out = self._points_kernel(us)
-        return out if out is not None else self._points_entrywise(us)
-
-    def _points_entrywise(self, us):
-        """Per-entry evaluate loop: the kernel's reference and error path."""
-        out = np.zeros((us.shape[0], self.ambient_dim))
-        for i, c in enumerate(self.components):
-            out[:, i] = evaluate(c, us) if not isinstance(c, Num) else c.value
-        return out
+        return self._points_kernel(np.atleast_2d(np.asarray(us, dtype=float)))
 
     def point_at(self, u):
         return self.points(np.atleast_1d(np.asarray(u, dtype=float))[None, :])[0]
 
     def jacobian(self, us):
-        us = np.atleast_2d(np.asarray(us, dtype=float))
-        out = self._jacobian_kernel(us)
-        return out if out is not None else self._jacobian_entrywise(us)
-
-    def _jacobian_entrywise(self, us):
-        """Per-entry evaluate loop: the kernel's reference and error path."""
-        out = np.zeros((us.shape[0], self.ambient_dim, self.param_dim))
-        for i in range(self.ambient_dim):
-            for a in range(self.param_dim):
-                d = self._jac[i][a]
-                if d == Num(0.0):
-                    continue
-                out[:, i, a] = evaluate(d, us)
-        return out
+        return self._jacobian_kernel(np.atleast_2d(np.asarray(us, dtype=float)))
 
     def jac_at(self, u):
         return self.jacobian(np.atleast_1d(np.asarray(u, dtype=float))[None, :])[0]
@@ -134,21 +112,20 @@ class Chart:
 class PointData:
     """Pointwise linear data of (chart, bivector) at a parameter value."""
 
-    def __init__(self, u, x, tx, tx0, txperp, corank, dirac=None):
+    def __init__(self, u, x, tx, tx0, txperp, corank):
         self.u = u
         self.x = x
         self.tx = tx  # (n, k) orthonormal
         self.tx0 = tx0  # (n, n-k) orthonormal annihilator
         self.txperp = txperp  # (n, r) orthonormal
         self.corank = corank  # dim(ker sharp cap TX0)
-        self.dirac = dirac
 
     @property
     def rank_perp(self):
         return self.txperp.shape[1]
 
 
-def point_data(bv: BivectorField, chart: Chart, u, with_dirac=False):
+def point_data(bv: BivectorField, chart: Chart, u):
     """Tangent data at X(u); checks exactness of the defining sequence.
 
     dim TXperp + dim(ker sharp cap TX0) must equal n - k; a decisive
@@ -177,10 +154,7 @@ def point_data(bv: BivectorField, chart: Chart, u, with_dirac=False):
                 f"exactness violation at u = {tuple(u)}: "
                 f"rank {r} + corank {corank} != {n - k}"
             )
-    dirac = None
-    if with_dirac:
-        dirac = dirac_pullback(dirac_graph(p, "bivector"), dx)
-    return PointData(u, x, tx, tx0, txperp, corank, dirac)
+    return PointData(u, x, tx, tx0, txperp, corank)
 
 
 def _decisive(sv, rank, gap=10.0):

@@ -288,14 +288,25 @@ def test_non_finite_entry_exits_4_naming_the_operation(tmp_path):
     assert json.loads(out)["error"].startswith("non-finite result from division at point (")
 
 
-@pytest.mark.parametrize("entry,operation", [
-    ("x + 1/0", "division"),           # Python 1.0 / 0.0 raises ZeroDivisionError
-    ("x + 10^400", "integer power"),   # Python 10.0 ** 400 raises OverflowError
+def _line_scene(entry="x", component="0"):
+    return (f'[poisson]\ndim = 2\nentry = 1 2 "{entry}"\n'
+            f'[submanifold]\nparams = 1\ncomponent = "u"\ncomponent = "{component}"\n')
+
+
+@pytest.mark.parametrize("scene,operation", [
+    # Python 1.0 / 0.0 raises ZeroDivisionError
+    pytest.param(_line_scene(entry="x + 1/0"), "division", id="x + 1/0-division"),
+    # Python 10.0 ** 400 raises OverflowError
+    pytest.param(_line_scene(entry="x + 10^400"), "integer power",
+                 id="x + 10^400-integer power"),
+    # a constant chart component is evaluated like any other
+    pytest.param(_line_scene(component="1e400"), "evaluation", id="component 1e400-evaluation"),
+    pytest.param('[presymplectic]\ndim = 2\nentry = 1 2 "x + 1/0"\n', "division",
+                 id="presymplectic x + 1/0-division"),
 ])
-def test_literal_arithmetic_error_exits_4_naming_the_operation(tmp_path, entry, operation):
+def test_literal_arithmetic_error_exits_4_naming_the_operation(tmp_path, scene, operation):
     path = tmp_path / "literal.scene"
-    path.write_text(f'[poisson]\ndim = 2\nentry = 1 2 "{entry}"\n'
-                    '[submanifold]\nparams = 1\ncomponent = "u"\ncomponent = "0"\n')
+    path.write_text(scene)
     code, out = run_main(["analyze", str(path)])
     assert code == 4
     assert json.loads(out)["error"].startswith(f"non-finite result from {operation} at point (")

@@ -1,4 +1,4 @@
-"""Compiled kernels against the per-entry evaluate path, bit for bit."""
+"""Compiled kernels against per-tree evaluate references, bit for bit."""
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from poissat.expr import (
     Sub,
     Var,
     compile_kernel,
+    derive,
     evaluate,
     parse,
 )
@@ -56,11 +57,21 @@ def random_tree(rng, arity, depth, pool):
 
 
 def entrywise(trees, pts):
-    """Reference: one evaluate call per tree; None when any raises."""
+    """Reference: one evaluate call per tree, in order; raises the first EvalError."""
+    return np.stack([evaluate(t, pts) for t in trees], axis=-1)
+
+
+def assert_same_result(kernel, trees, pts):
+    """The kernel returns the reference bitwise, or raises its EvalError."""
     try:
-        return np.stack([evaluate(t, pts) for t in trees], axis=-1)
-    except (EvalError, ArithmeticError):
-        return None
+        ref = entrywise(trees, pts)
+    except EvalError as exc:
+        with pytest.raises(EvalError) as err:
+            kernel(pts)
+        assert str(err.value) == str(exc)
+        assert err.value.point == exc.point
+    else:
+        assert_bitwise(kernel(pts), ref)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -78,11 +89,7 @@ def test_random_trees_match_evaluate_bitwise(seed):
         pts = rng.uniform(-2, 2, size=(m, arity))
         pts[0, 0] = rng.choice([0.0, -0.0, 1.0])
         for group, k in [(trees, kernel)] + [([t], s) for t, s in zip(trees, singles)]:
-            ref, got = entrywise(group, pts), k(pts)
-            if ref is None:
-                assert got is None
-            else:
-                assert_bitwise(got, ref)
+            assert_same_result(k, group, pts)
 
 
 def test_kernel_keeps_signed_zeros_apart_and_shares_subtrees():
@@ -101,6 +108,43 @@ def fixture_objects(name):
     return bv, cli.build_chart(scene, bv.dim)
 
 
+def matrix_ref(bv, pts):
+    n = bv.dim
+    out = np.zeros((len(pts), n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if bv.entry(i, j) != Num(0.0):
+                out[:, i, j] = evaluate(bv.entry(i, j), pts)
+                out[:, j, i] = -out[:, i, j]
+    return out
+
+
+def matrix_jac_ref(bv, pts):
+    n = bv.dim
+    out = np.zeros((len(pts), n, n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                d = derive(bv.entry(i, j), k)
+                if d != Num(0.0):
+                    out[:, i, j, k] = evaluate(d, pts)
+                    out[:, j, i, k] = -out[:, i, j, k]
+    return out
+
+
+def points_ref(chart, us):
+    return np.stack([evaluate(c, us) for c in chart.components], axis=-1)
+
+
+def jacobian_ref(chart, us):
+    out = np.zeros((len(us), chart.ambient_dim, chart.param_dim))
+    for i, row in enumerate(chart._jac):
+        for a, d in enumerate(row):
+            if d != Num(0.0):
+                out[:, i, a] = evaluate(d, us)
+    return out
+
+
 @pytest.mark.parametrize("name", POISSON_FIXTURES)
 def test_fixture_kernels_match_entrywise(name):
     bv, chart = fixture_objects(name)
@@ -109,11 +153,11 @@ def test_fixture_kernels_match_entrywise(name):
                     chart.points(chart.grid(3))])
     us = np.vstack([chart.grid(3), chart.sample(7, seed=5)])
     for pts in (xs, xs[:1]):
-        assert_bitwise(bv.matrix(pts), bv._matrix_entrywise(pts))
-        assert_bitwise(bv.matrix_jac(pts), bv._matrix_jac_entrywise(pts))
+        assert_bitwise(bv.matrix(pts), matrix_ref(bv, pts))
+        assert_bitwise(bv.matrix_jac(pts), matrix_jac_ref(bv, pts))
     for pts in (us, us[:1]):
-        assert_bitwise(chart.points(pts), chart._points_entrywise(pts))
-        assert_bitwise(chart.jacobian(pts), chart._jacobian_entrywise(pts))
+        assert_bitwise(chart.points(pts), points_ref(chart, pts))
+        assert_bitwise(chart.jacobian(pts), jacobian_ref(chart, pts))
 
 
 def test_eval_error_unchanged_through_kernels():
@@ -140,10 +184,11 @@ def test_eval_error_unchanged_through_kernels():
         chart.jacobian([[0.0]])
 
 
-def test_constant_chart_component_stays_unchecked():
-    # Chart.points writes constant components without evaluate, so an
-    # infinite literal passes through on both paths
+def test_constant_chart_component_raises_eval_error():
+    # a constant component goes through the kernel like any other, so an
+    # infinite literal is reported, not passed through as inf
     chart = Chart(1, 2, ["u", "1e400"], domain=[(-1, 1)])
-    out = chart.points([[0.5]])
-    assert_bitwise(out, chart._points_entrywise(np.array([[0.5]])))
-    assert np.isinf(out[0, 1])
+    with pytest.raises(EvalError) as err:
+        chart.points([[0.5]])
+    assert str(err.value) == "non-finite result from evaluation at point (0.5,)"
+    assert err.value.point == (0.5,)

@@ -363,6 +363,32 @@ def test_tubular_map_coiso_line(coiso_line):
     assert rep["ok"]
 
 
+def test_tubular_rank_check_flows_once(coiso_line, monkeypatch):
+    bv, chart = coiso_line
+    comp = model.ComplementChoice(bv, chart, mode="coisotropic")
+    sat = model.saturation_chart(bv, chart, comp, steps=64, u_counts=3, radius=0.2)
+    # reference: the same draws, one tubular_map (one single-row flow) per state
+    rng = np.random.default_rng(2)
+    ref = {"ok": True, "samples": 50}
+    for u in chart.sample(50, seed=2):
+        zeta = rng.normal(size=1)
+        zeta *= 0.1 * rng.uniform(0, 1) / max(np.linalg.norm(zeta), 1e-12)
+        _, dpsi = model.tubular_map(bv, chart, comp, sat, u, zeta, rng.uniform(-0.1, 0.1, 1))
+        if rank_svd(dpsi)[0] != bv.dim:
+            ref = {"ok": False, "witness": tuple(float(x) for x in u)}
+            break
+    calls = []
+    real_flow = model.flow
+
+    def counting_flow(*args, **kwargs):
+        calls.append(len(np.atleast_2d(args[1])))
+        return real_flow(*args, **kwargs)
+
+    monkeypatch.setattr(model, "flow", counting_flow)
+    assert model.tubular_rank_check(bv, chart, comp, sat, count=50) == ref
+    assert calls == [50]
+
+
 # --- model independence ---
 
 
