@@ -184,7 +184,7 @@ class ComplementChoice(FrameAligner):
         tx = pd.tx
         if rank_svd(np.hstack([tx, txperp]))[0] != k:
             raise RankDeficient(f"chart is not coisotropic at u = {tuple(u)}")
-        p = self.bv.matrix_at(pd.x)
+        p = pd.p
         g = self._g_user if self._g_user is not None else self._aligned("g", _span_in(tx, txperp))
         if subspace_intersect(g, txperp).shape[1] or rank_svd(np.hstack([g, txperp]))[0] != k:
             raise RankDeficient("G is not a complement of TXperp in TX")
@@ -208,7 +208,7 @@ class ComplementChoice(FrameAligner):
         tx = pd.tx
         cap = self._aligned("cap", subspace_intersect(pd.txperp, tx))
         c_dim = cap.shape[1]
-        p = self.bv.matrix_at(pd.x)
+        p = pd.p
         g = self._g_user if self._g_user is not None else self._aligned("g", _span_in(tx, cap))
         h = self._h_user if self._h_user is not None else self._aligned("h", _span_in(pd.txperp, cap))
         if rank_svd(np.hstack([cap, g]))[0] != k or subspace_intersect(cap, g).shape[1]:
@@ -738,7 +738,9 @@ class GotayModel(FrameAligner):
     Given Dirac data L on R^k with constant-rank tangent kernel K, the
     ambient space is the bundle chart R^k x R^m of K-dual fibers; the
     bivector is extracted from the canonical-form gauge of the lifted
-    structure.  Frames are aligned to the origin for smoothness.
+    structure.  Frames are aligned to the origin for smoothness.  L(x) and
+    the inclusion at x are memoised on the bits of x: the finite-difference
+    stencils of gauge_form and verify revisit the same points many times.
     """
 
     def __init__(self, dim, l_source, g=None):
@@ -754,11 +756,21 @@ class GotayModel(FrameAligner):
             self._l_at = lambda x: dirac_graph(SkewForm(np.asarray(l_source, dtype=float)), "two_form")
         self._g_user = None if g is None else np.atleast_2d(np.asarray(g, dtype=float))
         self._refs = {}
+        self._l_memo = {}
+        self._inclusion_memo = {}
         self.fiber_dim = None
         self.fiber_dim = self._kernel(np.zeros(self.dim)).shape[1]
 
+    def _l(self, x):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        l = self._l_memo.get(key)
+        if l is None:
+            l = self._l_memo[key] = self._l_at(x)
+        return l
+
     def _kernel(self, x):
-        l = self._l_at(np.asarray(x, dtype=float))
+        l = self._l(x)
         k = self.dim
         vertical = np.vstack([np.eye(k), np.zeros((k, k))])
         cap = subspace_intersect(l.basis, vertical)
@@ -768,6 +780,13 @@ class GotayModel(FrameAligner):
         return kern
 
     def _inclusion(self, x):
+        key = np.asarray(x, dtype=float).tobytes()
+        incl = self._inclusion_memo.get(key)
+        if incl is not None:
+            return incl
+        # the call that sets the "g" reference returns it unaligned; a later
+        # call at the same x aligns to it, which need not give the same bits
+        keep = self._g_user is not None or "g" in self._refs
         kern = self._kernel(x)
         m = kern.shape[1]
         g = self._g_user if self._g_user is not None else self._aligned("g", null(kern.T))
@@ -775,7 +794,11 @@ class GotayModel(FrameAligner):
         if rank_svd(stack)[0] != self.dim:
             raise RankDeficient("G is not a complement of the kernel")
         rhs = np.vstack([np.eye(m), np.zeros((self.dim - m, m))])
-        return np.linalg.solve(stack.T, rhs)
+        incl = np.linalg.solve(stack.T, rhs)
+        incl.flags.writeable = False
+        if keep:
+            self._inclusion_memo[key] = incl
+        return incl
 
     def gauge_form(self, x, c, fd_h=1e-5):
         c = np.asarray(c, dtype=float).reshape(self.fiber_dim)
@@ -784,7 +807,7 @@ class GotayModel(FrameAligner):
     def bivector_at(self, x, c):
         k, m = self.dim, self.fiber_dim
         dpr = np.hstack([np.eye(k), np.zeros((k, m))])
-        lifted = dirac_pullback(self._l_at(np.asarray(x, dtype=float)), dpr)
+        lifted = dirac_pullback(self._l(x), dpr)
         return dirac_to_bivector(dirac_gauge(lifted, self.gauge_form(x, c)))
 
     def verify(self, samples=20, radius=0.1, seed=4, fd_h=1e-5):
@@ -804,7 +827,7 @@ class GotayModel(FrameAligner):
             resid = image - tangent @ (tangent.T @ image)
             coiso = max(coiso, float(np.abs(resid).max()))
             back = dirac_pullback(dirac_graph(p, "bivector"), incl)
-            ang = principal_angles(back.basis, self._l_at(x).basis)
+            ang = principal_angles(back.basis, self._l(x).basis)
             angles = max(angles, float(ang.max()) if ang.size else 0.0)
             c = rng.uniform(-radius, radius, m)
             jacobi = max(jacobi, self._fd_jacobi(x, c, fd_h))

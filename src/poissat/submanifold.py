@@ -112,9 +112,10 @@ class Chart:
 class PointData:
     """Pointwise linear data of (chart, bivector) at a parameter value."""
 
-    def __init__(self, u, x, tx, tx0, txperp, corank):
+    def __init__(self, u, x, p, tx, tx0, txperp, corank):
         self.u = u
         self.x = x
+        self.p = p  # (n, n) bivector matrix at x
         self.tx = tx  # (n, k) orthonormal
         self.tx0 = tx0  # (n, n-k) orthonormal annihilator
         self.txperp = txperp  # (n, r) orthonormal
@@ -154,7 +155,7 @@ def point_data(bv: BivectorField, chart: Chart, u):
                 f"exactness violation at u = {tuple(u)}: "
                 f"rank {r} + corank {corank} != {n - k}"
             )
-    return PointData(u, x, tx, tx0, txperp, corank)
+    return PointData(u, x, p, tx, tx0, txperp, corank)
 
 
 def _decisive(sv, rank, gap=10.0):
@@ -167,9 +168,10 @@ def _decisive(sv, rank, gap=10.0):
 
 
 class ScanResult:
-    def __init__(self, params, ranks, witnesses, refined):
+    def __init__(self, params, points, witnesses, refined):
         self.params = params
-        self.ranks = ranks
+        self.points = points  # PointData per row of params
+        self.ranks = np.array([pd.rank_perp for pd in points])
         self.witnesses = witnesses  # rank -> parameter point
         self.refined = refined
 
@@ -187,8 +189,9 @@ class ScanResult:
 def regularity_scan(bv: BivectorField, chart: Chart, counts=9, seed=0):
     """Rank of TXperp over a grid, refined 10x near rank boundaries."""
     params = chart.grid(counts)
-    ranks = np.array([point_data(bv, chart, u).rank_perp for u in params])
-    refined_params, refined_ranks = [], []
+    points = [point_data(bv, chart, u) for u in params]
+    ranks = np.array([pd.rank_perp for pd in points])
+    refined_params = []
     if chart.param_dim and len(set(ranks.tolist())) > 1:
         rng = np.random.default_rng(seed)
         shape = tuple(
@@ -204,22 +207,18 @@ def regularity_scan(bv: BivectorField, chart: Chart, counts=9, seed=0):
             diff = grid_ranks[tuple(lo)] != grid_ranks[tuple(hi)]
             for idx in np.argwhere(diff):
                 a = grid_params[tuple(idx)]
-                step = np.zeros(chart.param_dim)
                 idx_hi = idx.copy()
                 idx_hi[axis] += 1
                 b = grid_params[tuple(idx_hi)]
                 extra = a + (b - a) * rng.uniform(0, 1, size=(10, 1))
                 for u in extra:
                     refined_params.append(u)
-                    refined_ranks.append(point_data(bv, chart, u).rank_perp)
+                    points.append(point_data(bv, chart, u))
     all_params = params if not refined_params else np.vstack([params, refined_params])
-    all_ranks = (
-        ranks if not refined_ranks else np.concatenate([ranks, np.array(refined_ranks)])
-    )
     witnesses = {}
-    for u, r in zip(all_params, all_ranks):
-        witnesses.setdefault(int(r), tuple(float(v) for v in u))
-    return ScanResult(all_params, all_ranks, witnesses, len(refined_params))
+    for u, pd in zip(all_params, points):
+        witnesses.setdefault(pd.rank_perp, tuple(float(v) for v in u))
+    return ScanResult(all_params, points, witnesses, len(refined_params))
 
 
 class Classification:
@@ -232,7 +231,7 @@ class Classification:
         return self.flags[key]
 
 
-def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, tol=1e-10, scan=None):
+def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
     """Sampled classification flags for the chart inside the structure.
 
     Flags: regular, transversal, poisson_submanifold, coisotropic,
@@ -240,22 +239,23 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, tol=1e-10, scan=
     poisson_submanifold => regular, coisotropic and regular =>
     pre_poisson) hold by construction of the rank tests.  scan is the
     regularity_scan(bv, chart, counts, seed) result when the caller
-    already has it; otherwise it is run here.
+    already has it; otherwise it is run here.  The scan's point data is
+    reused, so only the 10 extra samples are computed here.
     """
     if scan is None:
         scan = regularity_scan(bv, chart, counts, seed)
     n, k = bv.dim, chart.param_dim
-    extra = chart.sample(10, seed=seed + 1)
-    params = np.vstack([scan.params, extra]) if k else scan.params
+    points = list(scan.points)
+    if k:
+        points += [point_data(bv, chart, u) for u in chart.sample(10, seed=seed + 1)]
     perp_ranks, cap_dims, sum_ranks = [], [], []
     poisson_sub = True
-    for u in params:
-        pd = point_data(bv, chart, u)
+    for pd in points:
         perp_ranks.append(pd.rank_perp)
         cap = linear.subspace_intersect(pd.txperp, pd.tx)
         cap_dims.append(cap.shape[1])
         sum_ranks.append(rank_svd(np.hstack([pd.tx, pd.txperp]))[0])
-        if rank_svd(np.hstack([pd.tx, bv.matrix_at(pd.x)]))[0] != k:
+        if rank_svd(np.hstack([pd.tx, pd.p]))[0] != k:
             poisson_sub = False
     perp_ranks = np.array(perp_ranks)
     cap_dims = np.array(cap_dims)
@@ -275,7 +275,7 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, tol=1e-10, scan=
         "cap": sorted(set(int(c) for c in cap_dims)),
         "sum": sorted(set(int(s) for s in sum_ranks)),
     }
-    return Classification(flags, ranks, len(params))
+    return Classification(flags, ranks, len(points))
 
 
 def pullback_dirac(bv: BivectorField, chart: Chart, u, route="generic", ref_corank=None, seed=0):
@@ -308,16 +308,14 @@ def pullback_dirac(bv: BivectorField, chart: Chart, u, route="generic", ref_cora
             f"corank {pd.corank} at u = {tuple(pd.u)} differs from reference {ref_corank}"
         )
     if route == "generic":
-        p = bv.matrix_at(pd.x)
-        return dirac_pullback(dirac_graph(p, "bivector"), chart.jac_at(pd.u))
+        return dirac_pullback(dirac_graph(pd.p, "bivector"), chart.jac_at(pd.u))
     if route == "perp":
         n, k = bv.dim, chart.param_dim
         dx = chart.jac_at(pd.u)
-        p = bv.matrix_at(pd.x)
         ann = annihilator(pd.txperp, dim=n)
         cols = []
         for a in ann.T:
-            v = p @ a
+            v = pd.p @ a
             t, res, _, _ = np.linalg.lstsq(dx, v, rcond=None)
             if np.linalg.norm(dx @ t - v) > 1e-8 * (1 + np.linalg.norm(v)):
                 raise RankDeficient("sharp image leaves the tangent space")

@@ -527,6 +527,72 @@ def test_gotay_fully_isotropic_tangent():
     assert rep["jacobi_fd"] <= 1e-10
 
 
+class _Forgetful(dict):
+    """A memo that keeps nothing, so every point is computed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _form_r3(x):
+    # dx^dy + y dy^dz: closed, kernel span (y, 0, 1)
+    return np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, x[1]], [0.0, -x[1], 0.0]])
+
+
+def _form_r4(x):
+    # dx1^dx2 + x2 dx2^dx3 + x4 dx2^dx4: closed, two-dimensional kernel
+    return np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, x[1], x[3]],
+                     [0.0, -x[1], 0.0, 0.0], [0.0, -x[3], 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("origin_first", [False, True], ids=["verify-first", "origin-first"])
+@pytest.mark.parametrize("dim, form, fiber", [(3, _form_r3, 1), (4, _form_r4, 2)],
+                         ids=["r3-fiber1", "r4-fiber2"])
+def test_gotay_memo_is_bitwise_exact(monkeypatch, dim, form, fiber, origin_first):
+    # every bivector the model extracts, with and without the per-point memo
+    def run(memo):
+        got = model.GotayModel(dim, lambda x: dirac_graph(SkewForm(form(x)), "two_form"))
+        assert got.fiber_dim == fiber
+        seen = []
+
+        def recording(l):
+            seen.append(to_bivector(l))
+            return seen[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(model, "dirac_to_bivector", recording)
+            if not memo:
+                m.setattr(got, "_l_memo", _Forgetful())
+                m.setattr(got, "_inclusion_memo", _Forgetful())
+            if origin_first:
+                got.bivector_at(np.zeros(dim), np.zeros(fiber))
+            rep = got.verify(samples=20)
+        return rep, seen, len(got._inclusion_memo)
+
+    to_bivector = model.dirac_to_bivector
+    rep, seen, kept = run(memo=True)
+    ref_rep, ref_seen, _ = run(memo=False)
+    assert kept > 0
+    assert rep == ref_rep
+    assert len(seen) == len(ref_seen) == (1 if origin_first else 0) + 20 * (2 * (dim + fiber) + 2)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen))
+
+
+def test_gotay_memo_computes_each_inclusion_once(monkeypatch):
+    calls = []
+    real = model.subspace_intersect
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(model, "subspace_intersect", counted)
+    omega = SkewForm(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    model.GotayModel(3, omega).verify(samples=20)
+    # one kernel per distinct stencil point; 1 + 20 * 70 = 1401 without the memo
+    assert len(calls) == 502
+
+
 def test_gotay_nonconstant_kernel_rejected():
     def l_at(x):
         c = SkewForm(np.array([[0.0, float(x[0])], [-float(x[0]), 0.0]]))

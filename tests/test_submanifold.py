@@ -11,6 +11,7 @@ from poissat.field import (
     so3_star,
     symplectic_r4,
 )
+from poissat import submanifold
 from poissat.linear import RankDeficient, subspace_equal
 from poissat.submanifold import (
     Chart,
@@ -126,10 +127,20 @@ def test_classify_plane_in_so3():
     assert cl.ranks["sum"] == [2]
 
 
-def test_classify_reuses_a_given_scan():
+def test_classify_reuses_a_given_scan(monkeypatch):
     bv, chart = flat_rank2_r3(), cubic_graph()
     scan = regularity_scan(bv, chart, counts=9, seed=2)
-    given = classify(bv, chart, counts=9, seed=2, scan=scan)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return point_data(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(submanifold, "point_data", counted)
+        given = classify(bv, chart, counts=9, seed=2, scan=scan)
+    # the scan's point data is reused: only the 10 extra samples are new
+    assert len(calls) == 10
     own = classify(bv, chart, counts=9, seed=2)
     assert given.flags == own.flags and given.ranks == own.ranks
     assert given.sample_count == own.sample_count == len(scan.params) + 10
