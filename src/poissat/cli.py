@@ -371,8 +371,7 @@ def _stage_verify(bv, chart, comp, p):
     }
 
 
-def _gotay_tolerances():
-    return {"coisotropy": 1e-10, "reproduction": 1e-8, "jacobi": 1e-10}
+_GOTAY_TOLERANCES = {"coisotropy": 1e-10, "reproduction": 1e-8, "jacobi": 1e-10}
 
 
 def _run_gotay(scene, command, report, p):
@@ -392,43 +391,44 @@ def _run_gotay(scene, command, report, p):
         return dirac_graph(SkewForm(kernel(np.asarray(x, dtype=float)[None, :])[0]), "two_form")
 
     exit_code = 0
+    stage = "analyze"
     try:
         got = GotayModel(dim, form_at)
-    except RankDeficient as exc:
-        stages["analyze"] = {"status": "fail", "reason": str(exc)}
-        report["exit_code"] = 3
-        return 3, None
-    stages["analyze"] = {
-        "status": "pass",
-        "base_dim": int(dim),
-        "fiber_dim": int(got.fiber_dim),
-        "model_dim": int(dim + got.fiber_dim),
-    }
-    if "saturate" in _RUNS[command]:
-        stages["saturate"] = {"status": "skipped", "reason": "presymplectic scene"}
-    if "model" in _RUNS[command]:
-        p0 = got.bivector_at(np.zeros(dim), np.zeros(got.fiber_dim))
-        stages["model"] = {
+        stages["analyze"] = {
             "status": "pass",
-            "bivector_at_origin": [[float(v) for v in row] for row in p0],
+            "base_dim": int(dim),
+            "fiber_dim": int(got.fiber_dim),
+            "model_dim": int(dim + got.fiber_dim),
         }
-    if "verify" in _RUNS[command]:
-        tols = _gotay_tolerances()
-        rep = got.verify(samples=20, radius=radius, seed=p["seed"] + 4)
-        ok = (rep["coisotropy"] <= tols["coisotropy"]
-              and rep["reproduction_angle"] <= tols["reproduction"]
-              and rep["jacobi_fd"] <= tols["jacobi"])
-        stages["verify"] = {
-            "status": "pass" if ok else "fail",
-            "coisotropy": rep["coisotropy"],
-            "reproduction_angle": rep["reproduction_angle"],
-            "jacobi_fd": rep["jacobi_fd"],
-            "tolerances": tols,
-        }
-        if not ok:
-            exit_code = 2
+        for stage in _RUNS[command][1:]:
+            if stage == "saturate":
+                stages[stage] = {"status": "skipped", "reason": "presymplectic scene"}
+            elif stage == "model":
+                p0 = got.bivector_at(np.zeros(dim), np.zeros(got.fiber_dim))
+                stages[stage] = {
+                    "status": "pass",
+                    "bivector_at_origin": [[float(v) for v in row] for row in p0],
+                }
+            else:
+                tols = _GOTAY_TOLERANCES
+                rep = got.verify(samples=20, radius=radius, seed=p["seed"] + 4)
+                ok = (rep["coisotropy"] <= tols["coisotropy"]
+                      and rep["reproduction_angle"] <= tols["reproduction"]
+                      and rep["jacobi_fd"] <= tols["jacobi"])
+                stages[stage] = {
+                    "status": "pass" if ok else "fail",
+                    "coisotropy": rep["coisotropy"],
+                    "reproduction_angle": rep["reproduction_angle"],
+                    "jacobi_fd": rep["jacobi_fd"],
+                    "tolerances": tols,
+                }
+                if not ok:
+                    exit_code = 2
+    except RankDeficient as exc:
+        stages[stage] = {"status": "fail", "reason": str(exc)}
+        exit_code = 3
     report["exit_code"] = exit_code
-    return exit_code, None
+    return exit_code
 
 
 def run_scene(scene: Scene, command, scene_name="scene", steps_override=None,
@@ -439,8 +439,7 @@ def run_scene(scene: Scene, command, scene_name="scene", steps_override=None,
     p = scene_parameters(scene, steps_override, tol_override)
     report = {**_report_head(scene_name, command), "parameters": p, "stages": {}}
     if scene.has("presymplectic"):
-        code, _ = _run_gotay(scene, command, report, p)
-        return code, report, None
+        return _run_gotay(scene, command, report, p), report, None
 
     stages = report["stages"]
     try:

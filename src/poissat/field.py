@@ -9,7 +9,7 @@ identity on a seeded sample of the domain box.
 Conventions (see also the report convention string):
   sharp(a)  = PI(x) @ a        (anchor applied to a covector)
   pi(a, b)  = <b, sharp(a)>    (bivector as a bilinear form on covectors)
-The bracket is {f, g} = pi(df, dg), and hamiltonian_vf(f) = sharp(df).
+The bracket is {f, g} = pi(df, dg).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from . import expr
 from .expr import Expression, Neg, Num, compile_kernel, derive
-from .linear import rank_svd
+
+JACOBI_TOL = 1e-10
 
 
 class JacobiError(ValueError):
@@ -39,15 +40,15 @@ class BivectorField:
             Entries given below the diagonal are negated into the upper
             triangle; missing entries are zero.
         domain: (n, 2) box bounds, defaults to [-1, 1]^n.
-        jacobi_tol: certification threshold for the Schouten residual.
-        certify: sample the Jacobi identity at load (seeded, 1000 points).
+        certify: sample the Jacobi identity at load (seed 0, 1000 points)
+            and raise JacobiError where the Schouten residual exceeds
+            JACOBI_TOL.
     """
 
-    def __init__(self, dim, entries, domain=None, jacobi_tol=1e-10, certify=True, seed=0):
+    def __init__(self, dim, entries, domain=None, certify=True):
         if not 2 <= dim <= 12:
             raise ValueError("ambient dimension must be between 2 and 12")
         self.dim = dim
-        self.jacobi_tol = float(jacobi_tol)
         if domain is None:
             domain = np.array([[-1.0, 1.0]] * dim)
         self.domain = np.asarray(domain, dtype=float).reshape(dim, 2)
@@ -77,13 +78,13 @@ class BivectorField:
             (dim, dim, dim),
         )
         if certify:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(0)
             pts = rng.uniform(self.domain[:, 0], self.domain[:, 1], size=(1000, dim))
             res = jacobi_residual(self, pts)
             worst = int(np.argmax(res))
-            if res[worst] > self.jacobi_tol:
+            if res[worst] > JACOBI_TOL:
                 raise JacobiError(
-                    f"Jacobi residual {res[worst]:.3e} exceeds {self.jacobi_tol:.1e} "
+                    f"Jacobi residual {res[worst]:.3e} exceeds {JACOBI_TOL:.1e} "
                     f"at {tuple(pts[worst])}",
                     res[worst],
                     pts[worst],
@@ -110,20 +111,6 @@ class BivectorField:
         return np.all((pts >= lo) & (pts <= hi), axis=1)
 
 
-def sharp(bv: BivectorField, x, alpha):
-    """Anchor: sharp(a)^i = sum_j PI^ij a_j, batched over leading axes."""
-    x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if x.ndim == 1:
-        return bv.matrix_at(x) @ alpha
-    return np.einsum("mij,mj->mi", bv.matrix(x), alpha)
-
-
-def pi_form(bv: BivectorField, x, a, b):
-    """Bivector as a bilinear form on covectors: pi(a, b) = <b, sharp(a)>."""
-    return float(np.asarray(b, dtype=float) @ sharp(bv, x, a))
-
-
 def jacobi_residual(bv: BivectorField, pts):
     """Max-abs Schouten residual per point.
 
@@ -137,24 +124,6 @@ def jacobi_residual(bv: BivectorField, pts):
     t2 = np.einsum("mli,mjkl->mijk", p, dj)
     t3 = np.einsum("mlj,mkil->mijk", p, dj)
     return np.max(np.abs(t1 + t2 + t3), axis=(1, 2, 3))
-
-
-def hamiltonian_vf(bv: BivectorField, f: Expression):
-    """Hamiltonian vector field sharp(df) as a list of expression trees."""
-    n = bv.dim
-    df = [derive(f, j) for j in range(n)]
-    comps = []
-    for i in range(n):
-        acc = Num(0.0)
-        for j in range(n):
-            acc = expr.add(acc, expr.mul(bv.entry(i, j), df[j]))
-        comps.append(acc)
-    return comps
-
-
-def leaf_dim(bv: BivectorField, x, tol_rel=None):
-    """Dimension of the symplectic leaf through x: rank of PI(x)."""
-    return rank_svd(bv.matrix_at(x), tol_rel)[0]
 
 
 # Standard structures used across tests and shipped scenes.

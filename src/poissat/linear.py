@@ -62,12 +62,12 @@ def rank_svd(m, tol_rel=None, scale=None):
     return rank, u[:, :rank], vt[rank:].T
 
 
-def orth(m, tol_rel=None):
-    return rank_svd(m, tol_rel)[1]
+def orth(m):
+    return rank_svd(m)[1]
 
 
-def null(m, tol_rel=None):
-    return rank_svd(m, tol_rel)[2]
+def null(m):
+    return rank_svd(m)[2]
 
 
 def gram_schmidt(m):
@@ -182,41 +182,6 @@ def annihilator(basis, dim=None):
     return null(basis.T)
 
 
-class Subspace:
-    """Span of orthonormal columns of R^d."""
-
-    def __init__(self, basis, orthonormalize=True):
-        basis = np.atleast_2d(np.asarray(basis, dtype=float))
-        if orthonormalize and basis.shape[1] and not _is_orthonormal(basis):
-            basis = orth(basis)
-        if basis.shape[1] and not _is_orthonormal(basis):
-            raise ValueError("columns not orthonormal to 1e-12")
-        self.basis = basis
-
-    @property
-    def ambient_dim(self):
-        return self.basis.shape[0]
-
-    @property
-    def dim(self):
-        return self.basis.shape[1]
-
-    def contains_vector(self, v, tol=1e-10):
-        v = np.asarray(v, dtype=float)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            return True
-        r = v - self.basis @ (self.basis.T @ v)
-        return np.linalg.norm(r) <= tol * nrm
-
-    def contains(self, other, tol=1e-10):
-        other = other.basis if isinstance(other, Subspace) else np.atleast_2d(other)
-        return all(self.contains_vector(other[:, j], tol) for j in range(other.shape[1]))
-
-    def annihilator(self):
-        return annihilator(self.basis, dim=self.ambient_dim)
-
-
 class SkewForm:
     """Skew bilinear form; stores the strict lower triangle only, so the
     reconstructed matrix is antisymmetric exactly, by construction."""
@@ -227,10 +192,6 @@ class SkewForm:
             raise ValueError("square matrix required")
         self._lower = np.tril((m - m.T) / 2.0, -1)
 
-    @classmethod
-    def zero(cls, n):
-        return cls(np.zeros((n, n)))
-
     @property
     def n(self):
         return self._lower.shape[0]
@@ -239,15 +200,8 @@ class SkewForm:
     def matrix(self):
         return self._lower - self._lower.T
 
-    def value(self, u, w):
-        return float(np.asarray(u, dtype=float) @ self.matrix @ np.asarray(w, dtype=float))
-
-    def flat(self, v):
-        # coefficients of i_v omega: (i_v omega)(w) = omega(v, w)
-        return self.matrix.T @ np.asarray(v, dtype=float)
-
-    def rank(self, tol_rel=None):
-        return rank_svd(self.matrix, tol_rel)[0]
+    def rank(self):
+        return rank_svd(self.matrix)[0]
 
 
 def dirac_pairing(n):
@@ -354,13 +308,13 @@ def dirac_pullback(L, a):
     return DiracSpace(basis)
 
 
-def dirac_to_bivector(L, tol_rel=None):
+def dirac_to_bivector(L):
     """Antisymmetric matrix P with L = {(P a, a)}.
 
     Raises NotPoisson when L meets V + 0, reporting the defect dimension.
     """
     xi = L.cotangent
-    rank = rank_svd(xi, tol_rel)[0]
+    rank = rank_svd(xi)[0]
     if rank < L.n:
         defect = L.n - rank
         raise NotPoisson(f"no bivector presentation, defect dimension {defect}", defect)

@@ -81,9 +81,7 @@ def _solve_inclusion(txperp, w):
 
 def _span_in(big, small_perp):
     """Basis of span(big) cap orthocomplement(small_perp)."""
-    if big.shape[1] == 0:
-        return big
-    if small_perp.shape[1] == 0:
+    if big.shape[1] == 0 or small_perp.shape[1] == 0:
         return big
     coeff = null(small_perp.T @ big)
     return big @ coeff if coeff.shape[1] else np.zeros((big.shape[0], 0))
@@ -116,14 +114,15 @@ class ComplementChoice(FrameAligner):
       custom       user-supplied W (matrix or callable of u).
 
     G and H default to Euclidean complements inside TX and TXperp; all
-    frames are aligned to the anchor u0 so they vary smoothly.
+    frames are aligned to the anchor u0, the chart's center, so they vary
+    smoothly.
     """
 
-    def __init__(self, bv: BivectorField, chart: Chart, mode="default", u0=None, g=None, h=None, w=None):
+    def __init__(self, bv: BivectorField, chart: Chart, mode="default", g=None, h=None, w=None):
         self.bv = bv
         self.chart = chart
         self.mode = mode
-        self.u0 = chart.center() if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float))
+        self.u0 = chart.center()
         self._g_user = None if g is None else np.atleast_2d(np.asarray(g, dtype=float))
         self._h_user = None if h is None else np.atleast_2d(np.asarray(h, dtype=float))
         self._w_user = w
@@ -138,12 +137,12 @@ class ComplementChoice(FrameAligner):
         pd = point_data(self.bv, self.chart, u)
         n = self.bv.dim
         txperp = self._aligned("perp", pd.txperp)
-        if self.mode == "default":
-            w = self._aligned("w", null(txperp.T) if txperp.shape[1] else np.eye(n))
-            frame = ComplementFrame(u, pd.x, self.chart.jac_at(u), pd.tx, txperp, w,
-                                    _solve_inclusion(txperp, w))
-        elif self.mode == "custom":
-            w = self._w_user(u) if callable(self._w_user) else np.asarray(self._w_user, dtype=float)
+        if self.mode in ("default", "custom"):
+            if self.mode == "default":
+                w = self._aligned("w", null(txperp.T) if txperp.shape[1] else np.eye(n))
+            else:
+                w = (self._w_user(u) if callable(self._w_user)
+                     else np.asarray(self._w_user, dtype=float))
             frame = ComplementFrame(u, pd.x, self.chart.jac_at(u), pd.tx, txperp, w,
                                     _solve_inclusion(txperp, w))
         elif self.mode == "coisotropic":
@@ -735,26 +734,21 @@ def compare_complements(bv, chart, comp_a, comp_b, steps=1024, count=20, radius=
 class GotayModel(FrameAligner):
     """Coisotropic-embedding model of a Dirac chart.
 
-    Given Dirac data L on R^k with constant-rank tangent kernel K, the
-    ambient space is the bundle chart R^k x R^m of K-dual fibers; the
-    bivector is extracted from the canonical-form gauge of the lifted
-    structure.  Frames are aligned to the origin for smoothness.  L(x) and
-    the inclusion at x are memoised on the bits of x: the finite-difference
-    stencils of gauge_form and verify revisit the same points many times.
+    Given Dirac data L on R^k with constant-rank tangent kernel K (l_source
+    is a constant SkewForm or a callable x -> L(x)), the ambient space is
+    the bundle chart R^k x R^m of K-dual fibers; the bivector is extracted
+    from the canonical-form gauge of the lifted structure.  Frames are
+    aligned to the origin for smoothness.  L(x) and the inclusion at x are
+    memoised on the bits of x: the finite-difference stencils of gauge_form
+    and verify revisit the same points many times.
     """
 
-    def __init__(self, dim, l_source, g=None):
+    def __init__(self, dim, l_source):
         self.dim = int(dim)
         if isinstance(l_source, SkewForm):
-            mat = l_source
-            self._l_at = lambda x: dirac_graph(mat, "two_form")
-        elif isinstance(l_source, DiracSpace):
-            self._l_at = lambda x: l_source
-        elif callable(l_source):
-            self._l_at = l_source
+            self._l_at = lambda x: dirac_graph(l_source, "two_form")
         else:
-            self._l_at = lambda x: dirac_graph(SkewForm(np.asarray(l_source, dtype=float)), "two_form")
-        self._g_user = None if g is None else np.atleast_2d(np.asarray(g, dtype=float))
+            self._l_at = l_source
         self._refs = {}
         self._l_memo = {}
         self._inclusion_memo = {}
@@ -774,10 +768,9 @@ class GotayModel(FrameAligner):
         k = self.dim
         vertical = np.vstack([np.eye(k), np.zeros((k, k))])
         cap = subspace_intersect(l.basis, vertical)
-        kern = self._aligned("k", cap[:k]) if cap.shape[1] else np.zeros((k, 0))
-        if self.fiber_dim is not None and kern.shape[1] != self.fiber_dim:
+        if self.fiber_dim is not None and cap.shape[1] != self.fiber_dim:
             raise RankDeficient("tangent kernel rank is not constant")
-        return kern
+        return self._aligned("k", cap[:k]) if cap.shape[1] else np.zeros((k, 0))
 
     def _inclusion(self, x):
         key = np.asarray(x, dtype=float).tobytes()
@@ -786,10 +779,10 @@ class GotayModel(FrameAligner):
             return incl
         # the call that sets the "g" reference returns it unaligned; a later
         # call at the same x aligns to it, which need not give the same bits
-        keep = self._g_user is not None or "g" in self._refs
+        keep = "g" in self._refs
         kern = self._kernel(x)
         m = kern.shape[1]
-        g = self._g_user if self._g_user is not None else self._aligned("g", null(kern.T))
+        g = self._aligned("g", null(kern.T))
         stack = np.hstack([kern, g])
         if rank_svd(stack)[0] != self.dim:
             raise RankDeficient("G is not a complement of the kernel")
@@ -843,11 +836,6 @@ class GotayModel(FrameAligner):
         t2 = np.einsum("li,ljk->ijk", p0, grads)
         t3 = np.einsum("lj,lki->ijk", p0, grads)
         return float(np.abs(t1 + t2 + t3).max())
-
-
-def gotay_embedding(dim, l_source, g=None):
-    """Build the coisotropic-embedding model for Dirac data on R^dim."""
-    return GotayModel(dim, l_source, g=g)
 
 
 def fiberwise_reflection_residual(l_base: DiracSpace, a_block, b_block):

@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .field import BivectorField
-from .linear import RankDeficient, SkewForm, null, orth, rank_svd, subspace_intersect
-from .submanifold import Chart, point_data
+from .linear import RankDeficient, null, orth, rank_svd, subspace_intersect
+from .submanifold import Chart, nearby_point_data, point_data
 
 
 def canonical_matrix(n: int):
@@ -59,24 +59,6 @@ class FlowResult:
     def base(self):
         return self.x[0] if self._squeeze else self.x
 
-    def jac_single(self):
-        return self.jac[0] if self._squeeze else self.jac
-
-    def condition_numbers(self):
-        return np.linalg.cond(self.jac)
-
-    def det_signs(self):
-        return np.sign(np.linalg.det(self.jac))
-
-
-def spray_eval(bv: BivectorField, x, xi):
-    """Velocity of the spray at (x, xi): (sharp(xi), 0)."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if x.ndim == 1:
-        return bv.matrix_at(x) @ xi, np.zeros_like(xi)
-    p = bv.matrix(x)
-    return np.einsum("bij,bj->bi", p, xi), np.zeros_like(xi)
 
 
 def _rhs(bv, x, xi, jac):
@@ -98,13 +80,12 @@ def flow(
     bv: BivectorField,
     x0,
     xi0,
-    t_end=1.0,
     steps=1024,
     with_jac=False,
     with_omega=False,
     with_traj=False,
 ):
-    """Integrate the spray from (x0, xi0) over [0, t_end].
+    """Integrate the spray from (x0, xi0) over [0, 1]: the time-one map.
 
     Batched over leading axes of x0/xi0.  Trajectories that leave the
     domain box freeze at the exit step and are flagged; the partial
@@ -117,7 +98,7 @@ def flow(
     xi = np.atleast_2d(np.asarray(xi0, dtype=float)).copy()
     squeeze = np.asarray(x0).ndim == 1
     m, n = x.shape
-    h = t_end / steps
+    h = 1.0 / steps
     need_jac = with_jac or with_omega
     jac = None
     if need_jac:
@@ -153,20 +134,12 @@ def flow(
     return FlowResult(x, xi, jac, omega, trajectory, exit_step >= 0, exit_step, squeeze)
 
 
-def exp_chi(bv: BivectorField, x, xi, steps=1024, t_end=1.0):
+def exp_chi(bv: BivectorField, x, xi, steps=1024):
     """Base point of the time-one spray flow."""
-    return flow(bv, x, xi, t_end=t_end, steps=steps).base()
+    return flow(bv, x, xi, steps=steps).base()
 
 
-def omega_chi(bv: BivectorField, x, xi, steps=1024):
-    """Averaged pullback of the canonical form at a single state."""
-    res = flow(bv, np.atleast_2d(x), np.atleast_2d(xi), steps=steps, with_omega=True)
-    if res.exited.any():
-        raise ValueError("trajectory left the domain box")
-    return SkewForm(res.omega[0])
-
-
-def cotangent_path_residual(bv: BivectorField, result: FlowResult, t_end=1.0):
+def cotangent_path_residual(bv: BivectorField, result: FlowResult):
     """Independent check that flow paths are cotangent paths.
 
     The base velocity is estimated from the stored trajectory with
@@ -179,7 +152,7 @@ def cotangent_path_residual(bv: BivectorField, result: FlowResult, t_end=1.0):
         raise ValueError("flow was run without trajectory storage")
     path = result.trajectory
     m, nodes, n = path.shape
-    h = t_end / (nodes - 1)
+    h = 1.0 / (nodes - 1)
     vel = np.empty_like(path)
     vel[:, 2:-2] = (path[:, :-4] - 8 * path[:, 1:-3] + 8 * path[:, 3:-1] - path[:, 4:]) / (12 * h)
     lead = np.array(
@@ -209,10 +182,10 @@ class DualPairReport:
         return self.property1[1] and self.property2[2] and self.realization[2]
 
 
-def dual_pair_check(bv: BivectorField, chart: Chart, u, xi=None, steps=1024, tol=1e-8):
+def dual_pair_check(bv: BivectorField, chart: Chart, u, steps=1024, tol=1e-8):
     """Rank and orthogonality conditions of the projection/exponential pair.
 
-    At a state (X(u), xi) over a regular point of the chart this builds
+    At the state (X(u), 0) over a regular point of the chart this builds
     S1 = ker d(pr), S2 = ker d(exp) and K = ker of the averaged form
     restricted to the fiber bundle over X, and reports:
       property1: the averaged form pairs S1 against S2 to zero;
@@ -223,17 +196,9 @@ def dual_pair_check(bv: BivectorField, chart: Chart, u, xi=None, steps=1024, tol
     pd = point_data(bv, chart, u)
     n, k = bv.dim, chart.param_dim
     r = pd.rank_perp
-    if chart.param_dim:
-        rng = np.random.default_rng(7)
-        span = chart.domain[:, 1] - chart.domain[:, 0]
-        for _ in range(10):
-            nearby = np.clip(
-                u + rng.uniform(-0.01, 0.01, k) * span, chart.domain[:, 0], chart.domain[:, 1]
-            )
-            if point_data(bv, chart, nearby).rank_perp != r:
-                raise RankDeficient(f"chart is not regular near u = {tuple(u)}")
-    xi = np.zeros(n) if xi is None else np.asarray(xi, dtype=float)
-    res = flow(bv, pd.x[None, :], xi[None, :], steps=steps, with_omega=True)
+    if any(q.rank_perp != r for q in nearby_point_data(bv, chart, u, seed=7)):
+        raise RankDeficient(f"chart is not regular near u = {tuple(u)}")
+    res = flow(bv, pd.x[None, :], np.zeros((1, n)), steps=steps, with_omega=True)
     if res.exited.any():
         raise ValueError("state flows out of the domain box")
     jac = res.jac[0]

@@ -27,7 +27,6 @@ from .linear import (
     fix_signs,
     orth,
     rank_svd,
-    subspace_equal,
 )
 
 
@@ -112,12 +111,11 @@ class Chart:
 class PointData:
     """Pointwise linear data of (chart, bivector) at a parameter value."""
 
-    def __init__(self, u, x, p, tx, tx0, txperp, corank):
+    def __init__(self, u, x, p, tx, txperp, corank):
         self.u = u
         self.x = x
         self.p = p  # (n, n) bivector matrix at x
         self.tx = tx  # (n, k) orthonormal
-        self.tx0 = tx0  # (n, n-k) orthonormal annihilator
         self.txperp = txperp  # (n, r) orthonormal
         self.corank = corank  # dim(ker sharp cap TX0)
 
@@ -138,9 +136,8 @@ def point_data(bv: BivectorField, chart: Chart, u):
     dx = chart.jac_at(u)
     n, k = bv.dim, chart.param_dim
     tx = orth(dx) if k else np.zeros((n, 0))
-    tx0 = annihilator(tx, dim=n)
     p = bv.matrix_at(x)
-    image = p @ tx0
+    image = p @ annihilator(tx, dim=n)
     # the image scale is judged against p itself: an analytically zero
     # product must come out rank 0, not rank "noise"
     r, txperp, _ = rank_svd(image, scale=np.linalg.norm(p, 2))
@@ -155,7 +152,17 @@ def point_data(bv: BivectorField, chart: Chart, u):
                 f"exactness violation at u = {tuple(u)}: "
                 f"rank {r} + corank {corank} != {n - k}"
             )
-    return PointData(u, x, p, tx, tx0, txperp, corank)
+    return PointData(u, x, p, tx, txperp, corank)
+
+
+def nearby_point_data(bv: BivectorField, chart: Chart, u, seed):
+    """PointData at 10 seeded parameters within 1 % of the box span of u,
+    clipped to the box; computed lazily, none for a 0-parameter chart."""
+    rng = np.random.default_rng(seed)
+    span = chart.domain[:, 1] - chart.domain[:, 0]
+    for _ in range(10 if chart.param_dim else 0):
+        nearby = u + rng.uniform(-0.01, 0.01, chart.param_dim) * span
+        yield point_data(bv, chart, np.clip(nearby, chart.domain[:, 0], chart.domain[:, 1]))
 
 
 def _decisive(sv, rank, gap=10.0):
@@ -278,7 +285,7 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
     return Classification(flags, ranks, len(points))
 
 
-def pullback_dirac(bv: BivectorField, chart: Chart, u, route="generic", ref_corank=None, seed=0):
+def pullback_dirac(bv: BivectorField, chart: Chart, u, route="generic", ref_corank=None):
     """Pull the bivector graph back to the chart at u.
 
     route="generic" takes the backward image along the chart Jacobian;
@@ -289,20 +296,10 @@ def pullback_dirac(bv: BivectorField, chart: Chart, u, route="generic", ref_cora
     """
     pd = point_data(bv, chart, u)
     if ref_corank is None:
-        span = chart.domain[:, 1] - chart.domain[:, 0] if chart.param_dim else None
-        rng = np.random.default_rng(seed)
-        for _ in range(10):
-            if chart.param_dim == 0:
-                break
-            nearby = np.clip(
-                pd.u + rng.uniform(-0.01, 0.01, chart.param_dim) * span,
-                chart.domain[:, 0],
-                chart.domain[:, 1],
+        if any(q.corank != pd.corank for q in nearby_point_data(bv, chart, pd.u, seed=0)):
+            raise RankDeficient(
+                f"corank jumps near u = {tuple(pd.u)}: pullback is not smooth there"
             )
-            if point_data(bv, chart, nearby).corank != pd.corank:
-                raise RankDeficient(
-                    f"corank jumps near u = {tuple(pd.u)}: pullback is not smooth there"
-                )
     elif pd.corank != ref_corank:
         raise RankDeficient(
             f"corank {pd.corank} at u = {tuple(pd.u)} differs from reference {ref_corank}"
@@ -327,16 +324,15 @@ def pullback_dirac(bv: BivectorField, chart: Chart, u, route="generic", ref_cora
     raise ValueError(f"unknown route {route!r}")
 
 
-def make_transversal(bv: BivectorField, chart: Chart, u0=None, thickness=0.5, counts=5):
+def make_transversal(bv: BivectorField, chart: Chart, thickness=0.5):
     """Affine thickening of a regular chart into a Poisson transversal.
 
     The frame E spans a complement of TX + sharp(TXperp-dual image) at
-    the anchor u0 and is kept constant (flat specialization), so the
+    the chart's center and is kept constant (flat specialization), so the
     result stays a closed-form chart.  Transversality (TX + image of
-    sharp spans R^n) is checked on a grid of the new chart at e = 0.
+    sharp spans R^n) is checked at e = 0 over a 5-per-axis chart grid.
     """
-    u0 = chart.center() if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float))
-    pd = point_data(bv, chart, u0)
+    pd = point_data(bv, chart, chart.center())
     n, k = bv.dim, chart.param_dim
     span = orth(np.hstack([pd.tx, pd.txperp]))
     e_frame = fix_signs(linear.null(span.T))
@@ -351,7 +347,7 @@ def make_transversal(bv: BivectorField, chart: Chart, u0=None, thickness=0.5, co
         comps.append(acc)
     domain = np.vstack([chart.domain, np.array([[-thickness, thickness]] * e_dim)])
     thick = Chart(k + e_dim, n, comps, domain)
-    for u in chart.grid(counts):
+    for u in chart.grid(5):
         ue = np.concatenate([u, np.zeros(e_dim)])
         tpd = point_data(bv, thick, ue)
         cap = linear.subspace_intersect(tpd.txperp, tpd.tx)

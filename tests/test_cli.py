@@ -1,5 +1,6 @@
 """Scene parsing, fixture catalog, pipeline exit codes, and reports."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -239,6 +240,21 @@ def test_gotay_scene_all_exits_0(tmp_path):
     assert rep["stages"]["verify"]["status"] == "pass"
 
 
+@pytest.mark.parametrize("command,stage", [("all", "model"), ("verify", "verify")])
+def test_gotay_kernel_rank_jump_exits_3(tmp_path, command, stage):
+    # x3 dx1^dx2 on R^4: kernel rank 4 at the origin, 2 wherever x3 != 0
+    path = tmp_path / "jump.scene"
+    path.write_text('[presymplectic]\ndim = 4\nentry = 1 2 "x3"\n')
+    code, out = run_main([command, str(path)])
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["exit_code"] == 3
+    assert rep["stages"]["analyze"]["status"] == "pass"
+    assert rep["stages"][stage] == {"status": "fail",
+                                    "reason": "tangent kernel rank is not constant"}
+    assert list(rep["stages"])[-1] == stage
+
+
 def test_sympl_plane_saturate_with_csv(tmp_path):
     code, out = run_main(["saturate", write_fixture(tmp_path, "sympl-plane"),
                           "--out", str(tmp_path / "res")])
@@ -373,6 +389,41 @@ def test_report_deterministic():
     rep1.pop("generated_at"), rep2.pop("generated_at")
     assert cli.report_text(rep1) == cli.report_text(rep2)
     assert csv1 == csv2
+
+
+# sha256 of each `all --steps 32` report (without generated_at) and CSV.
+# A refactor keeps these bytes; only an intended report change updates them.
+GOLDEN_ALL_STEPS_32 = {
+    "so3-plane": (3, "885de31b8d1d5fbe0244136a83c1f26fa953993c709fd7b4f44db6dcc60e65b0",
+        None),
+    "logsympl-axis": (3, "e2af017875f16f670fc65403b66b2c192e0b5bbc74ebc6ba9efe8af0ed73556c",
+        None),
+    "cubic-graph": (3, "4bf11f775c0826aa4123ca7801a74f5006d96988464706b8806d14f0a719e947",
+        None),
+    "figure-eight": (0, "67fd7e633521e792f920da7f5f7822cf421f4914a2644a3f5d29250c79512a9d",
+        "43b6a95d172a498ebc066827785694f7cf6097bcf5fa6b4664ab32a52e9d983a"),
+    "coiso-line": (0, "8665e155b9cf94bc865d036637c4f51989d7ba4f8ea381c73477608871917f9a",
+        "635672099cdf2b459a2503c7b90da8f2c5b677791b413b047fee47dd0ad28017"),
+    "transversal-ray": (0, "501799271cdd345a958069452405b8490537f61e2f8fe987aba32f989aeabf95",
+        "25a5326b08c8e38c5e2d7f2fa14c43ea94a8e6c1a784201afbc71b0dee2983aa"),
+    "sympl-plane": (0, "5404230260e6117e82b8398ea4ff867970b7549f990ac6fa3843d9770ef64355",
+        "c3c4ab6b9ee73b713036aacdb974c0fd3c26fcf83054485e8da78fadcb76d0a9"),
+    "zero-structure": (0, "9e8804e6a927ac677757f8410b51c66822ea3567733b9b016d75d7aa57a37086",
+        "07fa82582d4464bd3fd4a61588392c672869764d14fae460cab73ece6c4ca34a"),
+    "gotay-presymplectic": (0, "08ad919745f5e05cd9fdf80e32f39661f679d6fbc1bacf260326f93d60819c34",
+        None),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_ALL_STEPS_32))
+def test_all_reports_match_golden_digests(name):
+    def digest(text):
+        return None if text is None else hashlib.sha256(text.encode()).hexdigest()
+
+    code, rep, csv_text = run_scene(scene_of(name), "all", scene_name=name, steps_override=32,
+                                    want_csv=True)
+    rep.pop("generated_at")
+    assert (code, digest(cli.report_text(rep)), digest(csv_text)) == GOLDEN_ALL_STEPS_32[name]
 
 
 def test_report_field_order_stable():

@@ -2,16 +2,7 @@ import numpy as np
 import pytest
 
 from poissat import field
-from poissat.expr import parse
-from poissat.field import (
-    BivectorField,
-    JacobiError,
-    hamiltonian_vf,
-    jacobi_residual,
-    leaf_dim,
-    pi_form,
-    sharp,
-)
+from poissat.field import BivectorField, JacobiError, jacobi_residual
 
 
 def fd_schouten_residual(bv, pt, h=1e-6):
@@ -104,61 +95,13 @@ def test_jacobi_formula_against_fd_oracle():
 def test_sharp_convention_and_batch():
     bv = field.so3_star()
     # sharp(dx) at (0,0,1) is (0,-1,0) under sharp(a) = PI @ a
-    v = sharp(bv, np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    v = bv.matrix_at(np.array([0.0, 0.0, 1.0])) @ np.array([1.0, 0.0, 0.0])
     assert np.allclose(v, [0.0, -1.0, 0.0])
     xs = np.random.default_rng(2).uniform(-1, 1, size=(40, 3))
     als = np.random.default_rng(3).uniform(-1, 1, size=(40, 3))
-    batch = sharp(bv, xs, als)
+    batch = np.einsum("mij,mj->mi", bv.matrix(xs), als)
     for x, a, row in zip(xs, als, batch):
-        assert np.allclose(sharp(bv, x, a), row)
-
-
-def test_pi_form_skewness_property():
-    bv = field.so3_star()
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        x = rng.uniform(-1, 1, 3)
-        a, b = rng.standard_normal(3), rng.standard_normal(3)
-        assert pi_form(bv, x, a, b) == pytest.approx(-pi_form(bv, x, b, a), abs=1e-12)
-
-
-def test_hamiltonian_vf_casimir():
-    bv = field.so3_star()
-    casimir = parse("x^2 + y^2 + z^2", 3)
-    vf = hamiltonian_vf(bv, casimir)
-    pts = np.random.default_rng(5).uniform(-2, 2, size=(100, 3))
-    for comp in vf:
-        vals = np.atleast_1d(comp(pts))
-        assert np.max(np.abs(vals)) <= 1e-12
-
-
-def test_hamiltonian_vf_bracket_identity():
-    # X_f(g) = pi(df, dg) pointwise
-    bv = field.log_symplectic_plane()
-    f = parse("x^2*y", 2)
-    g = parse("sin(x) + y^2", 2)
-    vf = hamiltonian_vf(bv, f)
-    rng = np.random.default_rng(6)
-    from poissat.expr import derive, evaluate
-
-    for pt in rng.uniform(-1.5, 1.5, size=(50, 2)):
-        lhs = sum(evaluate(vf[i], pt) * evaluate(derive(g, i), pt) for i in range(2))
-        df = np.array([evaluate(derive(f, i), pt) for i in range(2)])
-        dg = np.array([evaluate(derive(g, i), pt) for i in range(2)])
-        assert lhs == pytest.approx(pi_form(bv, pt, df, dg), abs=1e-12)
-
-
-def test_leaf_dim_examples():
-    so3 = field.so3_star()
-    assert leaf_dim(so3, [0.0, 0.0, 1.0]) == 2  # sphere leaf
-    assert leaf_dim(so3, [0.0, 0.0, 0.0]) == 0  # origin leaf
-    logp = field.log_symplectic_plane()
-    assert leaf_dim(logp, [0.5, 0.0]) == 2
-    assert leaf_dim(logp, [0.0, 0.7]) == 0
-    assert leaf_dim(field.symplectic_r4(), [0.1, 0.2, 0.3, 0.4]) == 4
-    assert leaf_dim(field.zero_structure(), [0.3, 0.3, 0.3]) == 0
-    # skew rank parity
-    assert leaf_dim(field.flat_rank2_r3s1(), [0, 0, 1.0, 2.0]) % 2 == 0
+        assert np.allclose(bv.matrix_at(x) @ a, row)
 
 
 def test_domain_mask():

@@ -239,7 +239,7 @@ def test_model_matches_gotay_at_zero_section(coiso_line):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
     # induced Dirac data on the line is the zero bivector in dim 1
-    got = model.gotay_embedding(1, SkewForm(np.zeros((1, 1))))
+    got = model.GotayModel(1, SkewForm(np.zeros((1, 1))))
     assert got.fiber_dim == 1
     pg = got.bivector_at([0.3], [0.0])
     pc = model.local_model_bivector(bv, chart, comp, [0.3], [0.0], steps=64,
@@ -493,7 +493,7 @@ def test_batched_eta_forms_match_per_row_eta(name):
 
 def test_gotay_presymplectic_plane_closed_form():
     omega = SkewForm(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    got = model.gotay_embedding(3, omega)
+    got = model.GotayModel(3, omega)
     assert got.fiber_dim == 1
     expected = np.array([
         [0.0, 1.0, 0.0, 0.0],
@@ -510,7 +510,7 @@ def test_gotay_presymplectic_plane_closed_form():
 
 def test_gotay_symplectic_input_inverts():
     omega = SkewForm(np.array([[0.0, 2.0], [-2.0, 0.0]]))
-    got = model.gotay_embedding(2, omega)
+    got = model.GotayModel(2, omega)
     assert got.fiber_dim == 0
     p = got.bivector_at(np.zeros(2), [])
     assert np.allclose(p, np.linalg.inv(omega.matrix).T * -1.0, atol=1e-12) or np.allclose(
@@ -519,7 +519,7 @@ def test_gotay_symplectic_input_inverts():
 
 def test_gotay_fully_isotropic_tangent():
     # L = TX-graph (zero two-form): ambient is the full cotangent chart
-    got = model.gotay_embedding(2, SkewForm(np.zeros((2, 2))))
+    got = model.GotayModel(2, SkewForm(np.zeros((2, 2))))
     assert got.fiber_dim == 2
     rep = got.verify(samples=10)
     assert rep["coisotropy"] <= 1e-10
