@@ -266,7 +266,9 @@ def scene_parameters(scene: Scene, steps_override=None, tol_override=None):
     for name, tol in p["tolerances"].items():
         if tol <= 0:
             raise SceneError(f"tolerance '{name}' must be positive")
-    if p["steps"] < 1 or p["u_counts"] < 1 or p["per_u"] < 0 or p["xi_radius"] <= 0:
+    if p["steps"] < 16 or p["steps"] % 2:
+        raise SceneError("steps must be even and at least 16")
+    if p["u_counts"] < 1 or p["per_u"] < 0 or p["xi_radius"] <= 0:
         raise SceneError("flow/model parameters out of range")
     return p
 

@@ -12,8 +12,13 @@ Integration is fixed-step RK4, batched over initial states.  The
 variational factor is integrated with the same tableau on the exact
 linearization of the right-hand side, which makes the returned matrix
 the exact derivative of the discrete time-one map (up to roundoff), not
-an approximation of the continuous one.  The averaged two-form is
-accumulated with composite Simpson weights on the same node grid.
+an approximation of the continuous one.  Because covectors are frozen,
+the covector rows of that 2n x 2n matrix stay [0 | I]; only the n x 2n
+block T = [A | B] of base rows is integrated.  The averaged two-form is
+accumulated with composite Simpson weights on the same node grid, and
+since J^T C J = [[0, A^T], [-A, B^T - B]] for J = [[A, B], [0, I]], it
+needs two n x n accumulators: one for A and one for B^T - B.  The full
+matrices are assembled once, after the last step.
 """
 
 from __future__ import annotations
@@ -40,8 +45,11 @@ class FlowResult:
     """Endpoint of the spray flow with optional derivative data.
 
     jac is the 2n x 2n derivative of the discrete time-one map at the
-    initial state; omega the Simpson average of the pulled back
-    canonical form over the flow nodes.  exited marks trajectories that
+    initial state, [[A, B], [0, I]]: only its base rows [A | B] are
+    integrated, because the covector rows stay [0 | I] under the flat
+    spray.  omega is the Simpson average of the pulled back canonical
+    form over the flow nodes, [[0, P^T], [-P, S]], assembled from the
+    averages P of A and S of B^T - B.  exited marks trajectories that
     left the structure's domain box (their states freeze at the exit
     step and omega/jac are not meaningful).
     """
@@ -61,19 +69,18 @@ class FlowResult:
 
 
 
-def _rhs(bv, x, xi, jac):
+def _rhs(bv, x, xi, top):
     p = bv.matrix(x)
     xdot = np.einsum("bij,bj->bi", p, xi)
-    if jac is None:
+    if top is None:
         return xdot, None
     n = x.shape[1]
     dp = bv.matrix_jac(x)
     bmat = np.einsum("bijk,bj->bik", dp, xi)
-    jdot = np.zeros_like(jac)
-    jdot[:, :n, :] = np.einsum("bik,bkj->bij", bmat, jac[:, :n, :]) + np.einsum(
-        "bik,bkj->bij", p, jac[:, n:, :]
-    )
-    return xdot, jdot
+    # the frozen covector rows [0 | I] of the full matrix contribute [0 | p]
+    tdot = np.einsum("bik,bkj->bij", bmat, top)
+    tdot[:, :, n:] += p
+    return xdot, tdot
 
 
 def flow(
@@ -87,11 +94,13 @@ def flow(
 ):
     """Integrate the spray from (x0, xi0) over [0, 1]: the time-one map.
 
-    Batched over leading axes of x0/xi0.  Trajectories that leave the
-    domain box freeze at the exit step and are flagged; the partial
-    state is returned.  steps must be even (the node grid doubles as
-    the Simpson grid) and at least 16.
+    Batched over leading axes of x0/xi0, which must have the same shape.
+    Trajectories that leave the domain box freeze at the exit step and
+    are flagged; the partial state is returned.  steps must be even (the
+    node grid doubles as the Simpson grid) and at least 16.
     """
+    if np.shape(x0) != np.shape(xi0):
+        raise ValueError("x0 and xi0 must have the same shape")
     if steps < 16 or steps % 2:
         raise ValueError("steps must be even and at least 16")
     x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
@@ -99,38 +108,52 @@ def flow(
     squeeze = np.asarray(x0).ndim == 1
     m, n = x.shape
     h = 1.0 / steps
-    need_jac = with_jac or with_omega
-    jac = None
-    if need_jac:
-        jac = np.broadcast_to(np.eye(2 * n), (m, 2 * n, 2 * n)).copy()
-    omega = None
-    cmat = canonical_matrix(n)
+    top = None
+    if with_jac or with_omega:
+        # top block [A | B] of the variational matrix; rows n: stay [0 | I]
+        top = np.zeros((m, n, 2 * n))
+        top[:, :, :n] = np.eye(n)
     if with_omega:
-        # Simpson node weights h/3 * (1,4,2,...,4,1); node 0 contributes c
-        omega = np.broadcast_to(cmat * (h / 3.0), (m, 2 * n, 2 * n)).copy()
+        # Simpson node weights h/3 * (1,4,2,...,4,1); node 0 contributes the
+        # canonical form, whose A-part is I and whose B-part is zero
+        p_acc = np.broadcast_to(np.eye(n) * (h / 3.0), (m, n, n)).copy()
+        s_acc = np.zeros((m, n, n))
     trajectory = [x.copy()] if with_traj else None
     alive = bv.inside(x)
     exit_step = np.where(alive, -1, 0)
     for s in range(steps):
-        k1x, k1j = _rhs(bv, x, xi, jac)
-        k2x, k2j = _rhs(bv, x + 0.5 * h * k1x, xi, None if jac is None else jac + 0.5 * h * k1j)
-        k3x, k3j = _rhs(bv, x + 0.5 * h * k2x, xi, None if jac is None else jac + 0.5 * h * k2j)
-        k4x, k4j = _rhs(bv, x + h * k3x, xi, None if jac is None else jac + h * k3j)
+        k1x, k1t = _rhs(bv, x, xi, top)
+        k2x, k2t = _rhs(bv, x + 0.5 * h * k1x, xi, None if top is None else top + 0.5 * h * k1t)
+        k3x, k3t = _rhs(bv, x + 0.5 * h * k2x, xi, None if top is None else top + 0.5 * h * k2t)
+        k4x, k4t = _rhs(bv, x + h * k3x, xi, None if top is None else top + h * k3t)
         gate = alive.astype(float)
         x += (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x) * gate[:, None]
-        if jac is not None:
-            jac += (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j) * gate[:, None, None]
+        if top is not None:
+            top += (h / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t) * gate[:, None, None]
         inside = bv.inside(x)
         left = alive & ~inside
         exit_step[left] = s + 1
         alive &= inside
         if with_omega:
             w = (h / 3.0) * (1.0 if s == steps - 1 else (4.0 if s % 2 == 0 else 2.0))
-            omega += w * np.einsum("bki,kl,blj->bij", jac, cmat, jac)
+            b = top[:, :, n:]
+            p_acc += w * top[:, :, :n]
+            s_acc += w * (b.transpose(0, 2, 1) - b)
         if with_traj:
             trajectory.append(x.copy())
     if with_traj:
         trajectory = np.stack(trajectory, axis=1)
+    jac = omega = None
+    if top is not None:
+        jac = np.zeros((m, 2 * n, 2 * n))
+        jac[:, :n] = top
+        jac[:, n:, n:] = np.eye(n)
+    if with_omega:
+        omega = np.zeros((m, 2 * n, 2 * n))
+        omega[:, :n, n:] = p_acc.transpose(0, 2, 1)
+        # 0.0 - P rather than -P keeps every zero of omega a +0.0
+        omega[:, n:, :n] = 0.0 - p_acc
+        omega[:, n:, n:] = s_acc
     return FlowResult(x, xi, jac, omega, trajectory, exit_step >= 0, exit_step, squeeze)
 
 

@@ -275,6 +275,21 @@ def test_transversal_ray_verify(tmp_path):
     assert rep["stages"]["verify"]["max_mismatch"] <= 1e-4
 
 
+@pytest.mark.parametrize("command", ["analyze", "all"])
+@pytest.mark.parametrize("steps", [17, 8, 0])
+def test_bad_steps_exit_4_before_any_stage(tmp_path, command, steps):
+    code, out = run_main([command, write_fixture(tmp_path, "coiso-line"), "--steps", str(steps)])
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["error"] == "steps must be even and at least 16"
+    assert "stages" not in rep
+    path = tmp_path / "odd.scene"
+    path.write_text(FIXTURES["coiso-line"] + f"\n[flow]\nsteps = {steps}\n")
+    code, out = run_main([command, str(path)])
+    assert code == 4
+    assert json.loads(out)["error"] == "steps must be even and at least 16"
+
+
 def test_verification_failure_exits_2(tmp_path):
     path = write_fixture(tmp_path, "transversal-ray")
     code, out = run_main(["verify", path, "--steps", "512", "--tol", "1e-18"])

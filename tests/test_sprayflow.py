@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from poissat.field import flat_rank2_r3, so3_star, symplectic_r4, zero_structure
+from poissat.field import BivectorField, flat_rank2_r3, so3_star, symplectic_r4, zero_structure
 from poissat.linear import RankDeficient
 from poissat.sprayflow import (
     canonical_matrix,
@@ -56,6 +56,14 @@ def rodrigues(xi):
     return np.eye(3) + np.sin(theta) / theta * k + (1.0 - np.cos(theta)) / theta**2 * k @ k
 
 
+def rotation_mean(xi):
+    """Integral of R(t xi) over t in [0, 1]."""
+    theta = np.linalg.norm(xi)
+    k = np.array([[0.0, -xi[2], xi[1]], [xi[2], 0.0, -xi[0]], [-xi[1], xi[0], 0.0]])
+    return (np.eye(3) + (1.0 - np.cos(theta)) / theta**2 * k
+            + (theta - np.sin(theta)) / theta**3 * k @ k)
+
+
 def test_flow_lie_poisson_rotation_closed_form():
     # on so(3)* sharp(xi) = xi x x, so the time-one map is the rotation R(xi)
     bv = so3_star()
@@ -63,11 +71,15 @@ def test_flow_lie_poisson_rotation_closed_form():
     x0 = rng.uniform(-1.0, 1.0, (16, 3))
     xi = rng.normal(size=(16, 3))
     xi *= rng.uniform(0.1, 1.5, (16, 1)) / np.linalg.norm(xi, axis=1, keepdims=True)
-    res = flow(bv, x0, xi, steps=1024, with_jac=True)
+    res = flow(bv, x0, xi, steps=1024, with_omega=True)
     assert not res.exited.any()
     rots = np.stack([rodrigues(v) for v in xi])
     assert np.abs(res.x - np.einsum("bij,bj->bi", rots, x0)).max() <= 1e-12
     assert np.abs(res.jac[:, :3, :3] - rots).max() <= 1e-12
+    # the averaged form pairs positions with covectors through the mean rotation
+    means = np.stack([rotation_mean(v) for v in xi])
+    assert np.abs(res.omega[:, :3, 3:] - means.transpose(0, 2, 1)).max() <= 1e-12
+    assert np.abs(res.omega[:, 3:, :3] + means).max() <= 1e-12
 
 
 def test_flow_self_convergence_so3():
@@ -94,6 +106,12 @@ def test_flow_rejects_bad_steps():
         flow(bv, np.zeros(3), np.zeros(3), steps=8)
     with pytest.raises(ValueError, match="steps"):
         flow(bv, np.zeros(3), np.zeros(3), steps=17)
+
+
+@pytest.mark.parametrize("rows_x,rows_xi", [(4, 1), (1, 4)])
+def test_flow_rejects_mismatched_shapes(rows_x, rows_xi):
+    with pytest.raises(ValueError, match="x0 and xi0 must have the same shape"):
+        flow(so3_star(), np.zeros((rows_x, 3)), np.zeros((rows_xi, 3)), steps=16)
 
 
 def test_flow_domain_exit_flag():
@@ -223,3 +241,73 @@ def test_dual_pair_rejects_irregular_point():
     cubic = Chart(1, 3, ["u", "0", "u^3"], names=["u"])
     with pytest.raises(RankDeficient, match="regular"):
         dual_pair_check(bv, cubic, [0.0], steps=64)
+
+
+def rhs_ref(bv, x, xi, jac):
+    p = bv.matrix(x)
+    xdot = np.einsum("bij,bj->bi", p, xi)
+    n = x.shape[1]
+    dp = bv.matrix_jac(x)
+    bmat = np.einsum("bijk,bj->bik", dp, xi)
+    jdot = np.zeros_like(jac)
+    jdot[:, :n, :] = np.einsum("bik,bkj->bij", bmat, jac[:, :n, :]) + np.einsum(
+        "bik,bkj->bij", p, jac[:, n:, :]
+    )
+    return xdot, jdot
+
+
+def flow_ref(bv, x0, xi0, steps, with_omega=False):
+    """The full 2n x 2n variational flow with the triple-product average."""
+    x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
+    xi = np.atleast_2d(np.asarray(xi0, dtype=float)).copy()
+    m, n = x.shape
+    h = 1.0 / steps
+    jac = np.broadcast_to(np.eye(2 * n), (m, 2 * n, 2 * n)).copy()
+    omega = None
+    cmat = canonical_matrix(n)
+    if with_omega:
+        # Simpson node weights h/3 * (1,4,2,...,4,1); node 0 contributes c
+        omega = np.broadcast_to(cmat * (h / 3.0), (m, 2 * n, 2 * n)).copy()
+    alive = bv.inside(x)
+    for s in range(steps):
+        k1x, k1j = rhs_ref(bv, x, xi, jac)
+        k2x, k2j = rhs_ref(bv, x + 0.5 * h * k1x, xi, jac + 0.5 * h * k1j)
+        k3x, k3j = rhs_ref(bv, x + 0.5 * h * k2x, xi, jac + 0.5 * h * k2j)
+        k4x, k4j = rhs_ref(bv, x + h * k3x, xi, jac + h * k3j)
+        gate = alive.astype(float)
+        x += (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x) * gate[:, None]
+        jac += (h / 6.0) * (k1j + 2 * k2j + 2 * k3j + k4j) * gate[:, None, None]
+        alive &= bv.inside(x)
+        if with_omega:
+            w = (h / 3.0) * (1.0 if s == steps - 1 else (4.0 if s % 2 == 0 else 2.0))
+            omega += w * np.einsum("bki,kl,blj->bij", jac, cmat, jac)
+    return x, jac, omega
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("bv", [
+    flat_rank2_r3(),
+    so3_star(),
+    # f dx^dy is Poisson on R^3 for any f
+    BivectorField(3, {(0, 1): "exp(z)*cos(x) + 2"}, domain=[[-2, 2]] * 3),
+], ids=["constant", "linear", "non-polynomial"])
+@pytest.mark.parametrize("with_omega", [False, True], ids=["jac", "omega"])
+def test_flow_matches_full_variational_reference_bitwise(bv, with_omega):
+    rng = np.random.default_rng(3)
+    x0 = rng.uniform(-1.0, 1.0, (6, 3))
+    xi = rng.normal(scale=0.6, size=(6, 3))
+    x0[0], xi[0] = [1.8, 1.8, 0.5], [-1.5, 1.5, 0.0]  # leaves the box and freezes
+    res = flow(bv, x0, xi, steps=64, with_jac=True, with_omega=with_omega)
+    x, jac, omega = flow_ref(bv, x0, xi, steps=64, with_omega=with_omega)
+    assert res.exited[0] and not res.exited.all()
+    assert_bitwise(res.x, x)
+    assert_bitwise(res.jac, jac)
+    if with_omega:
+        assert_bitwise(res.omega, omega)
+    else:
+        assert res.omega is None
