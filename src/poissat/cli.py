@@ -40,7 +40,6 @@ from .model import (
     full_fiber_landing,
     marle_invariants,
     saturation_chart,
-    saturation_residuals,
     sigma_tau,
     verify_normal_form,
     verify_saturation_poisson,
@@ -304,9 +303,14 @@ def _stage_analyze(bv, chart, seed):
     return out
 
 
+def _saturation_chart(bv, chart, comp, p):
+    return saturation_chart(bv, chart, comp, steps=p["steps"], u_counts=p["u_counts"],
+                            radius=p["xi_radius"], per_u=p["per_u"], seed=p["seed"])
+
+
 def _stage_saturate(bv, chart, comp, p):
-    sat = saturation_chart(bv, chart, comp, steps=p["steps"], u_counts=p["u_counts"],
-                           radius=p["xi_radius"], per_u=p["per_u"], seed=p["seed"])
+    """Stage report, the chart and its per-sample saturation residuals."""
+    sat = _saturation_chart(bv, chart, comp, p)
     ver = verify_saturation_poisson(bv, sat, tol=p["tolerances"]["saturation"])
     land = full_fiber_landing(sat, radius=min(0.05, p["xi_radius"]), seed=p["seed"] + 1,
                               tol=p["tolerances"]["landing"])
@@ -320,7 +324,7 @@ def _stage_saturate(bv, chart, comp, p):
         "landing_distance": land["max_distance"],
         "tol_landing": land["tol"],
     }
-    return out, sat
+    return out, sat, ver["residuals"]
 
 
 def _stage_model(bv, chart, comp, p):
@@ -359,10 +363,8 @@ def _stage_model(bv, chart, comp, p):
     return out
 
 
-def _stage_verify(bv, chart, comp, p):
-    rep = verify_normal_form(bv, chart, comp, steps=p["steps"], u_counts=p["u_counts"],
-                             radius=p["xi_radius"], per_u=p["per_u"], seed=p["seed"],
-                             tol=p["tolerances"]["normal"])
+def _stage_verify(sat, p):
+    rep = verify_normal_form(sat, tol=p["tolerances"]["normal"])
     return {
         "status": "pass" if rep["ok"] else "fail",
         "max_mismatch": rep["max_mismatch"],
@@ -381,6 +383,8 @@ def _run_gotay(scene, command, report, p):
     if dim < 1:
         raise SceneError("dim must be positive")
     radius = scene.scalar("presymplectic", "radius", default=0.1, convert=float)
+    if radius <= 0:
+        raise SceneError("[presymplectic] radius must be positive")
     entries = _entries(scene, "presymplectic", dim)
     trees = {ij: parse(text, dim) for ij, text in entries.items()}
     kernel = compile_kernel(
@@ -465,7 +469,7 @@ def run_scene(scene: Scene, command, scene_name="scene", steps_override=None,
     todo = [s for s in _RUNS[command] if s != "analyze"]
     exit_code = 0
     csv_text = None
-    comp = None
+    comp = sat = None
     if todo:
         try:
             comp = build_complement(scene, bv, chart)
@@ -477,13 +481,15 @@ def run_scene(scene: Scene, command, scene_name="scene", steps_override=None,
     for stage in todo:
         try:
             if stage == "saturate":
-                stages[stage], sat = _stage_saturate(bv, chart, comp, p)
+                stages[stage], sat, residuals = _stage_saturate(bv, chart, comp, p)
                 if want_csv:
-                    csv_text = _csv_text(sat)
+                    csv_text = _csv_text(sat, residuals)
             elif stage == "model":
                 stages[stage] = _stage_model(bv, chart, comp, p)
             elif stage == "verify":
-                stages[stage] = _stage_verify(bv, chart, comp, p)
+                if sat is None:  # verify alone: the grid the saturate stage builds
+                    sat = _saturation_chart(bv, chart, comp, p)
+                stages[stage] = _stage_verify(sat, p)
         except RankDeficient as exc:
             stages[stage] = {"status": "fail", "reason": str(exc)}
             report["exit_code"] = 3
@@ -499,13 +505,12 @@ def run_scene(scene: Scene, command, scene_name="scene", steps_override=None,
     return exit_code, report, csv_text
 
 
-def _csv_text(sat):
+def _csv_text(sat, res):
     k = sat.chart.param_dim
     r = sat.comp.rank_perp
     n = sat.bv.dim
     header = ([f"u{i + 1}" for i in range(k)] + [f"xi{i + 1}" for i in range(r)]
               + [f"x{i + 1}" for i in range(n)] + ["residual"])
-    res = saturation_residuals(sat.bv, sat)
     lines = [",".join(header)]
     for i in range(len(sat.points)):
         vals = [*sat.us[i], *sat.zetas[i], *sat.points[i], res[i]]

@@ -52,13 +52,15 @@ RADIUS_FLOOR = 1e-3
 
 
 class ComplementFrame:
-    """Pointwise output of a ComplementChoice."""
+    """Pointwise output of a ComplementChoice, with the PointData it was built from."""
 
-    def __init__(self, u, x, dx, tx, txperp, w, j, cap_dim=0, conditions=None):
-        self.u = u
-        self.x = x
-        self.dx = dx
-        self.tx = tx
+    def __init__(self, pd, txperp, w, j, cap_dim=0, conditions=None):
+        self.u = pd.u
+        self.x = pd.x
+        self.p = pd.p  # bivector matrix at x
+        self.corank = pd.corank
+        self.dx = pd.dx
+        self.tx = pd.tx
         self.txperp = txperp  # (n, r) frame, [cap | H]-ordered in pre_poisson mode
         self.w = w  # (n, n-r)
         self.j = j  # (n, r), image is W0, pairs with txperp as identity
@@ -130,7 +132,7 @@ class ComplementChoice(FrameAligner):
         anchor = self.at(self.u0)
         self.rank_perp = anchor.rank_perp
         self.cap_dim = anchor.cap_dim
-        self.corank = point_data(bv, chart, self.u0).corank
+        self.corank = anchor.corank
 
     def at(self, u) -> ComplementFrame:
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -143,12 +145,11 @@ class ComplementChoice(FrameAligner):
             else:
                 w = (self._w_user(u) if callable(self._w_user)
                      else np.asarray(self._w_user, dtype=float))
-            frame = ComplementFrame(u, pd.x, self.chart.jac_at(u), pd.tx, txperp, w,
-                                    _solve_inclusion(txperp, w))
+            frame = ComplementFrame(pd, txperp, w, _solve_inclusion(txperp, w))
         elif self.mode == "coisotropic":
             frame = self._coisotropic_frame(u, pd, txperp)
         elif self.mode == "pre_poisson":
-            frame = self._pre_poisson_frame(u, pd)
+            frame = self._pre_poisson_frame(pd)
         else:
             raise ValueError(f"unknown complement mode {self.mode!r}")
         if frame.j.size and np.abs(frame.w.T @ frame.j).max() > 1e-10:
@@ -200,9 +201,9 @@ class ComplementChoice(FrameAligner):
             "sharp_w0_in_w": _sharp_into(p, w),
             "w_cap_tx_is_g": bool(subspace_equal(subspace_intersect(w, tx), g, tol=1e-8)),
         }
-        return ComplementFrame(u, pd.x, self.chart.jac_at(u), tx, txperp, w, j, 0, conditions)
+        return ComplementFrame(pd, txperp, w, j, 0, conditions)
 
-    def _pre_poisson_frame(self, u, pd):
+    def _pre_poisson_frame(self, pd):
         n, k = self.bv.dim, self.chart.param_dim
         tx = pd.tx
         cap = self._aligned("cap", subspace_intersect(pd.txperp, tx))
@@ -231,7 +232,7 @@ class ComplementChoice(FrameAligner):
             "sharp_hw0_in_w": _sharp_into(p, w, extra=h),
             "w_cap_tx_is_g": bool(subspace_equal(subspace_intersect(w, tx), g, tol=1e-8)),
         }
-        return ComplementFrame(u, pd.x, self.chart.jac_at(u), tx, txperp, w, j, c_dim, conditions)
+        return ComplementFrame(pd, txperp, w, j, c_dim, conditions)
 
 
 def _sharp_into(p, w, extra=None):
@@ -253,8 +254,7 @@ def sigma_tau(bv: BivectorField, chart: Chart, comp: ComplementChoice, u):
     velocities with included covectors, tau[a, p] = <dX e_a, J e_p>.
     """
     fr = comp.at(u)
-    p = bv.matrix_at(fr.x)
-    sigma = SkewForm(fr.j.T @ p.T @ fr.j)
+    sigma = SkewForm(fr.j.T @ fr.p.T @ fr.j)
     tau = fr.dx.T @ fr.j
     return sigma, tau
 
@@ -455,9 +455,13 @@ def _sigma_grid(chart, comp, u_counts, radius, per_u, seed, include_zero=True):
 
 
 class SaturationChart:
-    """Sampled parametrization Phi(u, zeta) = exp(e(u, zeta)) of P."""
+    """Sampled parametrization Phi(u, zeta) = exp(e(u, zeta)) of P.
 
-    def __init__(self, bv, chart, comp, steps, us, zetas, points, jacs, radius_used):
+    Per sample (u, zeta): the point Phi, its differential dPhi and the
+    gauge form eta = -e*(averaged flow form), all from one flow.
+    """
+
+    def __init__(self, bv, chart, comp, steps, us, zetas, points, jacs, etas, radius_used):
         self.bv = bv
         self.chart = chart
         self.comp = comp
@@ -466,6 +470,7 @@ class SaturationChart:
         self.zetas = zetas
         self.points = points
         self.jacs = jacs  # (m, n, k+r)
+        self.etas = etas  # (m, k+r, k+r)
         self.radius_used = radius_used
 
     @property
@@ -513,49 +518,37 @@ class SaturationChart:
     def complement_frame(self, u):
         """Frame spanning a complement of TP along the zero section."""
         fr = self.comp.at(u)
-        p = self.bv.matrix_at(fr.x)
-        span = np.hstack([fr.dx, p @ fr.j])
+        span = np.hstack([fr.dx, fr.p @ fr.j])
         return self.comp._aligned("_tube", null(span.T) if span.size else np.eye(self.bv.dim))
 
 
-def _sampled_bundle_flow(bv, chart, comp, steps, u_counts, radius, per_u, seed,
-                         with_omega=False):
-    """Flow the sampled (u, zeta) grid with jac, halving the fiber radius
-    (down to a floor) until no trajectory leaves the domain box.
-
-    Returns us, zetas, frames, the FlowResult and the radius used.
-    """
-    radius_used = radius
-    while True:
-        us, zetas = _sigma_grid(chart, comp, u_counts, radius_used, per_u, seed)
-        frames, res = _bundle_flow(bv, comp, us, zetas, steps, with_jac=True,
-                                   with_omega=with_omega)
-        if not res.exited.any():
-            return us, zetas, frames, res, radius_used
-        if radius_used * 0.5 < RADIUS_FLOOR:
-            raise ValueError("flow leaves the domain box even at the radius floor")
-        radius_used *= 0.5
-
-
 def saturation_chart(bv, chart, comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
-    """Sample the saturation chart over a (u, zeta) grid.
+    """Sample the saturation chart over a (u, zeta) grid in one jac + omega flow.
 
     The fiber radius is halved (down to a floor) until no trajectory
     leaves the domain box; the radius actually used is recorded.
     Immersion rank and the zero-section tangent identity
     TP = span[dX, sharp(J)] are checked at every sample.
     """
-    us, zetas, frames, res, radius_used = _sampled_bundle_flow(
-        bv, chart, comp, steps, u_counts, radius, per_u, seed)
+    radius_used = radius
+    while True:
+        us, zetas = _sigma_grid(chart, comp, u_counts, radius_used, per_u, seed)
+        frames, res = _bundle_flow(bv, comp, us, zetas, steps, with_jac=True, with_omega=True)
+        if not res.exited.any():
+            break
+        if radius_used * 0.5 < RADIUS_FLOOR:
+            raise ValueError("flow leaves the domain box even at the radius floor")
+        radius_used *= 0.5
     jacs = _phi_jacs(bv, frames, res)
-    sat = SaturationChart(bv, chart, comp, steps, us, zetas, res.x, jacs, radius_used)
+    etas = np.stack([_eta_of(f, w) for f, w in zip(frames, res.omega)])
+    sat = SaturationChart(bv, chart, comp, steps, us, zetas, res.x, jacs, etas, radius_used)
     dim = sat.model_dim
     for i, (u, z) in enumerate(zip(us, zetas)):
         if rank_svd(jacs[i])[0] != dim:
             raise RankDeficient(f"chart rank defect at u = {tuple(u)}, zeta = {tuple(z)}")
         if np.allclose(z, 0.0):
             fr = frames[i][0]
-            expected = np.hstack([fr.dx, bv.matrix_at(fr.x) @ fr.j])
+            expected = np.hstack([fr.dx, fr.p @ fr.j])
             if not subspace_equal(jacs[i], expected, tol=1e-6):
                 raise RankDeficient(f"zero-section tangent mismatch at u = {tuple(u)}")
     return sat
@@ -595,31 +588,29 @@ def saturation_residuals(bv, sat: SaturationChart):
 
 
 def verify_saturation_poisson(bv, sat: SaturationChart, tol=1e-8):
-    """Residual of sharp(TP0) inside TP over the sampled chart."""
+    """Residual of sharp(TP0) inside TP over the sampled chart, with the
+    per-sample values under "residuals"."""
     res = saturation_residuals(bv, sat)
     worst = float(res.max()) if res.size else 0.0
-    return {"max_residual": worst, "ok": worst <= tol, "tol": tol}
+    return {"max_residual": worst, "ok": worst <= tol, "tol": tol, "residuals": res}
 
 
-def verify_normal_form(bv, chart, comp, steps=1024, u_counts=5, radius=0.2, per_u=3,
-                       seed=0, tol=1e-4, eta_source="flow"):
+def verify_normal_form(sat: SaturationChart, tol=1e-4, eta_source="flow"):
     """Pushforward test of the local model against the ambient bivector.
 
-    At every sampled bundle point the model bivector is pushed through
-    the chart differential and compared with the ambient bivector at the
-    image point, both compressed to the orthonormalized chart frame.
+    At every sample of the saturation chart the model bivector is pushed
+    through dPhi and compared with the ambient bivector at the image
+    point, both compressed to the orthonormalized chart frame.
     """
-    us, zetas, frames, res, radius_used = _sampled_bundle_flow(
-        bv, chart, comp, steps, u_counts, radius, per_u, seed, with_omega=True)
-    dphis = _phi_jacs(bv, frames, res)
+    bv, chart, comp = sat.bv, sat.chart, sat.comp
     worst = 0.0
-    for i, (u, z) in enumerate(zip(us, zetas)):
-        eta = (_eta_of(frames[i], res.omega[i]) if eta_source == "flow"
-               else eta_canonical_form_source(bv, chart, comp, u, z))
+    for u, z, x, dphi, eta in zip(sat.us, sat.zetas, sat.points, sat.jacs, sat.etas):
+        if eta_source != "flow":
+            eta = eta_canonical_form_source(bv, chart, comp, u, z)
         model = _model_from_eta(bv, chart, comp, u, eta)
-        worst = max(worst, _pushforward_mismatch(dphis[i], model, bv.matrix_at(res.x[i])))
-    return {"max_mismatch": worst, "ok": worst <= tol, "tol": tol, "radius_used": radius_used,
-            "samples": len(us), "steps": steps}
+        worst = max(worst, _pushforward_mismatch(dphi, model, bv.matrix_at(x)))
+    return {"max_mismatch": worst, "ok": worst <= tol, "tol": tol,
+            "radius_used": sat.radius_used, "samples": len(sat.us), "steps": sat.steps}
 
 
 def tubular_map(bv, chart, comp, sat: SaturationChart, u, zeta, c):

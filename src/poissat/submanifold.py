@@ -111,9 +111,10 @@ class Chart:
 class PointData:
     """Pointwise linear data of (chart, bivector) at a parameter value."""
 
-    def __init__(self, u, x, p, tx, txperp, corank):
+    def __init__(self, u, x, dx, p, tx, txperp, corank):
         self.u = u
         self.x = x
+        self.dx = dx  # (n, k) chart differential
         self.p = p  # (n, n) bivector matrix at x
         self.tx = tx  # (n, k) orthonormal
         self.txperp = txperp  # (n, r) orthonormal
@@ -152,7 +153,7 @@ def point_data(bv: BivectorField, chart: Chart, u):
                 f"exactness violation at u = {tuple(u)}: "
                 f"rank {r} + corank {corank} != {n - k}"
             )
-    return PointData(u, x, p, tx, txperp, corank)
+    return PointData(u, x, dx, p, tx, txperp, corank)
 
 
 def nearby_point_data(bv: BivectorField, chart: Chart, u, seed):

@@ -214,14 +214,15 @@ def test_criterion_07_dual_pair():
 
 def test_criterion_08_normal_form():
     bv, chart = coiso_line()
-    rep_line = verify_normal_form(bv, chart, ComplementChoice(bv, chart, mode="coisotropic"),
-                                  radius=0.2, tol=1e-5)
+    rep_line = verify_normal_form(
+        saturation_chart(bv, chart, ComplementChoice(bv, chart, mode="coisotropic"), radius=0.2),
+        tol=1e-5)
     bv4, plane = sympl_plane()
-    rep_plane = verify_normal_form(bv4, plane, ComplementChoice(bv4, plane),
-                                   radius=0.2, tol=1e-5)
+    rep_plane = verify_normal_form(
+        saturation_chart(bv4, plane, ComplementChoice(bv4, plane), radius=0.2), tol=1e-5)
     so3, ray = so3_ray()
-    rep_ray = verify_normal_form(so3, ray, ComplementChoice(so3, ray),
-                                 radius=0.05, tol=1e-4)
+    rep_ray = verify_normal_form(
+        saturation_chart(so3, ray, ComplementChoice(so3, ray), radius=0.05), tol=1e-4)
     ok = rep_line["ok"] and rep_plane["ok"] and rep_ray["ok"]
     _line(8, "normal form pushforward", ok,
           f"line {rep_line['max_mismatch']:.2e}, plane {rep_plane['max_mismatch']:.2e}, "

@@ -343,9 +343,11 @@ def test_literal_arithmetic_error_exits_4_naming_the_operation(tmp_path, scene, 
     assert json.loads(out)["error"].startswith(f"non-finite result from {operation} at point (")
 
 
-def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command,flows", [("all", 9), ("verify", 1)])
+def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch, command, flows):
     # saturate: grid 1, landing probes 1, lockstep projection 4 iterations;
-    # model: zero-section grid 1, closedness 1, extraction 1; verify: grid 1
+    # model: zero-section grid 1, closedness 1, extraction 1; verify reads
+    # the saturate stage's grid, and alone it flows that grid once
     calls = []
     real_flow = model.flow
 
@@ -354,10 +356,41 @@ def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch):
         return real_flow(*args, **kwargs)
 
     monkeypatch.setattr(model, "flow", counting_flow)
-    code, _ = run_main(["all", write_fixture(tmp_path, "transversal-ray"), "--steps", "32"])
+    code, _ = run_main([command, write_fixture(tmp_path, "transversal-ray"), "--steps", "32"])
     assert code == 0
-    assert len(calls) == 10
+    assert len(calls) == flows
     assert min(calls) > 1  # no single-trajectory flows remain
+
+
+def test_verify_alone_runs_the_saturation_rank_check(tmp_path, monkeypatch):
+    # a chart differential of rank k + r - 1 must stop verify with the rank
+    # reason, not be compared on the directions that are left
+    real_phi_jacs = model._phi_jacs
+
+    def rank_deficient(*args):
+        jacs = real_phi_jacs(*args)
+        jacs[:, :, -1] = 0.0
+        return jacs
+
+    monkeypatch.setattr(model, "_phi_jacs", rank_deficient)
+    code, out = run_main(["verify", write_fixture(tmp_path, "transversal-ray"), "--steps", "32"])
+    assert code == 3
+    stage = json.loads(out)["stages"]["verify"]
+    assert stage["status"] == "fail"
+    assert stage["reason"].startswith("chart rank defect at u = ")
+
+
+@pytest.mark.parametrize("radius", ["0", "-0.1"])
+def test_presymplectic_radius_must_be_positive(tmp_path, radius):
+    # radius 0 used to pass verify on 20 copies of the origin
+    path = tmp_path / "radius.scene"
+    path.write_text(FIXTURES["gotay-presymplectic"].replace("radius = 0.1",
+                                                            f"radius = {radius}"))
+    code, out = run_main(["verify", str(path)])
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["error"] == "[presymplectic] radius must be positive"
+    assert "stages" not in rep
 
 
 def test_missing_file_exits_4(tmp_path):

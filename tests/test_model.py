@@ -316,25 +316,29 @@ def test_normal_form_constant_structures(coiso_line):
     bv, chart = coiso_line
     for mode in ("default", "coisotropic"):
         comp = model.ComplementChoice(bv, chart, mode=mode)
-        rep = model.verify_normal_form(bv, chart, comp, steps=1024, radius=0.2, tol=1e-5)
+        rep = model.verify_normal_form(
+            model.saturation_chart(bv, chart, comp, steps=1024, radius=0.2), tol=1e-5)
         assert rep["ok"], rep
     bv4 = field.symplectic_r4()
     # the (x1, x2)-plane is a symplectic transversal; the (x1, x3)-plane
     # is Lagrangian, hence coisotropic
     plane = submanifold.Chart(2, 4, ["u1", "u2", "0", "0"], domain=[[-1, 1], [-1, 1]])
     comp4 = model.ComplementChoice(bv4, plane, mode="default")
-    rep4 = model.verify_normal_form(bv4, plane, comp4, steps=1024, radius=0.2, tol=1e-5)
+    rep4 = model.verify_normal_form(
+        model.saturation_chart(bv4, plane, comp4, steps=1024, radius=0.2), tol=1e-5)
     assert rep4["ok"], rep4
     lag = submanifold.Chart(2, 4, ["u1", "0", "u2", "0"], domain=[[-1, 1], [-1, 1]])
     comp_lag = model.ComplementChoice(bv4, lag, mode="coisotropic")
-    rep_lag = model.verify_normal_form(bv4, lag, comp_lag, steps=1024, radius=0.2, tol=1e-5)
+    rep_lag = model.verify_normal_form(
+        model.saturation_chart(bv4, lag, comp_lag, steps=1024, radius=0.2), tol=1e-5)
     assert rep_lag["ok"], rep_lag
 
 
 def test_normal_form_ray(so3_ray):
     bv, chart = so3_ray
     comp = model.ComplementChoice(bv, chart, mode="default")
-    rep = model.verify_normal_form(bv, chart, comp, steps=1024, radius=0.05, tol=1e-4)
+    rep = model.verify_normal_form(
+        model.saturation_chart(bv, chart, comp, steps=1024, radius=0.05), tol=1e-4)
     assert rep["ok"], rep
 
 
@@ -342,8 +346,10 @@ def test_normal_form_step_convergence(so3_ray):
     # mismatch falls (or stays at the floor) when steps double
     bv, chart = so3_ray
     comp = model.ComplementChoice(bv, chart, mode="default")
-    coarse = model.verify_normal_form(bv, chart, comp, steps=64, radius=0.05)
-    fine = model.verify_normal_form(bv, chart, comp, steps=128, radius=0.05)
+    coarse = model.verify_normal_form(
+        model.saturation_chart(bv, chart, comp, steps=64, radius=0.05))
+    fine = model.verify_normal_form(
+        model.saturation_chart(bv, chart, comp, steps=128, radius=0.05))
     assert fine["max_mismatch"] <= coarse["max_mismatch"] + 1e-12
 
 

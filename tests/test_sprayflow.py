@@ -309,5 +309,8 @@ def test_flow_matches_full_variational_reference_bitwise(bv, with_omega):
     assert_bitwise(res.jac, jac)
     if with_omega:
         assert_bitwise(res.omega, omega)
+        # omega never feeds back into jac, so one jac + omega flow serves
+        # every stage that needs only jac
+        assert_bitwise(res.jac, flow(bv, x0, xi, steps=64, with_jac=True).jac)
     else:
         assert res.omega is None
