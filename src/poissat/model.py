@@ -71,6 +71,12 @@ class ComplementFrame:
     def rank_perp(self):
         return self.txperp.shape[1]
 
+    def freeze(self):
+        """Make every array of the frame read-only; returns the frame."""
+        for a in (self.u, self.x, self.p, self.dx, self.tx, self.txperp, self.w, self.j):
+            a.flags.writeable = False
+        return self
+
 
 def _solve_inclusion(txperp, w):
     n, r = txperp.shape
@@ -117,7 +123,9 @@ class ComplementChoice(FrameAligner):
 
     G and H default to Euclidean complements inside TX and TXperp; all
     frames are aligned to the anchor u0, the chart's center, so they vary
-    smoothly.
+    smoothly.  Frames are memoised on the bits of u: the grid rows and
+    the finite-difference stencils of the bundle embedding revisit the
+    same parameters many times.
     """
 
     def __init__(self, bv: BivectorField, chart: Chart, mode="default", g=None, h=None, w=None):
@@ -129,13 +137,27 @@ class ComplementChoice(FrameAligner):
         self._h_user = None if h is None else np.atleast_2d(np.asarray(h, dtype=float))
         self._w_user = w
         self._refs = {}
+        self._memo = {}
         anchor = self.at(self.u0)
         self.rank_perp = anchor.rank_perp
         self.cap_dim = anchor.cap_dim
         self.corank = anchor.corank
 
     def at(self, u) -> ComplementFrame:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        u = np.atleast_1d(np.array(u, dtype=float))  # a kept frame is frozen: never alias
+        key = u.tobytes()
+        frame = self._memo.get(key)
+        if frame is None:
+            # a call that sets an alignment reference returns it unaligned; a
+            # later call at the same u aligns to it, which need not give the
+            # same bits, so only calls that set no reference are kept
+            refs = len(self._refs)
+            frame = self._frame(u)
+            if len(self._refs) == refs:
+                self._memo[key] = frame.freeze()
+        return frame
+
+    def _frame(self, u):
         pd = point_data(self.bv, self.chart, u)
         n = self.bv.dim
         txperp = self._aligned("perp", pd.txperp)
@@ -144,7 +166,7 @@ class ComplementChoice(FrameAligner):
                 w = self._aligned("w", null(txperp.T) if txperp.shape[1] else np.eye(n))
             else:
                 w = (self._w_user(u) if callable(self._w_user)
-                     else np.asarray(self._w_user, dtype=float))
+                     else np.array(self._w_user, dtype=float))
             frame = ComplementFrame(pd, txperp, w, _solve_inclusion(txperp, w))
         elif self.mode == "coisotropic":
             frame = self._coisotropic_frame(u, pd, txperp)
@@ -395,15 +417,20 @@ def local_model_bivector(bv, chart, comp, u, zeta, steps=1024, eta_source="flow"
         eta = eta_canonical_form_source(bv, chart, comp, u, zeta)
     else:
         raise ValueError(f"unknown eta source {eta_source!r}")
-    return SkewForm(_model_from_eta(bv, chart, comp, u, eta))
+    return SkewForm(_model_from_eta(_lift(bv, chart, comp, u), eta))
 
 
-def _model_from_eta(bv, chart, comp, u, eta):
-    """Model bivector matrix at u: pull back, lift, gauge by eta, extract."""
+def _lift(bv, chart, comp, u):
+    """Chart Dirac structure at u, pulled up along the bundle projection."""
     k = chart.param_dim
     base = pullback_dirac(bv, chart, u, ref_corank=comp.corank)
     dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
-    return dirac_to_bivector(dirac_gauge(dirac_pullback(base, dpr), eta))
+    return dirac_pullback(base, dpr)
+
+
+def _model_from_eta(lift, eta):
+    """Model bivector matrix: gauge the lift at u by eta and extract."""
+    return dirac_to_bivector(dirac_gauge(lift, eta))
 
 
 def _pushforward_mismatch(dphi, model, target):
@@ -417,7 +444,9 @@ def extraction_radius(bv, chart, comp, u, steps=256, start=0.5, count=6, seed=0)
 
     Halves the radius until `count` seeded directions all extract, down
     to the radius floor; returns 0.0 if even the floor fails.  Each
-    radius flows all directions in one batch.
+    radius flows all directions in one batch.  Only extraction failures
+    and flows that leave the box halve the radius: a RankDeficient does
+    not depend on the radius and propagates.
     """
     r = comp.rank_perp
     if r == 0:
@@ -425,12 +454,15 @@ def extraction_radius(bv, chart, comp, u, steps=256, start=0.5, count=6, seed=0)
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(count, r))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    lift = _lift(bv, chart, comp, u)
     radius = start
     while radius >= RADIUS_FLOOR:
         try:
             for eta in eta_forms(bv, comp, [u] * count, radius * dirs, steps=steps):
-                _model_from_eta(bv, chart, comp, u, eta)
+                _model_from_eta(lift, eta)
             return radius
+        except RankDeficient:
+            raise
         except (NotPoisson, ValueError):
             radius *= 0.5
     return 0.0
@@ -604,10 +636,14 @@ def verify_normal_form(sat: SaturationChart, tol=1e-4, eta_source="flow"):
     """
     bv, chart, comp = sat.bv, sat.chart, sat.comp
     worst = 0.0
+    lifts = {}  # the grid repeats each u for its zero row and its fiber rows
     for u, z, x, dphi, eta in zip(sat.us, sat.zetas, sat.points, sat.jacs, sat.etas):
         if eta_source != "flow":
             eta = eta_canonical_form_source(bv, chart, comp, u, z)
-        model = _model_from_eta(bv, chart, comp, u, eta)
+        lift = lifts.get(u.tobytes())
+        if lift is None:
+            lift = lifts[u.tobytes()] = _lift(bv, chart, comp, u)
+        model = _model_from_eta(lift, eta)
         worst = max(worst, _pushforward_mismatch(dphi, model, bv.matrix_at(x)))
     return {"max_mismatch": worst, "ok": worst <= tol, "tol": tol,
             "radius_used": sat.radius_used, "samples": len(sat.us), "steps": sat.steps}
@@ -704,7 +740,7 @@ def compare_complements(bv, chart, comp_a, comp_b, steps=1024, count=20, radius=
     kept, models_a = [], []
     for i, (u, eta) in enumerate(zip(us, etas)):
         try:
-            models_a.append(SkewForm(_model_from_eta(bv, chart, comp_a, u, eta)).matrix)
+            models_a.append(SkewForm(_model_from_eta(_lift(bv, chart, comp_a, u), eta)).matrix)
             kept.append(i)
         except NotPoisson:
             continue
@@ -714,7 +750,8 @@ def compare_complements(bv, chart, comp_a, comp_b, steps=1024, count=20, radius=
         params, dists = sat_b.project(ya[kept], inits)
         _, jbs, etas_b = flowed(comp_b, params[:, :k], params[:, k:])
         for row, i in enumerate(kept):
-            pb = SkewForm(_model_from_eta(bv, chart, comp_b, params[row, :k], etas_b[row])).matrix
+            lift = _lift(bv, chart, comp_b, params[row, :k])
+            pb = SkewForm(_model_from_eta(lift, etas_b[row])).matrix
             mism = _pushforward_mismatch(jas[i], models_a[row], jbs[row] @ pb @ jbs[row].T)
             worst_mismatch = max(worst_mismatch, mism)
     return {"max_mismatch": worst_mismatch, "max_projection_distance": max([0.0, *dists]),

@@ -362,6 +362,45 @@ def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch, command, flows):
     assert min(calls) > 1  # no single-trajectory flows remain
 
 
+@pytest.mark.parametrize("fixture,argv,frames,lifts", [
+    ("figure-eight", ["verify", "--steps", "128"], 126, 25),
+    ("transversal-ray", ["all", "--steps", "32", "--csv"], 133, 6),
+], ids=["verify-figure-eight", "all-transversal-ray"])
+def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, argv, frames,
+                                             lifts):
+    # point_data runs once per distinct u that reaches ComplementChoice.at
+    # (grid, stencil and probe parameters, and the anchor twice: the call
+    # that sets the alignment references is not kept); pullback_dirac once
+    # per distinct grid u in verify and once in extraction_radius
+    calls = {"point_data": 0, "pullback_dirac": 0}
+    for name in calls:
+        real = getattr(model, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, counting)
+    code, _ = run_main([argv[0], write_fixture(tmp_path, fixture), *argv[1:]])
+    assert code == 0
+    assert calls == {"point_data": frames, "pullback_dirac": lifts}
+
+
+@pytest.mark.parametrize("target", ["pullback_dirac", "dirac_gauge"])
+def test_extraction_radius_rank_failure_exits_3(tmp_path, monkeypatch, target):
+    # a rank failure does not depend on the fiber radius: it must stop the
+    # model stage with its reason, not halve the radius down to 0.0
+    def rank_deficient(*args, **kwargs):
+        raise model.RankDeficient("corank 1 at u = (0.0,) differs from reference 0")
+
+    monkeypatch.setattr(model, target, rank_deficient)
+    code, out = run_main(["model", write_fixture(tmp_path, "coiso-line"), "--steps", "32"])
+    assert code == 3
+    stage = json.loads(out)["stages"]["model"]
+    assert stage == {"status": "fail",
+                     "reason": "corank 1 at u = (0.0,) differs from reference 0"}
+
+
 def test_verify_alone_runs_the_saturation_rank_check(tmp_path, monkeypatch):
     # a chart differential of rank k + r - 1 must stop verify with the rank
     # reason, not be compared on the directions that are left

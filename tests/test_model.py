@@ -135,6 +135,51 @@ def test_custom_complement_rank_guard(coiso_line):
         model.ComplementChoice(bv, chart, mode="custom", w=w_bad)
 
 
+class _Forgetful(dict):
+    """A memo that keeps nothing, so every point is computed afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("name, mode, w", [
+    ("coiso_line", "default", None),
+    ("so3_ray", "default", None),
+    ("coiso_line", "coisotropic", None),
+    ("iso_line_r4", "pre_poisson", None),
+    ("coiso_line", "custom", np.array([[0.3, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+    ("coiso_line", "custom", lambda u: np.array([[0.3 * u[0], 0.0], [1.0, 0.0], [0.0, 1.0]])),
+], ids=["default", "default-transversal", "coisotropic", "pre_poisson", "custom",
+        "custom-callable"])
+def test_complement_memo_is_bitwise_exact(request, monkeypatch, name, mode, w):
+    # every frame, with and without the per-parameter memo; the anchor is
+    # revisited after __init__, and so are grid and stencil points
+    bv, chart = request.getfixturevalue(name)
+    u0 = chart.center()
+    us = [u0, *chart.grid(5), u0, [0.3], [0.3 + 1e-5], [0.3 - 1e-5], [0.3], [-0.0], [0.0]]
+
+    def frames(memo):
+        comp = model.ComplementChoice(bv, chart, mode=mode, w=w)
+        assert not comp._memo  # the anchor call set the references: not kept
+        if not memo:
+            monkeypatch.setattr(comp, "_memo", _Forgetful())
+        return comp, [comp.at(u) for u in us]
+
+    comp, kept = frames(memo=True)
+    _, fresh = frames(memo=False)
+    assert len(comp._memo) == len({np.asarray(u, dtype=float).tobytes() for u in us})
+    for a, b in zip(kept, fresh):
+        for field in ("u", "x", "p", "dx", "tx", "txperp", "w", "j"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()  # signbits too
+        assert (a.cap_dim, a.corank, a.conditions) == (b.cap_dim, b.corank, b.conditions)
+    assert kept[0] is kept[6] is comp.at(u0)
+    with pytest.raises(ValueError):
+        kept[0].j[0, 0] = 1.0
+    if isinstance(w, np.ndarray):
+        assert w.flags.writeable  # the caller's frame is copied, not frozen
+
+
 # --- sigma, tau, eta ---
 
 
@@ -531,13 +576,6 @@ def test_gotay_fully_isotropic_tangent():
     assert rep["coisotropy"] <= 1e-10
     assert rep["reproduction_angle"] <= 1e-8
     assert rep["jacobi_fd"] <= 1e-10
-
-
-class _Forgetful(dict):
-    """A memo that keeps nothing, so every point is computed afresh."""
-
-    def __setitem__(self, key, value):
-        pass
 
 
 def _form_r3(x):
