@@ -267,6 +267,8 @@ def scene_parameters(scene: Scene, steps_override=None, tol_override=None):
             raise SceneError(f"tolerance '{name}' must be positive")
     if p["steps"] < 16 or p["steps"] % 2:
         raise SceneError("steps must be even and at least 16")
+    if p["seed"] < 0:
+        raise SceneError("seed must be non-negative")
     if p["u_counts"] < 1 or p["per_u"] < 0 or p["xi_radius"] <= 0:
         raise SceneError("flow/model parameters out of range")
     return p
@@ -303,15 +305,15 @@ def _stage_analyze(bv, chart, seed):
     return out
 
 
-def _saturation_chart(bv, chart, comp, p):
-    return saturation_chart(bv, chart, comp, steps=p["steps"], u_counts=p["u_counts"],
+def _saturation_chart(comp, p):
+    return saturation_chart(comp, steps=p["steps"], u_counts=p["u_counts"],
                             radius=p["xi_radius"], per_u=p["per_u"], seed=p["seed"])
 
 
-def _stage_saturate(bv, chart, comp, p):
+def _stage_saturate(comp, p):
     """Stage report, the chart and its per-sample saturation residuals."""
-    sat = _saturation_chart(bv, chart, comp, p)
-    ver = verify_saturation_poisson(bv, sat, tol=p["tolerances"]["saturation"])
+    sat = _saturation_chart(comp, p)
+    ver = verify_saturation_poisson(sat, tol=p["tolerances"]["saturation"])
     land = full_fiber_landing(sat, radius=min(0.05, p["xi_radius"]), seed=p["seed"] + 1,
                               tol=p["tolerances"]["landing"])
     out = {
@@ -327,19 +329,18 @@ def _stage_saturate(bv, chart, comp, p):
     return out, sat, ver["residuals"]
 
 
-def _stage_model(bv, chart, comp, p):
-    u0 = chart.center()
-    sigma, tau = sigma_tau(bv, chart, comp, u0)
+def _stage_model(comp, p):
+    u0 = comp.chart.center()
+    sigma, tau = sigma_tau(comp, u0)
     fr = comp.at(u0)
-    grid = chart.grid(3)
-    etas = eta_forms(bv, comp, grid, np.zeros((len(grid), comp.rank_perp)), steps=p["steps"])
-    zero_resid = max([0.0, *(float(np.abs(eta - eta_zero_section(bv, chart, comp, u)).max())
+    grid = comp.chart.grid(3)
+    etas = eta_forms(comp, grid, np.zeros((len(grid), comp.rank_perp)), steps=p["steps"])
+    zero_resid = max([0.0, *(float(np.abs(eta - eta_zero_section(comp, u)).max())
                              for u, eta in zip(grid, etas))])
     zeta = np.full(comp.rank_perp, p["xi_radius"] / 4)
-    closed = eta_closedness_residual(bv, chart, comp, u0, zeta,
-                                     steps=min(p["steps"], 256))
-    radius = extraction_radius(bv, chart, comp, u0, steps=min(p["steps"], 256),
-                               start=p["xi_radius"], seed=p["seed"])
+    closed = eta_closedness_residual(comp, u0, zeta, steps=min(p["steps"], 256))
+    radius = extraction_radius(comp, u0, steps=min(p["steps"], 256), start=p["xi_radius"],
+                               seed=p["seed"])
     conditions = {k: bool(v) if isinstance(v, (bool, np.bool_)) else float(v)
                   for k, v in fr.conditions.items()}
     ok = (zero_resid <= 1e-6 and closed <= 1e-6 and radius > 0.0
@@ -357,7 +358,7 @@ def _stage_model(bv, chart, comp, p):
         "conditions": conditions,
     }
     if comp.mode == "pre_poisson":
-        rows = marle_invariants(bv, chart, comp, chart.grid(3))
+        rows = marle_invariants(comp, grid)
         out["quotient_rank"] = int(rows[0]["quotient"].rank())
         out["cross_residual"] = max(r["cross_residual"] for r in rows)
     return out
@@ -481,14 +482,14 @@ def run_scene(scene: Scene, command, scene_name="scene", steps_override=None,
     for stage in todo:
         try:
             if stage == "saturate":
-                stages[stage], sat, residuals = _stage_saturate(bv, chart, comp, p)
+                stages[stage], sat, residuals = _stage_saturate(comp, p)
                 if want_csv:
                     csv_text = _csv_text(sat, residuals)
             elif stage == "model":
-                stages[stage] = _stage_model(bv, chart, comp, p)
+                stages[stage] = _stage_model(comp, p)
             elif stage == "verify":
                 if sat is None:  # verify alone: the grid the saturate stage builds
-                    sat = _saturation_chart(bv, chart, comp, p)
+                    sat = _saturation_chart(comp, p)
                 stages[stage] = _stage_verify(sat, p)
         except RankDeficient as exc:
             stages[stage] = {"status": "fail", "reason": str(exc)}

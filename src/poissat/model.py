@@ -55,6 +55,7 @@ class ComplementFrame:
     """Pointwise output of a ComplementChoice, with the PointData it was built from."""
 
     def __init__(self, pd, txperp, w, j, cap_dim=0, conditions=None):
+        self.pd = pd
         self.u = pd.u
         self.x = pd.x
         self.p = pd.p  # bivector matrix at x
@@ -73,7 +74,8 @@ class ComplementFrame:
 
     def freeze(self):
         """Make every array of the frame read-only; returns the frame."""
-        for a in (self.u, self.x, self.p, self.dx, self.tx, self.txperp, self.w, self.j):
+        for a in (self.u, self.x, self.p, self.dx, self.tx, self.pd.txperp, self.txperp, self.w,
+                  self.j):
             a.flags.writeable = False
         return self
 
@@ -96,7 +98,21 @@ def _span_in(big, small_perp):
 
 
 class FrameAligner:
-    """Aligns every basis stored under a key to the first (sign-fixed) one."""
+    """Aligns every basis stored under a key to the first (sign-fixed) one, and
+    memoises per-point results under one rule (_memoised)."""
+
+    def _memoised(self, memo, x, compute):
+        """compute(), kept in memo on the bits of x unless it raised or set an alignment
+        reference: that call returns the reference unaligned, and a later call at x
+        aligns to it, which need not give the same bits."""
+        key = np.asarray(x, dtype=float).tobytes()
+        value = memo.get(key)
+        if value is None:
+            refs = len(self._refs)
+            value = compute()
+            if len(self._refs) == refs:
+                memo[key] = value
+        return value
 
     def _aligned(self, key, basis):
         ref = self._refs.get(key)
@@ -144,18 +160,8 @@ class ComplementChoice(FrameAligner):
         self.corank = anchor.corank
 
     def at(self, u) -> ComplementFrame:
-        u = np.atleast_1d(np.array(u, dtype=float))  # a kept frame is frozen: never alias
-        key = u.tobytes()
-        frame = self._memo.get(key)
-        if frame is None:
-            # a call that sets an alignment reference returns it unaligned; a
-            # later call at the same u aligns to it, which need not give the
-            # same bits, so only calls that set no reference are kept
-            refs = len(self._refs)
-            frame = self._frame(u)
-            if len(self._refs) == refs:
-                self._memo[key] = frame.freeze()
-        return frame
+        u = np.atleast_1d(np.array(u, dtype=float))  # a frame is frozen: never alias
+        return self._memoised(self._memo, u, lambda: self._frame(u).freeze())
 
     def _frame(self, u):
         pd = point_data(self.bv, self.chart, u)
@@ -269,7 +275,7 @@ def _sharp_into(p, w, extra=None):
     return float(np.abs(resid).max())
 
 
-def sigma_tau(bv: BivectorField, chart: Chart, comp: ComplementChoice, u):
+def sigma_tau(comp: ComplementChoice, u):
     """Fiber form sigma and pairing tau of the complement at u.
 
     sigma(z1, z2) = pi(j z1, j z2) on fiber covectors; tau pairs chart
@@ -303,21 +309,21 @@ def _central_diff(f, u, vec, rows, h):
     return out
 
 
-def _bundle_flow(bv, comp, us, zetas, steps, with_jac=False, with_omega=False):
+def _bundle_flow(comp, us, zetas, steps, with_jac=False, with_omega=False):
     """Embed every (u, zeta) row and flow all of them in one batch.
 
     Returns the per-row embeddings of _bundle_embedding and the
     FlowResult; batched rows are bitwise those of single-row flows.
     """
     frames = [_bundle_embedding(comp, u, z) for u, z in zip(us, zetas)]
-    res = flow(bv, np.stack([f[1] for f in frames]), np.stack([f[2] for f in frames]),
+    res = flow(comp.bv, np.stack([f[1] for f in frames]), np.stack([f[2] for f in frames]),
                steps=steps, with_jac=with_jac, with_omega=with_omega)
     return frames, res
 
 
-def _phi_jacs(bv, frames, res):
-    """dPhi = d(exp)_base . de at every flowed row."""
-    return np.stack([res.jac[i][:bv.dim, :] @ f[3] for i, f in enumerate(frames)])
+def _phi_jacs(frames, res):
+    """dPhi = d(exp)_base . de at every flowed row; d(exp)_base is the top half of jac."""
+    return np.stack([jac[:len(jac) // 2] @ f[3] for f, jac in zip(frames, res.jac)])
 
 
 def _eta_of(frame, omega):
@@ -329,21 +335,29 @@ def _require_inside(res):
         raise ValueError("state flows out of the domain box")
 
 
-def eta_forms(bv, comp, us, zetas, steps=1024):
+def _chart_flow(comp, us, zetas, steps):
+    """One jac + omega flow of every (u, zeta) row: the per-row embeddings,
+    the FlowResult, and dPhi and eta at every row."""
+    frames, res = _bundle_flow(comp, us, zetas, steps, with_jac=True, with_omega=True)
+    etas = np.stack([_eta_of(f, w) for f, w in zip(frames, res.omega)])
+    return frames, res, _phi_jacs(frames, res), etas
+
+
+def eta_forms(comp, us, zetas, steps=1024):
     """eta = -e*(averaged flow form) at every (u, zeta) row, in one flow."""
-    frames, res = _bundle_flow(bv, comp, us, zetas, steps, with_omega=True)
+    frames, res = _bundle_flow(comp, us, zetas, steps, with_omega=True)
     _require_inside(res)
     return np.stack([_eta_of(f, res.omega[i]) for i, f in enumerate(frames)])
 
 
-def eta_canonical(bv, chart, comp, u, zeta, steps=1024):
+def eta_canonical(comp, u, zeta, steps=1024):
     """Gauge form eta(u, zeta) = -e*(averaged flow form) on the bundle."""
-    return eta_forms(bv, comp, [u], [zeta], steps)[0]
+    return eta_forms(comp, [u], [zeta], steps)[0]
 
 
-def eta_zero_section(bv, chart, comp, u):
+def eta_zero_section(comp, u):
     """Closed-form value of eta at zeta = 0: the -sigma/-tau block form."""
-    sigma, tau = sigma_tau(bv, chart, comp, u)
+    sigma, tau = sigma_tau(comp, u)
     k, r = tau.shape
     out = np.zeros((k + r, k + r))
     out[:k, k:] = -tau
@@ -352,7 +366,7 @@ def eta_zero_section(bv, chart, comp, u):
     return out
 
 
-def eta_canonical_form_source(bv, chart, comp, u, zeta, fd_h=1e-5):
+def eta_canonical_form_source(comp, u, zeta, fd_h=1e-5):
     """Gauge form from the canonical form of T*X (coisotropic route).
 
     Restricting fiber covectors to TX embeds the bundle into T*X; in
@@ -393,18 +407,18 @@ def _fd_gradient(f, point, h):
     return (vals[:len(point)] - vals[len(point):]) / (2 * h)
 
 
-def eta_closedness_residual(bv, chart, comp, u, zeta, steps=256, h=1e-4):
+def eta_closedness_residual(comp, u, zeta, steps=256, h=1e-4):
     """Max finite-difference exterior-derivative component of eta."""
-    k = chart.param_dim
+    k = comp.chart.param_dim
     zeta = np.asarray(zeta, dtype=float).reshape(comp.rank_perp)
     point = np.concatenate([np.atleast_1d(u), zeta])
-    grads = _fd_gradient(lambda ps: eta_forms(bv, comp, ps[:, :k], ps[:, k:], steps=steps),
+    grads = _fd_gradient(lambda ps: eta_forms(comp, ps[:, :k], ps[:, k:], steps=steps),
                          point, h)
     return max([0.0, *(abs(grads[a][b, c] + grads[b][c, a] + grads[c][a, b])
                        for a, b, c in combinations(range(len(point)), 3))])
 
 
-def local_model_bivector(bv, chart, comp, u, zeta, steps=1024, eta_source="flow"):
+def local_model_bivector(comp, u, zeta, steps=1024, eta_source="flow"):
     """Bivector of the local model at a bundle point (u, zeta).
 
     Pulls the chart's Dirac structure up along the bundle projection,
@@ -412,18 +426,19 @@ def local_model_bivector(bv, chart, comp, u, zeta, steps=1024, eta_source="flow"
     space has no bivector presentation (expected far from zeta = 0).
     """
     if eta_source == "flow":
-        eta = eta_canonical(bv, chart, comp, u, zeta, steps=steps)
+        eta = eta_canonical(comp, u, zeta, steps=steps)
     elif eta_source == "canonical_form":
-        eta = eta_canonical_form_source(bv, chart, comp, u, zeta)
+        eta = eta_canonical_form_source(comp, u, zeta)
     else:
         raise ValueError(f"unknown eta source {eta_source!r}")
-    return SkewForm(_model_from_eta(_lift(bv, chart, comp, u), eta))
+    return SkewForm(_model_from_eta(_lift(comp, u), eta))
 
 
-def _lift(bv, chart, comp, u):
-    """Chart Dirac structure at u, pulled up along the bundle projection."""
-    k = chart.param_dim
-    base = pullback_dirac(bv, chart, u, ref_corank=comp.corank)
+def _lift(comp, u):
+    """Chart Dirac structure at u, pulled back from the point data of the
+    memoised frame and up along the bundle projection."""
+    k = comp.chart.param_dim
+    base = pullback_dirac(comp.bv, comp.chart, comp.at(u).pd, ref_corank=comp.corank)
     dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
     return dirac_pullback(base, dpr)
 
@@ -439,7 +454,7 @@ def _pushforward_mismatch(dphi, model, target):
     return float(np.abs(q.T @ (dphi @ model @ dphi.T - target) @ q).max())
 
 
-def extraction_radius(bv, chart, comp, u, steps=256, start=0.5, count=6, seed=0):
+def extraction_radius(comp, u, steps=256, start=0.5, count=6, seed=0):
     """Largest probed fiber radius where model extraction succeeds.
 
     Halves the radius until `count` seeded directions all extract, down
@@ -454,11 +469,11 @@ def extraction_radius(bv, chart, comp, u, steps=256, start=0.5, count=6, seed=0)
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(count, r))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    lift = _lift(bv, chart, comp, u)
+    lift = _lift(comp, u)
     radius = start
     while radius >= RADIUS_FLOOR:
         try:
-            for eta in eta_forms(bv, comp, [u] * count, radius * dirs, steps=steps):
+            for eta in eta_forms(comp, [u] * count, radius * dirs, steps=steps):
                 _model_from_eta(lift, eta)
             return radius
         except RankDeficient:
@@ -468,15 +483,14 @@ def extraction_radius(bv, chart, comp, u, steps=256, start=0.5, count=6, seed=0)
     return 0.0
 
 
-def _sigma_grid(chart, comp, u_counts, radius, per_u, seed, include_zero=True):
-    us = chart.grid(u_counts)
+def _sigma_grid(comp, u_counts, radius, per_u, seed):
+    us = comp.chart.grid(u_counts)
     r = comp.rank_perp
     rng = np.random.default_rng(seed)
     rows_u, rows_z = [], []
     for u in us:
-        if include_zero or r == 0:
-            rows_u.append(u)
-            rows_z.append(np.zeros(r))
+        rows_u.append(u)
+        rows_z.append(np.zeros(r))
         if r:
             dirs = rng.normal(size=(per_u, r))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -493,9 +507,9 @@ class SaturationChart:
     gauge form eta = -e*(averaged flow form), all from one flow.
     """
 
-    def __init__(self, bv, chart, comp, steps, us, zetas, points, jacs, etas, radius_used):
-        self.bv = bv
-        self.chart = chart
+    def __init__(self, comp, steps, us, zetas, points, jacs, etas, radius_used):
+        self.bv = comp.bv
+        self.chart = comp.chart
         self.comp = comp
         self.steps = steps
         self.us = us
@@ -511,9 +525,9 @@ class SaturationChart:
 
     def map_and_jac(self, us, zetas):
         """Phi and dPhi at every (u, zeta) row, in one flow."""
-        frames, res = _bundle_flow(self.bv, self.comp, us, zetas, self.steps, with_jac=True)
+        frames, res = _bundle_flow(self.comp, us, zetas, self.steps, with_jac=True)
         _require_inside(res)
-        return res.x, _phi_jacs(self.bv, frames, res)
+        return res.x, _phi_jacs(frames, res)
 
     def project(self, ys, inits, max_iter=50, tol=1e-10):
         """Nearest-point parameters on the chart image, Gauss-Newton.
@@ -554,7 +568,7 @@ class SaturationChart:
         return self.comp._aligned("_tube", null(span.T) if span.size else np.eye(self.bv.dim))
 
 
-def saturation_chart(bv, chart, comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
+def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
     """Sample the saturation chart over a (u, zeta) grid in one jac + omega flow.
 
     The fiber radius is halved (down to a floor) until no trajectory
@@ -564,16 +578,14 @@ def saturation_chart(bv, chart, comp, steps=1024, u_counts=5, radius=0.2, per_u=
     """
     radius_used = radius
     while True:
-        us, zetas = _sigma_grid(chart, comp, u_counts, radius_used, per_u, seed)
-        frames, res = _bundle_flow(bv, comp, us, zetas, steps, with_jac=True, with_omega=True)
+        us, zetas = _sigma_grid(comp, u_counts, radius_used, per_u, seed)
+        frames, res, jacs, etas = _chart_flow(comp, us, zetas, steps)
         if not res.exited.any():
             break
         if radius_used * 0.5 < RADIUS_FLOOR:
             raise ValueError("flow leaves the domain box even at the radius floor")
         radius_used *= 0.5
-    jacs = _phi_jacs(bv, frames, res)
-    etas = np.stack([_eta_of(f, w) for f, w in zip(frames, res.omega)])
-    sat = SaturationChart(bv, chart, comp, steps, us, zetas, res.x, jacs, etas, radius_used)
+    sat = SaturationChart(comp, steps, us, zetas, res.x, jacs, etas, radius_used)
     dim = sat.model_dim
     for i, (u, z) in enumerate(zip(us, zetas)):
         if rank_svd(jacs[i])[0] != dim:
@@ -606,7 +618,7 @@ def full_fiber_landing(sat: SaturationChart, count=10, radius=0.05, seed=1, tol=
             "checked": int(kept.size), "skipped": int(len(us) - kept.size)}
 
 
-def saturation_residuals(bv, sat: SaturationChart):
+def saturation_residuals(sat: SaturationChart):
     """Per-sample residual of sharp(TP0) inside TP."""
     out = np.zeros(len(sat.points))
     for i in range(len(sat.points)):
@@ -614,15 +626,15 @@ def saturation_residuals(bv, sat: SaturationChart):
         conormal = null(q.T)
         if conormal.shape[1] == 0:
             continue
-        image = bv.matrix_at(sat.points[i]) @ conormal
+        image = sat.bv.matrix_at(sat.points[i]) @ conormal
         out[i] = np.abs(image - q @ (q.T @ image)).max()
     return out
 
 
-def verify_saturation_poisson(bv, sat: SaturationChart, tol=1e-8):
+def verify_saturation_poisson(sat: SaturationChart, tol=1e-8):
     """Residual of sharp(TP0) inside TP over the sampled chart, with the
     per-sample values under "residuals"."""
-    res = saturation_residuals(bv, sat)
+    res = saturation_residuals(sat)
     worst = float(res.max()) if res.size else 0.0
     return {"max_residual": worst, "ok": worst <= tol, "tol": tol, "residuals": res}
 
@@ -634,22 +646,21 @@ def verify_normal_form(sat: SaturationChart, tol=1e-4, eta_source="flow"):
     through dPhi and compared with the ambient bivector at the image
     point, both compressed to the orthonormalized chart frame.
     """
-    bv, chart, comp = sat.bv, sat.chart, sat.comp
     worst = 0.0
     lifts = {}  # the grid repeats each u for its zero row and its fiber rows
     for u, z, x, dphi, eta in zip(sat.us, sat.zetas, sat.points, sat.jacs, sat.etas):
         if eta_source != "flow":
-            eta = eta_canonical_form_source(bv, chart, comp, u, z)
+            eta = eta_canonical_form_source(sat.comp, u, z)
         lift = lifts.get(u.tobytes())
         if lift is None:
-            lift = lifts[u.tobytes()] = _lift(bv, chart, comp, u)
+            lift = lifts[u.tobytes()] = _lift(sat.comp, u)
         model = _model_from_eta(lift, eta)
-        worst = max(worst, _pushforward_mismatch(dphi, model, bv.matrix_at(x)))
+        worst = max(worst, _pushforward_mismatch(dphi, model, sat.bv.matrix_at(x)))
     return {"max_mismatch": worst, "ok": worst <= tol, "tol": tol,
             "radius_used": sat.radius_used, "samples": len(sat.us), "steps": sat.steps}
 
 
-def tubular_map(bv, chart, comp, sat: SaturationChart, u, zeta, c):
+def tubular_map(sat: SaturationChart, u, zeta, c):
     """Extension of the saturation chart by an affine complement frame."""
     frame = sat.complement_frame(u)
     vals, jacs = sat.map_and_jac([u], [zeta])
@@ -657,13 +668,13 @@ def tubular_map(bv, chart, comp, sat: SaturationChart, u, zeta, c):
     return vals[0] + frame @ c, np.hstack([jacs[0], frame])
 
 
-def tubular_rank_check(bv, chart, comp, sat, count=50, radius=0.1, seed=2):
+def tubular_rank_check(sat: SaturationChart, count=50, radius=0.1, seed=2):
     """Invertibility of the tubular map differential at random states."""
     rng = np.random.default_rng(seed)
-    us = chart.sample(count, seed=seed)
-    n = bv.dim
-    r = comp.rank_perp
-    e_dim = n - chart.param_dim - r
+    us = sat.chart.sample(count, seed=seed)
+    n = sat.bv.dim
+    r = sat.comp.rank_perp
+    e_dim = n - sat.model_dim
     zetas = []
     for _ in us:
         zeta = rng.normal(size=r)
@@ -678,7 +689,7 @@ def tubular_rank_check(bv, chart, comp, sat, count=50, radius=0.1, seed=2):
     return {"ok": True, "samples": int(count)}
 
 
-def marle_invariants(bv, chart, comp, us):
+def marle_invariants(comp, us):
     """Determining data of a pre-Poisson chart at the given parameters.
 
     Per sample: the pulled back Dirac space, the induced skew form on
@@ -692,9 +703,9 @@ def marle_invariants(bv, chart, comp, us):
     for u in np.atleast_2d(np.asarray(us, dtype=float)):
         fr = comp.at(u)
         c = fr.cap_dim
-        sigma, _ = sigma_tau(bv, chart, comp, u)
+        sigma, _ = sigma_tau(comp, u)
         cross = float(np.abs(sigma.matrix[:c, :]).max()) if c else 0.0
-        dirac = pullback_dirac(bv, chart, u, ref_corank=comp.corank)
+        dirac = pullback_dirac(comp.bv, comp.chart, fr.pd, ref_corank=comp.corank)
         out.append({
             "u": tuple(float(v) for v in np.atleast_1d(u)),
             "dirac": dirac,
@@ -704,8 +715,7 @@ def marle_invariants(bv, chart, comp, us):
     return out
 
 
-def compare_complements(bv, chart, comp_a, comp_b, steps=1024, count=20, radius=0.1,
-                        seed=3, tol=1e-4):
+def compare_complements(comp_a, comp_b, steps=1024, count=20, radius=0.1, seed=3, tol=1e-4):
     """Model independence: two complements agree through the saturation.
 
     Samples bundle points of the first complement, locates the same
@@ -713,12 +723,15 @@ def compare_complements(bv, chart, comp_a, comp_b, steps=1024, count=20, radius=
     two pushforward bivectors compressed to the shared tangent frame.
     Samples whose model does not extract (NotPoisson) are skipped and
     counted; the check fails when no sample was checked at all.  Each
-    side flows all its samples in one batch.
+    side flows all its samples in one batch.  Both complements must be
+    built on one structure and one chart.
     """
-    sat_a = saturation_chart(bv, chart, comp_a, steps=steps, u_counts=3,
-                             radius=radius, per_u=1, seed=seed)
-    sat_b = saturation_chart(bv, chart, comp_b, steps=steps, u_counts=3,
-                             radius=radius, per_u=1, seed=seed + 1)
+    if comp_a.bv is not comp_b.bv or comp_a.chart is not comp_b.chart:
+        raise ValueError("complements are built on different structures or charts")
+    chart = comp_a.chart
+    sat_a = saturation_chart(comp_a, steps=steps, u_counts=3, radius=radius, per_u=1, seed=seed)
+    sat_b = saturation_chart(comp_b, steps=steps, u_counts=3, radius=radius, per_u=1,
+                             seed=seed + 1)
     rng = np.random.default_rng(seed)
     us = chart.sample(count, seed=seed + 2)
     k, r = chart.param_dim, comp_a.rank_perp
@@ -729,28 +742,23 @@ def compare_complements(bv, chart, comp_a, comp_b, steps=1024, count=20, radius=
             zeta *= min(radius, sat_a.radius_used) * rng.uniform(0.1, 1.0) / max(
                 np.linalg.norm(zeta), 1e-12)
         zetas.append(zeta)
-
-    def flowed(comp, us, zetas):
-        frames, res = _bundle_flow(bv, comp, us, zetas, steps, with_jac=True, with_omega=True)
-        _require_inside(res)
-        etas = [_eta_of(f, w) for f, w in zip(frames, res.omega)]
-        return res.x, _phi_jacs(bv, frames, res), etas
-
-    ya, jas, etas = flowed(comp_a, us, zetas)
+    _, res_a, jas, etas = _chart_flow(comp_a, us, zetas, steps)
+    _require_inside(res_a)
     kept, models_a = [], []
     for i, (u, eta) in enumerate(zip(us, etas)):
         try:
-            models_a.append(SkewForm(_model_from_eta(_lift(bv, chart, comp_a, u), eta)).matrix)
+            models_a.append(SkewForm(_model_from_eta(_lift(comp_a, u), eta)).matrix)
             kept.append(i)
         except NotPoisson:
             continue
     worst_mismatch, dists = 0.0, []
     if kept:
         inits = np.hstack([us[kept], np.zeros((len(kept), comp_b.rank_perp))])
-        params, dists = sat_b.project(ya[kept], inits)
-        _, jbs, etas_b = flowed(comp_b, params[:, :k], params[:, k:])
+        params, dists = sat_b.project(res_a.x[kept], inits)
+        _, res_b, jbs, etas_b = _chart_flow(comp_b, params[:, :k], params[:, k:], steps)
+        _require_inside(res_b)
         for row, i in enumerate(kept):
-            lift = _lift(bv, chart, comp_b, params[row, :k])
+            lift = _lift(comp_b, params[row, :k])
             pb = SkewForm(_model_from_eta(lift, etas_b[row])).matrix
             mism = _pushforward_mismatch(jas[i], models_a[row], jbs[row] @ pb @ jbs[row].T)
             worst_mismatch = max(worst_mismatch, mism)
@@ -784,12 +792,7 @@ class GotayModel(FrameAligner):
         self.fiber_dim = self._kernel(np.zeros(self.dim)).shape[1]
 
     def _l(self, x):
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        l = self._l_memo.get(key)
-        if l is None:
-            l = self._l_memo[key] = self._l_at(x)
-        return l
+        return self._memoised(self._l_memo, x, lambda: self._l_at(np.asarray(x, dtype=float)))
 
     def _kernel(self, x):
         l = self._l(x)
@@ -801,13 +804,9 @@ class GotayModel(FrameAligner):
         return self._aligned("k", cap[:k]) if cap.shape[1] else np.zeros((k, 0))
 
     def _inclusion(self, x):
-        key = np.asarray(x, dtype=float).tobytes()
-        incl = self._inclusion_memo.get(key)
-        if incl is not None:
-            return incl
-        # the call that sets the "g" reference returns it unaligned; a later
-        # call at the same x aligns to it, which need not give the same bits
-        keep = "g" in self._refs
+        return self._memoised(self._inclusion_memo, x, lambda: self._compute_inclusion(x))
+
+    def _compute_inclusion(self, x):
         kern = self._kernel(x)
         m = kern.shape[1]
         g = self._aligned("g", null(kern.T))
@@ -817,8 +816,6 @@ class GotayModel(FrameAligner):
         rhs = np.vstack([np.eye(m), np.zeros((self.dim - m, m))])
         incl = np.linalg.solve(stack.T, rhs)
         incl.flags.writeable = False
-        if keep:
-            self._inclusion_memo[key] = incl
         return incl
 
     def gauge_form(self, x, c, fd_h=1e-5):

@@ -286,16 +286,16 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
     return Classification(flags, ranks, len(points))
 
 
-def pullback_dirac(bv: BivectorField, chart: Chart, u, route="generic", ref_corank=None):
-    """Pull the bivector graph back to the chart at u.
+def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_corank=None):
+    """Pull the bivector graph back to the chart at the point of pd.
 
+    pd is point_data(bv, chart, u); nothing of it is recomputed.
     route="generic" takes the backward image along the chart Jacobian;
     route="perp" realizes the same space as sharp(a) + i*a over covectors
     a annihilating TXperp.  The point must be regular: the corank is
     compared against ref_corank (or against seeded nearby samples) and
     a jump raises RankDeficient.
     """
-    pd = point_data(bv, chart, u)
     if ref_corank is None:
         if any(q.corank != pd.corank for q in nearby_point_data(bv, chart, pd.u, seed=0)):
             raise RankDeficient(
@@ -306,10 +306,9 @@ def pullback_dirac(bv: BivectorField, chart: Chart, u, route="generic", ref_cora
             f"corank {pd.corank} at u = {tuple(pd.u)} differs from reference {ref_corank}"
         )
     if route == "generic":
-        return dirac_pullback(dirac_graph(pd.p, "bivector"), chart.jac_at(pd.u))
+        return dirac_pullback(dirac_graph(pd.p, "bivector"), pd.dx)
     if route == "perp":
-        n, k = bv.dim, chart.param_dim
-        dx = chart.jac_at(pd.u)
+        n, k, dx = bv.dim, chart.param_dim, pd.dx
         ann = annihilator(pd.txperp, dim=n)
         cols = []
         for a in ann.T:

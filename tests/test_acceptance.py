@@ -181,17 +181,17 @@ def test_criterion_05_cotangent_paths():
 def test_criterion_06_saturation_geometry():
     bv, chart = coiso_line()
     comp = ComplementChoice(bv, chart, mode="coisotropic")
-    sat = saturation_chart(bv, chart, comp, u_counts=5, radius=0.2, per_u=3)
+    sat = saturation_chart(comp, u_counts=5, radius=0.2, per_u=3)
     planar = float(np.abs(sat.points[:, 2]).max())
     ranks_ok = all(rank_svd(j)[0] == 2 for j in sat.jacs)
-    resid = verify_saturation_poisson(bv, sat, tol=1e-8)
+    resid = verify_saturation_poisson(sat, tol=1e-8)
     land = full_fiber_landing(sat, count=10, radius=0.05)
 
     so3 = so3_star()
     sphere = Chart(2, 3, ["cos(u)*cos(v)", "sin(u)*cos(v)", "sin(v)"],
                    domain=[[-0.6, 0.6]] * 2)
     comp_s = ComplementChoice(so3, sphere, mode="default")
-    sat_s = saturation_chart(so3, sphere, comp_s, u_counts=5)
+    sat_s = saturation_chart(comp_s, u_counts=5)
     on_chart = float(np.abs(sat_s.points - sphere.points(sat_s.us)).max())
     ok = (planar <= 1e-8 and ranks_ok and resid["ok"] and land["ok"]
           and comp_s.rank_perp == 0 and sat_s.model_dim == 2 and on_chart <= 1e-12)
@@ -215,14 +215,14 @@ def test_criterion_07_dual_pair():
 def test_criterion_08_normal_form():
     bv, chart = coiso_line()
     rep_line = verify_normal_form(
-        saturation_chart(bv, chart, ComplementChoice(bv, chart, mode="coisotropic"), radius=0.2),
+        saturation_chart(ComplementChoice(bv, chart, mode="coisotropic"), radius=0.2),
         tol=1e-5)
     bv4, plane = sympl_plane()
     rep_plane = verify_normal_form(
-        saturation_chart(bv4, plane, ComplementChoice(bv4, plane), radius=0.2), tol=1e-5)
+        saturation_chart(ComplementChoice(bv4, plane), radius=0.2), tol=1e-5)
     so3, ray = so3_ray()
     rep_ray = verify_normal_form(
-        saturation_chart(so3, ray, ComplementChoice(so3, ray), radius=0.05), tol=1e-4)
+        saturation_chart(ComplementChoice(so3, ray), radius=0.05), tol=1e-4)
     ok = rep_line["ok"] and rep_plane["ok"] and rep_ray["ok"]
     _line(8, "normal form pushforward", ok,
           f"line {rep_line['max_mismatch']:.2e}, plane {rep_plane['max_mismatch']:.2e}, "
@@ -272,7 +272,7 @@ def test_criterion_09_specialization_identities():
     comp_t = ComplementChoice(so3, ray)
     tau_worst = 0.0
     for u in ray.grid(5):
-        _, tau = sigma_tau(so3, ray, comp_t, u)
+        _, tau = sigma_tau(comp_t, u)
         tau_worst = max(tau_worst, float(np.abs(tau).max()))
 
     # sigma vanishes with the constructed splitting on every coisotropic
@@ -287,7 +287,7 @@ def test_criterion_09_specialization_identities():
     for bv, chart, mode in cases:
         comp = ComplementChoice(bv, chart, mode=mode)
         for u in chart.grid(3):
-            sigma, _ = sigma_tau(bv, chart, comp, u)
+            sigma, _ = sigma_tau(comp, u)
             if mode == "coisotropic" and sigma.matrix.size:
                 sigma_worst = max(sigma_worst, float(np.abs(sigma.matrix).max()))
         sharp, cap = _complement_conditions(bv, chart, comp, chart.grid(3))
@@ -318,8 +318,8 @@ def test_criterion_11_model_independence():
     coiso = ComplementChoice(bv, chart, mode="coisotropic")
     skewed = ComplementChoice(bv, chart, mode="custom",
                               w=np.array([[0.3, 0.2], [1.0, 0.0], [0.0, 1.0]]))
-    rep_modes = compare_complements(bv, chart, default, coiso, count=50, tol=1e-4)
-    rep_skew = compare_complements(bv, chart, default, skewed, count=50, tol=1e-4)
+    rep_modes = compare_complements(default, coiso, count=50, tol=1e-4)
+    rep_skew = compare_complements(default, skewed, count=50, tol=1e-4)
     ok = rep_modes["ok"] and rep_skew["ok"]
     _line(11, "model independence", ok,
           f"default/coisotropic {rep_modes['max_mismatch']:.2e}, "

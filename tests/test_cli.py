@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from poissat import cli, model
+from poissat import cli, model, submanifold
 from poissat.cli import (
     Scene,
     SceneError,
@@ -290,6 +290,18 @@ def test_bad_steps_exit_4_before_any_stage(tmp_path, command, steps):
     assert json.loads(out)["error"] == "steps must be even and at least 16"
 
 
+@pytest.mark.parametrize("command", ["analyze", "all"])
+@pytest.mark.parametrize("fixture", ["coiso-line", "gotay-presymplectic"])
+def test_negative_seed_exits_4_before_any_stage(tmp_path, fixture, command):
+    path = tmp_path / "seed.scene"
+    path.write_text(FIXTURES[fixture] + "\n[model]\nseed = -1\n")
+    code, out = run_main([command, str(path)])
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["error"] == "seed must be non-negative"
+    assert "stages" not in rep
+
+
 def test_verification_failure_exits_2(tmp_path):
     path = write_fixture(tmp_path, "transversal-ray")
     code, out = run_main(["verify", path, "--steps", "512", "--tol", "1e-18"])
@@ -362,28 +374,33 @@ def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch, command, flows):
     assert min(calls) > 1  # no single-trajectory flows remain
 
 
-@pytest.mark.parametrize("fixture,argv,frames,lifts", [
-    ("figure-eight", ["verify", "--steps", "128"], 126, 25),
-    ("transversal-ray", ["all", "--steps", "32", "--csv"], 133, 6),
+@pytest.mark.parametrize("fixture,argv,frames,lifts,gate", [
+    ("figure-eight", ["verify", "--steps", "128"], 126, 25, 91),
+    ("transversal-ray", ["all", "--steps", "32", "--csv"], 133, 6, 19),
 ], ids=["verify-figure-eight", "all-transversal-ray"])
 def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, argv, frames,
-                                             lifts):
-    # point_data runs once per distinct u that reaches ComplementChoice.at
-    # (grid, stencil and probe parameters, and the anchor twice: the call
-    # that sets the alignment references is not kept); pullback_dirac once
-    # per distinct grid u in verify and once in extraction_radius
-    calls = {"point_data": 0, "pullback_dirac": 0}
+                                             lifts, gate):
+    # model's point_data runs once per distinct u that reaches
+    # ComplementChoice.at (grid, stencil and probe parameters, and the
+    # anchor twice: the call that sets the alignment references is not
+    # kept); pullback_dirac once per distinct grid u in verify and once in
+    # extraction_radius, on the point data of the memoised frame, so the
+    # submanifold module computes point data only for the regularity gate
+    calls = {"point_data": 0, "pullback_dirac": 0, "submanifold.point_data": 0}
     for name in calls:
-        real = getattr(model, name)
+        module, _, attr = name.rpartition(".")
+        owner = submanifold if module else model
+        real = getattr(owner, attr)
 
         def counting(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(model, name, counting)
+        monkeypatch.setattr(owner, attr, counting)
     code, _ = run_main([argv[0], write_fixture(tmp_path, fixture), *argv[1:]])
     assert code == 0
-    assert calls == {"point_data": frames, "pullback_dirac": lifts}
+    assert calls == {"point_data": frames, "pullback_dirac": lifts,
+                     "submanifold.point_data": gate}
 
 
 @pytest.mark.parametrize("target", ["pullback_dirac", "dirac_gauge"])

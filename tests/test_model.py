@@ -186,7 +186,7 @@ def test_complement_memo_is_bitwise_exact(request, monkeypatch, name, mode, w):
 def test_sigma_tau_coiso_line(coiso_line):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
-    sigma, tau = model.sigma_tau(bv, chart, comp, [0.3])
+    sigma, tau = model.sigma_tau(comp, [0.3])
     assert np.abs(sigma.matrix).max() == 0.0
     assert np.allclose(tau, [[1.0]])
 
@@ -197,7 +197,7 @@ def test_sigma_tau_transversal_ray(so3_ray):
     # W = TX for this fixture, so tau vanishes to machine precision
     assert subspace_equal(comp.at([0.2]).w, np.eye(3)[:, :1])
     for u in chart.grid(5):
-        sigma, tau = model.sigma_tau(bv, chart, comp, u)
+        sigma, tau = model.sigma_tau(comp, u)
         assert np.abs(tau).max() <= 1e-14
         x = float(u[0]) + 1.0
         assert np.allclose(np.abs(sigma.matrix), [[0.0, x], [x, 0.0]], atol=1e-12)
@@ -209,7 +209,7 @@ def test_sigma_zero_structure():
     chart = submanifold.Chart(1, 3, ["u", "0", "0"], domain=[[-1.0, 1.0]])
     comp = model.ComplementChoice(bv, chart, mode="default")
     assert comp.rank_perp == 0
-    sigma, tau = model.sigma_tau(bv, chart, comp, [0.2])
+    sigma, tau = model.sigma_tau(comp, [0.2])
     assert sigma.matrix.shape == (0, 0)
     assert tau.shape == (1, 0)
 
@@ -223,27 +223,27 @@ def test_eta_zero_section_identity_all_fixtures(coiso_line, so3_ray, iso_line_r4
     ):
         comp = model.ComplementChoice(bv, chart, mode=mode)
         for u in chart.grid(3):
-            eta = model.eta_canonical(bv, chart, comp, u, np.zeros(comp.rank_perp), steps=1024)
-            assert np.abs(eta - model.eta_zero_section(bv, chart, comp, u)).max() <= 1e-6
+            eta = model.eta_canonical(comp, u, np.zeros(comp.rank_perp), steps=1024)
+            assert np.abs(eta - model.eta_zero_section(comp, u)).max() <= 1e-6
 
 
 def test_eta_constant_structure_exact(coiso_line):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
-    eta = model.eta_canonical(bv, chart, comp, [0.3], [0.15], steps=64)
+    eta = model.eta_canonical(comp, [0.3], [0.15], steps=64)
     assert np.allclose(eta, [[0.0, -1.0], [1.0, 0.0]], atol=1e-13)
     # flow eta agrees with minus the canonical-form gauge
-    eta_can = model.eta_canonical_form_source(bv, chart, comp, [0.3], [0.15])
+    eta_can = model.eta_canonical_form_source(comp, [0.3], [0.15])
     assert np.abs(eta + eta_can).max() <= 1e-10
 
 
 def test_eta_closedness(coiso_line, so3_ray):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
-    assert model.eta_closedness_residual(bv, chart, comp, [0.1], [0.05], steps=64) <= 1e-12
+    assert model.eta_closedness_residual(comp, [0.1], [0.05], steps=64) <= 1e-12
     bv, chart = so3_ray
     comp = model.ComplementChoice(bv, chart, mode="default")
-    resid = model.eta_closedness_residual(bv, chart, comp, [0.1], [0.02, -0.01], steps=256)
+    resid = model.eta_closedness_residual(comp, [0.1], [0.02, -0.01], steps=256)
     assert resid <= 1e-6
 
 
@@ -253,10 +253,10 @@ def test_eta_closedness(coiso_line, so3_ray):
 def test_model_bivector_coiso_line_closed_form(coiso_line):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
-    p = model.local_model_bivector(bv, chart, comp, [0.3], [0.15], steps=64)
+    p = model.local_model_bivector(comp, [0.3], [0.15], steps=64)
     assert np.allclose(p.matrix, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
     # canonical-form route gives the reflected model (coisotropic sign)
-    pc = model.local_model_bivector(bv, chart, comp, [0.3], [0.15], steps=64,
+    pc = model.local_model_bivector(comp, [0.3], [0.15], steps=64,
                                     eta_source="canonical_form")
     assert np.allclose(pc.matrix, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
     m = np.diag([1.0, -1.0])
@@ -266,8 +266,8 @@ def test_model_bivector_coiso_line_closed_form(coiso_line):
 def test_model_bivector_ray_rank(so3_ray):
     bv, chart = so3_ray
     comp = model.ComplementChoice(bv, chart, mode="default")
-    p0 = model.local_model_bivector(bv, chart, comp, [0.2], [0.0, 0.0], steps=256)
-    sigma, _ = model.sigma_tau(bv, chart, comp, [0.2])
+    p0 = model.local_model_bivector(comp, [0.2], [0.0, 0.0], steps=256)
+    sigma, _ = model.sigma_tau(comp, [0.2])
     assert rank_svd(p0.matrix)[0] == sigma.rank() == 2
 
 
@@ -275,7 +275,7 @@ def test_model_bivector_zero_structure():
     bv = field.zero_structure(3)
     chart = submanifold.Chart(1, 3, ["u", "0", "0"], domain=[[-1.0, 1.0]])
     comp = model.ComplementChoice(bv, chart, mode="default")
-    p = model.local_model_bivector(bv, chart, comp, [0.4], [], steps=16)
+    p = model.local_model_bivector(comp, [0.4], [], steps=16)
     assert p.matrix.shape == (1, 1)
     assert np.abs(p.matrix).max() == 0.0
 
@@ -287,7 +287,7 @@ def test_model_matches_gotay_at_zero_section(coiso_line):
     got = model.GotayModel(1, SkewForm(np.zeros((1, 1))))
     assert got.fiber_dim == 1
     pg = got.bivector_at([0.3], [0.0])
-    pc = model.local_model_bivector(bv, chart, comp, [0.3], [0.0], steps=64,
+    pc = model.local_model_bivector(comp, [0.3], [0.0], steps=64,
                                     eta_source="canonical_form")
     assert np.allclose(pc.matrix, pg, atol=1e-12)
 
@@ -295,7 +295,7 @@ def test_model_matches_gotay_at_zero_section(coiso_line):
 def test_extraction_radius_positive(coiso_line, so3_ray):
     for bv, chart, mode in ((*coiso_line, "coisotropic"), (*so3_ray, "default")):
         comp = model.ComplementChoice(bv, chart, mode=mode)
-        assert model.extraction_radius(bv, chart, comp, chart.center(), steps=64) > 0
+        assert model.extraction_radius(comp, chart.center(), steps=64) > 0
 
 
 # --- saturation chart ---
@@ -304,11 +304,11 @@ def test_extraction_radius_positive(coiso_line, so3_ray):
 def test_saturation_coiso_line(coiso_line):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
-    sat = model.saturation_chart(bv, chart, comp, steps=256, u_counts=5, radius=0.2)
+    sat = model.saturation_chart(comp, steps=256, u_counts=5, radius=0.2)
     assert np.abs(sat.points[:, 2]).max() <= 1e-8
     for jac in sat.jacs:
         assert rank_svd(jac)[0] == 2
-    rep = model.verify_saturation_poisson(bv, sat, tol=1e-8)
+    rep = model.verify_saturation_poisson(sat, tol=1e-8)
     assert rep["ok"]
     land = model.full_fiber_landing(sat)
     assert land["ok"] and (land["checked"], land["skipped"]) == (10, 0)
@@ -317,7 +317,7 @@ def test_saturation_coiso_line(coiso_line):
 def test_landing_fails_when_every_probe_leaves_the_box(coiso_line):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
-    sat = model.saturation_chart(bv, chart, comp, steps=16, u_counts=3, radius=0.2)
+    sat = model.saturation_chart(comp, steps=16, u_counts=3, radius=0.2)
     land = model.full_fiber_landing(sat, radius=1e3)
     assert (land["checked"], land["skipped"]) == (0, 10)
     assert land["max_distance"] == 0.0 and not land["ok"]
@@ -327,20 +327,20 @@ def test_saturation_sphere_rank0(sphere_so3):
     bv, chart = sphere_so3
     comp = model.ComplementChoice(bv, chart, mode="default")
     assert comp.rank_perp == 0
-    sat = model.saturation_chart(bv, chart, comp, steps=64, u_counts=3)
+    sat = model.saturation_chart(comp, steps=64, u_counts=3)
     # P = X: image points stay on the unit level set of the invariant
     assert np.abs(np.linalg.norm(sat.points, axis=1) - 1.0).max() <= 1e-12
-    assert model.verify_saturation_poisson(bv, sat, tol=1e-9)["ok"]
+    assert model.verify_saturation_poisson(sat, tol=1e-9)["ok"]
     assert model.full_fiber_landing(sat)["ok"]
 
 
 def test_saturation_ray_open(so3_ray):
     bv, chart = so3_ray
     comp = model.ComplementChoice(bv, chart, mode="default")
-    sat = model.saturation_chart(bv, chart, comp, steps=256, u_counts=3, radius=0.05)
+    sat = model.saturation_chart(comp, steps=256, u_counts=3, radius=0.05)
     for jac in sat.jacs:
         assert rank_svd(jac)[0] == 3
-    assert model.verify_saturation_poisson(bv, sat, tol=1e-8)["ok"]
+    assert model.verify_saturation_poisson(sat, tol=1e-8)["ok"]
 
 
 def test_saturation_radius_halving():
@@ -349,7 +349,7 @@ def test_saturation_radius_halving():
     # radius must be halved at least once and recorded
     chart = submanifold.Chart(1, 3, ["u", "1.5", "0"], domain=[[-1.0, 1.0]])
     comp = model.ComplementChoice(bv, chart, mode="default")
-    sat = model.saturation_chart(bv, chart, comp, steps=64, radius=1.0)
+    sat = model.saturation_chart(comp, steps=64, radius=1.0)
     assert sat.radius_used < 1.0
     assert sat.radius_used >= model.RADIUS_FLOOR
 
@@ -362,7 +362,7 @@ def test_normal_form_constant_structures(coiso_line):
     for mode in ("default", "coisotropic"):
         comp = model.ComplementChoice(bv, chart, mode=mode)
         rep = model.verify_normal_form(
-            model.saturation_chart(bv, chart, comp, steps=1024, radius=0.2), tol=1e-5)
+            model.saturation_chart(comp, steps=1024, radius=0.2), tol=1e-5)
         assert rep["ok"], rep
     bv4 = field.symplectic_r4()
     # the (x1, x2)-plane is a symplectic transversal; the (x1, x3)-plane
@@ -370,12 +370,12 @@ def test_normal_form_constant_structures(coiso_line):
     plane = submanifold.Chart(2, 4, ["u1", "u2", "0", "0"], domain=[[-1, 1], [-1, 1]])
     comp4 = model.ComplementChoice(bv4, plane, mode="default")
     rep4 = model.verify_normal_form(
-        model.saturation_chart(bv4, plane, comp4, steps=1024, radius=0.2), tol=1e-5)
+        model.saturation_chart(comp4, steps=1024, radius=0.2), tol=1e-5)
     assert rep4["ok"], rep4
     lag = submanifold.Chart(2, 4, ["u1", "0", "u2", "0"], domain=[[-1, 1], [-1, 1]])
     comp_lag = model.ComplementChoice(bv4, lag, mode="coisotropic")
     rep_lag = model.verify_normal_form(
-        model.saturation_chart(bv4, lag, comp_lag, steps=1024, radius=0.2), tol=1e-5)
+        model.saturation_chart(comp_lag, steps=1024, radius=0.2), tol=1e-5)
     assert rep_lag["ok"], rep_lag
 
 
@@ -383,7 +383,7 @@ def test_normal_form_ray(so3_ray):
     bv, chart = so3_ray
     comp = model.ComplementChoice(bv, chart, mode="default")
     rep = model.verify_normal_form(
-        model.saturation_chart(bv, chart, comp, steps=1024, radius=0.05), tol=1e-4)
+        model.saturation_chart(comp, steps=1024, radius=0.05), tol=1e-4)
     assert rep["ok"], rep
 
 
@@ -392,9 +392,9 @@ def test_normal_form_step_convergence(so3_ray):
     bv, chart = so3_ray
     comp = model.ComplementChoice(bv, chart, mode="default")
     coarse = model.verify_normal_form(
-        model.saturation_chart(bv, chart, comp, steps=64, radius=0.05))
+        model.saturation_chart(comp, steps=64, radius=0.05))
     fine = model.verify_normal_form(
-        model.saturation_chart(bv, chart, comp, steps=128, radius=0.05))
+        model.saturation_chart(comp, steps=128, radius=0.05))
     assert fine["max_mismatch"] <= coarse["max_mismatch"] + 1e-12
 
 
@@ -404,27 +404,27 @@ def test_normal_form_step_convergence(so3_ray):
 def test_tubular_map_coiso_line(coiso_line):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
-    sat = model.saturation_chart(bv, chart, comp, steps=64, u_counts=3, radius=0.2)
-    val0, _ = model.tubular_map(bv, chart, comp, sat, [0.3], [0.1], [0.0])
-    point, jac = model.tubular_map(bv, chart, comp, sat, [0.3], [0.1], [0.25])
+    sat = model.saturation_chart(comp, steps=64, u_counts=3, radius=0.2)
+    val0, _ = model.tubular_map(sat, [0.3], [0.1], [0.0])
+    point, jac = model.tubular_map(sat, [0.3], [0.1], [0.25])
     assert np.allclose(val0, [0.3, -0.1, 0.0], atol=1e-12)
     assert np.allclose(point - val0, [0.0, 0.0, 0.25], atol=1e-12)
     assert jac.shape == (3, 3)
-    rep = model.tubular_rank_check(bv, chart, comp, sat, count=50)
+    rep = model.tubular_rank_check(sat, count=50)
     assert rep["ok"]
 
 
 def test_tubular_rank_check_flows_once(coiso_line, monkeypatch):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
-    sat = model.saturation_chart(bv, chart, comp, steps=64, u_counts=3, radius=0.2)
+    sat = model.saturation_chart(comp, steps=64, u_counts=3, radius=0.2)
     # reference: the same draws, one tubular_map (one single-row flow) per state
     rng = np.random.default_rng(2)
     ref = {"ok": True, "samples": 50}
     for u in chart.sample(50, seed=2):
         zeta = rng.normal(size=1)
         zeta *= 0.1 * rng.uniform(0, 1) / max(np.linalg.norm(zeta), 1e-12)
-        _, dpsi = model.tubular_map(bv, chart, comp, sat, u, zeta, rng.uniform(-0.1, 0.1, 1))
+        _, dpsi = model.tubular_map(sat, u, zeta, rng.uniform(-0.1, 0.1, 1))
         if rank_svd(dpsi)[0] != bv.dim:
             ref = {"ok": False, "witness": tuple(float(x) for x in u)}
             break
@@ -436,7 +436,7 @@ def test_tubular_rank_check_flows_once(coiso_line, monkeypatch):
         return real_flow(*args, **kwargs)
 
     monkeypatch.setattr(model, "flow", counting_flow)
-    assert model.tubular_rank_check(bv, chart, comp, sat, count=50) == ref
+    assert model.tubular_rank_check(sat, count=50) == ref
     assert calls == [50]
 
 
@@ -447,7 +447,7 @@ def test_compare_complements_coiso_line(coiso_line):
     bv, chart = coiso_line
     comp_a = model.ComplementChoice(bv, chart, mode="default")
     comp_b = model.ComplementChoice(bv, chart, mode="coisotropic")
-    rep = model.compare_complements(bv, chart, comp_a, comp_b, steps=256, count=10)
+    rep = model.compare_complements(comp_a, comp_b, steps=256, count=10)
     assert rep["ok"], rep
 
 
@@ -460,7 +460,7 @@ def test_compare_complements_fails_when_nothing_extracts(coiso_line, monkeypatch
         raise NotPoisson("no bivector presentation", 1)
 
     monkeypatch.setattr(model, "dirac_to_bivector", never_extracts)
-    rep = model.compare_complements(bv, chart, comp_a, comp_b, steps=16, count=5)
+    rep = model.compare_complements(comp_a, comp_b, steps=16, count=5)
     assert (rep["checked"], rep["skipped"]) == (0, 5)
     assert rep["max_mismatch"] == 0.0 and not rep["ok"]
 
@@ -471,9 +471,22 @@ def test_compare_complements_skewed(coiso_line):
     w_skew = np.array([[0.3, 0.2], [1.0, 0.0], [0.0, 1.0]])
     comp_a = model.ComplementChoice(bv, chart, mode="default")
     comp_b = model.ComplementChoice(bv, chart, mode="custom", w=w_skew)
-    rep = model.compare_complements(bv, chart, comp_a, comp_b, steps=256, count=10)
+    rep = model.compare_complements(comp_a, comp_b, steps=256, count=10)
     assert rep["ok"], rep
     assert rep["max_projection_distance"] <= 1e-8
+
+
+def test_compare_complements_rejects_different_structures(coiso_line):
+    # the same values on different objects: the complements must share both
+    bv, chart = coiso_line
+    comp = model.ComplementChoice(bv, chart, mode="default")
+    twin_chart = submanifold.Chart(1, 3, ["u", "0", "0"], domain=[[-1.0, 1.0]])
+    for other in (model.ComplementChoice(field.flat_rank2_r3(), chart, mode="coisotropic"),
+                  model.ComplementChoice(bv, twin_chart, mode="coisotropic")):
+        with pytest.raises(ValueError, match="different structures or charts"):
+            model.compare_complements(comp, other, steps=16, count=1)
+        with pytest.raises(ValueError, match="different structures or charts"):
+            model.compare_complements(other, comp, steps=16, count=1)
 
 
 # --- batched bundle flows ---
@@ -510,7 +523,7 @@ def project_one(sat, y, init, max_iter=50, tol=1e-10):
 @pytest.mark.parametrize("max_iter", [50, 2])
 def test_lockstep_project_matches_per_probe_loop(name, max_iter):
     bv, chart, comp = scene_parts(name)
-    sat = model.saturation_chart(bv, chart, comp, steps=32, u_counts=3, radius=0.05)
+    sat = model.saturation_chart(comp, steps=32, u_counts=3, radius=0.05)
     rng = np.random.default_rng(5)
     us = chart.sample(5, seed=6)
     covs = rng.normal(size=(5, bv.dim))
@@ -534,9 +547,9 @@ def test_batched_eta_forms_match_per_row_eta(name):
     rng = np.random.default_rng(8)
     us = chart.sample(4, seed=9)
     zetas = 0.05 * rng.uniform(-1.0, 1.0, size=(4, comp.rank_perp))
-    etas = model.eta_forms(bv, comp, us, zetas, steps=32)
+    etas = model.eta_forms(comp, us, zetas, steps=32)
     for u, z, eta in zip(us, zetas, etas):
-        assert np.array_equal(eta, model.eta_canonical(bv, chart, comp, u, z, steps=32))
+        assert np.array_equal(eta, model.eta_canonical(comp, u, z, steps=32))
 
 
 # --- Gotay embedding ---
@@ -654,7 +667,7 @@ def test_gotay_nonconstant_kernel_rejected():
 def test_marle_invariants_pre_poisson(iso_line_r4):
     bv, chart = iso_line_r4
     comp = model.ComplementChoice(bv, chart, mode="pre_poisson")
-    rows = model.marle_invariants(bv, chart, comp, chart.grid(5))
+    rows = model.marle_invariants(comp, chart.grid(5))
     for row in rows:
         assert row["cross_residual"] <= 1e-10
         assert np.allclose(np.abs(row["quotient"].matrix), [[0.0, 1.0], [1.0, 0.0]], atol=1e-10)
@@ -664,13 +677,13 @@ def test_marle_invariants_pre_poisson(iso_line_r4):
 def test_marle_quotient_specializations(coiso_line, so3_ray):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="pre_poisson")
-    rows = model.marle_invariants(bv, chart, comp, [[0.1]])
+    rows = model.marle_invariants(comp, [[0.1]])
     assert rows[0]["quotient"].matrix.shape == (0, 0)
 
     bv, chart = so3_ray
     comp = model.ComplementChoice(bv, chart, mode="pre_poisson")
-    sigma, _ = model.sigma_tau(bv, chart, comp, [0.2])
-    rows = model.marle_invariants(bv, chart, comp, [[0.2]])
+    sigma, _ = model.sigma_tau(comp, [0.2])
+    rows = model.marle_invariants(comp, [[0.2]])
     assert np.allclose(rows[0]["quotient"].matrix, sigma.matrix, atol=1e-12)
 
 
@@ -678,7 +691,7 @@ def test_marle_requires_pre_poisson_mode(coiso_line):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="default")
     with pytest.raises(ValueError):
-        model.marle_invariants(bv, chart, comp, [[0.0]])
+        model.marle_invariants(comp, [[0.0]])
 
 
 # --- fiberwise reflection identity ---
@@ -705,7 +718,7 @@ def test_fiberwise_reflection_on_fixture_models(coiso_line):
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
     m = np.diag([1.0, -1.0])
     for u, z in (([0.2], [0.1]), ([-0.4], [0.07])):
-        p_flow = model.local_model_bivector(bv, chart, comp, u, z, steps=64)
-        p_can = model.local_model_bivector(bv, chart, comp, u, [-z[0]], steps=64,
+        p_flow = model.local_model_bivector(comp, u, z, steps=64)
+        p_can = model.local_model_bivector(comp, u, [-z[0]], steps=64,
                                            eta_source="canonical_form")
         assert np.allclose(m @ p_can.matrix @ m.T, p_flow.matrix, atol=1e-12)

@@ -232,24 +232,27 @@ def test_pullback_routes_agree():
         (symplectic_r4(), sympl_plane(), [0.1, -0.3]),
     ]
     for bv, ch, u in cases:
-        generic = pullback_dirac(bv, ch, u, route="generic")
-        perp = pullback_dirac(bv, ch, u, route="perp")
+        pd = point_data(bv, ch, u)
+        generic = pullback_dirac(bv, ch, pd, route="generic")
+        perp = pullback_dirac(bv, ch, pd, route="perp")
         assert subspace_equal(generic.basis, perp.basis, tol=1e-8)
 
 
 def test_pullback_coiso_line_frozen():
-    l = pullback_dirac(flat_rank2_r3(), coiso_line(), [0.4])
+    bv, ch = flat_rank2_r3(), coiso_line()
+    l = pullback_dirac(bv, ch, point_data(bv, ch, [0.4]))
     expected = np.array([[1.0], [0.0]])
     assert subspace_equal(l.basis, expected)
     assert l.kernel_dim() == 0
 
 
 def test_pullback_corank_jump():
+    bv, ch = flat_rank2_r3(), cubic_graph()
     with pytest.raises(RankDeficient, match="corank"):
-        pullback_dirac(flat_rank2_r3(), cubic_graph(), [0.0])
+        pullback_dirac(bv, ch, point_data(bv, ch, [0.0]))
     with pytest.raises(RankDeficient, match="reference"):
-        pullback_dirac(flat_rank2_r3(), cubic_graph(), [0.0], ref_corank=0)
-    l = pullback_dirac(flat_rank2_r3(), cubic_graph(), [0.5], ref_corank=0)
+        pullback_dirac(bv, ch, point_data(bv, ch, [0.0]), ref_corank=0)
+    l = pullback_dirac(bv, ch, point_data(bv, ch, [0.5]), ref_corank=0)
     assert l.basis.shape == (2, 1)
 
 
@@ -291,8 +294,9 @@ def test_pullback_random_lines_routes_agree():
         ch = Chart(1, 3, comps, domain=[[-0.2, 0.2]], names=["u"])
         u = rng.uniform(-0.2, 0.2, 1)
         try:
-            generic = pullback_dirac(bv, ch, u, route="generic")
-            perp = pullback_dirac(bv, ch, u, route="perp")
+            pd = point_data(bv, ch, u)
+            generic = pullback_dirac(bv, ch, pd, route="generic")
+            perp = pullback_dirac(bv, ch, pd, route="perp")
         except RankDeficient:
             continue
         assert subspace_equal(generic.basis, perp.basis, tol=1e-8)
