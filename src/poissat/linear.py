@@ -52,13 +52,48 @@ def rank_svd(m, tol_rel=None, scale=None):
     null_space : (k, k - rank) orthonormal array
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    d, k = m.shape
-    if d == 0 or k == 0 or not m.any():
+    svd = None if _trivial(m) else np.linalg.svd(m, full_matrices=True)
+    return _decide(m.shape, svd, tol_rel, scale)
+
+
+def rank_svd_many(ms, tol_rel=None, scales=None):
+    """rank_svd of every matrix in ms, with one SVD call per matrix shape.
+
+    scales, when given, holds one scale (or None) per matrix.  numpy runs
+    LAPACK gesdd on each matrix of a stack in turn, so every result is
+    bitwise the one rank_svd gives for that matrix alone.
+    """
+    ms = [np.atleast_2d(np.asarray(m, dtype=float)) for m in ms]
+    scales = [None] * len(ms) if scales is None else scales
+    out = [None] * len(ms)
+    groups = {}
+    for i, m in enumerate(ms):
+        if _trivial(m):
+            out[i] = _decide(m.shape, None, tol_rel, scales[i])
+        else:
+            groups.setdefault(m.shape, []).append(i)
+    for shape, rows in groups.items():
+        stack = ms[rows[0]][None] if len(rows) == 1 else np.stack([ms[i] for i in rows])
+        for i, svd in zip(rows, zip(*np.linalg.svd(stack, full_matrices=True))):
+            out[i] = _decide(shape, svd, tol_rel, scales[i])
+    return out
+
+
+def _trivial(m):
+    """Empty or all-zero: rank 0 without an SVD."""
+    return m.shape[0] == 0 or m.shape[1] == 0 or not m.any()
+
+
+def _decide(shape, svd, tol_rel, scale):
+    """rank_svd's result from the (u, s, vt) of a matrix of the given shape
+    (None for a trivial one); the one copy of the rank rules."""
+    d, k = shape
+    if svd is None:
         return 0, np.zeros((d, 0)), np.eye(k)
-    u, s, vt = np.linalg.svd(m, full_matrices=True)
+    u, s, vt = svd
     ref = s[0] if scale is None else max(s[0], float(scale))
     tol = (TOL_REL if tol_rel is None else tol_rel) * ref
-    rank = int(np.sum(s > tol))
+    rank = int(np.count_nonzero(s > tol))
     return rank, u[:, :rank], vt[rank:].T
 
 
@@ -68,6 +103,14 @@ def orth(m):
 
 def null(m):
     return rank_svd(m)[2]
+
+
+def orth_many(ms):
+    return [r[1] for r in rank_svd_many(ms)]
+
+
+def null_many(ms):
+    return [r[2] for r in rank_svd_many(ms)]
 
 
 def gram_schmidt(m):
@@ -143,7 +186,10 @@ def _is_orthonormal(m, tol=1e-12):
     if m.ndim != 2:
         return False
     g = m.T @ m
-    return np.allclose(g, np.eye(m.shape[1]), atol=tol)
+    eye = np.eye(m.shape[1])
+    # np.allclose(g, eye, atol=tol) without its overhead: the same rtol, and
+    # a NaN or inf entry fails
+    return bool(np.all(np.abs(g - eye) <= tol + 1e-5 * np.abs(eye)))
 
 
 def subspace_equal(a, b, tol=1e-10):
@@ -161,13 +207,24 @@ def subspace_equal(a, b, tol=1e-10):
 
 def subspace_intersect(a, b):
     """Orthonormal basis of span(a) cap span(b)."""
-    qa, qb = orth(a), orth(b)
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
-        return np.zeros((qa.shape[0], 0))
-    ns = null(np.hstack([qa, -qb]))
-    if ns.shape[1] == 0:
-        return np.zeros((qa.shape[0], 0))
-    return orth(qa @ ns[: qa.shape[1]])
+    return subspace_intersect_many([a], [b])[0]
+
+
+def subspace_intersect_many(as_, bs):
+    """subspace_intersect of every pair (a, b), with stacked SVDs."""
+    return intersect_orth_many(orth_many(as_), orth_many(bs))
+
+
+def intersect_orth_many(qas, qbs):
+    """Orthonormal basis of span(qa) cap span(qb) for each pair of bases
+    that orth returned, with stacked SVDs."""
+    out = [np.zeros((qa.shape[0], 0)) for qa in qas]
+    rows = [i for i, (qa, qb) in enumerate(zip(qas, qbs)) if qa.shape[1] and qb.shape[1]]
+    nss = dict(zip(rows, null_many([np.hstack([qas[i], -qbs[i]]) for i in rows])))
+    rows = [i for i in rows if nss[i].shape[1]]
+    for i, q in zip(rows, orth_many([qas[i] @ nss[i][: qas[i].shape[1]] for i in rows])):
+        out[i] = q
+    return out
 
 
 def annihilator(basis, dim=None):

@@ -37,11 +37,15 @@ from .linear import (
     dirac_pullback,
     dirac_to_bivector,
     fix_signs,
+    intersect_orth_many,
     lagrangian_complement,
     null,
+    null_many,
     orth,
+    orth_many,
     principal_angles,
     rank_svd,
+    rank_svd_many,
     subspace_equal,
     subspace_intersect,
 )
@@ -49,6 +53,7 @@ from .sprayflow import flow
 from .submanifold import Chart, point_data, pullback_dirac
 
 RADIUS_FLOOR = 1e-3
+_GAUGE_FD_H = 1e-5  # GotayModel's central-difference step for the gauge form
 
 
 class ComplementFrame:
@@ -299,13 +304,19 @@ def _bundle_embedding(comp: ComplementChoice, u, zeta, fd_h=1e-5):
     return fr, fr.x, fr.j @ zeta, de
 
 
+def _stencil(point, h):
+    """The central-difference stencil of point: (d, d) arrays whose row a is
+    point + h*e_a and point - h*e_a."""
+    offsets = h * np.eye(len(point))
+    return point + offsets, point - offsets
+
+
 def _central_diff(f, u, vec, rows, h):
     """(rows, len(u)) matrix whose column a is d/du_a (f(u) @ vec), central differences."""
     out = np.zeros((rows, len(u)))
+    plus, minus = _stencil(u, h)
     for a in range(len(u)):
-        du = np.zeros(len(u))
-        du[a] = h
-        out[:, a] = (f(u + du) - f(u - du)) @ vec / (2 * h)
+        out[:, a] = (f(plus[a]) - f(minus[a])) @ vec / (2 * h)
     return out
 
 
@@ -402,8 +413,7 @@ def _gauge_blocks(a, b):
 def _fd_gradient(f, point, h):
     """Central-difference gradient, grads[a] = d/dp_a f at point; f maps the
     (2d, d) stack of probe points to their stacked values in one call."""
-    offsets = h * np.eye(len(point))
-    vals = f(np.vstack([point + offsets, point - offsets]))
+    vals = f(np.vstack(_stencil(point, h)))
     return (vals[:len(point)] - vals[len(point):]) / (2 * h)
 
 
@@ -587,8 +597,9 @@ def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
         radius_used *= 0.5
     sat = SaturationChart(comp, steps, us, zetas, res.x, jacs, etas, radius_used)
     dim = sat.model_dim
+    ranks = [r[0] for r in rank_svd_many(jacs)]
     for i, (u, z) in enumerate(zip(us, zetas)):
-        if rank_svd(jacs[i])[0] != dim:
+        if ranks[i] != dim:
             raise RankDeficient(f"chart rank defect at u = {tuple(u)}, zeta = {tuple(z)}")
         if np.allclose(z, 0.0):
             fr = frames[i][0]
@@ -683,8 +694,9 @@ def tubular_rank_check(sat: SaturationChart, count=50, radius=0.1, seed=2):
         zetas.append(zeta)
         rng.uniform(-radius, radius, e_dim)  # the affine offset: dpsi does not depend on it
     _, jacs = sat.map_and_jac(us, np.array(zetas).reshape(len(us), r))
-    for u, jac in zip(us, jacs):
-        if rank_svd(np.hstack([jac, sat.complement_frame(u)]))[0] != n:
+    tubes = rank_svd_many([np.hstack([jac, sat.complement_frame(u)]) for u, jac in zip(us, jacs)])
+    for u, (rank, _, _) in zip(us, tubes):
+        if rank != n:
             return {"ok": False, "witness": tuple(float(x) for x in u)}
     return {"ok": True, "samples": int(count)}
 
@@ -775,12 +787,12 @@ class GotayModel(FrameAligner):
     the bundle chart R^k x R^m of K-dual fibers; the bivector is extracted
     from the canonical-form gauge of the lifted structure.  Frames are
     aligned to the origin for smoothness.  L(x) and the inclusion at x are
-    memoised on the bits of x: the finite-difference stencils of gauge_form
+    memoised on the bits of x: the finite-difference stencils of bivector_at
     and verify revisit the same points many times.
     """
 
     def __init__(self, dim, l_source):
-        self.dim = int(dim)
+        self.dim = k = int(dim)
         if isinstance(l_source, SkewForm):
             self._l_at = lambda x: dirac_graph(l_source, "two_form")
         else:
@@ -788,57 +800,110 @@ class GotayModel(FrameAligner):
         self._refs = {}
         self._l_memo = {}
         self._inclusion_memo = {}
+        self._vertical = orth(np.vstack([np.eye(k), np.zeros((k, k))]))
         self.fiber_dim = None
-        self.fiber_dim = self._kernel(np.zeros(self.dim)).shape[1]
+        self.fiber_dim = self._kernels(np.zeros((1, k)))[0].shape[1]
+        self._dpr = np.hstack([np.eye(k), np.zeros((k, self.fiber_dim))])
 
     def _l(self, x):
         return self._memoised(self._l_memo, x, lambda: self._l_at(np.asarray(x, dtype=float)))
 
-    def _kernel(self, x):
-        l = self._l(x)
+    def _kernels(self, xs):
+        """Aligned frame of the tangent kernel of L at every row of xs."""
         k = self.dim
-        vertical = np.vstack([np.eye(k), np.zeros((k, k))])
-        cap = subspace_intersect(l.basis, vertical)
-        if self.fiber_dim is not None and cap.shape[1] != self.fiber_dim:
-            raise RankDeficient("tangent kernel rank is not constant")
-        return self._aligned("k", cap[:k]) if cap.shape[1] else np.zeros((k, 0))
+        qls = orth_many([self._l(x).basis for x in xs])
+        out = []
+        for cap in intersect_orth_many(qls, [self._vertical] * len(qls)):
+            if self.fiber_dim is not None and cap.shape[1] != self.fiber_dim:
+                raise RankDeficient("tangent kernel rank is not constant")
+            out.append(self._aligned("k", cap[:k]) if cap.shape[1] else np.zeros((k, 0)))
+        return out
 
     def _inclusion(self, x):
-        return self._memoised(self._inclusion_memo, x, lambda: self._compute_inclusion(x))
+        return self._memoised(self._inclusion_memo, x, lambda: self._compute_inclusions([x])[0])
 
-    def _compute_inclusion(self, x):
-        kern = self._kernel(x)
-        m = kern.shape[1]
-        g = self._aligned("g", null(kern.T))
-        stack = np.hstack([kern, g])
-        if rank_svd(stack)[0] != self.dim:
-            raise RankDeficient("G is not a complement of the kernel")
+    def _inclusions(self, xs):
+        """[self._inclusion(x) for x in xs], with the misses computed in stacked
+        steps; a failure is raised by the first failing row of the step that
+        finds it."""
+        keys = [np.asarray(x, dtype=float).tobytes() for x in xs]
+        out = [self._inclusion_memo.get(key) for key in keys]
+        todo = [i for i, incl in enumerate(out) if incl is None]
+        if todo and "g" not in self._refs:
+            out[todo[0]] = self._inclusion(xs[todo[0]])  # sets the reference, is not kept
+            todo = todo[1:]
+        first = {}
+        for i in todo:
+            first.setdefault(keys[i], i)
+        computed = dict(zip(first, self._compute_inclusions([xs[i] for i in first.values()])))
+        for i in todo:
+            out[i] = self._inclusion_memo[keys[i]] = computed[keys[i]]
+        return out
+
+    def _compute_inclusions(self, xs):
+        kerns = self._kernels(xs)
+        gs = [self._aligned("g", g) for g in null_many([kern.T for kern in kerns])]
+        stacks = [np.hstack([kern, g]) for kern, g in zip(kerns, gs)]
+        m = self.fiber_dim
         rhs = np.vstack([np.eye(m), np.zeros((self.dim - m, m))])
-        incl = np.linalg.solve(stack.T, rhs)
-        incl.flags.writeable = False
-        return incl
-
-    def gauge_form(self, x, c, fd_h=1e-5):
-        c = np.asarray(c, dtype=float).reshape(self.fiber_dim)
-        return _canonical_form_gauge(self._inclusion, x, c, fd_h)
+        out = []
+        for stack, (rank, _, _) in zip(stacks, rank_svd_many(stacks)):
+            if rank != self.dim:
+                raise RankDeficient("G is not a complement of the kernel")
+            incl = np.linalg.solve(stack.T, rhs)
+            incl.flags.writeable = False
+            out.append(incl)
+        return out
 
     def bivector_at(self, x, c):
+        return self._bivector(x, c, self._inclusion)
+
+    def _bivector(self, x, c, inclusion):
+        """bivector_at, reading the fiber inclusion at x and at its stencil
+        points through inclusion(point)."""
+        lifted = dirac_pullback(self._l(x), self._dpr)
+        c = np.asarray(c, dtype=float).reshape(self.fiber_dim)
+        eta = _canonical_form_gauge(inclusion, x, c, _GAUGE_FD_H)
+        return dirac_to_bivector(dirac_gauge(lifted, eta))
+
+    def _inclusion_reads(self, xs, h):
+        """Every point at which verify reads an inclusion, in reading order.
+
+        Per sample x: the bivector at x twice, then at the base rows of the
+        h-stencil around (x, c), which do not depend on c; each bivector
+        reads the inclusion at its base point and at its gauge stencil.
+        """
         k, m = self.dim, self.fiber_dim
-        dpr = np.hstack([np.eye(k), np.zeros((k, m))])
-        lifted = dirac_pullback(self._l(x), dpr)
-        return dirac_to_bivector(dirac_gauge(lifted, self.gauge_form(x, c)))
+        reads = []
+        for x in xs:
+            plus, minus = _stencil(np.concatenate([x, np.zeros(m)]), h)
+            for y in [x, x, *plus[:, :k], *minus[:, :k]]:
+                gauge_plus, gauge_minus = _stencil(y, _GAUGE_FD_H)
+                reads += [y, *(q for pair in zip(gauge_plus, gauge_minus) for q in pair)]
+        return reads
 
     def verify(self, samples=20, radius=0.1, seed=4, fd_h=1e-5):
-        """Coisotropy of the zero section, reproduction of L, Jacobi."""
+        """Coisotropy of the zero section, reproduction of L, Jacobi.
+
+        Every fiber inclusion the samples read is fetched in one stacked
+        _inclusions call before the first bivector; when that fails, the
+        samples read them one at a time, so a failure is raised where the
+        per-point loop meets it.
+        """
         k, m = self.dim, self.fiber_dim
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-radius, radius, size=(samples, k))
+        try:
+            feed = iter(self._inclusions(self._inclusion_reads(xs, fd_h)))
+            inclusion = lambda _point: next(feed)
+        except ValueError:
+            inclusion = self._inclusion
         coiso = 0.0
         angles = 0.0
         jacobi = 0.0
         incl = np.vstack([np.eye(k), np.zeros((m, k))])
         for x in xs:
-            p = self.bivector_at(x, np.zeros(m))
+            p = self._bivector(x, np.zeros(m), inclusion)
             tangent = incl
             conormal = np.vstack([np.zeros((k, m)), np.eye(m)])
             image = p @ conormal
@@ -848,15 +913,15 @@ class GotayModel(FrameAligner):
             ang = principal_angles(back.basis, self._l(x).basis)
             angles = max(angles, float(ang.max()) if ang.size else 0.0)
             c = rng.uniform(-radius, radius, m)
-            jacobi = max(jacobi, self._fd_jacobi(x, c, fd_h))
+            jacobi = max(jacobi, self._fd_jacobi(x, c, fd_h, inclusion))
         return {"coisotropy": coiso, "reproduction_angle": angles, "jacobi_fd": jacobi}
 
-    def _fd_jacobi(self, x, c, h):
+    def _fd_jacobi(self, x, c, h, inclusion):
         k = self.dim
         point = np.concatenate([np.asarray(x, dtype=float), np.asarray(c, dtype=float)])
-        p0 = self.bivector_at(point[:k], point[k:])
-        grads = _fd_gradient(lambda ps: np.array([self.bivector_at(q[:k], q[k:]) for q in ps]),
-                             point, h)
+        p0 = self._bivector(point[:k], point[k:], inclusion)
+        grads = _fd_gradient(
+            lambda ps: np.array([self._bivector(q[:k], q[k:], inclusion) for q in ps]), point, h)
         t1 = np.einsum("lk,lij->ijk", p0, grads)
         t2 = np.einsum("li,ljk->ijk", p0, grads)
         t3 = np.einsum("lj,lki->ijk", p0, grads)

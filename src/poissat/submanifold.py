@@ -3,7 +3,8 @@
 A Chart is a parametrization u -> X(u) (never a level set), with exact
 Jacobian trees; components and Jacobian are compiled once into numpy
 kernels.  point_data collects the tangent space TX, its annihilator TX0,
-the bivector image TXperp = sharp(TX0) and the pulled back Dirac space;
+the bivector image TXperp = sharp(TX0) and the pulled back Dirac space
+(point_data_rows does so at many parameters with stacked rank decisions);
 regularity_scan samples the rank of TXperp over a parameter grid and
 refines near rank boundaries; classify reduces the sampled ranks to the
 standard submanifold classes.
@@ -132,28 +133,48 @@ def point_data(bv: BivectorField, chart: Chart, u):
     violation (rank decisions well separated from their thresholds)
     raises, borderline points never do.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    x = chart.point_at(u)
-    dx = chart.jac_at(u)
+    return point_data_rows(bv, chart, np.atleast_1d(np.asarray(u, dtype=float))[None, :])[0]
+
+
+def point_data_rows(bv: BivectorField, chart: Chart, us):
+    """point_data at every row of us: one chart, Jacobian and bivector
+    kernel call each, and one SVD call per matrix shape at each rank
+    decision, so every row is bitwise what it is alone.  Failures are
+    those of the rows in order: the first row breaking exactness raises."""
+    us = np.asarray(us, dtype=float).reshape(len(us), chart.param_dim)
+    try:
+        xs, dxs = chart.points(us), chart.jacobian(us)
+        ps = bv.matrix(xs)
+    except expr.EvalError:
+        # a batch names its first non-finite slot; row by row raises at the
+        # first failing row, as one row at a time did
+        if len(us) > 1:
+            for u in us:
+                point_data_rows(bv, chart, u[None, :])
+        raise
     n, k = bv.dim, chart.param_dim
-    tx = orth(dx) if k else np.zeros((n, 0))
-    p = bv.matrix_at(x)
-    image = p @ annihilator(tx, dim=n)
+    txs = linear.orth_many(dxs) if k else [np.zeros((n, 0))] * len(us)
+    anns = linear.null_many([tx.T for tx in txs])
+    images = [p @ ann for p, ann in zip(ps, anns)]
     # the image scale is judged against p itself: an analytically zero
     # product must come out rank 0, not rank "noise"
-    r, txperp, _ = rank_svd(image, scale=np.linalg.norm(p, 2))
-    stack = np.vstack([p, dx.T])
-    corank = n - rank_svd(stack)[0]
-    if r + corank != n - k:
-        sv_img = np.linalg.svd(image, compute_uv=False) if image.size else np.zeros(0)
-        sv_stk = np.linalg.svd(stack, compute_uv=False)
-        decisive = _decisive(sv_img, r) and _decisive(sv_stk, n - corank)
-        if decisive:
-            raise ValueError(
-                f"exactness violation at u = {tuple(u)}: "
-                f"rank {r} + corank {corank} != {n - k}"
-            )
-    return PointData(u, x, dx, p, tx, txperp, corank)
+    perps = linear.rank_svd_many(images, scales=np.linalg.norm(ps, 2, axis=(1, 2)))
+    stacks = np.concatenate([ps, dxs.transpose(0, 2, 1)], axis=1)
+    coranks = [n - r[0] for r in linear.rank_svd_many(stacks)]
+    out = []
+    for u, x, dx, p, tx, image, (r, txperp, _), stack, corank in zip(
+            us, xs, dxs, ps, txs, images, perps, stacks, coranks):
+        if r + corank != n - k:
+            sv_img = np.linalg.svd(image, compute_uv=False) if image.size else np.zeros(0)
+            sv_stk = np.linalg.svd(stack, compute_uv=False)
+            decisive = _decisive(sv_img, r) and _decisive(sv_stk, n - corank)
+            if decisive:
+                raise ValueError(
+                    f"exactness violation at u = {tuple(u)}: "
+                    f"rank {r} + corank {corank} != {n - k}"
+                )
+        out.append(PointData(u, x, dx, p, tx, txperp, corank))
+    return out
 
 
 def nearby_point_data(bv: BivectorField, chart: Chart, u, seed):
@@ -197,7 +218,7 @@ class ScanResult:
 def regularity_scan(bv: BivectorField, chart: Chart, counts=9, seed=0):
     """Rank of TXperp over a grid, refined 10x near rank boundaries."""
     params = chart.grid(counts)
-    points = [point_data(bv, chart, u) for u in params]
+    points = point_data_rows(bv, chart, params)
     ranks = np.array([pd.rank_perp for pd in points])
     refined_params = []
     if chart.param_dim and len(set(ranks.tolist())) > 1:
@@ -218,10 +239,9 @@ def regularity_scan(bv: BivectorField, chart: Chart, counts=9, seed=0):
                 idx_hi = idx.copy()
                 idx_hi[axis] += 1
                 b = grid_params[tuple(idx_hi)]
-                extra = a + (b - a) * rng.uniform(0, 1, size=(10, 1))
-                for u in extra:
-                    refined_params.append(u)
-                    points.append(point_data(bv, chart, u))
+                refined_params.extend(a + (b - a) * rng.uniform(0, 1, size=(10, 1)))
+    if refined_params:
+        points += point_data_rows(bv, chart, refined_params)
     all_params = params if not refined_params else np.vstack([params, refined_params])
     witnesses = {}
     for u, pd in zip(all_params, points):
@@ -255,19 +275,14 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
     n, k = bv.dim, chart.param_dim
     points = list(scan.points)
     if k:
-        points += [point_data(bv, chart, u) for u in chart.sample(10, seed=seed + 1)]
-    perp_ranks, cap_dims, sum_ranks = [], [], []
-    poisson_sub = True
-    for pd in points:
-        perp_ranks.append(pd.rank_perp)
-        cap = linear.subspace_intersect(pd.txperp, pd.tx)
-        cap_dims.append(cap.shape[1])
-        sum_ranks.append(rank_svd(np.hstack([pd.tx, pd.txperp]))[0])
-        if rank_svd(np.hstack([pd.tx, pd.p]))[0] != k:
-            poisson_sub = False
-    perp_ranks = np.array(perp_ranks)
-    cap_dims = np.array(cap_dims)
-    sum_ranks = np.array(sum_ranks)
+        points += point_data_rows(bv, chart, chart.sample(10, seed=seed + 1))
+    perp_ranks = np.array([pd.rank_perp for pd in points])
+    caps = linear.subspace_intersect_many([pd.txperp for pd in points], [pd.tx for pd in points])
+    cap_dims = np.array([cap.shape[1] for cap in caps])
+    sums = linear.rank_svd_many([np.hstack([pd.tx, pd.txperp]) for pd in points])
+    sum_ranks = np.array([r[0] for r in sums])
+    tangent = linear.rank_svd_many([np.hstack([pd.tx, pd.p]) for pd in points])
+    poisson_sub = all(r[0] == k for r in tangent)
     regular = len(set(perp_ranks.tolist())) == 1
     coiso = bool(np.all(sum_ranks == k))
     flags = {
@@ -347,10 +362,10 @@ def make_transversal(bv: BivectorField, chart: Chart, thickness=0.5):
         comps.append(acc)
     domain = np.vstack([chart.domain, np.array([[-thickness, thickness]] * e_dim)])
     thick = Chart(k + e_dim, n, comps, domain)
-    for u in chart.grid(5):
-        ue = np.concatenate([u, np.zeros(e_dim)])
-        tpd = point_data(bv, thick, ue)
-        cap = linear.subspace_intersect(tpd.txperp, tpd.tx)
+    grid = chart.grid(5)
+    tpds = point_data_rows(bv, thick, np.hstack([grid, np.zeros((len(grid), e_dim))]))
+    caps = linear.subspace_intersect_many([t.txperp for t in tpds], [t.tx for t in tpds])
+    for u, tpd, cap in zip(grid, tpds, caps):
         if tpd.rank_perp + k + e_dim != n or cap.shape[1] != 0:
             raise RankDeficient(f"thickened chart not transversal at u = {tuple(u)}")
     return thick

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from poissat import cli, model, submanifold
+from poissat import cli, linear, model, submanifold
 from poissat.cli import (
     Scene,
     SceneError,
@@ -385,22 +385,60 @@ def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, arg
     # anchor twice: the call that sets the alignment references is not
     # kept); pullback_dirac once per distinct grid u in verify and once in
     # extraction_radius, on the point data of the memoised frame, so the
-    # submanifold module computes point data only for the regularity gate
-    calls = {"point_data": 0, "pullback_dirac": 0, "submanifold.point_data": 0}
-    for name in calls:
-        module, _, attr = name.rpartition(".")
-        owner = submanifold if module else model
-        real = getattr(owner, attr)
+    # submanifold module computes point data only for the regularity gate:
+    # the scan grid and classify's 10 extra samples, counted in rows
+    calls = {"point_data": 0, "pullback_dirac": 0, "gate_rows": 0}
+    inside_model = []
+    real_point_data, real_pullback = model.point_data, model.pullback_dirac
+    real_rows = submanifold.point_data_rows
 
-        def counting(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    def point_data(*args, **kwargs):
+        calls["point_data"] += 1
+        inside_model.append(True)
+        try:
+            return real_point_data(*args, **kwargs)
+        finally:
+            inside_model.pop()
 
-        monkeypatch.setattr(owner, attr, counting)
+    def pullback_dirac(*args, **kwargs):
+        calls["pullback_dirac"] += 1
+        return real_pullback(*args, **kwargs)
+
+    def point_data_rows(bv, chart, us):
+        if not inside_model:
+            calls["gate_rows"] += len(us)
+        return real_rows(bv, chart, us)
+
+    monkeypatch.setattr(model, "point_data", point_data)
+    monkeypatch.setattr(model, "pullback_dirac", pullback_dirac)
+    monkeypatch.setattr(submanifold, "point_data_rows", point_data_rows)
     code, _ = run_main([argv[0], write_fixture(tmp_path, fixture), *argv[1:]])
     assert code == 0
-    assert calls == {"point_data": frames, "pullback_dirac": lifts,
-                     "submanifold.point_data": gate}
+    assert calls == {"point_data": frames, "pullback_dirac": lifts, "gate_rows": gate}
+
+
+@pytest.mark.parametrize("job,calls", [("analyze-cubic-graph", 14), ("gotay-verify", 1582)])
+def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, calls):
+    # every rank decision of the regularity gate is stacked: analyze makes
+    # single-matrix rank_svd calls only in the chart's immersion check, and
+    # GotayModel.verify only in the per-point Dirac chain of each bivector
+    real = linear.rank_svd
+    count = []
+
+    def counted(*args, **kwargs):
+        count.append(1)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("poissat") and getattr(mod, "rank_svd", None) is real:
+            monkeypatch.setattr(mod, "rank_svd", counted)
+    if job == "gotay-verify":
+        omega = linear.SkewForm(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        model.GotayModel(3, omega).verify(samples=20)
+    else:
+        code, _ = run_main(["analyze", write_fixture(tmp_path, "cubic-graph")])
+        assert code == 3
+    assert len(count) == calls
 
 
 @pytest.mark.parametrize("target", ["pullback_dirac", "dirac_gauge"])

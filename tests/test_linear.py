@@ -241,3 +241,87 @@ def test_gram_schmidt_smoothness_and_align():
         assert f.T @ f == pytest.approx(1.0)
         assert np.linalg.norm(f - basis) <= 1e-12  # same ray, same sign
         prev = f
+
+
+def _stack_cases(rng):
+    """Seeded matrices of the shapes the regularity gate decides ranks on:
+    full rank, rank deficient, all zero, empty, with and without a scale."""
+    cases = []
+    for d, k in [(3, 3), (4, 4), (4, 2), (6, 3), (8, 8), (3, 1)]:
+        for rank in range(min(d, k) + 1):
+            for _ in range(4):
+                m = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, k))
+                cases.append((m, None))
+                cases.append((1e-9 * m, float(rng.uniform(0.5, 2.0))))
+    cases += [(np.zeros((3, 3)), None), (np.zeros((4, 2)), 1.0), (np.zeros((0, 3)), None),
+              (np.zeros((3, 0)), None), (np.zeros((0, 0)), 2.0)]
+    order = rng.permutation(len(cases))  # interleave the shape groups
+    return [cases[i] for i in order]
+
+
+@pytest.mark.parametrize("tol_rel", [None, 1e-6])
+def test_stacked_rank_svd_many_is_bitwise_rank_svd(tol_rel):
+    cases = _stack_cases(np.random.default_rng(7))
+    many = linear.rank_svd_many([m for m, _ in cases], tol_rel=tol_rel,
+                                scales=[s for _, s in cases])
+    assert len(many) == len(cases)
+    for (m, scale), (rank, col, nul) in zip(cases, many):
+        ref_rank, ref_col, ref_nul = rank_svd(m, tol_rel=tol_rel, scale=scale)
+        assert rank == ref_rank
+        assert np.array_equal(col, ref_col) and col.shape == ref_col.shape
+        assert np.array_equal(nul, ref_nul) and nul.shape == ref_nul.shape
+    assert {r[0] for r in many} == set(range(9))  # every rank class is exercised
+
+
+def _intersect_per_row(a, b):
+    # the per-pair loop the stacked intersection replaced
+    qa, qb = linear.orth(a), linear.orth(b)
+    if qa.shape[1] == 0 or qb.shape[1] == 0:
+        return np.zeros((qa.shape[0], 0))
+    ns = linear.null(np.hstack([qa, -qb]))
+    if ns.shape[1] == 0:
+        return np.zeros((qa.shape[0], 0))
+    return linear.orth(qa @ ns[: qa.shape[1]])
+
+
+def test_stacked_subspace_intersect_many_is_bitwise_per_pair():
+    rng = np.random.default_rng(8)
+    pairs = []
+    for _ in range(60):
+        shared = rng.standard_normal((5, rng.integers(0, 3)))
+        a = np.hstack([shared, rng.standard_normal((5, rng.integers(0, 3)))])
+        b = np.hstack([rng.standard_normal((5, rng.integers(0, 2))), shared])
+        pairs.append((a, b))
+    pairs.append((np.zeros((5, 2)), rng.standard_normal((5, 2))))
+    got = linear.subspace_intersect_many([a for a, _ in pairs], [b for _, b in pairs])
+    dims = set()
+    for (a, b), cap in zip(pairs, got):
+        ref = _intersect_per_row(a, b)
+        assert cap.shape == ref.shape and np.array_equal(cap, ref)
+        assert np.array_equal(subspace_intersect(a, b), ref)
+        dims.add(cap.shape[1])
+    assert dims == {0, 1, 2}
+
+
+def test_is_orthonormal_agrees_with_allclose_at_the_boundary():
+    def old(m, tol=1e-12):
+        return np.allclose(m.T @ m, np.eye(m.shape[1]), atol=tol)
+
+    cases = []
+    # off-diagonal Gram entry exactly at the tolerance, and one step either side
+    for off in (1e-12, np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0)):
+        cases.append(np.array([[1.0, off], [0.0, 1.0]]))
+    # diagonal Gram entries walking across 1 + 1e-5 (+ tol)
+    edge = np.sqrt(1.0 + 1e-5 + 1e-12)
+    for step in range(-3, 4):
+        a = edge
+        for _ in range(abs(step)):
+            a = np.nextafter(a, np.sign(step) * np.inf)
+        cases.append(np.array([[a]]))
+    cases += [np.array([[np.nan]]), np.array([[np.inf], [0.0]]), np.array([[1.0, np.nan]]),
+              np.zeros((3, 0)), np.eye(3)]
+    verdicts = [linear._is_orthonormal(m) for m in cases]
+    assert verdicts == [old(m) for m in cases]
+    assert verdicts[:2] == [True, True] and verdicts[2] is False  # the boundary is inclusive
+    assert True in verdicts[3:10] and False in verdicts[3:10]
+    assert verdicts[10:13] == [False, False, False]

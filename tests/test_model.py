@@ -635,19 +635,94 @@ def test_gotay_memo_is_bitwise_exact(monkeypatch, dim, form, fiber, origin_first
     assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen))
 
 
+def _x3_form_r4(x):
+    # x3 dx1^dx2: kernel rank 4 at the origin, 2 wherever x3 != 0
+    return np.array([[0.0, x[2], 0.0, 0.0], [-x[2], 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
+
+def _gotay(dim, form):
+    return model.GotayModel(dim, lambda x: dirac_graph(SkewForm(form(x)), "two_form"))
+
+
+@pytest.mark.parametrize("dim, form", [(3, _form_r3), (4, _form_r4)], ids=["r3", "r4"])
+def test_stacked_gotay_inclusions_are_bitwise_per_row(dim, form):
+    xs = np.random.default_rng(4).uniform(-0.1, 0.1, size=(3, dim))
+    stacked, per_row = _gotay(dim, form), _gotay(dim, form)
+    reads = stacked._inclusion_reads(xs, 1e-5)
+    # the first read sets the alignment reference in both
+    got = stacked._inclusions(reads)
+    ref = [per_row._inclusion(x) for x in reads]
+    assert len(got) == len(ref) == 3 * (2 * (dim + stacked.fiber_dim) + 2) * (2 * dim + 1)
+    assert all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in zip(got, ref))
+    assert not got[0].flags.writeable and not got[-1].flags.writeable
+    assert stacked._inclusion_memo.keys() == per_row._inclusion_memo.keys()
+    # a second fetch reads every point from the memo
+    again = stacked._inclusions(reads[1:])
+    assert all(a is stacked._inclusion_memo[x.tobytes()] for a, x in zip(again, reads[1:]))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, ref[1:]))
+
+
+@pytest.mark.parametrize("dim, form", [(3, _form_r3), (4, _form_r4)], ids=["r3", "r4"])
+def test_stacked_gotay_verify_is_bitwise_per_row(monkeypatch, dim, form):
+    # the per-row reference reads every inclusion through _inclusion, the
+    # path verify takes when the stacked fetch fails
+    def run(stacked):
+        got = _gotay(dim, form)
+        seen = []
+
+        def recording(l):
+            seen.append(to_bivector(l))
+            return seen[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(model, "dirac_to_bivector", recording)
+            if not stacked:
+                m.setattr(got, "_inclusions", _refuse)
+            rep = got.verify(samples=5)
+        return rep, seen
+
+    def _refuse(xs):
+        raise ValueError("per-row reference")
+
+    to_bivector = model.dirac_to_bivector
+    (rep, seen), (ref_rep, ref_seen) = run(True), run(False)
+    assert rep == ref_rep
+    assert len(seen) == len(ref_seen) == 5 * (2 * (dim + (dim - 2)) + 2)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, ref_seen))
+
+
+def test_stacked_gotay_kernel_rank_jump_raises_as_per_row():
+    got = _gotay(4, _x3_form_r4)
+    assert got.fiber_dim == 4
+    reads = got._inclusion_reads(np.random.default_rng(4).uniform(-0.1, 0.1, size=(2, 4)), 1e-5)
+    with pytest.raises(RankDeficient) as per_row:
+        for x in reads:
+            _gotay(4, _x3_form_r4)._inclusion(x)
+    with pytest.raises(RankDeficient) as stacked:
+        got._inclusions(reads)
+    with pytest.raises(RankDeficient) as verified:
+        _gotay(4, _x3_form_r4).verify(samples=20)
+    assert str(stacked.value) == str(per_row.value) == str(verified.value)
+    assert str(stacked.value) == "tangent kernel rank is not constant"
+
+
 def test_gotay_memo_computes_each_inclusion_once(monkeypatch):
-    calls = []
-    real = model.subspace_intersect
+    rows = []
+    real = model.intersect_orth_many
 
-    def counted(a, b):
-        calls.append(1)
-        return real(a, b)
+    def counted(qas, qbs):
+        rows.append(len(qas))
+        return real(qas, qbs)
 
-    monkeypatch.setattr(model, "subspace_intersect", counted)
+    monkeypatch.setattr(model, "intersect_orth_many", counted)
     omega = SkewForm(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     model.GotayModel(3, omega).verify(samples=20)
-    # one kernel per distinct stencil point; 1 + 20 * 70 = 1401 without the memo
-    assert len(calls) == 502
+    # one kernel per distinct stencil point; 1 + 20 * 70 = 1401 without the
+    # memo.  The origin at construction and the first sample point, which
+    # sets the alignment reference and is not kept, run alone; every other
+    # kernel of verify is one stacked call
+    assert rows == [1, 1, 500]
 
 
 def test_gotay_nonconstant_kernel_rejected():

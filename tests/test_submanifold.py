@@ -11,13 +11,14 @@ from poissat.field import (
     so3_star,
     symplectic_r4,
 )
-from poissat import submanifold
+from poissat import linear, submanifold
 from poissat.linear import RankDeficient, subspace_equal
 from poissat.submanifold import (
     Chart,
     classify,
     make_transversal,
     point_data,
+    point_data_rows,
     pullback_dirac,
     regularity_scan,
 )
@@ -130,17 +131,18 @@ def test_classify_plane_in_so3():
 def test_classify_reuses_a_given_scan(monkeypatch):
     bv, chart = flat_rank2_r3(), cubic_graph()
     scan = regularity_scan(bv, chart, counts=9, seed=2)
-    calls = []
+    rows = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return point_data(*args, **kwargs)
+    def counted(bv, chart, us):
+        rows.append(len(us))
+        return point_data_rows(bv, chart, us)
 
     with monkeypatch.context() as m:
-        m.setattr(submanifold, "point_data", counted)
+        m.setattr(submanifold, "point_data_rows", counted)
         given = classify(bv, chart, counts=9, seed=2, scan=scan)
-    # the scan's point data is reused: only the 10 extra samples are new
-    assert len(calls) == 10
+    # the scan's point data is reused: only the 10 extra samples are new,
+    # computed in one batch
+    assert rows == [10]
     own = classify(bv, chart, counts=9, seed=2)
     assert given.flags == own.flags and given.ranks == own.ranks
     assert given.sample_count == own.sample_count == len(scan.params) + 10
@@ -300,3 +302,95 @@ def test_pullback_random_lines_routes_agree():
         except RankDeficient:
             continue
         assert subspace_equal(generic.basis, perp.basis, tol=1e-8)
+
+
+def _point_data_reference(bv, chart, u):
+    # the one-row-at-a-time point_data that point_data_rows replaced
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x, dx = chart.point_at(u), chart.jac_at(u)
+    n, k = bv.dim, chart.param_dim
+    tx = linear.orth(dx) if k else np.zeros((n, 0))
+    p = bv.matrix_at(x)
+    image = p @ linear.annihilator(tx, dim=n)
+    r, txperp, _ = linear.rank_svd(image, scale=np.linalg.norm(p, 2))
+    stack = np.vstack([p, dx.T])
+    corank = n - linear.rank_svd(stack)[0]
+    if r + corank != n - k:
+        sv_img = np.linalg.svd(image, compute_uv=False) if image.size else np.zeros(0)
+        sv_stk = np.linalg.svd(stack, compute_uv=False)
+        if submanifold._decisive(sv_img, r) and submanifold._decisive(sv_stk, n - corank):
+            raise ValueError(f"exactness violation at u = {tuple(u)}: "
+                             f"rank {r} + corank {corank} != {n - k}")
+    return submanifold.PointData(u, x, dx, p, tx, txperp, corank)
+
+
+def figure_eight():
+    return Chart(2, 4, ["sin(2*t)", "sin(t)", "t", "th"], domain=[[-3.0, 3.0], [-1.0, 1.0]],
+                 names=["t", "th"])
+
+
+def sin_plane_r3():
+    # sin(x3) d1^d2: Poisson (a function times a constant bivector in two of
+    # the coordinates it does not depend on), rank 2 off sin(x3) = 0
+    return BivectorField(3, {(0, 1): "sin(x3)"}, domain=[[-4.0, 4.0]] * 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (flat_rank2_r3s1(), figure_eight()),
+    lambda: (sin_plane_r3(), Chart(2, 3, ["u", "cos(v)", "3*v + u^2"], names=["u", "v"])),
+    lambda: (sin_plane_r3(), Chart(1, 3, ["cos(u)", "sin(u)", "2*u"], domain=[[-1.5, 1.5]],
+                                   names=["u"])),
+    lambda: (so3_star(), Chart(0, 3, ["0.5", "0", "0"])),
+], ids=["figure-eight", "sin-plane-2d", "sin-plane-helix", "point"])
+def test_stacked_point_data_rows_is_bitwise_per_row(make):
+    bv, chart = make()
+    us = np.vstack([chart.grid(9), chart.sample(25, seed=3)])
+    if chart.param_dim:
+        us = np.vstack([us, [chart.center()] * 2])  # a repeated row
+    rows = point_data_rows(bv, chart, us)
+    assert len(rows) == len(us)
+    for u, got in zip(us, rows):
+        for ref in (_point_data_reference(bv, chart, u), point_data(bv, chart, u)):
+            for name in ("u", "x", "dx", "p", "tx", "txperp"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert got.corank == ref.corank
+
+
+def _exactness_breaking():
+    # a tiny constant bivector against a chart differential that grows to
+    # 1e10: the bordered matrix [P; dX^T] loses P's rows below its relative
+    # threshold from about u = 0.35 on, a decisive (numerical) violation
+    bv = BivectorField(3, {(0, 1): "1e-5"})
+    return bv, Chart(1, 3, ["0", "0", "exp(20*u)"], names=["u"])
+
+
+def test_stacked_exactness_violation_raises_as_per_row():
+    bv, chart = _exactness_breaking()
+    us = np.array([[-0.5], [0.0], [0.9], [0.6], [0.2]])
+    with pytest.raises(ValueError) as per_row:
+        for u in us:
+            _point_data_reference(bv, chart, u)
+    with pytest.raises(ValueError) as stacked:
+        point_data_rows(bv, chart, us)
+    assert str(stacked.value) == str(per_row.value)
+    message = str(stacked.value)
+    assert message.startswith("exactness violation at u = (") and "0.9" in message
+    assert message.endswith("rank 2 + corank 2 != 2")
+    assert len(point_data_rows(bv, chart, us[[0, 1, 4]])) == 3
+
+
+def test_stacked_non_finite_rows_raise_as_per_row():
+    # the batch kernel reaches the (1, 2) slot first, failing at row 0.5; row
+    # by row, the (2, 3) slot of row -0.2 fails first
+    bv = BivectorField(3, {(0, 1): "1/(x3 - 0.5)", (1, 2): "1/(x3 + 0.2)"}, certify=False)
+    chart = Chart(1, 3, ["0", "0", "u"], names=["u"])
+    us = np.array([[0.1], [-0.2], [0.5]])
+    with pytest.raises(ValueError) as per_row:
+        for u in us:
+            _point_data_reference(bv, chart, u)
+    with pytest.raises(ValueError) as stacked:
+        point_data_rows(bv, chart, us)
+    assert type(stacked.value) is type(per_row.value)
+    assert str(stacked.value) == str(per_row.value)
+    assert "-0.2" in str(stacked.value)
