@@ -31,6 +31,7 @@ from .field import BivectorField, JacobiError
 from .fixtures import FIXTURES
 from .linear import NotPoisson, RankDeficient, SkewForm, dirac_graph
 from .model import (
+    RADIUS_FLOOR,
     ComplementChoice,
     GotayModel,
     eta_closedness_residual,
@@ -269,8 +270,10 @@ def scene_parameters(scene: Scene, steps_override=None, tol_override=None):
         raise SceneError("steps must be even and at least 16")
     if p["seed"] < 0:
         raise SceneError("seed must be non-negative")
-    if p["u_counts"] < 1 or p["per_u"] < 0 or p["xi_radius"] <= 0:
+    if p["u_counts"] < 1 or p["per_u"] < 0:
         raise SceneError("flow/model parameters out of range")
+    if not p["xi_radius"] >= RADIUS_FLOOR:
+        raise SceneError(f"xi_radius must be at least the radius floor {RADIUS_FLOOR}")
     return p
 
 

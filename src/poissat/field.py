@@ -85,7 +85,7 @@ class BivectorField:
             if res[worst] > JACOBI_TOL:
                 raise JacobiError(
                     f"Jacobi residual {res[worst]:.3e} exceeds {JACOBI_TOL:.1e} "
-                    f"at {tuple(pts[worst])}",
+                    f"at {tuple(pts[worst].tolist())}",
                     res[worst],
                     pts[worst],
                 )

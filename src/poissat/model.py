@@ -21,6 +21,7 @@ J(u) are meaningful.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import combinations
 
 import numpy as np
@@ -104,19 +105,16 @@ def _span_in(big, small_perp):
 
 class FrameAligner:
     """Aligns every basis stored under a key to the first (sign-fixed) one, and
-    memoises per-point results under one rule (_memoised)."""
+    memoises per-point results on the bits of the point.  The constructor sets
+    every reference from frames at an anchor point that it does not keep, so no
+    result depends on which point is read first."""
 
     def _memoised(self, memo, x, compute):
-        """compute(), kept in memo on the bits of x unless it raised or set an alignment
-        reference: that call returns the reference unaligned, and a later call at x
-        aligns to it, which need not give the same bits."""
+        """compute(), kept in memo on the bits of x unless it raised."""
         key = np.asarray(x, dtype=float).tobytes()
         value = memo.get(key)
         if value is None:
-            refs = len(self._refs)
-            value = compute()
-            if len(self._refs) == refs:
-                memo[key] = value
+            value = memo[key] = compute()
         return value
 
     def _aligned(self, key, basis):
@@ -143,10 +141,10 @@ class ComplementChoice(FrameAligner):
       custom       user-supplied W (matrix or callable of u).
 
     G and H default to Euclidean complements inside TX and TXperp; all
-    frames are aligned to the anchor u0, the chart's center, so they vary
-    smoothly.  Frames are memoised on the bits of u: the grid rows and
-    the finite-difference stencils of the bundle embedding revisit the
-    same parameters many times.
+    frames are aligned to those at the anchor u0, the chart's center, so
+    they vary smoothly.  Frames and base Dirac lifts are memoised on the
+    bits of u: the grid rows and the finite-difference stencils of the
+    bundle embedding revisit the same parameters many times.
     """
 
     def __init__(self, bv: BivectorField, chart: Chart, mode="default", g=None, h=None, w=None):
@@ -159,7 +157,9 @@ class ComplementChoice(FrameAligner):
         self._w_user = w
         self._refs = {}
         self._memo = {}
-        anchor = self.at(self.u0)
+        self._lifts = {}
+        anchor = self._frame(self.u0)
+        self._aligned("tube", _tube_basis(anchor))
         self.rank_perp = anchor.rank_perp
         self.cap_dim = anchor.cap_dim
         self.corank = anchor.corank
@@ -216,7 +216,7 @@ class ComplementChoice(FrameAligner):
         r = txperp.shape[1]
         tx = pd.tx
         if rank_svd(np.hstack([tx, txperp]))[0] != k:
-            raise RankDeficient(f"chart is not coisotropic at u = {tuple(u)}")
+            raise RankDeficient(f"chart is not coisotropic at u = {tuple(u.tolist())}")
         p = pd.p
         g = self._g_user if self._g_user is not None else self._aligned("g", _span_in(tx, txperp))
         if subspace_intersect(g, txperp).shape[1] or rank_svd(np.hstack([g, txperp]))[0] != k:
@@ -266,6 +266,11 @@ class ComplementChoice(FrameAligner):
             "w_cap_tx_is_g": bool(subspace_equal(subspace_intersect(w, tx), g, tol=1e-8)),
         }
         return ComplementFrame(pd, txperp, w, j, c_dim, conditions)
+
+
+def _tube_basis(fr):
+    """Basis of a complement of TP = span[dX, sharp(J)] at the frame's zero-section point."""
+    return null(np.hstack([fr.dx, fr.p @ fr.j]).T)
 
 
 def _sharp_into(p, w, extra=None):
@@ -446,11 +451,11 @@ def local_model_bivector(comp, u, zeta, steps=1024, eta_source="flow"):
 
 def _lift(comp, u):
     """Chart Dirac structure at u, pulled back from the point data of the
-    memoised frame and up along the bundle projection."""
+    memoised frame and up along the bundle projection; memoised on comp."""
     k = comp.chart.param_dim
-    base = pullback_dirac(comp.bv, comp.chart, comp.at(u).pd, ref_corank=comp.corank)
     dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
-    return dirac_pullback(base, dpr)
+    return comp._memoised(comp._lifts, u, lambda: dirac_pullback(
+        pullback_dirac(comp.bv, comp.chart, comp.at(u).pd, ref_corank=comp.corank), dpr))
 
 
 def _model_from_eta(lift, eta):
@@ -479,18 +484,23 @@ def extraction_radius(comp, u, steps=256, start=0.5, count=6, seed=0):
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(count, r))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    lift = _lift(comp, u)
-    radius = start
-    while radius >= RADIUS_FLOOR:
+    for radius in _halvings(start):
         try:
             for eta in eta_forms(comp, [u] * count, radius * dirs, steps=steps):
-                _model_from_eta(lift, eta)
+                _model_from_eta(_lift(comp, u), eta)
             return radius
         except RankDeficient:
             raise
         except (NotPoisson, ValueError):
-            radius *= 0.5
+            continue
     return 0.0
+
+
+def _halvings(start):
+    """The radii start, start/2, start/4, ... down to RADIUS_FLOOR."""
+    while start >= RADIUS_FLOOR:
+        yield start
+        start *= 0.5
 
 
 def _sigma_grid(comp, u_counts, radius, per_u, seed):
@@ -573,9 +583,7 @@ class SaturationChart:
 
     def complement_frame(self, u):
         """Frame spanning a complement of TP along the zero section."""
-        fr = self.comp.at(u)
-        span = np.hstack([fr.dx, fr.p @ fr.j])
-        return self.comp._aligned("_tube", null(span.T) if span.size else np.eye(self.bv.dim))
+        return self.comp._aligned("tube", _tube_basis(self.comp.at(u)))
 
 
 def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
@@ -586,26 +594,25 @@ def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
     Immersion rank and the zero-section tangent identity
     TP = span[dX, sharp(J)] are checked at every sample.
     """
-    radius_used = radius
-    while True:
+    for radius_used in _halvings(radius):
         us, zetas = _sigma_grid(comp, u_counts, radius_used, per_u, seed)
         frames, res, jacs, etas = _chart_flow(comp, us, zetas, steps)
         if not res.exited.any():
             break
-        if radius_used * 0.5 < RADIUS_FLOOR:
-            raise ValueError("flow leaves the domain box even at the radius floor")
-        radius_used *= 0.5
+    else:
+        raise ValueError("flow leaves the domain box even at the radius floor")
     sat = SaturationChart(comp, steps, us, zetas, res.x, jacs, etas, radius_used)
     dim = sat.model_dim
     ranks = [r[0] for r in rank_svd_many(jacs)]
     for i, (u, z) in enumerate(zip(us, zetas)):
         if ranks[i] != dim:
-            raise RankDeficient(f"chart rank defect at u = {tuple(u)}, zeta = {tuple(z)}")
+            raise RankDeficient(
+                f"chart rank defect at u = {tuple(u.tolist())}, zeta = {tuple(z.tolist())}")
         if np.allclose(z, 0.0):
             fr = frames[i][0]
             expected = np.hstack([fr.dx, fr.p @ fr.j])
             if not subspace_equal(jacs[i], expected, tol=1e-6):
-                raise RankDeficient(f"zero-section tangent mismatch at u = {tuple(u)}")
+                raise RankDeficient(f"zero-section tangent mismatch at u = {tuple(u.tolist())}")
     return sat
 
 
@@ -658,14 +665,10 @@ def verify_normal_form(sat: SaturationChart, tol=1e-4, eta_source="flow"):
     point, both compressed to the orthonormalized chart frame.
     """
     worst = 0.0
-    lifts = {}  # the grid repeats each u for its zero row and its fiber rows
     for u, z, x, dphi, eta in zip(sat.us, sat.zetas, sat.points, sat.jacs, sat.etas):
         if eta_source != "flow":
             eta = eta_canonical_form_source(sat.comp, u, z)
-        lift = lifts.get(u.tobytes())
-        if lift is None:
-            lift = lifts[u.tobytes()] = _lift(sat.comp, u)
-        model = _model_from_eta(lift, eta)
+        model = _model_from_eta(_lift(sat.comp, u), eta)
         worst = max(worst, _pushforward_mismatch(dphi, model, sat.bv.matrix_at(x)))
     return {"max_mismatch": worst, "ok": worst <= tol, "tol": tol,
             "radius_used": sat.radius_used, "samples": len(sat.us), "steps": sat.steps}
@@ -786,9 +789,9 @@ class GotayModel(FrameAligner):
     is a constant SkewForm or a callable x -> L(x)), the ambient space is
     the bundle chart R^k x R^m of K-dual fibers; the bivector is extracted
     from the canonical-form gauge of the lifted structure.  Frames are
-    aligned to the origin for smoothness.  L(x) and the inclusion at x are
-    memoised on the bits of x: the finite-difference stencils of bivector_at
-    and verify revisit the same points many times.
+    aligned to those at the origin for smoothness.  L(x) and the inclusion
+    at x are memoised on the bits of x: the finite-difference stencils of
+    bivector_at and verify revisit the same points many times.
     """
 
     def __init__(self, dim, l_source):
@@ -801,8 +804,10 @@ class GotayModel(FrameAligner):
         self._l_memo = {}
         self._inclusion_memo = {}
         self._vertical = orth(np.vstack([np.eye(k), np.zeros((k, k))]))
+        origin = np.zeros((1, k))
         self.fiber_dim = None
-        self.fiber_dim = self._kernels(np.zeros((1, k)))[0].shape[1]
+        self.fiber_dim = self._kernels(origin)[0].shape[1]
+        self._compute_inclusions(origin)
         self._dpr = np.hstack([np.eye(k), np.zeros((k, self.fiber_dim))])
 
     def _l(self, x):
@@ -823,22 +828,13 @@ class GotayModel(FrameAligner):
         return self._memoised(self._inclusion_memo, x, lambda: self._compute_inclusions([x])[0])
 
     def _inclusions(self, xs):
-        """[self._inclusion(x) for x in xs], with the misses computed in stacked
-        steps; a failure is raised by the first failing row of the step that
-        finds it."""
-        keys = [np.asarray(x, dtype=float).tobytes() for x in xs]
-        out = [self._inclusion_memo.get(key) for key in keys]
-        todo = [i for i, incl in enumerate(out) if incl is None]
-        if todo and "g" not in self._refs:
-            out[todo[0]] = self._inclusion(xs[todo[0]])  # sets the reference, is not kept
-            todo = todo[1:]
-        first = {}
-        for i in todo:
-            first.setdefault(keys[i], i)
-        computed = dict(zip(first, self._compute_inclusions([xs[i] for i in first.values()])))
-        for i in todo:
-            out[i] = self._inclusion_memo[keys[i]] = computed[keys[i]]
-        return out
+        """Memoise the inclusion at every row of xs, the misses computed in
+        stacked steps; a failure is raised by the first failing row of the
+        step that finds it, and nothing of that step is kept."""
+        todo = {np.asarray(x, dtype=float).tobytes(): x for x in xs}
+        todo = {key: x for key, x in todo.items() if key not in self._inclusion_memo}
+        for key, incl in zip(todo, self._compute_inclusions(list(todo.values()))):
+            self._inclusion_memo[key] = incl
 
     def _compute_inclusions(self, xs):
         kerns = self._kernels(xs)
@@ -856,72 +852,58 @@ class GotayModel(FrameAligner):
         return out
 
     def bivector_at(self, x, c):
-        return self._bivector(x, c, self._inclusion)
-
-    def _bivector(self, x, c, inclusion):
-        """bivector_at, reading the fiber inclusion at x and at its stencil
-        points through inclusion(point)."""
         lifted = dirac_pullback(self._l(x), self._dpr)
         c = np.asarray(c, dtype=float).reshape(self.fiber_dim)
-        eta = _canonical_form_gauge(inclusion, x, c, _GAUGE_FD_H)
+        eta = _canonical_form_gauge(self._inclusion, x, c, _GAUGE_FD_H)
         return dirac_to_bivector(dirac_gauge(lifted, eta))
 
     def _inclusion_reads(self, xs, h):
-        """Every point at which verify reads an inclusion, in reading order.
-
-        Per sample x: the bivector at x twice, then at the base rows of the
-        h-stencil around (x, c), which do not depend on c; each bivector
-        reads the inclusion at its base point and at its gauge stencil.
-        """
+        """Every point at which verify reads an inclusion: the base point and the
+        gauge stencil of each bivector, at every sample x and at the base rows
+        of the h-stencil around (x, c), which do not depend on c."""
         k, m = self.dim, self.fiber_dim
         reads = []
         for x in xs:
             plus, minus = _stencil(np.concatenate([x, np.zeros(m)]), h)
-            for y in [x, x, *plus[:, :k], *minus[:, :k]]:
-                gauge_plus, gauge_minus = _stencil(y, _GAUGE_FD_H)
-                reads += [y, *(q for pair in zip(gauge_plus, gauge_minus) for q in pair)]
+            for y in [x, *plus[:, :k], *minus[:, :k]]:
+                reads += [y, *np.vstack(_stencil(y, _GAUGE_FD_H))]
         return reads
 
     def verify(self, samples=20, radius=0.1, seed=4, fd_h=1e-5):
         """Coisotropy of the zero section, reproduction of L, Jacobi.
 
-        Every fiber inclusion the samples read is fetched in one stacked
+        Every fiber inclusion the samples read is memoised in one stacked
         _inclusions call before the first bivector; when that fails, the
-        samples read them one at a time, so a failure is raised where the
-        per-point loop meets it.
+        per-point loop raises the failure where it meets it.
         """
         k, m = self.dim, self.fiber_dim
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-radius, radius, size=(samples, k))
-        try:
-            feed = iter(self._inclusions(self._inclusion_reads(xs, fd_h)))
-            inclusion = lambda _point: next(feed)
-        except ValueError:
-            inclusion = self._inclusion
+        with suppress(ValueError):
+            self._inclusions(self._inclusion_reads(xs, fd_h))
         coiso = 0.0
         angles = 0.0
         jacobi = 0.0
         incl = np.vstack([np.eye(k), np.zeros((m, k))])
         for x in xs:
-            p = self._bivector(x, np.zeros(m), inclusion)
-            tangent = incl
+            p = self.bivector_at(x, np.zeros(m))
             conormal = np.vstack([np.zeros((k, m)), np.eye(m)])
             image = p @ conormal
-            resid = image - tangent @ (tangent.T @ image)
+            resid = image - incl @ (incl.T @ image)
             coiso = max(coiso, float(np.abs(resid).max()))
             back = dirac_pullback(dirac_graph(p, "bivector"), incl)
             ang = principal_angles(back.basis, self._l(x).basis)
             angles = max(angles, float(ang.max()) if ang.size else 0.0)
             c = rng.uniform(-radius, radius, m)
-            jacobi = max(jacobi, self._fd_jacobi(x, c, fd_h, inclusion))
+            jacobi = max(jacobi, self._fd_jacobi(x, c, fd_h))
         return {"coisotropy": coiso, "reproduction_angle": angles, "jacobi_fd": jacobi}
 
-    def _fd_jacobi(self, x, c, h, inclusion):
+    def _fd_jacobi(self, x, c, h):
         k = self.dim
         point = np.concatenate([np.asarray(x, dtype=float), np.asarray(c, dtype=float)])
-        p0 = self._bivector(point[:k], point[k:], inclusion)
+        p0 = self.bivector_at(point[:k], point[k:])
         grads = _fd_gradient(
-            lambda ps: np.array([self._bivector(q[:k], q[k:], inclusion) for q in ps]), point, h)
+            lambda ps: np.array([self.bivector_at(q[:k], q[k:]) for q in ps]), point, h)
         t1 = np.einsum("lk,lij->ijk", p0, grads)
         t2 = np.einsum("li,ljk->ijk", p0, grads)
         t3 = np.einsum("lj,lki->ijk", p0, grads)

@@ -220,7 +220,7 @@ def dual_pair_check(bv: BivectorField, chart: Chart, u, steps=1024, tol=1e-8):
     n, k = bv.dim, chart.param_dim
     r = pd.rank_perp
     if any(q.rank_perp != r for q in nearby_point_data(bv, chart, u, seed=7)):
-        raise RankDeficient(f"chart is not regular near u = {tuple(u)}")
+        raise RankDeficient(f"chart is not regular near u = {tuple(u.tolist())}")
     res = flow(bv, pd.x[None, :], np.zeros((1, n)), steps=steps, with_omega=True)
     if res.exited.any():
         raise ValueError("state flows out of the domain box")

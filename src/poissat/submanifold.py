@@ -72,7 +72,7 @@ class Chart:
         jacs = self.jacobian(pts)
         for u, j in zip(pts, jacs):
             if rank_svd(j)[0] != self.param_dim:
-                raise ValueError(f"chart is not an immersion at u = {tuple(u)}")
+                raise ValueError(f"chart is not an immersion at u = {tuple(u.tolist())}")
 
     def points(self, us):
         return self._points_kernel(np.atleast_2d(np.asarray(us, dtype=float)))
@@ -170,7 +170,7 @@ def point_data_rows(bv: BivectorField, chart: Chart, us):
             decisive = _decisive(sv_img, r) and _decisive(sv_stk, n - corank)
             if decisive:
                 raise ValueError(
-                    f"exactness violation at u = {tuple(u)}: "
+                    f"exactness violation at u = {tuple(u.tolist())}: "
                     f"rank {r} + corank {corank} != {n - k}"
                 )
         out.append(PointData(u, x, dx, p, tx, txperp, corank))
@@ -314,11 +314,11 @@ def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_cor
     if ref_corank is None:
         if any(q.corank != pd.corank for q in nearby_point_data(bv, chart, pd.u, seed=0)):
             raise RankDeficient(
-                f"corank jumps near u = {tuple(pd.u)}: pullback is not smooth there"
+                f"corank jumps near u = {tuple(pd.u.tolist())}: pullback is not smooth there"
             )
     elif pd.corank != ref_corank:
         raise RankDeficient(
-            f"corank {pd.corank} at u = {tuple(pd.u)} differs from reference {ref_corank}"
+            f"corank {pd.corank} at u = {tuple(pd.u.tolist())} differs from reference {ref_corank}"
         )
     if route == "generic":
         return dirac_pullback(dirac_graph(pd.p, "bivector"), pd.dx)
@@ -367,5 +367,5 @@ def make_transversal(bv: BivectorField, chart: Chart, thickness=0.5):
     caps = linear.subspace_intersect_many([t.txperp for t in tpds], [t.tx for t in tpds])
     for u, tpd, cap in zip(grid, tpds, caps):
         if tpd.rank_perp + k + e_dim != n or cap.shape[1] != 0:
-            raise RankDeficient(f"thickened chart not transversal at u = {tuple(u)}")
+            raise RankDeficient(f"thickened chart not transversal at u = {tuple(u.tolist())}")
     return thick

@@ -376,17 +376,18 @@ def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch, command, flows):
 
 @pytest.mark.parametrize("fixture,argv,frames,lifts,gate", [
     ("figure-eight", ["verify", "--steps", "128"], 126, 25, 91),
-    ("transversal-ray", ["all", "--steps", "32", "--csv"], 133, 6, 19),
+    ("transversal-ray", ["all", "--steps", "32", "--csv"], 133, 5, 19),
 ], ids=["verify-figure-eight", "all-transversal-ray"])
 def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, argv, frames,
                                              lifts, gate):
     # model's point_data runs once per distinct u that reaches
     # ComplementChoice.at (grid, stencil and probe parameters, and the
-    # anchor twice: the call that sets the alignment references is not
-    # kept); pullback_dirac once per distinct grid u in verify and once in
-    # extraction_radius, on the point data of the memoised frame, so the
-    # submanifold module computes point data only for the regularity gate:
-    # the scan grid and classify's 10 extra samples, counted in rows
+    # anchor twice: the constructor's frame, which sets the alignment
+    # references, is not kept); pullback_dirac once per distinct u that
+    # verify and extraction_radius lift (the lift at u0 is shared), on the
+    # point data of the memoised frame, so the submanifold module computes
+    # point data only for the regularity gate: the scan grid and classify's
+    # 10 extra samples, counted in rows
     calls = {"point_data": 0, "pullback_dirac": 0, "gate_rows": 0}
     inside_model = []
     real_point_data, real_pullback = model.point_data, model.pullback_dirac
@@ -485,6 +486,49 @@ def test_presymplectic_radius_must_be_positive(tmp_path, radius):
     rep = json.loads(out)
     assert rep["error"] == "[presymplectic] radius must be positive"
     assert "stages" not in rep
+
+
+@pytest.mark.parametrize("radius", ["0.0005", "0", "-0.1"])
+def test_xi_radius_below_the_radius_floor_exits_4(tmp_path, radius):
+    # below the floor the radius-halving loop tries no radius at all
+    path = tmp_path / "radius.scene"
+    path.write_text(FIXTURES["coiso-line"] + f"[flow]\nxi_radius = {radius}\n")
+    code, out = run_main(["saturate", str(path), "--steps", "32"])
+    assert code == 4
+    rep = json.loads(out)
+    assert rep["error"] == f"xi_radius must be at least the radius floor {model.RADIUS_FLOOR}"
+    assert "stages" not in rep
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_gotay_verify_alone_matches_all(tmp_path, seed):
+    # the alignment references are fixed at construction, so the model
+    # stage that `all` runs first does not change the verify numbers
+    path = tmp_path / "r3.scene"
+    path.write_text('[presymplectic]\ndim = 3\nentry = 1 2 "1"\nentry = 2 3 "x2"\n'
+                    f"[model]\nseed = {seed}\n")
+    (code_v, out_v), (code_a, out_a) = (run_main([cmd, str(path)]) for cmd in ("verify", "all"))
+    assert code_v == code_a
+    assert json.loads(out_v)["stages"]["verify"] == json.loads(out_a)["stages"]["verify"]
+
+
+@pytest.mark.parametrize("fixture", ["coiso-line", "transversal-ray", "gotay-presymplectic"])
+def test_alignment_references_are_set_at_construction(tmp_path, monkeypatch, fixture):
+    built = []
+
+    def recording(build):
+        def wrapped(*args, **kwargs):
+            obj = build(*args, **kwargs)
+            built.append((obj, set(obj._refs)))
+            return obj
+        return wrapped
+
+    monkeypatch.setattr(cli, "build_complement", recording(cli.build_complement))
+    monkeypatch.setattr(cli, "GotayModel", recording(cli.GotayModel))
+    code, _ = run_main(["all", write_fixture(tmp_path, fixture), "--steps", "32"])
+    assert code == 0
+    [(obj, keys)] = built
+    assert keys and set(obj._refs) == keys
 
 
 def test_missing_file_exits_4(tmp_path):

@@ -440,6 +440,36 @@ def test_tubular_rank_check_flows_once(coiso_line, monkeypatch):
     assert calls == [50]
 
 
+def test_tubular_frames_do_not_depend_on_call_order():
+    # the tube frame is aligned to the one at the anchor u0, fixed when the
+    # complement is built, whichever of the two asks for a frame first
+    def run(map_first):
+        _, chart, comp = scene_parts("figure-eight")
+        sat = model.saturation_chart(comp, steps=32, u_counts=3, radius=0.05, per_u=1)
+        frames = {}
+        real = sat.complement_frame
+
+        def recording(u):
+            frame = frames[np.asarray(u, dtype=float).tobytes()] = real(u)
+            return frame
+
+        sat.complement_frame = recording
+        args = (sat, chart.sample(1, seed=9)[0], [0.01], [0.02])
+        if map_first:
+            tube = model.tubular_map(*args)
+            rep = model.tubular_rank_check(sat, count=5)
+        else:
+            rep = model.tubular_rank_check(sat, count=5)
+            tube = model.tubular_map(*args)
+        return tube, rep, frames
+
+    (tube_a, rep_a, frames_a), (tube_b, rep_b, frames_b) = run(True), run(False)
+    assert rep_a == rep_b == {"ok": True, "samples": 5}
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(tube_a, tube_b))
+    assert frames_a.keys() == frames_b.keys() and len(frames_a) == 6
+    assert all(frames_a[u].tobytes() == frames_b[u].tobytes() for u in frames_a)
+
+
 # --- model independence ---
 
 
@@ -646,21 +676,26 @@ def _gotay(dim, form):
 
 
 @pytest.mark.parametrize("dim, form", [(3, _form_r3), (4, _form_r4)], ids=["r3", "r4"])
-def test_stacked_gotay_inclusions_are_bitwise_per_row(dim, form):
-    xs = np.random.default_rng(4).uniform(-0.1, 0.1, size=(3, dim))
-    stacked, per_row = _gotay(dim, form), _gotay(dim, form)
-    reads = stacked._inclusion_reads(xs, 1e-5)
-    # the first read sets the alignment reference in both
-    got = stacked._inclusions(reads)
-    ref = [per_row._inclusion(x) for x in reads]
-    assert len(got) == len(ref) == 3 * (2 * (dim + stacked.fiber_dim) + 2) * (2 * dim + 1)
-    assert all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in zip(got, ref))
-    assert not got[0].flags.writeable and not got[-1].flags.writeable
-    assert stacked._inclusion_memo.keys() == per_row._inclusion_memo.keys()
-    # a second fetch reads every point from the memo
-    again = stacked._inclusions(reads[1:])
-    assert all(a is stacked._inclusion_memo[x.tobytes()] for a, x in zip(again, reads[1:]))
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, ref[1:]))
+def test_stacked_gotay_inclusions_are_bitwise_per_row(monkeypatch, dim, form):
+    # verify computes every inclusion it reads in its one stacked warm-up
+    # call, and each kept inclusion is bitwise the one computed alone
+    got = _gotay(dim, form)
+    batches = []
+    real = got._compute_inclusions
+
+    def counted(xs):
+        batches.append(len(xs))
+        return real(xs)
+
+    monkeypatch.setattr(got, "_compute_inclusions", counted)
+    rep = got.verify(samples=3)
+    assert batches == [len(got._inclusion_memo)]
+    assert got.verify(samples=3) == rep and sum(batches[1:]) == 0  # all memo hits
+    per_row = _gotay(dim, form)
+    for key, incl in reversed(got._inclusion_memo.items()):
+        ref = per_row._inclusion(np.frombuffer(key))
+        assert incl.tobytes() == ref.tobytes() and incl.shape == ref.shape
+        assert not incl.flags.writeable
 
 
 @pytest.mark.parametrize("dim, form", [(3, _form_r3), (4, _form_r4)], ids=["r3", "r4"])
@@ -719,9 +754,9 @@ def test_gotay_memo_computes_each_inclusion_once(monkeypatch):
     omega = SkewForm(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     model.GotayModel(3, omega).verify(samples=20)
     # one kernel per distinct stencil point; 1 + 20 * 70 = 1401 without the
-    # memo.  The origin at construction and the first sample point, which
-    # sets the alignment reference and is not kept, run alone; every other
-    # kernel of verify is one stacked call
+    # memo.  Construction computes the origin's kernel, then its inclusion,
+    # which sets the alignment references and is not kept; every kernel of
+    # verify is in its one stacked warm-up call
     assert rows == [1, 1, 500]
 
 

@@ -319,7 +319,7 @@ def _point_data_reference(bv, chart, u):
         sv_img = np.linalg.svd(image, compute_uv=False) if image.size else np.zeros(0)
         sv_stk = np.linalg.svd(stack, compute_uv=False)
         if submanifold._decisive(sv_img, r) and submanifold._decisive(sv_stk, n - corank):
-            raise ValueError(f"exactness violation at u = {tuple(u)}: "
+            raise ValueError(f"exactness violation at u = {tuple(u.tolist())}: "
                              f"rank {r} + corank {corank} != {n - k}")
     return submanifold.PointData(u, x, dx, p, tx, txperp, corank)
 
@@ -375,7 +375,8 @@ def test_stacked_exactness_violation_raises_as_per_row():
         point_data_rows(bv, chart, us)
     assert str(stacked.value) == str(per_row.value)
     message = str(stacked.value)
-    assert message.startswith("exactness violation at u = (") and "0.9" in message
+    assert message.startswith("exactness violation at u = (0.9,)")
+    assert "np.float64" not in message  # the text does not depend on the numpy version
     assert message.endswith("rank 2 + corank 2 != 2")
     assert len(point_data_rows(bv, chart, us[[0, 1, 4]])) == 3
 
