@@ -21,7 +21,6 @@ J(u) are meaningful.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from itertools import combinations
 
 import numpy as np
@@ -104,18 +103,9 @@ def _span_in(big, small_perp):
 
 
 class FrameAligner:
-    """Aligns every basis stored under a key to the first (sign-fixed) one, and
-    memoises per-point results on the bits of the point.  The constructor sets
-    every reference from frames at an anchor point that it does not keep, so no
-    result depends on which point is read first."""
-
-    def _memoised(self, memo, x, compute):
-        """compute(), kept in memo on the bits of x unless it raised."""
-        key = np.asarray(x, dtype=float).tobytes()
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = compute()
-        return value
+    """Aligns every basis stored under a key to the first (sign-fixed) one.
+    The constructor sets every reference from frames at an anchor point that
+    it does not keep, so no result depends on which point is read first."""
 
     def _aligned(self, key, basis):
         ref = self._refs.get(key)
@@ -163,6 +153,14 @@ class ComplementChoice(FrameAligner):
         self.rank_perp = anchor.rank_perp
         self.cap_dim = anchor.cap_dim
         self.corank = anchor.corank
+
+    def _memoised(self, memo, x, compute):
+        """compute(), kept in memo on the bits of x unless it raised."""
+        key = np.asarray(x, dtype=float).tobytes()
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = compute()
+        return value
 
     def at(self, u) -> ComplementFrame:
         u = np.atleast_1d(np.array(u, dtype=float))  # a frame is frozen: never alias
@@ -325,15 +323,15 @@ def _central_diff(f, u, vec, rows, h):
     return out
 
 
-def _bundle_flow(comp, us, zetas, steps, with_jac=False, with_omega=False):
-    """Embed every (u, zeta) row and flow all of them in one batch.
+def _bundle_flow(comp, us, zetas, steps, with_omega=False):
+    """Embed every (u, zeta) row and flow all of them in one batch, with jac.
 
     Returns the per-row embeddings of _bundle_embedding and the
     FlowResult; batched rows are bitwise those of single-row flows.
     """
     frames = [_bundle_embedding(comp, u, z) for u, z in zip(us, zetas)]
     res = flow(comp.bv, np.stack([f[1] for f in frames]), np.stack([f[2] for f in frames]),
-               steps=steps, with_jac=with_jac, with_omega=with_omega)
+               steps=steps, with_jac=True, with_omega=with_omega)
     return frames, res
 
 
@@ -354,7 +352,7 @@ def _require_inside(res):
 def _chart_flow(comp, us, zetas, steps):
     """One jac + omega flow of every (u, zeta) row: the per-row embeddings,
     the FlowResult, and dPhi and eta at every row."""
-    frames, res = _bundle_flow(comp, us, zetas, steps, with_jac=True, with_omega=True)
+    frames, res = _bundle_flow(comp, us, zetas, steps, with_omega=True)
     etas = np.stack([_eta_of(f, w) for f, w in zip(frames, res.omega)])
     return frames, res, _phi_jacs(frames, res), etas
 
@@ -390,12 +388,8 @@ def eta_canonical_form_source(comp, u, zeta, fd_h=1e-5):
     pullback of the canonical form is tau plus a base curvature term.
     """
     zeta = np.asarray(zeta, dtype=float).reshape(comp.rank_perp)
-
-    def tau_at(uu):
-        f = comp.at(uu)
-        return f.dx.T @ f.j
-
-    return _canonical_form_gauge(tau_at, np.atleast_1d(np.asarray(u, dtype=float)), zeta, fd_h)
+    return _canonical_form_gauge(lambda uu: sigma_tau(comp, uu)[1],
+                                 np.atleast_1d(np.asarray(u, dtype=float)), zeta, fd_h)
 
 
 def _canonical_form_gauge(f, u, vec, h):
@@ -415,11 +409,11 @@ def _gauge_blocks(a, b):
     return out
 
 
-def _fd_gradient(f, point, h):
-    """Central-difference gradient, grads[a] = d/dp_a f at point; f maps the
-    (2d, d) stack of probe points to their stacked values in one call."""
-    vals = f(np.vstack(_stencil(point, h)))
-    return (vals[:len(point)] - vals[len(point):]) / (2 * h)
+def _fd_gradient(vals, h):
+    """Central-difference gradient, grads[a] = d/dp_a f at a point, from the
+    stacked values of f at the 2d rows of np.vstack(_stencil(point, h))."""
+    d = len(vals) // 2
+    return (vals[:d] - vals[d:]) / (2 * h)
 
 
 def eta_closedness_residual(comp, u, zeta, steps=256, h=1e-4):
@@ -427,8 +421,8 @@ def eta_closedness_residual(comp, u, zeta, steps=256, h=1e-4):
     k = comp.chart.param_dim
     zeta = np.asarray(zeta, dtype=float).reshape(comp.rank_perp)
     point = np.concatenate([np.atleast_1d(u), zeta])
-    grads = _fd_gradient(lambda ps: eta_forms(comp, ps[:, :k], ps[:, k:], steps=steps),
-                         point, h)
+    ps = np.vstack(_stencil(point, h))
+    grads = _fd_gradient(eta_forms(comp, ps[:, :k], ps[:, k:], steps=steps), h)
     return max([0.0, *(abs(grads[a][b, c] + grads[b][c, a] + grads[c][a, b])
                        for a, b, c in combinations(range(len(point)), 3))])
 
@@ -545,7 +539,7 @@ class SaturationChart:
 
     def map_and_jac(self, us, zetas):
         """Phi and dPhi at every (u, zeta) row, in one flow."""
-        frames, res = _bundle_flow(self.comp, us, zetas, self.steps, with_jac=True)
+        frames, res = _bundle_flow(self.comp, us, zetas, self.steps)
         _require_inside(res)
         return res.x, _phi_jacs(frames, res)
 
@@ -675,11 +669,20 @@ def verify_normal_form(sat: SaturationChart, tol=1e-4, eta_source="flow"):
 
 
 def tubular_map(sat: SaturationChart, u, zeta, c):
-    """Extension of the saturation chart by an affine complement frame."""
+    """Extension Psi(u, zeta, c) = Phi(u, zeta) + F(u) c of the saturation
+    chart by the tube frame F, and its differential."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
     frame = sat.complement_frame(u)
     vals, jacs = sat.map_and_jac([u], [zeta])
     c = np.asarray(c, dtype=float).reshape(frame.shape[1])
-    return vals[0] + frame @ c, np.hstack([jacs[0], frame])
+    return vals[0] + frame @ c, _tube_differential(sat, u, jacs[0], c)
+
+
+def _tube_differential(sat, u, dphi, c):
+    """dPsi = [dPhi + (dF/du) c on the u columns | F] at (u, zeta, c)."""
+    dpsi = np.hstack([dphi, sat.complement_frame(u)])
+    dpsi[:, :len(u)] += _central_diff(sat.complement_frame, u, c, len(dpsi), 1e-5)
+    return dpsi
 
 
 def tubular_rank_check(sat: SaturationChart, count=50, radius=0.1, seed=2):
@@ -689,15 +692,15 @@ def tubular_rank_check(sat: SaturationChart, count=50, radius=0.1, seed=2):
     n = sat.bv.dim
     r = sat.comp.rank_perp
     e_dim = n - sat.model_dim
-    zetas = []
+    zetas, cs = [], []
     for _ in us:
         zeta = rng.normal(size=r)
         if r:
             zeta *= radius * rng.uniform(0, 1) / max(np.linalg.norm(zeta), 1e-12)
         zetas.append(zeta)
-        rng.uniform(-radius, radius, e_dim)  # the affine offset: dpsi does not depend on it
+        cs.append(rng.uniform(-radius, radius, e_dim))
     _, jacs = sat.map_and_jac(us, np.array(zetas).reshape(len(us), r))
-    tubes = rank_svd_many([np.hstack([jac, sat.complement_frame(u)]) for u, jac in zip(us, jacs)])
+    tubes = rank_svd_many([_tube_differential(sat, u, jac, c) for u, jac, c in zip(us, jacs, cs)])
     for u, (rank, _, _) in zip(us, tubes):
         if rank != n:
             return {"ok": False, "witness": tuple(float(x) for x in u)}
@@ -789,9 +792,9 @@ class GotayModel(FrameAligner):
     is a constant SkewForm or a callable x -> L(x)), the ambient space is
     the bundle chart R^k x R^m of K-dual fibers; the bivector is extracted
     from the canonical-form gauge of the lifted structure.  Frames are
-    aligned to those at the origin for smoothness.  L(x) and the inclusion
-    at x are memoised on the bits of x: the finite-difference stencils of
-    bivector_at and verify revisit the same points many times.
+    aligned to those at the origin for smoothness.  Every bivector comes
+    from one batch path, _bivectors, which computes L and the fiber
+    inclusion once per distinct point that one call's gauge stencils read.
     """
 
     def __init__(self, dim, l_source):
@@ -801,22 +804,17 @@ class GotayModel(FrameAligner):
         else:
             self._l_at = l_source
         self._refs = {}
-        self._l_memo = {}
-        self._inclusion_memo = {}
         self._vertical = orth(np.vstack([np.eye(k), np.zeros((k, k))]))
-        origin = np.zeros((1, k))
+        self._origin, self._l0 = np.zeros(k).tobytes(), self._l_at(np.zeros(k))
         self.fiber_dim = None
-        self.fiber_dim = self._kernels(origin)[0].shape[1]
-        self._compute_inclusions(origin)
+        self.fiber_dim = self._kernels([self._l0])[0].shape[1]
+        self._inclusions([self._l0])  # sets the "g" reference
         self._dpr = np.hstack([np.eye(k), np.zeros((k, self.fiber_dim))])
 
-    def _l(self, x):
-        return self._memoised(self._l_memo, x, lambda: self._l_at(np.asarray(x, dtype=float)))
-
-    def _kernels(self, xs):
-        """Aligned frame of the tangent kernel of L at every row of xs."""
+    def _kernels(self, ls):
+        """Aligned frame of the tangent kernel of every Dirac space in ls."""
         k = self.dim
-        qls = orth_many([self._l(x).basis for x in xs])
+        qls = orth_many([l.basis for l in ls])
         out = []
         for cap in intersect_orth_many(qls, [self._vertical] * len(qls)):
             if self.fiber_dim is not None and cap.shape[1] != self.fiber_dim:
@@ -824,90 +822,76 @@ class GotayModel(FrameAligner):
             out.append(self._aligned("k", cap[:k]) if cap.shape[1] else np.zeros((k, 0)))
         return out
 
-    def _inclusion(self, x):
-        return self._memoised(self._inclusion_memo, x, lambda: self._compute_inclusions([x])[0])
-
-    def _inclusions(self, xs):
-        """Memoise the inclusion at every row of xs, the misses computed in
-        stacked steps; a failure is raised by the first failing row of the
-        step that finds it, and nothing of that step is kept."""
-        todo = {np.asarray(x, dtype=float).tobytes(): x for x in xs}
-        todo = {key: x for key, x in todo.items() if key not in self._inclusion_memo}
-        for key, incl in zip(todo, self._compute_inclusions(list(todo.values()))):
-            self._inclusion_memo[key] = incl
-
-    def _compute_inclusions(self, xs):
-        kerns = self._kernels(xs)
+    def _inclusions(self, ls):
+        """Fiber inclusion of every Dirac space in ls, in stacked steps; a
+        failure is raised by the first failing row of the step that finds it."""
+        kerns = self._kernels(ls)
         gs = [self._aligned("g", g) for g in null_many([kern.T for kern in kerns])]
         stacks = [np.hstack([kern, g]) for kern, g in zip(kerns, gs)]
         m = self.fiber_dim
         rhs = np.vstack([np.eye(m), np.zeros((self.dim - m, m))])
+        if any(rank != self.dim for rank, _, _ in rank_svd_many(stacks)):
+            raise RankDeficient("G is not a complement of the kernel")
+        return [np.linalg.solve(stack.T, rhs) for stack in stacks]
+
+    def _bivectors(self, qs):
+        """Model bivector at every row (x, c) of qs, and L at every x.
+
+        The distinct points the rows' gauge stencils read are listed on their
+        bits, in the order _canonical_form_gauge reads them.  L is computed
+        once per point (the origin's is the one construction computed) and
+        every inclusion in one stacked step; each row is then gauged and
+        extracted, bitwise as it would be alone.
+        """
+        k = self.dim
+        qs = np.asarray(qs, dtype=float)
+        points = {y.tobytes(): y for x in qs[:, :k]
+                  for y in (x, *np.stack(_stencil(x, _GAUGE_FD_H), axis=1).reshape(-1, k))}
+        ls = {key: self._l0 if key == self._origin else self._l_at(y) for key, y in points.items()}
+        incls = dict(zip(ls, self._inclusions(list(ls.values()))))
+        bases = [ls[q[:k].tobytes()] for q in qs]
         out = []
-        for stack, (rank, _, _) in zip(stacks, rank_svd_many(stacks)):
-            if rank != self.dim:
-                raise RankDeficient("G is not a complement of the kernel")
-            incl = np.linalg.solve(stack.T, rhs)
-            incl.flags.writeable = False
-            out.append(incl)
-        return out
+        for l, q in zip(bases, qs):
+            eta = _canonical_form_gauge(lambda y: incls[y.tobytes()], q[:k], q[k:], _GAUGE_FD_H)
+            out.append(_model_from_eta(dirac_pullback(l, self._dpr), eta))
+        return out, bases
 
     def bivector_at(self, x, c):
-        lifted = dirac_pullback(self._l(x), self._dpr)
-        c = np.asarray(c, dtype=float).reshape(self.fiber_dim)
-        eta = _canonical_form_gauge(self._inclusion, x, c, _GAUGE_FD_H)
-        return dirac_to_bivector(dirac_gauge(lifted, eta))
-
-    def _inclusion_reads(self, xs, h):
-        """Every point at which verify reads an inclusion: the base point and the
-        gauge stencil of each bivector, at every sample x and at the base rows
-        of the h-stencil around (x, c), which do not depend on c."""
-        k, m = self.dim, self.fiber_dim
-        reads = []
-        for x in xs:
-            plus, minus = _stencil(np.concatenate([x, np.zeros(m)]), h)
-            for y in [x, *plus[:, :k], *minus[:, :k]]:
-                reads += [y, *np.vstack(_stencil(y, _GAUGE_FD_H))]
-        return reads
+        """Model bivector at (x, c): the one-row case of _bivectors."""
+        q = np.concatenate([np.reshape(x, self.dim), np.reshape(c, self.fiber_dim)])
+        return self._bivectors(q[None])[0][0]
 
     def verify(self, samples=20, radius=0.1, seed=4, fd_h=1e-5):
         """Coisotropy of the zero section, reproduction of L, Jacobi.
 
-        Every fiber inclusion the samples read is memoised in one stacked
-        _inclusions call before the first bivector; when that fails, the
-        per-point loop raises the failure where it meets it.
+        One _bivectors call takes the rows of every sample x: (x, 0), (x, c)
+        and the fd_h-stencil of (x, c), whose bivectors give the Jacobi
+        gradients; a failure of its stacked step comes before any extraction.
         """
         k, m = self.dim, self.fiber_dim
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-radius, radius, size=(samples, k))
-        with suppress(ValueError):
-            self._inclusions(self._inclusion_reads(xs, fd_h))
-        coiso = 0.0
-        angles = 0.0
-        jacobi = 0.0
+        points = [np.concatenate([x, rng.uniform(-radius, radius, m)]) for x in xs]
+        rows = [[np.concatenate([x, np.zeros(m)]), q, *np.vstack(_stencil(q, fd_h))]
+                for x, q in zip(xs, points)]
+        span = 2 * (k + m) + 2
+        ps, ls = self._bivectors(np.reshape(rows, (-1, k + m)))
+        coiso = angles = jacobi = 0.0
         incl = np.vstack([np.eye(k), np.zeros((m, k))])
-        for x in xs:
-            p = self.bivector_at(x, np.zeros(m))
-            conormal = np.vstack([np.zeros((k, m)), np.eye(m)])
+        conormal = np.vstack([np.zeros((k, m)), np.eye(m)])
+        for i in range(0, len(ps), span):
+            p, p0, *stencil = ps[i:i + span]
             image = p @ conormal
             resid = image - incl @ (incl.T @ image)
-            coiso = max(coiso, float(np.abs(resid).max()))
+            coiso = max(coiso, float(np.abs(resid).max(initial=0.0)))
             back = dirac_pullback(dirac_graph(p, "bivector"), incl)
-            ang = principal_angles(back.basis, self._l(x).basis)
+            ang = principal_angles(back.basis, ls[i].basis)
             angles = max(angles, float(ang.max()) if ang.size else 0.0)
-            c = rng.uniform(-radius, radius, m)
-            jacobi = max(jacobi, self._fd_jacobi(x, c, fd_h))
+            grads = _fd_gradient(np.array(stencil), fd_h)
+            cyclic = (np.einsum("lk,lij->ijk", p0, grads) + np.einsum("li,ljk->ijk", p0, grads)
+                      + np.einsum("lj,lki->ijk", p0, grads))
+            jacobi = max(jacobi, float(np.abs(cyclic).max()))
         return {"coisotropy": coiso, "reproduction_angle": angles, "jacobi_fd": jacobi}
-
-    def _fd_jacobi(self, x, c, h):
-        k = self.dim
-        point = np.concatenate([np.asarray(x, dtype=float), np.asarray(c, dtype=float)])
-        p0 = self.bivector_at(point[:k], point[k:])
-        grads = _fd_gradient(
-            lambda ps: np.array([self.bivector_at(q[:k], q[k:]) for q in ps]), point, h)
-        t1 = np.einsum("lk,lij->ijk", p0, grads)
-        t2 = np.einsum("li,ljk->ijk", p0, grads)
-        t3 = np.einsum("lj,lki->ijk", p0, grads)
-        return float(np.abs(t1 + t2 + t3).max())
 
 
 def fiberwise_reflection_residual(l_base: DiracSpace, a_block, b_block):

@@ -240,6 +240,22 @@ def test_gotay_scene_all_exits_0(tmp_path):
     assert rep["stages"]["verify"]["status"] == "pass"
 
 
+@pytest.mark.parametrize("command", ["verify", "all"])
+@pytest.mark.parametrize("dim,entries", [(2, 'entry = 1 2 "2"\n'),
+                                         (4, 'entry = 1 2 "1"\nentry = 3 4 "1"\n')],
+                         ids=["dim2", "dim4"])
+def test_gotay_symplectic_scene_verifies(tmp_path, command, dim, entries):
+    # a symplectic form has kernel rank 0: no fiber, so nothing to be coisotropic
+    path = tmp_path / "symplectic.scene"
+    path.write_text(f"[presymplectic]\ndim = {dim}\n{entries}")
+    code, out = run_main([command, str(path)])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["stages"]["analyze"]["fiber_dim"] == 0
+    assert rep["stages"]["verify"]["status"] == "pass"
+    assert rep["stages"]["verify"]["coisotropy"] == 0.0
+
+
 @pytest.mark.parametrize("command,stage", [("all", "model"), ("verify", "verify")])
 def test_gotay_kernel_rank_jump_exits_3(tmp_path, command, stage):
     # x3 dx1^dx2 on R^4: kernel rank 4 at the origin, 2 wherever x3 != 0

@@ -466,8 +466,20 @@ def test_tubular_frames_do_not_depend_on_call_order():
     (tube_a, rep_a, frames_a), (tube_b, rep_b, frames_b) = run(True), run(False)
     assert rep_a == rep_b == {"ok": True, "samples": 5}
     assert all(a.tobytes() == b.tobytes() for a, b in zip(tube_a, tube_b))
-    assert frames_a.keys() == frames_b.keys() and len(frames_a) == 6
+    # 6 states, each reading the frame at u and at its 4-point stencil in u
+    assert frames_a.keys() == frames_b.keys() and len(frames_a) == 6 * 5
     assert all(frames_a[u].tobytes() == frames_b[u].tobytes() for u in frames_a)
+
+
+def test_tubular_differential_matches_central_difference():
+    # the u columns of dPsi carry (dF/du) c, since the tube frame F turns with u
+    _, chart, comp = scene_parts("figure-eight")
+    sat = model.saturation_chart(comp, steps=64, u_counts=3, radius=0.05, per_u=1)
+    u, zeta, c, h = np.array([0.4, 0.2]), [0.01], [0.05], 1e-5
+    _, dpsi = model.tubular_map(sat, u, zeta, c)
+    for a, e in enumerate(h * np.eye(2)):
+        plus, minus = (model.tubular_map(sat, u + s * e, zeta, c)[0] for s in (1, -1))
+        assert np.abs((plus - minus) / (2 * h) - dpsi[:, a]).max() <= 1e-6
 
 
 # --- model independence ---
@@ -632,39 +644,6 @@ def _form_r4(x):
                      [0.0, -x[1], 0.0, 0.0], [0.0, -x[3], 0.0, 0.0]])
 
 
-@pytest.mark.parametrize("origin_first", [False, True], ids=["verify-first", "origin-first"])
-@pytest.mark.parametrize("dim, form, fiber", [(3, _form_r3, 1), (4, _form_r4, 2)],
-                         ids=["r3-fiber1", "r4-fiber2"])
-def test_gotay_memo_is_bitwise_exact(monkeypatch, dim, form, fiber, origin_first):
-    # every bivector the model extracts, with and without the per-point memo
-    def run(memo):
-        got = model.GotayModel(dim, lambda x: dirac_graph(SkewForm(form(x)), "two_form"))
-        assert got.fiber_dim == fiber
-        seen = []
-
-        def recording(l):
-            seen.append(to_bivector(l))
-            return seen[-1]
-
-        with monkeypatch.context() as m:
-            m.setattr(model, "dirac_to_bivector", recording)
-            if not memo:
-                m.setattr(got, "_l_memo", _Forgetful())
-                m.setattr(got, "_inclusion_memo", _Forgetful())
-            if origin_first:
-                got.bivector_at(np.zeros(dim), np.zeros(fiber))
-            rep = got.verify(samples=20)
-        return rep, seen, len(got._inclusion_memo)
-
-    to_bivector = model.dirac_to_bivector
-    rep, seen, kept = run(memo=True)
-    ref_rep, ref_seen, _ = run(memo=False)
-    assert kept > 0
-    assert rep == ref_rep
-    assert len(seen) == len(ref_seen) == (1 if origin_first else 0) + 20 * (2 * (dim + fiber) + 2)
-    assert all(np.array_equal(a, b) for a, b in zip(seen, ref_seen))
-
-
 def _x3_form_r4(x):
     # x3 dx1^dx2: kernel rank 4 at the origin, 2 wherever x3 != 0
     return np.array([[0.0, x[2], 0.0, 0.0], [-x[2], 0.0, 0.0, 0.0],
@@ -675,33 +654,84 @@ def _gotay(dim, form):
     return model.GotayModel(dim, lambda x: dirac_graph(SkewForm(form(x)), "two_form"))
 
 
+def _record_rows(monkeypatch, got, rows):
+    """Record every (x, c) row that got's batch path is asked for."""
+    real = got._bivectors
+
+    def recording(qs):
+        rows.extend(np.asarray(qs, dtype=float))
+        return real(qs)
+
+    monkeypatch.setattr(got, "_bivectors", recording)
+
+
+@pytest.mark.parametrize("origin_first", [False, True], ids=["verify-first", "origin-first"])
+@pytest.mark.parametrize("dim, form, fiber", [(3, _form_r3, 1), (4, _form_r4, 2)],
+                         ids=["r3-fiber1", "r4-fiber2"])
+def test_gotay_memo_is_bitwise_exact(monkeypatch, dim, form, fiber, origin_first):
+    # the model keeps nothing between calls: every bivector verify extracts is
+    # bitwise the one bivector_at gives for that row alone, and reading the
+    # origin first changes neither the bivectors nor the report
+    def run(first):
+        got = _gotay(dim, form)
+        assert got.fiber_dim == fiber
+        rows, seen = [], []
+
+        def recording(l):
+            seen.append(to_bivector(l))
+            return seen[-1]
+
+        _record_rows(monkeypatch, got, rows)
+        with monkeypatch.context() as m:
+            m.setattr(model, "dirac_to_bivector", recording)
+            if first:
+                got.bivector_at(np.zeros(dim), np.zeros(fiber))
+            rep = got.verify(samples=20)
+        return rep, rows, seen
+
+    to_bivector = model.dirac_to_bivector
+    rep, rows, seen = run(origin_first)
+    ref_rep, _, ref_seen = run(False)
+    assert rep == ref_rep
+    assert len(rows) == len(seen) == (1 if origin_first else 0) + 20 * (2 * (dim + fiber) + 2)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seen[-len(ref_seen):], ref_seen))
+    alone = _gotay(dim, form)
+    for q, p in zip(rows, seen):
+        assert p.tobytes() == alone.bivector_at(q[:dim], q[dim:]).tobytes()
+
+
 @pytest.mark.parametrize("dim, form", [(3, _form_r3), (4, _form_r4)], ids=["r3", "r4"])
 def test_stacked_gotay_inclusions_are_bitwise_per_row(monkeypatch, dim, form):
-    # verify computes every inclusion it reads in its one stacked warm-up
-    # call, and each kept inclusion is bitwise the one computed alone
+    # verify computes every inclusion in one stacked step, once per distinct
+    # point its gauge stencils read, each bitwise the one computed alone
     got = _gotay(dim, form)
-    batches = []
-    real = got._compute_inclusions
+    batches, points = [], []
+    real, real_l = got._inclusions, got._l_at
 
-    def counted(xs):
-        batches.append(len(xs))
-        return real(xs)
+    def counted(ls):
+        batches.append((ls, real(ls)))
+        return batches[-1][1]
 
-    monkeypatch.setattr(got, "_compute_inclusions", counted)
+    def listed(x):
+        points.append(x.tobytes())
+        return real_l(x)
+
+    monkeypatch.setattr(got, "_inclusions", counted)
+    monkeypatch.setattr(got, "_l_at", listed)
     rep = got.verify(samples=3)
-    assert batches == [len(got._inclusion_memo)]
-    assert got.verify(samples=3) == rep and sum(batches[1:]) == 0  # all memo hits
+    [(ls, incls)] = batches
+    assert len(ls) == len(points) == len(set(points))
+    assert got.verify(samples=3) == rep and len(batches) == 2
     per_row = _gotay(dim, form)
-    for key, incl in reversed(got._inclusion_memo.items()):
-        ref = per_row._inclusion(np.frombuffer(key))
+    for l, incl in zip(reversed(ls), reversed(incls)):
+        [ref] = per_row._inclusions([l])
         assert incl.tobytes() == ref.tobytes() and incl.shape == ref.shape
-        assert not incl.flags.writeable
 
 
 @pytest.mark.parametrize("dim, form", [(3, _form_r3), (4, _form_r4)], ids=["r3", "r4"])
 def test_stacked_gotay_verify_is_bitwise_per_row(monkeypatch, dim, form):
-    # the per-row reference reads every inclusion through _inclusion, the
-    # path verify takes when the stacked fetch fails
+    # the per-row reference sends every row of verify through the batch path
+    # on its own
     def run(stacked):
         got = _gotay(dim, form)
         seen = []
@@ -710,15 +740,17 @@ def test_stacked_gotay_verify_is_bitwise_per_row(monkeypatch, dim, form):
             seen.append(to_bivector(l))
             return seen[-1]
 
+        def per_row(qs):
+            alone = [real(q[None]) for q in np.asarray(qs, dtype=float)]
+            return [ps[0] for ps, _ in alone], [ls[0] for _, ls in alone]
+
+        real = got._bivectors
         with monkeypatch.context() as m:
             m.setattr(model, "dirac_to_bivector", recording)
             if not stacked:
-                m.setattr(got, "_inclusions", _refuse)
+                m.setattr(got, "_bivectors", per_row)
             rep = got.verify(samples=5)
         return rep, seen
-
-    def _refuse(xs):
-        raise ValueError("per-row reference")
 
     to_bivector = model.dirac_to_bivector
     (rep, seen), (ref_rep, ref_seen) = run(True), run(False)
@@ -727,19 +759,19 @@ def test_stacked_gotay_verify_is_bitwise_per_row(monkeypatch, dim, form):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, ref_seen))
 
 
-def test_stacked_gotay_kernel_rank_jump_raises_as_per_row():
+def test_stacked_gotay_kernel_rank_jump_raises_as_per_row(monkeypatch):
     got = _gotay(4, _x3_form_r4)
     assert got.fiber_dim == 4
-    reads = got._inclusion_reads(np.random.default_rng(4).uniform(-0.1, 0.1, size=(2, 4)), 1e-5)
-    with pytest.raises(RankDeficient) as per_row:
-        for x in reads:
-            _gotay(4, _x3_form_r4)._inclusion(x)
-    with pytest.raises(RankDeficient) as stacked:
-        got._inclusions(reads)
+    rows = []
+    _record_rows(monkeypatch, got, rows)
     with pytest.raises(RankDeficient) as verified:
-        _gotay(4, _x3_form_r4).verify(samples=20)
-    assert str(stacked.value) == str(per_row.value) == str(verified.value)
-    assert str(stacked.value) == "tangent kernel rank is not constant"
+        got.verify(samples=20)
+    assert len(rows) == 20 * (2 * 8 + 2)
+    alone = _gotay(4, _x3_form_r4)
+    with pytest.raises(RankDeficient) as per_row:
+        for q in rows:
+            alone.bivector_at(q[:4], q[4:])
+    assert str(verified.value) == str(per_row.value) == "tangent kernel rank is not constant"
 
 
 def test_gotay_memo_computes_each_inclusion_once(monkeypatch):
