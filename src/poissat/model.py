@@ -50,7 +50,7 @@ from .linear import (
     subspace_intersect,
 )
 from .sprayflow import flow
-from .submanifold import Chart, point_data, pullback_dirac
+from .submanifold import Chart, point_data_rows, pullback_dirac
 
 RADIUS_FLOOR = 1e-3
 _GAUGE_FD_H = 1e-5  # GotayModel's central-difference step for the gauge form
@@ -102,6 +102,15 @@ def _span_in(big, small_perp):
     return big @ coeff if coeff.shape[1] else np.zeros((big.shape[0], 0))
 
 
+def _memoised(memo, x, compute):
+    """compute(), kept in memo on the bits of x unless it raised."""
+    key = np.asarray(x, dtype=float).tobytes()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
+
+
 class FrameAligner:
     """Aligns every basis stored under a key to the first (sign-fixed) one.
     The constructor sets every reference from frames at an anchor point that
@@ -132,9 +141,11 @@ class ComplementChoice(FrameAligner):
 
     G and H default to Euclidean complements inside TX and TXperp; all
     frames are aligned to those at the anchor u0, the chart's center, so
-    they vary smoothly.  Frames and base Dirac lifts are memoised on the
-    bits of u: the grid rows and the finite-difference stencils of the
-    bundle embedding revisit the same parameters many times.
+    they vary smoothly and no frame depends on which is read first.
+    Frames and base Dirac lifts are memoised on the bits of u: the grid
+    rows and the finite-difference stencils of the bundle embedding
+    revisit the same parameters many times.  Frames are computed per
+    batch of memo misses, from one point_data_rows call.
     """
 
     def __init__(self, bv: BivectorField, chart: Chart, mode="default", g=None, h=None, w=None):
@@ -148,37 +159,43 @@ class ComplementChoice(FrameAligner):
         self._refs = {}
         self._memo = {}
         self._lifts = {}
-        anchor = self._frame(self.u0)
+        anchor = self._frame(point_data_rows(bv, chart, self.u0[None])[0])
         self._aligned("tube", _tube_basis(anchor))
         self.rank_perp = anchor.rank_perp
         self.cap_dim = anchor.cap_dim
         self.corank = anchor.corank
 
-    def _memoised(self, memo, x, compute):
-        """compute(), kept in memo on the bits of x unless it raised."""
-        key = np.asarray(x, dtype=float).tobytes()
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = compute()
-        return value
-
     def at(self, u) -> ComplementFrame:
-        u = np.atleast_1d(np.array(u, dtype=float))  # a frame is frozen: never alias
-        return self._memoised(self._memo, u, lambda: self._frame(u).freeze())
+        """The frame at u: the one-row case of frames."""
+        return self.frames([u])[0]
 
-    def _frame(self, u):
-        pd = point_data(self.bv, self.chart, u)
+    def frames(self, us):
+        """The frame at every row of us.  The memo misses, listed on their
+        bits in read order, get their PointData from one point_data_rows
+        call; each frame is then built as it would be alone.  A failure is
+        that of the misses in order, point data before any frame's modes."""
+        us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
+        keys = [u.tobytes() for u in us]
+        got = {key: self._memo[key] for key in keys if key in self._memo}
+        misses = {key: u for key, u in zip(keys, us) if key not in got}
+        if misses:  # stacked into a fresh array: a frame is frozen, never alias
+            pds = point_data_rows(self.bv, self.chart, np.stack(list(misses.values())))
+            for key, pd in zip(misses, pds):
+                got[key] = self._memo[key] = self._frame(pd).freeze()
+        return [got[key] for key in keys]
+
+    def _frame(self, pd):
         n = self.bv.dim
         txperp = self._aligned("perp", pd.txperp)
         if self.mode in ("default", "custom"):
             if self.mode == "default":
                 w = self._aligned("w", null(txperp.T) if txperp.shape[1] else np.eye(n))
             else:
-                w = (self._w_user(u) if callable(self._w_user)
+                w = (self._w_user(pd.u) if callable(self._w_user)
                      else np.array(self._w_user, dtype=float))
             frame = ComplementFrame(pd, txperp, w, _solve_inclusion(txperp, w))
         elif self.mode == "coisotropic":
-            frame = self._coisotropic_frame(u, pd, txperp)
+            frame = self._coisotropic_frame(pd, txperp)
         elif self.mode == "pre_poisson":
             frame = self._pre_poisson_frame(pd)
         else:
@@ -209,12 +226,12 @@ class ComplementChoice(FrameAligner):
             raise RankDeficient("no preimages for the symplectic bundle basis")
         return s, alpha.T @ p.T @ alpha
 
-    def _coisotropic_frame(self, u, pd, txperp):
+    def _coisotropic_frame(self, pd, txperp):
         n, k = self.bv.dim, self.chart.param_dim
         r = txperp.shape[1]
         tx = pd.tx
         if rank_svd(np.hstack([tx, txperp]))[0] != k:
-            raise RankDeficient(f"chart is not coisotropic at u = {tuple(u.tolist())}")
+            raise RankDeficient(f"chart is not coisotropic at u = {tuple(pd.u.tolist())}")
         p = pd.p
         g = self._g_user if self._g_user is not None else self._aligned("g", _span_in(tx, txperp))
         if subspace_intersect(g, txperp).shape[1] or rank_svd(np.hstack([g, txperp]))[0] != k:
@@ -295,15 +312,15 @@ def sigma_tau(comp: ComplementChoice, u):
     return sigma, tau
 
 
-def _bundle_embedding(comp: ComplementChoice, u, zeta, fd_h=1e-5):
-    """State e(u, zeta) = (X(u), J(u) zeta) and its differential."""
-    fr = comp.at(u)
+def _bundle_embedding(fr, j_at, zeta, fd_h):
+    """State e(u, zeta) = (X(u), J(u) zeta) and its differential, at the
+    frame fr of u; j_at(v) is J at each point of u's fd_h-stencil."""
     (n, k), r = fr.dx.shape, fr.rank_perp
     zeta = np.asarray(zeta, dtype=float).reshape(r)
     de = np.zeros((2 * n, k + r))
     de[:n, :k] = fr.dx
     de[n:, k:] = fr.j
-    de[n:, :k] = _central_diff(lambda uu: comp.at(uu).j, fr.u, zeta, n, fd_h)
+    de[n:, :k] = _central_diff(j_at, fr.u, zeta, n, fd_h)
     return fr, fr.x, fr.j @ zeta, de
 
 
@@ -312,6 +329,13 @@ def _stencil(point, h):
     point + h*e_a and point - h*e_a."""
     offsets = h * np.eye(len(point))
     return point + offsets, point - offsets
+
+
+def _with_stencil(point, h):
+    """point, then its stencil in the order _central_diff reads it: the
+    plus and minus point of each axis in turn."""
+    plus, minus = _stencil(point, h)
+    return [point, *(y for pair in zip(plus, minus) for y in pair)]
 
 
 def _central_diff(f, u, vec, rows, h):
@@ -323,13 +347,18 @@ def _central_diff(f, u, vec, rows, h):
     return out
 
 
-def _bundle_flow(comp, us, zetas, steps, with_omega=False):
+def _bundle_flow(comp, us, zetas, steps, with_omega=False, fd_h=1e-5):
     """Embed every (u, zeta) row and flow all of them in one batch, with jac.
 
-    Returns the per-row embeddings of _bundle_embedding and the
-    FlowResult; batched rows are bitwise those of single-row flows.
+    The frames of every u and of its fd_h-stencil come from one
+    comp.frames call.  Returns the per-row embeddings of _bundle_embedding
+    and the FlowResult; batched rows are bitwise those of single-row flows.
     """
-    frames = [_bundle_embedding(comp, u, z) for u, z in zip(us, zetas)]
+    us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
+    reads = [y for u in us for y in _with_stencil(u, fd_h)]
+    got = {y.tobytes(): fr for y, fr in zip(reads, comp.frames(reads))}
+    frames = [_bundle_embedding(got[u.tobytes()], lambda v: got[v.tobytes()].j, z, fd_h)
+              for u, z in zip(us, zetas)]
     res = flow(comp.bv, np.stack([f[1] for f in frames]), np.stack([f[2] for f in frames]),
                steps=steps, with_jac=True, with_omega=with_omega)
     return frames, res
@@ -448,7 +477,7 @@ def _lift(comp, u):
     memoised frame and up along the bundle projection; memoised on comp."""
     k = comp.chart.param_dim
     dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
-    return comp._memoised(comp._lifts, u, lambda: dirac_pullback(
+    return _memoised(comp._lifts, u, lambda: dirac_pullback(
         pullback_dirac(comp.bv, comp.chart, comp.at(u).pd, ref_corank=comp.corank), dpr))
 
 
@@ -841,19 +870,20 @@ class GotayModel(FrameAligner):
         bits, in the order _canonical_form_gauge reads them.  L is computed
         once per point (the origin's is the one construction computed) and
         every inclusion in one stacked step; each row is then gauged and
-        extracted, bitwise as it would be alone.
+        extracted, bitwise as it would be alone, and rows that share x share
+        one lift of L along the bundle projection.
         """
         k = self.dim
         qs = np.asarray(qs, dtype=float)
-        points = {y.tobytes(): y for x in qs[:, :k]
-                  for y in (x, *np.stack(_stencil(x, _GAUGE_FD_H), axis=1).reshape(-1, k))}
+        points = {y.tobytes(): y for x in qs[:, :k] for y in _with_stencil(x, _GAUGE_FD_H)}
         ls = {key: self._l0 if key == self._origin else self._l_at(y) for key, y in points.items()}
         incls = dict(zip(ls, self._inclusions(list(ls.values()))))
         bases = [ls[q[:k].tobytes()] for q in qs]
-        out = []
+        lifts, out = {}, []
         for l, q in zip(bases, qs):
             eta = _canonical_form_gauge(lambda y: incls[y.tobytes()], q[:k], q[k:], _GAUGE_FD_H)
-            out.append(_model_from_eta(dirac_pullback(l, self._dpr), eta))
+            lift = _memoised(lifts, q[:k], lambda: dirac_pullback(l, self._dpr))
+            out.append(_model_from_eta(lift, eta))
         return out, bases
 
     def bivector_at(self, x, c):

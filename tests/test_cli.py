@@ -396,49 +396,45 @@ def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch, command, flows):
 ], ids=["verify-figure-eight", "all-transversal-ray"])
 def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, argv, frames,
                                              lifts, gate):
-    # model's point_data runs once per distinct u that reaches
-    # ComplementChoice.at (grid, stencil and probe parameters, and the
-    # anchor twice: the constructor's frame, which sets the alignment
-    # references, is not kept); pullback_dirac once per distinct u that
-    # verify and extraction_radius lift (the lift at u0 is shared), on the
-    # point data of the memoised frame, so the submanifold module computes
-    # point data only for the regularity gate: the scan grid and classify's
-    # 10 extra samples, counted in rows
-    calls = {"point_data": 0, "pullback_dirac": 0, "gate_rows": 0}
-    inside_model = []
-    real_point_data, real_pullback = model.point_data, model.pullback_dirac
+    # ComplementChoice sends point_data_rows one row per distinct u that
+    # reaches its frames (grid, stencil and probe parameters, and the anchor
+    # twice: the constructor's frame, which sets the alignment references,
+    # is not kept), counted in rows; pullback_dirac runs once per distinct u
+    # that verify and extraction_radius lift (the lift at u0 is shared), on
+    # the point data of the memoised frame, so the submanifold module
+    # computes point data only for the regularity gate: the scan grid and
+    # classify's 10 extra samples, counted in rows
+    calls = {"frame_rows": 0, "pullback_dirac": 0, "gate_rows": 0}
+    real_frame_rows, real_pullback = model.point_data_rows, model.pullback_dirac
     real_rows = submanifold.point_data_rows
 
-    def point_data(*args, **kwargs):
-        calls["point_data"] += 1
-        inside_model.append(True)
-        try:
-            return real_point_data(*args, **kwargs)
-        finally:
-            inside_model.pop()
+    def frame_rows(bv, chart, us):
+        calls["frame_rows"] += len(us)
+        return real_frame_rows(bv, chart, us)
 
     def pullback_dirac(*args, **kwargs):
         calls["pullback_dirac"] += 1
         return real_pullback(*args, **kwargs)
 
     def point_data_rows(bv, chart, us):
-        if not inside_model:
-            calls["gate_rows"] += len(us)
+        calls["gate_rows"] += len(us)
         return real_rows(bv, chart, us)
 
-    monkeypatch.setattr(model, "point_data", point_data)
+    monkeypatch.setattr(model, "point_data_rows", frame_rows)
     monkeypatch.setattr(model, "pullback_dirac", pullback_dirac)
     monkeypatch.setattr(submanifold, "point_data_rows", point_data_rows)
     code, _ = run_main([argv[0], write_fixture(tmp_path, fixture), *argv[1:]])
     assert code == 0
-    assert calls == {"point_data": frames, "pullback_dirac": lifts, "gate_rows": gate}
+    assert calls == {"frame_rows": frames, "pullback_dirac": lifts, "gate_rows": gate}
 
 
-@pytest.mark.parametrize("job,calls", [("analyze-cubic-graph", 14), ("gotay-verify", 1582)])
+@pytest.mark.parametrize("job,calls", [("analyze-cubic-graph", 14), ("gotay-verify", 1402)])
 def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, calls):
     # every rank decision of the regularity gate is stacked: analyze makes
     # single-matrix rank_svd calls only in the chart's immersion check, and
-    # GotayModel.verify only in the per-point Dirac chain of each bivector
+    # GotayModel.verify only in the Dirac chain: one lift per distinct x
+    # (140 of them, where one per row made 200), then each bivector's gauge
+    # and extraction
     real = linear.rank_svd
     count = []
 

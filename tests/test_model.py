@@ -180,6 +180,55 @@ def test_complement_memo_is_bitwise_exact(request, monkeypatch, name, mode, w):
         assert w.flags.writeable  # the caller's frame is copied, not frozen
 
 
+@pytest.fixture(scope="module")
+def figure_eight():
+    return scene_parts("figure-eight")[:2]
+
+
+@pytest.mark.parametrize("name, mode, w", [
+    ("figure_eight", "default", None),
+    ("coiso_line", "coisotropic", None),
+    ("iso_line_r4", "pre_poisson", None),
+    ("coiso_line", "custom", lambda u: np.array([[0.3 * u[0], 0.0], [1.0, 0.0], [0.0, 1.0]])),
+], ids=["default-figure-eight", "coisotropic", "pre_poisson", "custom-callable"])
+def test_stacked_frames_are_bitwise_per_row(request, name, mode, w):
+    # one frames call over many rows gives every frame bitwise as per-row at
+    # gives it on a fresh complement, read in reverse order; figure-eight's
+    # chart is not polynomial, so its kernels see batches of every size
+    bv, chart = request.getfixturevalue(name)
+    us = [*chart.grid(3), *chart.sample(4, seed=5)]
+    for u in us[:2]:
+        us += model._with_stencil(u, 1e-5)
+    us += [us[0], chart.center()]  # a repeat and the anchor
+    stacked = model.ComplementChoice(bv, chart, mode=mode, w=w).frames(us)
+    alone = model.ComplementChoice(bv, chart, mode=mode, w=w)
+    per_row = [alone.at(u) for u in reversed(us)][::-1]
+    assert len(stacked) == len(per_row) == len(us)
+    for a, b in zip(stacked, per_row):
+        for x, y in zip((a.u, a.x, a.p, a.dx, a.tx, a.pd.txperp, a.txperp, a.w, a.j),
+                        (b.u, b.x, b.p, b.dx, b.tx, b.pd.txperp, b.txperp, b.w, b.j)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()  # signbits too
+        assert (a.cap_dim, a.corank, a.conditions) == (b.cap_dim, b.corank, b.conditions)
+
+
+def test_stacked_frames_exactness_violation_raises_as_per_row():
+    # a tiny constant bivector against a chart differential that grows to
+    # 1e10: exactness breaks decisively from about u = 0.35 on, so the
+    # batch raises at its first breaking row, as reading row by row does
+    bv = field.BivectorField(3, {(0, 1): "1e-5"})
+    chart = submanifold.Chart(1, 3, ["0", "0", "exp(20*u)"], names=["u"])
+    us = [[-0.5], [0.0], [0.9], [0.6], [0.2]]
+    with pytest.raises(ValueError) as per_row:
+        comp = model.ComplementChoice(bv, chart)
+        for u in us:
+            comp.at(u)
+    with pytest.raises(ValueError) as stacked:
+        model.ComplementChoice(bv, chart).frames(us)
+    assert str(stacked.value) == str(per_row.value)
+    assert str(stacked.value).startswith("exactness violation at u = (0.9,)")
+    assert len(model.ComplementChoice(bv, chart).frames([us[0], us[1], us[4]])) == 3
+
+
 # --- sigma, tau, eta ---
 
 
@@ -774,7 +823,7 @@ def test_stacked_gotay_kernel_rank_jump_raises_as_per_row(monkeypatch):
     assert str(verified.value) == str(per_row.value) == "tangent kernel rank is not constant"
 
 
-def test_gotay_memo_computes_each_inclusion_once(monkeypatch):
+def test_gotay_verify_computes_each_inclusion_once(monkeypatch):
     rows = []
     real = model.intersect_orth_many
 
@@ -785,10 +834,10 @@ def test_gotay_memo_computes_each_inclusion_once(monkeypatch):
     monkeypatch.setattr(model, "intersect_orth_many", counted)
     omega = SkewForm(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     model.GotayModel(3, omega).verify(samples=20)
-    # one kernel per distinct stencil point; 1 + 20 * 70 = 1401 without the
-    # memo.  Construction computes the origin's kernel, then its inclusion,
-    # which sets the alignment references and is not kept; every kernel of
-    # verify is in its one stacked warm-up call
+    # construction computes the origin's kernel, then its inclusion, which
+    # sets the alignment references; verify then makes one stacked
+    # _inclusions call with one kernel per distinct point its gauge stencils
+    # read: 500 of the 20 * 70 = 1400 reads
     assert rows == [1, 1, 500]
 
 
