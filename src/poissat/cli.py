@@ -346,10 +346,16 @@ def _stage_model(comp, p):
                                seed=p["seed"])
     conditions = {k: bool(v) if isinstance(v, (bool, np.bool_)) else float(v)
                   for k, v in fr.conditions.items()}
+    invariants = {}
+    if comp.mode == "pre_poisson":
+        rows = marle_invariants(comp, grid)
+        invariants = {"quotient_rank": int(rows[0]["quotient"].rank()),
+                      "cross_residual": max(r["cross_residual"] for r in rows)}
     ok = (zero_resid <= 1e-6 and closed <= 1e-6 and radius > 0.0
+          and invariants.get("cross_residual", 0.0) <= 1e-8
           and all(v <= 1e-8 for v in conditions.values() if not isinstance(v, bool))
           and all(v for v in conditions.values() if isinstance(v, bool)))
-    out = {
+    return {
         "status": "pass" if ok else "fail",
         "rank_perp": int(comp.rank_perp),
         "cap_dim": int(comp.cap_dim),
@@ -359,12 +365,8 @@ def _stage_model(comp, p):
         "eta_closedness_residual": float(closed),
         "extraction_radius": float(radius),
         "conditions": conditions,
+        **invariants,
     }
-    if comp.mode == "pre_poisson":
-        rows = marle_invariants(comp, grid)
-        out["quotient_rank"] = int(rows[0]["quotient"].rank())
-        out["cross_residual"] = max(r["cross_residual"] for r in rows)
-    return out
 
 
 def _stage_verify(sat, p):

@@ -72,6 +72,7 @@ class ComplementFrame:
         self.j = j  # (n, r), image is W0, pairs with txperp as identity
         self.cap_dim = cap_dim
         self.conditions = conditions or {}
+        self.lift = None  # set by the first _lift at u that succeeds
 
     @property
     def rank_perp(self):
@@ -100,15 +101,6 @@ def _span_in(big, small_perp):
         return big
     coeff = null(small_perp.T @ big)
     return big @ coeff if coeff.shape[1] else np.zeros((big.shape[0], 0))
-
-
-def _memoised(memo, x, compute):
-    """compute(), kept in memo on the bits of x unless it raised."""
-    key = np.asarray(x, dtype=float).tobytes()
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = compute()
-    return value
 
 
 class FrameAligner:
@@ -142,10 +134,10 @@ class ComplementChoice(FrameAligner):
     G and H default to Euclidean complements inside TX and TXperp; all
     frames are aligned to those at the anchor u0, the chart's center, so
     they vary smoothly and no frame depends on which is read first.
-    Frames and base Dirac lifts are memoised on the bits of u: the grid
-    rows and the finite-difference stencils of the bundle embedding
-    revisit the same parameters many times.  Frames are computed per
-    batch of memo misses, from one point_data_rows call.
+    Frames are memoised on the bits of u, each with its base Dirac lift
+    once computed: the grid rows and the finite-difference stencils of
+    the bundle embedding revisit the same parameters many times.  Frames
+    are computed per batch of memo misses, from one point_data_rows call.
     """
 
     def __init__(self, bv: BivectorField, chart: Chart, mode="default", g=None, h=None, w=None):
@@ -158,7 +150,6 @@ class ComplementChoice(FrameAligner):
         self._w_user = w
         self._refs = {}
         self._memo = {}
-        self._lifts = {}
         anchor = self._frame(point_data_rows(bv, chart, self.u0[None])[0])
         self._aligned("tube", _tube_basis(anchor))
         self.rank_perp = anchor.rank_perp
@@ -312,65 +303,56 @@ def sigma_tau(comp: ComplementChoice, u):
     return sigma, tau
 
 
-def _bundle_embedding(fr, j_at, zeta, fd_h):
-    """State e(u, zeta) = (X(u), J(u) zeta) and its differential, at the
-    frame fr of u; j_at(v) is J at each point of u's fd_h-stencil."""
-    (n, k), r = fr.dx.shape, fr.rank_perp
-    zeta = np.asarray(zeta, dtype=float).reshape(r)
-    de = np.zeros((2 * n, k + r))
-    de[:n, :k] = fr.dx
-    de[n:, k:] = fr.j
-    de[n:, :k] = _central_diff(j_at, fr.u, zeta, n, fd_h)
-    return fr, fr.x, fr.j @ zeta, de
-
-
 def _stencil(point, h):
-    """The central-difference stencil of point: (d, d) arrays whose row a is
-    point + h*e_a and point - h*e_a."""
+    """The central-difference stencil of point, one (2d, d) array: every
+    point + h*e_a, then every point - h*e_a."""
     offsets = h * np.eye(len(point))
-    return point + offsets, point - offsets
+    return np.vstack([point + offsets, point - offsets])
 
 
-def _with_stencil(point, h):
-    """point, then its stencil in the order _central_diff reads it: the
-    plus and minus point of each axis in turn."""
-    plus, minus = _stencil(point, h)
-    return [point, *(y for pair in zip(plus, minus) for y in pair)]
-
-
-def _central_diff(f, u, vec, rows, h):
-    """(rows, len(u)) matrix whose column a is d/du_a (f(u) @ vec), central differences."""
-    out = np.zeros((rows, len(u)))
-    plus, minus = _stencil(u, h)
-    for a in range(len(u)):
-        out[:, a] = (f(plus[a]) - f(minus[a])) @ vec / (2 * h)
-    return out
+def _central_diff(vals, h, vec=None):
+    """Central differences at a point from the values of f at the 2d rows of
+    its _stencil, stacked in one array: grads[a] = d/dp_a f, or with vec
+    the (rows, d) matrix whose column a is d/dp_a (f @ vec)."""
+    d = len(vals) // 2
+    diff = vals[:d] - vals[d:]
+    if vec is not None:
+        diff = np.array([dv @ vec for dv in diff]).reshape(d, vals.shape[1]).T
+    return diff / (2 * h)
 
 
 def _bundle_flow(comp, us, zetas, steps, with_omega=False, fd_h=1e-5):
-    """Embed every (u, zeta) row and flow all of them in one batch, with jac.
+    """Embed every (u, zeta) row as e(u, zeta) = (X(u), J(u) zeta) and flow
+    all of them in one batch, with jac.
 
-    The frames of every u and of its fd_h-stencil come from one
-    comp.frames call.  Returns the per-row embeddings of _bundle_embedding
-    and the FlowResult; batched rows are bitwise those of single-row flows.
+    The frames of every u and of its fd_h-stencil come from one comp.frames
+    call; de(u, zeta) has dJ/du zeta from their J.  Returns the frame of
+    every u, the FlowResult, dPhi = d(exp)_base . de at every row (the top
+    half of jac) and, with omega, eta = -de^T omega de at every row, else
+    None; batched rows are bitwise those of single-row flows.
     """
     us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
-    reads = [y for u in us for y in _with_stencil(u, fd_h)]
-    got = {y.tobytes(): fr for y, fr in zip(reads, comp.frames(reads))}
-    frames = [_bundle_embedding(got[u.tobytes()], lambda v: got[v.tobytes()].j, z, fd_h)
-              for u, z in zip(us, zetas)]
-    res = flow(comp.bv, np.stack([f[1] for f in frames]), np.stack([f[2] for f in frames]),
+    got = comp.frames([y for u in us for y in (u, *_stencil(u, fd_h))])
+    span = 2 * comp.chart.param_dim + 1
+    frames, des, covs = [], [], []
+    for i, zeta in enumerate(zetas):
+        fr = got[i * span]
+        (n, k), r = fr.dx.shape, fr.rank_perp
+        zeta = np.asarray(zeta, dtype=float).reshape(r)
+        js = np.array([f.j for f in got[i * span:(i + 1) * span]])
+        de = np.zeros((2 * n, k + r))
+        de[:n, :k] = fr.dx
+        de[n:, k:] = fr.j
+        de[n:, :k] = _central_diff(js[1:], fd_h, zeta)
+        frames.append(fr)
+        des.append(de)
+        covs.append(fr.j @ zeta)
+    res = flow(comp.bv, np.stack([fr.x for fr in frames]), np.stack(covs),
                steps=steps, with_jac=True, with_omega=with_omega)
-    return frames, res
-
-
-def _phi_jacs(frames, res):
-    """dPhi = d(exp)_base . de at every flowed row; d(exp)_base is the top half of jac."""
-    return np.stack([jac[:len(jac) // 2] @ f[3] for f, jac in zip(frames, res.jac)])
-
-
-def _eta_of(frame, omega):
-    return -frame[3].T @ omega @ frame[3]
+    dphi = np.stack([jac[:len(jac) // 2] @ de for de, jac in zip(des, res.jac)])
+    etas = (np.stack([-de.T @ w @ de for de, w in zip(des, res.omega)]) if with_omega
+            else None)
+    return frames, res, dphi, etas
 
 
 def _require_inside(res):
@@ -378,19 +360,11 @@ def _require_inside(res):
         raise ValueError("state flows out of the domain box")
 
 
-def _chart_flow(comp, us, zetas, steps):
-    """One jac + omega flow of every (u, zeta) row: the per-row embeddings,
-    the FlowResult, and dPhi and eta at every row."""
-    frames, res = _bundle_flow(comp, us, zetas, steps, with_omega=True)
-    etas = np.stack([_eta_of(f, w) for f, w in zip(frames, res.omega)])
-    return frames, res, _phi_jacs(frames, res), etas
-
-
 def eta_forms(comp, us, zetas, steps=1024):
     """eta = -e*(averaged flow form) at every (u, zeta) row, in one flow."""
-    frames, res = _bundle_flow(comp, us, zetas, steps, with_omega=True)
+    _, res, _, etas = _bundle_flow(comp, us, zetas, steps, with_omega=True)
     _require_inside(res)
-    return np.stack([_eta_of(f, res.omega[i]) for i, f in enumerate(frames)])
+    return etas
 
 
 def eta_canonical(comp, u, zeta, steps=1024):
@@ -416,15 +390,16 @@ def eta_canonical_form_source(comp, u, zeta, fd_h=1e-5):
     chart coordinates the restriction of J(u) is exactly tau(u), so the
     pullback of the canonical form is tau plus a base curvature term.
     """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
     zeta = np.asarray(zeta, dtype=float).reshape(comp.rank_perp)
-    return _canonical_form_gauge(lambda uu: sigma_tau(comp, uu)[1],
-                                 np.atleast_1d(np.asarray(u, dtype=float)), zeta, fd_h)
+    taus = np.array([fr.dx.T @ fr.j for fr in comp.frames([u, *_stencil(u, fd_h)])])
+    return _canonical_form_gauge(taus[0], taus[1:], zeta, fd_h)
 
 
-def _canonical_form_gauge(f, u, vec, h):
-    """Canonical-form gauge [[D - D^T, B], [-B^T, 0]], B = f(u), D = d/du (f(u) @ vec)."""
-    b = f(u)
-    d = _central_diff(f, u, vec, len(b), h)
+def _canonical_form_gauge(b, stencil_vals, vec, h):
+    """Canonical-form gauge [[D - D^T, B], [-B^T, 0]] of f at u, B = f(u) and
+    D = d/du (f(u) @ vec), from the values of f at the rows of _stencil(u, h)."""
+    d = _central_diff(stencil_vals, h, vec)
     return _gauge_blocks(d - d.T, b)
 
 
@@ -438,20 +413,13 @@ def _gauge_blocks(a, b):
     return out
 
 
-def _fd_gradient(vals, h):
-    """Central-difference gradient, grads[a] = d/dp_a f at a point, from the
-    stacked values of f at the 2d rows of np.vstack(_stencil(point, h))."""
-    d = len(vals) // 2
-    return (vals[:d] - vals[d:]) / (2 * h)
-
-
 def eta_closedness_residual(comp, u, zeta, steps=256, h=1e-4):
     """Max finite-difference exterior-derivative component of eta."""
     k = comp.chart.param_dim
     zeta = np.asarray(zeta, dtype=float).reshape(comp.rank_perp)
     point = np.concatenate([np.atleast_1d(u), zeta])
-    ps = np.vstack(_stencil(point, h))
-    grads = _fd_gradient(eta_forms(comp, ps[:, :k], ps[:, k:], steps=steps), h)
+    ps = _stencil(point, h)
+    grads = _central_diff(eta_forms(comp, ps[:, :k], ps[:, k:], steps=steps), h)
     return max([0.0, *(abs(grads[a][b, c] + grads[b][c, a] + grads[c][a, b])
                        for a, b, c in combinations(range(len(point)), 3))])
 
@@ -474,11 +442,14 @@ def local_model_bivector(comp, u, zeta, steps=1024, eta_source="flow"):
 
 def _lift(comp, u):
     """Chart Dirac structure at u, pulled back from the point data of the
-    memoised frame and up along the bundle projection; memoised on comp."""
-    k = comp.chart.param_dim
-    dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
-    return _memoised(comp._lifts, u, lambda: dirac_pullback(
-        pullback_dirac(comp.bv, comp.chart, comp.at(u).pd, ref_corank=comp.corank), dpr))
+    memoised frame and up along the bundle projection; kept on the frame."""
+    fr = comp.at(u)
+    if fr.lift is None:
+        k = comp.chart.param_dim
+        dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
+        fr.lift = dirac_pullback(
+            pullback_dirac(comp.bv, comp.chart, fr.pd, ref_corank=comp.corank), dpr)
+    return fr.lift
 
 
 def _model_from_eta(lift, eta):
@@ -568,9 +539,9 @@ class SaturationChart:
 
     def map_and_jac(self, us, zetas):
         """Phi and dPhi at every (u, zeta) row, in one flow."""
-        frames, res = _bundle_flow(self.comp, us, zetas, self.steps)
+        _, res, dphi, _ = _bundle_flow(self.comp, us, zetas, self.steps)
         _require_inside(res)
-        return res.x, _phi_jacs(frames, res)
+        return res.x, dphi
 
     def project(self, ys, inits, max_iter=50, tol=1e-10):
         """Nearest-point parameters on the chart image, Gauss-Newton.
@@ -619,7 +590,7 @@ def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
     """
     for radius_used in _halvings(radius):
         us, zetas = _sigma_grid(comp, u_counts, radius_used, per_u, seed)
-        frames, res, jacs, etas = _chart_flow(comp, us, zetas, steps)
+        frames, res, jacs, etas = _bundle_flow(comp, us, zetas, steps, with_omega=True)
         if not res.exited.any():
             break
     else:
@@ -632,7 +603,7 @@ def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
             raise RankDeficient(
                 f"chart rank defect at u = {tuple(u.tolist())}, zeta = {tuple(z.tolist())}")
         if np.allclose(z, 0.0):
-            fr = frames[i][0]
+            fr = frames[i]
             expected = np.hstack([fr.dx, fr.p @ fr.j])
             if not subspace_equal(jacs[i], expected, tol=1e-6):
                 raise RankDeficient(f"zero-section tangent mismatch at u = {tuple(u.tolist())}")
@@ -709,8 +680,10 @@ def tubular_map(sat: SaturationChart, u, zeta, c):
 
 def _tube_differential(sat, u, dphi, c):
     """dPsi = [dPhi + (dF/du) c on the u columns | F] at (u, zeta, c)."""
-    dpsi = np.hstack([dphi, sat.complement_frame(u)])
-    dpsi[:, :len(u)] += _central_diff(sat.complement_frame, u, c, len(dpsi), 1e-5)
+    h = 1e-5
+    tubes = np.array([sat.complement_frame(y) for y in [u, *_stencil(u, h)]])
+    dpsi = np.hstack([dphi, tubes[0]])
+    dpsi[:, :len(u)] += _central_diff(tubes[1:], h, c)
     return dpsi
 
 
@@ -789,7 +762,7 @@ def compare_complements(comp_a, comp_b, steps=1024, count=20, radius=0.1, seed=3
             zeta *= min(radius, sat_a.radius_used) * rng.uniform(0.1, 1.0) / max(
                 np.linalg.norm(zeta), 1e-12)
         zetas.append(zeta)
-    _, res_a, jas, etas = _chart_flow(comp_a, us, zetas, steps)
+    _, res_a, jas, etas = _bundle_flow(comp_a, us, zetas, steps, with_omega=True)
     _require_inside(res_a)
     kept, models_a = [], []
     for i, (u, eta) in enumerate(zip(us, etas)):
@@ -802,7 +775,8 @@ def compare_complements(comp_a, comp_b, steps=1024, count=20, radius=0.1, seed=3
     if kept:
         inits = np.hstack([us[kept], np.zeros((len(kept), comp_b.rank_perp))])
         params, dists = sat_b.project(res_a.x[kept], inits)
-        _, res_b, jbs, etas_b = _chart_flow(comp_b, params[:, :k], params[:, k:], steps)
+        _, res_b, jbs, etas_b = _bundle_flow(comp_b, params[:, :k], params[:, k:], steps,
+                                             with_omega=True)
         _require_inside(res_b)
         for row, i in enumerate(kept):
             lift = _lift(comp_b, params[row, :k])
@@ -866,8 +840,8 @@ class GotayModel(FrameAligner):
     def _bivectors(self, qs):
         """Model bivector at every row (x, c) of qs, and L at every x.
 
-        The distinct points the rows' gauge stencils read are listed on their
-        bits, in the order _canonical_form_gauge reads them.  L is computed
+        Each row's x and its gauge stencil are listed once, and the distinct
+        points among them on their bits, in read order.  L is computed
         once per point (the origin's is the one construction computed) and
         every inclusion in one stacked step; each row is then gauged and
         extracted, bitwise as it would be alone, and rows that share x share
@@ -875,15 +849,19 @@ class GotayModel(FrameAligner):
         """
         k = self.dim
         qs = np.asarray(qs, dtype=float)
-        points = {y.tobytes(): y for x in qs[:, :k] for y in _with_stencil(x, _GAUGE_FD_H)}
+        reads = [[x, *_stencil(x, _GAUGE_FD_H)] for x in qs[:, :k]]
+        points = {y.tobytes(): y for row in reads for y in row}
         ls = {key: self._l0 if key == self._origin else self._l_at(y) for key, y in points.items()}
         incls = dict(zip(ls, self._inclusions(list(ls.values()))))
         bases = [ls[q[:k].tobytes()] for q in qs]
         lifts, out = {}, []
-        for l, q in zip(bases, qs):
-            eta = _canonical_form_gauge(lambda y: incls[y.tobytes()], q[:k], q[k:], _GAUGE_FD_H)
-            lift = _memoised(lifts, q[:k], lambda: dirac_pullback(l, self._dpr))
-            out.append(_model_from_eta(lift, eta))
+        for l, q, row in zip(bases, qs, reads):
+            vals = np.array([incls[y.tobytes()] for y in row])
+            eta = _canonical_form_gauge(vals[0], vals[1:], q[k:], _GAUGE_FD_H)
+            key = q[:k].tobytes()
+            if key not in lifts:
+                lifts[key] = dirac_pullback(l, self._dpr)
+            out.append(_model_from_eta(lifts[key], eta))
         return out, bases
 
     def bivector_at(self, x, c):
@@ -902,7 +880,7 @@ class GotayModel(FrameAligner):
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-radius, radius, size=(samples, k))
         points = [np.concatenate([x, rng.uniform(-radius, radius, m)]) for x in xs]
-        rows = [[np.concatenate([x, np.zeros(m)]), q, *np.vstack(_stencil(q, fd_h))]
+        rows = [[np.concatenate([x, np.zeros(m)]), q, *_stencil(q, fd_h)]
                 for x, q in zip(xs, points)]
         span = 2 * (k + m) + 2
         ps, ls = self._bivectors(np.reshape(rows, (-1, k + m)))
@@ -917,7 +895,7 @@ class GotayModel(FrameAligner):
             back = dirac_pullback(dirac_graph(p, "bivector"), incl)
             ang = principal_angles(back.basis, ls[i].basis)
             angles = max(angles, float(ang.max()) if ang.size else 0.0)
-            grads = _fd_gradient(np.array(stencil), fd_h)
+            grads = _central_diff(np.array(stencil), fd_h)
             cyclic = (np.einsum("lk,lij->ijk", p0, grads) + np.einsum("li,ljk->ijk", p0, grads)
                       + np.einsum("lj,lki->ijk", p0, grads))
             jacobi = max(jacobi, float(np.abs(cyclic).max()))

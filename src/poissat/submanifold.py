@@ -90,13 +90,15 @@ class Chart:
         return self.domain.mean(axis=1)
 
     def grid(self, counts):
-        """Regular parameter grid; odd counts include the box center."""
+        """Regular parameter grid; odd counts include the box center, and a
+        count of 1 is the axis midpoint."""
         if self.param_dim == 0:
             return np.zeros((1, 0))
         if np.isscalar(counts):
             counts = [int(counts)] * self.param_dim
         axes = [
             np.linspace(self.domain[a, 0], self.domain[a, 1], int(counts[a]))
+            if int(counts[a]) != 1 else self.center()[a:a + 1]
             for a in range(self.param_dim)
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -200,7 +202,6 @@ class ScanResult:
     def __init__(self, params, points, witnesses, refined):
         self.params = params
         self.points = points  # PointData per row of params
-        self.ranks = np.array([pd.rank_perp for pd in points])
         self.witnesses = witnesses  # rank -> parameter point
         self.refined = refined
 

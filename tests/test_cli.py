@@ -327,6 +327,50 @@ def test_verification_failure_exits_2(tmp_path):
     assert rep["exit_code"] == 2
 
 
+PRE_POISSON_LINE = """\
+[poisson]
+dim = 4
+entry = 1 2 "1"
+entry = 3 4 "1"
+domain = -2 2
+
+[submanifold]
+params = 1
+component = "0"
+component = "u"
+component = "0"
+component = "0"
+domain = -1 1
+
+[complement]
+mode = pre_poisson
+
+[flow]
+xi_radius = 0.05
+"""
+
+
+def test_pre_poisson_cross_residual_gates_the_model_stage(tmp_path, monkeypatch):
+    # the cap rows of sigma vanish in the constructed frame; a cross residual
+    # above the frame conditions' floor must fail the model stage
+    path = tmp_path / "pre-poisson.scene"
+    path.write_text(PRE_POISSON_LINE)
+    code, out = run_main(["model", str(path), "--steps", "32"])
+    assert code == 0
+    stage = json.loads(out)["stages"]["model"]
+    assert (stage["status"], stage["cross_residual"]) == ("pass", 0.0)
+    real = cli.marle_invariants
+
+    def crossed(*args, **kwargs):
+        return [{**row, "cross_residual": 1e-6} for row in real(*args, **kwargs)]
+
+    monkeypatch.setattr(cli, "marle_invariants", crossed)
+    code, out = run_main(["model", str(path), "--steps", "32"])
+    assert code == 2
+    stage = json.loads(out)["stages"]["model"]
+    assert (stage["status"], stage["cross_residual"]) == ("fail", 1e-6)
+
+
 def test_malformed_expression_exits_4_with_position(tmp_path):
     path = tmp_path / "bad.scene"
     path.write_text('[poisson]\ndim = 2\nentry = 1 2 "x +* y"\n'
@@ -472,14 +516,14 @@ def test_extraction_radius_rank_failure_exits_3(tmp_path, monkeypatch, target):
 def test_verify_alone_runs_the_saturation_rank_check(tmp_path, monkeypatch):
     # a chart differential of rank k + r - 1 must stop verify with the rank
     # reason, not be compared on the directions that are left
-    real_phi_jacs = model._phi_jacs
+    real_bundle_flow = model._bundle_flow
 
-    def rank_deficient(*args):
-        jacs = real_phi_jacs(*args)
-        jacs[:, :, -1] = 0.0
-        return jacs
+    def rank_deficient(*args, **kwargs):
+        frames, res, dphi, etas = real_bundle_flow(*args, **kwargs)
+        dphi[:, :, -1] = 0.0
+        return frames, res, dphi, etas
 
-    monkeypatch.setattr(model, "_phi_jacs", rank_deficient)
+    monkeypatch.setattr(model, "_bundle_flow", rank_deficient)
     code, out = run_main(["verify", write_fixture(tmp_path, "transversal-ray"), "--steps", "32"])
     assert code == 3
     stage = json.loads(out)["stages"]["verify"]

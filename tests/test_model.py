@@ -198,7 +198,7 @@ def test_stacked_frames_are_bitwise_per_row(request, name, mode, w):
     bv, chart = request.getfixturevalue(name)
     us = [*chart.grid(3), *chart.sample(4, seed=5)]
     for u in us[:2]:
-        us += model._with_stencil(u, 1e-5)
+        us += [u, *model._stencil(u, 1e-5)]
     us += [us[0], chart.center()]  # a repeat and the anchor
     stacked = model.ComplementChoice(bv, chart, mode=mode, w=w).frames(us)
     alone = model.ComplementChoice(bv, chart, mode=mode, w=w)
@@ -227,6 +227,56 @@ def test_stacked_frames_exactness_violation_raises_as_per_row():
     assert str(stacked.value) == str(per_row.value)
     assert str(stacked.value).startswith("exactness violation at u = (0.9,)")
     assert len(model.ComplementChoice(bv, chart).frames([us[0], us[1], us[4]])) == 3
+
+
+def _per_axis_diffs(f, u, h, vec=None):
+    """(f(u + h e_a) - f(u - h e_a)) / (2h), or with vec its @ vec first, axis by axis."""
+    out = []
+    for e in np.eye(len(u)):
+        diff = f(u + h * e) - f(u - h * e)
+        out.append(diff / (2 * h) if vec is None else diff @ vec / (2 * h))
+    return out
+
+
+@pytest.mark.parametrize("case", ["figure-eight-j", "so3-circle-j", "gotay-inclusions",
+                                  "zero-parameters"])
+def test_stacked_central_diff_is_bitwise_per_axis(figure_eight, case):
+    # one subtraction over the stacked stencil values, then each axis's own
+    # matvec, keeps every bit of the per-axis central difference; figure-eight's
+    # J is constant along the chart, the so3 circle's and Gotay's turn
+    h = 1e-5
+    charts = {
+        "figure-eight-j": figure_eight,
+        "so3-circle-j": (field.so3_star(), submanifold.Chart(1, 3, ["cos(u)", "sin(u)", "0.3"],
+                                                             domain=[[-0.5, 0.5]])),
+        "zero-parameters": (field.so3_star(), submanifold.Chart(0, 3, ["0.5", "0", "0"])),
+    }
+    if case == "gotay-inclusions":
+        got = _gotay(3, _form_r3)
+        u = np.array([0.03, -0.07, 0.05])
+
+        def f(y):
+            return got._inclusions([got._l_at(y)])[0]
+    else:
+        bv, chart = charts[case]
+        comp = model.ComplementChoice(bv, chart)
+        u = chart.sample(1, seed=7)[0]
+
+        def f(y):
+            return comp.at(y).j
+    vals = np.array([f(y) for y in [u, *model._stencil(u, h)]])
+    vec = np.random.default_rng(0).normal(size=vals.shape[2])
+    with_vec, grads = model._central_diff(vals[1:], h, vec), model._central_diff(vals[1:], h)
+    assert with_vec.shape == (vals.shape[1], len(u))
+    assert grads.shape == (len(u), *vals.shape[1:])
+    refs = zip(_per_axis_diffs(f, u, h, vec), _per_axis_diffs(f, u, h))
+    for a, (ref_vec, ref) in enumerate(refs):
+        assert with_vec[:, a].tobytes() == ref_vec.tobytes()
+        assert grads[a].tobytes() == ref.tobytes()
+    if case == "zero-parameters":
+        assert with_vec.shape == (3, 0) and vals.shape[2] > 0
+    elif case != "figure-eight-j":
+        assert np.abs(with_vec).max() > 0.0
 
 
 # --- sigma, tau, eta ---

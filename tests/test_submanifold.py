@@ -73,6 +73,13 @@ def test_chart_zero_parameters():
     assert ch.jacobian(ch.grid(5)).shape == (1, 3, 0)
 
 
+def test_chart_grid_count_one_is_the_center():
+    # linspace over the box gives its lower corner for a count of 1
+    ch = Chart(2, 3, ["u", "v", "0"], names=["u", "v"], domain=[[-0.5, 0.5], [0.0, 2.0]])
+    assert np.array_equal(ch.grid(1), [ch.center()])
+    assert any(np.array_equal(row, ch.center()) for row in ch.grid([1, 3]))
+
+
 def test_point_data_plane_in_so3():
     bv = so3_star()
     pd = point_data(bv, plane_in_so3(), [0.5, 0.25])
