@@ -494,6 +494,11 @@ def compile_kernel(slots, shape):
     any entry is non-finite, or Python arithmetic on constants raises, it
     re-runs evaluate slot by slot in slot order, which raises the
     EvalError naming the first failing entry's operation and point.
+
+    kernel.constant is true when no tree reads a variable.  Such a kernel
+    keeps a copy of the first row of its first finite result with at
+    least one row, and from then on returns fresh broadcast copies of it;
+    a call that fails is never kept.
     """
     namespace = {f: getattr(np, f) for f in FUNCS}
     names = {}  # structural key -> local name
@@ -542,14 +547,21 @@ def compile_kernel(slots, shape):
     exec(compile(source, "<poissat kernel>", "exec"), namespace)
     fill = namespace["fill"]
     shape = tuple(shape)
+    constant = "cols[" not in source
+    template = None
 
     def kernel(pts):
+        nonlocal template
+        if template is not None:
+            return np.broadcast_to(template, (pts.shape[0],) + shape).copy()
         out = np.zeros((pts.shape[0],) + shape)
         cols = tuple(np.ascontiguousarray(pts[:, i]) for i in range(pts.shape[1]))
         try:
             with np.errstate(all="ignore"):
                 fill(cols, out)
             if np.isfinite(out).all():
+                if constant and len(out):
+                    template = out[0].copy()
                 return out
         except ArithmeticError:
             pass
@@ -558,6 +570,7 @@ def compile_kernel(slots, shape):
         return out
 
     kernel.source = source
+    kernel.constant = constant
     return kernel
 
 

@@ -4,7 +4,8 @@ Entries are expression trees in x1..xn, stored as the strict upper
 triangle; the lower triangle is the exact negated tree, so antisymmetry
 is structural.  The entries and their partials are compiled once into
 numpy kernels (expr.compile_kernel).  Loading certifies the Jacobi
-identity on a seeded sample of the domain box.
+identity on a seeded sample of the domain box; a constant bivector
+(no entry reads a coordinate) is Poisson outright.
 
 Conventions (see also the report convention string):
   sharp(a)  = PI(x) @ a        (anchor applied to a covector)
@@ -90,6 +91,16 @@ class BivectorField:
                     pts[worst],
                 )
 
+    @property
+    def constant(self):
+        """True when no entry reads a coordinate, so PI is one matrix and dPI = 0.
+
+        Every partial of such an entry folds to Num(0.0).  The converse
+        fails: (x + 1) - x has zero partials but rounds differently at
+        different x, so it is not constant here.
+        """
+        return self._matrix_kernel.constant
+
     def entry(self, i, j) -> Expression:
         return self._grid[i][j]
 
@@ -116,9 +127,13 @@ def jacobi_residual(bv: BivectorField, pts):
 
     J^ijk = sum_l (PI^lk d_l PI^ij + PI^li d_l PI^jk + PI^lj d_l PI^ki);
     the residual is max_{ijk} |J^ijk|, zero exactly when PI is Poisson.
+    A constant PI is evaluated (so a non-finite entry still raises) and
+    then certified without its partials: every term carries a zero one.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     p = bv.matrix(pts)
+    if bv.constant:
+        return np.zeros(len(pts))
     dj = bv.matrix_jac(pts)
     t1 = np.einsum("mlk,mijl->mijk", p, dj)
     t2 = np.einsum("mli,mjkl->mijk", p, dj)

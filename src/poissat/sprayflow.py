@@ -19,6 +19,11 @@ accumulated with composite Simpson weights on the same node grid, and
 since J^T C J = [[0, A^T], [-A, B^T - B]] for J = [[A, B], [0, I]], it
 needs two n x n accumulators: one for A and one for B^T - B.  The full
 matrices are assembled once, after the last step.
+
+When PI is constant (dPI = 0) the right-hand side (sharp(xi), [0 | PI])
+does not depend on the state, so it is evaluated once per flow and
+serves as all four stages of every step; the steps, the exit test and
+the accumulators are those of the general path, bit for bit.
 """
 
 from __future__ import annotations
@@ -75,10 +80,13 @@ def _rhs(bv, x, xi, top):
     if top is None:
         return xdot, None
     n = x.shape[1]
-    dp = bv.matrix_jac(x)
-    bmat = np.einsum("bijk,bj->bik", dp, xi)
+    if bv.constant:  # dp = 0
+        tdot = np.zeros_like(top)
+    else:
+        dp = bv.matrix_jac(x)
+        bmat = np.einsum("bijk,bj->bik", dp, xi)
+        tdot = np.einsum("bik,bkj->bij", bmat, top)
     # the frozen covector rows [0 | I] of the full matrix contribute [0 | p]
-    tdot = np.einsum("bik,bkj->bij", bmat, top)
     tdot[:, :, n:] += p
     return xdot, tdot
 
@@ -121,11 +129,18 @@ def flow(
     trajectory = [x.copy()] if with_traj else None
     alive = bv.inside(x)
     exit_step = np.where(alive, -1, 0)
+    # for a constant PI every stage has the same xdot, and tdot is [0 | p]:
+    # the general path's bmat @ top term is all +-0 there, and adding a
+    # zero of either sign to top leaves its bits, so one call serves the flow
+    fixed = _rhs(bv, x, xi, top) if bv.constant else None
     for s in range(steps):
-        k1x, k1t = _rhs(bv, x, xi, top)
-        k2x, k2t = _rhs(bv, x + 0.5 * h * k1x, xi, None if top is None else top + 0.5 * h * k1t)
-        k3x, k3t = _rhs(bv, x + 0.5 * h * k2x, xi, None if top is None else top + 0.5 * h * k2t)
-        k4x, k4t = _rhs(bv, x + h * k3x, xi, None if top is None else top + h * k3t)
+        if fixed is None:
+            k1x, k1t = _rhs(bv, x, xi, top)
+            k2x, k2t = _rhs(bv, x + 0.5 * h * k1x, xi, None if top is None else top + 0.5 * h * k1t)
+            k3x, k3t = _rhs(bv, x + 0.5 * h * k2x, xi, None if top is None else top + 0.5 * h * k2t)
+            k4x, k4t = _rhs(bv, x + h * k3x, xi, None if top is None else top + h * k3t)
+        else:
+            (k1x, k1t) = (k2x, k2t) = (k3x, k3t) = (k4x, k4t) = fixed
         gate = alive.astype(float)
         x += (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x) * gate[:, None]
         if top is not None:

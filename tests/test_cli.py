@@ -402,6 +402,9 @@ def _line_scene(entry="x", component="0"):
     # Python 10.0 ** 400 raises OverflowError
     pytest.param(_line_scene(entry="x + 10^400"), "integer power",
                  id="x + 10^400-integer power"),
+    # a constant entry is evaluated before the certificate skips its partials
+    pytest.param(_line_scene(entry="1e400"), "evaluation", id="1e400-evaluation"),
+    pytest.param(_line_scene(entry="1/0"), "division", id="1/0-division"),
     # a constant chart component is evaluated like any other
     pytest.param(_line_scene(component="1e400"), "evaluation", id="component 1e400-evaluation"),
     pytest.param('[presymplectic]\ndim = 2\nentry = 1 2 "x + 1/0"\n', "division",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from poissat import field
+from poissat.expr import EvalError
 from poissat.field import BivectorField, JacobiError, jacobi_residual
 
 
@@ -42,6 +43,47 @@ def test_all_standard_structures_certify():
         bv = make()
         pts = np.random.default_rng(0).uniform(-1, 1, size=(200, bv.dim))
         assert np.max(jacobi_residual(bv, pts)) <= 1e-10
+
+
+@pytest.mark.parametrize("make,constant", [
+    (field.so3_star, False),
+    (field.log_symplectic_plane, False),
+    (field.flat_rank2_r3, True),
+    (field.symplectic_r4, True),
+    (field.flat_rank2_r3s1, True),
+    (field.zero_structure, True),
+])
+def test_constant_structures_certify_without_partials(monkeypatch, make, constant):
+    bv = make()
+    assert bv.constant is constant
+    pts = np.random.default_rng(0).uniform(-1, 1, size=(200, bv.dim))
+    calls = []
+    real = BivectorField.matrix_jac
+
+    def counting(self, pts):
+        calls.append(len(pts))
+        return real(self, pts)
+
+    monkeypatch.setattr(BivectorField, "matrix_jac", counting)
+    res = jacobi_residual(bv, pts)
+    if constant:
+        assert calls == []
+        assert np.array_equal(res, np.zeros(200)) and not np.signbit(res).any()
+    else:
+        assert calls == [200]
+
+
+def test_constant_means_no_entry_reads_a_coordinate():
+    # zero partials, yet the value rounds differently at x = 0.9
+    bv = BivectorField(2, {(0, 1): "(x + 1) - x"})
+    assert not bv.constant
+    assert bv.matrix([[0.5, 0.0], [0.9, 0.0]])[:, 0, 1].tolist() == [1.0, 1.0 - 2.0**-53]
+    # a non-finite constant is still evaluated, and named at the first point
+    inf = BivectorField(2, {(0, 1): "1e400"}, certify=False)
+    assert inf.constant
+    with pytest.raises(EvalError) as err:
+        jacobi_residual(inf, [[0.5, -0.25], [0.0, 0.0]])
+    assert err.value.point == (0.5, -0.25)
 
 
 def test_so3_matrix_frozen():

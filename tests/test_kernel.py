@@ -192,3 +192,61 @@ def test_constant_chart_component_raises_eval_error():
         chart.points([[0.5]])
     assert str(err.value) == "non-finite result from evaluation at point (0.5,)"
     assert err.value.point == (0.5,)
+
+
+# Raw constructors, so nothing folds: -0.0 from a negated sine, a power and
+# a quotient that only the kernel computes, and an unlisted slot left 0.0.
+CONSTANT_SLOTS = [
+    ((0, 1), Neg(Call("sin", Num(0.0)))),
+    ((1, 0), Div(Num(1.0), Num(3.0))),
+    ((1, 2), Pow(Num(-2.5), 3)),
+    ((2, 1), Add(Call("exp", Num(0.3)), Num(-1.0))),
+]
+
+
+def test_constant_kernel_matches_its_uncached_result_bitwise():
+    kernel = compile_kernel(CONSTANT_SLOTS, (3, 3))
+    assert kernel.constant and not compile_kernel([((0,), Var(0))], (1,)).constant
+    rng = np.random.default_rng(4)
+    for warm in (False, True):
+        if warm:
+            kernel(rng.uniform(-1, 1, (3, 2)))
+        for m in (0, 1, 7):
+            pts = rng.uniform(-1, 1, (m, 2))
+            uncached = compile_kernel(CONSTANT_SLOTS, (3, 3))(pts)
+            assert_bitwise(kernel(pts), uncached)
+            ref = np.zeros((m, 3, 3))
+            for (i, j), t in CONSTANT_SLOTS:
+                ref[:, i, j] = entrywise([t], pts)[:, 0]
+            assert_bitwise(uncached, ref)
+    assert np.signbit(kernel(pts)[:, 0, 1]).all()
+
+
+def test_constant_kernel_returns_a_fresh_writable_array_per_call():
+    kernel = compile_kernel(CONSTANT_SLOTS, (3, 3))
+    pts = np.zeros((4, 2))
+    first = kernel(pts)
+    second = kernel(pts)
+    expected = second.copy()
+    for out in (first, second):
+        assert out.flags.writeable and out.flags.c_contiguous and out.flags.owndata
+    second[:] = 7.0
+    first[0, 1, 0] = -1.0
+    assert_bitwise(kernel(pts), expected)
+    assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("tree,operation", [
+    (Div(Num(1.0), Num(0.0)), "division"),  # Python 1.0 / 0.0 raises in the kernel
+    (Num(float("inf")), "evaluation"),  # the kernel fills inf without raising
+    (Call("exp", Num(1000.0)), "exp"),
+])
+def test_constant_kernel_failure_is_never_cached(tree, operation):
+    kernel = compile_kernel([((0,), Num(2.0)), ((1,), tree)], (2,))
+    assert kernel.constant
+    assert kernel(np.zeros((0, 1))).shape == (0, 2)  # no row, nothing to name
+    for point in (0.25, -1.5, 3.0):
+        with pytest.raises(EvalError) as err:
+            kernel(np.array([[point], [9.0]]))
+        assert str(err.value) == f"non-finite result from {operation} at point ({point},)"
+        assert err.value.point == (point,)

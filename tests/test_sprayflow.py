@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from poissat.field import BivectorField, flat_rank2_r3, so3_star, symplectic_r4, zero_structure
+from poissat.field import (
+    BivectorField,
+    flat_rank2_r3,
+    flat_rank2_r3s1,
+    so3_star,
+    symplectic_r4,
+    zero_structure,
+)
 from poissat.linear import RankDeficient
 from poissat.sprayflow import (
     canonical_matrix,
@@ -290,18 +297,24 @@ def assert_bitwise(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-@pytest.mark.parametrize("bv", [
-    flat_rank2_r3(),
-    so3_star(),
+# (structure, exit state): row 0 of each case leaves the box and freezes;
+# the zero structure cannot move a point, so its row 0 starts outside
+@pytest.mark.parametrize("bv,exit_state", [
+    (flat_rank2_r3(), ([1.8, 1.8, 0.5], [-1.5, 1.5, 0.0])),
+    (so3_star(), ([1.8, 1.8, 0.5], [-1.5, 1.5, 0.0])),
     # f dx^dy is Poisson on R^3 for any f
-    BivectorField(3, {(0, 1): "exp(z)*cos(x) + 2"}, domain=[[-2, 2]] * 3),
-], ids=["constant", "linear", "non-polynomial"])
+    (BivectorField(3, {(0, 1): "exp(z)*cos(x) + 2"}, domain=[[-2, 2]] * 3),
+     ([1.8, 1.8, 0.5], [-1.5, 1.5, 0.0])),
+    (symplectic_r4(), ([1.8, 1.8, 0.5, 0.5], [-1.5, 1.5, 0.0, 0.0])),
+    (flat_rank2_r3s1(), ([0.5, 0.5, 3.8, 3.8], [0.0, 0.0, -1.5, 1.5])),
+    (zero_structure(), ([2.5, 0.5, 0.5], [1.0, -1.0, 0.5])),
+], ids=["constant", "linear", "non-polynomial", "symplectic-r4", "flat-r3s1", "zero"])
 @pytest.mark.parametrize("with_omega", [False, True], ids=["jac", "omega"])
-def test_flow_matches_full_variational_reference_bitwise(bv, with_omega):
+def test_flow_matches_full_variational_reference_bitwise(bv, exit_state, with_omega):
     rng = np.random.default_rng(3)
-    x0 = rng.uniform(-1.0, 1.0, (6, 3))
-    xi = rng.normal(scale=0.6, size=(6, 3))
-    x0[0], xi[0] = [1.8, 1.8, 0.5], [-1.5, 1.5, 0.0]  # leaves the box and freezes
+    x0 = rng.uniform(-1.0, 1.0, (6, bv.dim))
+    xi = rng.normal(scale=0.6, size=(6, bv.dim))
+    x0[0], xi[0] = exit_state
     res = flow(bv, x0, xi, steps=64, with_jac=True, with_omega=with_omega)
     x, jac, omega = flow_ref(bv, x0, xi, steps=64, with_omega=with_omega)
     assert res.exited[0] and not res.exited.all()
