@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import CONVENTION, __version__
-from .expr import ExprError, Neg, compile_kernel, parse
+from .expr import EvalError, ExprError, Neg, compile_kernel, parse
 from .field import BivectorField, JacobiError
 from .fixtures import FIXTURES
-from .linear import NotPoisson, RankDeficient, SkewForm, dirac_graph
+from .linear import NotPoisson, RankDeficient, dirac_graph_many
 from .model import (
     RADIUS_FLOOR,
     ComplementChoice,
@@ -399,8 +399,16 @@ def _run_gotay(scene, command, report, p):
     )
     stages = report["stages"]
 
-    def form_at(x):
-        return dirac_graph(SkewForm(kernel(np.asarray(x, dtype=float)[None, :])[0]), "two_form")
+    def form_at(xs):
+        # L at every row of xs from one kernel call; a non-finite form raises
+        # as the first failing row does alone
+        try:
+            forms = kernel(xs)
+        except EvalError:
+            for x in xs:
+                kernel(x[None])
+            raise
+        return dirac_graph_many(forms, "two_form")
 
     exit_code = 0
     stage = "analyze"

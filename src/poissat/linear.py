@@ -51,50 +51,59 @@ def rank_svd(m, tol_rel=None, scale=None):
     column_space : (d, rank) orthonormal array
     null_space : (k, k - rank) orthonormal array
     """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    svd = None if _trivial(m) else np.linalg.svd(m, full_matrices=True)
-    return _decide(m.shape, svd, tol_rel, scale)
+    return _rank_rows([np.atleast_2d(np.asarray(m, dtype=float))], tol_rel, [scale])[0]
 
 
 def rank_svd_many(ms, tol_rel=None, scales=None):
     """rank_svd of every matrix in ms, with one SVD call per matrix shape.
 
-    scales, when given, holds one scale (or None) per matrix.  numpy runs
-    LAPACK gesdd on each matrix of a stack in turn, so every result is
-    bitwise the one rank_svd gives for that matrix alone.
+    ms is a list of matrices or one (g, d, k) stack; scales, when given,
+    holds one scale (or None) per matrix.  numpy runs LAPACK gesdd on each
+    matrix of a stack in turn, so every result is bitwise the one rank_svd
+    gives for that matrix alone.
     """
-    ms = [np.atleast_2d(np.asarray(m, dtype=float)) for m in ms]
-    scales = [None] * len(ms) if scales is None else scales
+    if not (isinstance(ms, np.ndarray) and ms.ndim == 3):
+        ms = [np.atleast_2d(np.asarray(m, dtype=float)) for m in ms]
+    return _rank_rows(ms, tol_rel, [None] * len(ms) if scales is None else scales)
+
+
+def _rank_rows(ms, tol_rel, scales):
+    """The one copy of the rank rules, in array operations per shape group.
+
+    An empty or all-zero matrix has rank 0 and never reaches the SVD.  The
+    threshold is tol_rel * max(s[0], scale); a None scale is NaN here, which
+    never exceeds s[0], as with Python's max.
+    """
+    if not len(ms):
+        return []
+    tol_rel = TOL_REL if tol_rel is None else tol_rel
     out = [None] * len(ms)
-    groups = {}
-    for i, m in enumerate(ms):
-        if _trivial(m):
-            out[i] = _decide(m.shape, None, tol_rel, scales[i])
-        else:
-            groups.setdefault(m.shape, []).append(i)
-    for shape, rows in groups.items():
-        stack = ms[rows[0]][None] if len(rows) == 1 else np.stack([ms[i] for i in rows])
-        for i, svd in zip(rows, zip(*np.linalg.svd(stack, full_matrices=True))):
-            out[i] = _decide(shape, svd, tol_rel, scales[i])
+    if isinstance(ms, np.ndarray):
+        groups = [(ms.shape[1:], list(range(len(ms))), ms.astype(float, copy=False))]
+    else:
+        shapes = {}
+        for i, m in enumerate(ms):
+            shapes.setdefault(m.shape, []).append(i)
+        groups = [(shape, rows, ms[rows[0]][None] if len(rows) == 1
+                   else np.stack([ms[i] for i in rows])) for shape, rows in shapes.items()]
+    for (d, k), rows, stack in groups:
+        live = stack.reshape(len(rows), -1).any(axis=1).tolist()
+        if not all(live):
+            for i, on in zip(rows, live):
+                if not on:
+                    out[i] = 0, np.zeros((d, 0)), np.eye(k)
+            if not any(live):
+                continue
+            rows, stack = [i for i, on in zip(rows, live) if on], stack[np.array(live)]
+        u, s, vt = np.linalg.svd(stack, full_matrices=True)
+        ref = s[:, :1]
+        if any(scales[i] is not None for i in rows):
+            scale = np.array([[np.nan if scales[i] is None else float(scales[i])] for i in rows])
+            ref = np.where(scale > ref, scale, ref)
+        ranks = (s > tol_rel * ref).sum(axis=1).tolist()
+        for i, rank, ui, vti in zip(rows, ranks, u, vt):
+            out[i] = rank, ui[:, :rank], vti[rank:].T
     return out
-
-
-def _trivial(m):
-    """Empty or all-zero: rank 0 without an SVD."""
-    return m.shape[0] == 0 or m.shape[1] == 0 or not m.any()
-
-
-def _decide(shape, svd, tol_rel, scale):
-    """rank_svd's result from the (u, s, vt) of a matrix of the given shape
-    (None for a trivial one); the one copy of the rank rules."""
-    d, k = shape
-    if svd is None:
-        return 0, np.zeros((d, 0)), np.eye(k)
-    u, s, vt = svd
-    ref = s[0] if scale is None else max(s[0], float(scale))
-    tol = (TOL_REL if tol_rel is None else tol_rel) * ref
-    rank = int(np.count_nonzero(s > tol))
-    return rank, u[:, :rank], vt[rank:].T
 
 
 def orth(m):
@@ -181,15 +190,18 @@ def principal_angles(a, b):
     )
 
 
-def _is_orthonormal(m, tol=1e-12):
+def _is_orthonormal(m):
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        return False
-    g = m.T @ m
-    eye = np.eye(m.shape[1])
+    return m.ndim == 2 and bool(_orthonormal_rows(m[None])[0])
+
+
+def _orthonormal_rows(stack, tol=1e-12):
+    """Per (d, k) matrix of a stack: are its columns orthonormal?"""
+    g = np.swapaxes(stack, 1, 2) @ stack
+    eye = np.eye(stack.shape[2])
     # np.allclose(g, eye, atol=tol) without its overhead: the same rtol, and
     # a NaN or inf entry fails
-    return bool(np.all(np.abs(g - eye) <= tol + 1e-5 * np.abs(eye)))
+    return np.all(np.abs(g - eye) <= tol + 1e-5 * np.abs(eye), axis=(1, 2))
 
 
 def subspace_equal(a, b, tol=1e-10):
@@ -247,7 +259,7 @@ class SkewForm:
         m = np.atleast_2d(np.asarray(matrix, dtype=float))
         if m.shape[0] != m.shape[1]:
             raise ValueError("square matrix required")
-        self._lower = np.tril((m - m.T) / 2.0, -1)
+        self._lower = _strict_lower(m)
 
     @property
     def n(self):
@@ -259,6 +271,22 @@ class SkewForm:
 
     def rank(self):
         return rank_svd(self.matrix)[0]
+
+
+def _strict_lower(m):
+    """Strict lower triangle of the antisymmetric part of every matrix of m."""
+    return np.tril((m - np.swapaxes(m, -1, -2)) / 2.0, -1)
+
+
+def _skew_rows(forms):
+    """SkewForm(f).matrix (f.matrix for a SkewForm) of every form, stacked;
+    an array stack is taken in array operations."""
+    if isinstance(forms, np.ndarray):
+        if forms.shape[-1] != forms.shape[-2]:
+            raise ValueError("square matrix required")
+        lower = _strict_lower(forms.astype(float, copy=False))
+        return lower - np.swapaxes(lower, 1, 2)
+    return np.stack([(f if isinstance(f, SkewForm) else SkewForm(f)).matrix for f in forms])
 
 
 def dirac_pairing(n):
@@ -274,27 +302,19 @@ class DiracSpace:
     Basis is a (2n, n) orthonormal matrix, tangent block in rows 0..n-1
     and cotangent block in rows n..2n-1.  Construction enforces dimension
     exactly n and isotropy under <(u,a),(v,b)> = a(v) + b(u) to 1e-10.
+    It is the one-row case of dirac_spaces.
     """
 
     def __init__(self, basis):
         basis = np.atleast_2d(np.asarray(basis, dtype=float))
-        if basis.shape[0] % 2 != 0:
-            raise ValueError("basis rows must split into tangent/cotangent blocks")
-        n = basis.shape[0] // 2
-        if basis.shape[1] != n:
-            rank, basis, _ = rank_svd(basis)
-            if rank != n:
-                raise ValueError(f"Dirac space must have dimension {n}, got {rank}")
-        if n and not _is_orthonormal(basis):
-            basis = orth(basis)
-            if basis.shape[1] != n:
-                raise ValueError("Dirac basis is rank deficient")
-        g = basis.T @ dirac_pairing(n) @ basis
-        worst = float(np.max(np.abs(g))) if n else 0.0
-        if worst > 1e-10:
-            raise ValueError(f"not isotropic: pairing residual {worst:.2e}")
-        self.basis = basis
-        self.n = n
+        [self.basis] = _raise_first(*_dirac_rows(basis[None]))
+        self.n = self.basis.shape[0] // 2
+
+    @classmethod
+    def _checked(cls, basis):
+        space = cls.__new__(cls)
+        space.basis, space.n = basis, basis.shape[0] // 2
+        return space
 
     @property
     def tangent(self):
@@ -315,6 +335,60 @@ class DiracSpace:
         return self.tangent_part().shape[1]
 
 
+# Stacked Dirac steps.  Each takes a batch of rows of one shape and runs
+# every SVD, inverse and product of a step on the whole batch, so every row
+# is bitwise what the one-row function gives; that function is the
+# one-row case.  A batch raises the error that the first failing row, in
+# read order, raises alone: each row's error is kept, a failed row takes
+# no further step, and _raise_first raises the first.
+
+
+def _raise_first(out, errs):
+    """out, unless a row has an error: then the first row's error."""
+    for err in errs:
+        if err is not None:
+            raise err
+    return out
+
+
+def _dirac_rows(stack):
+    """DiracSpace's checks on every (2n, m) basis of a stack: the checked
+    bases, and per row the error it raises alone (None if it passes)."""
+    g, rows, m = stack.shape
+    if rows % 2 != 0:
+        raise ValueError("basis rows must split into tangent/cotangent blocks")
+    n = rows // 2
+    out, errs = list(stack), [None] * g
+    if m != n:
+        for i, (rank, basis, _) in enumerate(rank_svd_many(stack)):
+            out[i] = basis
+            if rank != n:
+                errs[i] = ValueError(f"Dirac space must have dimension {n}, got {rank}")
+    live = [i for i in range(g) if errs[i] is None]
+    if n and live:
+        loose = np.compress(~_orthonormal_rows(np.stack([out[i] for i in live])), live)
+        for i, q in zip(loose, orth_many([out[i] for i in loose])):
+            out[i] = q
+            if q.shape[1] != n:
+                errs[i] = ValueError("Dirac basis is rank deficient")
+        live = [i for i in live if errs[i] is None]
+    if n and live:
+        bases = np.stack([out[i] for i in live])
+        pairings = np.swapaxes(bases, 1, 2) @ dirac_pairing(n) @ bases
+        for i, worst in zip(live, np.abs(pairings).max(axis=(1, 2))):
+            if worst > 1e-10:
+                errs[i] = ValueError(f"not isotropic: pairing residual {worst:.2e}")
+    return out, errs
+
+
+def dirac_spaces(bases):
+    """DiracSpace of every basis of a (g, 2n, m) stack, in stacked steps."""
+    bases = np.asarray(bases, dtype=float)
+    if not len(bases):
+        return []
+    return [DiracSpace._checked(b) for b in _raise_first(*_dirac_rows(bases))]
+
+
 def dirac_graph(obj, kind):
     """Graph Dirac space of a bivector or a two-form.
 
@@ -322,23 +396,39 @@ def dirac_graph(obj, kind):
     kind="two_form": {(v, i_v omega)} for a SkewForm (or matrix) omega.
     """
     if kind == "bivector":
-        p = np.atleast_2d(np.asarray(obj, dtype=float))
-        n = p.shape[0]
-        return DiracSpace(np.vstack([p, np.eye(n)]))
+        obj = np.atleast_2d(np.asarray(obj, dtype=float))
+    return dirac_graph_many([obj], kind)[0]
+
+
+def dirac_graph_many(objs, kind):
+    """dirac_graph of every bivector or two-form of objs, in stacked steps."""
+    if kind == "bivector":
+        ps = np.asarray(objs, dtype=float)
+        eyes = np.broadcast_to(np.eye(ps.shape[-1]), ps.shape)
+        return dirac_spaces(np.concatenate([ps, eyes], axis=1))
     if kind == "two_form":
-        c = obj.matrix if isinstance(obj, SkewForm) else SkewForm(obj).matrix
-        n = c.shape[0]
-        return DiracSpace(np.vstack([np.eye(n), c.T]))
+        cs = _skew_rows(objs)
+        eyes = np.broadcast_to(np.eye(cs.shape[-1]), cs.shape)
+        return dirac_spaces(np.concatenate([eyes, np.swapaxes(cs, 1, 2)], axis=1))
     raise ValueError(f"kind must be 'bivector' or 'two_form', got {kind!r}")
 
 
 def dirac_gauge(L, eta):
     """Gauge transform L^eta = {(v, a + i_v eta) : (v, a) in L}."""
-    c = eta.matrix if isinstance(eta, SkewForm) else SkewForm(eta).matrix
-    if c.shape[0] != L.n:
+    return dirac_gauge_many([L], [eta])[0]
+
+
+def dirac_gauge_many(spaces, etas):
+    """dirac_gauge of every (L, eta) pair, in stacked steps."""
+    if not len(spaces):
+        return []
+    cs = _skew_rows(etas)
+    n = spaces[0].n
+    if cs.shape[-1] != n:
         raise ValueError("gauge form dimension mismatch")
-    v = L.tangent
-    return DiracSpace(np.vstack([v, L.cotangent + c.T @ v]))
+    bases = np.stack([space.basis for space in spaces])
+    v = bases[:, :n]
+    return dirac_spaces(np.concatenate([v, bases[:, n:] + np.swapaxes(cs, 1, 2) @ v], axis=1))
 
 
 def dirac_pullback(L, a):
@@ -349,20 +439,37 @@ def dirac_pullback(L, a):
     and submersions (bundle projections).  Result is a Dirac space on
     the source: {(u, a^T b) : (a u, b) in L}.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    n, k = a.shape
-    if n != L.n:
+    return dirac_pullback_many([L], [np.atleast_2d(np.asarray(a, dtype=float))])[0]
+
+
+def dirac_pullback_many(spaces, maps):
+    """dirac_pullback of every (L, a) pair, in stacked steps."""
+    if not len(spaces):
+        return []
+    maps = np.asarray(maps, dtype=float)
+    g, n, k = maps.shape
+    if n != spaces[0].n:
         raise ValueError("map target dimension mismatch")
-    if k and rank_svd(a)[0] != min(n, k):
-        raise RankDeficient("pullback along a rank-deficient map")
-    pairs = null(np.hstack([a, -L.tangent]))
-    u = pairs[:k]
-    c = pairs[k:]
-    stacked = np.vstack([u, a.T @ L.cotangent @ c])
-    rank, basis, _ = rank_svd(stacked)
-    if rank != k:
-        raise RankDeficient(f"pullback produced dimension {rank}, expected {k}")
-    return DiracSpace(basis)
+    bases = np.stack([space.basis for space in spaces])
+    errs = [None] * g
+    if k:
+        for i, (rank, _, _) in enumerate(rank_svd_many(maps)):
+            if rank != min(n, k):
+                errs[i] = RankDeficient("pullback along a rank-deficient map")
+    live = [i for i in range(g) if errs[i] is None]
+    pairs = null_many(np.concatenate([maps[live], -bases[live, :n]], axis=2))
+    images = rank_svd_many([np.vstack([p[:k], maps[i].T @ bases[i, n:] @ p[k:]])
+                            for i, p in zip(live, pairs)])
+    for i, (rank, _, _) in zip(live, images):
+        if rank != k:
+            errs[i] = RankDeficient(f"pullback produced dimension {rank}, expected {k}")
+    live = [(i, basis) for i, (_, basis, _) in zip(live, images) if errs[i] is None]
+    out = [None] * g
+    if live:
+        checked, checks = _dirac_rows(np.stack([basis for _, basis in live]))
+        for (i, _), basis, err in zip(live, checked, checks):
+            out[i], errs[i] = DiracSpace._checked(basis), err
+    return _raise_first(out, errs)
 
 
 def dirac_to_bivector(L):
@@ -370,17 +477,36 @@ def dirac_to_bivector(L):
 
     Raises NotPoisson when L meets V + 0, reporting the defect dimension.
     """
-    xi = L.cotangent
-    rank = rank_svd(xi)[0]
-    if rank < L.n:
-        defect = L.n - rank
-        raise NotPoisson(f"no bivector presentation, defect dimension {defect}", defect)
-    p = L.tangent @ np.linalg.inv(xi)
-    asym = np.max(np.abs(p + p.T)) if L.n else 0.0
-    scale = 1.0 + (np.max(np.abs(p)) if L.n else 0.0)
-    if asym > 1e-8 * scale:
-        raise NotPoisson(f"extracted matrix not antisymmetric ({asym:.2e})", 0)
-    return (p - p.T) / 2.0
+    [p] = dirac_to_bivector_many([L])
+    if isinstance(p, NotPoisson):
+        raise p
+    return p
+
+
+def dirac_to_bivector_many(spaces):
+    """dirac_to_bivector of every Dirac space of one dimension, in stacked
+    steps.  Returns one outcome per row: its P, or the NotPoisson that the
+    row raises alone."""
+    if not len(spaces):
+        return []
+    n = spaces[0].n
+    bases = np.stack([space.basis for space in spaces])
+    out = [None] * len(spaces)
+    for i, (rank, _, _) in enumerate(rank_svd_many(bases[:, n:])):
+        if rank < n:
+            out[i] = NotPoisson(f"no bivector presentation, defect dimension {n - rank}",
+                                n - rank)
+    live = [i for i, p in enumerate(out) if p is None]
+    if not live:
+        return out
+    p = bases[live, :n] @ np.linalg.inv(bases[live, n:])
+    pt = np.swapaxes(p, 1, 2)
+    asym = np.abs(p + pt).max(axis=(1, 2), initial=0.0)
+    scale = 1.0 + np.abs(p).max(axis=(1, 2), initial=0.0)
+    for i, a, b, q in zip(live, asym, scale, (p - pt) / 2.0):
+        out[i] = q if a <= 1e-8 * b else NotPoisson(
+            f"extracted matrix not antisymmetric ({a:.2e})", 0)
+    return out
 
 
 def lagrangian_complement(s_basis, omega, l0_basis, ref=None):

@@ -32,10 +32,12 @@ from .linear import (
     RankDeficient,
     SkewForm,
     align_frame,
-    dirac_gauge,
+    dirac_gauge_many,
     dirac_graph,
+    dirac_graph_many,
     dirac_pullback,
-    dirac_to_bivector,
+    dirac_pullback_many,
+    dirac_to_bivector_many,
     fix_signs,
     intersect_orth_many,
     lagrangian_complement,
@@ -50,7 +52,7 @@ from .linear import (
     subspace_intersect,
 )
 from .sprayflow import flow
-from .submanifold import Chart, point_data_rows, pullback_dirac
+from .submanifold import Chart, point_data_rows, pullback_dirac, pullback_dirac_rows
 
 RADIUS_FLOOR = 1e-3
 _GAUGE_FD_H = 1e-5  # GotayModel's central-difference step for the gauge form
@@ -72,7 +74,7 @@ class ComplementFrame:
         self.j = j  # (n, r), image is W0, pairs with txperp as identity
         self.cap_dim = cap_dim
         self.conditions = conditions or {}
-        self.lift = None  # set by the first _lift at u that succeeds
+        self.lift = None  # set by the first _lifts batch at u that succeeds
 
     @property
     def rank_perp(self):
@@ -437,30 +439,45 @@ def local_model_bivector(comp, u, zeta, steps=1024, eta_source="flow"):
         eta = eta_canonical_form_source(comp, u, zeta)
     else:
         raise ValueError(f"unknown eta source {eta_source!r}")
-    return SkewForm(_model_from_eta(_lift(comp, u), eta))
+    return SkewForm(_extracted(_models_from_etas(_lifts(comp, [u]), [eta]))[0])
 
 
-def _lift(comp, u):
-    """Chart Dirac structure at u, pulled back from the point data of the
-    memoised frame and up along the bundle projection; kept on the frame."""
-    fr = comp.at(u)
-    if fr.lift is None:
+def _lifts(comp, us):
+    """Chart Dirac structure at every u, pulled back from the point data of
+    the memoised frame and up along the bundle projection.  Each frame keeps
+    its lift; the frames without one get theirs from stacked steps."""
+    frames = comp.frames(us)
+    todo = list({id(fr): fr for fr in frames if fr.lift is None}.values())
+    if todo:
         k = comp.chart.param_dim
         dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
-        fr.lift = dirac_pullback(
-            pullback_dirac(comp.bv, comp.chart, fr.pd, ref_corank=comp.corank), dpr)
-    return fr.lift
+        bases = pullback_dirac_rows(comp.bv, comp.chart, [fr.pd for fr in todo],
+                                    ref_corank=comp.corank)
+        for fr, lift in zip(todo, dirac_pullback_many(bases, [dpr] * len(todo))):
+            fr.lift = lift
+    return [fr.lift for fr in frames]
 
 
-def _model_from_eta(lift, eta):
-    """Model bivector matrix: gauge the lift at u by eta and extract."""
-    return dirac_to_bivector(dirac_gauge(lift, eta))
+def _models_from_etas(lifts, etas):
+    """Model bivector matrix of every row: its lift gauged by its eta and
+    extracted, in stacked steps.  A row with no bivector presentation holds
+    its NotPoisson; a gauge failure raises as that of the first failing row."""
+    return dirac_to_bivector_many(dirac_gauge_many(lifts, etas))
 
 
-def _pushforward_mismatch(dphi, model, target):
-    """Max entry of dphi model dphi^T - target, compressed to the frame of dphi."""
-    q = orth(dphi)
-    return float(np.abs(q.T @ (dphi @ model @ dphi.T - target) @ q).max())
+def _extracted(models):
+    """The models of _models_from_etas; the first NotPoisson in read order raises."""
+    for p in models:
+        if isinstance(p, NotPoisson):
+            raise p
+    return models
+
+
+def _pushforward_mismatches(dphis, models, targets):
+    """Max entry of dphi model dphi^T - target, compressed to the frame of
+    dphi, at every row; the frames come from one orth_many call."""
+    return [float(np.abs(q.T @ (dphi @ model @ dphi.T - target) @ q).max())
+            for q, dphi, model, target in zip(orth_many(dphis), dphis, models, targets)]
 
 
 def extraction_radius(comp, u, steps=256, start=0.5, count=6, seed=0):
@@ -480,8 +497,8 @@ def extraction_radius(comp, u, steps=256, start=0.5, count=6, seed=0):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for radius in _halvings(start):
         try:
-            for eta in eta_forms(comp, [u] * count, radius * dirs, steps=steps):
-                _model_from_eta(_lift(comp, u), eta)
+            etas = eta_forms(comp, [u] * count, radius * dirs, steps=steps)
+            _extracted(_models_from_etas(_lifts(comp, [u]) * count, etas))
             return radius
         except RankDeficient:
             raise
@@ -633,12 +650,12 @@ def full_fiber_landing(sat: SaturationChart, count=10, radius=0.05, seed=1, tol=
 def saturation_residuals(sat: SaturationChart):
     """Per-sample residual of sharp(TP0) inside TP."""
     out = np.zeros(len(sat.points))
-    for i in range(len(sat.points)):
-        q = orth(sat.jacs[i])
-        conormal = null(q.T)
+    qs = orth_many(sat.jacs)
+    ps = sat.bv.matrix(sat.points)
+    for i, (q, conormal) in enumerate(zip(qs, null_many([q.T for q in qs]))):
         if conormal.shape[1] == 0:
             continue
-        image = sat.bv.matrix_at(sat.points[i]) @ conormal
+        image = ps[i] @ conormal
         out[i] = np.abs(image - q @ (q.T @ image)).max()
     return out
 
@@ -658,12 +675,12 @@ def verify_normal_form(sat: SaturationChart, tol=1e-4, eta_source="flow"):
     through dPhi and compared with the ambient bivector at the image
     point, both compressed to the orthonormalized chart frame.
     """
-    worst = 0.0
-    for u, z, x, dphi, eta in zip(sat.us, sat.zetas, sat.points, sat.jacs, sat.etas):
-        if eta_source != "flow":
-            eta = eta_canonical_form_source(sat.comp, u, z)
-        model = _model_from_eta(_lift(sat.comp, u), eta)
-        worst = max(worst, _pushforward_mismatch(dphi, model, sat.bv.matrix_at(x)))
+    etas = sat.etas
+    if eta_source != "flow":
+        etas = np.array([eta_canonical_form_source(sat.comp, u, z)
+                         for u, z in zip(sat.us, sat.zetas)])
+    models = _extracted(_models_from_etas(_lifts(sat.comp, sat.us), etas))
+    worst = max([0.0, *_pushforward_mismatches(sat.jacs, models, sat.bv.matrix(sat.points))])
     return {"max_mismatch": worst, "ok": worst <= tol, "tol": tol,
             "radius_used": sat.radius_used, "samples": len(sat.us), "steps": sat.steps}
 
@@ -764,13 +781,8 @@ def compare_complements(comp_a, comp_b, steps=1024, count=20, radius=0.1, seed=3
         zetas.append(zeta)
     _, res_a, jas, etas = _bundle_flow(comp_a, us, zetas, steps, with_omega=True)
     _require_inside(res_a)
-    kept, models_a = [], []
-    for i, (u, eta) in enumerate(zip(us, etas)):
-        try:
-            models_a.append(SkewForm(_model_from_eta(_lift(comp_a, u), eta)).matrix)
-            kept.append(i)
-        except NotPoisson:
-            continue
+    models_a = _models_from_etas(_lifts(comp_a, us), etas)
+    kept = [i for i, p in enumerate(models_a) if not isinstance(p, NotPoisson)]
     worst_mismatch, dists = 0.0, []
     if kept:
         inits = np.hstack([us[kept], np.zeros((len(kept), comp_b.rank_perp))])
@@ -778,11 +790,10 @@ def compare_complements(comp_a, comp_b, steps=1024, count=20, radius=0.1, seed=3
         _, res_b, jbs, etas_b = _bundle_flow(comp_b, params[:, :k], params[:, k:], steps,
                                              with_omega=True)
         _require_inside(res_b)
-        for row, i in enumerate(kept):
-            lift = _lift(comp_b, params[row, :k])
-            pb = SkewForm(_model_from_eta(lift, etas_b[row])).matrix
-            mism = _pushforward_mismatch(jas[i], models_a[row], jbs[row] @ pb @ jbs[row].T)
-            worst_mismatch = max(worst_mismatch, mism)
+        pbs = _extracted(_models_from_etas(_lifts(comp_b, params[:, :k]), etas_b))
+        worst_mismatch = max([0.0, *_pushforward_mismatches(
+            jas[kept], [SkewForm(models_a[i]).matrix for i in kept],
+            [jb @ SkewForm(pb).matrix @ jb.T for jb, pb in zip(jbs, pbs)])])
     return {"max_mismatch": worst_mismatch, "max_projection_distance": max([0.0, *dists]),
             "ok": bool(kept) and worst_mismatch <= tol, "tol": tol,
             "checked": len(kept), "skipped": len(us) - len(kept)}
@@ -792,26 +803,28 @@ class GotayModel(FrameAligner):
     """Coisotropic-embedding model of a Dirac chart.
 
     Given Dirac data L on R^k with constant-rank tangent kernel K (l_source
-    is a constant SkewForm or a callable x -> L(x)), the ambient space is
-    the bundle chart R^k x R^m of K-dual fibers; the bivector is extracted
-    from the canonical-form gauge of the lifted structure.  Frames are
-    aligned to those at the origin for smoothness.  Every bivector comes
-    from one batch path, _bivectors, which computes L and the fiber
-    inclusion once per distinct point that one call's gauge stencils read.
+    is a constant SkewForm, or a callable that maps an (m, k) stack of
+    points to their m Dirac spaces), the ambient space is the bundle chart
+    R^k x R^m of K-dual fibers; the bivector is extracted from the
+    canonical-form gauge of the lifted structure.  Frames are aligned to
+    those at the origin for smoothness.  Every bivector comes from one
+    batch path, _bivectors, which computes L and the fiber inclusion once
+    per distinct point that one call's gauge stencils read.
     """
 
     def __init__(self, dim, l_source):
         self.dim = k = int(dim)
         if isinstance(l_source, SkewForm):
-            self._l_at = lambda x: dirac_graph(l_source, "two_form")
+            graph = dirac_graph(l_source, "two_form")
+            self._l_at = lambda xs: [graph] * len(xs)
         else:
             self._l_at = l_source
         self._refs = {}
         self._vertical = orth(np.vstack([np.eye(k), np.zeros((k, k))]))
-        self._origin, self._l0 = np.zeros(k).tobytes(), self._l_at(np.zeros(k))
+        [l0] = self._l_at(np.zeros((1, k)))
         self.fiber_dim = None
-        self.fiber_dim = self._kernels([self._l0])[0].shape[1]
-        self._inclusions([self._l0])  # sets the "g" reference
+        self.fiber_dim = self._kernels([l0])[0].shape[1]
+        self._inclusions([l0])  # sets the "g" reference
         self._dpr = np.hstack([np.eye(k), np.zeros((k, self.fiber_dim))])
 
     def _kernels(self, ls):
@@ -830,39 +843,40 @@ class GotayModel(FrameAligner):
         failure is raised by the first failing row of the step that finds it."""
         kerns = self._kernels(ls)
         gs = [self._aligned("g", g) for g in null_many([kern.T for kern in kerns])]
-        stacks = [np.hstack([kern, g]) for kern, g in zip(kerns, gs)]
+        stacks = np.array([np.hstack([kern, g]) for kern, g in zip(kerns, gs)])
         m = self.fiber_dim
         rhs = np.vstack([np.eye(m), np.zeros((self.dim - m, m))])
         if any(rank != self.dim for rank, _, _ in rank_svd_many(stacks)):
             raise RankDeficient("G is not a complement of the kernel")
-        return [np.linalg.solve(stack.T, rhs) for stack in stacks]
+        rhs = np.broadcast_to(rhs, (len(stacks), self.dim, m))
+        return list(np.linalg.solve(np.swapaxes(stacks, 1, 2), rhs))
 
     def _bivectors(self, qs):
         """Model bivector at every row (x, c) of qs, and L at every x.
 
         Each row's x and its gauge stencil are listed once, and the distinct
-        points among them on their bits, in read order.  L is computed
-        once per point (the origin's is the one construction computed) and
-        every inclusion in one stacked step; each row is then gauged and
-        extracted, bitwise as it would be alone, and rows that share x share
-        one lift of L along the bundle projection.
+        points among them on their bits, in read order.  L comes from one
+        l_source call and every inclusion from one stacked step.  Then the
+        rows' lifts of L along the bundle projection (one per distinct x),
+        gauges and extractions each run as one stacked step, so every row
+        is bitwise what it is alone; a failure is that of the first failing
+        row of the step that finds it.
         """
         k = self.dim
         qs = np.asarray(qs, dtype=float)
         reads = [[x, *_stencil(x, _GAUGE_FD_H)] for x in qs[:, :k]]
         points = {y.tobytes(): y for row in reads for y in row}
-        ls = {key: self._l0 if key == self._origin else self._l_at(y) for key, y in points.items()}
+        ls = dict(zip(points, self._l_at(np.array(list(points.values())))))
         incls = dict(zip(ls, self._inclusions(list(ls.values()))))
-        bases = [ls[q[:k].tobytes()] for q in qs]
-        lifts, out = {}, []
-        for l, q, row in zip(bases, qs, reads):
+        etas = []
+        for q, row in zip(qs, reads):
             vals = np.array([incls[y.tobytes()] for y in row])
-            eta = _canonical_form_gauge(vals[0], vals[1:], q[k:], _GAUGE_FD_H)
-            key = q[:k].tobytes()
-            if key not in lifts:
-                lifts[key] = dirac_pullback(l, self._dpr)
-            out.append(_model_from_eta(lifts[key], eta))
-        return out, bases
+            etas.append(_canonical_form_gauge(vals[0], vals[1:], q[k:], _GAUGE_FD_H))
+        keys = [q[:k].tobytes() for q in qs]
+        xs = list(dict.fromkeys(keys))
+        lifts = dict(zip(xs, dirac_pullback_many([ls[x] for x in xs], [self._dpr] * len(xs))))
+        out = _extracted(_models_from_etas([lifts[key] for key in keys], np.array(etas)))
+        return out, [ls[key] for key in keys]
 
     def bivector_at(self, x, c):
         """Model bivector at (x, c): the one-row case of _bivectors."""
@@ -875,6 +889,8 @@ class GotayModel(FrameAligner):
         One _bivectors call takes the rows of every sample x: (x, 0), (x, c)
         and the fd_h-stencil of (x, c), whose bivectors give the Jacobi
         gradients; a failure of its stacked step comes before any extraction.
+        The pullbacks that reproduce L along the zero section are one
+        stacked step.
         """
         k, m = self.dim, self.fiber_dim
         rng = np.random.default_rng(seed)
@@ -887,12 +903,13 @@ class GotayModel(FrameAligner):
         coiso = angles = jacobi = 0.0
         incl = np.vstack([np.eye(k), np.zeros((m, k))])
         conormal = np.vstack([np.zeros((k, m)), np.eye(m)])
-        for i in range(0, len(ps), span):
+        backs = dirac_pullback_many(dirac_graph_many(np.array(ps[::span]), "bivector"),
+                                    [incl] * samples)
+        for i, back in zip(range(0, len(ps), span), backs):
             p, p0, *stencil = ps[i:i + span]
             image = p @ conormal
             resid = image - incl @ (incl.T @ image)
             coiso = max(coiso, float(np.abs(resid).max(initial=0.0)))
-            back = dirac_pullback(dirac_graph(p, "bivector"), incl)
             ang = principal_angles(back.basis, ls[i].basis)
             angles = max(angles, float(ang.max()) if ang.size else 0.0)
             grads = _central_diff(np.array(stencil), fd_h)
@@ -921,8 +938,8 @@ def fiberwise_reflection_residual(l_base: DiracSpace, a_block, b_block):
     m = np.diag(np.concatenate([np.ones(k), -np.ones(r)]))
     dpr = np.hstack([np.eye(k), np.zeros((k, r))])
     lifted = dirac_pullback(l_base, dpr)
-    left = dirac_pullback(dirac_gauge(lifted, eta_mirror), m)
-    right = dirac_gauge(lifted, -eta_here)
+    left, right = dirac_gauge_many([lifted, lifted], [eta_mirror, -eta_here])
+    left = dirac_pullback(left, m)
     ang = principal_angles(left.basis, right.basis)
     fixed = principal_angles(dirac_pullback(lifted, m).basis, lifted.basis)
     return float(max(ang.max() if ang.size else 0.0, fixed.max() if fixed.size else 0.0))

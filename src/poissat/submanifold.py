@@ -23,8 +23,8 @@ from .linear import (
     DiracSpace,
     RankDeficient,
     annihilator,
-    dirac_graph,
-    dirac_pullback,
+    dirac_graph_many,
+    dirac_pullback_many,
     fix_signs,
     orth,
     rank_svd,
@@ -306,23 +306,15 @@ def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_cor
     """Pull the bivector graph back to the chart at the point of pd.
 
     pd is point_data(bv, chart, u); nothing of it is recomputed.
-    route="generic" takes the backward image along the chart Jacobian;
-    route="perp" realizes the same space as sharp(a) + i*a over covectors
-    a annihilating TXperp.  The point must be regular: the corank is
-    compared against ref_corank (or against seeded nearby samples) and
-    a jump raises RankDeficient.
+    route="generic" takes the backward image along the chart Jacobian (the
+    one-row case of pullback_dirac_rows); route="perp" realizes the same
+    space as sharp(a) + i*a over covectors a annihilating TXperp.  The
+    point must be regular: the corank is compared against ref_corank (or
+    against seeded nearby samples) and a jump raises RankDeficient.
     """
-    if ref_corank is None:
-        if any(q.corank != pd.corank for q in nearby_point_data(bv, chart, pd.u, seed=0)):
-            raise RankDeficient(
-                f"corank jumps near u = {tuple(pd.u.tolist())}: pullback is not smooth there"
-            )
-    elif pd.corank != ref_corank:
-        raise RankDeficient(
-            f"corank {pd.corank} at u = {tuple(pd.u.tolist())} differs from reference {ref_corank}"
-        )
     if route == "generic":
-        return dirac_pullback(dirac_graph(pd.p, "bivector"), pd.dx)
+        return pullback_dirac_rows(bv, chart, [pd], ref_corank)[0]
+    _check_corank(bv, chart, pd, ref_corank)
     if route == "perp":
         n, k, dx = bv.dim, chart.param_dim, pd.dx
         ann = annihilator(pd.txperp, dim=n)
@@ -338,6 +330,30 @@ def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_cor
             raise RankDeficient(f"perp route produced dimension {basis.shape[1]}")
         return DiracSpace(basis)
     raise ValueError(f"unknown route {route!r}")
+
+
+def pullback_dirac_rows(bv: BivectorField, chart: Chart, pds, ref_corank=None):
+    """pullback_dirac's generic route at every PointData of pds: each corank
+    is checked in read order, then every graph and backward image is one
+    stacked step, each row bitwise what it is alone."""
+    for pd in pds:
+        _check_corank(bv, chart, pd, ref_corank)
+    if not pds:
+        return []
+    graphs = dirac_graph_many(np.array([pd.p for pd in pds]), "bivector")
+    return dirac_pullback_many(graphs, [pd.dx for pd in pds])
+
+
+def _check_corank(bv, chart, pd, ref_corank):
+    if ref_corank is None:
+        if any(q.corank != pd.corank for q in nearby_point_data(bv, chart, pd.u, seed=0)):
+            raise RankDeficient(
+                f"corank jumps near u = {tuple(pd.u.tolist())}: pullback is not smooth there"
+            )
+    elif pd.corank != ref_corank:
+        raise RankDeficient(
+            f"corank {pd.corank} at u = {tuple(pd.u.tolist())} differs from reference {ref_corank}"
+        )
 
 
 def make_transversal(bv: BivectorField, chart: Chart, thickness=0.5):

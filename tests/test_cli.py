@@ -446,65 +446,81 @@ def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, arg
     # ComplementChoice sends point_data_rows one row per distinct u that
     # reaches its frames (grid, stencil and probe parameters, and the anchor
     # twice: the constructor's frame, which sets the alignment references,
-    # is not kept), counted in rows; pullback_dirac runs once per distinct u
-    # that verify and extraction_radius lift (the lift at u0 is shared), on
-    # the point data of the memoised frame, so the submanifold module
-    # computes point data only for the regularity gate: the scan grid and
-    # classify's 10 extra samples, counted in rows
+    # is not kept), counted in rows; the stacked pullback_dirac_rows lifts
+    # once per distinct u that verify and extraction_radius lift (the lift
+    # at u0 is shared), on the point data of the memoised frame, counted in
+    # rows, so the submanifold module computes point data only for the
+    # regularity gate: the scan grid and classify's 10 extra samples,
+    # counted in rows
     calls = {"frame_rows": 0, "pullback_dirac": 0, "gate_rows": 0}
-    real_frame_rows, real_pullback = model.point_data_rows, model.pullback_dirac
+    real_frame_rows, real_pullback = model.point_data_rows, model.pullback_dirac_rows
     real_rows = submanifold.point_data_rows
 
     def frame_rows(bv, chart, us):
         calls["frame_rows"] += len(us)
         return real_frame_rows(bv, chart, us)
 
-    def pullback_dirac(*args, **kwargs):
-        calls["pullback_dirac"] += 1
-        return real_pullback(*args, **kwargs)
+    def pullback_dirac_rows(bv, chart, pds, **kwargs):
+        calls["pullback_dirac"] += len(pds)
+        return real_pullback(bv, chart, pds, **kwargs)
 
     def point_data_rows(bv, chart, us):
         calls["gate_rows"] += len(us)
         return real_rows(bv, chart, us)
 
     monkeypatch.setattr(model, "point_data_rows", frame_rows)
-    monkeypatch.setattr(model, "pullback_dirac", pullback_dirac)
+    monkeypatch.setattr(model, "pullback_dirac_rows", pullback_dirac_rows)
     monkeypatch.setattr(submanifold, "point_data_rows", point_data_rows)
     code, _ = run_main([argv[0], write_fixture(tmp_path, fixture), *argv[1:]])
     assert code == 0
     assert calls == {"frame_rows": frames, "pullback_dirac": lifts, "gate_rows": gate}
 
 
-@pytest.mark.parametrize("job,calls", [("analyze-cubic-graph", 14), ("gotay-verify", 1402)])
-def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, calls):
-    # every rank decision of the regularity gate is stacked: analyze makes
-    # single-matrix rank_svd calls only in the chart's immersion check, and
-    # GotayModel.verify only in the Dirac chain: one lift per distinct x
-    # (140 of them, where one per row made 200), then each bivector's gauge
-    # and extraction
-    real = linear.rank_svd
-    count = []
+@pytest.mark.parametrize("job,single,stacked", [("analyze-cubic-graph", 14, 2692),
+                                               ("gotay-verify", 1, 3409)],
+                         ids=["analyze-cubic-graph", "gotay-verify"])
+def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
+    # every matrix that reaches a rank decision is counted where it enters:
+    # one per rank_svd call, one per matrix of a rank_svd_many batch, so
+    # moving work into a batch cannot hide it.  analyze decides single
+    # matrices only in the chart's immersion check.  GotayModel.verify
+    # decides one (the vertical frame, at construction) and stacks the rest:
+    # L of the constant form once, kernels and inclusions at the 500
+    # distinct points that its stencils read, 140 lifts (one per distinct
+    # x), the gauge and extraction of all 200 rows, and 20 pullbacks
+    real, real_many = linear.rank_svd, linear.rank_svd_many
+    count = {"single": 0, "stacked": 0}
 
     def counted(*args, **kwargs):
-        count.append(1)
+        count["single"] += 1
         return real(*args, **kwargs)
 
+    def counted_many(ms, *args, **kwargs):
+        count["stacked"] += len(ms)
+        return real_many(ms, *args, **kwargs)
+
     for name, mod in list(sys.modules.items()):
-        if name.startswith("poissat") and getattr(mod, "rank_svd", None) is real:
-            monkeypatch.setattr(mod, "rank_svd", counted)
+        if name.startswith("poissat"):
+            if getattr(mod, "rank_svd", None) is real:
+                monkeypatch.setattr(mod, "rank_svd", counted)
+            if getattr(mod, "rank_svd_many", None) is real_many:
+                monkeypatch.setattr(mod, "rank_svd_many", counted_many)
     if job == "gotay-verify":
         omega = linear.SkewForm(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         model.GotayModel(3, omega).verify(samples=20)
     else:
         code, _ = run_main(["analyze", write_fixture(tmp_path, "cubic-graph")])
         assert code == 3
-    assert len(count) == calls
+    assert count == {"single": single, "stacked": stacked}
 
 
-@pytest.mark.parametrize("target", ["pullback_dirac", "dirac_gauge"])
+@pytest.mark.parametrize("target", [pytest.param("pullback_dirac_rows", id="pullback_dirac"),
+                                    pytest.param("dirac_gauge_many", id="dirac_gauge")])
 def test_extraction_radius_rank_failure_exits_3(tmp_path, monkeypatch, target):
     # a rank failure does not depend on the fiber radius: it must stop the
-    # model stage with its reason, not halve the radius down to 0.0
+    # model stage with its reason, not halve the radius down to 0.0; the
+    # model lifts and gauges through the stacked entry points, so those are
+    # patched (the ids keep the names of the one-row steps they batch)
     def rank_deficient(*args, **kwargs):
         raise model.RankDeficient("corank 1 at u = (0.0,) differs from reference 0")
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -325,3 +327,277 @@ def test_is_orthonormal_agrees_with_allclose_at_the_boundary():
     assert verdicts[:2] == [True, True] and verdicts[2] is False  # the boundary is inclusive
     assert True in verdicts[3:10] and False in verdicts[3:10]
     assert verdicts[10:13] == [False, False, False]
+
+
+# --- stacked rank rules and Dirac steps against the per-row code they replaced ---
+
+
+def _rank_ref(m, tol_rel=None, scale=None):
+    # the per-matrix rank rules that the array form replaced
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    d, k = m.shape
+    if d == 0 or k == 0 or not m.any():
+        return 0, np.zeros((d, 0)), np.eye(k)
+    u, s, vt = np.linalg.svd(m, full_matrices=True)
+    ref = s[0] if scale is None else max(s[0], float(scale))
+    rank = int(np.count_nonzero(s > (linear.TOL_REL if tol_rel is None else tol_rel) * ref))
+    return rank, u[:, :rank], vt[rank:].T
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stacked_rank_rules_mixed_rows(monkeypatch):
+    rng = np.random.default_rng(17)
+    rows = []
+    for d, k in [(3, 3), (5, 2), (2, 5), (6, 3)]:
+        for rank in range(min(d, k) + 1):
+            m = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, k))
+            rows += [(m, None), (m, float(rng.uniform(0.5, 3.0))), (1e-9 * m, 1.0),
+                     (m, np.float64(0.0))]
+    minus_zero = np.zeros((3, 3))
+    minus_zero[1, 2] = -0.0
+    rows += [(np.zeros((3, 3)), None), (minus_zero, 2.0), (-np.zeros((5, 2)), None),
+             (np.zeros((0, 4)), None), (np.zeros((4, 0)), 1.5), (np.zeros((0, 0)), None),
+             (np.full((3, 3), np.nextafter(0.0, 1.0)), None)]
+    order = rng.permutation(len(rows))
+    rows = [rows[i] for i in order]
+    assert sum(1 for _, s in rows if s is None) not in (0, len(rows))
+    for tol_rel in (None, 1e-4):
+        many = linear.rank_svd_many([m for m, _ in rows], tol_rel=tol_rel,
+                                    scales=[s for _, s in rows])
+        for (m, scale), got in zip(rows, many):
+            for ref in (rank_svd(m, tol_rel=tol_rel, scale=scale),
+                        _rank_ref(m, tol_rel=tol_rel, scale=scale)):
+                assert got[0] == ref[0] and type(got[0]) is int
+                assert _same(got[1], ref[1]) and _same(got[2], ref[2])
+    # a (g, d, k) stack, strided or not, is one shape group
+    stack = np.array([m for m, _ in rows if m.shape == (6, 3)])
+    for view in (stack, stack[:, ::2], np.zeros((0, 6, 3))):
+        for got, m in zip(linear.rank_svd_many(view), view):
+            ref = _rank_ref(m)
+            assert got[0] == ref[0] and _same(got[1], ref[1]) and _same(got[2], ref[2])
+    assert len(stack) == 16 and linear.rank_svd_many(np.zeros((0, 6, 3))) == []
+    # all-zero and empty rows never reach the SVD: a batch of them alone makes none
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    trivial = [m for m, _ in rows if not m.size or not m.any()]
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert [r[0] for r in linear.rank_svd_many(trivial)] == [0] * len(trivial)
+    assert len(trivial) >= 7 and not calls
+
+
+def _orthonormal_ref(m):
+    eye = np.eye(m.shape[1])
+    return bool(np.all(np.abs(m.T @ m - eye) <= 1e-12 + 1e-5 * np.abs(eye)))
+
+
+def _space_ref(basis):
+    # DiracSpace's checks one basis at a time, as before stacking
+    basis = np.atleast_2d(np.asarray(basis, dtype=float))
+    n = basis.shape[0] // 2
+    if basis.shape[1] != n:
+        rank, basis, _ = _rank_ref(basis)
+        if rank != n:
+            raise ValueError(f"Dirac space must have dimension {n}, got {rank}")
+    if n and not _orthonormal_ref(basis):
+        basis = _rank_ref(basis)[1]
+        if basis.shape[1] != n:
+            raise ValueError("Dirac basis is rank deficient")
+    g = basis.T @ linear.dirac_pairing(n) @ basis
+    worst = float(np.max(np.abs(g))) if n else 0.0
+    if worst > 1e-10:
+        raise ValueError(f"not isotropic: pairing residual {worst:.2e}")
+    return basis
+
+
+def _graph_ref(obj, kind):
+    if kind == "bivector":
+        return _space_ref(np.vstack([obj, np.eye(len(obj))]))
+    c = obj.matrix if isinstance(obj, SkewForm) else SkewForm(obj).matrix
+    return _space_ref(np.vstack([np.eye(len(c)), c.T]))
+
+
+def _gauge_ref(basis, eta):
+    n = basis.shape[0] // 2
+    c = SkewForm(eta).matrix
+    return _space_ref(np.vstack([basis[:n], basis[n:] + c.T @ basis[:n]]))
+
+
+def _pullback_ref(basis, a):
+    n, k = a.shape
+    if k and _rank_ref(a)[0] != min(n, k):
+        raise RankDeficient("pullback along a rank-deficient map")
+    pairs = _rank_ref(np.hstack([a, -basis[:n]]))[2]
+    rank, image, _ = _rank_ref(np.vstack([pairs[:k], a.T @ basis[n:] @ pairs[k:]]))
+    if rank != k:
+        raise RankDeficient(f"pullback produced dimension {rank}, expected {k}")
+    return _space_ref(image)
+
+
+def _to_bivector_ref(basis):
+    n = basis.shape[0] // 2
+    rank = _rank_ref(basis[n:])[0]
+    if rank < n:
+        raise NotPoisson(f"no bivector presentation, defect dimension {n - rank}", n - rank)
+    p = basis[:n] @ np.linalg.inv(basis[n:])
+    asym = np.max(np.abs(p + p.T)) if n else 0.0
+    scale = 1.0 + (np.max(np.abs(p)) if n else 0.0)
+    if asym > 1e-8 * scale:
+        raise NotPoisson(f"extracted matrix not antisymmetric ({asym:.2e})", 0)
+    return (p - p.T) / 2.0
+
+
+def _forms(rng, n, count):
+    """Seeded two-forms on R^n, every third one degenerate: of rank 2 for
+    n > 2, zero otherwise."""
+    out = []
+    for i in range(count):
+        m = random_skew(rng, n)
+        if i % 3 == 2:
+            b = rng.standard_normal((n, 2))
+            m = b @ np.array([[0.0, 1.0], [-1.0, 0.0]]) @ b.T if n > 2 else np.zeros((n, n))
+        out.append(m)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_stacked_dirac_graph_and_spaces_are_bitwise_per_row(n):
+    rng = np.random.default_rng(20 + n)
+    forms = _forms(rng, n, 9)
+    for kind, objs in [("bivector", forms), ("two_form", forms),
+                       ("two_form", [SkewForm(f) for f in forms]),
+                       ("two_form", rng.standard_normal((9, n, n)))]:
+        graphs = linear.dirac_graph_many(objs, kind)
+        assert len(graphs) == 9
+        for obj, graph in zip(objs, graphs):
+            assert graph.n == n
+            assert _same(graph.basis, dirac_graph(obj, kind).basis)
+            assert _same(graph.basis, _graph_ref(obj, kind))
+    # spaces given in (2n, m) bases with m != n take the rank step first
+    bases = np.array([np.hstack([g.basis, g.basis @ rng.standard_normal((n, 1))])
+                      for g in linear.dirac_graph_many(forms, "two_form")])
+    for space, basis in zip(linear.dirac_spaces(bases), bases):
+        assert _same(space.basis, DiracSpace(basis).basis)
+        assert _same(space.basis, _space_ref(basis))
+    assert linear.dirac_spaces(np.zeros((0, 2 * n, n))) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_stacked_dirac_gauge_and_extraction_are_bitwise_per_row(n):
+    rng = np.random.default_rng(30 + n)
+    forms = _forms(rng, n, 12)
+    spaces = (linear.dirac_graph_many(forms[:6], "bivector")
+              + linear.dirac_graph_many(forms[6:], "two_form"))
+    etas = 0.3 * rng.standard_normal((12, n, n))
+    for gauged_etas in (etas, list(etas), [SkewForm(e) for e in etas]):
+        gauged = linear.dirac_gauge_many(spaces, gauged_etas)
+        for space, eta, got in zip(spaces, etas, gauged):
+            assert _same(got.basis, dirac_gauge(space, eta).basis)
+            assert _same(got.basis, _gauge_ref(space.basis, eta))
+    outcomes = linear.dirac_to_bivector_many(spaces + gauged)
+    defects = []
+    for space, got in zip(spaces + gauged, outcomes):
+        try:
+            ref = _to_bivector_ref(space.basis)
+        except NotPoisson as exc:
+            assert isinstance(got, NotPoisson)
+            assert (str(got), got.defect) == (str(exc), exc.defect)
+            with pytest.raises(NotPoisson, match=f"^{re.escape(str(exc))}$"):
+                dirac_to_bivector(space)
+            defects.append(got.defect)
+            continue
+        assert _same(got, ref) and _same(got, dirac_to_bivector(space))
+    assert defects and len(defects) < len(outcomes)  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (3, 3), (2, 4), (4, 6), (4, 0)])
+def test_stacked_dirac_pullback_is_bitwise_per_row(n, k):
+    rng = np.random.default_rng(40 + 10 * n + k)
+    forms = _forms(rng, n, 8)
+    spaces = (linear.dirac_graph_many(forms[:4], "bivector")
+              + linear.dirac_graph_many(forms[4:], "two_form"))
+    maps = rng.standard_normal((8, n, k))
+    pulled = linear.dirac_pullback_many(spaces, maps)
+    for space, a, got in zip(spaces, maps, pulled):
+        assert got.n == k
+        assert _same(got.basis, dirac_pullback(space, a).basis)
+        assert _same(got.basis, _pullback_ref(space.basis, a))
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("order", ["isotropy-first", "dimension-first"])
+def test_stacked_dirac_spaces_raises_as_per_row(order):
+    # a later step's failure in an earlier row wins over an earlier step's
+    # failure in a later row, as the per-row loop would raise it
+    rng = np.random.default_rng(50)
+    n = 3
+    good = dirac_graph(random_skew(rng, n), "bivector").basis
+    flat = np.vstack([np.eye(n), np.diag([1.0, 2.0, 3.0])])  # symmetric: not isotropic
+    wide = rng.standard_normal((2 * n, n + 1))  # dimension n + 1
+    extra = rng.standard_normal((n, 1))
+    rows = [np.hstack([good, good @ extra]), np.hstack([flat, flat @ extra]), wide]
+    if order == "dimension-first":
+        rows = [rows[0], rows[2], rows[1]]
+    batch = _raised(lambda: linear.dirac_spaces(np.array(rows)))
+
+    def per_row():
+        for b in rows:
+            DiracSpace(b)
+
+    assert batch == _raised(per_row) == _raised(lambda: [_space_ref(b) for b in rows])
+    assert batch[0] is ValueError
+    assert batch[1].startswith("not isotropic" if order == "isotropy-first"
+                               else "Dirac space must have dimension 3")
+
+
+def test_stacked_dirac_pullback_raises_as_per_row():
+    rng = np.random.default_rng(51)
+    n, k = 4, 2
+    spaces = linear.dirac_graph_many(_forms(rng, n, 4), "bivector")
+    maps = rng.standard_normal((4, n, k))
+    maps[1] = np.outer(rng.standard_normal(n), [1.0, 2.0])  # rank 1 < k
+    maps[3] = 0.0
+    batch = _raised(lambda: linear.dirac_pullback_many(spaces, maps))
+
+    def per_row():
+        for space, a in zip(spaces, maps):
+            dirac_pullback(space, a)
+
+    ref = _raised(lambda: [_pullback_ref(s.basis, a) for s, a in zip(spaces, maps)])
+    assert batch == _raised(per_row) == ref
+    assert batch == (RankDeficient, "pullback along a rank-deficient map")
+    # the passing rows alone are bitwise those of the one-row function
+    kept = [0, 2]
+    for i, got in zip(kept, linear.dirac_pullback_many([spaces[i] for i in kept], maps[kept])):
+        assert _same(got.basis, dirac_pullback(spaces[i], maps[i]).basis)
+
+
+def test_stacked_dirac_to_bivector_keeps_not_poisson_per_row():
+    # NotPoisson is a per-row outcome: the other rows still extract, bitwise
+    rng = np.random.default_rng(52)
+    n = 4
+    forms = _forms(rng, n, 6)
+    spaces = (linear.dirac_graph_many(forms[:3], "bivector")
+              + linear.dirac_graph_many(forms[3:], "two_form"))
+    outcomes = linear.dirac_to_bivector_many(spaces)
+    failed = [i for i, p in enumerate(outcomes) if isinstance(p, NotPoisson)]
+    assert failed == [5]  # the rank-2 two-form: its graph meets V + 0 in 2 dimensions
+    assert outcomes[5].defect == 2
+    for space, got in zip(spaces, outcomes):
+        if isinstance(got, NotPoisson):
+            assert _raised(lambda: dirac_to_bivector(space)) == (NotPoisson, str(got))
+        else:
+            assert _same(got, dirac_to_bivector(space))
+    assert linear.dirac_to_bivector_many([]) == []

@@ -12,6 +12,8 @@ Closed forms used below (all derivable by hand):
     with block bivector diag([[0,1],[-1,0]], [[0,1],[-1,0]]).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,11 @@ from poissat.linear import (
     NotPoisson,
     RankDeficient,
     SkewForm,
+    dirac_gauge,
     dirac_graph,
+    dirac_graph_many,
+    dirac_pullback,
+    dirac_to_bivector,
     null,
     orth,
     principal_angles,
@@ -256,7 +262,7 @@ def test_stacked_central_diff_is_bitwise_per_axis(figure_eight, case):
         u = np.array([0.03, -0.07, 0.05])
 
         def f(y):
-            return got._inclusions([got._l_at(y)])[0]
+            return got._inclusions(got._l_at(y[None]))[0]
     else:
         bv, chart = charts[case]
         comp = model.ComplementChoice(bv, chart)
@@ -597,10 +603,10 @@ def test_compare_complements_fails_when_nothing_extracts(coiso_line, monkeypatch
     comp_a = model.ComplementChoice(bv, chart, mode="default")
     comp_b = model.ComplementChoice(bv, chart, mode="coisotropic")
 
-    def never_extracts(space):
-        raise NotPoisson("no bivector presentation", 1)
+    def never_extracts(spaces):
+        return [NotPoisson("no bivector presentation", 1) for _ in spaces]
 
-    monkeypatch.setattr(model, "dirac_to_bivector", never_extracts)
+    monkeypatch.setattr(model, "dirac_to_bivector_many", never_extracts)
     rep = model.compare_complements(comp_a, comp_b, steps=16, count=5)
     assert (rep["checked"], rep["skipped"]) == (0, 5)
     assert rep["max_mismatch"] == 0.0 and not rep["ok"]
@@ -750,7 +756,8 @@ def _x3_form_r4(x):
 
 
 def _gotay(dim, form):
-    return model.GotayModel(dim, lambda x: dirac_graph(SkewForm(form(x)), "two_form"))
+    return model.GotayModel(
+        dim, lambda xs: dirac_graph_many([SkewForm(form(x)) for x in xs], "two_form"))
 
 
 def _record_rows(monkeypatch, got, rows):
@@ -776,19 +783,19 @@ def test_gotay_memo_is_bitwise_exact(monkeypatch, dim, form, fiber, origin_first
         assert got.fiber_dim == fiber
         rows, seen = [], []
 
-        def recording(l):
-            seen.append(to_bivector(l))
-            return seen[-1]
+        def recording(spaces):
+            seen.extend(to_bivector(spaces))
+            return seen[-len(spaces):]
 
         _record_rows(monkeypatch, got, rows)
         with monkeypatch.context() as m:
-            m.setattr(model, "dirac_to_bivector", recording)
+            m.setattr(model, "dirac_to_bivector_many", recording)
             if first:
                 got.bivector_at(np.zeros(dim), np.zeros(fiber))
             rep = got.verify(samples=20)
         return rep, rows, seen
 
-    to_bivector = model.dirac_to_bivector
+    to_bivector = model.dirac_to_bivector_many
     rep, rows, seen = run(origin_first)
     ref_rep, _, ref_seen = run(False)
     assert rep == ref_rep
@@ -811,9 +818,9 @@ def test_stacked_gotay_inclusions_are_bitwise_per_row(monkeypatch, dim, form):
         batches.append((ls, real(ls)))
         return batches[-1][1]
 
-    def listed(x):
-        points.append(x.tobytes())
-        return real_l(x)
+    def listed(xs):
+        points.extend(x.tobytes() for x in xs)
+        return real_l(xs)
 
     monkeypatch.setattr(got, "_inclusions", counted)
     monkeypatch.setattr(got, "_l_at", listed)
@@ -835,9 +842,9 @@ def test_stacked_gotay_verify_is_bitwise_per_row(monkeypatch, dim, form):
         got = _gotay(dim, form)
         seen = []
 
-        def recording(l):
-            seen.append(to_bivector(l))
-            return seen[-1]
+        def recording(spaces):
+            seen.extend(to_bivector(spaces))
+            return seen[-len(spaces):]
 
         def per_row(qs):
             alone = [real(q[None]) for q in np.asarray(qs, dtype=float)]
@@ -845,13 +852,13 @@ def test_stacked_gotay_verify_is_bitwise_per_row(monkeypatch, dim, form):
 
         real = got._bivectors
         with monkeypatch.context() as m:
-            m.setattr(model, "dirac_to_bivector", recording)
+            m.setattr(model, "dirac_to_bivector_many", recording)
             if not stacked:
                 m.setattr(got, "_bivectors", per_row)
             rep = got.verify(samples=5)
         return rep, seen
 
-    to_bivector = model.dirac_to_bivector
+    to_bivector = model.dirac_to_bivector_many
     (rep, seen), (ref_rep, ref_seen) = run(True), run(False)
     assert rep == ref_rep
     assert len(seen) == len(ref_seen) == 5 * (2 * (dim + (dim - 2)) + 2)
@@ -892,9 +899,9 @@ def test_gotay_verify_computes_each_inclusion_once(monkeypatch):
 
 
 def test_gotay_nonconstant_kernel_rejected():
-    def l_at(x):
-        c = SkewForm(np.array([[0.0, float(x[0])], [-float(x[0]), 0.0]]))
-        return dirac_graph(c, "two_form")
+    def l_at(xs):
+        return [dirac_graph(SkewForm(np.array([[0.0, float(x[0])], [-float(x[0]), 0.0]])),
+                            "two_form") for x in xs]
 
     with pytest.raises(RankDeficient):
         got = model.GotayModel(2, l_at)
@@ -963,3 +970,173 @@ def test_fiberwise_reflection_on_fixture_models(coiso_line):
         p_can = model.local_model_bivector(comp, u, [-z[0]], steps=64,
                                            eta_source="canonical_form")
         assert np.allclose(m @ p_can.matrix @ m.T, p_flow.matrix, atol=1e-12)
+
+
+# --- stacked Dirac steps in the model, against one row at a time ---
+
+
+def _lift_ref(comp, u):
+    # one lift at a time, with the one-row functions, as before stacking
+    fr = comp.at(u)
+    k = comp.chart.param_dim
+    dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
+    base = submanifold.pullback_dirac(comp.bv, comp.chart, fr.pd, ref_corank=comp.corank)
+    return dirac_pullback(base, dpr)
+
+
+def _mismatch_ref(dphi, p, target):
+    q = orth(dphi)
+    return float(np.abs(q.T @ (dphi @ p @ dphi.T - target) @ q).max())
+
+
+def _bits(a):
+    return np.asarray(a).shape, np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("case", ["coiso-line", "sphere-so3"])
+def test_stacked_saturation_residuals_are_bitwise_per_row(request, case):
+    bv, chart = request.getfixturevalue(case.replace("-", "_"))
+    sat = model.saturation_chart(model.ComplementChoice(bv, chart), steps=32, u_counts=3,
+                                 radius=0.05)
+    ref = np.zeros(len(sat.points))
+    for i in range(len(sat.points)):
+        q = orth(sat.jacs[i])
+        conormal = null(q.T)
+        if conormal.shape[1]:
+            image = bv.matrix_at(sat.points[i]) @ conormal
+            ref[i] = np.abs(image - q @ (q.T @ image)).max()
+    got = model.saturation_residuals(sat)
+    assert _bits(got) == _bits(ref)
+    assert sat.model_dim < bv.dim  # every sample has a conormal to test
+
+
+@pytest.mark.parametrize("case, mode, eta_source", [
+    ("so3_ray", "default", "flow"), ("coiso_line", "coisotropic", "canonical_form")])
+def test_stacked_verify_normal_form_is_bitwise_per_row(request, case, mode, eta_source):
+    # lifts, gauges, extractions and pushforward frames of all samples in
+    # stacked steps give the per-row loop's mismatches bit for bit
+    bv, chart = request.getfixturevalue(case)
+    sat = model.saturation_chart(model.ComplementChoice(bv, chart, mode=mode), steps=32,
+                                 u_counts=3, radius=0.05)
+    ref_comp = model.ComplementChoice(bv, chart, mode=mode)
+    mismatches, models, targets = [], [], []
+    for u, z, x, dphi, eta in zip(sat.us, sat.zetas, sat.points, sat.jacs, sat.etas):
+        if eta_source != "flow":
+            eta = model.eta_canonical_form_source(ref_comp, u, z)
+        models.append(dirac_to_bivector(dirac_gauge(_lift_ref(ref_comp, u), eta)))
+        targets.append(bv.matrix_at(x))
+        mismatches.append(_mismatch_ref(dphi, models[-1], targets[-1]))
+    rep = model.verify_normal_form(sat, eta_source=eta_source)
+    assert rep["max_mismatch"] == max([0.0, *mismatches]) and rep["samples"] == len(models)
+    assert model._pushforward_mismatches(sat.jacs, models, targets) == mismatches
+
+
+def test_stacked_dirac_lifts_are_bitwise_per_row(so3_ray):
+    bv, chart = so3_ray
+    comp = model.ComplementChoice(bv, chart)
+    us = [*chart.sample(5, seed=3), chart.center(), chart.sample(5, seed=3)[1]]
+    lifts = model._lifts(comp, us)
+    assert lifts[1] is lifts[-1]  # one lift per distinct u, kept on its frame
+    ref_comp = model.ComplementChoice(bv, chart)
+    for u, lift in zip(us, lifts):
+        assert _bits(lift.basis) == _bits(_lift_ref(ref_comp, u).basis)
+    pds = [fr.pd for fr in comp.frames(us)]
+    for pd, space in zip(pds, submanifold.pullback_dirac_rows(bv, chart, pds, ref_corank=0)):
+        assert _bits(space.basis) == _bits(submanifold.pullback_dirac(bv, chart, pd).basis)
+
+
+def test_stacked_dirac_model_rows_are_bitwise_per_row(coiso_line, so3_ray, monkeypatch):
+    # every row that compare_complements, extraction_radius and
+    # GotayModel.verify gauge and extract in one batch is bitwise the
+    # one-row chain, or holds the NotPoisson the one-row chain raises; so
+    # is every lift and reproduction pullback that the model batches
+    batches, pulls = [], []
+    real, real_pull = model._models_from_etas, model.dirac_pullback_many
+
+    def recording(lifts, etas):
+        batches.append((list(lifts), list(etas), real(lifts, etas)))
+        return batches[-1][2]
+
+    def pulling(spaces, maps):
+        pulls.append((list(spaces), list(maps), real_pull(spaces, maps)))
+        return pulls[-1][2]
+
+    monkeypatch.setattr(model, "_models_from_etas", recording)
+    monkeypatch.setattr(model, "dirac_pullback_many", pulling)
+    bv, chart = coiso_line
+    model.compare_complements(model.ComplementChoice(bv, chart),
+                              model.ComplementChoice(bv, chart, mode="coisotropic"),
+                              steps=32, count=5)
+    bv, chart = so3_ray
+    model.extraction_radius(model.ComplementChoice(bv, chart), chart.center(), steps=32)
+    _gotay(4, _form_r4).verify(samples=2)
+    rows = 0
+    for lifts, etas, out in batches:
+        rows += len(out)
+        for lift, eta, p in zip(lifts, etas, out):
+            if isinstance(p, NotPoisson):
+                with pytest.raises(NotPoisson, match=f"^{re.escape(str(p))}$"):
+                    dirac_to_bivector(dirac_gauge(lift, eta))
+            else:
+                assert _bits(p) == _bits(dirac_to_bivector(dirac_gauge(lift, eta)))
+    assert len(batches) >= 4 and rows >= 5 + 5 + 6 + 2 * 14
+    for spaces, maps, out in pulls:
+        for space, a, got in zip(spaces, maps, out):
+            assert _bits(got.basis) == _bits(dirac_pullback(space, a).basis)
+    # GotayModel.verify: one lift per distinct x (x and its 8 base-direction
+    # stencil points, per sample), then one reproduction pullback per sample
+    assert [len(out) for _, _, out in pulls][-2:] == [2 * 9, 2]
+
+
+def test_stacked_dirac_extraction_raises_as_per_row(coiso_line):
+    # rows with no bivector presentation inside a batch: each keeps its own
+    # NotPoisson, the rest extract, and a caller that needs every row raises
+    # the first failing row's error in read order
+    bv, chart = coiso_line
+    comp = model.ComplementChoice(bv, chart)
+    us = chart.sample(4, seed=5)
+    etas = model.eta_forms(comp, us, 0.05 * np.ones((4, comp.rank_perp)), steps=16)
+    etas[1] = etas[3] = 0.0  # the plain lift: its fiber directions lie in L cap (V + 0)
+    lifts = model._lifts(comp, us)
+    out = model._models_from_etas(lifts, etas)
+    per_row = []
+    for lift, eta in zip(lifts, etas):
+        try:
+            per_row.append(dirac_to_bivector(dirac_gauge(lift, eta)))
+        except NotPoisson as exc:
+            per_row.append(exc)
+    assert [type(p) for p in out] == [type(p) for p in per_row]
+    assert isinstance(out[1], NotPoisson) and isinstance(out[3], NotPoisson)
+    for got, ref in zip(out, per_row):
+        if isinstance(ref, NotPoisson):
+            assert (str(got), got.defect) == (str(ref), ref.defect)
+        else:
+            assert _bits(got) == _bits(ref)
+    with pytest.raises(NotPoisson) as batch:
+        model._extracted(out)
+    assert batch.value is out[1] and str(batch.value) == str(per_row[1])
+
+
+def test_stacked_gotay_form_at_is_bitwise_per_row_and_raises_as_per_row(monkeypatch):
+    # the scene's L comes from one kernel call over a stack of points; a
+    # non-finite form names the first failing row, as one row at a time did
+    sources = []
+    real = cli.GotayModel
+
+    def recording(dim, l_source):
+        sources.append(l_source)
+        return real(dim, l_source)
+
+    monkeypatch.setattr(cli, "GotayModel", recording)
+    text = ('[presymplectic]\ndim = 3\nentry = 1 2 "1/(x1 - 0.5)"\n'
+            'entry = 1 3 "x2/(x2 - 0.5)"\n')
+    cli.run_scene(cli.parse_scene(text), "analyze")
+    [form_at] = sources
+    xs = np.random.default_rng(9).uniform(-0.3, 0.3, size=(12, 3))
+    for x, space in zip(xs, form_at(xs)):
+        [alone] = form_at(x[None])
+        assert _bits(space.basis) == _bits(alone.basis)
+    bad = np.array([[0.1, 0.1, 0.1], [0.1, 0.5, 0.1], [0.5, 0.1, 0.1]])
+    with pytest.raises(ValueError) as batch:
+        form_at(bad)
+    assert "0.5, 0.1" in str(batch.value) and str(batch.value).endswith("(0.1, 0.5, 0.1)")
