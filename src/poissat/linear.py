@@ -62,8 +62,7 @@ def rank_svd_many(ms, tol_rel=None, scales=None):
     matrix of a stack in turn, so every result is bitwise the one rank_svd
     gives for that matrix alone.
     """
-    if not (isinstance(ms, np.ndarray) and ms.ndim == 3):
-        ms = [np.atleast_2d(np.asarray(m, dtype=float)) for m in ms]
+    ms = [np.atleast_2d(np.asarray(m, dtype=float)) for m in ms]
     return _rank_rows(ms, tol_rel, [None] * len(ms) if scales is None else scales)
 
 
@@ -74,19 +73,13 @@ def _rank_rows(ms, tol_rel, scales):
     threshold is tol_rel * max(s[0], scale); a None scale is NaN here, which
     never exceeds s[0], as with Python's max.
     """
-    if not len(ms):
-        return []
     tol_rel = TOL_REL if tol_rel is None else tol_rel
     out = [None] * len(ms)
-    if isinstance(ms, np.ndarray):
-        groups = [(ms.shape[1:], list(range(len(ms))), ms.astype(float, copy=False))]
-    else:
-        shapes = {}
-        for i, m in enumerate(ms):
-            shapes.setdefault(m.shape, []).append(i)
-        groups = [(shape, rows, ms[rows[0]][None] if len(rows) == 1
-                   else np.stack([ms[i] for i in rows])) for shape, rows in shapes.items()]
-    for (d, k), rows, stack in groups:
+    shapes = {}
+    for i, m in enumerate(ms):
+        shapes.setdefault(m.shape, []).append(i)
+    for (d, k), rows in shapes.items():
+        stack = np.stack([ms[i] for i in rows])
         live = stack.reshape(len(rows), -1).any(axis=1).tolist()
         if not all(live):
             for i, on in zip(rows, live):
@@ -279,13 +272,7 @@ def _strict_lower(m):
 
 
 def _skew_rows(forms):
-    """SkewForm(f).matrix (f.matrix for a SkewForm) of every form, stacked;
-    an array stack is taken in array operations."""
-    if isinstance(forms, np.ndarray):
-        if forms.shape[-1] != forms.shape[-2]:
-            raise ValueError("square matrix required")
-        lower = _strict_lower(forms.astype(float, copy=False))
-        return lower - np.swapaxes(lower, 1, 2)
+    """SkewForm(f).matrix (f.matrix for a SkewForm) of every form, stacked."""
     return np.stack([(f if isinstance(f, SkewForm) else SkewForm(f)).matrix for f in forms])
 
 
@@ -307,7 +294,7 @@ class DiracSpace:
 
     def __init__(self, basis):
         basis = np.atleast_2d(np.asarray(basis, dtype=float))
-        [self.basis] = _raise_first(*_dirac_rows(basis[None]))
+        [self.basis] = raise_first(_dirac_rows(basis[None]))
         self.n = self.basis.shape[0] // 2
 
     @classmethod
@@ -336,49 +323,53 @@ class DiracSpace:
 
 
 # Stacked Dirac steps.  Each takes a batch of rows of one shape and runs
-# every SVD, inverse and product of a step on the whole batch, so every row
-# is bitwise what the one-row function gives; that function is the
-# one-row case.  A batch raises the error that the first failing row, in
-# read order, raises alone: each row's error is kept, a failed row takes
-# no further step, and _raise_first raises the first.
+# every SVD, inverse and product of a step on the whole batch.  It returns
+# one outcome per row: the row's result, bitwise what the one-row function
+# gives (that function is the one-row case), or the error the row raises
+# alone.  A row that arrives as an error takes no step and keeps it, so a
+# chain of steps leaves each row its first failure, and raise_first raises
+# the first failing row's, in read order, as a per-row loop would.
 
 
-def _raise_first(out, errs):
-    """out, unless a row has an error: then the first row's error."""
-    for err in errs:
-        if err is not None:
-            raise err
-    return out
+def raise_first(outcomes, keep=()):
+    """outcomes, unless a row holds an error that is not of a keep type:
+    then the first such row's error."""
+    for out in outcomes:
+        if isinstance(out, Exception) and not isinstance(out, keep):
+            raise out
+    return outcomes
+
+
+def _live(rows):
+    """Indices of the rows that hold no error."""
+    return [i for i, row in enumerate(rows) if not isinstance(row, Exception)]
 
 
 def _dirac_rows(stack):
-    """DiracSpace's checks on every (2n, m) basis of a stack: the checked
-    bases, and per row the error it raises alone (None if it passes)."""
+    """DiracSpace's checks on every (2n, m) basis of a stack: per row the
+    checked basis, or the error the row raises alone."""
     g, rows, m = stack.shape
     if rows % 2 != 0:
         raise ValueError("basis rows must split into tangent/cotangent blocks")
     n = rows // 2
-    out, errs = list(stack), [None] * g
+    out = list(stack)
     if m != n:
         for i, (rank, basis, _) in enumerate(rank_svd_many(stack)):
-            out[i] = basis
-            if rank != n:
-                errs[i] = ValueError(f"Dirac space must have dimension {n}, got {rank}")
-    live = [i for i in range(g) if errs[i] is None]
+            out[i] = basis if rank == n else ValueError(
+                f"Dirac space must have dimension {n}, got {rank}")
+    live = _live(out)
     if n and live:
         loose = np.compress(~_orthonormal_rows(np.stack([out[i] for i in live])), live)
         for i, q in zip(loose, orth_many([out[i] for i in loose])):
-            out[i] = q
-            if q.shape[1] != n:
-                errs[i] = ValueError("Dirac basis is rank deficient")
-        live = [i for i in live if errs[i] is None]
+            out[i] = q if q.shape[1] == n else ValueError("Dirac basis is rank deficient")
+        live = _live(out)
     if n and live:
         bases = np.stack([out[i] for i in live])
         pairings = np.swapaxes(bases, 1, 2) @ dirac_pairing(n) @ bases
         for i, worst in zip(live, np.abs(pairings).max(axis=(1, 2))):
             if worst > 1e-10:
-                errs[i] = ValueError(f"not isotropic: pairing residual {worst:.2e}")
-    return out, errs
+                out[i] = ValueError(f"not isotropic: pairing residual {worst:.2e}")
+    return out
 
 
 def dirac_spaces(bases):
@@ -386,7 +377,7 @@ def dirac_spaces(bases):
     bases = np.asarray(bases, dtype=float)
     if not len(bases):
         return []
-    return [DiracSpace._checked(b) for b in _raise_first(*_dirac_rows(bases))]
+    return [b if isinstance(b, Exception) else DiracSpace._checked(b) for b in _dirac_rows(bases)]
 
 
 def dirac_graph(obj, kind):
@@ -397,7 +388,8 @@ def dirac_graph(obj, kind):
     """
     if kind == "bivector":
         obj = np.atleast_2d(np.asarray(obj, dtype=float))
-    return dirac_graph_many([obj], kind)[0]
+    [space] = raise_first(dirac_graph_many([obj], kind))
+    return space
 
 
 def dirac_graph_many(objs, kind):
@@ -415,20 +407,26 @@ def dirac_graph_many(objs, kind):
 
 def dirac_gauge(L, eta):
     """Gauge transform L^eta = {(v, a + i_v eta) : (v, a) in L}."""
-    return dirac_gauge_many([L], [eta])[0]
+    [space] = raise_first(dirac_gauge_many([L], [eta]))
+    return space
 
 
 def dirac_gauge_many(spaces, etas):
     """dirac_gauge of every (L, eta) pair, in stacked steps."""
-    if not len(spaces):
-        return []
-    cs = _skew_rows(etas)
-    n = spaces[0].n
+    out = list(spaces)
+    live = _live(out)
+    if not live:
+        return out
+    cs = _skew_rows([etas[i] for i in live])
+    bases = np.stack([out[i].basis for i in live])
+    n = bases.shape[1] // 2
     if cs.shape[-1] != n:
         raise ValueError("gauge form dimension mismatch")
-    bases = np.stack([space.basis for space in spaces])
     v = bases[:, :n]
-    return dirac_spaces(np.concatenate([v, bases[:, n:] + np.swapaxes(cs, 1, 2) @ v], axis=1))
+    gauged = np.concatenate([v, bases[:, n:] + np.swapaxes(cs, 1, 2) @ v], axis=1)
+    for i, space in zip(live, dirac_spaces(gauged)):
+        out[i] = space
+    return out
 
 
 def dirac_pullback(L, a):
@@ -439,37 +437,39 @@ def dirac_pullback(L, a):
     and submersions (bundle projections).  Result is a Dirac space on
     the source: {(u, a^T b) : (a u, b) in L}.
     """
-    return dirac_pullback_many([L], [np.atleast_2d(np.asarray(a, dtype=float))])[0]
+    [space] = raise_first(dirac_pullback_many([L], [np.atleast_2d(np.asarray(a, dtype=float))]))
+    return space
 
 
 def dirac_pullback_many(spaces, maps):
     """dirac_pullback of every (L, a) pair, in stacked steps."""
-    if not len(spaces):
-        return []
-    maps = np.asarray(maps, dtype=float)
-    g, n, k = maps.shape
-    if n != spaces[0].n:
+    out = list(spaces)
+    live = _live(out)
+    if not live:
+        return out
+    maps = np.asarray(maps, dtype=float)[live]
+    bases = np.stack([out[i].basis for i in live])
+    _, n, k = maps.shape
+    if n != bases.shape[1] // 2:
         raise ValueError("map target dimension mismatch")
-    bases = np.stack([space.basis for space in spaces])
-    errs = [None] * g
+    ok = list(range(len(live)))  # positions in live of the rows still passing
     if k:
-        for i, (rank, _, _) in enumerate(rank_svd_many(maps)):
+        ranks = [rank for rank, _, _ in rank_svd_many(maps)]
+        for i, rank in zip(live, ranks):
             if rank != min(n, k):
-                errs[i] = RankDeficient("pullback along a rank-deficient map")
-    live = [i for i in range(g) if errs[i] is None]
-    pairs = null_many(np.concatenate([maps[live], -bases[live, :n]], axis=2))
-    images = rank_svd_many([np.vstack([p[:k], maps[i].T @ bases[i, n:] @ p[k:]])
-                            for i, p in zip(live, pairs)])
-    for i, (rank, _, _) in zip(live, images):
-        if rank != k:
-            errs[i] = RankDeficient(f"pullback produced dimension {rank}, expected {k}")
-    live = [(i, basis) for i, (_, basis, _) in zip(live, images) if errs[i] is None]
-    out = [None] * g
+                out[i] = RankDeficient("pullback along a rank-deficient map")
+        ok = [j for j, rank in enumerate(ranks) if rank == min(n, k)]
+    pairs = null_many(np.concatenate([maps[ok], -bases[ok, :n]], axis=2))
+    images = rank_svd_many([np.vstack([p[:k], maps[j].T @ bases[j, n:] @ p[k:]])
+                            for j, p in zip(ok, pairs)])
+    for j, (rank, basis, _) in zip(ok, images):
+        out[live[j]] = basis if rank == k else RankDeficient(
+            f"pullback produced dimension {rank}, expected {k}")
+    live = _live(out)
     if live:
-        checked, checks = _dirac_rows(np.stack([basis for _, basis in live]))
-        for (i, _), basis, err in zip(live, checked, checks):
-            out[i], errs[i] = DiracSpace._checked(basis), err
-    return _raise_first(out, errs)
+        for i, space in zip(live, dirac_spaces(np.stack([out[i] for i in live]))):
+            out[i] = space
+    return out
 
 
 def dirac_to_bivector(L):
@@ -477,34 +477,33 @@ def dirac_to_bivector(L):
 
     Raises NotPoisson when L meets V + 0, reporting the defect dimension.
     """
-    [p] = dirac_to_bivector_many([L])
-    if isinstance(p, NotPoisson):
-        raise p
+    [p] = raise_first(dirac_to_bivector_many([L]))
     return p
 
 
 def dirac_to_bivector_many(spaces):
     """dirac_to_bivector of every Dirac space of one dimension, in stacked
-    steps.  Returns one outcome per row: its P, or the NotPoisson that the
-    row raises alone."""
-    if not len(spaces):
-        return []
-    n = spaces[0].n
-    bases = np.stack([space.basis for space in spaces])
-    out = [None] * len(spaces)
-    for i, (rank, _, _) in enumerate(rank_svd_many(bases[:, n:])):
+    steps: per row its P, or the NotPoisson the row raises alone."""
+    out = list(spaces)
+    live = _live(out)
+    if not live:
+        return out
+    bases = np.stack([out[i].basis for i in live])
+    n = bases.shape[1] // 2
+    ranks = [rank for rank, _, _ in rank_svd_many(bases[:, n:])]
+    for i, rank in zip(live, ranks):
         if rank < n:
             out[i] = NotPoisson(f"no bivector presentation, defect dimension {n - rank}",
                                 n - rank)
-    live = [i for i, p in enumerate(out) if p is None]
-    if not live:
+    ok = [j for j, rank in enumerate(ranks) if rank >= n]
+    if not ok:
         return out
-    p = bases[live, :n] @ np.linalg.inv(bases[live, n:])
+    p = bases[ok, :n] @ np.linalg.inv(bases[ok, n:])
     pt = np.swapaxes(p, 1, 2)
     asym = np.abs(p + pt).max(axis=(1, 2), initial=0.0)
     scale = 1.0 + np.abs(p).max(axis=(1, 2), initial=0.0)
-    for i, a, b, q in zip(live, asym, scale, (p - pt) / 2.0):
-        out[i] = q if a <= 1e-8 * b else NotPoisson(
+    for j, a, b, q in zip(ok, asym, scale, (p - pt) / 2.0):
+        out[live[j]] = q if a <= 1e-8 * b else NotPoisson(
             f"extracted matrix not antisymmetric ({a:.2e})", 0)
     return out
 

@@ -32,6 +32,7 @@ from .linear import (
     RankDeficient,
     SkewForm,
     align_frame,
+    dirac_gauge,
     dirac_gauge_many,
     dirac_graph,
     dirac_graph_many,
@@ -48,6 +49,7 @@ from .linear import (
     principal_angles,
     rank_svd,
     rank_svd_many,
+    raise_first,
     subspace_equal,
     subspace_intersect,
 )
@@ -439,38 +441,34 @@ def local_model_bivector(comp, u, zeta, steps=1024, eta_source="flow"):
         eta = eta_canonical_form_source(comp, u, zeta)
     else:
         raise ValueError(f"unknown eta source {eta_source!r}")
-    return SkewForm(_extracted(_models_from_etas(_lifts(comp, [u]), [eta]))[0])
+    return SkewForm(raise_first(_models_from_etas(_lifts(comp, [u]), [eta]))[0])
 
 
 def _lifts(comp, us):
     """Chart Dirac structure at every u, pulled back from the point data of
-    the memoised frame and up along the bundle projection.  Each frame keeps
-    its lift; the frames without one get theirs from stacked steps."""
+    the memoised frame and up along the bundle projection, in stacked
+    steps: per u its lift, or the error its lift raises alone.  Each frame
+    keeps its lift once one is made; the frames without one get theirs."""
     frames = comp.frames(us)
     todo = list({id(fr): fr for fr in frames if fr.lift is None}.values())
+    made = {}
     if todo:
         k = comp.chart.param_dim
         dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
         bases = pullback_dirac_rows(comp.bv, comp.chart, [fr.pd for fr in todo],
                                     ref_corank=comp.corank)
         for fr, lift in zip(todo, dirac_pullback_many(bases, [dpr] * len(todo))):
-            fr.lift = lift
-    return [fr.lift for fr in frames]
+            made[id(fr)] = lift
+            if not isinstance(lift, Exception):
+                fr.lift = lift
+    return [fr.lift if fr.lift is not None else made[id(fr)] for fr in frames]
 
 
 def _models_from_etas(lifts, etas):
     """Model bivector matrix of every row: its lift gauged by its eta and
-    extracted, in stacked steps.  A row with no bivector presentation holds
-    its NotPoisson; a gauge failure raises as that of the first failing row."""
+    extracted, in stacked steps.  Per row its matrix, or the first error of
+    its chain (a failed lift's, a gauge's, or its NotPoisson)."""
     return dirac_to_bivector_many(dirac_gauge_many(lifts, etas))
-
-
-def _extracted(models):
-    """The models of _models_from_etas; the first NotPoisson in read order raises."""
-    for p in models:
-        if isinstance(p, NotPoisson):
-            raise p
-    return models
 
 
 def _pushforward_mismatches(dphis, models, targets):
@@ -498,7 +496,7 @@ def extraction_radius(comp, u, steps=256, start=0.5, count=6, seed=0):
     for radius in _halvings(start):
         try:
             etas = eta_forms(comp, [u] * count, radius * dirs, steps=steps)
-            _extracted(_models_from_etas(_lifts(comp, [u]) * count, etas))
+            raise_first(_models_from_etas(_lifts(comp, [u]) * count, etas))
             return radius
         except RankDeficient:
             raise
@@ -679,7 +677,7 @@ def verify_normal_form(sat: SaturationChart, tol=1e-4, eta_source="flow"):
     if eta_source != "flow":
         etas = np.array([eta_canonical_form_source(sat.comp, u, z)
                          for u, z in zip(sat.us, sat.zetas)])
-    models = _extracted(_models_from_etas(_lifts(sat.comp, sat.us), etas))
+    models = raise_first(_models_from_etas(_lifts(sat.comp, sat.us), etas))
     worst = max([0.0, *_pushforward_mismatches(sat.jacs, models, sat.bv.matrix(sat.points))])
     return {"max_mismatch": worst, "ok": worst <= tol, "tol": tol,
             "radius_used": sat.radius_used, "samples": len(sat.us), "steps": sat.steps}
@@ -781,7 +779,7 @@ def compare_complements(comp_a, comp_b, steps=1024, count=20, radius=0.1, seed=3
         zetas.append(zeta)
     _, res_a, jas, etas = _bundle_flow(comp_a, us, zetas, steps, with_omega=True)
     _require_inside(res_a)
-    models_a = _models_from_etas(_lifts(comp_a, us), etas)
+    models_a = raise_first(_models_from_etas(_lifts(comp_a, us), etas), keep=NotPoisson)
     kept = [i for i, p in enumerate(models_a) if not isinstance(p, NotPoisson)]
     worst_mismatch, dists = 0.0, []
     if kept:
@@ -790,7 +788,7 @@ def compare_complements(comp_a, comp_b, steps=1024, count=20, radius=0.1, seed=3
         _, res_b, jbs, etas_b = _bundle_flow(comp_b, params[:, :k], params[:, k:], steps,
                                              with_omega=True)
         _require_inside(res_b)
-        pbs = _extracted(_models_from_etas(_lifts(comp_b, params[:, :k]), etas_b))
+        pbs = raise_first(_models_from_etas(_lifts(comp_b, params[:, :k]), etas_b))
         worst_mismatch = max([0.0, *_pushforward_mismatches(
             jas[kept], [SkewForm(models_a[i]).matrix for i in kept],
             [jb @ SkewForm(pb).matrix @ jb.T for jb, pb in zip(jbs, pbs)])])
@@ -804,7 +802,8 @@ class GotayModel(FrameAligner):
 
     Given Dirac data L on R^k with constant-rank tangent kernel K (l_source
     is a constant SkewForm, or a callable that maps an (m, k) stack of
-    points to their m Dirac spaces), the ambient space is the bundle chart
+    points to their m Dirac spaces, a failed row holding its error as a
+    stacked Dirac step's outcomes do), the ambient space is the bundle chart
     R^k x R^m of K-dual fibers; the bivector is extracted from the
     canonical-form gauge of the lifted structure.  Frames are aligned to
     those at the origin for smoothness.  Every bivector comes from one
@@ -821,7 +820,7 @@ class GotayModel(FrameAligner):
             self._l_at = l_source
         self._refs = {}
         self._vertical = orth(np.vstack([np.eye(k), np.zeros((k, k))]))
-        [l0] = self._l_at(np.zeros((1, k)))
+        [l0] = raise_first(self._l_at(np.zeros((1, k))))
         self.fiber_dim = None
         self.fiber_dim = self._kernels([l0])[0].shape[1]
         self._inclusions([l0])  # sets the "g" reference
@@ -859,14 +858,15 @@ class GotayModel(FrameAligner):
         l_source call and every inclusion from one stacked step.  Then the
         rows' lifts of L along the bundle projection (one per distinct x),
         gauges and extractions each run as one stacked step, so every row
-        is bitwise what it is alone; a failure is that of the first failing
-        row of the step that finds it.
+        is bitwise what it is alone.  A failure of L or of the inclusions is
+        that of the first failing row of its step; after them each row keeps
+        the first error of its chain, and the first failing row raises.
         """
         k = self.dim
         qs = np.asarray(qs, dtype=float)
         reads = [[x, *_stencil(x, _GAUGE_FD_H)] for x in qs[:, :k]]
         points = {y.tobytes(): y for row in reads for y in row}
-        ls = dict(zip(points, self._l_at(np.array(list(points.values())))))
+        ls = dict(zip(points, raise_first(self._l_at(np.array(list(points.values()))))))
         incls = dict(zip(ls, self._inclusions(list(ls.values()))))
         etas = []
         for q, row in zip(qs, reads):
@@ -875,7 +875,7 @@ class GotayModel(FrameAligner):
         keys = [q[:k].tobytes() for q in qs]
         xs = list(dict.fromkeys(keys))
         lifts = dict(zip(xs, dirac_pullback_many([ls[x] for x in xs], [self._dpr] * len(xs))))
-        out = _extracted(_models_from_etas([lifts[key] for key in keys], np.array(etas)))
+        out = raise_first(_models_from_etas([lifts[key] for key in keys], np.array(etas)))
         return out, [ls[key] for key in keys]
 
     def bivector_at(self, x, c):
@@ -903,8 +903,8 @@ class GotayModel(FrameAligner):
         coiso = angles = jacobi = 0.0
         incl = np.vstack([np.eye(k), np.zeros((m, k))])
         conormal = np.vstack([np.zeros((k, m)), np.eye(m)])
-        backs = dirac_pullback_many(dirac_graph_many(np.array(ps[::span]), "bivector"),
-                                    [incl] * samples)
+        backs = raise_first(dirac_pullback_many(
+            dirac_graph_many(np.array(ps[::span]), "bivector"), [incl] * samples))
         for i, back in zip(range(0, len(ps), span), backs):
             p, p0, *stencil = ps[i:i + span]
             image = p @ conormal
@@ -938,8 +938,8 @@ def fiberwise_reflection_residual(l_base: DiracSpace, a_block, b_block):
     m = np.diag(np.concatenate([np.ones(k), -np.ones(r)]))
     dpr = np.hstack([np.eye(k), np.zeros((k, r))])
     lifted = dirac_pullback(l_base, dpr)
-    left, right = dirac_gauge_many([lifted, lifted], [eta_mirror, -eta_here])
-    left = dirac_pullback(left, m)
+    left = dirac_pullback(dirac_gauge(lifted, eta_mirror), m)
+    right = dirac_gauge(lifted, -eta_here)
     ang = principal_angles(left.basis, right.basis)
     fixed = principal_angles(dirac_pullback(lifted, m).basis, lifted.basis)
     return float(max(ang.max() if ang.size else 0.0, fixed.max() if fixed.size else 0.0))

@@ -27,6 +27,7 @@ from .linear import (
     dirac_pullback_many,
     fix_signs,
     orth,
+    raise_first,
     rank_svd,
 )
 
@@ -313,8 +314,10 @@ def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_cor
     against seeded nearby samples) and a jump raises RankDeficient.
     """
     if route == "generic":
-        return pullback_dirac_rows(bv, chart, [pd], ref_corank)[0]
-    _check_corank(bv, chart, pd, ref_corank)
+        return raise_first(pullback_dirac_rows(bv, chart, [pd], ref_corank))[0]
+    err = _corank_error(bv, chart, pd, ref_corank)
+    if err is not None:
+        raise err
     if route == "perp":
         n, k, dx = bv.dim, chart.param_dim, pd.dx
         ann = annihilator(pd.txperp, dim=n)
@@ -333,27 +336,31 @@ def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_cor
 
 
 def pullback_dirac_rows(bv: BivectorField, chart: Chart, pds, ref_corank=None):
-    """pullback_dirac's generic route at every PointData of pds: each corank
-    is checked in read order, then every graph and backward image is one
-    stacked step, each row bitwise what it is alone."""
-    for pd in pds:
-        _check_corank(bv, chart, pd, ref_corank)
-    if not pds:
-        return []
-    graphs = dirac_graph_many(np.array([pd.p for pd in pds]), "bivector")
-    return dirac_pullback_many(graphs, [pd.dx for pd in pds])
+    """pullback_dirac's generic route at every PointData of pds, as the
+    outcomes of a stacked Dirac step: each corank is checked, then the
+    graphs and backward images of the rows that pass are stacked steps,
+    each row bitwise what it is alone."""
+    out = [_corank_error(bv, chart, pd, ref_corank) for pd in pds]
+    live = [i for i, err in enumerate(out) if err is None]
+    if live:
+        graphs = dirac_graph_many(np.array([pds[i].p for i in live]), "bivector")
+        for i, space in zip(live, dirac_pullback_many(graphs, [pds[i].dx for i in live])):
+            out[i] = space
+    return out
 
 
-def _check_corank(bv, chart, pd, ref_corank):
+def _corank_error(bv, chart, pd, ref_corank):
+    """The RankDeficient of a corank that is not regular at pd, or None."""
     if ref_corank is None:
         if any(q.corank != pd.corank for q in nearby_point_data(bv, chart, pd.u, seed=0)):
-            raise RankDeficient(
+            return RankDeficient(
                 f"corank jumps near u = {tuple(pd.u.tolist())}: pullback is not smooth there"
             )
     elif pd.corank != ref_corank:
-        raise RankDeficient(
+        return RankDeficient(
             f"corank {pd.corank} at u = {tuple(pd.u.tolist())} differs from reference {ref_corank}"
         )
+    return None
 
 
 def make_transversal(bv: BivectorField, chart: Chart, thickness=0.5):

@@ -550,7 +550,8 @@ def test_stacked_dirac_spaces_raises_as_per_row(order):
     rows = [np.hstack([good, good @ extra]), np.hstack([flat, flat @ extra]), wide]
     if order == "dimension-first":
         rows = [rows[0], rows[2], rows[1]]
-    batch = _raised(lambda: linear.dirac_spaces(np.array(rows)))
+    outcomes = linear.dirac_spaces(np.array(rows))
+    batch = _raised(lambda: linear.raise_first(outcomes))
 
     def per_row():
         for b in rows:
@@ -560,6 +561,14 @@ def test_stacked_dirac_spaces_raises_as_per_row(order):
     assert batch[0] is ValueError
     assert batch[1].startswith("not isotropic" if order == "isotropy-first"
                                else "Dirac space must have dimension 3")
+    # every row keeps its own outcome: the good row passes, bitwise
+    for b, got in zip(rows, outcomes):
+        try:
+            ref = _space_ref(b)
+        except ValueError as exc:
+            assert type(got) is ValueError and str(got) == str(exc)
+            continue
+        assert _same(got.basis, ref)
 
 
 def test_stacked_dirac_pullback_raises_as_per_row():
@@ -569,7 +578,8 @@ def test_stacked_dirac_pullback_raises_as_per_row():
     maps = rng.standard_normal((4, n, k))
     maps[1] = np.outer(rng.standard_normal(n), [1.0, 2.0])  # rank 1 < k
     maps[3] = 0.0
-    batch = _raised(lambda: linear.dirac_pullback_many(spaces, maps))
+    outcomes = linear.dirac_pullback_many(spaces, maps)
+    batch = _raised(lambda: linear.raise_first(outcomes))
 
     def per_row():
         for space, a in zip(spaces, maps):
@@ -578,10 +588,14 @@ def test_stacked_dirac_pullback_raises_as_per_row():
     ref = _raised(lambda: [_pullback_ref(s.basis, a) for s, a in zip(spaces, maps)])
     assert batch == _raised(per_row) == ref
     assert batch == (RankDeficient, "pullback along a rank-deficient map")
-    # the passing rows alone are bitwise those of the one-row function
+    assert [type(got) for got in outcomes] == [DiracSpace, RankDeficient] * 2
+    # the passing rows, in the batch or alone, are bitwise those of the
+    # one-row function
     kept = [0, 2]
-    for i, got in zip(kept, linear.dirac_pullback_many([spaces[i] for i in kept], maps[kept])):
+    alone = linear.dirac_pullback_many([spaces[i] for i in kept], maps[kept])
+    for i, got in zip(kept, alone):
         assert _same(got.basis, dirac_pullback(spaces[i], maps[i]).basis)
+        assert _same(outcomes[i].basis, got.basis)
 
 
 def test_stacked_dirac_to_bivector_keeps_not_poisson_per_row():

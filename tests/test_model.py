@@ -31,6 +31,7 @@ from poissat.linear import (
     null,
     orth,
     principal_angles,
+    raise_first,
     rank_svd,
     subspace_equal,
 )
@@ -1113,8 +1114,39 @@ def test_stacked_dirac_extraction_raises_as_per_row(coiso_line):
         else:
             assert _bits(got) == _bits(ref)
     with pytest.raises(NotPoisson) as batch:
-        model._extracted(out)
+        raise_first(out)
     assert batch.value is out[1] and str(batch.value) == str(per_row[1])
+
+
+@pytest.mark.parametrize("jump_row, flat_row", [(2, 1), (1, 2)],
+                         ids=["extraction-first", "lift-first"])
+def test_stacked_dirac_lift_and_extraction_raise_as_per_row(coiso_line, monkeypatch,
+                                                            jump_row, flat_row):
+    # a corank jump that fails one sample's lift, and a plain-lift eta that
+    # leaves another with no bivector presentation: verify_normal_form
+    # raises the error of the first failing sample in read order, whichever
+    # step finds it, as the per-row chain lift, gauge, extract does
+    bv, chart = coiso_line
+    sat = model.saturation_chart(model.ComplementChoice(bv, chart), steps=16, u_counts=4,
+                                 radius=0.05, per_u=1)
+    sat.etas[flat_row] = 0.0
+    jump = sat.us[jump_row].tobytes()
+    real = submanifold._corank_error
+
+    def corank_error(bv, chart, pd, ref_corank):
+        if pd.u.tobytes() == jump:
+            return RankDeficient(f"corank jumps near u = {tuple(pd.u.tolist())}")
+        return real(bv, chart, pd, ref_corank)
+
+    monkeypatch.setattr(submanifold, "_corank_error", corank_error)
+    ref_comp = model.ComplementChoice(bv, chart)
+    with pytest.raises(ValueError) as ref:
+        for u, eta in zip(sat.us, sat.etas):
+            dirac_to_bivector(dirac_gauge(_lift_ref(ref_comp, u), eta))
+    with pytest.raises(ValueError) as batch:
+        model.verify_normal_form(sat)
+    assert (type(batch.value), str(batch.value)) == (type(ref.value), str(ref.value))
+    assert type(batch.value) is (NotPoisson if flat_row < jump_row else RankDeficient)
 
 
 def test_stacked_gotay_form_at_is_bitwise_per_row_and_raises_as_per_row(monkeypatch):
