@@ -163,8 +163,8 @@ def _domain(scene, section, dim):
             lo, hi = float(tokens[0]), float(tokens[1])
         except ValueError:
             raise SceneError(f"bad domain row {tokens!r}", line) from None
-        if not lo < hi:
-            raise SceneError(f"empty domain interval [{lo}, {hi}]", line)
+        if not -np.inf < lo < hi < np.inf:
+            raise SceneError(f"domain interval [{lo}, {hi}] must be finite and non-empty", line)
         vals.append([lo, hi])
     if len(vals) == 1:
         vals = vals * dim
@@ -264,16 +264,16 @@ def scene_parameters(scene: Scene, steps_override=None, tol_override=None):
     if tol_override is not None:
         p["tolerances"]["normal"] = float(tol_override)
     for name, tol in p["tolerances"].items():
-        if tol <= 0:
-            raise SceneError(f"tolerance '{name}' must be positive")
+        if not 0 < tol < np.inf:
+            raise SceneError(f"tolerance '{name}' must be finite and positive")
     if p["steps"] < 16 or p["steps"] % 2:
         raise SceneError("steps must be even and at least 16")
     if p["seed"] < 0:
         raise SceneError("seed must be non-negative")
     if p["u_counts"] < 1 or p["per_u"] < 0:
         raise SceneError("flow/model parameters out of range")
-    if not p["xi_radius"] >= RADIUS_FLOOR:
-        raise SceneError(f"xi_radius must be at least the radius floor {RADIUS_FLOOR}")
+    if not RADIUS_FLOOR <= p["xi_radius"] < np.inf:
+        raise SceneError(f"xi_radius must be finite and at least the radius floor {RADIUS_FLOOR}")
     return p
 
 
@@ -360,7 +360,7 @@ def _stage_model(comp, p):
         "rank_perp": int(comp.rank_perp),
         "cap_dim": int(comp.cap_dim),
         "sigma_rank": int(sigma.rank()),
-        "tau_max": float(np.abs(tau).max()) if tau.size else 0.0,
+        "tau_max": float(np.abs(tau).max(initial=0.0)),
         "eta_zero_section_residual": zero_resid,
         "eta_closedness_residual": float(closed),
         "extraction_radius": float(radius),
@@ -389,8 +389,8 @@ def _run_gotay(scene, command, report, p):
     if dim < 1:
         raise SceneError("dim must be positive")
     radius = scene.scalar("presymplectic", "radius", default=0.1, convert=float)
-    if radius <= 0:
-        raise SceneError("[presymplectic] radius must be positive")
+    if not 0 < radius < np.inf:
+        raise SceneError("[presymplectic] radius must be finite and positive")
     entries = _entries(scene, "presymplectic", dim)
     trees = {ij: parse(text, dim) for ij, text in entries.items()}
     kernel = compile_kernel(

@@ -1,10 +1,10 @@
 """Dense linear algebra for subspaces, skew forms and Dirac spaces.
 
 Everything lives in coordinates on R^d with d <= 12, so all operations
-are plain numpy SVD / solve calls.  Rank decisions use a relative
-threshold against the largest singular value (TOL_REL unless a caller
-overrides), and subspaces compare through principal angles, never by
-comparing basis matrices entrywise.
+are plain numpy SVD / solve calls.  Rank decisions use one relative
+threshold, TOL_REL, against the largest singular value, and subspaces
+compare through principal angles, never by comparing basis matrices
+entrywise.
 
 Convention (recorded in reports): pairing on V + V* is
 <(u,a),(v,b)> = a(v) + b(u), no 1/2 factor; a bivector P acts as
@@ -31,14 +31,12 @@ class RankDeficient(ValueError):
     pass
 
 
-def rank_svd(m, tol_rel=None, scale=None):
+def rank_svd(m, scale=None):
     """Rank, column space and (right) null space of a matrix.
 
     Parameters
     ----------
     m : (d, k) array
-    tol_rel : float, optional
-        Relative threshold against the largest singular value.
     scale : float, optional
         External magnitude reference; thresholds use max(s[0], scale).
         Needed when m is a product that is analytically zero: its own
@@ -51,10 +49,10 @@ def rank_svd(m, tol_rel=None, scale=None):
     column_space : (d, rank) orthonormal array
     null_space : (k, k - rank) orthonormal array
     """
-    return _rank_rows([np.atleast_2d(np.asarray(m, dtype=float))], tol_rel, [scale])[0]
+    return _rank_rows([np.atleast_2d(np.asarray(m, dtype=float))], [scale])[0]
 
 
-def rank_svd_many(ms, tol_rel=None, scales=None):
+def rank_svd_many(ms, scales=None):
     """rank_svd of every matrix in ms, with one SVD call per matrix shape.
 
     ms is a list of matrices or one (g, d, k) stack; scales, when given,
@@ -63,17 +61,17 @@ def rank_svd_many(ms, tol_rel=None, scales=None):
     gives for that matrix alone.
     """
     ms = [np.atleast_2d(np.asarray(m, dtype=float)) for m in ms]
-    return _rank_rows(ms, tol_rel, [None] * len(ms) if scales is None else scales)
+    return _rank_rows(ms, [None] * len(ms) if scales is None else scales)
 
 
-def _rank_rows(ms, tol_rel, scales):
+def _rank_rows(ms, scales):
     """The one copy of the rank rules, in array operations per shape group.
 
-    An empty or all-zero matrix has rank 0 and never reaches the SVD.  The
-    threshold is tol_rel * max(s[0], scale); a None scale is NaN here, which
-    never exceeds s[0], as with Python's max.
+    An empty or all-zero matrix has rank 0 and never reaches the SVD, so
+    null of a (0, k) matrix is eye(k) and orth of a (d, 0) one is (d, 0).
+    The threshold is TOL_REL * max(s[0], scale); a None scale is NaN here,
+    which never exceeds s[0], as with Python's max.
     """
-    tol_rel = TOL_REL if tol_rel is None else tol_rel
     out = [None] * len(ms)
     shapes = {}
     for i, m in enumerate(ms):
@@ -93,7 +91,7 @@ def _rank_rows(ms, tol_rel, scales):
         if any(scales[i] is not None for i in rows):
             scale = np.array([[np.nan if scales[i] is None else float(scales[i])] for i in rows])
             ref = np.where(scale > ref, scale, ref)
-        ranks = (s > tol_rel * ref).sum(axis=1).tolist()
+        ranks = (s > TOL_REL * ref).sum(axis=1).tolist()
         for i, rank, ui, vti in zip(rows, ranks, u, vt):
             out[i] = rank, ui[:, :rank], vti[rank:].T
     return out
@@ -188,26 +186,21 @@ def _is_orthonormal(m):
     return m.ndim == 2 and bool(_orthonormal_rows(m[None])[0])
 
 
-def _orthonormal_rows(stack, tol=1e-12):
+def _orthonormal_rows(stack):
     """Per (d, k) matrix of a stack: are its columns orthonormal?"""
     g = np.swapaxes(stack, 1, 2) @ stack
     eye = np.eye(stack.shape[2])
-    # np.allclose(g, eye, atol=tol) without its overhead: the same rtol, and
-    # a NaN or inf entry fails
-    return np.all(np.abs(g - eye) <= tol + 1e-5 * np.abs(eye), axis=(1, 2))
+    # np.allclose(g, eye, atol=1e-12) without its overhead: the same rtol,
+    # and a NaN or inf entry fails
+    return np.all(np.abs(g - eye) <= 1e-12 + 1e-5 * np.abs(eye), axis=(1, 2))
 
 
 def subspace_equal(a, b, tol=1e-10):
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    ra = rank_svd(a)[0] if a.shape[1] else 0
-    rb = rank_svd(b)[0] if b.shape[1] else 0
-    if ra != rb:
+    if rank_svd(a)[0] != rank_svd(b)[0]:
         return False
-    if ra == 0:
-        return True
-    ang = principal_angles(a, b)
-    return bool(ang.size == 0 or np.max(ang) <= tol)
+    return bool(principal_angles(a, b).max(initial=0.0) <= tol)
 
 
 def subspace_intersect(a, b):
@@ -232,16 +225,14 @@ def intersect_orth_many(qas, qbs):
     return out
 
 
-def annihilator(basis, dim=None):
-    """Covectors vanishing on span(basis), via the Euclidean pairing.
+def annihilator(basis):
+    """Covectors vanishing on span of the (d, k) basis, via the Euclidean
+    pairing; k = 0 gives eye(d).
 
     Involution (annihilator of the annihilator recovers the span) is a
     tested invariant.
     """
-    basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    if dim is not None and basis.shape[1] == 0:
-        basis = np.zeros((dim, 0))
-    return null(basis.T)
+    return null(np.atleast_2d(np.asarray(basis, dtype=float)).T)
 
 
 class SkewForm:

@@ -57,7 +57,7 @@ from .sprayflow import flow
 from .submanifold import Chart, point_data_rows, pullback_dirac, pullback_dirac_rows
 
 RADIUS_FLOOR = 1e-3
-_GAUGE_FD_H = 1e-5  # GotayModel's central-difference step for the gauge form
+_FD_H = 1e-5  # central-difference step of J, the tube frame and the gauge forms
 
 
 class ComplementFrame:
@@ -180,11 +180,10 @@ class ComplementChoice(FrameAligner):
         return [got[key] for key in keys]
 
     def _frame(self, pd):
-        n = self.bv.dim
         txperp = self._aligned("perp", pd.txperp)
         if self.mode in ("default", "custom"):
             if self.mode == "default":
-                w = self._aligned("w", null(txperp.T) if txperp.shape[1] else np.eye(n))
+                w = self._aligned("w", null(txperp.T))
             else:
                 w = (self._w_user(pd.u) if callable(self._w_user)
                      else np.array(self._w_user, dtype=float))
@@ -195,7 +194,7 @@ class ComplementChoice(FrameAligner):
             frame = self._pre_poisson_frame(pd)
         else:
             raise ValueError(f"unknown complement mode {self.mode!r}")
-        if frame.j.size and np.abs(frame.w.T @ frame.j).max() > 1e-10:
+        if np.abs(frame.w.T @ frame.j).max(initial=0.0) > 1e-10:
             raise RankDeficient("inclusion does not annihilate the complement")
         return frame
 
@@ -231,8 +230,7 @@ class ComplementChoice(FrameAligner):
         g = self._g_user if self._g_user is not None else self._aligned("g", _span_in(tx, txperp))
         if subspace_intersect(g, txperp).shape[1] or rank_svd(np.hstack([g, txperp]))[0] != k:
             raise RankDeficient("G is not a complement of TXperp in TX")
-        ann_g = null(g.T) if g.shape[1] else np.eye(n)
-        s, omega = self._symplectic_on_image(p, ann_g)
+        s, omega = self._symplectic_on_image(p, null(g.T))
         if s.shape[1] != 2 * r:
             raise RankDeficient("sharp(G0) has unexpected rank")
         v = self._lagrangian("v", s, omega, txperp)
@@ -258,9 +256,7 @@ class ComplementChoice(FrameAligner):
             raise RankDeficient("G is not a complement of the cap in TX")
         if rank_svd(np.hstack([cap, h]))[0] != pd.rank_perp:
             raise RankDeficient("H is not a complement of the cap in TXperp")
-        gh = np.hstack([g, h])
-        ann = null(gh.T) if gh.shape[1] else np.eye(n)
-        s, omega = self._symplectic_on_image(p, ann)
+        s, omega = self._symplectic_on_image(p, null(np.hstack([g, h]).T))
         if s.shape[1] != 2 * c_dim:
             raise RankDeficient("sharp((G+H)0) has unexpected rank")
         c_lag = self._lagrangian("c", s, omega, cap)
@@ -286,13 +282,9 @@ def _tube_basis(fr):
 def _sharp_into(p, w, extra=None):
     """Residual of sharp((extra + w)^0) inside span(w)."""
     span = w if extra is None else np.hstack([extra, w])
-    ann = null(span.T) if span.shape[1] else np.eye(p.shape[0])
-    if ann.shape[1] == 0:
-        return 0.0
     q = orth(w)
-    image = p @ ann
-    resid = image - q @ (q.T @ image)
-    return float(np.abs(resid).max())
+    image = p @ null(span.T)
+    return float(np.abs(image - q @ (q.T @ image)).max(initial=0.0))
 
 
 def sigma_tau(comp: ComplementChoice, u):
@@ -325,18 +317,18 @@ def _central_diff(vals, h, vec=None):
     return diff / (2 * h)
 
 
-def _bundle_flow(comp, us, zetas, steps, with_omega=False, fd_h=1e-5):
+def _bundle_flow(comp, us, zetas, steps, with_omega=False):
     """Embed every (u, zeta) row as e(u, zeta) = (X(u), J(u) zeta) and flow
     all of them in one batch, with jac.
 
-    The frames of every u and of its fd_h-stencil come from one comp.frames
+    The frames of every u and of its _FD_H-stencil come from one comp.frames
     call; de(u, zeta) has dJ/du zeta from their J.  Returns the frame of
     every u, the FlowResult, dPhi = d(exp)_base . de at every row (the top
     half of jac) and, with omega, eta = -de^T omega de at every row, else
     None; batched rows are bitwise those of single-row flows.
     """
     us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
-    got = comp.frames([y for u in us for y in (u, *_stencil(u, fd_h))])
+    got = comp.frames([y for u in us for y in (u, *_stencil(u, _FD_H))])
     span = 2 * comp.chart.param_dim + 1
     frames, des, covs = [], [], []
     for i, zeta in enumerate(zetas):
@@ -347,7 +339,7 @@ def _bundle_flow(comp, us, zetas, steps, with_omega=False, fd_h=1e-5):
         de = np.zeros((2 * n, k + r))
         de[:n, :k] = fr.dx
         de[n:, k:] = fr.j
-        de[n:, :k] = _central_diff(js[1:], fd_h, zeta)
+        de[n:, :k] = _central_diff(js[1:], _FD_H, zeta)
         frames.append(fr)
         des.append(de)
         covs.append(fr.j @ zeta)
@@ -387,7 +379,7 @@ def eta_zero_section(comp, u):
     return out
 
 
-def eta_canonical_form_source(comp, u, zeta, fd_h=1e-5):
+def eta_canonical_form_source(comp, u, zeta):
     """Gauge form from the canonical form of T*X (coisotropic route).
 
     Restricting fiber covectors to TX embeds the bundle into T*X; in
@@ -396,8 +388,8 @@ def eta_canonical_form_source(comp, u, zeta, fd_h=1e-5):
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     zeta = np.asarray(zeta, dtype=float).reshape(comp.rank_perp)
-    taus = np.array([fr.dx.T @ fr.j for fr in comp.frames([u, *_stencil(u, fd_h)])])
-    return _canonical_form_gauge(taus[0], taus[1:], zeta, fd_h)
+    taus = np.array([fr.dx.T @ fr.j for fr in comp.frames([u, *_stencil(u, _FD_H)])])
+    return _canonical_form_gauge(taus[0], taus[1:], zeta, _FD_H)
 
 
 def _canonical_form_gauge(b, stencil_vals, vec, h):
@@ -417,8 +409,9 @@ def _gauge_blocks(a, b):
     return out
 
 
-def eta_closedness_residual(comp, u, zeta, steps=256, h=1e-4):
+def eta_closedness_residual(comp, u, zeta, steps=256):
     """Max finite-difference exterior-derivative component of eta."""
+    h = 1e-4
     k = comp.chart.param_dim
     zeta = np.asarray(zeta, dtype=float).reshape(comp.rank_perp)
     point = np.concatenate([np.atleast_1d(u), zeta])
@@ -478,16 +471,16 @@ def _pushforward_mismatches(dphis, models, targets):
             for q, dphi, model, target in zip(orth_many(dphis), dphis, models, targets)]
 
 
-def extraction_radius(comp, u, steps=256, start=0.5, count=6, seed=0):
+def extraction_radius(comp, u, steps=256, start=0.5, seed=0):
     """Largest probed fiber radius where model extraction succeeds.
 
-    Halves the radius until `count` seeded directions all extract, down
+    Halves the radius until 6 seeded directions all extract, down
     to the radius floor; returns 0.0 if even the floor fails.  Each
     radius flows all directions in one batch.  Only extraction failures
     and flows that leave the box halve the radius: a RankDeficient does
     not depend on the radius and propagates.
     """
-    r = comp.rank_perp
+    r, count = comp.rank_perp, 6
     if r == 0:
         return start
     rng = np.random.default_rng(seed)
@@ -506,7 +499,10 @@ def extraction_radius(comp, u, steps=256, start=0.5, count=6, seed=0):
 
 
 def _halvings(start):
-    """The radii start, start/2, start/4, ... down to RADIUS_FLOOR."""
+    """The radii start, start/2, start/4, ... down to RADIUS_FLOOR; a
+    non-finite start raises ValueError (inf would halve forever)."""
+    if not np.isfinite(start):
+        raise ValueError(f"radius must be finite, got {start}")
     while start >= RADIUS_FLOOR:
         yield start
         start *= 0.5
@@ -625,8 +621,8 @@ def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
     return sat
 
 
-def full_fiber_landing(sat: SaturationChart, count=10, radius=0.05, seed=1, tol=1e-4):
-    """Check that exp of full-fiber covectors lands on the chart image.
+def full_fiber_landing(sat: SaturationChart, radius=0.05, seed=1, tol=1e-4):
+    """Check that exp of 10 full-fiber covectors lands on the chart image.
 
     All probes flow in one batch and are projected together.  Probes
     whose flow leaves the domain box are skipped and counted; the check
@@ -634,7 +630,7 @@ def full_fiber_landing(sat: SaturationChart, count=10, radius=0.05, seed=1, tol=
     """
     bv, chart = sat.bv, sat.chart
     rng = np.random.default_rng(seed)
-    us = chart.sample(count, seed=seed + 1)
+    us = chart.sample(10, seed=seed + 1)
     covs = [a * (radius / np.linalg.norm(a)) for a in rng.normal(size=(len(us), bv.dim))]
     res = flow(bv, np.stack([chart.point_at(u) for u in us]), np.stack(covs), steps=sat.steps)
     kept = np.flatnonzero(~res.exited)
@@ -647,22 +643,18 @@ def full_fiber_landing(sat: SaturationChart, count=10, radius=0.05, seed=1, tol=
 
 def saturation_residuals(sat: SaturationChart):
     """Per-sample residual of sharp(TP0) inside TP."""
-    out = np.zeros(len(sat.points))
     qs = orth_many(sat.jacs)
-    ps = sat.bv.matrix(sat.points)
-    for i, (q, conormal) in enumerate(zip(qs, null_many([q.T for q in qs]))):
-        if conormal.shape[1] == 0:
-            continue
-        image = ps[i] @ conormal
-        out[i] = np.abs(image - q @ (q.T @ image)).max()
-    return out
+    images = [p @ conormal for p, conormal in
+              zip(sat.bv.matrix(sat.points), null_many([q.T for q in qs]))]
+    return np.array([np.abs(image - q @ (q.T @ image)).max(initial=0.0)
+                     for q, image in zip(qs, images)])
 
 
 def verify_saturation_poisson(sat: SaturationChart, tol=1e-8):
     """Residual of sharp(TP0) inside TP over the sampled chart, with the
     per-sample values under "residuals"."""
     res = saturation_residuals(sat)
-    worst = float(res.max()) if res.size else 0.0
+    worst = float(res.max(initial=0.0))
     return {"max_residual": worst, "ok": worst <= tol, "tol": tol, "residuals": res}
 
 
@@ -695,10 +687,9 @@ def tubular_map(sat: SaturationChart, u, zeta, c):
 
 def _tube_differential(sat, u, dphi, c):
     """dPsi = [dPhi + (dF/du) c on the u columns | F] at (u, zeta, c)."""
-    h = 1e-5
-    tubes = np.array([sat.complement_frame(y) for y in [u, *_stencil(u, h)]])
+    tubes = np.array([sat.complement_frame(y) for y in [u, *_stencil(u, _FD_H)]])
     dpsi = np.hstack([dphi, tubes[0]])
-    dpsi[:, :len(u)] += _central_diff(tubes[1:], h, c)
+    dpsi[:, :len(u)] += _central_diff(tubes[1:], _FD_H, c)
     return dpsi
 
 
@@ -864,14 +855,14 @@ class GotayModel(FrameAligner):
         """
         k = self.dim
         qs = np.asarray(qs, dtype=float)
-        reads = [[x, *_stencil(x, _GAUGE_FD_H)] for x in qs[:, :k]]
+        reads = [[x, *_stencil(x, _FD_H)] for x in qs[:, :k]]
         points = {y.tobytes(): y for row in reads for y in row}
         ls = dict(zip(points, raise_first(self._l_at(np.array(list(points.values()))))))
         incls = dict(zip(ls, self._inclusions(list(ls.values()))))
         etas = []
         for q, row in zip(qs, reads):
             vals = np.array([incls[y.tobytes()] for y in row])
-            etas.append(_canonical_form_gauge(vals[0], vals[1:], q[k:], _GAUGE_FD_H))
+            etas.append(_canonical_form_gauge(vals[0], vals[1:], q[k:], _FD_H))
         keys = [q[:k].tobytes() for q in qs]
         xs = list(dict.fromkeys(keys))
         lifts = dict(zip(xs, dirac_pullback_many([ls[x] for x in xs], [self._dpr] * len(xs))))
@@ -883,11 +874,11 @@ class GotayModel(FrameAligner):
         q = np.concatenate([np.reshape(x, self.dim), np.reshape(c, self.fiber_dim)])
         return self._bivectors(q[None])[0][0]
 
-    def verify(self, samples=20, radius=0.1, seed=4, fd_h=1e-5):
+    def verify(self, samples=20, radius=0.1, seed=4):
         """Coisotropy of the zero section, reproduction of L, Jacobi.
 
         One _bivectors call takes the rows of every sample x: (x, 0), (x, c)
-        and the fd_h-stencil of (x, c), whose bivectors give the Jacobi
+        and the _FD_H-stencil of (x, c), whose bivectors give the Jacobi
         gradients; a failure of its stacked step comes before any extraction.
         The pullbacks that reproduce L along the zero section are one
         stacked step.
@@ -896,7 +887,7 @@ class GotayModel(FrameAligner):
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-radius, radius, size=(samples, k))
         points = [np.concatenate([x, rng.uniform(-radius, radius, m)]) for x in xs]
-        rows = [[np.concatenate([x, np.zeros(m)]), q, *_stencil(q, fd_h)]
+        rows = [[np.concatenate([x, np.zeros(m)]), q, *_stencil(q, _FD_H)]
                 for x, q in zip(xs, points)]
         span = 2 * (k + m) + 2
         ps, ls = self._bivectors(np.reshape(rows, (-1, k + m)))
@@ -911,8 +902,8 @@ class GotayModel(FrameAligner):
             resid = image - incl @ (incl.T @ image)
             coiso = max(coiso, float(np.abs(resid).max(initial=0.0)))
             ang = principal_angles(back.basis, ls[i].basis)
-            angles = max(angles, float(ang.max()) if ang.size else 0.0)
-            grads = _central_diff(np.array(stencil), fd_h)
+            angles = max(angles, float(ang.max(initial=0.0)))
+            grads = _central_diff(np.array(stencil), _FD_H)
             cyclic = (np.einsum("lk,lij->ijk", p0, grads) + np.einsum("li,ljk->ijk", p0, grads)
                       + np.einsum("lj,lki->ijk", p0, grads))
             jacobi = max(jacobi, float(np.abs(cyclic).max()))
@@ -942,4 +933,4 @@ def fiberwise_reflection_residual(l_base: DiracSpace, a_block, b_block):
     right = dirac_gauge(lifted, -eta_here)
     ang = principal_angles(left.basis, right.basis)
     fixed = principal_angles(dirac_pullback(lifted, m).basis, lifted.basis)
-    return float(max(ang.max() if ang.size else 0.0, fixed.max() if fixed.size else 0.0))
+    return float(max(ang.max(initial=0.0), fixed.max(initial=0.0)))

@@ -247,13 +247,10 @@ def dual_pair_check(bv: BivectorField, chart: Chart, u, steps=1024, tol=1e-8):
         [np.hstack([pd.tx, np.zeros((n, n))]), np.hstack([np.zeros((n, k)), np.eye(n)])]
     )
     omega_b = fiber.T @ omega @ fiber
-    kern_b = null(omega_b)
-    kern = orth(fiber @ kern_b) if kern_b.size else np.zeros((2 * n, 0))
+    kern = orth(fiber @ null(omega_b))
     scale = max(np.abs(omega).max(), 1.0)
     s2_in_fiber = subspace_intersect(s2, orth(fiber))
-    prop1_res = (
-        float(np.abs(s1.T @ omega @ s2_in_fiber).max()) / scale if s2_in_fiber.size else 0.0
-    )
+    prop1_res = float(np.abs(s1.T @ omega @ s2_in_fiber).max(initial=0.0)) / scale
     triple = subspace_intersect(subspace_intersect(s1, kern), s2)
     prop2_dim = triple.shape[1]
     prop2_expected = n - k - r

@@ -29,6 +29,7 @@ from .linear import (
     orth,
     raise_first,
     rank_svd,
+    rank_svd_many,
 )
 
 
@@ -70,9 +71,8 @@ class Chart:
 
     def _immersion_check(self):
         pts = np.vstack([self.grid(3), self.sample(5, seed=11)])
-        jacs = self.jacobian(pts)
-        for u, j in zip(pts, jacs):
-            if rank_svd(j)[0] != self.param_dim:
+        for u, (rank, _, _) in zip(pts, rank_svd_many(self.jacobian(pts))):
+            if rank != self.param_dim:
                 raise ValueError(f"chart is not an immersion at u = {tuple(u.tolist())}")
 
     def points(self, us):
@@ -156,7 +156,7 @@ def point_data_rows(bv: BivectorField, chart: Chart, us):
                 point_data_rows(bv, chart, u[None, :])
         raise
     n, k = bv.dim, chart.param_dim
-    txs = linear.orth_many(dxs) if k else [np.zeros((n, 0))] * len(us)
+    txs = linear.orth_many(dxs)
     anns = linear.null_many([tx.T for tx in txs])
     images = [p @ ann for p, ann in zip(ps, anns)]
     # the image scale is judged against p itself: an analytically zero
@@ -190,9 +190,10 @@ def nearby_point_data(bv: BivectorField, chart: Chart, u, seed):
         yield point_data(bv, chart, np.clip(nearby, chart.domain[:, 0], chart.domain[:, 1]))
 
 
-def _decisive(sv, rank, gap=10.0):
+def _decisive(sv, rank):
     if sv.size == 0:
         return True
+    gap = 10.0
     tol = linear.TOL_REL * sv[0]
     kept = sv[rank - 1] if rank > 0 else np.inf
     dropped = sv[rank] if rank < sv.size else 0.0
@@ -319,8 +320,8 @@ def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_cor
     if err is not None:
         raise err
     if route == "perp":
-        n, k, dx = bv.dim, chart.param_dim, pd.dx
-        ann = annihilator(pd.txperp, dim=n)
+        k, dx = chart.param_dim, pd.dx
+        ann = annihilator(pd.txperp)
         cols = []
         for a in ann.T:
             v = pd.p @ a
@@ -328,9 +329,9 @@ def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_cor
             if np.linalg.norm(dx @ t - v) > 1e-8 * (1 + np.linalg.norm(v)):
                 raise RankDeficient("sharp image leaves the tangent space")
             cols.append(np.concatenate([t, dx.T @ a]))
-        basis = orth(np.stack(cols, axis=-1)) if cols else np.zeros((2 * k, 0))
-        if basis.shape[1] != k:
-            raise RankDeficient(f"perp route produced dimension {basis.shape[1]}")
+        rank, basis, _ = rank_svd(np.reshape(cols, (len(cols), 2 * k)).T)
+        if rank != k:
+            raise RankDeficient(f"perp route produced dimension {rank}")
         return DiracSpace(basis)
     raise ValueError(f"unknown route {route!r}")
 

@@ -185,7 +185,7 @@ def test_criterion_06_saturation_geometry():
     planar = float(np.abs(sat.points[:, 2]).max())
     ranks_ok = all(rank_svd(j)[0] == 2 for j in sat.jacs)
     resid = verify_saturation_poisson(sat, tol=1e-8)
-    land = full_fiber_landing(sat, count=10, radius=0.05)
+    land = full_fiber_landing(sat, radius=0.05)
 
     so3 = so3_star()
     sphere = Chart(2, 3, ["cos(u)*cos(v)", "sin(u)*cos(v)", "sin(v)"],

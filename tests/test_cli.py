@@ -33,6 +33,13 @@ def run_main(argv):
     return code, out.getvalue()
 
 
+def strict_json(text):
+    # json.loads accepts NaN and Infinity, which are not JSON
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 # --- scene parsing ---
 
 
@@ -476,14 +483,14 @@ def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, arg
     assert calls == {"frame_rows": frames, "pullback_dirac": lifts, "gate_rows": gate}
 
 
-@pytest.mark.parametrize("job,single,stacked", [("analyze-cubic-graph", 14, 2692),
+@pytest.mark.parametrize("job,single,stacked", [("analyze-cubic-graph", 0, 2706),
                                                ("gotay-verify", 1, 3409)],
                          ids=["analyze-cubic-graph", "gotay-verify"])
 def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
     # every matrix that reaches a rank decision is counted where it enters:
     # one per rank_svd call, one per matrix of a rank_svd_many batch, so
-    # moving work into a batch cannot hide it.  analyze decides single
-    # matrices only in the chart's immersion check.  GotayModel.verify
+    # moving work into a batch cannot hide it.  analyze decides no single
+    # matrix (the chart's immersion check stacks its 14 points).  GotayModel.verify
     # decides one (the vertical frame, at construction) and stacks the rest:
     # L of the constant form once, kernels and inclusions at the 500
     # distinct points that its stencils read, 140 lifts (one per distinct
@@ -550,28 +557,65 @@ def test_verify_alone_runs_the_saturation_rank_check(tmp_path, monkeypatch):
     assert stage["reason"].startswith("chart rank defect at u = ")
 
 
-@pytest.mark.parametrize("radius", ["0", "-0.1"])
+@pytest.mark.parametrize("radius", ["0", "-0.1", "nan", "inf"])
 def test_presymplectic_radius_must_be_positive(tmp_path, radius):
-    # radius 0 used to pass verify on 20 copies of the origin
+    # radius 0 used to pass verify on 20 copies of the origin, and nan to
+    # crash in the sampler
     path = tmp_path / "radius.scene"
     path.write_text(FIXTURES["gotay-presymplectic"].replace("radius = 0.1",
                                                             f"radius = {radius}"))
     code, out = run_main(["verify", str(path)])
     assert code == 4
-    rep = json.loads(out)
-    assert rep["error"] == "[presymplectic] radius must be positive"
+    rep = strict_json(out)
+    assert rep["error"] == "[presymplectic] radius must be finite and positive"
     assert "stages" not in rep
 
 
-@pytest.mark.parametrize("radius", ["0.0005", "0", "-0.1"])
+@pytest.mark.parametrize("radius", ["0.0005", "0", "-0.1", "nan", "inf"])
 def test_xi_radius_below_the_radius_floor_exits_4(tmp_path, radius):
-    # below the floor the radius-halving loop tries no radius at all
+    # below the floor the radius-halving loop tries no radius at all; from
+    # inf it would halve forever
     path = tmp_path / "radius.scene"
     path.write_text(FIXTURES["coiso-line"] + f"[flow]\nxi_radius = {radius}\n")
-    code, out = run_main(["saturate", str(path), "--steps", "32"])
+    code, out = run_main(["all", str(path), "--steps", "32"])
     assert code == 4
-    rep = json.loads(out)
-    assert rep["error"] == f"xi_radius must be at least the radius floor {model.RADIUS_FLOOR}"
+    rep = strict_json(out)
+    assert rep["error"] == ("xi_radius must be finite and at least the radius floor "
+                            f"{model.RADIUS_FLOOR}")
+    assert "stages" not in rep
+
+
+@pytest.mark.parametrize("old,new", [("-2 2", "-2 inf"), ("-2 2", "-inf 2"), ("-1 1", "nan 1"),
+                                     ("-1 1", "1 1")])
+def test_domain_must_be_finite_and_non_empty(tmp_path, old, new):
+    # an infinite bound used to crash the chart's random sampler
+    path = tmp_path / "domain.scene"
+    path.write_text(FIXTURES["coiso-line"].replace(f"domain = {old}", f"domain = {new}"))
+    code, out = run_main(["all", str(path), "--steps", "32"])
+    assert code == 4
+    rep = strict_json(out)
+    lo, hi = (float(v) for v in new.split())
+    assert rep["error"].endswith(f"domain interval [{lo}, {hi}] must be finite and non-empty")
+    assert "stages" not in rep
+
+
+@pytest.mark.parametrize("value", ["0", "nan", "inf"])
+@pytest.mark.parametrize("key", ["tol_normal", "tol_saturation", "tol_landing", "--tol"])
+def test_tolerances_must_be_finite_and_positive(tmp_path, key, value):
+    # a nan tolerance failed every check and an inf one passed every check,
+    # and either wrote a token that is not JSON into the report
+    path = tmp_path / "tol.scene"
+    argv = ["all", str(path), "--steps", "32"]
+    if key == "--tol":
+        path.write_text(FIXTURES["coiso-line"])
+        argv += ["--tol", value]
+    else:
+        path.write_text(FIXTURES["coiso-line"] + f"[model]\n{key} = {value}\n")
+    code, out = run_main(argv)
+    assert code == 4
+    rep = strict_json(out)
+    name = "normal" if key == "--tol" else key.removeprefix("tol_")
+    assert rep["error"] == f"tolerance '{name}' must be finite and positive"
     assert "stages" not in rep
 
 

@@ -54,10 +54,30 @@ def test_rank_svd_so3_frozen():
 
 
 def test_rank_svd_near_rank_boundary():
-    m = np.diag([1.0, 1e-3, 1e-12])
-    assert rank_svd(m)[0] == 2
-    assert rank_svd(m, tol_rel=1e-15)[0] == 3
-    assert rank_svd(m, tol_rel=0.1)[0] == 1
+    # singular values either side of TOL_REL * s[0] = 1e-8
+    assert rank_svd(np.diag([1.0, 1e-3, 1e-12]))[0] == 2
+    assert rank_svd(np.diag([1.0, 2e-8, 5e-9]))[0] == 2
+    assert rank_svd(np.diag([1.0, 2e-8, 2e-8]))[0] == 3
+    assert rank_svd(np.diag([1.0, 5e-9, 5e-9]))[0] == 1
+    assert rank_svd(np.diag([2.0, 1.5e-8, 5e-9]))[0] == 1  # the threshold scales with s[0]
+    assert rank_svd(np.diag([1e-3, 5e-9]), scale=1.0)[0] == 1  # ... or with scale
+
+
+def test_empty_spans_take_the_general_path():
+    # callers take annihilators and complements of empty spans with no
+    # branch of their own: null of a (0, n) matrix is eye(n) and orth of an
+    # (n, 0) one is (n, 0), bitwise, one matrix or stacked
+    for n in range(1, 7):
+        wide, tall = np.zeros((0, n)), np.zeros((n, 0))
+        eye, none = np.eye(n), np.zeros((n, 0))
+        assert _same(linear.null(wide), eye) and _same(annihilator(tall), eye)
+        assert _same(linear.orth(tall), none)
+        assert all(_same(a, eye) for a in linear.null_many([wide, wide]))
+        assert all(_same(a, none) for a in linear.orth_many([tall, tall]))
+        rows = linear.rank_svd_many([wide, tall, wide])
+        assert [row[0] for row in rows] == [0, 0, 0]
+        assert _same(rows[0][1], np.zeros((0, 0))) and _same(rows[0][2], eye)
+        assert _same(rows[1][1], none) and _same(rows[1][2], np.eye(0))
 
 
 def test_rank_parity_of_skew_matrices():
@@ -73,9 +93,9 @@ def test_annihilator_involution_property():
         d = int(rng.integers(1, 8))
         k = int(rng.integers(0, d + 1))
         basis = rng.standard_normal((d, k))
-        ann = annihilator(basis, dim=d)
+        ann = annihilator(basis)
         assert ann.shape[1] == d - rank_svd(basis)[0] if k else d
-        back = annihilator(ann, dim=d)
+        back = annihilator(ann)
         assert subspace_equal(back, basis if k else np.zeros((d, 0)))
 
 
@@ -261,14 +281,12 @@ def _stack_cases(rng):
     return [cases[i] for i in order]
 
 
-@pytest.mark.parametrize("tol_rel", [None, 1e-6])
-def test_stacked_rank_svd_many_is_bitwise_rank_svd(tol_rel):
+def test_stacked_rank_svd_many_is_bitwise_rank_svd():
     cases = _stack_cases(np.random.default_rng(7))
-    many = linear.rank_svd_many([m for m, _ in cases], tol_rel=tol_rel,
-                                scales=[s for _, s in cases])
+    many = linear.rank_svd_many([m for m, _ in cases], scales=[s for _, s in cases])
     assert len(many) == len(cases)
     for (m, scale), (rank, col, nul) in zip(cases, many):
-        ref_rank, ref_col, ref_nul = rank_svd(m, tol_rel=tol_rel, scale=scale)
+        ref_rank, ref_col, ref_nul = rank_svd(m, scale=scale)
         assert rank == ref_rank
         assert np.array_equal(col, ref_col) and col.shape == ref_col.shape
         assert np.array_equal(nul, ref_nul) and nul.shape == ref_nul.shape
@@ -332,7 +350,7 @@ def test_is_orthonormal_agrees_with_allclose_at_the_boundary():
 # --- stacked rank rules and Dirac steps against the per-row code they replaced ---
 
 
-def _rank_ref(m, tol_rel=None, scale=None):
+def _rank_ref(m, scale=None):
     # the per-matrix rank rules that the array form replaced
     m = np.atleast_2d(np.asarray(m, dtype=float))
     d, k = m.shape
@@ -340,7 +358,7 @@ def _rank_ref(m, tol_rel=None, scale=None):
         return 0, np.zeros((d, 0)), np.eye(k)
     u, s, vt = np.linalg.svd(m, full_matrices=True)
     ref = s[0] if scale is None else max(s[0], float(scale))
-    rank = int(np.count_nonzero(s > (linear.TOL_REL if tol_rel is None else tol_rel) * ref))
+    rank = int(np.count_nonzero(s > linear.TOL_REL * ref))
     return rank, u[:, :rank], vt[rank:].T
 
 
@@ -364,14 +382,11 @@ def test_stacked_rank_rules_mixed_rows(monkeypatch):
     order = rng.permutation(len(rows))
     rows = [rows[i] for i in order]
     assert sum(1 for _, s in rows if s is None) not in (0, len(rows))
-    for tol_rel in (None, 1e-4):
-        many = linear.rank_svd_many([m for m, _ in rows], tol_rel=tol_rel,
-                                    scales=[s for _, s in rows])
-        for (m, scale), got in zip(rows, many):
-            for ref in (rank_svd(m, tol_rel=tol_rel, scale=scale),
-                        _rank_ref(m, tol_rel=tol_rel, scale=scale)):
-                assert got[0] == ref[0] and type(got[0]) is int
-                assert _same(got[1], ref[1]) and _same(got[2], ref[2])
+    many = linear.rank_svd_many([m for m, _ in rows], scales=[s for _, s in rows])
+    for (m, scale), got in zip(rows, many):
+        for ref in (rank_svd(m, scale=scale), _rank_ref(m, scale=scale)):
+            assert got[0] == ref[0] and type(got[0]) is int
+            assert _same(got[1], ref[1]) and _same(got[2], ref[2])
     # a (g, d, k) stack, strided or not, is one shape group
     stack = np.array([m for m, _ in rows if m.shape == (6, 3)])
     for view in (stack, stack[:, ::2], np.zeros((0, 6, 3))):

@@ -404,6 +404,14 @@ def test_extraction_radius_positive(coiso_line, so3_ray):
         assert model.extraction_radius(comp, chart.center(), steps=64) > 0
 
 
+def test_halvings_reject_a_non_finite_start():
+    # inf * 0.5 is inf: the loop would never reach the floor
+    assert list(model._halvings(0.004)) == [0.004, 0.002, 0.001]
+    for start in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            next(model._halvings(start))
+
+
 # --- saturation chart ---
 
 

@@ -1,5 +1,7 @@
 """Charts, pointwise tangent data, regularity scans, classification."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -63,8 +65,11 @@ def test_chart_points_and_jacobian():
 
 def test_chart_immersion_rejected():
     # derivative (2u, 0, 0) vanishes at the domain center
-    with pytest.raises(ValueError, match="immersion"):
+    with pytest.raises(ValueError, match=re.escape("not an immersion at u = (0.0,)")):
         Chart(1, 3, ["u^2", "0", "0"], names=["u"])
+    # rank 1 on the whole line u = 0: the first grid point on it is named
+    with pytest.raises(ValueError, match=re.escape("not an immersion at u = (0.0, -1.0)")):
+        Chart(2, 3, ["u^2", "v", "u^2*v"], names=["u", "v"])
 
 
 def test_chart_zero_parameters():
@@ -318,7 +323,7 @@ def _point_data_reference(bv, chart, u):
     n, k = bv.dim, chart.param_dim
     tx = linear.orth(dx) if k else np.zeros((n, 0))
     p = bv.matrix_at(x)
-    image = p @ linear.annihilator(tx, dim=n)
+    image = p @ linear.annihilator(tx)
     r, txperp, _ = linear.rank_svd(image, scale=np.linalg.norm(p, 2))
     stack = np.vstack([p, dx.T])
     corank = n - linear.rank_svd(stack)[0]
