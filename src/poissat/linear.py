@@ -117,18 +117,32 @@ def gram_schmidt(m):
     """Orthonormalize full-rank columns without reordering.
 
     Modified Gram-Schmidt; smooth in the input (unlike SVD bases), which
-    matters when frames are differentiated by finite differences.
+    matters when frames are differentiated by finite differences.  It is
+    the one-row case of gram_schmidt_many.
     """
-    m = np.array(m, dtype=float)
-    d, k = m.shape
-    for j in range(k):
+    return raise_first(gram_schmidt_many(np.asarray(m, dtype=float)[None]))[0]
+
+
+def gram_schmidt_many(ms):
+    """gram_schmidt of every (d, k) matrix of a (g, d, k) stack: per row its
+    frame, or the RankDeficient it raises alone.
+
+    Every dot and norm is a stacked (g, 1, d) @ (g, d, 1) product, which
+    numpy hands to BLAS ddot row by row on the strides a 1-D dot of one
+    C-ordered matrix has (columns for the dots, a contiguous copy for the
+    norm, as np.linalg.norm takes), so every row is bitwise its one-row case.
+    """
+    m = np.array(ms, dtype=float)
+    ok = np.ones(len(m), dtype=bool)
+    for j in range(m.shape[2]):
         for i in range(j):
-            m[:, j] -= (m[:, i] @ m[:, j]) * m[:, i]
-        nrm = np.linalg.norm(m[:, j])
-        if nrm < 1e-13:
-            raise RankDeficient("gram_schmidt given rank deficient columns")
-        m[:, j] /= nrm
-    return m
+            m[:, :, j] -= (m[:, None, :, i] @ m[:, :, j, None])[:, 0] * m[:, :, i]
+        col = np.ascontiguousarray(m[:, :, j])
+        nrm = np.sqrt(col[:, None, :] @ col[:, :, None])[:, 0]
+        ok &= ~(nrm[:, 0] < 1e-13)
+        m[:, :, j] /= np.where(ok[:, None], nrm, 1.0)  # a failed row divides no further
+    return [row if on else RankDeficient("gram_schmidt given rank deficient columns")
+            for row, on in zip(m, ok)]
 
 
 def fix_signs(basis):
@@ -147,15 +161,53 @@ def align_frame(target_basis, ref_frame):
     Projects the reference columns onto the target subspace and
     re-orthonormalizes.  Requires the subspaces to be non-perpendicular
     (principal angles < pi/2), which holds along any fine enough chain.
+    It is the one-row case of align_frames.
     """
-    target_basis = np.asarray(target_basis, dtype=float)
+    return raise_first(align_frames([target_basis], ref_frame))[0]
+
+
+def align_frames(bases, ref_frame):
+    """align_frame of every basis in bases (a list, or one (g, d, k) stack)
+    to one reference frame: per row its frame, or the error it raises alone.
+
+    The bases of one shape and strides are projected and re-orthonormalized
+    as one stack that keeps their strides, so every row is bitwise its
+    one-row case; a basis with no columns is returned as it is.
+    """
     ref_frame = np.asarray(ref_frame, dtype=float)
-    if target_basis.shape[1] == 0:
-        return target_basis
-    if ref_frame.shape[1] != target_basis.shape[1]:
-        raise ValueError("reference frame dimension mismatch")
-    proj = target_basis @ (target_basis.T @ ref_frame)
-    return gram_schmidt(proj)
+    out = [np.asarray(b, dtype=float) for b in bases]
+    groups = {}
+    for i, b in enumerate(out):
+        groups.setdefault((b.shape, b.strides), []).append(i)
+    for ((_, k), _), rows in groups.items():
+        if k == 0:
+            continue
+        if ref_frame.shape[1] != k:
+            for i in rows:
+                out[i] = ValueError("reference frame dimension mismatch")
+            continue
+        ts = _stack_rows([out[i] for i in rows])
+        for i, frame in zip(rows, gram_schmidt_many(ts @ (np.swapaxes(ts, 1, 2) @ ref_frame))):
+            out[i] = frame
+    return out
+
+
+def _stack_rows(arrays):
+    """np.stack of arrays of one shape and strides, whose rows keep those
+    strides.  BLAS may pick a dot product's summation order by stride
+    (OpenBLAS sums unit strides in order, others in two interleaved halves
+    from length 4 on), so a stacked product is bitwise the one-row product
+    only on the rows' own strides."""
+    first = arrays[0]
+    if len(arrays) == 1:
+        return first[None]
+    if not first.size or min(first.strides) < 0:
+        return np.stack(arrays)
+    span = first.itemsize + sum((n - 1) * s for n, s in zip(first.shape, first.strides))
+    stack = np.lib.stride_tricks.as_strided(
+        np.empty(len(arrays) * span // first.itemsize), (len(arrays), *first.shape),
+        (span, *first.strides))
+    return np.stack(arrays, out=stack)
 
 
 def principal_angles(a, b):

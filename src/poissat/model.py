@@ -31,7 +31,7 @@ from .linear import (
     NotPoisson,
     RankDeficient,
     SkewForm,
-    align_frame,
+    align_frames,
     dirac_gauge,
     dirac_gauge_many,
     dirac_graph,
@@ -90,13 +90,61 @@ class ComplementFrame:
         return self
 
 
+def _solve_inclusions(perps, ws, failure):
+    """Inclusion j of every row of the (g, n, r) and (g, n, m) stacks: j
+    solves [perp | w]^T j = [I; 0], so it pairs with perp as the identity
+    and annihilates w.  One rank_svd_many call decides every [perp | w] and
+    one np.linalg.solve solves the spanning ones.  Per row its j, or
+    RankDeficient(failure) where perp and w do not span R^n; a w of the
+    wrong width leaves the stack non-square, and every spanning row holds
+    the error np.linalg.solve raises for it alone."""
+    stacks = np.concatenate([perps, ws], axis=2)
+    g, n, r = perps.shape
+    ok = [i for i, (rank, _, _) in enumerate(rank_svd_many(stacks)) if rank == n]
+    out = [RankDeficient(failure) for _ in range(g)]
+    if ok:
+        try:
+            js = np.linalg.solve(np.swapaxes(stacks[ok], 1, 2),
+                                 np.broadcast_to(np.eye(n, r), (len(ok), n, r)))
+        except np.linalg.LinAlgError as err:
+            js = [err] * len(ok)
+        for i, j in zip(ok, js):
+            out[i] = j
+    return out
+
+
 def _solve_inclusion(txperp, w):
-    n, r = txperp.shape
-    stack = np.hstack([txperp, w])
-    if rank_svd(stack)[0] != n:
-        raise RankDeficient("complement does not span with TXperp")
-    rhs = np.vstack([np.eye(r), np.zeros((n - r, r))])
-    return np.linalg.solve(stack.T, rhs)
+    """The one-row case of _solve_inclusions, for the per-row complement modes."""
+    return raise_first(_solve_inclusions(txperp[None], w[None],
+                                         "complement does not span with TXperp"))[0]
+
+
+def _annihilation_checked(frames):
+    """frames, each row a ComplementFrame or an error, with RankDeficient at
+    every frame whose j does not annihilate its W to 1e-10 (a non-finite
+    product does not), in one stacked check per shape."""
+    out, groups = list(frames), {}
+    for i, fr in enumerate(out):
+        if not isinstance(fr, Exception):
+            groups.setdefault((fr.w.shape, fr.j.shape), []).append(i)
+    for rows in groups.values():
+        ws, js = np.stack([out[i].w for i in rows]), np.stack([out[i].j for i in rows])
+        worst = np.abs(np.swapaxes(ws, 1, 2) @ js).max(axis=(1, 2), initial=0.0)
+        for i, value in zip(rows, worst):
+            if not value <= 1e-10:
+                out[i] = RankDeficient("inclusion does not annihilate the complement")
+    return out
+
+
+def _on_live(step, rows):
+    """step, which maps a list to one outcome per item, on the rows that
+    hold no error; the others keep theirs."""
+    out = list(rows)
+    live = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
+    if live:
+        for i, res in zip(live, step([out[i] for i in live])):
+            out[i] = res
+    return out
 
 
 def _span_in(big, small_perp):
@@ -110,15 +158,21 @@ def _span_in(big, small_perp):
 class FrameAligner:
     """Aligns every basis stored under a key to the first (sign-fixed) one.
     The constructor sets every reference from frames at an anchor point that
-    it does not keep, so no result depends on which point is read first."""
+    it does not keep, so no result depends on which point is read first.
+    _aligned_many aligns a list of bases in stacked align_frames steps, each
+    row bitwise as alone; _aligned is its one-row case."""
+
+    def _aligned_many(self, key, bases):
+        """Every basis aligned to the key's reference: per row its frame, or
+        the error it raises alone; a row that arrives as an error keeps it.
+        With no reference yet, the first basis, sign-fixed, becomes it."""
+        if key not in self._refs:
+            self._refs[key] = fix_signs(bases[0])
+            return [self._refs[key], *self._aligned_many(key, bases[1:])]
+        return _on_live(lambda live: align_frames(live, self._refs[key]), bases)
 
     def _aligned(self, key, basis):
-        ref = self._refs.get(key)
-        if ref is None:
-            basis = fix_signs(basis)
-            self._refs[key] = basis
-            return basis
-        return align_frame(basis, ref)
+        return raise_first(self._aligned_many(key, [basis]))[0]
 
 
 class ComplementChoice(FrameAligner):
@@ -141,7 +195,11 @@ class ComplementChoice(FrameAligner):
     Frames are memoised on the bits of u, each with its base Dirac lift
     once computed: the grid rows and the finite-difference stencils of
     the bundle embedding revisit the same parameters many times.  Frames
-    are computed per batch of memo misses, from one point_data_rows call.
+    are computed per batch of memo misses, from one point_data_rows call;
+    default and custom modes build the batch's frames in stacked steps
+    (alignments, null_many, one inclusion solve and annihilation check per
+    shape group), each bitwise as alone, and the first failing miss raises
+    after every miss before it is memoised.
     """
 
     def __init__(self, bv: BivectorField, chart: Chart, mode="default", g=None, h=None, w=None):
@@ -154,7 +212,7 @@ class ComplementChoice(FrameAligner):
         self._w_user = w
         self._refs = {}
         self._memo = {}
-        anchor = self._frame(point_data_rows(bv, chart, self.u0[None])[0])
+        [anchor] = raise_first(list(self._frame_rows(point_data_rows(bv, chart, self.u0[None]))))
         self._aligned("tube", _tube_basis(anchor))
         self.rank_perp = anchor.rank_perp
         self.cap_dim = anchor.cap_dim
@@ -167,36 +225,67 @@ class ComplementChoice(FrameAligner):
     def frames(self, us):
         """The frame at every row of us.  The memo misses, listed on their
         bits in read order, get their PointData from one point_data_rows
-        call; each frame is then built as it would be alone.  A failure is
-        that of the misses in order, point data before any frame's modes."""
+        call and their frames from _frame_rows.  A failure is that of the
+        misses in order, point data before any frame's: the first failing
+        miss raises, and every miss before it is memoised."""
         us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
         keys = [u.tobytes() for u in us]
         got = {key: self._memo[key] for key in keys if key in self._memo}
         misses = {key: u for key, u in zip(keys, us) if key not in got}
         if misses:  # stacked into a fresh array: a frame is frozen, never alias
             pds = point_data_rows(self.bv, self.chart, np.stack(list(misses.values())))
-            for key, pd in zip(misses, pds):
-                got[key] = self._memo[key] = self._frame(pd).freeze()
+            for key, fr in zip(misses, self._frame_rows(pds)):
+                got[key] = self._memo[key] = raise_first([fr])[0].freeze()
         return [got[key] for key in keys]
 
-    def _frame(self, pd):
-        txperp = self._aligned("perp", pd.txperp)
+    def _frame_rows(self, pds):
+        """Yield the frame of every PointData in order, or the error its row
+        raises alone.  default and custom modes build every frame in stacked
+        steps; coisotropic and pre_poisson build one row at a time, so a
+        failure there raises at its row."""
         if self.mode in ("default", "custom"):
-            if self.mode == "default":
-                w = self._aligned("w", null(txperp.T))
-            else:
-                w = (self._w_user(pd.u) if callable(self._w_user)
-                     else np.array(self._w_user, dtype=float))
-            frame = ComplementFrame(pd, txperp, w, _solve_inclusion(txperp, w))
-        elif self.mode == "coisotropic":
-            frame = self._coisotropic_frame(pd, txperp)
-        elif self.mode == "pre_poisson":
-            frame = self._pre_poisson_frame(pd)
-        else:
+            yield from self._stacked_frames(pds)
+            return
+        if self.mode not in ("coisotropic", "pre_poisson"):
             raise ValueError(f"unknown complement mode {self.mode!r}")
-        if np.abs(frame.w.T @ frame.j).max(initial=0.0) > 1e-10:
-            raise RankDeficient("inclusion does not annihilate the complement")
-        return frame
+        for pd in pds:
+            txperp = self._aligned("perp", pd.txperp)  # pre_poisson orders its own [cap | H]
+            frame = (self._coisotropic_frame(pd, txperp) if self.mode == "coisotropic"
+                     else self._pre_poisson_frame(pd))
+            yield _annihilation_checked([frame])[0]
+
+    def _stacked_frames(self, pds):
+        """The default- or custom-mode frame of every PointData: one stacked
+        alignment of the TXperp frames, then (default) one null_many and one
+        stacked alignment of W, then per shape group one inclusion solve and
+        one annihilation check.  Per row its frame, or the first error of
+        its chain, each row bitwise as alone."""
+        perps = self._aligned_many("perp", [pd.txperp for pd in pds])
+        if self.mode == "default":
+            ws = self._aligned_many("w", _on_live(lambda ts: null_many([t.T for t in ts]), perps))
+        else:
+            ws = [t if isinstance(t, Exception) else self._user_w(pd.u)
+                  for pd, t in zip(pds, perps)]
+        out, groups = list(ws), {}
+        for i, (t, w) in enumerate(zip(perps, ws)):
+            if not isinstance(w, Exception):
+                groups.setdefault((t.shape, w.shape), []).append(i)
+        for rows in groups.values():
+            js = _solve_inclusions(np.stack([perps[i] for i in rows]),
+                                   np.stack([ws[i] for i in rows]),
+                                   "complement does not span with TXperp")
+            for i, j in zip(rows, js):
+                out[i] = j if isinstance(j, Exception) else ComplementFrame(pds[i], perps[i],
+                                                                            ws[i], j)
+        return _annihilation_checked(out)
+
+    def _user_w(self, u):
+        """The custom W at u, or the ValueError its evaluation raises."""
+        try:
+            return (self._w_user(u) if callable(self._w_user)
+                    else np.array(self._w_user, dtype=float))
+        except ValueError as err:
+            return err
 
     def _lagrangian(self, key, s, omega, lag):
         """Lagrangian complement of span(lag) in span(s), aligned to the first one."""
@@ -216,7 +305,7 @@ class ComplementChoice(FrameAligner):
         s = self._aligned("s", s)
         pre, *_ = np.linalg.lstsq(image, s, rcond=None)
         alpha = ann @ pre
-        if np.abs(p @ alpha - s).max() > 1e-9:
+        if not np.abs(p @ alpha - s).max() <= 1e-9:  # a NaN preimage fails too
             raise RankDeficient("no preimages for the symplectic bundle basis")
         return s, alpha.T @ p.T @ alpha
 
@@ -313,7 +402,7 @@ def _central_diff(vals, h, vec=None):
     d = len(vals) // 2
     diff = vals[:d] - vals[d:]
     if vec is not None:
-        diff = np.array([dv @ vec for dv in diff]).reshape(d, vals.shape[1]).T
+        diff = (diff @ vec).T
     return diff / (2 * h)
 
 
@@ -345,9 +434,9 @@ def _bundle_flow(comp, us, zetas, steps, with_omega=False):
         covs.append(fr.j @ zeta)
     res = flow(comp.bv, np.stack([fr.x for fr in frames]), np.stack(covs),
                steps=steps, with_jac=True, with_omega=with_omega)
-    dphi = np.stack([jac[:len(jac) // 2] @ de for de, jac in zip(des, res.jac)])
-    etas = (np.stack([-de.T @ w @ de for de, w in zip(des, res.omega)]) if with_omega
-            else None)
+    des = np.stack(des)
+    dphi = res.jac[:, :res.jac.shape[1] // 2] @ des
+    etas = -np.swapaxes(des, 1, 2) @ res.omega @ des if with_omega else None
     return frames, res, dphi, etas
 
 
@@ -797,9 +886,11 @@ class GotayModel(FrameAligner):
     stacked Dirac step's outcomes do), the ambient space is the bundle chart
     R^k x R^m of K-dual fibers; the bivector is extracted from the
     canonical-form gauge of the lifted structure.  Frames are aligned to
-    those at the origin for smoothness.  Every bivector comes from one
-    batch path, _bivectors, which computes L and the fiber inclusion once
-    per distinct point that one call's gauge stencils read.
+    those at the origin for smoothness, every kernel and complement frame
+    of a batch in one stacked alignment, and the fiber inclusion is the
+    solve ComplementChoice uses.  Every bivector comes from one batch path,
+    _bivectors, which computes L and the fiber inclusion once per distinct
+    point that one call's gauge stencils read.
     """
 
     def __init__(self, dim, l_source):
@@ -818,28 +909,24 @@ class GotayModel(FrameAligner):
         self._dpr = np.hstack([np.eye(k), np.zeros((k, self.fiber_dim))])
 
     def _kernels(self, ls):
-        """Aligned frame of the tangent kernel of every Dirac space in ls."""
+        """Aligned frame of the tangent kernel of every Dirac space in ls, in
+        one stacked alignment; the first failing row raises its first error."""
         k = self.dim
         qls = orth_many([l.basis for l in ls])
-        out = []
-        for cap in intersect_orth_many(qls, [self._vertical] * len(qls)):
-            if self.fiber_dim is not None and cap.shape[1] != self.fiber_dim:
-                raise RankDeficient("tangent kernel rank is not constant")
-            out.append(self._aligned("k", cap[:k]) if cap.shape[1] else np.zeros((k, 0)))
-        return out
+        caps = intersect_orth_many(qls, [self._vertical] * len(qls))
+        return raise_first(self._aligned_many("k", [
+            RankDeficient("tangent kernel rank is not constant")
+            if self.fiber_dim is not None and cap.shape[1] != self.fiber_dim else cap[:k]
+            for cap in caps]))
 
     def _inclusions(self, ls):
-        """Fiber inclusion of every Dirac space in ls, in stacked steps; a
-        failure is raised by the first failing row of the step that finds it."""
+        """Fiber inclusion of every Dirac space in ls, in stacked steps, the
+        solve shared with ComplementChoice; a failure is raised by the first
+        failing row of the step that finds it."""
         kerns = self._kernels(ls)
-        gs = [self._aligned("g", g) for g in null_many([kern.T for kern in kerns])]
-        stacks = np.array([np.hstack([kern, g]) for kern, g in zip(kerns, gs)])
-        m = self.fiber_dim
-        rhs = np.vstack([np.eye(m), np.zeros((self.dim - m, m))])
-        if any(rank != self.dim for rank, _, _ in rank_svd_many(stacks)):
-            raise RankDeficient("G is not a complement of the kernel")
-        rhs = np.broadcast_to(rhs, (len(stacks), self.dim, m))
-        return list(np.linalg.solve(np.swapaxes(stacks, 1, 2), rhs))
+        gs = raise_first(self._aligned_many("g", null_many([kern.T for kern in kerns])))
+        return raise_first(_solve_inclusions(np.array(kerns), np.array(gs),
+                                             "G is not a complement of the kernel"))
 
     def _bivectors(self, qs):
         """Model bivector at every row (x, c) of qs, and L at every x.

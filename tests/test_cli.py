@@ -484,8 +484,9 @@ def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, arg
 
 
 @pytest.mark.parametrize("job,single,stacked", [("analyze-cubic-graph", 0, 2706),
-                                               ("gotay-verify", 1, 3409)],
-                         ids=["analyze-cubic-graph", "gotay-verify"])
+                                               ("gotay-verify", 1, 3409),
+                                               ("verify-figure-eight", 101, 2255)],
+                         ids=["analyze-cubic-graph", "gotay-verify", "verify-figure-eight"])
 def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
     # every matrix that reaches a rank decision is counted where it enters:
     # one per rank_svd call, one per matrix of a rank_svd_many batch, so
@@ -494,7 +495,10 @@ def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
     # decides one (the vertical frame, at construction) and stacks the rest:
     # L of the constant form once, kernels and inclusions at the 500
     # distinct points that its stencils read, 140 lifts (one per distinct
-    # x), the gauge and extraction of all 200 rows, and 20 pullbacks
+    # x), the gauge and extraction of all 200 rows, and 20 pullbacks.
+    # verify on figure-eight decides 2356 matrices; every complement frame's
+    # null and inclusion rank are stacked over the memo misses of one frames
+    # call, so 101 remain single
     real, real_many = linear.rank_svd, linear.rank_svd_many
     count = {"single": 0, "stacked": 0}
 
@@ -515,6 +519,9 @@ def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
     if job == "gotay-verify":
         omega = linear.SkewForm(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         model.GotayModel(3, omega).verify(samples=20)
+    elif job == "verify-figure-eight":
+        code, _ = run_main(["verify", write_fixture(tmp_path, "figure-eight"), "--steps", "32"])
+        assert code == 0
     else:
         code, _ = run_main(["analyze", write_fixture(tmp_path, "cubic-graph")])
         assert code == 3

@@ -265,6 +265,57 @@ def test_gram_schmidt_smoothness_and_align():
         prev = f
 
 
+def _align_reference(basis, ref):
+    """align_frame one matrix at a time: modified Gram-Schmidt with 1-D dots
+    and np.linalg.norm."""
+    if basis.shape[1] == 0:
+        return basis
+    m = basis @ (basis.T @ ref)
+    for j in range(m.shape[1]):
+        for i in range(j):
+            m[:, j] -= (m[:, i] @ m[:, j]) * m[:, i]
+        nrm = np.linalg.norm(m[:, j])
+        if nrm < 1e-13:
+            raise RankDeficient("gram_schmidt given rank deficient columns")
+        m[:, j] /= nrm
+    return m
+
+
+@pytest.mark.parametrize("layout", ["svd-columns", "transposed-rows"])
+def test_stacked_align_frames_is_bitwise_per_row(layout):
+    # seeded stacks in the layouts rank_svd hands out (column slices of U, the
+    # transposed row slices of V^T as null returns them), each row bitwise
+    # the one-row align_frame and a per-row reference; one row perpendicular
+    # to the reference fails alone.  A unit-stride copy changes the bits from
+    # d = 4 on under OpenBLAS, which sums strided dots in two halves
+    rng = np.random.default_rng(11)
+    for d in range(1, 9):
+        for k in range(0, min(d, 4) + 1):
+            squares = [np.linalg.svd(rng.standard_normal((d, d)))[0] for _ in range(6)]
+            first = 0 if layout == "svd-columns" else d - k  # a basis's first column in q
+
+            def basis(q):
+                return q[:, :k] if layout == "svd-columns" else q.T[d - k:].T
+
+            ref = linear.fix_signs(rng.standard_normal((d, k)) + 2.0 * basis(squares[0]))
+            if 0 < k < d:  # row 3's first column orthogonal to ref's span, in the same layout
+                squares[3][:, first] = np.linalg.svd(ref)[0][:, k]
+            bases = [basis(q) for q in squares]
+            assert len({b.strides for b in bases}) == 1
+            got = linear.align_frames(bases, ref)
+            for i, (b, frame) in enumerate(zip(bases, got)):
+                if 0 < k < d and i == 3:
+                    assert isinstance(frame, RankDeficient)
+                    with pytest.raises(RankDeficient):
+                        _align_reference(b, ref)
+                    continue
+                for other in (linear.align_frame(b, ref), _align_reference(b, ref)):
+                    assert frame.shape == other.shape and frame.tobytes() == other.tobytes()
+            if k:
+                with pytest.raises(ValueError, match="reference frame dimension mismatch"):
+                    linear.align_frame(bases[0], ref[:, 1:])
+
+
 def _stack_cases(rng):
     """Seeded matrices of the shapes the regularity gate decides ranks on:
     full rank, rank deficient, all zero, empty, with and without a scale."""

@@ -28,6 +28,7 @@ from poissat.linear import (
     dirac_graph_many,
     dirac_pullback,
     dirac_to_bivector,
+    fix_signs,
     null,
     orth,
     principal_angles,
@@ -236,6 +237,132 @@ def test_stacked_frames_exactness_violation_raises_as_per_row():
     assert len(model.ComplementChoice(bv, chart).frames([us[0], us[1], us[4]])) == 3
 
 
+def _gram_schmidt_reference(m):
+    """Modified Gram-Schmidt with 1-D dots and np.linalg.norm, column by column."""
+    m = np.array(m, dtype=float)
+    for j in range(m.shape[1]):
+        for i in range(j):
+            m[:, j] -= (m[:, i] @ m[:, j]) * m[:, i]
+        nrm = np.linalg.norm(m[:, j])
+        if nrm < 1e-13:
+            raise RankDeficient("gram_schmidt given rank deficient columns")
+        m[:, j] /= nrm
+    return m
+
+
+def _align_reference(basis, ref):
+    return basis if basis.shape[1] == 0 else _gram_schmidt_reference(basis @ (basis.T @ ref))
+
+
+def _default_frame_reference(pd, ref_perp, ref_w):
+    """The default-mode frame of one PointData, one matrix at a time."""
+    n, r = pd.txperp.shape
+    txperp = _align_reference(pd.txperp, ref_perp)
+    w = _align_reference(null(txperp.T), ref_w)
+    stack = np.hstack([txperp, w])
+    if rank_svd(stack)[0] != n:
+        raise RankDeficient("complement does not span with TXperp")
+    return txperp, w, np.linalg.solve(stack.T, np.vstack([np.eye(r), np.zeros((n - r, r))]))
+
+
+def _generic_plane_circle():
+    # a circle in the plane of v and w under the constant bivector v ^ w on
+    # R^4: TXperp is its tangent, rank 1 with no zero entry, so the dots of
+    # its alignment sum four nonzero terms, whose order depends on strides
+    v, w = [1.0, 0.3, -0.7, 0.2], [0.4, 1.1, 0.5, -0.6]
+    bv = field.BivectorField(4, {(i, j): repr(v[i] * w[j] - v[j] * w[i])
+                                 for i in range(4) for j in range(i + 1, 4)})
+    return bv, submanifold.Chart(1, 4, [f"({a!r})*cos(u) + ({b!r})*sin(u)" for a, b in zip(v, w)],
+                                 domain=[[-1.0, 1.0]])
+
+
+@pytest.mark.parametrize("name", ["figure-eight", "transversal-ray", "sympl-plane",
+                                  "generic-plane-circle"])
+def test_stacked_frames_match_a_per_row_reference(name):
+    # the stacked default-mode steps against a row-by-row reference of their
+    # arithmetic, with references taken from the anchor's point data as the
+    # constructor takes them: grid, sample and stencil rows, bitwise
+    bv, chart = _generic_plane_circle() if name == "generic-plane-circle" else scene_parts(name)[:2]
+    comp = model.ComplementChoice(bv, chart)
+    [pd0] = submanifold.point_data_rows(bv, chart, chart.center()[None])
+    ref_perp = fix_signs(pd0.txperp)
+    ref_w = fix_signs(null(ref_perp.T))
+    us = [*chart.grid(3), *chart.sample(5, seed=2)]
+    us += [y for u in us[:3] for y in model._stencil(u, 1e-5)]
+    frames = comp.frames(us)
+    assert len(comp._memo) == len(us)
+    for fr in frames:
+        for got, ref in zip((fr.txperp, fr.w, fr.j), _default_frame_reference(fr.pd, ref_perp, ref_w)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()  # signbits too
+
+
+def _turning_perp_chart():
+    # a circle in the plane of dx^dy: TXperp is its tangent, which turns to
+    # 90 degrees from the anchor's at u = 1 + pi/2, where alignment is rank
+    # deficient
+    return field.flat_rank2_r3(), submanifold.Chart(1, 3, ["cos(u)", "sin(u)", "0"],
+                                                    domain=[[0.0, 2.0]])
+
+
+def _custom_w_leaving_span():
+    # a custom W whose first column turns into TXperp = e1 at u = 0.5
+    bv, chart = field.flat_rank2_r3(), submanifold.Chart(1, 3, ["u", "0", "0"],
+                                                         domain=[[-1.0, 1.0]])
+    return bv, chart, lambda u: np.array([[1.0, 0.0], [u[0] - 0.5, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("case, message", [
+    ("turning-perp", "gram_schmidt given rank deficient columns"),
+    ("custom-w", "complement does not span with TXperp"),
+], ids=["alignment", "inclusion"])
+def test_stacked_frame_steps_raise_as_per_row(case, message):
+    # the first failing miss raises what reading row by row raises; the
+    # misses before it are memoised, none after it
+    if case == "turning-perp":
+        (bv, chart), mode, w = _turning_perp_chart(), "default", None
+        us = [[0.5], [1.9], [1.0 + np.pi / 2], [1.2], [0.5]]
+    else:
+        (bv, chart, w), mode = _custom_w_leaving_span(), "custom"
+        us = [[-0.5], [0.2], [0.5], [0.8]]
+    alone = model.ComplementChoice(bv, chart, mode=mode, w=w)
+    with pytest.raises(RankDeficient) as per_row:
+        for u in us:
+            alone.at(u)
+    comp = model.ComplementChoice(bv, chart, mode=mode, w=w)
+    with pytest.raises(RankDeficient) as stacked:
+        comp.frames(us)
+    assert str(stacked.value) == str(per_row.value) == message
+    keys = [np.asarray(u, dtype=float).tobytes() for u in us]
+    assert list(comp._memo) == list(alone._memo) == keys[:2]
+    for key in keys[:2]:
+        assert comp._memo[key].j.tobytes() == alone._memo[key].j.tobytes()
+
+
+def test_stacked_annihilation_check_rejects_nan(coiso_line, monkeypatch):
+    # a non-finite inclusion fails the annihilation check instead of passing it
+    real = model._solve_inclusions
+
+    def nan_inclusions(perps, ws, failure):
+        return [np.full_like(j, np.nan) for j in real(perps, ws, failure)]
+
+    monkeypatch.setattr(model, "_solve_inclusions", nan_inclusions)
+    for mode in ("default", "coisotropic"):
+        with pytest.raises(RankDeficient, match="inclusion does not annihilate the complement"):
+            model.ComplementChoice(*coiso_line, mode=mode)
+
+
+def test_symplectic_preimage_check_rejects_nan(coiso_line, monkeypatch):
+    real = np.linalg.lstsq
+
+    def nan_lstsq(a, b, rcond=None):
+        x, *rest = real(a, b, rcond=rcond)
+        return (np.full_like(x, np.nan), *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", nan_lstsq)
+    with pytest.raises(RankDeficient, match="no preimages for the symplectic bundle basis"):
+        model.ComplementChoice(*coiso_line, mode="coisotropic")
+
+
 def _per_axis_diffs(f, u, h, vec=None):
     """(f(u + h e_a) - f(u - h e_a)) / (2h), or with vec its @ vec first, axis by axis."""
     out = []
@@ -284,6 +411,28 @@ def test_stacked_central_diff_is_bitwise_per_axis(figure_eight, case):
         assert with_vec.shape == (3, 0) and vals.shape[2] > 0
     elif case != "figure-eight-j":
         assert np.abs(with_vec).max() > 0.0
+
+
+@pytest.mark.parametrize("name, rows", [("figure-eight", 40), ("transversal-ray", 1),
+                                        ("sympl-plane", 7)])
+def test_stacked_bundle_flow_products_are_bitwise_per_row(name, rows):
+    # dPhi = jac[:n] @ de and eta = -de^T omega de, each one product over the
+    # stacks, keep every bit of the per-row products; de is rebuilt row by
+    # row from the memoised frames of u and its stencil
+    bv, chart, comp = scene_parts(name)
+    n, k, r = bv.dim, chart.param_dim, comp.rank_perp
+    us = chart.sample(rows, seed=3)
+    zetas = np.random.default_rng(4).uniform(-0.05, 0.05, (rows, r))
+    frames, res, dphi, etas = model._bundle_flow(comp, us, zetas, 16, with_omega=True)
+    assert dphi.shape == (rows, n, k + r) and etas.shape == (rows, k + r, k + r)
+    for i, (u, zeta) in enumerate(zip(us, zetas)):
+        js = np.array([fr.j for fr in comp.frames(model._stencil(u, model._FD_H))])
+        de = np.zeros((2 * n, k + r))
+        de[:n, :k] = frames[i].dx
+        de[n:, k:] = frames[i].j
+        de[n:, :k] = model._central_diff(js, model._FD_H, zeta)
+        assert dphi[i].tobytes() == (res.jac[i][:n] @ de).tobytes()
+        assert etas[i].tobytes() == (-de.T @ res.omega[i] @ de).tobytes()
 
 
 # --- sigma, tau, eta ---
