@@ -43,7 +43,8 @@ class BivectorField:
         domain: (n, 2) box bounds, defaults to [-1, 1]^n.
         certify: sample the Jacobi identity at load (seed 0, 1000 points)
             and raise JacobiError where the Schouten residual exceeds
-            JACOBI_TOL.
+            JACOBI_TOL, or EvalError at the first point where it is not
+            finite (finite entries can overflow in the products).
     """
 
     def __init__(self, dim, entries, domain=None, certify=True):
@@ -82,6 +83,11 @@ class BivectorField:
             rng = np.random.default_rng(0)
             pts = rng.uniform(self.domain[:, 0], self.domain[:, 1], size=(1000, dim))
             res = jacobi_residual(self, pts)
+            bad = ~np.isfinite(res)
+            if bad.any():
+                point = pts[int(np.argmax(bad))]
+                raise expr.EvalError(
+                    f"non-finite Jacobi residual at point {tuple(point.tolist())}", point)
             worst = int(np.argmax(res))
             if res[worst] > JACOBI_TOL:
                 raise JacobiError(
@@ -129,16 +135,19 @@ def jacobi_residual(bv: BivectorField, pts):
     the residual is max_{ijk} |J^ijk|, zero exactly when PI is Poisson.
     A constant PI is evaluated (so a non-finite entry still raises) and
     then certified without its partials: every term carries a zero one.
+    Products of finite entries may overflow: that point's residual is then
+    inf or NaN, without a warning.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     p = bv.matrix(pts)
     if bv.constant:
         return np.zeros(len(pts))
     dj = bv.matrix_jac(pts)
-    t1 = np.einsum("mlk,mijl->mijk", p, dj)
-    t2 = np.einsum("mli,mjkl->mijk", p, dj)
-    t3 = np.einsum("mlj,mkil->mijk", p, dj)
-    return np.max(np.abs(t1 + t2 + t3), axis=(1, 2, 3))
+    with np.errstate(all="ignore"):
+        t1 = np.einsum("mlk,mijl->mijk", p, dj)
+        t2 = np.einsum("mli,mjkl->mijk", p, dj)
+        t3 = np.einsum("mlj,mkil->mijk", p, dj)
+        return np.max(np.abs(t1 + t2 + t3), axis=(1, 2, 3))
 
 
 # Standard structures used across tests and shipped scenes.

@@ -70,7 +70,9 @@ def _rank_rows(ms, scales):
     An empty or all-zero matrix has rank 0 and never reaches the SVD, so
     null of a (0, k) matrix is eye(k) and orth of a (d, 0) one is (d, 0).
     The threshold is TOL_REL * max(s[0], scale); a None scale is NaN here,
-    which never exceeds s[0], as with Python's max.
+    which never exceeds s[0], as with Python's max.  It groups by shape
+    itself rather than through on_live: its rows never hold errors, and it
+    is the hottest loop of the stacked layer.
     """
     out = [None] * len(ms)
     shapes = {}
@@ -168,28 +170,26 @@ def align_frame(target_basis, ref_frame):
 
 def align_frames(bases, ref_frame):
     """align_frame of every basis in bases (a list, or one (g, d, k) stack)
-    to one reference frame: per row its frame, or the error it raises alone.
+    to one reference frame: per row its frame, or the error it raises alone;
+    a row that arrives as an error keeps it.
 
     The bases of one shape and strides are projected and re-orthonormalized
     as one stack that keeps their strides, so every row is bitwise its
     one-row case; a basis with no columns is returned as it is.
     """
     ref_frame = np.asarray(ref_frame, dtype=float)
-    out = [np.asarray(b, dtype=float) for b in bases]
-    groups = {}
-    for i, b in enumerate(out):
-        groups.setdefault((b.shape, b.strides), []).append(i)
-    for ((_, k), _), rows in groups.items():
+
+    def step(group):
+        k = group[0].shape[1]
         if k == 0:
-            continue
+            return group
         if ref_frame.shape[1] != k:
-            for i in rows:
-                out[i] = ValueError("reference frame dimension mismatch")
-            continue
-        ts = _stack_rows([out[i] for i in rows])
-        for i, frame in zip(rows, gram_schmidt_many(ts @ (np.swapaxes(ts, 1, 2) @ ref_frame))):
-            out[i] = frame
-    return out
+            return [ValueError("reference frame dimension mismatch") for _ in group]
+        ts = _stack_rows(group)
+        return gram_schmidt_many(ts @ (np.swapaxes(ts, 1, 2) @ ref_frame))
+
+    return on_live(step, [b if isinstance(b, Exception) else np.asarray(b, dtype=float)
+                          for b in bases], key=lambda b: (b.shape, b.strides))
 
 
 def _stack_rows(arrays):
@@ -369,9 +369,10 @@ class DiracSpace:
 # every SVD, inverse and product of a step on the whole batch.  It returns
 # one outcome per row: the row's result, bitwise what the one-row function
 # gives (that function is the one-row case), or the error the row raises
-# alone.  A row that arrives as an error takes no step and keeps it, so a
-# chain of steps leaves each row its first failure, and raise_first raises
-# the first failing row's, in read order, as a per-row loop would.
+# alone.  on_live is the protocol: a row that arrives as an error takes no
+# step and keeps it, so a chain of steps leaves each row its first failure,
+# and raise_first raises the first failing row's, in read order, as a
+# per-row loop would.
 
 
 def raise_first(outcomes, keep=()):
@@ -383,9 +384,27 @@ def raise_first(outcomes, keep=()):
     return outcomes
 
 
-def _live(rows):
-    """Indices of the rows that hold no error."""
-    return [i for i, row in enumerate(rows) if not isinstance(row, Exception)]
+def on_live(step, rows, *extras, key=None):
+    """One stacked step over rows that may hold errors, with one outcome per row.
+
+    step maps a list of rows, and the matching items of each extra list, to
+    one outcome per row.  It runs on the rows that hold no error, once per
+    group of rows with one key(row) (one group without a key), the groups
+    in first-seen order; a row that holds an error keeps it.  The outcomes
+    come back in row order.  When every row is live and in one group, step
+    takes the whole list and the extras as they are.
+    """
+    out = list(rows)
+    groups = {}
+    for i, row in enumerate(out):
+        if not isinstance(row, Exception):
+            groups.setdefault(None if key is None else key(row), []).append(i)
+    if len(groups) == 1 and len(next(iter(groups.values()))) == len(out):
+        return list(step(out, *extras))
+    for idx in groups.values():
+        for i, res in zip(idx, step([out[i] for i in idx], *[[e[i] for i in idx] for e in extras])):
+            out[i] = res
+    return out
 
 
 def _dirac_rows(stack):
@@ -397,22 +416,25 @@ def _dirac_rows(stack):
     n = rows // 2
     out = list(stack)
     if m != n:
-        for i, (rank, basis, _) in enumerate(rank_svd_many(stack)):
-            out[i] = basis if rank == n else ValueError(
-                f"Dirac space must have dimension {n}, got {rank}")
-    live = _live(out)
-    if n and live:
-        loose = np.compress(~_orthonormal_rows(np.stack([out[i] for i in live])), live)
-        for i, q in zip(loose, orth_many([out[i] for i in loose])):
-            out[i] = q if q.shape[1] == n else ValueError("Dirac basis is rank deficient")
-        live = _live(out)
-    if n and live:
-        bases = np.stack([out[i] for i in live])
-        pairings = np.swapaxes(bases, 1, 2) @ dirac_pairing(n) @ bases
-        for i, worst in zip(live, np.abs(pairings).max(axis=(1, 2))):
-            if worst > 1e-10:
-                out[i] = ValueError(f"not isotropic: pairing residual {worst:.2e}")
-    return out
+        out = [basis if rank == n else ValueError(
+            f"Dirac space must have dimension {n}, got {rank}")
+            for rank, basis, _ in rank_svd_many(stack)]
+    if not n:
+        return out
+
+    def orthonormal(bases):
+        loose = np.flatnonzero(~_orthonormal_rows(np.stack(bases)))
+        for i, q in zip(loose, orth_many([bases[i] for i in loose])):
+            bases[i] = q if q.shape[1] == n else ValueError("Dirac basis is rank deficient")
+        return bases
+
+    def isotropic(bases):
+        stacked = np.stack(bases)
+        pairings = np.swapaxes(stacked, 1, 2) @ dirac_pairing(n) @ stacked
+        return [ValueError(f"not isotropic: pairing residual {worst:.2e}") if worst > 1e-10
+                else basis for basis, worst in zip(bases, np.abs(pairings).max(axis=(1, 2)))]
+
+    return on_live(isotropic, on_live(orthonormal, out))
 
 
 def dirac_spaces(bases):
@@ -420,7 +442,7 @@ def dirac_spaces(bases):
     bases = np.asarray(bases, dtype=float)
     if not len(bases):
         return []
-    return [b if isinstance(b, Exception) else DiracSpace._checked(b) for b in _dirac_rows(bases)]
+    return on_live(lambda checked: [DiracSpace._checked(b) for b in checked], _dirac_rows(bases))
 
 
 def dirac_graph(obj, kind):
@@ -456,20 +478,17 @@ def dirac_gauge(L, eta):
 
 def dirac_gauge_many(spaces, etas):
     """dirac_gauge of every (L, eta) pair, in stacked steps."""
-    out = list(spaces)
-    live = _live(out)
-    if not live:
-        return out
-    cs = _skew_rows([etas[i] for i in live])
-    bases = np.stack([out[i].basis for i in live])
-    n = bases.shape[1] // 2
-    if cs.shape[-1] != n:
-        raise ValueError("gauge form dimension mismatch")
-    v = bases[:, :n]
-    gauged = np.concatenate([v, bases[:, n:] + np.swapaxes(cs, 1, 2) @ v], axis=1)
-    for i, space in zip(live, dirac_spaces(gauged)):
-        out[i] = space
-    return out
+
+    def step(spaces, etas):
+        cs = _skew_rows(etas)
+        bases = np.stack([space.basis for space in spaces])
+        n = bases.shape[1] // 2
+        if cs.shape[-1] != n:
+            raise ValueError("gauge form dimension mismatch")
+        v = bases[:, :n]
+        return dirac_spaces(np.concatenate([v, bases[:, n:] + np.swapaxes(cs, 1, 2) @ v], axis=1))
+
+    return on_live(step, spaces, etas)
 
 
 def dirac_pullback(L, a):
@@ -486,33 +505,29 @@ def dirac_pullback(L, a):
 
 def dirac_pullback_many(spaces, maps):
     """dirac_pullback of every (L, a) pair, in stacked steps."""
-    out = list(spaces)
-    live = _live(out)
-    if not live:
-        return out
-    maps = np.asarray(maps, dtype=float)[live]
-    bases = np.stack([out[i].basis for i in live])
-    _, n, k = maps.shape
-    if n != bases.shape[1] // 2:
-        raise ValueError("map target dimension mismatch")
-    ok = list(range(len(live)))  # positions in live of the rows still passing
-    if k:
-        ranks = [rank for rank, _, _ in rank_svd_many(maps)]
-        for i, rank in zip(live, ranks):
-            if rank != min(n, k):
-                out[i] = RankDeficient("pullback along a rank-deficient map")
-        ok = [j for j, rank in enumerate(ranks) if rank == min(n, k)]
-    pairs = null_many(np.concatenate([maps[ok], -bases[ok, :n]], axis=2))
-    images = rank_svd_many([np.vstack([p[:k], maps[j].T @ bases[j, n:] @ p[k:]])
-                            for j, p in zip(ok, pairs)])
-    for j, (rank, basis, _) in zip(ok, images):
-        out[live[j]] = basis if rank == k else RankDeficient(
-            f"pullback produced dimension {rank}, expected {k}")
-    live = _live(out)
-    if live:
-        for i, space in zip(live, dirac_spaces(np.stack([out[i] for i in live]))):
-            out[i] = space
-    return out
+
+    def step(spaces, maps):
+        maps = np.asarray(maps, dtype=float)
+        bases = np.stack([space.basis for space in spaces])
+        _, n, k = maps.shape
+        if n != bases.shape[1] // 2:
+            raise ValueError("map target dimension mismatch")
+        rows = list(zip(maps, bases))
+        if k:
+            rows = [row if rank == min(n, k) else RankDeficient(
+                "pullback along a rank-deficient map")
+                for row, (rank, _, _) in zip(rows, rank_svd_many(maps))]
+
+        def images(rows):
+            pairs = null_many([np.hstack([a, -b[:n]]) for a, b in rows])
+            images = rank_svd_many([np.vstack([p[:k], a.T @ b[n:] @ p[k:]])
+                                    for (a, b), p in zip(rows, pairs)])
+            return [basis if rank == k else RankDeficient(
+                f"pullback produced dimension {rank}, expected {k}") for rank, basis, _ in images]
+
+        return on_live(lambda images: dirac_spaces(np.stack(images)), on_live(images, rows))
+
+    return on_live(step, spaces, maps)
 
 
 def dirac_to_bivector(L):
@@ -527,28 +542,26 @@ def dirac_to_bivector(L):
 def dirac_to_bivector_many(spaces):
     """dirac_to_bivector of every Dirac space of one dimension, in stacked
     steps: per row its P, or the NotPoisson the row raises alone."""
-    out = list(spaces)
-    live = _live(out)
-    if not live:
-        return out
-    bases = np.stack([out[i].basis for i in live])
-    n = bases.shape[1] // 2
-    ranks = [rank for rank, _, _ in rank_svd_many(bases[:, n:])]
-    for i, rank in zip(live, ranks):
-        if rank < n:
-            out[i] = NotPoisson(f"no bivector presentation, defect dimension {n - rank}",
-                                n - rank)
-    ok = [j for j, rank in enumerate(ranks) if rank >= n]
-    if not ok:
-        return out
-    p = bases[ok, :n] @ np.linalg.inv(bases[ok, n:])
-    pt = np.swapaxes(p, 1, 2)
-    asym = np.abs(p + pt).max(axis=(1, 2), initial=0.0)
-    scale = 1.0 + np.abs(p).max(axis=(1, 2), initial=0.0)
-    for j, a, b, q in zip(ok, asym, scale, (p - pt) / 2.0):
-        out[live[j]] = q if a <= 1e-8 * b else NotPoisson(
+
+    def step(spaces):
+        bases = np.stack([space.basis for space in spaces])
+        n = bases.shape[1] // 2
+        return on_live(extract, [basis if rank >= n else NotPoisson(
+            f"no bivector presentation, defect dimension {n - rank}", n - rank)
+            for basis, (rank, _, _) in zip(bases, rank_svd_many(bases[:, n:]))])
+
+    def extract(bases):
+        bases = np.stack(bases)
+        n = bases.shape[1] // 2
+        p = bases[:, :n] @ np.linalg.inv(bases[:, n:])
+        pt = np.swapaxes(p, 1, 2)
+        asym = np.abs(p + pt).max(axis=(1, 2), initial=0.0)
+        scale = 1.0 + np.abs(p).max(axis=(1, 2), initial=0.0)
+        return [q if a <= 1e-8 * b else NotPoisson(
             f"extracted matrix not antisymmetric ({a:.2e})", 0)
-    return out
+            for a, b, q in zip(asym, scale, (p - pt) / 2.0)]
+
+    return on_live(step, spaces)
 
 
 def lagrangian_complement(s_basis, omega, l0_basis, ref=None):
@@ -577,10 +590,10 @@ def lagrangian_complement(s_basis, omega, l0_basis, ref=None):
     if ell == 0:
         return np.zeros((s_basis.shape[0], 0))
     b = s_basis.T @ l0  # L0 in S coordinates
-    resid = np.max(np.abs(s_basis @ b - l0))
-    if resid > 1e-9:
+    # each check is written "not ... <=" so that a NaN fails it
+    if not np.max(np.abs(s_basis @ b - l0)) <= 1e-9:
         raise ValueError("L0 is not contained in S")
-    if np.max(np.abs(b.T @ omega @ b)) > 1e-9 * (1 + np.max(np.abs(omega))):
+    if not np.max(np.abs(b.T @ omega @ b)) <= 1e-9 * (1 + np.max(np.abs(omega))):
         raise ValueError("L0 is not isotropic for omega")
     w0 = null(b.T)  # any complement of L0 in S coordinates
     if ref is not None:
@@ -591,6 +604,6 @@ def lagrangian_complement(s_basis, omega, l0_basis, ref=None):
     v = s_basis @ (w0 + b @ c)
     v = gram_schmidt(v)
     check = v.T @ s_basis @ omega @ s_basis.T @ v
-    if np.max(np.abs(check)) > 1e-8 * (1 + np.max(np.abs(omega))):
+    if not np.max(np.abs(check)) <= 1e-8 * (1 + np.max(np.abs(omega))):
         raise RankDeficient("complement correction failed isotropy")
     return v

@@ -44,6 +44,7 @@ from .linear import (
     lagrangian_complement,
     null,
     null_many,
+    on_live,
     orth,
     orth_many,
     principal_angles,
@@ -99,52 +100,42 @@ def _solve_inclusions(perps, ws, failure):
     wrong width leaves the stack non-square, and every spanning row holds
     the error np.linalg.solve raises for it alone."""
     stacks = np.concatenate([perps, ws], axis=2)
-    g, n, r = perps.shape
-    ok = [i for i, (rank, _, _) in enumerate(rank_svd_many(stacks)) if rank == n]
-    out = [RankDeficient(failure) for _ in range(g)]
-    if ok:
+    _, n, r = perps.shape
+
+    def solve(spanning):
         try:
-            js = np.linalg.solve(np.swapaxes(stacks[ok], 1, 2),
-                                 np.broadcast_to(np.eye(n, r), (len(ok), n, r)))
+            return list(np.linalg.solve(np.swapaxes(np.stack(spanning), 1, 2),
+                                        np.broadcast_to(np.eye(n, r), (len(spanning), n, r))))
         except np.linalg.LinAlgError as err:
-            js = [err] * len(ok)
-        for i, j in zip(ok, js):
-            out[i] = j
-    return out
+            return [err] * len(spanning)
 
-
-def _solve_inclusion(txperp, w):
-    """The one-row case of _solve_inclusions, for the per-row complement modes."""
-    return raise_first(_solve_inclusions(txperp[None], w[None],
-                                         "complement does not span with TXperp"))[0]
+    return on_live(solve, [stack if rank == n else RankDeficient(failure)
+                           for stack, (rank, _, _) in zip(stacks, rank_svd_many(stacks))])
 
 
 def _annihilation_checked(frames):
     """frames, each row a ComplementFrame or an error, with RankDeficient at
     every frame whose j does not annihilate its W to 1e-10 (a non-finite
     product does not), in one stacked check per shape."""
-    out, groups = list(frames), {}
-    for i, fr in enumerate(out):
-        if not isinstance(fr, Exception):
-            groups.setdefault((fr.w.shape, fr.j.shape), []).append(i)
-    for rows in groups.values():
-        ws, js = np.stack([out[i].w for i in rows]), np.stack([out[i].j for i in rows])
+
+    def step(frames):
+        ws, js = np.stack([fr.w for fr in frames]), np.stack([fr.j for fr in frames])
         worst = np.abs(np.swapaxes(ws, 1, 2) @ js).max(axis=(1, 2), initial=0.0)
-        for i, value in zip(rows, worst):
-            if not value <= 1e-10:
-                out[i] = RankDeficient("inclusion does not annihilate the complement")
-    return out
+        return [fr if value <= 1e-10 else RankDeficient(
+            "inclusion does not annihilate the complement") for fr, value in zip(frames, worst)]
+
+    return on_live(step, frames, key=lambda fr: (fr.w.shape, fr.j.shape))
 
 
-def _on_live(step, rows):
-    """step, which maps a list to one outcome per item, on the rows that
-    hold no error; the others keep theirs."""
-    out = list(rows)
-    live = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
-    if live:
-        for i, res in zip(live, step([out[i] for i in live])):
-            out[i] = res
-    return out
+def _framed(splits, pds):
+    """The ComplementFrame of every (txperp, w, cap_dim, conditions) split of
+    one shape, from one inclusion solve: per row its frame, or its error."""
+    js = _solve_inclusions(np.stack([split[0] for split in splits]),
+                           np.stack([split[1] for split in splits]),
+                           "complement does not span with TXperp")
+    return on_live(lambda js, splits, pds: [ComplementFrame(pd, t, w, j, c, cond) for
+                                            j, (t, w, c, cond), pd in zip(js, splits, pds)],
+                   js, splits, pds)
 
 
 def _span_in(big, small_perp):
@@ -159,8 +150,9 @@ class FrameAligner:
     """Aligns every basis stored under a key to the first (sign-fixed) one.
     The constructor sets every reference from frames at an anchor point that
     it does not keep, so no result depends on which point is read first.
-    _aligned_many aligns a list of bases in stacked align_frames steps, each
-    row bitwise as alone; _aligned is its one-row case."""
+    _aligned_many aligns a list of bases, whose rows may hold errors, in one
+    align_frames call, each row bitwise as alone; _aligned is its one-row
+    case."""
 
     def _aligned_many(self, key, bases):
         """Every basis aligned to the key's reference: per row its frame, or
@@ -169,7 +161,7 @@ class FrameAligner:
         if key not in self._refs:
             self._refs[key] = fix_signs(bases[0])
             return [self._refs[key], *self._aligned_many(key, bases[1:])]
-        return _on_live(lambda live: align_frames(live, self._refs[key]), bases)
+        return align_frames(bases, self._refs[key])
 
     def _aligned(self, key, basis):
         return raise_first(self._aligned_many(key, [basis]))[0]
@@ -195,11 +187,13 @@ class ComplementChoice(FrameAligner):
     Frames are memoised on the bits of u, each with its base Dirac lift
     once computed: the grid rows and the finite-difference stencils of
     the bundle embedding revisit the same parameters many times.  Frames
-    are computed per batch of memo misses, from one point_data_rows call;
-    default and custom modes build the batch's frames in stacked steps
-    (alignments, null_many, one inclusion solve and annihilation check per
-    shape group), each bitwise as alone, and the first failing miss raises
-    after every miss before it is memoised.
+    are computed per batch of memo misses, from one point_data_rows call,
+    in one path for all four modes: one stacked alignment of the TXperp
+    frames, then W (default: one null_many and one stacked alignment; the
+    other modes: _split per row), then one inclusion solve and one
+    annihilation check per shape group, each row bitwise as alone.  Each
+    row keeps the first error of its chain, and the first failing miss
+    raises after every miss before it is memoised.
     """
 
     def __init__(self, bv: BivectorField, chart: Chart, mode="default", g=None, h=None, w=None):
@@ -212,7 +206,7 @@ class ComplementChoice(FrameAligner):
         self._w_user = w
         self._refs = {}
         self._memo = {}
-        [anchor] = raise_first(list(self._frame_rows(point_data_rows(bv, chart, self.u0[None]))))
+        [anchor] = raise_first(self._frame_rows(point_data_rows(bv, chart, self.u0[None])))
         self._aligned("tube", _tube_basis(anchor))
         self.rank_perp = anchor.rank_perp
         self.cap_dim = anchor.cap_dim
@@ -239,51 +233,30 @@ class ComplementChoice(FrameAligner):
         return [got[key] for key in keys]
 
     def _frame_rows(self, pds):
-        """Yield the frame of every PointData in order, or the error its row
-        raises alone.  default and custom modes build every frame in stacked
-        steps; coisotropic and pre_poisson build one row at a time, so a
-        failure there raises at its row."""
-        if self.mode in ("default", "custom"):
-            yield from self._stacked_frames(pds)
-            return
-        if self.mode not in ("coisotropic", "pre_poisson"):
+        """The frame of every PointData, or the first error of its chain."""
+        if self.mode not in ("default", "custom", "coisotropic", "pre_poisson"):
             raise ValueError(f"unknown complement mode {self.mode!r}")
-        for pd in pds:
-            txperp = self._aligned("perp", pd.txperp)  # pre_poisson orders its own [cap | H]
-            frame = (self._coisotropic_frame(pd, txperp) if self.mode == "coisotropic"
-                     else self._pre_poisson_frame(pd))
-            yield _annihilation_checked([frame])[0]
-
-    def _stacked_frames(self, pds):
-        """The default- or custom-mode frame of every PointData: one stacked
-        alignment of the TXperp frames, then (default) one null_many and one
-        stacked alignment of W, then per shape group one inclusion solve and
-        one annihilation check.  Per row its frame, or the first error of
-        its chain, each row bitwise as alone."""
+        # every mode aligns TXperp, though pre_poisson then orders its own [cap | H]
         perps = self._aligned_many("perp", [pd.txperp for pd in pds])
         if self.mode == "default":
-            ws = self._aligned_many("w", _on_live(lambda ts: null_many([t.T for t in ts]), perps))
+            ws = self._aligned_many("w", on_live(lambda ts: null_many([t.T for t in ts]), perps))
+            splits = on_live(lambda ws, ts: [(t, w, 0, None) for w, t in zip(ws, ts)], ws, perps)
         else:
-            ws = [t if isinstance(t, Exception) else self._user_w(pd.u)
-                  for pd, t in zip(pds, perps)]
-        out, groups = list(ws), {}
-        for i, (t, w) in enumerate(zip(perps, ws)):
-            if not isinstance(w, Exception):
-                groups.setdefault((t.shape, w.shape), []).append(i)
-        for rows in groups.values():
-            js = _solve_inclusions(np.stack([perps[i] for i in rows]),
-                                   np.stack([ws[i] for i in rows]),
-                                   "complement does not span with TXperp")
-            for i, j in zip(rows, js):
-                out[i] = j if isinstance(j, Exception) else ComplementFrame(pds[i], perps[i],
-                                                                            ws[i], j)
-        return _annihilation_checked(out)
+            splits = on_live(lambda ts, pds: [self._split(pd, t) for pd, t in zip(pds, ts)],
+                             perps, pds)
+        return _annihilation_checked(on_live(_framed, splits, pds,
+                                             key=lambda split: (split[0].shape, split[1].shape)))
 
-    def _user_w(self, u):
-        """The custom W at u, or the ValueError its evaluation raises."""
+    def _split(self, pd, txperp):
+        """W at one row in the custom, coisotropic or pre_poisson mode, as
+        (txperp, w, cap_dim, conditions), or the ValueError the row raises."""
         try:
-            return (self._w_user(u) if callable(self._w_user)
-                    else np.array(self._w_user, dtype=float))
+            if self.mode == "custom":
+                return txperp, (self._w_user(pd.u) if callable(self._w_user)
+                                else np.array(self._w_user, dtype=float)), 0, None
+            if self.mode == "coisotropic":
+                return self._coisotropic_split(pd, txperp)
+            return self._pre_poisson_split(pd)
         except ValueError as err:
             return err
 
@@ -309,7 +282,7 @@ class ComplementChoice(FrameAligner):
             raise RankDeficient("no preimages for the symplectic bundle basis")
         return s, alpha.T @ p.T @ alpha
 
-    def _coisotropic_frame(self, pd, txperp):
+    def _coisotropic_split(self, pd, txperp):
         n, k = self.bv.dim, self.chart.param_dim
         r = txperp.shape[1]
         tx = pd.tx
@@ -326,14 +299,13 @@ class ComplementChoice(FrameAligner):
         h = self._aligned("h", null(np.hstack([txperp, v, g]).T)
                           if n - 2 * r - g.shape[1] else np.zeros((n, 0)))
         w = np.hstack([v, g, h])
-        j = _solve_inclusion(txperp, w)
         conditions = {
             "sharp_w0_in_w": _sharp_into(p, w),
             "w_cap_tx_is_g": bool(subspace_equal(subspace_intersect(w, tx), g, tol=1e-8)),
         }
-        return ComplementFrame(pd, txperp, w, j, 0, conditions)
+        return txperp, w, 0, conditions
 
-    def _pre_poisson_frame(self, pd):
+    def _pre_poisson_split(self, pd):
         n, k = self.bv.dim, self.chart.param_dim
         tx = pd.tx
         cap = self._aligned("cap", subspace_intersect(pd.txperp, tx))
@@ -354,13 +326,11 @@ class ComplementChoice(FrameAligner):
             raise RankDeficient("splitting pieces are not independent")
         y = self._aligned("y", null(used.T) if n - used.shape[1] else np.zeros((n, 0)))
         w = np.hstack([g, c_lag, y])
-        txperp = np.hstack([cap, h])  # ordered frame: cap block first
-        j = _solve_inclusion(txperp, w)
         conditions = {
             "sharp_hw0_in_w": _sharp_into(p, w, extra=h),
             "w_cap_tx_is_g": bool(subspace_equal(subspace_intersect(w, tx), g, tol=1e-8)),
         }
-        return ComplementFrame(pd, txperp, w, j, c_dim, conditions)
+        return np.hstack([cap, h]), w, c_dim, conditions  # ordered frame: cap block first
 
 
 def _tube_basis(fr):

@@ -59,7 +59,7 @@ class FlowResult:
     step and omega/jac are not meaningful).
     """
 
-    def __init__(self, x, xi, jac, omega, trajectory, exited, exit_step, squeeze):
+    def __init__(self, x, xi, jac, omega, trajectory, exited, squeeze):
         self._squeeze = squeeze
         self.x = x
         self.xi = xi
@@ -67,7 +67,6 @@ class FlowResult:
         self.omega = omega
         self.trajectory = trajectory
         self.exited = exited
-        self.exit_step = exit_step
 
     def base(self):
         return self.x[0] if self._squeeze else self.x
@@ -128,7 +127,6 @@ def flow(
         s_acc = np.zeros((m, n, n))
     trajectory = [x.copy()] if with_traj else None
     alive = bv.inside(x)
-    exit_step = np.where(alive, -1, 0)
     # for a constant PI every stage has the same xdot, and tdot is [0 | p]:
     # the general path's bmat @ top term is all +-0 there, and adding a
     # zero of either sign to top leaves its bits, so one call serves the flow
@@ -145,10 +143,7 @@ def flow(
         x += (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x) * gate[:, None]
         if top is not None:
             top += (h / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t) * gate[:, None, None]
-        inside = bv.inside(x)
-        left = alive & ~inside
-        exit_step[left] = s + 1
-        alive &= inside
+        alive &= bv.inside(x)
         if with_omega:
             w = (h / 3.0) * (1.0 if s == steps - 1 else (4.0 if s % 2 == 0 else 2.0))
             b = top[:, :, n:]
@@ -169,7 +164,7 @@ def flow(
         # 0.0 - P rather than -P keeps every zero of omega a +0.0
         omega[:, n:, :n] = 0.0 - p_acc
         omega[:, n:, n:] = s_acc
-    return FlowResult(x, xi, jac, omega, trajectory, exit_step >= 0, exit_step, squeeze)
+    return FlowResult(x, xi, jac, omega, trajectory, ~alive, squeeze)
 
 
 def exp_chi(bv: BivectorField, x, xi, steps=1024):

@@ -26,6 +26,7 @@ from .linear import (
     dirac_graph_many,
     dirac_pullback_many,
     fix_signs,
+    on_live,
     orth,
     raise_first,
     rank_svd,
@@ -341,13 +342,9 @@ def pullback_dirac_rows(bv: BivectorField, chart: Chart, pds, ref_corank=None):
     outcomes of a stacked Dirac step: each corank is checked, then the
     graphs and backward images of the rows that pass are stacked steps,
     each row bitwise what it is alone."""
-    out = [_corank_error(bv, chart, pd, ref_corank) for pd in pds]
-    live = [i for i, err in enumerate(out) if err is None]
-    if live:
-        graphs = dirac_graph_many(np.array([pds[i].p for i in live]), "bivector")
-        for i, space in zip(live, dirac_pullback_many(graphs, [pds[i].dx for i in live])):
-            out[i] = space
-    return out
+    return on_live(lambda pds: dirac_pullback_many(
+        dirac_graph_many(np.array([pd.p for pd in pds]), "bivector"), [pd.dx for pd in pds]),
+        [_corank_error(bv, chart, pd, ref_corank) or pd for pd in pds])
 
 
 def _corank_error(bv, chart, pd, ref_corank):

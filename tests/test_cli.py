@@ -398,6 +398,20 @@ def test_non_finite_entry_exits_4_naming_the_operation(tmp_path):
     assert json.loads(out)["error"].startswith("non-finite result from division at point (")
 
 
+def test_overflowing_jacobi_residual_exits_4_with_a_strict_json_report(tmp_path):
+    # finite entries whose Schouten products overflow: the certificate once
+    # took the NaN residuals for a pass
+    path = tmp_path / "overflow.scene"
+    path.write_text('[poisson]\ndim = 3\nentry = 1 2 "1e200*z"\nentry = 2 3 "1e200*x"\n'
+                    'entry = 3 1 "1e200*x"\n[submanifold]\nparams = 0\n'
+                    'component = "0.5"\ncomponent = "0.5"\ncomponent = "0.5"\n')
+    code, out = run_main(["analyze", str(path)])
+    assert code == 4
+    rep = strict_json(out)
+    assert rep["exit_code"] == 4
+    assert rep["error"].startswith("non-finite Jacobi residual at point (")
+
+
 def _line_scene(entry="x", component="0"):
     return (f'[poisson]\ndim = 2\nentry = 1 2 "{entry}"\n'
             f'[submanifold]\nparams = 1\ncomponent = "u"\ncomponent = "{component}"\n')

@@ -102,6 +102,19 @@ def test_lower_triangle_entries_negate():
     assert m[2, 0] == 3.0 and m[0, 2] == -3.0
 
 
+def test_overflowing_jacobi_residual_raises_instead_of_certifying():
+    # at scale 1 these entries are not Poisson; at 1e200 every Schouten
+    # product overflows, and a NaN residual must not pass the certificate
+    entries = {(0, 1): "z", (1, 2): "x", (2, 0): "x"}
+    with pytest.raises(JacobiError):
+        BivectorField(3, entries)
+    with pytest.raises(EvalError) as err:
+        BivectorField(3, {ij: f"1e200*{e}" for ij, e in entries.items()})
+    first = np.random.default_rng(0).uniform(-1.0, 1.0, size=(1000, 3))[0]
+    assert str(err.value) == f"non-finite Jacobi residual at point {tuple(first.tolist())}"
+    assert err.value.point == tuple(first.tolist())
+
+
 def test_corrupted_so3_residual_frozen():
     # PI^12 = z + 0.1 x^2 breaks Jacobi with residual |0.2 x y|
     with pytest.raises(JacobiError) as err:

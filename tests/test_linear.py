@@ -681,3 +681,45 @@ def test_stacked_dirac_to_bivector_keeps_not_poisson_per_row():
         else:
             assert _same(got, dirac_to_bivector(space))
     assert linear.dirac_to_bivector_many([]) == []
+
+
+def test_stacked_on_live_keeps_errors_and_groups_in_order():
+    calls = []
+
+    def step(rows, tags):
+        calls.append((list(rows), list(tags)))
+        return [(row, tag) for row, tag in zip(rows, tags)]
+
+    err = RankDeficient("row 1 failed")
+    rows = ["a", err, "bb", "c", "dd", ValueError("row 5 failed")]
+    tags = [0, 1, 2, 3, 4, 5]
+    out = linear.on_live(step, rows, tags, key=len)
+    # an error row keeps the identical exception object; every live row gets
+    # its own outcome back in row order
+    assert out[1] is err and out[5] is rows[5]
+    assert [out[i] for i in (0, 2, 3, 4)] == [("a", 0), ("bb", 2), ("c", 3), ("dd", 4)]
+    # one call per key group, in first-seen order, with the extras aligned
+    assert calls == [(["a", "c"], [0, 3]), (["bb", "dd"], [2, 4])]
+    # all live and in one group: the whole list and the extras as they are,
+    # with the outcomes the grouped path gives
+    calls.clear()
+    live = ["a", "c", "e"]
+    extra = np.array([7, 8, 9])
+    fast = linear.on_live(lambda rows, tags: calls.append(tags) or step(rows, tags), live, extra)
+    assert calls[0] is extra
+    grouped = linear.on_live(step, [*live, err], [*extra, -1])
+    assert grouped[:3] == fast and grouped[3] is err
+    assert linear.on_live(step, [], []) == []
+    assert linear.on_live(step, [err], [0]) == [err]
+
+
+def test_lagrangian_complement_rejects_nan_at_each_check():
+    # every check fails on NaN input instead of passing it
+    omega = [[0.0, 1.0], [-1.0, 0.0]]
+    with pytest.raises(ValueError, match="L0 is not contained in S"):
+        lagrangian_complement(np.eye(2), omega, [[np.nan], [0.0]])
+    with pytest.raises(ValueError, match="L0 is not isotropic for omega"):
+        lagrangian_complement(np.eye(2), [[0.0, np.nan], [np.nan, 0.0]], [[1.0], [0.0]])
+    # a NaN seed complement carries through the alignment and the correction
+    with pytest.raises(RankDeficient, match="complement correction failed isotropy"):
+        lagrangian_complement(np.eye(2), omega, [[1.0], [0.0]], ref=[[np.nan], [np.nan]])

@@ -311,26 +311,41 @@ def _custom_w_leaving_span():
     return bv, chart, lambda u: np.array([[1.0, 0.0], [u[0] - 0.5, 0.0], [0.0, 1.0]])
 
 
-@pytest.mark.parametrize("case, message", [
-    ("turning-perp", "gram_schmidt given rank deficient columns"),
-    ("custom-w", "complement does not span with TXperp"),
-], ids=["alignment", "inclusion"])
-def test_stacked_frame_steps_raise_as_per_row(case, message):
+def _lagrangian_until_late():
+    # a surface in symplectic R^4 whose symplectic area is exp(40 (u - 1)):
+    # below 1e-8 (Lagrangian to the rank threshold) up to about u = 0.54,
+    # so it is coisotropic and pre-Poisson at the anchor and not at u = 0.9
+    return field.symplectic_r4(), submanifold.Chart(2, 4, ["u", "0", "v", "exp(40*(u - 1))/40"],
+                                                    names=["u", "v"])
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("turning-perp", RankDeficient, "gram_schmidt given rank deficient columns"),
+    ("custom-w", RankDeficient, "complement does not span with TXperp"),
+    ("coisotropic", RankDeficient, "chart is not coisotropic at u = (0.9, 0.0)"),
+    ("pre_poisson", ValueError, "reference frame dimension mismatch"),
+], ids=["alignment", "inclusion", "coisotropic-split", "pre-poisson-split"])
+def test_stacked_frame_steps_raise_as_per_row(case, error, message):
     # the first failing miss raises what reading row by row raises; the
     # misses before it are memoised, none after it
+    w = None
     if case == "turning-perp":
-        (bv, chart), mode, w = _turning_perp_chart(), "default", None
+        (bv, chart), mode = _turning_perp_chart(), "default"
         us = [[0.5], [1.9], [1.0 + np.pi / 2], [1.2], [0.5]]
-    else:
+    elif case == "custom-w":
         (bv, chart, w), mode = _custom_w_leaving_span(), "custom"
         us = [[-0.5], [0.2], [0.5], [0.8]]
+    else:
+        (bv, chart), mode = _lagrangian_until_late(), case
+        us = [[-0.5, 0.0], [0.2, 0.1], [0.9, 0.0], [0.3, 0.0], [-0.5, 0.0]]
     alone = model.ComplementChoice(bv, chart, mode=mode, w=w)
-    with pytest.raises(RankDeficient) as per_row:
+    with pytest.raises(error) as per_row:
         for u in us:
             alone.at(u)
     comp = model.ComplementChoice(bv, chart, mode=mode, w=w)
-    with pytest.raises(RankDeficient) as stacked:
+    with pytest.raises(error) as stacked:
         comp.frames(us)
+    assert type(stacked.value) is type(per_row.value) is error
     assert str(stacked.value) == str(per_row.value) == message
     keys = [np.asarray(u, dtype=float).tobytes() for u in us]
     assert list(comp._memo) == list(alone._memo) == keys[:2]

@@ -123,10 +123,15 @@ def test_flow_rejects_mismatched_shapes(rows_x, rows_xi):
 
 def test_flow_domain_exit_flag():
     bv = flat_rank2_r3()  # domain box [-2, 2]^3
-    res = flow(bv, np.array([1.5, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), steps=64)
+    res = flow(bv, np.array([1.5, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), steps=64,
+               with_traj=True)
     assert res.exited.all()
-    # dy drives the base along +x at unit speed; exit near t = 0.5
-    assert abs(res.exit_step[0] / 64 - 0.5) < 0.05
+    # dy drives the base along +x at unit speed; exit near t = 0.5, after
+    # which the state stays frozen
+    outside = np.flatnonzero(~bv.inside(res.trajectory[0]))
+    assert abs(outside[0] / 64 - 0.5) < 0.05
+    assert np.array_equal(outside, np.arange(outside[0], 65))
+    assert (res.trajectory[0, outside[0]:] == res.base()).all()
     assert res.base()[0] <= 2.0 + 2.0 / 64
 
 
