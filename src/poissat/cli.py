@@ -29,7 +29,7 @@ from . import CONVENTION, __version__
 from .expr import EvalError, ExprError, Neg, compile_kernel, parse
 from .field import BivectorField, JacobiError
 from .fixtures import FIXTURES
-from .linear import NotPoisson, RankDeficient, dirac_graph_many
+from .linear import RankDeficient, dirac_graph_many
 from .model import (
     RADIUS_FLOOR,
     ComplementChoice,
@@ -508,7 +508,7 @@ def run_scene(scene: Scene, command, scene_name="scene", steps_override=None,
             stages[stage] = {"status": "fail", "reason": str(exc)}
             report["exit_code"] = 3
             return 3, report, csv_text
-        except (NotPoisson, ValueError) as exc:
+        except ValueError as exc:  # NotPoisson, LeftDomain, EvalError among them
             stages[stage] = {"status": "error", "reason": str(exc)}
             report["exit_code"] = 4
             return 4, report, csv_text

@@ -107,6 +107,17 @@ class BivectorField:
         """
         return self._matrix_kernel.constant
 
+    @property
+    def linear(self):
+        """True when no partial of any entry reads a coordinate, so dPI is one
+        array at every x; every constant PI is linear.
+
+        The converse fails: x*x - (x - 1)*(x + 1) is 1 at every x, but its
+        partial (x + x) - ((x + 1) + (x - 1)) reads x and rounds differently
+        at different x, so it is not linear here.
+        """
+        return self._jac_kernel.constant
+
     def entry(self, i, j) -> Expression:
         return self._grid[i][j]
 

@@ -168,23 +168,28 @@ def align_frame(target_basis, ref_frame):
     return raise_first(align_frames([target_basis], ref_frame))[0]
 
 
-def align_frames(bases, ref_frame):
+def align_frames(bases, ref_frame, key=None):
     """align_frame of every basis in bases (a list, or one (g, d, k) stack)
     to one reference frame: per row its frame, or the error it raises alone;
     a row that arrives as an error keeps it.
 
-    The bases of one shape and strides are projected and re-orthonormalized
-    as one stack that keeps their strides, so every row is bitwise its
-    one-row case; a basis with no columns is returned as it is.
+    A basis whose column count differs from the reference's is a
+    RankDeficient naming key (the frame's name, if given) and both counts:
+    the frame changed dimension.  The bases of one shape and strides are
+    projected and re-orthonormalized as one stack that keeps their strides,
+    so every row is bitwise its one-row case; a basis with no columns, like
+    its reference, is returned as it is.
     """
     ref_frame = np.asarray(ref_frame, dtype=float)
 
     def step(group):
         k = group[0].shape[1]
+        if ref_frame.shape[1] != k:
+            name = "" if key is None else f" for {key!r}"
+            return [RankDeficient(f"reference frame dimension mismatch{name}: {ref_frame.shape[1]}"
+                                  f" columns in the reference, {k} in the basis") for _ in group]
         if k == 0:
             return group
-        if ref_frame.shape[1] != k:
-            return [ValueError("reference frame dimension mismatch") for _ in group]
         ts = _stack_rows(group)
         return gram_schmidt_many(ts @ (np.swapaxes(ts, 1, 2) @ ref_frame))
 

@@ -54,7 +54,7 @@ from .linear import (
     subspace_equal,
     subspace_intersect,
 )
-from .sprayflow import flow
+from .sprayflow import LeftDomain, flow
 from .submanifold import Chart, point_data_rows, pullback_dirac, pullback_dirac_rows
 
 RADIUS_FLOOR = 1e-3
@@ -161,7 +161,7 @@ class FrameAligner:
         if key not in self._refs:
             self._refs[key] = fix_signs(bases[0])
             return [self._refs[key], *self._aligned_many(key, bases[1:])]
-        return align_frames(bases, self._refs[key])
+        return align_frames(bases, self._refs[key], key)
 
     def _aligned(self, key, basis):
         return raise_first(self._aligned_many(key, [basis]))[0]
@@ -249,7 +249,10 @@ class ComplementChoice(FrameAligner):
 
     def _split(self, pd, txperp):
         """W at one row in the custom, coisotropic or pre_poisson mode, as
-        (txperp, w, cap_dim, conditions), or the ValueError the row raises."""
+        (txperp, w, cap_dim, conditions), or the ValueError the row raises:
+        that is its RankDeficient, a failed Lagrangian complement or a bad
+        custom W, each kept as the row's outcome for frames to raise in
+        order; any other exception is a fault and raises at once."""
         try:
             if self.mode == "custom":
                 return txperp, (self._w_user(pd.u) if callable(self._w_user)
@@ -412,7 +415,7 @@ def _bundle_flow(comp, us, zetas, steps, with_omega=False):
 
 def _require_inside(res):
     if res.exited.any():
-        raise ValueError("state flows out of the domain box")
+        raise LeftDomain("state flows out of the domain box")
 
 
 def eta_forms(comp, us, zetas, steps=1024):
@@ -535,9 +538,10 @@ def extraction_radius(comp, u, steps=256, start=0.5, seed=0):
 
     Halves the radius until 6 seeded directions all extract, down
     to the radius floor; returns 0.0 if even the floor fails.  Each
-    radius flows all directions in one batch.  Only extraction failures
-    and flows that leave the box halve the radius: a RankDeficient does
-    not depend on the radius and propagates.
+    radius flows all directions in one batch.  Only what the radius
+    changes halves it, an extraction failure (NotPoisson) or a flow that
+    leaves the box (LeftDomain); the frame and lift at u are fetched once,
+    before the first radius, and their errors propagate.
     """
     r, count = comp.rank_perp, 6
     if r == 0:
@@ -545,14 +549,13 @@ def extraction_radius(comp, u, steps=256, start=0.5, seed=0):
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(count, r))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    lifts = raise_first(_lifts(comp, [u])) * count
     for radius in _halvings(start):
         try:
             etas = eta_forms(comp, [u] * count, radius * dirs, steps=steps)
-            raise_first(_models_from_etas(_lifts(comp, [u]) * count, etas))
+            raise_first(_models_from_etas(lifts, etas))
             return radius
-        except RankDeficient:
-            raise
-        except (NotPoisson, ValueError):
+        except (NotPoisson, LeftDomain):
             continue
     return 0.0
 

@@ -23,7 +23,10 @@ matrices are assembled once, after the last step.
 When PI is constant (dPI = 0) the right-hand side (sharp(xi), [0 | PI])
 does not depend on the state, so it is evaluated once per flow and
 serves as all four stages of every step; the steps, the exit test and
-the accumulators are those of the general path, bit for bit.
+the accumulators are those of the general path, bit for bit.  When PI
+is linear (dPI reads no coordinate, as on so(3)*), dPI is one array and
+xi is frozen, so bmat = dPI . xi is formed once per flow and every stage
+contracts it with its own T; each stage still evaluates PI at its state.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ def canonical_matrix(n: int):
     c[:n, n:] = np.eye(n)
     c[n:, :n] = -np.eye(n)
     return c
+
+
+class LeftDomain(ValueError):
+    """A flow left the structure's domain box."""
 
 
 class FlowResult:
@@ -73,7 +80,14 @@ class FlowResult:
 
 
 
-def _rhs(bv, x, xi, top):
+def _dpi_xi(bv, x, xi):
+    """bmat = dPI(x) . xi, the (b, n, n) factor of the variational block."""
+    return np.einsum("bijk,bj->bik", bv.matrix_jac(x), xi)
+
+
+def _rhs(bv, x, xi, top, bmat=None):
+    """Spray velocity and the variational block's derivative at (x, xi);
+    bmat is the flow's dPI . xi when PI is linear, else formed at x."""
     p = bv.matrix(x)
     xdot = np.einsum("bij,bj->bi", p, xi)
     if top is None:
@@ -82,9 +96,7 @@ def _rhs(bv, x, xi, top):
     if bv.constant:  # dp = 0
         tdot = np.zeros_like(top)
     else:
-        dp = bv.matrix_jac(x)
-        bmat = np.einsum("bijk,bj->bik", dp, xi)
-        tdot = np.einsum("bik,bkj->bij", bmat, top)
+        tdot = np.einsum("bik,bkj->bij", _dpi_xi(bv, x, xi) if bmat is None else bmat, top)
     # the frozen covector rows [0 | I] of the full matrix contribute [0 | p]
     tdot[:, :, n:] += p
     return xdot, tdot
@@ -131,12 +143,21 @@ def flow(
     # the general path's bmat @ top term is all +-0 there, and adding a
     # zero of either sign to top leaves its bits, so one call serves the flow
     fixed = _rhs(bv, x, xi, top) if bv.constant else None
+    bmat = None
+    if top is not None and bv.linear and not bv.constant:
+        # a linear PI's kernel returns one dPI at every x, so this is every
+        # stage's bmat, bit for bit; PI comes first, as in each stage, so an
+        # entry that fails raises before its partial does
+        bv.matrix(x)
+        bmat = _dpi_xi(bv, x, xi)
     for s in range(steps):
         if fixed is None:
-            k1x, k1t = _rhs(bv, x, xi, top)
-            k2x, k2t = _rhs(bv, x + 0.5 * h * k1x, xi, None if top is None else top + 0.5 * h * k1t)
-            k3x, k3t = _rhs(bv, x + 0.5 * h * k2x, xi, None if top is None else top + 0.5 * h * k2t)
-            k4x, k4t = _rhs(bv, x + h * k3x, xi, None if top is None else top + h * k3t)
+            k1x, k1t = _rhs(bv, x, xi, top, bmat)
+            k2x, k2t = _rhs(bv, x + 0.5 * h * k1x, xi,
+                            None if top is None else top + 0.5 * h * k1t, bmat)
+            k3x, k3t = _rhs(bv, x + 0.5 * h * k2x, xi,
+                            None if top is None else top + 0.5 * h * k2t, bmat)
+            k4x, k4t = _rhs(bv, x + h * k3x, xi, None if top is None else top + h * k3t, bmat)
         else:
             (k1x, k1t) = (k2x, k2t) = (k3x, k3t) = (k4x, k4t) = fixed
         gate = alive.astype(float)
@@ -233,7 +254,7 @@ def dual_pair_check(bv: BivectorField, chart: Chart, u, steps=1024, tol=1e-8):
         raise RankDeficient(f"chart is not regular near u = {tuple(u.tolist())}")
     res = flow(bv, pd.x[None, :], np.zeros((1, n)), steps=steps, with_omega=True)
     if res.exited.any():
-        raise ValueError("state flows out of the domain box")
+        raise LeftDomain("state flows out of the domain box")
     jac = res.jac[0]
     omega = res.omega[0]
     s1 = np.vstack([np.zeros((n, n)), np.eye(n)])

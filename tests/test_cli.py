@@ -560,6 +560,23 @@ def test_extraction_radius_rank_failure_exits_3(tmp_path, monkeypatch, target):
                      "reason": "corank 1 at u = (0.0,) differs from reference 0"}
 
 
+def test_frame_that_changes_dimension_exits_3(tmp_path):
+    # a surface in symplectic R^4 whose cap TXperp cap TX has 2 columns at
+    # the anchor and none at u = 0.9, which the model stage's grid reaches:
+    # a failed rank condition, not an error
+    path = tmp_path / "late-area.scene"
+    path.write_text('[poisson]\ndim = 4\nentry = 1 2 "1"\nentry = 3 4 "1"\ndomain = -2 2\n'
+                    '[submanifold]\nparams = 2\ncomponent = "u"\ncomponent = "0"\n'
+                    'component = "v"\ncomponent = "exp(40*(u - 1))/40"\ndomain = -1 1\n'
+                    "[complement]\nmode = pre_poisson\n")
+    code, out = run_main(["model", str(path), "--steps", "32"])
+    assert code == 3
+    rep = strict_json(out)
+    assert rep["stages"]["model"] == {
+        "status": "fail", "reason": "reference frame dimension mismatch for 'cap': "
+                                    "2 columns in the reference, 0 in the basis"}
+
+
 def test_verify_alone_runs_the_saturation_rank_check(tmp_path, monkeypatch):
     # a chart differential of rank k + r - 1 must stop verify with the rank
     # reason, not be compared on the directions that are left

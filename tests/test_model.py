@@ -323,7 +323,9 @@ def _lagrangian_until_late():
     ("turning-perp", RankDeficient, "gram_schmidt given rank deficient columns"),
     ("custom-w", RankDeficient, "complement does not span with TXperp"),
     ("coisotropic", RankDeficient, "chart is not coisotropic at u = (0.9, 0.0)"),
-    ("pre_poisson", ValueError, "reference frame dimension mismatch"),
+    # the cap TXperp cap TX has 2 columns at the anchor and none at u = 0.9
+    ("pre_poisson", RankDeficient,
+     "reference frame dimension mismatch for 'cap': 2 columns in the reference, 0 in the basis"),
 ], ids=["alignment", "inclusion", "coisotropic-split", "pre-poisson-split"])
 def test_stacked_frame_steps_raise_as_per_row(case, error, message):
     # the first failing miss raises what reading row by row raises; the
@@ -566,6 +568,46 @@ def test_extraction_radius_positive(coiso_line, so3_ray):
     for bv, chart, mode in ((*coiso_line, "coisotropic"), (*so3_ray, "default")):
         comp = model.ComplementChoice(bv, chart, mode=mode)
         assert model.extraction_radius(comp, chart.center(), steps=64) > 0
+
+
+def test_frame_that_changes_dimension_is_rank_deficient():
+    # the cap TXperp cap TX has 2 columns at the anchor and none at u = 0.9:
+    # a failed rank condition, which no fiber radius changes, so the radius
+    # search propagates it instead of halving down to 0.0
+    message = ("reference frame dimension mismatch for 'cap': "
+               "2 columns in the reference, 0 in the basis")
+    comp = model.ComplementChoice(*_lagrangian_until_late(), mode="pre_poisson")
+    with pytest.raises(RankDeficient) as err:
+        comp.at([0.9, 0.0])
+    assert str(err.value) == message
+    with pytest.raises(RankDeficient) as err:
+        model.extraction_radius(comp, [0.9, 0.0], steps=32)
+    assert str(err.value) == message
+
+
+def test_extraction_radius_halves_on_leaving_the_box(so3_ray, monkeypatch):
+    # a flow that leaves the box halves the radius; the frame and lift at u
+    # are fetched once, before the first radius
+    comp = model.ComplementChoice(*so3_ray)
+    u = so3_ray[1].center()
+    real_eta_forms, real_lifts = model.eta_forms, model._lifts
+    radii, lifts = [], []
+
+    def eta_forms(comp, us, zetas, steps):
+        radii.append(float(np.linalg.norm(zetas[0])))
+        if len(radii) < 3:
+            raise model.LeftDomain("state flows out of the domain box")
+        return real_eta_forms(comp, us, zetas, steps)
+
+    def counted_lifts(comp, us):
+        lifts.append(len(us))
+        return real_lifts(comp, us)
+
+    monkeypatch.setattr(model, "eta_forms", eta_forms)
+    monkeypatch.setattr(model, "_lifts", counted_lifts)
+    assert model.extraction_radius(comp, u, steps=32) == 0.125
+    assert radii == pytest.approx([0.5, 0.25, 0.125])
+    assert lifts == [1]
 
 
 def test_halvings_reject_a_non_finite_start():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from poissat.expr import EvalError
 from poissat.field import (
     BivectorField,
     flat_rank2_r3,
@@ -332,3 +333,124 @@ def test_flow_matches_full_variational_reference_bitwise(bv, exit_state, with_om
         assert_bitwise(res.jac, flow(bv, x0, xi, steps=64, with_jac=True).jac)
     else:
         assert res.omega is None
+
+
+def test_linear_flow_forms_dpi_xi_once(monkeypatch):
+    # dPI of so(3)* reads no coordinate and xi is frozen, so a jac or omega
+    # flow forms dPI . xi once; the non-polynomial structure forms it at
+    # each of the 4 stages of every step
+    non_polynomial = BivectorField(3, {(0, 1): "exp(z)*cos(x) + 2"}, domain=[[-2, 2]] * 3)
+    assert flat_rank2_r3().constant and flat_rank2_r3().linear
+    assert so3_star().linear and not so3_star().constant
+    assert not non_polynomial.linear
+    rng = np.random.default_rng(4)
+    x0 = rng.uniform(-1.0, 1.0, (3, 3))
+    xi = rng.normal(scale=0.6, size=(3, 3))
+    for bv, per_flow in ((so3_star(), 1), (non_polynomial, 4 * 32)):
+        calls = []
+
+        def counted(pts, real=bv.matrix_jac):
+            calls.append(len(pts))
+            return real(pts)
+
+        monkeypatch.setattr(bv, "matrix_jac", counted)
+        for kw in ({}, {"with_jac": True}, {"with_omega": True}):
+            calls.clear()
+            flow(bv, x0, xi, steps=32, **kw)
+            assert calls == ([3] * per_flow if kw else [])
+    # the entry 1/0 + x and the partial exp(1000) of x*exp(1000) both fail
+    # at x0; PI is evaluated before dPI, as in every stage, so the flow
+    # raises the entry's error
+    bv = BivectorField(3, {(0, 1): "1/0 + x", (0, 2): "x*exp(1000)"}, certify=False)
+    assert bv.linear and not bv.constant
+    with pytest.raises(EvalError, match=r"^non-finite result from exp at point \(0.0, 0.0, 0.0\)$"):
+        bv.matrix_jac(np.zeros((1, 3)))
+    for kw in ({"with_jac": True}, {"with_omega": True}):
+        with pytest.raises(EvalError) as err:
+            flow(bv, np.zeros(3), np.ones(3), steps=16, **kw)
+        assert str(err.value) == "non-finite result from division at point (0.0, 0.0, 0.0)"
+
+
+# Pade coefficients of degree 13 for exp (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+
+
+def expm(a):
+    """Matrix exponential by scaling and squaring with the [13/13] Pade
+    approximant, Higham's algorithm for m = 13."""
+    b = _PADE13
+    norm = np.abs(a).sum(axis=0).max()
+    s = max(0, int(np.ceil(np.log2(norm / 5.371920351148152)))) if norm else 0
+    a = a / 2.0**s
+    eye = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def cross(v):
+    """[v]_x, the matrix of w -> v x w."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def exact_so3_flow(x0, xi):
+    """x, the full jac and the full averaged form of the so(3)* spray at t = 1.
+
+    On so(3)*, PI(x) = -[x]_x, so x' = xi x x = M x with M = [xi]_x, and the
+    variational block [A | B] solves A' = M A, B' = M B + PI(x).  With the
+    integrals of A and B this is one linear system with constant
+    coefficients, solved by one exponential of its block generator (Van
+    Loan, IEEE TAC 23, 1978).  J^T C J = [[0, A^T], [-A, B^T - B]] for
+    J = [[A, B], [0, I]], so the time average of the form needs only the
+    integrals of A and of B.
+    """
+    eye = np.eye(3)
+    m = cross(xi)
+    rows = np.kron(m, eye)  # vec(M Y) for a row-major vec
+    pi_of_x = np.stack([-cross(e).reshape(-1) for e in eye], axis=1)  # vec(PI(x)) = pi_of_x @ x
+    x, a, b, int_a, int_b = (slice(0, 3), slice(3, 12), slice(12, 21), slice(21, 30),
+                             slice(30, 39))
+    gen = np.zeros((39, 39))
+    gen[x, x] = m
+    gen[a, a] = rows
+    gen[b, x] = pi_of_x
+    gen[b, b] = rows
+    gen[int_a, a] = np.eye(9)
+    gen[int_b, b] = np.eye(9)
+    w = expm(gen) @ np.concatenate([x0, eye.ravel(), np.zeros(27)])
+    a, b, int_a, int_b = (w[block].reshape(3, 3) for block in (a, b, int_a, int_b))
+    zero = np.zeros((3, 3))
+    return (w[x], np.block([[a, b], [zero, eye]]),
+            np.block([[zero, int_a.T], [-int_a, int_b.T - int_b]]))
+
+
+def test_exact_variational_flow_on_so3():
+    # the flow's x, full jac (the dx/dxi block too) and full omega (the
+    # xi-xi block too) against the block exponential; each tolerance is a
+    # multiple of the RK4 error of x at that step count, measured against
+    # the same exact flow, whose fourth order is checked first
+    rng = np.random.default_rng(10)
+    xi = rng.normal(size=(3, 3))
+    assert np.abs(expm(cross(xi[0])) - rodrigues(xi[0])).max() <= 1e-14
+    bv = so3_star()
+    x0 = rng.uniform(-1.0, 1.0, (6, 3))  # |x| <= sqrt(3): rotations stay in the box
+    xi = rng.normal(size=(6, 3))
+    xi *= rng.uniform(0.3, 1.5, (6, 1)) / np.linalg.norm(xi, axis=1, keepdims=True)
+    x, jac, omega = (np.stack(block) for block in zip(*map(exact_so3_flow, x0, xi)))
+    errs = []
+    for steps in (16, 32, 64, 128):
+        res = flow(bv, x0, xi, steps=steps, with_jac=True, with_omega=True)
+        rk4 = np.abs(res.x - x).max()
+        errs.append(rk4)
+        assert np.abs(res.jac - jac).max() <= 8.0 * rk4
+        assert np.abs(res.omega - omega).max() <= 8.0 * rk4
+    assert all(12.0 <= e0 / e1 <= 20.0 for e0, e1 in zip(errs, errs[1:]))
