@@ -11,7 +11,10 @@ Commands run the stages analyze -> saturate -> model -> verify and emit
 a JSON report (schema 1) plus an optional CSV point cloud.  Exit codes:
 0 all stages pass, 2 a tolerance check fails, 3 a prerequisite fails
 (non-regular chart, Jacobi certificate, complement rank conditions),
-4 file/parse/numeric failure.
+4 file/parse/numeric failure.  Each scene kind's stages are the methods
+of one class (_PoissonStages, _GotayStages); run_scene alone maps their
+outcomes to statuses and exit codes, and main alone writes the top-level
+error report for what run_scene raises.
 """
 
 from __future__ import annotations
@@ -21,16 +24,18 @@ import json
 import shlex
 import sys
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import CONVENTION, __version__
-from .expr import EvalError, ExprError, Neg, compile_kernel, parse
+from .expr import EvalError, Neg, compile_kernel, parse
 from .field import BivectorField, JacobiError
 from .fixtures import FIXTURES
 from .linear import RankDeficient, dirac_graph_many
 from .model import (
+    COMPLEMENT_MODES,
     RADIUS_FLOOR,
     ComplementChoice,
     GotayModel,
@@ -235,8 +240,6 @@ def _frame_columns(scene, key, chart):
 
 def build_complement(scene: Scene, bv, chart) -> ComplementChoice:
     mode = scene.scalar("complement", "mode", default="default")
-    if mode not in ("default", "coisotropic", "pre_poisson", "custom"):
-        raise SceneError(f"unknown complement mode {mode!r}")
     g = _frame_columns(scene, "g", chart)
     h = _frame_columns(scene, "h", chart)
     w = _frame_columns(scene, "w", chart)
@@ -259,6 +262,8 @@ def scene_parameters(scene: Scene, steps_override=None, tol_override=None):
             "landing": scene.scalar("model", "tol_landing", default=1e-4, convert=float),
         },
     }
+    if p["mode"] not in COMPLEMENT_MODES:
+        raise SceneError(f"unknown complement mode {p['mode']!r}")
     if steps_override is not None:
         p["steps"] = int(steps_override)
     if tol_override is not None:
@@ -290,233 +295,225 @@ _RUNS = {
 }
 
 
-def _stage_analyze(bv, chart, seed):
-    scan = regularity_scan(bv, chart, counts=9, seed=seed)
-    cls = classify(bv, chart, counts=9, seed=seed, scan=scan)
-    out = {
-        "status": "pass" if scan.regular_on_samples else "fail",
-        "observed_ranks": sorted(int(r) for r in scan.witnesses),
-        "witnesses": {str(r): [float(v) for v in u]
-                      for r, u in sorted(scan.witnesses.items())},
-        "samples": int(len(scan.params)),
-        "refined": int(scan.refined),
-        "flags": {k: bool(v) for k, v in cls.flags.items()},
-        "rank_sets": cls.ranks,
-    }
-    if out["status"] == "fail":
-        out["reason"] = "rank of TXperp is not constant on the sampled set"
-    return out
+class _PoissonStages:
+    """The stages of a [poisson] scene, one method each.  The complement and
+    the saturation chart are built by the first stage that needs them, and
+    saturate leaves the point cloud in csv when it is wanted."""
+
+    csv = None
+
+    def __init__(self, scene, p, want_csv):
+        self.scene, self.p, self.want_csv = scene, p, want_csv
+
+    def analyze(self):
+        self.bv = bv = build_bivector(self.scene)
+        self.chart = chart = build_chart(self.scene, bv.dim)
+        seed = self.p["seed"]
+        scan = regularity_scan(bv, chart, counts=9, seed=seed)
+        self.classification = cls = classify(bv, chart, counts=9, seed=seed, scan=scan)
+        out = {
+            "status": "pass" if scan.regular_on_samples else "fail",
+            "observed_ranks": sorted(int(r) for r in scan.witnesses),
+            "witnesses": {str(r): [float(v) for v in u]
+                          for r, u in sorted(scan.witnesses.items())},
+            "samples": int(len(scan.params)),
+            "refined": int(scan.refined),
+            "flags": {k: bool(v) for k, v in cls.flags.items()},
+            "rank_sets": cls.ranks,
+        }
+        if out["status"] == "fail":
+            out["reason"] = "rank of TXperp is not constant on the sampled set"
+        return out
+
+    @cached_property
+    def comp(self):
+        # the coisotropic and pre_poisson splittings need the chart property
+        # of their name, which analyze has sampled
+        mode = self.p["mode"]
+        if mode in ("coisotropic", "pre_poisson") and not self.classification.flags[mode]:
+            raise RankDeficient(f"complement mode {mode!r} needs a {mode} chart; "
+                                f"analyze saw rank_sets {self.classification.ranks}")
+        return build_complement(self.scene, self.bv, self.chart)
+
+    @cached_property
+    def sat(self):
+        p = self.p
+        return saturation_chart(self.comp, steps=p["steps"], u_counts=p["u_counts"],
+                                radius=p["xi_radius"], per_u=p["per_u"], seed=p["seed"])
+
+    def saturate(self):
+        p, sat = self.p, self.sat
+        ver = verify_saturation_poisson(sat, tol=p["tolerances"]["saturation"])
+        land = full_fiber_landing(sat, radius=min(0.05, p["xi_radius"]), seed=p["seed"] + 1,
+                                  tol=p["tolerances"]["landing"])
+        if self.want_csv:
+            self.csv = _csv_text(sat, ver["residuals"])
+        return {
+            "status": "pass" if ver["ok"] and land["ok"] else "fail",
+            "model_dim": int(sat.model_dim),
+            "samples": int(len(sat.points)),
+            "radius_used": float(sat.radius_used),
+            "max_residual": ver["max_residual"],
+            "tol_saturation": ver["tol"],
+            "landing_distance": land["max_distance"],
+            "tol_landing": land["tol"],
+        }
+
+    def model(self):
+        comp, p = self.comp, self.p
+        u0 = comp.chart.center()
+        sigma, tau = sigma_tau(comp, u0)
+        fr = comp.at(u0)
+        grid = comp.chart.grid(3)
+        etas = eta_forms(comp, grid, np.zeros((len(grid), comp.rank_perp)), steps=p["steps"])
+        zero_resid = max([0.0, *(float(np.abs(eta - eta_zero_section(comp, u)).max())
+                                 for u, eta in zip(grid, etas))])
+        zeta = np.full(comp.rank_perp, p["xi_radius"] / 4)
+        closed = eta_closedness_residual(comp, u0, zeta, steps=min(p["steps"], 256))
+        radius = extraction_radius(comp, u0, steps=min(p["steps"], 256), start=p["xi_radius"],
+                                   seed=p["seed"])
+        conditions = {k: bool(v) if isinstance(v, (bool, np.bool_)) else float(v)
+                      for k, v in fr.conditions.items()}
+        invariants = {}
+        if comp.mode == "pre_poisson":
+            rows = marle_invariants(comp, grid)
+            invariants = {"quotient_rank": int(rows[0]["quotient"].rank()),
+                          "cross_residual": max(r["cross_residual"] for r in rows)}
+        ok = (zero_resid <= 1e-6 and closed <= 1e-6 and radius > 0.0
+              and invariants.get("cross_residual", 0.0) <= 1e-8
+              and all(v <= 1e-8 for v in conditions.values() if not isinstance(v, bool))
+              and all(v for v in conditions.values() if isinstance(v, bool)))
+        return {
+            "status": "pass" if ok else "fail",
+            "rank_perp": int(comp.rank_perp),
+            "cap_dim": int(comp.cap_dim),
+            "sigma_rank": int(sigma.rank()),
+            "tau_max": float(np.abs(tau).max(initial=0.0)),
+            "eta_zero_section_residual": zero_resid,
+            "eta_closedness_residual": float(closed),
+            "extraction_radius": float(radius),
+            "conditions": conditions,
+            **invariants,
+        }
+
+    def verify(self):
+        rep = verify_normal_form(self.sat, tol=self.p["tolerances"]["normal"])
+        return {
+            "status": "pass" if rep["ok"] else "fail",
+            "max_mismatch": rep["max_mismatch"],
+            "tol_normal": rep["tol"],
+            "radius_used": rep["radius_used"],
+            "samples": int(rep["samples"]),
+            "steps": int(rep["steps"]),
+        }
 
 
-def _saturation_chart(comp, p):
-    return saturation_chart(comp, steps=p["steps"], u_counts=p["u_counts"],
-                            radius=p["xi_radius"], per_u=p["per_u"], seed=p["seed"])
+class _GotayStages:
+    """The stages of a [presymplectic] scene, one method each; the scene
+    values are checked on construction, before any stage runs."""
 
+    csv = None
+    tolerances = {"coisotropy": 1e-10, "reproduction": 1e-8, "jacobi": 1e-10}
 
-def _stage_saturate(comp, p):
-    """Stage report, the chart and its per-sample saturation residuals."""
-    sat = _saturation_chart(comp, p)
-    ver = verify_saturation_poisson(sat, tol=p["tolerances"]["saturation"])
-    land = full_fiber_landing(sat, radius=min(0.05, p["xi_radius"]), seed=p["seed"] + 1,
-                              tol=p["tolerances"]["landing"])
-    out = {
-        "status": "pass" if ver["ok"] and land["ok"] else "fail",
-        "model_dim": int(sat.model_dim),
-        "samples": int(len(sat.points)),
-        "radius_used": float(sat.radius_used),
-        "max_residual": ver["max_residual"],
-        "tol_saturation": ver["tol"],
-        "landing_distance": land["max_distance"],
-        "tol_landing": land["tol"],
-    }
-    return out, sat, ver["residuals"]
+    def __init__(self, scene, p, want_csv):
+        self.dim = dim = scene.scalar("presymplectic", "dim", convert=int)
+        if dim < 1:
+            raise SceneError("dim must be positive")
+        self.radius = scene.scalar("presymplectic", "radius", default=0.1, convert=float)
+        if not 0 < self.radius < np.inf:
+            raise SceneError("[presymplectic] radius must be finite and positive")
+        self.seed = p["seed"]
+        trees = {ij: parse(text, dim) for ij, text in _entries(scene, "presymplectic", dim).items()}
+        self.kernel = compile_kernel(
+            [pair for (i, j), t in trees.items() for pair in (((i, j), t), ((j, i), Neg(t)))],
+            (dim, dim),
+        )
 
-
-def _stage_model(comp, p):
-    u0 = comp.chart.center()
-    sigma, tau = sigma_tau(comp, u0)
-    fr = comp.at(u0)
-    grid = comp.chart.grid(3)
-    etas = eta_forms(comp, grid, np.zeros((len(grid), comp.rank_perp)), steps=p["steps"])
-    zero_resid = max([0.0, *(float(np.abs(eta - eta_zero_section(comp, u)).max())
-                             for u, eta in zip(grid, etas))])
-    zeta = np.full(comp.rank_perp, p["xi_radius"] / 4)
-    closed = eta_closedness_residual(comp, u0, zeta, steps=min(p["steps"], 256))
-    radius = extraction_radius(comp, u0, steps=min(p["steps"], 256), start=p["xi_radius"],
-                               seed=p["seed"])
-    conditions = {k: bool(v) if isinstance(v, (bool, np.bool_)) else float(v)
-                  for k, v in fr.conditions.items()}
-    invariants = {}
-    if comp.mode == "pre_poisson":
-        rows = marle_invariants(comp, grid)
-        invariants = {"quotient_rank": int(rows[0]["quotient"].rank()),
-                      "cross_residual": max(r["cross_residual"] for r in rows)}
-    ok = (zero_resid <= 1e-6 and closed <= 1e-6 and radius > 0.0
-          and invariants.get("cross_residual", 0.0) <= 1e-8
-          and all(v <= 1e-8 for v in conditions.values() if not isinstance(v, bool))
-          and all(v for v in conditions.values() if isinstance(v, bool)))
-    return {
-        "status": "pass" if ok else "fail",
-        "rank_perp": int(comp.rank_perp),
-        "cap_dim": int(comp.cap_dim),
-        "sigma_rank": int(sigma.rank()),
-        "tau_max": float(np.abs(tau).max(initial=0.0)),
-        "eta_zero_section_residual": zero_resid,
-        "eta_closedness_residual": float(closed),
-        "extraction_radius": float(radius),
-        "conditions": conditions,
-        **invariants,
-    }
-
-
-def _stage_verify(sat, p):
-    rep = verify_normal_form(sat, tol=p["tolerances"]["normal"])
-    return {
-        "status": "pass" if rep["ok"] else "fail",
-        "max_mismatch": rep["max_mismatch"],
-        "tol_normal": rep["tol"],
-        "radius_used": rep["radius_used"],
-        "samples": int(rep["samples"]),
-        "steps": int(rep["steps"]),
-    }
-
-
-_GOTAY_TOLERANCES = {"coisotropy": 1e-10, "reproduction": 1e-8, "jacobi": 1e-10}
-
-
-def _run_gotay(scene, command, report, p):
-    dim = scene.scalar("presymplectic", "dim", convert=int)
-    if dim < 1:
-        raise SceneError("dim must be positive")
-    radius = scene.scalar("presymplectic", "radius", default=0.1, convert=float)
-    if not 0 < radius < np.inf:
-        raise SceneError("[presymplectic] radius must be finite and positive")
-    entries = _entries(scene, "presymplectic", dim)
-    trees = {ij: parse(text, dim) for ij, text in entries.items()}
-    kernel = compile_kernel(
-        [pair for (i, j), t in trees.items() for pair in (((i, j), t), ((j, i), Neg(t)))],
-        (dim, dim),
-    )
-    stages = report["stages"]
-
-    def form_at(xs):
+    def _form_at(self, xs):
         # L at every row of xs from one kernel call; a non-finite form raises
         # as the first failing row does alone
         try:
-            forms = kernel(xs)
+            forms = self.kernel(xs)
         except EvalError:
             for x in xs:
-                kernel(x[None])
+                self.kernel(x[None])
             raise
         return dirac_graph_many(forms, "two_form")
 
-    exit_code = 0
-    stage = "analyze"
-    try:
-        got = GotayModel(dim, form_at)
-        stages["analyze"] = {
+    def analyze(self):
+        self.gotay = GotayModel(self.dim, self._form_at)
+        return {
             "status": "pass",
-            "base_dim": int(dim),
-            "fiber_dim": int(got.fiber_dim),
-            "model_dim": int(dim + got.fiber_dim),
+            "base_dim": int(self.dim),
+            "fiber_dim": int(self.gotay.fiber_dim),
+            "model_dim": int(self.dim + self.gotay.fiber_dim),
         }
-        for stage in _RUNS[command][1:]:
-            if stage == "saturate":
-                stages[stage] = {"status": "skipped", "reason": "presymplectic scene"}
-            elif stage == "model":
-                p0 = got.bivector_at(np.zeros(dim), np.zeros(got.fiber_dim))
-                stages[stage] = {
-                    "status": "pass",
-                    "bivector_at_origin": [[float(v) for v in row] for row in p0],
-                }
-            else:
-                tols = _GOTAY_TOLERANCES
-                rep = got.verify(samples=20, radius=radius, seed=p["seed"] + 4)
-                ok = (rep["coisotropy"] <= tols["coisotropy"]
-                      and rep["reproduction_angle"] <= tols["reproduction"]
-                      and rep["jacobi_fd"] <= tols["jacobi"])
-                stages[stage] = {
-                    "status": "pass" if ok else "fail",
-                    "coisotropy": rep["coisotropy"],
-                    "reproduction_angle": rep["reproduction_angle"],
-                    "jacobi_fd": rep["jacobi_fd"],
-                    "tolerances": tols,
-                }
-                if not ok:
-                    exit_code = 2
-    except RankDeficient as exc:
-        stages[stage] = {"status": "fail", "reason": str(exc)}
-        exit_code = 3
-    report["exit_code"] = exit_code
-    return exit_code
+
+    def saturate(self):
+        return {"status": "skipped", "reason": "presymplectic scene"}
+
+    def model(self):
+        p0 = self.gotay.bivector_at(np.zeros(self.dim), np.zeros(self.gotay.fiber_dim))
+        return {"status": "pass", "bivector_at_origin": [[float(v) for v in row] for row in p0]}
+
+    def verify(self):
+        tols = self.tolerances
+        rep = self.gotay.verify(samples=20, radius=self.radius, seed=self.seed + 4)
+        ok = (rep["coisotropy"] <= tols["coisotropy"]
+              and rep["reproduction_angle"] <= tols["reproduction"]
+              and rep["jacobi_fd"] <= tols["jacobi"])
+        return {
+            "status": "pass" if ok else "fail",
+            "coisotropy": rep["coisotropy"],
+            "reproduction_angle": rep["reproduction_angle"],
+            "jacobi_fd": rep["jacobi_fd"],
+            "tolerances": tols,
+        }
 
 
 def run_scene(scene: Scene, command, scene_name="scene", steps_override=None,
               tol_override=None, want_csv=False):
-    """Run the requested stages; returns (exit_code, report, csv_text)."""
+    """Run the requested stages; returns (exit_code, report, csv_text).
+
+    Each scene kind defines its stages as the methods of one class
+    (_PoissonStages, _GotayStages); this loop is the one place that maps a
+    stage's outcome to its status and the exit code:
+      - a SceneError anywhere, or any other ValueError in analyze, is
+        raised, and main reports it at top level (exit 4);
+      - JacobiError or RankDeficient: the stage fails, exit 3;
+      - any other ValueError after analyze (NotPoisson, LeftDomain and
+        EvalError among them): the stage's status is error, exit 4;
+      - a stage that reports fail: exit 2, or 3 at analyze.
+    Exit 3 or 4 ends the run; the stages before it stay in the report.
+    """
     if command not in _RUNS:
         raise ValueError(f"unknown command {command!r}")
     p = scene_parameters(scene, steps_override, tol_override)
     report = {**_report_head(scene_name, command), "parameters": p, "stages": {}}
-    if scene.has("presymplectic"):
-        return _run_gotay(scene, command, report, p), report, None
-
     stages = report["stages"]
-    try:
-        bv = build_bivector(scene)
-    except JacobiError as exc:
-        stages["analyze"] = {
-            "status": "fail",
-            "reason": "jacobi certificate failed",
-            "residual": exc.residual,
-            "point": list(exc.point),
-        }
-        report["exit_code"] = 3
-        return 3, report, None
-    chart = build_chart(scene, bv.dim)
-
-    stages["analyze"] = _stage_analyze(bv, chart, p["seed"])
-    if stages["analyze"]["status"] == "fail":
-        report["exit_code"] = 3
-        return 3, report, None
-
-    todo = [s for s in _RUNS[command] if s != "analyze"]
+    kind = (_GotayStages if scene.has("presymplectic") else _PoissonStages)(scene, p, want_csv)
     exit_code = 0
-    csv_text = None
-    comp = sat = None
-    if todo:
+    for stage in _RUNS[command]:
         try:
-            comp = build_complement(scene, bv, chart)
-        except RankDeficient as exc:
-            stages[todo[0]] = {"status": "fail", "reason": str(exc)}
-            report["exit_code"] = 3
-            return 3, report, None
-
-    for stage in todo:
-        try:
-            if stage == "saturate":
-                stages[stage], sat, residuals = _stage_saturate(comp, p)
-                if want_csv:
-                    csv_text = _csv_text(sat, residuals)
-            elif stage == "model":
-                stages[stage] = _stage_model(comp, p)
-            elif stage == "verify":
-                if sat is None:  # verify alone: the grid the saturate stage builds
-                    sat = _saturation_chart(comp, p)
-                stages[stage] = _stage_verify(sat, p)
-        except RankDeficient as exc:
+            stages[stage] = getattr(kind, stage)()
+        except (JacobiError, RankDeficient) as exc:
             stages[stage] = {"status": "fail", "reason": str(exc)}
-            report["exit_code"] = 3
-            return 3, report, csv_text
-        except ValueError as exc:  # NotPoisson, LeftDomain, EvalError among them
+            if isinstance(exc, JacobiError):
+                stages[stage].update(reason="jacobi certificate failed",
+                                     residual=exc.residual, point=list(exc.point))
+            exit_code = 3
+        except ValueError as exc:
+            if stage == "analyze" or isinstance(exc, SceneError):
+                raise
             stages[stage] = {"status": "error", "reason": str(exc)}
-            report["exit_code"] = 4
-            return 4, report, csv_text
-        if stages[stage]["status"] == "fail":
-            exit_code = 2
-
+            exit_code = 4
+        else:
+            if stages[stage]["status"] == "fail":
+                exit_code = 3 if stage == "analyze" else 2
+        if exit_code >= 3:
+            break
     report["exit_code"] = exit_code
-    return exit_code, report, csv_text
+    return exit_code, report, kind.csv
 
 
 def _csv_text(sat, res):
@@ -563,10 +560,6 @@ def _report_head(scene_name, command):
             "generated_at": datetime.now(timezone.utc).isoformat()}
 
 
-def _error_report(scene_name, command, message):
-    return {**_report_head(scene_name, command), "error": message, "exit_code": 4}
-
-
 def _emit(report, csv_text, out_dir, stream):
     stream.write(report_text(report))
     if out_dir is not None:
@@ -599,23 +592,19 @@ def main(argv=None, stream=None):
 
     scene_name = Path(args.scene).name
     try:
-        text = Path(args.scene).read_text()
-    except OSError as exc:
-        report = _error_report(scene_name, args.command, f"cannot read scene: {exc}")
-        _emit(report, None, args.out, stream)
-        return 4
-    try:
-        scene = parse_scene(text)
-        code, report, csv_text = run_scene(scene, args.command, scene_name=scene_name,
-                                           steps_override=args.steps, tol_override=args.tol,
+        try:
+            text = Path(args.scene).read_text()
+        except OSError as exc:
+            raise SceneError(f"cannot read scene: {exc}") from None
+        code, report, csv_text = run_scene(parse_scene(text), args.command,
+                                           scene_name=scene_name, steps_override=args.steps,
+                                           tol_override=args.tol,
                                            want_csv=args.csv or args.out is not None)
-    except (SceneError, ExprError, ValueError) as exc:
-        report = _error_report(scene_name, args.command, str(exc))
-        _emit(report, None, args.out, stream)
-        return 4
+    except ValueError as exc:  # the top-level error report; see run_scene
+        code, csv_text = 4, None
+        report = {**_report_head(scene_name, args.command), "error": str(exc), "exit_code": 4}
     _emit(report, csv_text, args.out, stream)
     return code
-
 
 if __name__ == "__main__":
     sys.exit(main())

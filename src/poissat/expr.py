@@ -17,8 +17,9 @@ straight-line numpy function for repeated evaluation.
 
 from __future__ import annotations
 
+import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,7 +43,18 @@ class EvalError(ValueError):
 
 
 class Expression:
+    """An immutable expression tree.
+
+    Each node class defines its operation once: _ev applies its numpy
+    operation to its children's values (the four binary classes share one
+    _ev through their op), label names the operation in an EvalError (None
+    for Num, Var and Neg, which are not checked), and symbol and level are
+    its operator and precedence for printing and compile_kernel.  derive
+    holds the derivative rules.
+    """
+
     __slots__ = ()
+    label = None
 
     def __str__(self):
         return _print(self, 0)
@@ -58,9 +70,6 @@ class Num(Expression):
     def _ev(self, cols):
         return self.value
 
-    def _diag(self, cols):
-        return np.float64(self.value)  # numpy scalar: overflow and 1/0 give inf, not raise
-
 
 @dataclass(frozen=True, eq=True)
 class Var(Expression):
@@ -69,79 +78,49 @@ class Var(Expression):
     def _ev(self, cols):
         return cols[self.index]
 
-    def _diag(self, cols):
-        return cols[self.index]
-
 
 @dataclass(frozen=True, eq=True)
-class Add(Expression):
+class _Binary(Expression):
     a: Expression
     b: Expression
 
     def _ev(self, cols):
-        return self.a._ev(cols) + self.b._ev(cols)
-
-    def _diag(self, cols):
-        return _check(self.a._diag(cols) + self.b._diag(cols), "addition")
+        return self.op(self.a._ev(cols), self.b._ev(cols))
 
 
-@dataclass(frozen=True, eq=True)
-class Sub(Expression):
-    a: Expression
-    b: Expression
-
-    def _ev(self, cols):
-        return self.a._ev(cols) - self.b._ev(cols)
-
-    def _diag(self, cols):
-        return _check(self.a._diag(cols) - self.b._diag(cols), "subtraction")
+class Add(_Binary):
+    op, symbol, level, label = operator.add, "+", 1, "addition"
 
 
-@dataclass(frozen=True, eq=True)
-class Mul(Expression):
-    a: Expression
-    b: Expression
-
-    def _ev(self, cols):
-        return self.a._ev(cols) * self.b._ev(cols)
-
-    def _diag(self, cols):
-        return _check(self.a._diag(cols) * self.b._diag(cols), "multiplication")
+class Sub(_Binary):
+    op, symbol, level, label = operator.sub, "-", 1, "subtraction"
 
 
-@dataclass(frozen=True, eq=True)
-class Div(Expression):
-    a: Expression
-    b: Expression
+class Mul(_Binary):
+    op, symbol, level, label = operator.mul, "*", 2, "multiplication"
 
-    def _ev(self, cols):
-        return self.a._ev(cols) / self.b._ev(cols)
 
-    def _diag(self, cols):
-        return _check(self.a._diag(cols) / self.b._diag(cols), "division")
+class Div(_Binary):
+    op, symbol, level, label = operator.truediv, "/", 2, "division"
 
 
 @dataclass(frozen=True, eq=True)
 class Pow(Expression):
     base: Expression
     exponent: int
+    symbol, level, label = "^", 3, "integer power"
 
     def _ev(self, cols):
         return self.base._ev(cols) ** self.exponent
-
-    def _diag(self, cols):
-        return _check(self.base._diag(cols) ** self.exponent, "integer power")
 
 
 @dataclass(frozen=True, eq=True)
 class Neg(Expression):
     a: Expression
+    symbol, level = "-", 1
 
     def _ev(self, cols):
         return -self.a._ev(cols)
-
-    def _diag(self, cols):
-        return -self.a._diag(cols)
 
 
 @dataclass(frozen=True, eq=True)
@@ -149,21 +128,28 @@ class Call(Expression):
     func: str
     a: Expression
 
+    @property
+    def label(self):
+        return self.func
+
     def _ev(self, cols):
         return getattr(np, self.func)(self.a._ev(cols))
 
-    def _diag(self, cols):
-        return _check(getattr(np, self.func)(self.a._diag(cols)), self.func)
+
+def _nodes(e):
+    """Every node of e, children first, left to right."""
+    for f in fields(e):
+        child = getattr(e, f.name)
+        if isinstance(child, Expression):
+            yield from _nodes(child)
+    yield e
 
 
-def _check(value, label):
-    if not np.isfinite(value):
-        raise _NonFinite(label)
-    return value
-
-
-class _NonFinite(Exception):
-    pass
+def _finite(e, cols):
+    try:
+        return bool(np.isfinite(e._ev(cols)))
+    except ArithmeticError:  # Python-float arithmetic on constants: 1/0, 10.0**400
+        return False
 
 
 # Smart constructors.  Constant folding only; this is derivative hygiene,
@@ -442,8 +428,9 @@ def derive(e: Expression, i: int) -> Expression:
 def evaluate(e: Expression, pts):
     """Evaluate at one point (1d array) or a batch (m, arity).
 
-    Raises EvalError on any non-finite result, naming the failing
-    operation and the offending point.
+    Raises EvalError on any non-finite result, naming the offending point
+    and the failing operation: the label of the first checked node, children
+    first and left to right, whose _ev is non-finite at that point.
     """
     pts = np.asarray(pts, dtype=float)
     single = pts.ndim == 1
@@ -458,15 +445,11 @@ def evaluate(e: Expression, pts):
             out = np.full(m, np.nan)
     bad = ~np.isfinite(out)
     if bad.any():
-        k = int(np.argmax(bad))
-        point = pts[k]
-        scalar_cols = tuple(np.float64(v) for v in point)
-        label = "evaluation"
-        try:
-            with np.errstate(all="ignore"):
-                e._diag(scalar_cols)
-        except _NonFinite as nf:
-            label = str(nf)
+        point = pts[int(np.argmax(bad))]
+        cols = tuple(np.float64(v) for v in point)
+        with np.errstate(all="ignore"):
+            label = next((n.label for n in _nodes(e) if n.label and not _finite(n, cols)),
+                         "evaluation")
         raise EvalError(
             f"non-finite result from {label} at point {tuple(float(v) for v in point)}",
             point,
@@ -482,8 +465,6 @@ def evaluate(e: Expression, pts):
 # -0.0 stay apart.  Every node runs the numpy operation its _ev applies, on
 # the same contiguous columns and Python-float constants, and nothing is
 # rewritten, so kernel results are bitwise those of evaluate.
-
-_BINARY = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
 def compile_kernel(slots, shape):
@@ -522,10 +503,9 @@ def compile_kernel(slots, shape):
         elif isinstance(node, Call):
             a = emit(node.a)
             key, code = (node.func, a), f"{node.func}({a})"
-        elif type(node) in _BINARY:
+        elif isinstance(node, _Binary):
             a, b = emit(node.a), emit(node.b)
-            op = _BINARY[type(node)]
-            key, code = (op, a, b), f"{a} {op} {b}"
+            key, code = (node.symbol, a, b), f"{a} {node.symbol} {b}"
         else:
             raise TypeError(f"not an Expression: {node!r}")
         name = names.get(key)
@@ -577,8 +557,6 @@ def compile_kernel(slots, shape):
 # Printing.  Parenthesization reproduces the exact tree on re-parse, so a
 # round trip is bitwise faithful.
 
-_LEVEL = {Add: 1, Sub: 1, Mul: 2, Div: 2, Pow: 3, Neg: 1}
-
 
 def _print(e, parent_level, right=False):
     if isinstance(e, Num):
@@ -594,15 +572,15 @@ def _print(e, parent_level, right=False):
         return f"x{e.index + 1}"
     if isinstance(e, Call):
         return f"{e.func}({_print(e.a, 0)})"
-    level = _LEVEL[type(e)]
+    level = e.level
     if isinstance(e, Neg):
-        s = "-" + _print(e.a, 2)
+        s = e.symbol + _print(e.a, 2)
     elif isinstance(e, Pow):
         # exponentiation does not chain in the grammar, so any compound
         # base must be parenthesized
-        s = f"{_print(e.base, 4)}^{e.exponent}"
+        s = f"{_print(e.base, 4)}{e.symbol}{e.exponent}"
     else:
-        op = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}[type(e)]
+        op = f" {e.symbol} " if level == 1 else e.symbol
         s = _print(e.a, level) + op + _print(e.b, level, right=True)
     if level < parent_level or (level == parent_level and right):
         return f"({s})"

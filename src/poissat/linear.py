@@ -584,6 +584,9 @@ def lagrangian_complement(s_basis, omega, l0_basis, ref=None):
     Returns
     -------
     (d, l) basis V with S = l0 + V and omega(V, V) = 0.
+
+    Raises RankDeficient where L0 or V is not isotropic, ValueError where
+    the shapes do not match or L0 is not inside S.
     """
     s_basis = np.atleast_2d(np.asarray(s_basis, dtype=float))
     omega = np.asarray(omega, dtype=float)
@@ -599,7 +602,7 @@ def lagrangian_complement(s_basis, omega, l0_basis, ref=None):
     if not np.max(np.abs(s_basis @ b - l0)) <= 1e-9:
         raise ValueError("L0 is not contained in S")
     if not np.max(np.abs(b.T @ omega @ b)) <= 1e-9 * (1 + np.max(np.abs(omega))):
-        raise ValueError("L0 is not isotropic for omega")
+        raise RankDeficient("L0 is not isotropic for omega")
     w0 = null(b.T)  # any complement of L0 in S coordinates
     if ref is not None:
         w0 = align_frame(w0, np.asarray(ref, dtype=float))

@@ -167,6 +167,9 @@ class FrameAligner:
         return raise_first(self._aligned_many(key, [basis]))[0]
 
 
+COMPLEMENT_MODES = ("default", "coisotropic", "pre_poisson", "custom")
+
+
 class ComplementChoice(FrameAligner):
     """Smooth complement W of TXperp along a regular chart.
 
@@ -197,6 +200,8 @@ class ComplementChoice(FrameAligner):
     """
 
     def __init__(self, bv: BivectorField, chart: Chart, mode="default", g=None, h=None, w=None):
+        if mode not in COMPLEMENT_MODES:
+            raise ValueError(f"unknown complement mode {mode!r}")
         self.bv = bv
         self.chart = chart
         self.mode = mode
@@ -234,8 +239,6 @@ class ComplementChoice(FrameAligner):
 
     def _frame_rows(self, pds):
         """The frame of every PointData, or the first error of its chain."""
-        if self.mode not in ("default", "custom", "coisotropic", "pre_poisson"):
-            raise ValueError(f"unknown complement mode {self.mode!r}")
         # every mode aligns TXperp, though pre_poisson then orders its own [cap | H]
         perps = self._aligned_many("perp", [pd.txperp for pd in pds])
         if self.mode == "default":

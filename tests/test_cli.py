@@ -20,7 +20,9 @@ from poissat.cli import (
     run_scene,
     scene_parameters,
 )
+from poissat.expr import EvalError
 from poissat.fixtures import FIXTURES
+from poissat.sprayflow import LeftDomain
 
 
 def scene_of(name):
@@ -560,21 +562,128 @@ def test_extraction_radius_rank_failure_exits_3(tmp_path, monkeypatch, target):
                      "reason": "corank 1 at u = (0.0,) differs from reference 0"}
 
 
-def test_frame_that_changes_dimension_exits_3(tmp_path):
+LATE_AREA = ('[poisson]\ndim = 4\nentry = 1 2 "1"\nentry = 3 4 "1"\ndomain = -2 2\n'
+             '[submanifold]\nparams = 2\ncomponent = "u"\ncomponent = "0"\n'
+             'component = "v"\ncomponent = "exp(40*(u - 1))/40"\ndomain = -1 1\n'
+             "[complement]\nmode = pre_poisson\n")
+
+LATE_AREA_REASON = ("complement mode 'pre_poisson' needs a pre_poisson chart; analyze saw "
+                    "rank_sets {'perp': [2], 'cap': [0, 2], 'sum': [2, 4]}")
+
+
+def _run_late_area(tmp_path, monkeypatch, command):
+    flows = []
+    monkeypatch.setattr(model, "flow", lambda *args, **kwargs: flows.append(args))
+    path = tmp_path / "late-area.scene"
+    path.write_text(LATE_AREA)
+    code, out = run_main([command, str(path), "--steps", "32"])
+    return code, strict_json(out), flows
+
+
+def test_frame_that_changes_dimension_exits_3(tmp_path, monkeypatch):
     # a surface in symplectic R^4 whose cap TXperp cap TX has 2 columns at
     # the anchor and none at u = 0.9, which the model stage's grid reaches:
-    # a failed rank condition, not an error
-    path = tmp_path / "late-area.scene"
-    path.write_text('[poisson]\ndim = 4\nentry = 1 2 "1"\nentry = 3 4 "1"\ndomain = -2 2\n'
-                    '[submanifold]\nparams = 2\ncomponent = "u"\ncomponent = "0"\n'
-                    'component = "v"\ncomponent = "exp(40*(u - 1))/40"\ndomain = -1 1\n'
-                    "[complement]\nmode = pre_poisson\n")
-    code, out = run_main(["model", str(path), "--steps", "32"])
+    # a failed rank condition, not an error.  analyze samples the jump in
+    # the sum rank, so the model stage fails before any frame is built (the
+    # frame that changes dimension itself is pinned in test_model)
+    code, rep, flows = _run_late_area(tmp_path, monkeypatch, "model")
     assert code == 3
+    assert rep["stages"]["model"] == {"status": "fail", "reason": LATE_AREA_REASON}
+    assert not flows
+
+
+@pytest.mark.parametrize("command", ["saturate", "verify", "all"])
+def test_complement_mode_is_checked_against_analyze_flags(tmp_path, monkeypatch, command):
+    # analyze finds the sum rank not constant (flags.pre_poisson false), so
+    # the first stage after it fails before any frame is built or flow run;
+    # the frames would meet a non-isotropic cap near u = 0.5
+    code, rep, flows = _run_late_area(tmp_path, monkeypatch, command)
+    first = "saturate" if command == "all" else command
+    assert code == rep["exit_code"] == 3
+    assert rep["stages"]["analyze"]["flags"]["pre_poisson"] is False
+    assert list(rep["stages"]) == ["analyze", first]
+    assert rep["stages"][first] == {"status": "fail", "reason": LATE_AREA_REASON}
+    assert not flows
+
+
+@pytest.mark.parametrize("command", ["analyze", "all"])
+def test_unknown_complement_mode_exits_4_before_any_stage(tmp_path, command):
+    # the mode is a scene value, checked with the others before any stage
+    path = tmp_path / "bogus.scene"
+    path.write_text(FIXTURES["coiso-line"].replace("mode = coisotropic", "mode = bogus"))
+    code, out = run_main([command, str(path)])
+    assert code == 4
     rep = strict_json(out)
-    assert rep["stages"]["model"] == {
-        "status": "fail", "reason": "reference frame dimension mismatch for 'cap': "
-                                    "2 columns in the reference, 0 in the basis"}
+    assert rep["error"] == "unknown complement mode 'bogus'"
+    assert "stages" not in rep
+
+
+@pytest.fixture(scope="module")
+def clean_all(tmp_path_factory):
+    path = tmp_path_factory.mktemp("clean")
+    return {name: strict_json(run_main(["all", write_fixture(path, name), "--steps", "32"])[1])
+            for name in ("coiso-line", "gotay-presymplectic")}
+
+
+@pytest.mark.parametrize("make,status,code", [
+    pytest.param(lambda: linear.RankDeficient("corank jumps"), "fail", 3, id="RankDeficient"),
+    pytest.param(lambda: linear.NotPoisson("no bivector presentation", 1), "error", 4,
+                 id="NotPoisson"),
+    pytest.param(lambda: LeftDomain("left the domain box"), "error", 4, id="LeftDomain"),
+    pytest.param(lambda: EvalError("non-finite result from exp at point (9.0,)", (9.0,)),
+                 "error", 4, id="EvalError"),
+])
+@pytest.mark.parametrize("fixture,stage,owner,attr", [
+    pytest.param("coiso-line", "analyze", cli, "classify", id="poisson-analyze"),
+    pytest.param("coiso-line", "saturate", cli, "full_fiber_landing",
+                 id="poisson-saturate"),
+    pytest.param("coiso-line", "model", cli, "extraction_radius", id="poisson-model"),
+    pytest.param("coiso-line", "verify", cli, "verify_normal_form", id="poisson-verify"),
+    pytest.param("gotay-presymplectic", "analyze", cli, "GotayModel",
+                 id="presymplectic-analyze"),
+    pytest.param("gotay-presymplectic", "model", model.GotayModel, "bivector_at",
+                 id="presymplectic-model"),
+    pytest.param("gotay-presymplectic", "verify", model.GotayModel, "verify",
+                 id="presymplectic-verify"),
+])
+def test_stage_outcomes_map_to_one_exit_code_table(tmp_path, monkeypatch, clean_all, fixture,
+                                                   stage, owner, attr, make, status, code):
+    # both scene kinds share one rule: a failed prerequisite fails the stage
+    # (exit 3), any other ValueError is the stage's error (exit 4), except
+    # in analyze, where it is the run's top-level error; parameters and the
+    # stages before the failing one stay in the report
+    def raising(*args, **kwargs):
+        raise make()
+
+    monkeypatch.setattr(owner, attr, raising)
+    got, out = run_main(["all", write_fixture(tmp_path, fixture), "--steps", "32"])
+    rep = strict_json(out)
+    if stage == "analyze" and status == "error":
+        assert (got, rep["exit_code"], rep["error"]) == (4, 4, str(make()))
+        assert "stages" not in rep
+        return
+    clean = clean_all[fixture]
+    assert got == rep["exit_code"] == code
+    assert rep["parameters"] == clean["parameters"]
+    names = list(clean["stages"])
+    assert list(rep["stages"]) == names[:names.index(stage) + 1]
+    assert all(rep["stages"][s] == clean["stages"][s] for s in names[:names.index(stage)])
+    assert rep["stages"][stage] == {"status": status, "reason": str(make())}
+
+
+def test_presymplectic_overflow_in_verify_is_a_stage_error(tmp_path):
+    # exp(1000*x1) is finite at the origin, where analyze and model read the
+    # form, and overflows on verify's samples within radius 1: a breakdown
+    # after analyze is that stage's error, and the report keeps the rest
+    path = tmp_path / "overflow.scene"
+    path.write_text('[presymplectic]\ndim = 3\nentry = 1 2 "exp(1000*x1)"\nradius = 1\n')
+    code, out = run_main(["all", str(path)])
+    assert code == 4
+    rep = strict_json(out)
+    assert rep["exit_code"] == 4
+    assert [s["status"] for s in rep["stages"].values()] == ["pass", "skipped", "pass", "error"]
+    assert rep["stages"]["verify"]["reason"].startswith("non-finite result from exp at point (")
+    assert rep["parameters"]["seed"] == 0
 
 
 def test_verify_alone_runs_the_saturation_rank_check(tmp_path, monkeypatch):

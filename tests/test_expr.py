@@ -59,6 +59,24 @@ def test_eval_error_mentions_operation_and_point():
     assert err.value.point == (40.0,)
 
 
+@pytest.mark.parametrize("text,label", [
+    ("x - 1e400", "subtraction"),
+    ("x*1e400", "multiplication"),
+    ("(x - x)^-1", "integer power"),
+    ("sin(1e400)", "sin"),
+    ("cos(1e400) + x", "cos"),
+    ("1e400", "evaluation"),  # no checked node fails: the literal itself is inf
+    # the first failing node in evaluation order, children first, left to right
+    ("exp(1000*x) + 1/(x - x)", "exp"),
+    ("1/(x - x) + exp(1000*x)", "division"),
+    ("-(x/(x - x))", "division"),  # negation is not checked
+])
+def test_eval_error_label_table(text, label):
+    with pytest.raises(EvalError) as err:
+        evaluate(parse(text, 1), [1.0])
+    assert str(err.value) == f"non-finite result from {label} at point (1.0,)"
+
+
 def test_eval_batch_matches_scalar():
     e = parse("x^2*sin(y) - y/(1+x^2)", 2)
     rng = np.random.default_rng(0)

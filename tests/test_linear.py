@@ -718,7 +718,7 @@ def test_lagrangian_complement_rejects_nan_at_each_check():
     omega = [[0.0, 1.0], [-1.0, 0.0]]
     with pytest.raises(ValueError, match="L0 is not contained in S"):
         lagrangian_complement(np.eye(2), omega, [[np.nan], [0.0]])
-    with pytest.raises(ValueError, match="L0 is not isotropic for omega"):
+    with pytest.raises(RankDeficient, match="L0 is not isotropic for omega"):
         lagrangian_complement(np.eye(2), [[0.0, np.nan], [np.nan, 0.0]], [[1.0], [0.0]])
     # a NaN seed complement carries through the alignment and the correction
     with pytest.raises(RankDeficient, match="complement correction failed isotropy"):

@@ -104,6 +104,37 @@ def test_coisotropic_mode_rejects_transversal(so3_ray):
         model.ComplementChoice(bv, chart, mode="coisotropic")
 
 
+@pytest.fixture(scope="module")
+def late_area():
+    # X(u, v) = (u, 0, v, exp(40(u - 1))/40) in symplectic R^4: the cap
+    # TXperp cap TX has 2 columns near the anchor and none near u = 1
+    chart = submanifold.Chart(2, 4, ["u", "0", "v", "exp(40*(u - 1))/40"],
+                              domain=[[-1.0, 1.0]] * 2)
+    return field.symplectic_r4(), chart
+
+
+@pytest.mark.parametrize("u,reason", [
+    pytest.param([0.5, 0.0], "L0 is not isotropic for omega", id="non-isotropic-cap"),
+    pytest.param([0.9, 0.0], "reference frame dimension mismatch for 'cap': "
+                             "2 columns in the reference, 0 in the basis", id="cap-dimension-jump"),
+])
+def test_pre_poisson_frame_off_a_pre_poisson_chart_is_rank_deficient(late_area, u, reason):
+    # both are failed conditions of the splitting, not errors
+    comp = model.ComplementChoice(*late_area, mode="pre_poisson")
+    with pytest.raises(RankDeficient) as err:
+        comp.at(u)
+    assert str(err.value) == reason
+
+
+def test_unknown_complement_mode_rejected_before_any_frame(coiso_line, monkeypatch):
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame was computed")
+
+    monkeypatch.setattr(model, "point_data_rows", no_frames)
+    with pytest.raises(ValueError, match="unknown complement mode 'bogus'"):
+        model.ComplementChoice(*coiso_line, mode="bogus")
+
+
 def test_pre_poisson_complement_conditions(iso_line_r4):
     bv, chart = iso_line_r4
     comp = model.ComplementChoice(bv, chart, mode="pre_poisson")
