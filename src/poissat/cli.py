@@ -179,10 +179,15 @@ def _domain(scene, section, dim):
     return np.array(vals)
 
 
-def build_bivector(scene: Scene) -> BivectorField:
+def _poisson_dim(scene):
     dim = scene.scalar("poisson", "dim", convert=int)
     if dim < 1:
         raise SceneError("dim must be positive")
+    return dim
+
+
+def build_bivector(scene: Scene) -> BivectorField:
+    dim = _poisson_dim(scene)
     entries = _entries(scene, "poisson", dim)
     return BivectorField(dim, entries, domain=_domain(scene, "poisson", dim))
 
@@ -238,14 +243,17 @@ def _frame_columns(scene, key, chart):
     return at
 
 
+def _complement_frames(scene, chart):
+    """The [complement] g, h and w frames, each None when the scene has none."""
+    frames = {key: _frame_columns(scene, key, chart) for key in "ghw"}
+    if scene.scalar("complement", "mode", default="default") == "custom" and frames["w"] is None:
+        raise SceneError("custom mode needs a w frame")
+    return frames
+
+
 def build_complement(scene: Scene, bv, chart) -> ComplementChoice:
     mode = scene.scalar("complement", "mode", default="default")
-    g = _frame_columns(scene, "g", chart)
-    h = _frame_columns(scene, "h", chart)
-    w = _frame_columns(scene, "w", chart)
-    if mode == "custom" and w is None:
-        raise SceneError("custom mode needs a w frame")
-    return ComplementChoice(bv, chart, mode=mode, g=g, h=h, w=w)
+    return ComplementChoice(bv, chart, mode=mode, **_complement_frames(scene, chart))
 
 
 def scene_parameters(scene: Scene, steps_override=None, tol_override=None):
@@ -296,14 +304,19 @@ _RUNS = {
 
 
 class _PoissonStages:
-    """The stages of a [poisson] scene, one method each.  The complement and
-    the saturation chart are built by the first stage that needs them, and
-    saturate leaves the point cloud in csv when it is wanted."""
+    """The stages of a [poisson] scene, one method each.  The [complement]
+    frame columns are checked on construction, before any stage runs; the
+    complement and the saturation chart are built by the first stage that
+    needs them, and saturate leaves the point cloud in csv when it is wanted."""
 
     csv = None
 
     def __init__(self, scene, p, want_csv):
         self.scene, self.p, self.want_csv = scene, p, want_csv
+        if p["mode"] == "custom" or any(scene.rows("complement", key) for key in "ghw"):
+            # frame columns are scene values: a bad or missing one is a scene
+            # error before any stage, found on a chart of its own
+            _complement_frames(scene, build_chart(scene, _poisson_dim(scene)))
 
     def analyze(self):
         self.bv = bv = build_bivector(self.scene)

@@ -561,7 +561,7 @@ def compile_kernel(slots, shape):
 def _print(e, parent_level, right=False):
     if isinstance(e, Num):
         v = e.value
-        if v == int(v) and abs(v) < 1e16:
+        if abs(v) < 1e16 and v == int(v):  # a non-finite value fails the first test
             s = str(int(v))
         else:
             s = repr(v)

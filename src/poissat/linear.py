@@ -49,53 +49,71 @@ def rank_svd(m, scale=None):
     column_space : (d, rank) orthonormal array
     null_space : (k, k - rank) orthonormal array
     """
-    return _rank_rows([np.atleast_2d(np.asarray(m, dtype=float))], [scale])[0]
+    return _rank_rows(np.atleast_2d(np.asarray(m, dtype=float))[None],
+                      None if scale is None else [scale])[0]
 
 
 def rank_svd_many(ms, scales=None):
     """rank_svd of every matrix in ms, with one SVD call per matrix shape.
 
-    ms is a list of matrices or one (g, d, k) stack; scales, when given,
-    holds one scale (or None) per matrix.  numpy runs LAPACK gesdd on each
-    matrix of a stack in turn, so every result is bitwise the one rank_svd
-    gives for that matrix alone.
+    ms is a list of matrices or one (g, d, k) stack, which is used as it
+    is; scales, when given, holds one scale (or None) per matrix.  numpy
+    copies each matrix of a stack into its own buffer and runs LAPACK gesdd
+    on it in turn, so every result is bitwise the one rank_svd gives for
+    that matrix alone, however the stack was formed.
     """
-    ms = [np.atleast_2d(np.asarray(m, dtype=float)) for m in ms]
-    return _rank_rows(ms, [None] * len(ms) if scales is None else scales)
+    if not (isinstance(ms, np.ndarray) and ms.ndim == 3 and ms.dtype == float):
+        ms = [m if isinstance(m, np.ndarray) and m.ndim == 2 and m.dtype == float
+              else np.atleast_2d(np.asarray(m, dtype=float)) for m in ms]
+    return _rank_rows(ms, scales)
 
 
 def _rank_rows(ms, scales):
     """The one copy of the rank rules, in array operations per shape group.
 
-    An empty or all-zero matrix has rank 0 and never reaches the SVD, so
-    null of a (0, k) matrix is eye(k) and orth of a (d, 0) one is (d, 0).
-    The threshold is TOL_REL * max(s[0], scale); a None scale is NaN here,
-    which never exceeds s[0], as with Python's max.  It groups by shape
-    itself rather than through on_live: its rows never hold errors, and it
-    is the hottest loop of the stacked layer.
+    ms is a list of 2-D matrices, regrouped by shape, or a (g, d, k) stack,
+    which is one group.  An empty or all-zero matrix has rank 0 and never
+    reaches the SVD, so null of a (0, k) matrix is eye(k) and orth of a
+    (d, 0) one is (d, 0).  The threshold is TOL_REL * max(s[0], scale); a
+    None scale is NaN here, which never exceeds s[0], as with Python's max.
+    The rows of one rank get their orth and null as views of their U and
+    V^T (copied once per rank when a group holds several), with the strides
+    u[:, :rank] and vt[rank:].T have for one matrix, on which BLAS picks
+    its summation order (see _stack_rows).  It groups by shape itself
+    rather than through on_live: its rows never hold errors, and it is the
+    hottest loop of the stacked layer.
     """
     out = [None] * len(ms)
-    shapes = {}
-    for i, m in enumerate(ms):
-        shapes.setdefault(m.shape, []).append(i)
-    for (d, k), rows in shapes.items():
-        stack = np.stack([ms[i] for i in rows])
-        live = stack.reshape(len(rows), -1).any(axis=1).tolist()
-        if not all(live):
-            for i, on in zip(rows, live):
-                if not on:
-                    out[i] = 0, np.zeros((d, 0)), np.eye(k)
-            if not any(live):
+    if scales is not None:
+        scales = np.array(scales, dtype=float).reshape(-1, 1)
+    if isinstance(ms, np.ndarray):
+        groups = [(np.arange(len(ms)), ms)] if out else []
+    else:
+        shapes = {}
+        for i, m in enumerate(ms):
+            shapes.setdefault(m.shape, []).append(i)
+        groups = ((np.array(rows), np.stack([ms[i] for i in rows])) for rows in shapes.values())
+    for rows, stack in groups:
+        g, d, k = stack.shape
+        live = stack.reshape(g, d * k).any(axis=1)
+        if not live.all():
+            for i in rows[~live].tolist():
+                out[i] = 0, np.zeros((d, 0)), np.eye(k)
+            if not live.any():
                 continue
-            rows, stack = [i for i, on in zip(rows, live) if on], stack[np.array(live)]
+            rows, stack = rows[live], stack[live]
         u, s, vt = np.linalg.svd(stack, full_matrices=True)
         ref = s[:, :1]
-        if any(scales[i] is not None for i in rows):
-            scale = np.array([[np.nan if scales[i] is None else float(scales[i])] for i in rows])
+        if scales is not None:
+            scale = scales[rows]
             ref = np.where(scale > ref, scale, ref)
-        ranks = (s > TOL_REL * ref).sum(axis=1).tolist()
-        for i, rank, ui, vti in zip(rows, ranks, u, vt):
-            out[i] = rank, ui[:, :rank], vti[rank:].T
+        ranks = (s > TOL_REL * ref).sum(axis=1)
+        distinct = set(ranks.tolist())
+        for rank in distinct:
+            sel = ranks == rank if len(distinct) > 1 else slice(None)
+            for i, col, nul in zip(rows[sel].tolist(), u[sel][:, :, :rank],
+                                   np.swapaxes(vt[sel][:, rank:], 1, 2)):
+                out[i] = rank, col, nul
     return out
 
 
@@ -272,14 +290,31 @@ def subspace_intersect_many(as_, bs):
 
 def intersect_orth_many(qas, qbs):
     """Orthonormal basis of span(qa) cap span(qb) for each pair of bases
-    that orth returned, with stacked SVDs."""
+    that orth returned, with stacked SVDs; each [qa | -qb] is joined in its
+    shape group's stack, and each product qa @ ns stays on the row's own
+    operands."""
     out = [np.zeros((qa.shape[0], 0)) for qa in qas]
     rows = [i for i, (qa, qb) in enumerate(zip(qas, qbs)) if qa.shape[1] and qb.shape[1]]
-    nss = dict(zip(rows, null_many([np.hstack([qas[i], -qbs[i]]) for i in rows])))
+    nss = dict(zip(rows, [r[2] for r in rank_svd_joined(
+        [(qas[i], qbs[i]) for i in rows], negate=True)]))
     rows = [i for i in rows if nss[i].shape[1]]
     for i, q in zip(rows, orth_many([qas[i] @ nss[i][: qas[i].shape[1]] for i in rows])):
         out[i] = q
     return out
+
+
+def rank_svd_joined(pairs, axis=1, negate=False):
+    """rank_svd_many of every pair (a, b) joined as [a | b] (axis 1) or as
+    [a; b] (axis 0), with -b for b if negate: the pairs of one shape are
+    stacked, negated and joined by one np.concatenate, and each such stack
+    is one rank_svd_many call.  Copies and a negation move no bit, so every
+    row is bitwise rank_svd of its np.hstack (np.vstack)."""
+
+    def step(group):
+        a, b = np.stack([p[0] for p in group]), np.stack([p[1] for p in group])
+        return rank_svd_many(np.concatenate([a, -b if negate else b], axis=axis + 1))
+
+    return on_live(step, list(pairs), key=lambda p: (p[0].shape, p[1].shape))
 
 
 def annihilator(basis):
@@ -320,8 +355,29 @@ def _strict_lower(m):
 
 
 def _skew_rows(forms):
-    """SkewForm(f).matrix (f.matrix for a SkewForm) of every form, stacked."""
-    return np.stack([(f if isinstance(f, SkewForm) else SkewForm(f)).matrix for f in forms])
+    """SkewForm(f).matrix (f.matrix for a SkewForm) of every form, stacked.
+
+    The forms that are matrices go through one _strict_lower as a stack, a
+    SkewForm gives its stored lower triangle, and the stack of lower
+    triangles L gives L - L^T; every step is elementwise, so each row is
+    bitwise its SkewForm's .matrix.  A (g, n, n) array is one stack as it is.
+    """
+    if isinstance(forms, np.ndarray) and forms.ndim == 3:
+        ms = forms.astype(float, copy=False)
+        if ms.shape[1] != ms.shape[2]:
+            raise ValueError("square matrix required")
+        lower = _strict_lower(ms)
+    else:
+        lowers = [f._lower if isinstance(f, SkewForm) else None for f in forms]
+        raw = [i for i, f in enumerate(lowers) if f is None]
+        if raw:
+            ms = [np.atleast_2d(np.asarray(forms[i], dtype=float)) for i in raw]
+            if any(m.shape[0] != m.shape[1] for m in ms):
+                raise ValueError("square matrix required")
+            for i, f in zip(raw, _strict_lower(np.stack(ms))):
+                lowers[i] = f
+        lower = np.stack(lowers)
+    return lower - np.swapaxes(lower, 1, 2)
 
 
 def dirac_pairing(n):
@@ -524,9 +580,9 @@ def dirac_pullback_many(spaces, maps):
                 for row, (rank, _, _) in zip(rows, rank_svd_many(maps))]
 
         def images(rows):
-            pairs = null_many([np.hstack([a, -b[:n]]) for a, b in rows])
-            images = rank_svd_many([np.vstack([p[:k], a.T @ b[n:] @ p[k:]])
-                                    for (a, b), p in zip(rows, pairs)])
+            pairs = [r[2] for r in rank_svd_joined([(a, b[:n]) for a, b in rows], negate=True)]
+            images = rank_svd_joined([(p[:k], a.T @ b[n:] @ p[k:])
+                                      for (a, b), p in zip(rows, pairs)], axis=0)
             return [basis if rank == k else RankDeficient(
                 f"pullback produced dimension {rank}, expected {k}") for rank, basis, _ in images]
 

@@ -283,9 +283,9 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
     perp_ranks = np.array([pd.rank_perp for pd in points])
     caps = linear.subspace_intersect_many([pd.txperp for pd in points], [pd.tx for pd in points])
     cap_dims = np.array([cap.shape[1] for cap in caps])
-    sums = linear.rank_svd_many([np.hstack([pd.tx, pd.txperp]) for pd in points])
+    sums = linear.rank_svd_joined([(pd.tx, pd.txperp) for pd in points])
     sum_ranks = np.array([r[0] for r in sums])
-    tangent = linear.rank_svd_many([np.hstack([pd.tx, pd.p]) for pd in points])
+    tangent = linear.rank_svd_joined([(pd.tx, pd.p) for pd in points])
     poisson_sub = all(r[0] == k for r in tangent)
     regular = len(set(perp_ranks.tolist())) == 1
     coiso = bool(np.all(sum_ranks == k))

@@ -147,6 +147,44 @@ def test_nonconstant_g_rejected():
         build_complement(sc, bv, build_chart(sc, bv.dim))
 
 
+@pytest.mark.parametrize("command", ["analyze", "all"])
+@pytest.mark.parametrize("columns, error", [
+    ('mode = coisotropic\ng = "1" "u" "0"', "line 17: 'g' must be a constant frame"),
+    ('mode = custom\nw = "1/(u-u)" "1" "0"\nw = "0" "0" "1"',
+     "non-finite result from division at point (-1.0,)"),
+    ("mode = custom", "custom mode needs a w frame"),
+], ids=["nonconstant-g", "non-finite-w", "custom-without-w"])
+def test_bad_frame_column_exits_4_before_any_stage(tmp_path, monkeypatch, command, columns, error):
+    # a frame column is a scene value: analyze no longer passes a scene that
+    # a later stage rejects, and no stage runs
+    path = tmp_path / "frame.scene"
+    path.write_text(FIXTURES["coiso-line"].replace("mode = coisotropic", columns))
+    monkeypatch.setattr(cli, "regularity_scan", None)  # any stage would call it
+    code, out = run_main([command, str(path), "--steps", "32"])
+    assert code == 4
+    rep = strict_json(out)
+    assert rep["error"] == error and "stages" not in rep
+
+
+def test_scene_without_frame_columns_builds_one_chart(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(real):
+        def wrapped(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "build_chart", counted(cli.build_chart))
+    monkeypatch.setattr(cli, "_complement_frames", counted(cli._complement_frames))
+    for name in FIXTURES:
+        if "[poisson]" in FIXTURES[name]:
+            assert not any(f"\n{key} = " in FIXTURES[name] for key in "ghw")
+            calls.clear()
+            run_main(["analyze", write_fixture(tmp_path, name)])
+            assert calls == ["build_chart"], name
+
+
 def test_parameters_defaults_and_overrides():
     p = scene_parameters(scene_of("coiso-line"))
     assert p["steps"] == 1024 and p["xi_radius"] == 0.2

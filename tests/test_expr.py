@@ -138,6 +138,18 @@ def test_print_reparse_round_trip():
             e = derive(e, 0)
 
 
+def test_print_non_finite_literals():
+    # a non-finite literal prints as its repr; finite literals keep their form
+    assert str(parse("x - 1e400", 1)) == "x1 - inf"
+    assert str(parse("-1e400*x", 1)) == "-inf*x1"
+    assert str(Num(math.nan)) == "nan"
+    assert str(expr.Mul(expr.Var(0), Num(-math.inf))) == "x1*(-inf)"
+    assert str(expr.Sub(Num(math.nan), expr.Var(0))) == "nan - x1"
+    for text, printed in [("x - 3", "x1 - 3"), ("x*2.5", "x1*2.5"), ("x - 1e16", "x1 - 1e+16"),
+                          ("x*(0-2)", "x1*(-2)"), ("x - 0.1", "x1 - 0.1")]:
+        assert str(parse(text, 1)) == printed
+
+
 def test_round_trip_derivative_trees_property():
     # random points, derivative trees of increasing depth still round-trip
     e = parse("sin(x*y) + exp(x - y^2)", 2)

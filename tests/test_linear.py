@@ -723,3 +723,97 @@ def test_lagrangian_complement_rejects_nan_at_each_check():
     # a NaN seed complement carries through the alignment and the correction
     with pytest.raises(RankDeficient, match="complement correction failed isotropy"):
         lagrangian_complement(np.eye(2), omega, [[1.0], [0.0]], ref=[[np.nan], [np.nan]])
+
+
+def _skew_ref(f):
+    # the per-form path the stacked antisymmetrisation replaced
+    return (f if isinstance(f, SkewForm) else SkewForm(f)).matrix
+
+
+def test_stacked_skew_rows_is_bitwise_per_form():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 5):
+        forms = [rng.standard_normal((n, n)) for _ in range(6)]
+        forms[1] = -np.zeros((n, n))  # every entry -0.0
+        forms[2][-1, 0] = -0.0
+        forms[3][0, -1] = np.nan  # the NaN lands in the lower triangle
+        forms[4] = 1e300 * forms[4]
+        stored = [SkewForm(f) for f in forms[:3]]
+        mixed = [stored[0], forms[0], forms[3], stored[1], forms[4].tolist(), stored[2]]
+        for case in (np.array(forms), forms, stored, mixed):
+            got = linear._skew_rows(case)
+            assert got.shape == (len(case), n, n)
+            for row, f in zip(got, case):
+                assert _same(row, _skew_ref(f))
+    # a SkewForm gives its stored triangle, whatever matrix it came from
+    form = SkewForm(np.eye(2))
+    form._lower = np.array([[0.0, 0.0], [-0.0, 0.0]])
+    assert _same(linear._skew_rows([form, np.eye(2)])[0], form.matrix)
+    for case in (np.zeros((2, 2, 3)), [np.eye(2), np.zeros((2, 3))], [SkewForm(np.eye(2)), [1.0, 2.0]]):
+        with pytest.raises(ValueError, match="square matrix required"):
+            linear._skew_rows(case)
+
+
+def test_stacked_intersect_orth_many_is_bitwise_per_pair():
+    # mixed shapes, mixed ranks and zero-column bases in one call: each pair
+    # is bitwise the one-pair call and the per-pair np.hstack loop
+    rng = np.random.default_rng(24)
+    pairs = []
+    for d in (3, 5):
+        for _ in range(30):
+            shared = rng.standard_normal((d, rng.integers(0, 3)))
+            a = np.hstack([shared, rng.standard_normal((d, rng.integers(0, 2)))])
+            b = np.hstack([rng.standard_normal((d, rng.integers(0, 2))), shared])
+            pairs.append((a, b))
+    pairs += [(np.zeros((3, 0)), rng.standard_normal((3, 2))), (np.zeros((5, 2)), np.eye(5)[:, :1])]
+    order = rng.permutation(len(pairs))
+    pairs = [pairs[i] for i in order]
+    qas, qbs = (linear.orth_many([p[j] for p in pairs]) for j in (0, 1))
+    got = linear.intersect_orth_many(qas, qbs)
+    dims, shapes = set(), set()
+    for (a, b), qa, qb, cap in zip(pairs, qas, qbs, got):
+        assert _same(cap, subspace_intersect(a, b))
+        assert _same(cap, _intersect_per_row(a, b))
+        dims.add(cap.shape[1])
+        shapes.add((qa.shape, qb.shape))
+    assert dims == {0, 1, 2} and len(shapes) > 6 and min(s[0][1] for s in shapes) == 0
+
+
+def test_stacked_rank_svd_joined_is_bitwise_per_row_hstack_and_vstack():
+    rng = np.random.default_rng(25)
+    pairs = []
+    for _ in range(40):
+        d, ka, kb = rng.integers(1, 4, size=3)
+        rank = rng.integers(0, d + 1)
+        a = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, ka))
+        pairs.append((a, rng.standard_normal((d, kb)) if rng.integers(2) else a[:, :kb].copy()))
+    pairs.append((np.zeros((2, 0)), -np.zeros((2, 1))))
+    for axis, join in ((1, np.hstack), (0, lambda ab: np.vstack([ab[0].T, ab[1].T]))):
+        rows = pairs if axis else [(a.T, b.T) for a, b in pairs]
+        for negate in (False, True):
+            got = linear.rank_svd_joined(rows, axis=axis, negate=negate)
+            for (a, b), out in zip(pairs, got):
+                ref = _rank_ref(join([a, -b] if negate else [a, b]))
+                assert out[0] == ref[0] and _same(out[1], ref[1]) and _same(out[2], ref[2])
+                assert (out[1].strides, out[2].strides) == (ref[1].strides, ref[2].strides)
+    assert linear.rank_svd_joined([]) == []
+
+
+def test_stacked_orth_and_null_of_a_mixed_rank_stack_keep_per_row_strides():
+    # one (g, d, k) stack of every rank: its orth and null rows are views
+    # handed out per rank group, equal to per-row rank_svd in bits, shape and
+    # strides (BLAS picks its summation order by stride)
+    rng = np.random.default_rng(26)
+    for d, k in [(4, 4), (6, 3), (3, 5)]:
+        ranks = rng.permutation(np.repeat(np.arange(min(d, k) + 1), 3))
+        stack = np.array([rng.standard_normal((d, r)) @ rng.standard_normal((r, k)) for r in ranks])
+        for view in (stack, stack[::-1], np.swapaxes(np.swapaxes(stack, 1, 2).copy(), 1, 2)):
+            many = linear.rank_svd_many(view)
+            for m, got, orth_row, null_row in zip(view, many, linear.orth_many(view),
+                                                  linear.null_many(view)):
+                for ref in (rank_svd(m), _rank_ref(m)):
+                    assert got[0] == ref[0]
+                    for out, want in ((got[1], ref[1]), (orth_row, ref[1]), (got[2], ref[2]),
+                                      (null_row, ref[2])):
+                        assert _same(out, want) and out.strides == want.strides
+            assert sorted(r[0] for r in many) == sorted(ranks.tolist())
