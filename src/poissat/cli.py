@@ -251,11 +251,6 @@ def _complement_frames(scene, chart):
     return frames
 
 
-def build_complement(scene: Scene, bv, chart) -> ComplementChoice:
-    mode = scene.scalar("complement", "mode", default="default")
-    return ComplementChoice(bv, chart, mode=mode, **_complement_frames(scene, chart))
-
-
 def scene_parameters(scene: Scene, steps_override=None, tol_override=None):
     p = {
         "steps": scene.scalar("flow", "steps", default=1024, convert=int),
@@ -272,6 +267,10 @@ def scene_parameters(scene: Scene, steps_override=None, tol_override=None):
     }
     if p["mode"] not in COMPLEMENT_MODES:
         raise SceneError(f"unknown complement mode {p['mode']!r}")
+    for key in "ghw":
+        rows = scene.rows("complement", key)
+        if rows and key not in COMPLEMENT_MODES[p["mode"]]:
+            raise SceneError(f"complement mode {p['mode']!r} reads no '{key}' column", rows[0][1])
     if steps_override is not None:
         p["steps"] = int(steps_override)
     if tol_override is not None:
@@ -306,21 +305,34 @@ _RUNS = {
 class _PoissonStages:
     """The stages of a [poisson] scene, one method each.  The [complement]
     frame columns are checked on construction, before any stage runs; the
-    complement and the saturation chart are built by the first stage that
-    needs them, and saturate leaves the point cloud in csv when it is wanted."""
+    bivector, the chart, the frame columns, the complement and the
+    saturation chart are each built once, by the first step that needs them,
+    and saturate leaves the point cloud in csv when it is wanted."""
 
     csv = None
 
     def __init__(self, scene, p, want_csv):
         self.scene, self.p, self.want_csv = scene, p, want_csv
         if p["mode"] == "custom" or any(scene.rows("complement", key) for key in "ghw"):
-            # frame columns are scene values: a bad or missing one is a scene
-            # error before any stage, found on a chart of its own
-            _complement_frames(scene, build_chart(scene, _poisson_dim(scene)))
+            # frame columns are scene values: reading them here makes a bad or
+            # missing one a scene error before any stage (their chart is then
+            # built before the bivector, and analyze reuses it)
+            self.frames
+
+    @cached_property
+    def bv(self):
+        return build_bivector(self.scene)
+
+    @cached_property
+    def chart(self):
+        return build_chart(self.scene, _poisson_dim(self.scene))
+
+    @cached_property
+    def frames(self):
+        return _complement_frames(self.scene, self.chart)
 
     def analyze(self):
-        self.bv = bv = build_bivector(self.scene)
-        self.chart = chart = build_chart(self.scene, bv.dim)
+        bv, chart = self.bv, self.chart
         seed = self.p["seed"]
         scan = regularity_scan(bv, chart, counts=9, seed=seed)
         self.classification = cls = classify(bv, chart, counts=9, seed=seed, scan=scan)
@@ -346,7 +358,7 @@ class _PoissonStages:
         if mode in ("coisotropic", "pre_poisson") and not self.classification.flags[mode]:
             raise RankDeficient(f"complement mode {mode!r} needs a {mode} chart; "
                                 f"analyze saw rank_sets {self.classification.ranks}")
-        return build_complement(self.scene, self.bv, self.chart)
+        return ComplementChoice(self.bv, self.chart, mode=mode, **self.frames)
 
     @cached_property
     def sat(self):

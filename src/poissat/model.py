@@ -167,7 +167,9 @@ class FrameAligner:
         return raise_first(self._aligned_many(key, [basis]))[0]
 
 
-COMPLEMENT_MODES = ("default", "coisotropic", "pre_poisson", "custom")
+# every complement mode, with the [complement] frame columns it reads
+COMPLEMENT_MODES = {"default": (), "coisotropic": ("g",), "pre_poisson": ("g", "h"),
+                    "custom": ("w",)}
 
 
 class ComplementChoice(FrameAligner):
@@ -175,13 +177,13 @@ class ComplementChoice(FrameAligner):
 
     Modes:
       default      Euclidean orthocomplement of TXperp.
-      coisotropic  the four-step splitting for coisotropic X: builds the
-                   symplectic bundle on sharp(G0), takes a Lagrangian
-                   complement V of TXperp there, and returns V + G + H;
-                   satisfies sharp(W0) inside W and W cap TX = G.
-      pre_poisson  the generalization over sharp((G+H)0) with the cap
-                   TXperp cap TX as the Lagrangian; returns G + C + Y
+      pre_poisson  the splitting over the cap TXperp cap TX (Marle;
+                   Cattaneo-Zambon): G and H complement the cap in TX and
+                   TXperp, C is a Lagrangian complement of the cap in the
+                   symplectic bundle sharp((G+H)0); returns W = G + C + Y,
                    with sharp((H+W)0) inside W and W cap TX = G.
+      coisotropic  the case whose cap is all of TXperp, with H = 0 (and a
+                   cap_dim of 0): sharp(W0) inside W and W cap TX = G.
       custom       user-supplied W (matrix or callable of u).
 
     G and H default to Euclidean complements inside TX and TXperp; all
@@ -202,6 +204,9 @@ class ComplementChoice(FrameAligner):
     def __init__(self, bv: BivectorField, chart: Chart, mode="default", g=None, h=None, w=None):
         if mode not in COMPLEMENT_MODES:
             raise ValueError(f"unknown complement mode {mode!r}")
+        for key, frame in zip("ghw", (g, h, w)):
+            if frame is not None and key not in COMPLEMENT_MODES[mode]:
+                raise ValueError(f"complement mode {mode!r} reads no {key} frame")
         self.bv = bv
         self.chart = chart
         self.mode = mode
@@ -260,20 +265,9 @@ class ComplementChoice(FrameAligner):
             if self.mode == "custom":
                 return txperp, (self._w_user(pd.u) if callable(self._w_user)
                                 else np.array(self._w_user, dtype=float)), 0, None
-            if self.mode == "coisotropic":
-                return self._coisotropic_split(pd, txperp)
-            return self._pre_poisson_split(pd)
+            return self._cap_split(pd, txperp)
         except ValueError as err:
             return err
-
-    def _lagrangian(self, key, s, omega, lag):
-        """Lagrangian complement of span(lag) in span(s), aligned to the first one."""
-        if not lag.shape[1]:
-            return np.zeros((s.shape[0], 0))
-        ref = s.T @ self._refs[key] if key in self._refs else None
-        out = lagrangian_complement(s, omega, lag, ref=ref)
-        self._refs.setdefault(key, out)
-        return out
 
     def _symplectic_on_image(self, p, ann):
         """Orthobasis of sharp(span(ann)) with the induced symplectic matrix."""
@@ -288,55 +282,39 @@ class ComplementChoice(FrameAligner):
             raise RankDeficient("no preimages for the symplectic bundle basis")
         return s, alpha.T @ p.T @ alpha
 
-    def _coisotropic_split(self, pd, txperp):
+    def _cap_split(self, pd, txperp):
+        """The pre_poisson splitting at one row, as ([cap | H], G + C + Y,
+        cap_dim, conditions); Y completes [cap | H | G | C] to R^n.  The
+        coisotropic case takes the aligned TXperp as the cap and H = 0."""
         n, k = self.bv.dim, self.chart.param_dim
-        r = txperp.shape[1]
-        tx = pd.tx
-        if rank_svd(np.hstack([tx, txperp]))[0] != k:
+        tx, p = pd.tx, pd.p
+        coisotropic = self.mode == "coisotropic"
+        if coisotropic and rank_svd(np.hstack([tx, txperp]))[0] != k:
             raise RankDeficient(f"chart is not coisotropic at u = {tuple(pd.u.tolist())}")
-        p = pd.p
-        g = self._g_user if self._g_user is not None else self._aligned("g", _span_in(tx, txperp))
-        if subspace_intersect(g, txperp).shape[1] or rank_svd(np.hstack([g, txperp]))[0] != k:
-            raise RankDeficient("G is not a complement of TXperp in TX")
-        s, omega = self._symplectic_on_image(p, null(g.T))
-        if s.shape[1] != 2 * r:
-            raise RankDeficient("sharp(G0) has unexpected rank")
-        v = self._lagrangian("v", s, omega, txperp)
-        h = self._aligned("h", null(np.hstack([txperp, v, g]).T)
-                          if n - 2 * r - g.shape[1] else np.zeros((n, 0)))
-        w = np.hstack([v, g, h])
-        conditions = {
-            "sharp_w0_in_w": _sharp_into(p, w),
-            "w_cap_tx_is_g": bool(subspace_equal(subspace_intersect(w, tx), g, tol=1e-8)),
-        }
-        return txperp, w, 0, conditions
-
-    def _pre_poisson_split(self, pd):
-        n, k = self.bv.dim, self.chart.param_dim
-        tx = pd.tx
-        cap = self._aligned("cap", subspace_intersect(pd.txperp, tx))
-        c_dim = cap.shape[1]
-        p = pd.p
+        cap = txperp if coisotropic else self._aligned("cap", subspace_intersect(pd.txperp, tx))
         g = self._g_user if self._g_user is not None else self._aligned("g", _span_in(tx, cap))
-        h = self._h_user if self._h_user is not None else self._aligned("h", _span_in(pd.txperp, cap))
+        h = (np.zeros((n, 0)) if coisotropic else self._h_user if self._h_user is not None
+             else self._aligned("h", _span_in(pd.txperp, cap)))
         if rank_svd(np.hstack([cap, g]))[0] != k or subspace_intersect(cap, g).shape[1]:
             raise RankDeficient("G is not a complement of the cap in TX")
         if rank_svd(np.hstack([cap, h]))[0] != pd.rank_perp:
             raise RankDeficient("H is not a complement of the cap in TXperp")
         s, omega = self._symplectic_on_image(p, null(np.hstack([g, h]).T))
-        if s.shape[1] != 2 * c_dim:
+        if s.shape[1] != 2 * cap.shape[1]:
             raise RankDeficient("sharp((G+H)0) has unexpected rank")
-        c_lag = self._lagrangian("c", s, omega, cap)
+        c_lag = lagrangian_complement(s, omega, cap,
+                                      ref=s.T @ self._refs["c"] if "c" in self._refs else None)
+        self._refs.setdefault("c", c_lag)
         used = np.hstack([cap, h, g, c_lag])
         if rank_svd(used)[0] != used.shape[1]:
             raise RankDeficient("splitting pieces are not independent")
         y = self._aligned("y", null(used.T) if n - used.shape[1] else np.zeros((n, 0)))
         w = np.hstack([g, c_lag, y])
         conditions = {
-            "sharp_hw0_in_w": _sharp_into(p, w, extra=h),
+            "sharp_w0_in_w" if coisotropic else "sharp_hw0_in_w": _sharp_into(p, w, h),
             "w_cap_tx_is_g": bool(subspace_equal(subspace_intersect(w, tx), g, tol=1e-8)),
         }
-        return np.hstack([cap, h]), w, c_dim, conditions  # ordered frame: cap block first
+        return np.hstack([cap, h]), w, 0 if coisotropic else cap.shape[1], conditions
 
 
 def _tube_basis(fr):
@@ -344,9 +322,9 @@ def _tube_basis(fr):
     return null(np.hstack([fr.dx, fr.p @ fr.j]).T)
 
 
-def _sharp_into(p, w, extra=None):
+def _sharp_into(p, w, extra):
     """Residual of sharp((extra + w)^0) inside span(w)."""
-    span = w if extra is None else np.hstack([extra, w])
+    span = np.hstack([extra, w])
     q = orth(w)
     image = p @ null(span.T)
     return float(np.abs(image - q @ (q.T @ image)).max(initial=0.0))

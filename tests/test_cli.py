@@ -15,7 +15,6 @@ from poissat.cli import (
     SceneError,
     build_bivector,
     build_chart,
-    build_complement,
     parse_scene,
     run_scene,
     scene_parameters,
@@ -27,6 +26,15 @@ from poissat.sprayflow import LeftDomain
 
 def scene_of(name):
     return parse_scene(FIXTURES[name])
+
+
+def complement_of(text):
+    """The chart and complement that a run of the scene text builds, after
+    its analyze stage; a bad frame column raises before any stage."""
+    sc = parse_scene(text)
+    stages = cli._PoissonStages(sc, scene_parameters(sc), want_csv=False)
+    stages.analyze()
+    return stages.chart, stages.comp
 
 
 def run_main(argv):
@@ -124,27 +132,20 @@ def test_complement_constant_and_callable_frames():
     text = FIXTURES["coiso-line"].replace(
         "mode = coisotropic",
         'mode = custom\nw = "0.3" "1" "0"\nw = "0" "0" "1"')
-    sc = parse_scene(text)
-    bv = build_bivector(sc)
-    chart = build_chart(sc, bv.dim)
-    comp = build_complement(sc, bv, chart)
+    chart, comp = complement_of(text)
     assert comp.mode == "custom"
     fr = comp.at(chart.center())
     assert np.allclose(fr.w, [[0.3, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
-    varying = text.replace('w = "0.3" "1" "0"', 'w = "0.3*u" "1" "0"')
-    sc2 = parse_scene(varying)
-    comp2 = build_complement(sc2, bv, build_chart(sc2, bv.dim))
+    _, comp2 = complement_of(text.replace('w = "0.3" "1" "0"', 'w = "0.3*u" "1" "0"'))
     assert np.allclose(comp2.at([0.5]).w[:, 0], [0.15, 1.0, 0.0])
 
 
 def test_nonconstant_g_rejected():
     text = FIXTURES["coiso-line"].replace(
         "mode = coisotropic", 'mode = coisotropic\ng = "u" "0" "0"')
-    sc = parse_scene(text)
-    bv = build_bivector(sc)
     with pytest.raises(SceneError):
-        build_complement(sc, bv, build_chart(sc, bv.dim))
+        complement_of(text)
 
 
 @pytest.mark.parametrize("command", ["analyze", "all"])
@@ -153,10 +154,19 @@ def test_nonconstant_g_rejected():
     ('mode = custom\nw = "1/(u-u)" "1" "0"\nw = "0" "0" "1"',
      "non-finite result from division at point (-1.0,)"),
     ("mode = custom", "custom mode needs a w frame"),
-], ids=["nonconstant-g", "non-finite-w", "custom-without-w"])
+    ('mode = default\ng = "0" "0" "1"', "line 17: complement mode 'default' reads no 'g' column"),
+    ('mode = coisotropic\nh = "0" "1" "0"',
+     "line 17: complement mode 'coisotropic' reads no 'h' column"),
+    ('mode = pre_poisson\nw = "0" "1" "0"\nw = "0" "0" "1"',
+     "line 17: complement mode 'pre_poisson' reads no 'w' column"),
+    ('mode = custom\nw = "0" "1" "0"\nw = "0" "0" "1"\ng = "0" "0" "1"',
+     "line 19: complement mode 'custom' reads no 'g' column"),
+], ids=["nonconstant-g", "non-finite-w", "custom-without-w", "unread-g-default",
+        "unread-h-coisotropic", "unread-w-pre-poisson", "unread-g-custom"])
 def test_bad_frame_column_exits_4_before_any_stage(tmp_path, monkeypatch, command, columns, error):
     # a frame column is a scene value: analyze no longer passes a scene that
-    # a later stage rejects, and no stage runs
+    # a later stage rejects, and no stage runs; so is a column that the mode
+    # never reads
     path = tmp_path / "frame.scene"
     path.write_text(FIXTURES["coiso-line"].replace("mode = coisotropic", columns))
     monkeypatch.setattr(cli, "regularity_scan", None)  # any stage would call it
@@ -183,6 +193,15 @@ def test_scene_without_frame_columns_builds_one_chart(tmp_path, monkeypatch):
             calls.clear()
             run_main(["analyze", write_fixture(tmp_path, name)])
             assert calls == ["build_chart"], name
+    # a scene with frame columns builds its chart and evaluates its columns
+    # once, before any stage, and every stage reuses both
+    path = tmp_path / "custom.scene"
+    path.write_text(FIXTURES["coiso-line"].replace(
+        "mode = coisotropic", 'mode = custom\nw = "0.3" "1" "0"\nw = "0" "0" "1"'))
+    calls.clear()
+    code, _ = run_main(["all", str(path), "--steps", "32"])
+    assert code == 0
+    assert calls == ["build_chart", "_complement_frames"]
 
 
 def test_parameters_defaults_and_overrides():
@@ -827,7 +846,7 @@ def test_alignment_references_are_set_at_construction(tmp_path, monkeypatch, fix
             return obj
         return wrapped
 
-    monkeypatch.setattr(cli, "build_complement", recording(cli.build_complement))
+    monkeypatch.setattr(cli, "ComplementChoice", recording(cli.ComplementChoice))
     monkeypatch.setattr(cli, "GotayModel", recording(cli.GotayModel))
     code, _ = run_main(["all", write_fixture(tmp_path, fixture), "--steps", "32"])
     assert code == 0
@@ -855,10 +874,8 @@ def test_jacobi_certificate_failure_exits_3(tmp_path):
 def test_custom_complement_without_w_exits_3_pathway():
     # missing w is caught at scene level, before any numerics
     text = FIXTURES["coiso-line"].replace("mode = coisotropic", "mode = custom")
-    sc = parse_scene(text)
-    bv = build_bivector(sc)
     with pytest.raises(SceneError):
-        build_complement(sc, bv, build_chart(sc, bv.dim))
+        complement_of(text)
 
 
 def test_coisotropic_mode_on_transversal_exits_3(tmp_path):
