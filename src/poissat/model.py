@@ -55,38 +55,27 @@ from .linear import (
     subspace_intersect,
 )
 from .sprayflow import LeftDomain, flow
-from .submanifold import Chart, point_data_rows, pullback_dirac, pullback_dirac_rows
+from .submanifold import Chart, PointData, point_data_rows, pullback_dirac, pullback_dirac_rows
 
 RADIUS_FLOOR = 1e-3
 _FD_H = 1e-5  # central-difference step of J, the tube frame and the gauge forms
 
 
-class ComplementFrame:
-    """Pointwise output of a ComplementChoice, with the PointData it was built from."""
+class ComplementFrame(PointData):
+    """Pointwise output of a ComplementChoice: the PointData at u, whose
+    txperp is the aligned frame ([cap | H]-ordered in pre_poisson mode),
+    with the complement W and the inclusion j."""
 
     def __init__(self, pd, txperp, w, j, cap_dim=0, conditions=None):
-        self.pd = pd
-        self.u = pd.u
-        self.x = pd.x
-        self.p = pd.p  # bivector matrix at x
-        self.corank = pd.corank
-        self.dx = pd.dx
-        self.tx = pd.tx
-        self.txperp = txperp  # (n, r) frame, [cap | H]-ordered in pre_poisson mode
+        super().__init__(pd.u, pd.x, pd.dx, pd.p, pd.tx, txperp, pd.corank)
         self.w = w  # (n, n-r)
         self.j = j  # (n, r), image is W0, pairs with txperp as identity
         self.cap_dim = cap_dim
         self.conditions = conditions or {}
-        self.lift = None  # set by the first _lifts batch at u that succeeds
-
-    @property
-    def rank_perp(self):
-        return self.txperp.shape[1]
 
     def freeze(self):
         """Make every array of the frame read-only; returns the frame."""
-        for a in (self.u, self.x, self.p, self.dx, self.tx, self.pd.txperp, self.txperp, self.w,
-                  self.j):
+        for a in (self.u, self.x, self.p, self.dx, self.tx, self.txperp, self.w, self.j):
             a.flags.writeable = False
         return self
 
@@ -113,29 +102,24 @@ def _solve_inclusions(perps, ws, failure):
                            for stack, (rank, _, _) in zip(stacks, rank_svd_many(stacks))])
 
 
-def _annihilation_checked(frames):
-    """frames, each row a ComplementFrame or an error, with RankDeficient at
-    every frame whose j does not annihilate its W to 1e-10 (a non-finite
-    product does not), in one stacked check per shape."""
-
-    def step(frames):
-        ws, js = np.stack([fr.w for fr in frames]), np.stack([fr.j for fr in frames])
-        worst = np.abs(np.swapaxes(ws, 1, 2) @ js).max(axis=(1, 2), initial=0.0)
-        return [fr if value <= 1e-10 else RankDeficient(
-            "inclusion does not annihilate the complement") for fr, value in zip(frames, worst)]
-
-    return on_live(step, frames, key=lambda fr: (fr.w.shape, fr.j.shape))
-
-
 def _framed(splits, pds):
     """The ComplementFrame of every (txperp, w, cap_dim, conditions) split of
-    one shape, from one inclusion solve: per row its frame, or its error."""
-    js = _solve_inclusions(np.stack([split[0] for split in splits]),
-                           np.stack([split[1] for split in splits]),
+    one shape: one inclusion solve, then one check of w^T j on the stacked
+    rows it solved.  Per row its frame, or its error: RankDeficient where
+    TXperp and W do not span, or where j does not annihilate W to 1e-10 (a
+    non-finite product does not)."""
+    ws = np.stack([split[1] for split in splits])
+    js = _solve_inclusions(np.stack([split[0] for split in splits]), ws,
                            "complement does not span with TXperp")
-    return on_live(lambda js, splits, pds: [ComplementFrame(pd, t, w, j, c, cond) for
-                                            j, (t, w, c, cond), pd in zip(js, splits, pds)],
-                   js, splits, pds)
+
+    def checked(js, ws, splits, pds):
+        products = np.swapaxes(np.stack(ws), 1, 2) @ np.stack(js)
+        worst = np.abs(products).max(axis=(1, 2), initial=0.0)
+        return [ComplementFrame(pd, t, w, j, c, cond) if value <= 1e-10
+                else RankDeficient("inclusion does not annihilate the complement")
+                for value, j, (t, w, c, cond), pd in zip(worst, js, splits, pds)]
+
+    return on_live(checked, js, ws, splits, pds)
 
 
 def _span_in(big, small_perp):
@@ -189,16 +173,16 @@ class ComplementChoice(FrameAligner):
     G and H default to Euclidean complements inside TX and TXperp; all
     frames are aligned to those at the anchor u0, the chart's center, so
     they vary smoothly and no frame depends on which is read first.
-    Frames are memoised on the bits of u, each with its base Dirac lift
-    once computed: the grid rows and the finite-difference stencils of
-    the bundle embedding revisit the same parameters many times.  Frames
-    are computed per batch of memo misses, from one point_data_rows call,
-    in one path for all four modes: one stacked alignment of the TXperp
+    A frame is the PointData at u plus W and j, memoised on the bits of
+    u and frozen: the grid rows and the finite-difference stencils of the
+    bundle embedding revisit the same parameters many times.  Frames are
+    computed per batch of memo misses, from one point_data_rows call, in
+    one path for all four modes: one stacked alignment of the TXperp
     frames, then W (default: one null_many and one stacked alignment; the
-    other modes: _split per row), then one inclusion solve and one
-    annihilation check per shape group, each row bitwise as alone.  Each
-    row keeps the first error of its chain, and the first failing miss
-    raises after every miss before it is memoised.
+    other modes: _split per row), then per shape group one step that
+    solves the inclusions and checks w^T j, each row bitwise as alone.
+    Each row keeps the first error of its chain, and the first failing
+    miss raises after every miss before it is memoised.
     """
 
     def __init__(self, bv: BivectorField, chart: Chart, mode="default", g=None, h=None, w=None):
@@ -207,6 +191,8 @@ class ComplementChoice(FrameAligner):
         for key, frame in zip("ghw", (g, h, w)):
             if frame is not None and key not in COMPLEMENT_MODES[mode]:
                 raise ValueError(f"complement mode {mode!r} reads no {key} frame")
+        if mode == "custom" and w is None:
+            raise ValueError("complement mode 'custom' needs a w frame")
         self.bv = bv
         self.chart = chart
         self.mode = mode
@@ -252,8 +238,7 @@ class ComplementChoice(FrameAligner):
         else:
             splits = on_live(lambda ts, pds: [self._split(pd, t) for pd, t in zip(pds, ts)],
                              perps, pds)
-        return _annihilation_checked(on_live(_framed, splits, pds,
-                                             key=lambda split: (split[0].shape, split[1].shape)))
+        return on_live(_framed, splits, pds, key=lambda split: (split[0].shape, split[1].shape))
 
     def _split(self, pd, txperp):
         """W at one row in the custom, coisotropic or pre_poisson mode, as
@@ -481,23 +466,17 @@ def local_model_bivector(comp, u, zeta, steps=1024, eta_source="flow"):
 
 
 def _lifts(comp, us):
-    """Chart Dirac structure at every u, pulled back from the point data of
-    the memoised frame and up along the bundle projection, in stacked
-    steps: per u its lift, or the error its lift raises alone.  Each frame
-    keeps its lift once one is made; the frames without one get theirs."""
+    """Chart Dirac structure at every u, pulled back from its frame (a
+    PointData) and up along the bundle projection: one lift per distinct
+    frame of the call, in stacked steps, and nothing kept between calls.
+    Per u its lift, or the error its lift raises alone."""
     frames = comp.frames(us)
-    todo = list({id(fr): fr for fr in frames if fr.lift is None}.values())
-    made = {}
-    if todo:
-        k = comp.chart.param_dim
-        dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
-        bases = pullback_dirac_rows(comp.bv, comp.chart, [fr.pd for fr in todo],
-                                    ref_corank=comp.corank)
-        for fr, lift in zip(todo, dirac_pullback_many(bases, [dpr] * len(todo))):
-            made[id(fr)] = lift
-            if not isinstance(lift, Exception):
-                fr.lift = lift
-    return [fr.lift if fr.lift is not None else made[id(fr)] for fr in frames]
+    distinct = {id(fr): fr for fr in frames}
+    dpr = np.eye(comp.chart.param_dim, comp.chart.param_dim + comp.rank_perp)  # bundle projection
+    bases = pullback_dirac_rows(comp.bv, comp.chart, list(distinct.values()),
+                                ref_corank=comp.corank)
+    made = dict(zip(distinct, dirac_pullback_many(bases, [dpr] * len(distinct))))
+    return [made[id(fr)] for fr in frames]
 
 
 def _models_from_etas(lifts, etas):
@@ -774,7 +753,7 @@ def marle_invariants(comp, us):
         c = fr.cap_dim
         sigma, _ = sigma_tau(comp, u)
         cross = float(np.abs(sigma.matrix[:c, :]).max()) if c else 0.0
-        dirac = pullback_dirac(comp.bv, comp.chart, fr.pd, ref_corank=comp.corank)
+        dirac = pullback_dirac(comp.bv, comp.chart, fr, ref_corank=comp.corank)
         out.append({
             "u": tuple(float(v) for v in np.atleast_1d(u)),
             "dirac": dirac,

@@ -384,6 +384,21 @@ def test_negative_seed_exits_4_before_any_stage(tmp_path, fixture, command):
     assert "stages" not in rep
 
 
+@pytest.mark.parametrize("fixture", list(FIXTURES))
+def test_seed_sweep_keeps_every_verdict(tmp_path, fixture):
+    # the seed moves sample points and probe directions, never a verdict:
+    # at [model] seed 1-9, `all` gives seed 0's exit code and stage statuses
+    verdicts = []
+    for seed in range(10):
+        path = tmp_path / f"seed-{seed}.scene"
+        path.write_text(FIXTURES[fixture] + f"\n[model]\nseed = {seed}\n")
+        code, out = run_main(["all", str(path), "--steps", "32"])
+        rep = json.loads(out)
+        assert rep["parameters"]["seed"] == seed
+        verdicts.append((code, {name: stage["status"] for name, stage in rep["stages"].items()}))
+    assert verdicts[1:] == [verdicts[0]] * 9
+
+
 def test_verification_failure_exits_2(tmp_path):
     path = write_fixture(tmp_path, "transversal-ray")
     code, out = run_main(["verify", path, "--steps", "512", "--tol", "1e-18"])
@@ -519,7 +534,7 @@ def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch, command, flows):
 
 @pytest.mark.parametrize("fixture,argv,frames,lifts,gate", [
     ("figure-eight", ["verify", "--steps", "128"], 126, 25, 91),
-    ("transversal-ray", ["all", "--steps", "32", "--csv"], 133, 5, 19),
+    ("transversal-ray", ["all", "--steps", "32", "--csv"], 133, 6, 19),
 ], ids=["verify-figure-eight", "all-transversal-ray"])
 def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, argv, frames,
                                              lifts, gate):
@@ -527,11 +542,10 @@ def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, arg
     # reaches its frames (grid, stencil and probe parameters, and the anchor
     # twice: the constructor's frame, which sets the alignment references,
     # is not kept), counted in rows; the stacked pullback_dirac_rows lifts
-    # once per distinct u that verify and extraction_radius lift (the lift
-    # at u0 is shared), on the point data of the memoised frame, counted in
-    # rows, so the submanifold module computes point data only for the
-    # regularity gate: the scan grid and classify's 10 extra samples,
-    # counted in rows
+    # once per distinct u of each verify and extraction_radius call, on the
+    # memoised frame, counted in rows, so the submanifold module computes
+    # point data only for the regularity gate: the scan grid and
+    # classify's 10 extra samples, counted in rows
     calls = {"frame_rows": 0, "pullback_dirac": 0, "gate_rows": 0}
     real_frame_rows, real_pullback = model.point_data_rows, model.pullback_dirac_rows
     real_rows = submanifold.point_data_rows

@@ -149,6 +149,17 @@ def test_frame_the_mode_never_reads_rejected_before_any_frame(coiso_line, monkey
         model.ComplementChoice(*coiso_line, mode=mode, **frames)
 
 
+def test_custom_mode_without_w_rejected_before_any_frame(coiso_line, monkeypatch):
+    # the custom mode's one frame column is required: a missing W is named,
+    # not left to fail as a shape error inside the inclusion solve
+    def no_frames(*args, **kwargs):
+        raise AssertionError("a frame was computed")
+
+    monkeypatch.setattr(model, "point_data_rows", no_frames)
+    with pytest.raises(ValueError, match="^complement mode 'custom' needs a w frame$"):
+        model.ComplementChoice(*coiso_line, mode="custom")
+
+
 def _frame_points(chart):
     return [*chart.grid(3), *chart.sample(4, seed=1)]
 
@@ -302,8 +313,8 @@ def test_stacked_frames_are_bitwise_per_row(request, name, mode, w):
     per_row = [alone.at(u) for u in reversed(us)][::-1]
     assert len(stacked) == len(per_row) == len(us)
     for a, b in zip(stacked, per_row):
-        for x, y in zip((a.u, a.x, a.p, a.dx, a.tx, a.pd.txperp, a.txperp, a.w, a.j),
-                        (b.u, b.x, b.p, b.dx, b.tx, b.pd.txperp, b.txperp, b.w, b.j)):
+        for x, y in zip((a.u, a.x, a.p, a.dx, a.tx, a.txperp, a.w, a.j),
+                        (b.u, b.x, b.p, b.dx, b.tx, b.txperp, b.w, b.j)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()  # signbits too
         assert (a.cap_dim, a.corank, a.conditions) == (b.cap_dim, b.corank, b.conditions)
 
@@ -381,7 +392,8 @@ def test_stacked_frames_match_a_per_row_reference(name):
     frames = comp.frames(us)
     assert len(comp._memo) == len(us)
     for fr in frames:
-        for got, ref in zip((fr.txperp, fr.w, fr.j), _default_frame_reference(fr.pd, ref_perp, ref_w)):
+        [pd] = submanifold.point_data_rows(bv, chart, [fr.u])
+        for got, ref in zip((fr.txperp, fr.w, fr.j), _default_frame_reference(pd, ref_perp, ref_w)):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()  # signbits too
 
 
@@ -763,6 +775,40 @@ def test_saturation_radius_halving():
     assert sat.radius_used >= model.RADIUS_FLOOR
 
 
+@pytest.mark.parametrize("steps", [32, None], ids=["steps-32", "steps-default"])
+@pytest.mark.parametrize("name", ["figure-eight", "coiso-line", "sympl-plane", "zero-structure"])
+def test_saturation_oracle_constant_structures(name, steps):
+    # on a constant structure the spray is a straight line, so every
+    # saturation point is Phi(u, zeta) = X(u) + PI J(u) zeta and the fiber
+    # columns of dPhi are PI J(u), whatever the step count
+    stages = fixture_stages(name, steps)
+    sat, comp = stages.sat, stages.comp
+    k = comp.chart.param_dim
+    pjs = np.stack([fr.p @ fr.j for fr in comp.frames(sat.us)])
+    exact = comp.chart.points(sat.us) + np.einsum("bij,bj->bi", pjs, sat.zetas)
+    assert sat.steps == (steps or 1024) and len(sat.points) == len(sat.us) > 0
+    assert np.abs(sat.points - exact).max() <= 1e-12
+    assert np.abs(sat.jacs[:, :, k:] - pjs).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [32, None], ids=["steps-32", "steps-default"])
+def test_saturation_oracle_so3_rotation(steps):
+    # on so(3)* the frozen-covector spray from x along xi is the rotation of
+    # x about xi by the angle |xi|, so the transversal ray saturates to
+    # rotations of X(u) about J(u) zeta, and |Phi| = |X(u)| (a Casimir)
+    stages = fixture_stages("transversal-ray", steps)
+    sat, comp = stages.sat, stages.comp
+    xs = comp.chart.points(sat.us)
+    axes = np.stack([fr.j @ z for fr, z in zip(comp.frames(sat.us), sat.zetas)])
+    theta = np.linalg.norm(axes, axis=1, keepdims=True)
+    k = axes / np.where(theta > 0.0, theta, 1.0)  # the zero section stays at X(u)
+    exact = (xs * np.cos(theta) + np.cross(k, xs) * np.sin(theta)
+             + k * np.sum(k * xs, axis=1, keepdims=True) * (1.0 - np.cos(theta)))
+    assert sat.steps == (steps or 1024) and np.count_nonzero(theta) > len(theta) / 2
+    assert np.abs(sat.points - exact).max() <= 1e-12
+    assert np.abs(np.linalg.norm(sat.points, axis=1) - np.linalg.norm(xs, axis=1)).max() <= 1e-12
+
+
 # --- normal form ---
 
 
@@ -943,11 +989,18 @@ def test_compare_complements_rejects_different_structures(coiso_line):
 # --- batched bundle flows ---
 
 
+def fixture_stages(name, steps=None):
+    """The stages of a run of the fixture, analyzed, at steps (None keeps the
+    scene's)."""
+    sc = cli.parse_scene(FIXTURES[name])
+    stages = cli._PoissonStages(sc, cli.scene_parameters(sc, steps), want_csv=False)
+    stages.analyze()
+    return stages
+
+
 def scene_parts(name):
     """The bivector, chart and complement that a run of the fixture builds."""
-    sc = cli.parse_scene(FIXTURES[name])
-    stages = cli._PoissonStages(sc, cli.scene_parameters(sc), want_csv=False)
-    stages.analyze()
+    stages = fixture_stages(name)
     return stages.bv, stages.chart, stages.comp
 
 
@@ -1285,7 +1338,7 @@ def _lift_ref(comp, u):
     fr = comp.at(u)
     k = comp.chart.param_dim
     dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
-    base = submanifold.pullback_dirac(comp.bv, comp.chart, fr.pd, ref_corank=comp.corank)
+    base = submanifold.pullback_dirac(comp.bv, comp.chart, fr, ref_corank=comp.corank)
     return dirac_pullback(base, dpr)
 
 
@@ -1341,11 +1394,11 @@ def test_stacked_dirac_lifts_are_bitwise_per_row(so3_ray):
     comp = model.ComplementChoice(bv, chart)
     us = [*chart.sample(5, seed=3), chart.center(), chart.sample(5, seed=3)[1]]
     lifts = model._lifts(comp, us)
-    assert lifts[1] is lifts[-1]  # one lift per distinct u, kept on its frame
+    assert lifts[1] is lifts[-1]  # one lift per distinct frame of the call
     ref_comp = model.ComplementChoice(bv, chart)
     for u, lift in zip(us, lifts):
         assert _bits(lift.basis) == _bits(_lift_ref(ref_comp, u).basis)
-    pds = [fr.pd for fr in comp.frames(us)]
+    pds = comp.frames(us)
     for pd, space in zip(pds, submanifold.pullback_dirac_rows(bv, chart, pds, ref_corank=0)):
         assert _bits(space.basis) == _bits(submanifold.pullback_dirac(bv, chart, pd).basis)
 
