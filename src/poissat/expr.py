@@ -375,6 +375,8 @@ class _Parser:
                 return Call(text, arg)
             if text in self.names:
                 return Var(self.names[text])
+            if text in ("inf", "nan"):
+                return Num(float(text))
             raise ExprError(f"unknown variable '{text}' for arity {self.arity}", at)
         raise ExprError(f"expected a value, found '{text or 'end of input'}'", at)
 
@@ -383,7 +385,8 @@ def parse(text: str, arity: int, names=None) -> Expression:
     """Parse text into an Expression over `arity` variables.
 
     `names` maps variable names to 0-based slots; a plain sequence of
-    names is taken positionally.
+    names is taken positionally.  `inf` and `nan` are literals wherever no
+    variable has that name, so a printed non-finite literal parses back.
     """
     if names is None:
         names = default_names(arity)

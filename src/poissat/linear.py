@@ -82,6 +82,13 @@ def _rank_rows(ms, scales):
     its summation order (see _stack_rows).  It groups by shape itself
     rather than through on_live: its rows never hold errors, and it is the
     hottest loop of the stacked layer.
+
+    Stages hand it the same matrix many times (every sample of a constant
+    structure repeats PI and its frames), so a group runs the SVD on the
+    first occurrence of each distinct matrix only, keyed on its raw bytes
+    (-0.0 and +0.0, and NaN payloads, stay apart), and gathers U, s and V^T
+    back to every row by index: each row still owns its own buffer, with
+    the strides it had, and its own scale.  Nothing is kept between calls.
     """
     out = [None] * len(ms)
     if scales is not None:
@@ -102,7 +109,7 @@ def _rank_rows(ms, scales):
             if not live.any():
                 continue
             rows, stack = rows[live], stack[live]
-        u, s, vt = np.linalg.svd(stack, full_matrices=True)
+        u, s, vt = _svd_distinct(stack)
         ref = s[:, :1]
         if scales is not None:
             scale = scales[rows]
@@ -115,6 +122,27 @@ def _rank_rows(ms, scales):
                                    np.swapaxes(vt[sel][:, rank:], 1, 2)):
                 out[i] = rank, col, nul
     return out
+
+
+def _svd_distinct(stack):
+    """np.linalg.svd of a (g, d, k) stack, run on the first occurrence of
+    each distinct matrix only and gathered back to every row by index, so
+    every row gets a fresh copy of its matrix's U, s and V^T."""
+    g = len(stack)
+    if g > 1:
+        flat = np.ascontiguousarray(stack).reshape(g, -1)
+        keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
+        # in the reversed pairs each matrix's first row comes last, so it wins
+        first = dict(zip(keys[::-1], range(g - 1, -1, -1)))
+        if len(first) < g:
+            at = np.fromiter(map(first.__getitem__, keys), dtype=np.intp, count=g)
+            distinct = np.flatnonzero(at == np.arange(g))
+            slot = np.empty(g, dtype=np.intp)
+            slot[distinct] = np.arange(len(distinct))
+            gather = slot[at]
+            u, s, vt = np.linalg.svd(stack[distinct], full_matrices=True)
+            return u[gather], s[gather], vt[gather]
+    return np.linalg.svd(stack, full_matrices=True)
 
 
 def orth(m):
@@ -239,26 +267,72 @@ def principal_angles(a, b):
     Small angles come from the sine-based formula (singular values of
     the projection of one basis onto the other's complement); plain
     arccos of cosines bottoms out near sqrt(machine eps) and cannot
-    certify agreement at 1e-10.
+    certify agreement at 1e-10.  It is the one-row case of
+    principal_angles_many.
     """
-    qa = a if _is_orthonormal(a) else orth(a)
-    qb = b if _is_orthonormal(b) else orth(b)
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
-        return np.zeros(0)
-    m = qa.T @ qb
-    mn = min(qa.shape[1], qb.shape[1])
-    cosines = np.linalg.svd(m, compute_uv=False)[:mn]  # angle ascending
-    sines = np.sort(np.linalg.svd(qb - qa @ m, compute_uv=False))[:mn]
-    return np.where(
-        cosines**2 >= 0.5,
-        np.arcsin(np.clip(sines, 0.0, 1.0)),
-        np.arccos(np.clip(cosines, -1.0, 1.0)),
-    )
+    return principal_angles_many([a], [b])[0]
+
+
+def principal_angles_many(as_, bs):
+    """principal_angles of every pair (a, b), with stacked SVDs."""
+    return _angles(_bases(as_), _bases(bs))
+
+
+def _bases(ms, orths=None):
+    """Per matrix: itself when its columns are orthonormal, else its orth,
+    taken from orths (each matrix's rank_svd orth, when already decided) or
+    from one orth_many over the matrices that need it."""
+    ms = [np.asarray(m, dtype=float) for m in ms]
+    fits = _orthonormal_each(ms)
+    loose = [i for i, fit in enumerate(fits) if not fit]
+    if orths is None:
+        orths = dict(zip(loose, orth_many([ms[i] for i in loose])))
+    for i in loose:
+        ms[i] = orths[i]
+    return ms
+
+
+def _angles(qas, qbs):
+    """The one copy of the angle rules, on pairs of orthonormal bases.
+
+    The pairs of one shape share two stacked singular-value calls, which
+    numpy runs matrix by matrix; the products qa^T qb and qb - qa (qa^T qb)
+    stay on each row's own operands, and the rest is elementwise, so every
+    row is bitwise its one-row case.
+    """
+
+    def step(pairs):
+        mn = min(pairs[0][0].shape[1], pairs[0][1].shape[1])
+        if not mn:
+            return [np.zeros(0)] * len(pairs)
+        ms = [qa.T @ qb for qa, qb in pairs]
+        cosines = np.linalg.svd(np.stack(ms), compute_uv=False)  # angle ascending
+        sines = np.sort(np.linalg.svd(np.stack([qb - qa @ m for (qa, qb), m in zip(pairs, ms)]),
+                                      compute_uv=False), axis=1)[:, :mn]
+        return np.where(
+            cosines**2 >= 0.5,
+            np.arcsin(np.clip(sines, 0.0, 1.0)),
+            np.arccos(np.clip(cosines, -1.0, 1.0)),
+        )
+
+    return on_live(step, list(zip(qas, qbs)), key=lambda p: (p[0].shape, p[1].shape))
 
 
 def _is_orthonormal(m):
-    m = np.asarray(m, dtype=float)
-    return m.ndim == 2 and bool(_orthonormal_rows(m[None])[0])
+    return _orthonormal_each([np.asarray(m, dtype=float)])[0]
+
+
+def _orthonormal_each(ms):
+    """_is_orthonormal of every array, with one stacked test per group of
+    2-D matrices that share shape and strides (the strides the product
+    has for one matrix, see _stack_rows)."""
+
+    def step(group):
+        if group[0].ndim != 2:
+            return [False] * len(group)
+        return _orthonormal_rows(_stack_rows(group)).tolist()
+
+    return on_live(step, ms, key=lambda m: (m.shape, m.strides))
 
 
 def _orthonormal_rows(stack):
@@ -271,11 +345,25 @@ def _orthonormal_rows(stack):
 
 
 def subspace_equal(a, b, tol=1e-10):
+    """Do the column spans of a and b agree, to principal angles of tol?
+    It is the one-row case of spans_equal."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    if rank_svd(a)[0] != rank_svd(b)[0]:
-        return False
-    return bool(principal_angles(a, b).max(initial=0.0) <= tol)
+    return spans_equal([a], [rank_svd(a)], [b], [rank_svd(b)], tol)[0]
+
+
+def spans_equal(as_, decided_a, bs, decided_b, tol):
+    """subspace_equal of every pair (a, b) of 2-D matrices whose rank_svd
+    results are decided already (by one rank_svd_many per side, say):
+    spans of unequal rank differ, and the others compare through principal
+    angles on the decided orths."""
+    rows = [i for i, (da, db) in enumerate(zip(decided_a, decided_b)) if da[0] == db[0]]
+    angles = _angles(_bases([as_[i] for i in rows], [decided_a[i][1] for i in rows]),
+                     _bases([bs[i] for i in rows], [decided_b[i][1] for i in rows]))
+    out = [False] * len(as_)
+    for i, ang in zip(rows, angles):
+        out[i] = bool(ang.max(initial=0.0) <= tol)
+    return out
 
 
 def subspace_intersect(a, b):

@@ -48,9 +48,11 @@ from .linear import (
     orth,
     orth_many,
     principal_angles,
+    principal_angles_many,
     rank_svd,
     rank_svd_many,
     raise_first,
+    spans_equal,
     subspace_equal,
     subspace_intersect,
 )
@@ -619,7 +621,11 @@ def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
     The fiber radius is halved (down to a floor) until no trajectory
     leaves the domain box; the radius actually used is recorded.
     Immersion rank and the zero-section tangent identity
-    TP = span[dX, sharp(J)] are checked at every sample.
+    TP = span[dX, sharp(J)] are checked at every sample, in stacked steps:
+    the ranks of dPhi come from one rank_svd_many call, whose orths also
+    serve the principal angles against the expected frames [dX | PI J] of
+    the zero rows (a second rank_svd_many call).  The first failing sample
+    in read order raises, its rank defect before its tangent mismatch.
     """
     for radius_used in _halvings(radius):
         us, zetas = _sigma_grid(comp, u_counts, radius_used, per_u, seed)
@@ -629,17 +635,19 @@ def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
     else:
         raise ValueError("flow leaves the domain box even at the radius floor")
     sat = SaturationChart(comp, steps, us, zetas, res.x, jacs, etas, radius_used)
-    dim = sat.model_dim
-    ranks = [r[0] for r in rank_svd_many(jacs)]
-    for i, (u, z) in enumerate(zip(us, zetas)):
-        if ranks[i] != dim:
-            raise RankDeficient(
-                f"chart rank defect at u = {tuple(u.tolist())}, zeta = {tuple(z.tolist())}")
-        if np.allclose(z, 0.0):
-            fr = frames[i]
-            expected = np.hstack([fr.dx, fr.p @ fr.j])
-            if not subspace_equal(jacs[i], expected, tol=1e-6):
-                raise RankDeficient(f"zero-section tangent mismatch at u = {tuple(u.tolist())}")
+    decided = rank_svd_many(jacs)
+    defect = next((i for i, r in enumerate(decided) if r[0] != sat.model_dim), len(us))
+    # the samples before the first rank defect whose zeta passes np.allclose(zeta, 0.0)
+    zero = np.flatnonzero(np.all(np.abs(zetas[:defect]) <= 1e-8, axis=1)).tolist()
+    expected = [np.hstack([frames[i].dx, frames[i].p @ frames[i].j]) for i in zero]
+    equal = spans_equal([jacs[i] for i in zero], [decided[i] for i in zero],
+                        expected, rank_svd_many(expected), tol=1e-6)
+    for i, ok in zip(zero, equal):
+        if not ok:
+            raise RankDeficient(f"zero-section tangent mismatch at u = {tuple(us[i].tolist())}")
+    if defect < len(us):
+        raise RankDeficient(f"chart rank defect at u = {tuple(us[defect].tolist())}, "
+                            f"zeta = {tuple(zetas[defect].tolist())}")
     return sat
 
 
@@ -901,7 +909,7 @@ class GotayModel(FrameAligner):
         and the _FD_H-stencil of (x, c), whose bivectors give the Jacobi
         gradients; a failure of its stacked step comes before any extraction.
         The pullbacks that reproduce L along the zero section are one
-        stacked step.
+        stacked step, and so are their principal angles against L.
         """
         k, m = self.dim, self.fiber_dim
         rng = np.random.default_rng(seed)
@@ -916,12 +924,13 @@ class GotayModel(FrameAligner):
         conormal = np.vstack([np.zeros((k, m)), np.eye(m)])
         backs = raise_first(dirac_pullback_many(
             dirac_graph_many(np.array(ps[::span]), "bivector"), [incl] * samples))
-        for i, back in zip(range(0, len(ps), span), backs):
+        angs = principal_angles_many([back.basis for back in backs],
+                                     [ls[i].basis for i in range(0, len(ps), span)])
+        for i, ang in zip(range(0, len(ps), span), angs):
             p, p0, *stencil = ps[i:i + span]
             image = p @ conormal
             resid = image - incl @ (incl.T @ image)
             coiso = max(coiso, float(np.abs(resid).max(initial=0.0)))
-            ang = principal_angles(back.basis, ls[i].basis)
             angles = max(angles, float(ang.max(initial=0.0)))
             grads = _central_diff(np.array(stencil), _FD_H)
             cyclic = (np.einsum("lk,lij->ijk", p0, grads) + np.einsum("li,ljk->ijk", p0, grads)

@@ -22,8 +22,12 @@ matrices are assembled once, after the last step.
 
 When PI is constant (dPI = 0) the right-hand side (sharp(xi), [0 | PI])
 does not depend on the state, so it is evaluated once per flow and
-serves as all four stages of every step; the steps, the exit test and
-the accumulators are those of the general path, bit for bit.  When PI
+serves as all four stages of every step, and the step's increment
+(h/6)(k1 + 2 k2 + 2 k3 + k4) is formed once per flow too; the steps, the
+exit test and the accumulators are those of the general path, bit for
+bit.  On either path a step adds its increment as it is while every
+trajectory is alive (the gate would multiply it by 1.0, which is exact),
+and gated from the step after the first exit.  When PI
 is linear (dPI reads no coordinate, as on so(3)*), dPI is one array and
 xi is frozen, so bmat = dPI . xi is formed once per flow and every stage
 contracts it with its own T; each stage still evaluates PI at its state.
@@ -102,6 +106,17 @@ def _rhs(bv, x, xi, top, bmat=None):
     return xdot, tdot
 
 
+def _increment(h, kx, kt):
+    """The RK4 increment (h/6)(k1 + 2 k2 + 2 k3 + k4) of x and of top
+    (None without a variational block), from the four stages' slopes."""
+    k1, k2, k3, k4 = kx
+    dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if kt[0] is None:
+        return dx, None
+    k1, k2, k3, k4 = kt
+    return dx, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def flow(
     bv: BivectorField,
     x0,
@@ -141,8 +156,12 @@ def flow(
     alive = bv.inside(x)
     # for a constant PI every stage has the same xdot, and tdot is [0 | p]:
     # the general path's bmat @ top term is all +-0 there, and adding a
-    # zero of either sign to top leaves its bits, so one call serves the flow
-    fixed = _rhs(bv, x, xi, top) if bv.constant else None
+    # zero of either sign to top leaves its bits, so one call serves the
+    # flow, and so does the step's increment (h/6)(k1 + 2 k2 + 2 k3 + k4)
+    fixed = None
+    if bv.constant:
+        kx, kt = _rhs(bv, x, xi, top)
+        fixed = _increment(h, [kx] * 4, [kt] * 4)
     bmat = None
     if top is not None and bv.linear and not bv.constant:
         # a linear PI's kernel returns one dPI at every x, so this is every
@@ -150,6 +169,7 @@ def flow(
         # entry that fails raises before its partial does
         bv.matrix(x)
         bmat = _dpi_xi(bv, x, xi)
+    every = True  # every trajectory is alive: the gate is all 1.0, and x * 1.0 is x
     for s in range(steps):
         if fixed is None:
             k1x, k1t = _rhs(bv, x, xi, top, bmat)
@@ -158,13 +178,18 @@ def flow(
             k3x, k3t = _rhs(bv, x + 0.5 * h * k2x, xi,
                             None if top is None else top + 0.5 * h * k2t, bmat)
             k4x, k4t = _rhs(bv, x + h * k3x, xi, None if top is None else top + h * k3t, bmat)
+            dx, dtop = _increment(h, (k1x, k2x, k3x, k4x), (k1t, k2t, k3t, k4t))
         else:
-            (k1x, k1t) = (k2x, k2t) = (k3x, k3t) = (k4x, k4t) = fixed
-        gate = alive.astype(float)
-        x += (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x) * gate[:, None]
+            dx, dtop = fixed
+        if not every:
+            gate = alive.astype(float)
+            dx = dx * gate[:, None]
+            dtop = None if top is None else dtop * gate[:, None, None]
+        x += dx
         if top is not None:
-            top += (h / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t) * gate[:, None, None]
+            top += dtop
         alive &= bv.inside(x)
+        every = every and bool(alive.all())
         if with_omega:
             w = (h / 3.0) * (1.0 if s == steps - 1 else (4.0 if s % 2 == 0 else 2.0))
             b = top[:, :, n:]

@@ -572,7 +572,7 @@ def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, arg
 
 @pytest.mark.parametrize("job,single,stacked", [("analyze-cubic-graph", 0, 2706),
                                                ("gotay-verify", 1, 3409),
-                                               ("verify-figure-eight", 101, 2255)],
+                                               ("verify-figure-eight", 1, 2280)],
                          ids=["analyze-cubic-graph", "gotay-verify", "verify-figure-eight"])
 def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
     # every matrix that reaches a rank decision is counted where it enters:
@@ -583,9 +583,10 @@ def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
     # L of the constant form once, kernels and inclusions at the 500
     # distinct points that its stencils read, 140 lifts (one per distinct
     # x), the gauge and extraction of all 200 rows, and 20 pullbacks.
-    # verify on figure-eight decides 2356 matrices; every complement frame's
+    # verify on figure-eight decides 2281 matrices; every complement frame's
     # null and inclusion rank are stacked over the memo misses of one frames
-    # call, so 101 remain single
+    # call, and the zero-section check stacks the ranks of its 25 expected
+    # frames and reuses dPhi's, so 1 remains single
     real, real_many = linear.rank_svd, linear.rank_svd_many
     count = {"single": 0, "stacked": 0}
 
@@ -613,6 +614,25 @@ def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
         code, _ = run_main(["analyze", write_fixture(tmp_path, "cubic-graph")])
         assert code == 3
     assert count == {"single": single, "stacked": stacked}
+
+
+def test_svd_rows_are_exact(tmp_path, monkeypatch):
+    # every matrix np.linalg.svd receives is counted, one per matrix of a
+    # stack: the rank rules run it once per distinct matrix of a call, so the
+    # 2281 rank-decided matrices of verify on figure-eight reach it as 210
+    # rows (2356 decisions were 2356 rows before), and the zero-section
+    # check's principal angles add two singular-value rows per zero sample (50)
+    real = np.linalg.svd
+    rows = []
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a) if np.ndim(a) == 3 else 1)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    code, _ = run_main(["verify", write_fixture(tmp_path, "figure-eight"), "--steps", "32"])
+    assert code == 0
+    assert sum(rows) == 260
 
 
 @pytest.mark.parametrize("target", [pytest.param("pullback_dirac_rows", id="pullback_dirac"),

@@ -150,6 +150,28 @@ def test_print_non_finite_literals():
         assert str(parse(text, 1)) == printed
 
 
+def test_print_reparse_round_trip_non_finite_literals():
+    # inf and nan read back as the literals str prints, so trees with
+    # +-inf and NaN literals round-trip: the same tree, the same printed
+    # form, and the same EvalError when evaluated
+    x = expr.Var(0)
+    trees = [parse("x - 1e400", 1), parse("-1e400*x", 1), parse("sin(x*1e400)", 1),
+             expr.Mul(x, Num(-math.inf)), expr.Sub(Num(math.nan), x),
+             expr.Add(x, expr.Pow(expr.Sub(Num(math.inf), x), 2)), expr.Div(Num(-math.nan), x)]
+    pts = np.array([[0.5], [-2.0]])
+    for tree in trees:
+        back = parse(str(tree), 1)
+        assert repr(back) == repr(tree) and str(back) == str(tree)
+        errors = []
+        for e in (tree, back):
+            with pytest.raises(EvalError) as err:
+                evaluate(e, pts)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+    # a variable of that name still wins over the literal
+    assert parse("inf - nan", 2, names={"inf": 0, "nan": 1}) == expr.Sub(expr.Var(0), expr.Var(1))
+
+
 def test_round_trip_derivative_trees_property():
     # random points, derivative trees of increasing depth still round-trip
     e = parse("sin(x*y) + exp(x - y^2)", 2)

@@ -817,3 +817,91 @@ def test_stacked_orth_and_null_of_a_mixed_rank_stack_keep_per_row_strides():
                                       (null_row, ref[2])):
                         assert _same(out, want) and out.strides == want.strides
             assert sorted(r[0] for r in many) == sorted(ranks.tolist())
+
+
+def test_rank_rows_decide_each_distinct_matrix_once(monkeypatch):
+    # repeated matrices, matrices that differ only by the sign of a zero,
+    # mixed ranks, an all-zero row and per-row scales (one matrix repeated
+    # under three scales decides three ranks): the SVD runs once per
+    # distinct live matrix, and every row is still bitwise rank_svd of its
+    # matrix alone, with the same strides and a buffer no other row shares
+    rng = np.random.default_rng(41)
+    d, k = 4, 3
+    plus = np.eye(d, k)
+    minus = plus.copy()
+    minus[0, 1] = -0.0
+    distinct = [rng.standard_normal((d, r)) @ rng.standard_normal((r, k)) for r in (3, 2, 1, 3)]
+    distinct += [plus, minus, np.zeros((d, k))]
+    order = [0, 1, 0, 4, 2, 5, 6, 1, 3, 4, 0, 5, 2, 6, 0]
+    scales = [None, 2.0, 1e9, None, 0.5, None, None, None, 3.0, 1.0, 5.0, None, None, 1.0, None]
+    real = np.linalg.svd
+    seen = []
+
+    def svd(a, *args, **kwargs):
+        seen.append(len(a) if a.ndim == 3 else 1)
+        return real(a, *args, **kwargs)
+
+    stack = np.array([distinct[i] for i in order])
+    for ms, row_scales in ((stack, scales), (list(stack), scales), (stack[::-1], scales[::-1]),
+                           (list(np.asfortranarray(stack)), scales)):
+        rows = list(ms)
+        refs = [rank_svd(m, s) for m, s in zip(rows, row_scales)]
+        seen.clear()
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        got = linear.rank_svd_many(ms, row_scales)
+        monkeypatch.setattr(np.linalg, "svd", real)
+        assert sum(seen) == len(distinct) - 1  # the zero matrix never reaches the SVD
+        assert len({r[0] for r in got}) > 2
+        for m, s, out, ref in zip(rows, row_scales, got, refs):
+            for want in (ref, _rank_ref(m, s)):
+                assert out[0] == want[0]
+                for a, b in ((out[1], want[1]), (out[2], want[2])):
+                    assert _same(a, b) and a.strides == b.strides
+        arrays = [(i, a) for i, out in enumerate(got) for a in out[1:] if a.size]
+        for i, a in arrays:
+            for j, b in arrays:
+                assert i == j or not np.shares_memory(a, b)
+
+
+def _angles_ref(a, b):
+    # the per-pair angle rules that principal_angles_many replaced
+    qa = a if linear._orthonormal_rows(a[None])[0] else rank_svd(a)[1]
+    qb = b if linear._orthonormal_rows(b[None])[0] else rank_svd(b)[1]
+    if qa.shape[1] == 0 or qb.shape[1] == 0:
+        return np.zeros(0)
+    m = qa.T @ qb
+    mn = min(qa.shape[1], qb.shape[1])
+    cosines = np.linalg.svd(m, compute_uv=False)[:mn]
+    sines = np.sort(np.linalg.svd(qb - qa @ m, compute_uv=False))[:mn]
+    return np.where(cosines**2 >= 0.5, np.arcsin(np.clip(sines, 0.0, 1.0)),
+                    np.arccos(np.clip(cosines, -1.0, 1.0)))
+
+
+def test_stacked_principal_angles_and_subspace_equal_are_bitwise_per_pair():
+    # pairs of several shapes in one call: orthonormal and loose bases,
+    # rank-deficient ones, empty spans, equal and nearly equal spans, and a
+    # Fortran-ordered basis; every row is bitwise the per-pair rules, and
+    # spans_equal on stacked rank decisions is the rank test plus the angle
+    # test per pair
+    rng = np.random.default_rng(42)
+    pairs = []
+    for d, ka, kb in [(5, 2, 2), (5, 3, 2), (4, 2, 3), (6, 3, 3), (4, 0, 2)]:
+        for _ in range(3):
+            a = rng.standard_normal((d, ka))
+            b = a @ rng.standard_normal((ka, kb)) if ka else rng.standard_normal((d, kb))
+            pairs += [(a, b), (np.linalg.qr(a)[0], b + 1e-9 * rng.standard_normal((d, kb))),
+                      (np.asfortranarray(a), rng.standard_normal((d, kb)))]
+    low = rng.standard_normal((5, 1)) @ rng.standard_normal((1, 2))
+    pairs += [(low, low), (low, rng.standard_normal((5, 2))), (np.zeros((5, 2)), np.zeros((5, 2)))]
+    as_, bs = [p[0] for p in pairs], [p[1] for p in pairs]
+    for got, one, (a, b) in zip(linear.principal_angles_many(as_, bs),
+                                [linear.principal_angles(a, b) for a, b in pairs], pairs):
+        want = _angles_ref(a, b)
+        assert _same(got, want) and _same(one, want)
+    for tol in (1e-10, 1e-6):
+        verdicts = linear.spans_equal(as_, linear.rank_svd_many(as_), bs,
+                                      linear.rank_svd_many(bs), tol)
+        assert verdicts == [subspace_equal(a, b, tol) for a, b in pairs]
+        assert verdicts == [rank_svd(a)[0] == rank_svd(b)[0]
+                            and bool(_angles_ref(a, b).max(initial=0.0) <= tol) for a, b in pairs]
+        assert True in verdicts and False in verdicts

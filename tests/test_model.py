@@ -764,6 +764,55 @@ def test_saturation_ray_open(so3_ray):
     assert model.verify_saturation_poisson(sat, tol=1e-8)["ok"]
 
 
+def _zero_section_loop(us, zetas, dim, frames, jacs):
+    # the per-sample check of dPhi that the stacked one replaced
+    for i, (u, z) in enumerate(zip(us, zetas)):
+        if rank_svd(jacs[i])[0] != dim:
+            raise RankDeficient(
+                f"chart rank defect at u = {tuple(u.tolist())}, zeta = {tuple(z.tolist())}")
+        if np.allclose(z, 0.0):
+            fr = frames[i]
+            if not subspace_equal(jacs[i], np.hstack([fr.dx, fr.p @ fr.j]), tol=1e-6):
+                raise RankDeficient(f"zero-section tangent mismatch at u = {tuple(u.tolist())}")
+
+
+@pytest.mark.parametrize("mismatch,defects,failing", [
+    (4, [], "mismatch-4"), (4, [1], "defect-1"), (4, [6], "mismatch-4"),
+    (8, [4], "defect-4"), (None, [5, 2], "defect-2"), (8, [8], "defect-8")])
+def test_zero_section_check_raises_the_first_failing_sample(coiso_line, monkeypatch,
+                                                            mismatch, defects, failing):
+    # rows 0, 4 and 8 of the 3 x (1 + 3) grid are zero rows; a mismatch
+    # turns one zero row's dPhi off the expected [dX | PI J] (full rank
+    # kept), a defect drops a row's last column.  The first failing sample in
+    # read order raises, its rank defect before its tangent mismatch, with
+    # the message the per-sample loop raises on the same rows
+    bv, chart = coiso_line
+    comp = model.ComplementChoice(bv, chart, mode="coisotropic")
+    real_bundle_flow = model._bundle_flow
+    seen = {}
+
+    def corrupted(comp, us, zetas, *args, **kwargs):
+        frames, res, dphi, etas = real_bundle_flow(comp, us, zetas, *args, **kwargs)
+        if mismatch is not None:
+            dphi[mismatch, :, 1] = [0.0, 0.0, 1.0]
+        for i in defects:
+            dphi[i, :, -1] = 0.0
+        seen.update(us=us, zetas=zetas, frames=frames, dphi=dphi)
+        return frames, res, dphi, etas
+
+    monkeypatch.setattr(model, "_bundle_flow", corrupted)
+    with pytest.raises(RankDeficient) as stacked:
+        model.saturation_chart(comp, steps=32, u_counts=3, radius=0.2)
+    kind, row = failing.split("-")
+    u, z = (tuple(seen[key][int(row)].tolist()) for key in ("us", "zetas"))
+    assert str(stacked.value) == (f"zero-section tangent mismatch at u = {u}" if kind == "mismatch"
+                                  else f"chart rank defect at u = {u}, zeta = {z}")
+    with pytest.raises(RankDeficient) as loop:
+        _zero_section_loop(seen["us"], seen["zetas"], comp.chart.param_dim + comp.rank_perp,
+                           seen["frames"], seen["dphi"])
+    assert str(loop.value) == str(stacked.value)
+
+
 def test_saturation_radius_halving():
     bv = field.flat_rank2_r3()
     # chart near the domain wall: y-flows exit at radius 1, so the fiber
