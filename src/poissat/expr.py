@@ -160,6 +160,15 @@ def _is_num(e, v=None):
     return isinstance(e, Num) and (v is None or e.value == v)
 
 
+def _settled(e):
+    """Does e read a variable or is it a finite literal?  Only then may 0*e,
+    0/e and e^0 fold: a non-finite literal, or constant arithmetic such as
+    1/0, is left for evaluate to report."""
+    if isinstance(e, Num):
+        return bool(np.isfinite(e.value))
+    return any(isinstance(n, Var) for n in _nodes(e))
+
+
 def add(a, b):
     if _is_num(a, 0.0):
         return b
@@ -181,7 +190,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
+    if (_is_num(a, 0.0) and _settled(b)) or (_is_num(b, 0.0) and _settled(a)):
         return Num(0.0)
     if _is_num(a, 1.0):
         return b
@@ -193,7 +202,7 @@ def mul(a, b):
 
 
 def div(a, b):
-    if _is_num(a, 0.0):
+    if _is_num(a, 0.0) and _settled(b) and not _is_num(b, 0.0):
         return Num(0.0)
     if _is_num(b, 1.0):
         return a
@@ -204,7 +213,7 @@ def div(a, b):
 
 def pow_(base, k):
     k = int(k)
-    if k == 0:
+    if k == 0 and _settled(base):
         return Num(1.0)
     if k == 1:
         return base
@@ -410,22 +419,31 @@ def derive(e: Expression, i: int) -> Expression:
     if isinstance(e, Sub):
         return sub(derive(e.a, i), derive(e.b, i))
     if isinstance(e, Mul):
-        return add(mul(derive(e.a, i), e.b), mul(e.a, derive(e.b, i)))
+        return add(_dmul(derive(e.a, i), e.b), _dmul(e.a, derive(e.b, i)))
     if isinstance(e, Div):
-        num = sub(mul(derive(e.a, i), e.b), mul(e.a, derive(e.b, i)))
-        return div(num, mul(e.b, e.b))
+        num = sub(_dmul(derive(e.a, i), e.b), _dmul(e.a, derive(e.b, i)))
+        return Num(0.0) if _is_num(num, 0.0) else div(num, _dmul(e.b, e.b))
     if isinstance(e, Pow):
-        return mul(mul(Num(float(e.exponent)), pow_(e.base, e.exponent - 1)), derive(e.base, i))
+        return _dmul(_dmul(Num(float(e.exponent)), pow_(e.base, e.exponent - 1)), derive(e.base, i))
     if isinstance(e, Neg):
         return neg(derive(e.a, i))
     if isinstance(e, Call):
         da = derive(e.a, i)
         if e.func == "sin":
-            return mul(Call("cos", e.a), da)
+            return _dmul(Call("cos", e.a), da)
         if e.func == "cos":
-            return neg(mul(Call("sin", e.a), da))
-        return mul(e, da)  # exp
+            return neg(_dmul(Call("sin", e.a), da))
+        return _dmul(e, da)  # exp
     raise TypeError(f"not an Expression: {e!r}")
+
+
+def _dmul(a, b):
+    """mul for derivative trees, where a literal zero is the exact partial
+    of a constant: the product folds to 0 whatever the other factor is (and
+    derive's quotient rule folds a 0 numerator the same way)."""
+    if _is_num(a, 0.0) or _is_num(b, 0.0):
+        return Num(0.0)
+    return mul(a, b)
 
 
 def evaluate(e: Expression, pts):
@@ -479,10 +497,7 @@ def compile_kernel(slots, shape):
     re-runs evaluate slot by slot in slot order, which raises the
     EvalError naming the first failing entry's operation and point.
 
-    kernel.constant is true when no tree reads a variable.  Such a kernel
-    keeps a copy of the first row of its first finite result with at
-    least one row, and from then on returns fresh broadcast copies of it;
-    a call that fails is never kept.
+    kernel.constant is true when no tree reads a variable.
     """
     namespace = {f: getattr(np, f) for f in FUNCS}
     names = {}  # structural key -> local name
@@ -530,21 +545,14 @@ def compile_kernel(slots, shape):
     exec(compile(source, "<poissat kernel>", "exec"), namespace)
     fill = namespace["fill"]
     shape = tuple(shape)
-    constant = "cols[" not in source
-    template = None
 
     def kernel(pts):
-        nonlocal template
-        if template is not None:
-            return np.broadcast_to(template, (pts.shape[0],) + shape).copy()
         out = np.zeros((pts.shape[0],) + shape)
         cols = tuple(np.ascontiguousarray(pts[:, i]) for i in range(pts.shape[1]))
         try:
             with np.errstate(all="ignore"):
                 fill(cols, out)
             if np.isfinite(out).all():
-                if constant and len(out):
-                    template = out[0].copy()
                 return out
         except ArithmeticError:
             pass
@@ -553,7 +561,7 @@ def compile_kernel(slots, shape):
         return out
 
     kernel.source = source
-    kernel.constant = constant
+    kernel.constant = "cols[" not in source
     return kernel
 
 

@@ -248,28 +248,17 @@ def cotangent_path_residual(bv: BivectorField, result: FlowResult):
     return resid.max(axis=(1, 2))
 
 
-class DualPairReport:
-    def __init__(self, ranks, property1, property2, realization, tol):
-        self.ranks = ranks
-        self.property1 = property1  # (residual, ok)
-        self.property2 = property2  # (dim, expected, ok)
-        self.realization = realization  # (dim, expected, ok)
-        self.tol = tol
-
-    @property
-    def ok(self):
-        return self.property1[1] and self.property2[2] and self.realization[2]
-
-
-def dual_pair_check(bv: BivectorField, chart: Chart, u, steps=1024, tol=1e-8):
-    """Rank and orthogonality conditions of the projection/exponential pair.
+def dual_pair_check(bv: BivectorField, chart: Chart, u, steps=1024):
+    """Rank and orthogonality data of the projection/exponential pair.
 
     At the state (X(u), 0) over a regular point of the chart this builds
     S1 = ker d(pr), S2 = ker d(exp) and K = ker of the averaged form
-    restricted to the fiber bundle over X, and reports:
-      property1: the averaged form pairs S1 against S2 to zero;
-      property2: dim(S1 cap K cap S2) = (k+n) - k - (k + rank TXperp);
-      realization: dim(S2 cap T(pr^-1 X)) = n - rank TXperp.
+    restricted to the fiber bundle over X, and measures:
+      pairing: the averaged form on S1 x (S2 within the bundle), scaled,
+        which the pair's first property makes zero;
+      triple_dim: dim(S1 cap K cap S2), expected (k+n) - k - (k + rank TXperp);
+      realization_dim: dim(S2 cap T(pr^-1 X)), expected n - rank TXperp;
+    and ranks, the dimensions of S1, S2 and K.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     pd = point_data(bv, chart, u)
@@ -291,17 +280,12 @@ def dual_pair_check(bv: BivectorField, chart: Chart, u, steps=1024, tol=1e-8):
     kern = orth(fiber @ null(omega_b))
     scale = max(np.abs(omega).max(), 1.0)
     s2_in_fiber = subspace_intersect(s2, orth(fiber))
-    prop1_res = float(np.abs(s1.T @ omega @ s2_in_fiber).max(initial=0.0)) / scale
     triple = subspace_intersect(subspace_intersect(s1, kern), s2)
-    prop2_dim = triple.shape[1]
-    prop2_expected = n - k - r
-    real_dim = s2_in_fiber.shape[1]
-    real_expected = n - r
-    ranks = {"s1": n, "s2": s2.shape[1], "kernel": kern.shape[1]}
-    return DualPairReport(
-        ranks,
-        (prop1_res, prop1_res <= tol),
-        (prop2_dim, prop2_expected, prop2_dim == prop2_expected),
-        (real_dim, real_expected, real_dim == real_expected),
-        tol,
-    )
+    return {
+        "ranks": {"s1": n, "s2": s2.shape[1], "kernel": kern.shape[1]},
+        "pairing": float(np.abs(s1.T @ omega @ s2_in_fiber).max(initial=0.0)) / scale,
+        "triple_dim": triple.shape[1],
+        "triple_expected": n - k - r,
+        "realization_dim": s2_in_fiber.shape[1],
+        "realization_expected": n - r,
+    }

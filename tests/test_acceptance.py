@@ -25,9 +25,9 @@ from poissat.model import (
     compare_complements,
     full_fiber_landing,
     saturation_chart,
+    saturation_residuals,
     sigma_tau,
     verify_normal_form,
-    verify_saturation_poisson,
 )
 from poissat.sprayflow import dual_pair_check, exp_chi, flow, cotangent_path_residual
 from poissat.submanifold import Chart, regularity_scan
@@ -184,7 +184,7 @@ def test_criterion_06_saturation_geometry():
     sat = saturation_chart(comp, u_counts=5, radius=0.2, per_u=3)
     planar = float(np.abs(sat.points[:, 2]).max())
     ranks_ok = all(rank_svd(j)[0] == 2 for j in sat.jacs)
-    resid = verify_saturation_poisson(sat, tol=1e-8)
+    resid = float(saturation_residuals(sat).max())
     land = full_fiber_landing(sat, radius=0.05)
 
     so3 = so3_star()
@@ -193,10 +193,11 @@ def test_criterion_06_saturation_geometry():
     comp_s = ComplementChoice(so3, sphere, mode="default")
     sat_s = saturation_chart(comp_s, u_counts=5)
     on_chart = float(np.abs(sat_s.points - sphere.points(sat_s.us)).max())
-    ok = (planar <= 1e-8 and ranks_ok and resid["ok"] and land["ok"]
+    ok = (planar <= 1e-8 and ranks_ok and resid <= 1e-8
+          and land["checked"] > 0 and land["max_distance"] <= 1e-4
           and comp_s.rank_perp == 0 and sat_s.model_dim == 2 and on_chart <= 1e-12)
     _line(6, "saturation geometry", ok,
-          f"line: |z| {planar:.2e}, residual {resid['max_residual']:.2e}; "
+          f"line: |z| {planar:.2e}, residual {resid:.2e}; "
           f"sphere: fiber rank {comp_s.rank_perp}, P vs X {on_chart:.2e}")
 
 
@@ -205,25 +206,25 @@ def test_criterion_07_dual_pair():
     ok = True
     for (bv, chart), name in ((coiso_line(), "line"), (sympl_plane(), "plane")):
         for u in chart.grid(3):
-            rep = dual_pair_check(bv, chart, u, tol=1e-8)
-            ok = ok and rep.ok
-        details.append(f"{name}: pairing {rep.property1[0]:.2e}, "
-                       f"triple rank {rep.property2[0]}={rep.property2[1]}")
+            rep = dual_pair_check(bv, chart, u)
+            ok = (ok and rep["pairing"] <= 1e-8
+                  and rep["triple_dim"] == rep["triple_expected"]
+                  and rep["realization_dim"] == rep["realization_expected"])
+        details.append(f"{name}: pairing {rep['pairing']:.2e}, "
+                       f"triple rank {rep['triple_dim']}={rep['triple_expected']}")
     _line(7, "dual pair conditions", ok, "; ".join(details))
 
 
 def test_criterion_08_normal_form():
     bv, chart = coiso_line()
     rep_line = verify_normal_form(
-        saturation_chart(ComplementChoice(bv, chart, mode="coisotropic"), radius=0.2),
-        tol=1e-5)
+        saturation_chart(ComplementChoice(bv, chart, mode="coisotropic"), radius=0.2))
     bv4, plane = sympl_plane()
-    rep_plane = verify_normal_form(
-        saturation_chart(ComplementChoice(bv4, plane), radius=0.2), tol=1e-5)
+    rep_plane = verify_normal_form(saturation_chart(ComplementChoice(bv4, plane), radius=0.2))
     so3, ray = so3_ray()
-    rep_ray = verify_normal_form(
-        saturation_chart(ComplementChoice(so3, ray), radius=0.05), tol=1e-4)
-    ok = rep_line["ok"] and rep_plane["ok"] and rep_ray["ok"]
+    rep_ray = verify_normal_form(saturation_chart(ComplementChoice(so3, ray), radius=0.05))
+    ok = (rep_line["max_mismatch"] <= 1e-5 and rep_plane["max_mismatch"] <= 1e-5
+          and rep_ray["max_mismatch"] <= 1e-4)
     _line(8, "normal form pushforward", ok,
           f"line {rep_line['max_mismatch']:.2e}, plane {rep_plane['max_mismatch']:.2e}, "
           f"ray {rep_ray['max_mismatch']:.2e}")
@@ -318,9 +319,9 @@ def test_criterion_11_model_independence():
     coiso = ComplementChoice(bv, chart, mode="coisotropic")
     skewed = ComplementChoice(bv, chart, mode="custom",
                               w=np.array([[0.3, 0.2], [1.0, 0.0], [0.0, 1.0]]))
-    rep_modes = compare_complements(default, coiso, count=50, tol=1e-4)
-    rep_skew = compare_complements(default, skewed, count=50, tol=1e-4)
-    ok = rep_modes["ok"] and rep_skew["ok"]
+    rep_modes = compare_complements(default, coiso, count=50)
+    rep_skew = compare_complements(default, skewed, count=50)
+    ok = all(rep["checked"] > 0 and rep["max_mismatch"] <= 1e-4 for rep in (rep_modes, rep_skew))
     _line(11, "model independence", ok,
           f"default/coisotropic {rep_modes['max_mismatch']:.2e}, "
           f"default/skewed {rep_skew['max_mismatch']:.2e} over 50 samples")

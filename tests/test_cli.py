@@ -148,9 +148,18 @@ def test_nonconstant_g_rejected():
         complement_of(text)
 
 
+# a g column that reads u but vanishes at the domain's corners and at
+# chart.sample(3, seed=7): constancy is decided from the expression, not
+# from values at probe points (its value at u = 0.5 is -0.00283)
+_ROOTS = "*".join(f"(u - {a!r})" for a in
+                  build_chart(scene_of("coiso-line"), 3).sample(3, seed=7)[:, 0].tolist())
+
+
 @pytest.mark.parametrize("command", ["analyze", "all"])
 @pytest.mark.parametrize("columns, error", [
     ('mode = coisotropic\ng = "1" "u" "0"', "line 17: 'g' must be a constant frame"),
+    (f'mode = coisotropic\ng = "1" "(u^2 - 1)*{_ROOTS}" "0"',
+     "line 17: 'g' must be a constant frame"),
     ('mode = custom\nw = "1/(u-u)" "1" "0"\nw = "0" "0" "1"',
      "non-finite result from division at point (-1.0,)"),
     ("mode = custom", "custom mode needs a w frame"),
@@ -161,8 +170,8 @@ def test_nonconstant_g_rejected():
      "line 17: complement mode 'pre_poisson' reads no 'w' column"),
     ('mode = custom\nw = "0" "1" "0"\nw = "0" "0" "1"\ng = "0" "0" "1"',
      "line 19: complement mode 'custom' reads no 'g' column"),
-], ids=["nonconstant-g", "non-finite-w", "custom-without-w", "unread-g-default",
-        "unread-h-coisotropic", "unread-w-pre-poisson", "unread-g-custom"])
+], ids=["nonconstant-g", "g-vanishing-at-probes", "non-finite-w", "custom-without-w",
+        "unread-g-default", "unread-h-coisotropic", "unread-w-pre-poisson", "unread-g-custom"])
 def test_bad_frame_column_exits_4_before_any_stage(tmp_path, monkeypatch, command, columns, error):
     # a frame column is a scene value: analyze no longer passes a scene that
     # a later stage rejects, and no stage runs; so is a column that the mode
@@ -408,6 +417,55 @@ def test_verification_failure_exits_2(tmp_path):
     assert rep["exit_code"] == 2
 
 
+# coiso-line with its symplectic leaf tilted out of the z = 0 plane: there
+# the saturation residual is a nonzero rounding (coiso-line's own is exactly
+# 0.0, and a tolerance must be positive)
+TILTED_COISO_LINE = FIXTURES["coiso-line"].replace('entry = 1 2 "1"',
+                                                   'entry = 1 2 "1"\nentry = 1 3 "1"')
+
+
+@pytest.mark.parametrize("text, key, stage, measured", [
+    (TILTED_COISO_LINE, "tol_saturation", "saturate", "max_residual"),
+    (FIXTURES["coiso-line"], "tol_landing", "saturate", "landing_distance"),
+    (FIXTURES["coiso-line"], "tol_normal", "verify", "max_mismatch"),
+], ids=["saturation", "landing", "normal"])
+def test_stage_compares_the_measured_value_with_the_scene_tolerance(text, key, stage, measured):
+    # a tolerance equal to the measured value passes; the float below it
+    # fails that stage alone, with exit 2
+    _, clean, _ = run_scene(parse_scene(text), "all", steps_override=32)
+    value = float(clean["stages"][stage][measured])
+    assert value > 0.0
+    for tol, code, status in ((value, 0, "pass"), (float(np.nextafter(value, 0)), 2, "fail")):
+        got, rep, _ = run_scene(parse_scene(f"{text}{key} = {tol!r}\n"), "all",
+                                steps_override=32)
+        assert (got, rep["stages"][stage]["status"], rep["stages"][stage][key]) == (
+            code, status, tol)
+        assert rep["stages"][stage][measured] == value
+        assert all(rep["stages"][s]["status"] == "pass" for s in rep["stages"] if s != stage)
+
+
+def test_saturate_fails_when_every_landing_probe_leaves_the_box(monkeypatch):
+    # a box 0.008 thin across the leaf: the saturation grid fits at a halved
+    # radius, but every landing probe (radius 0.05) leaves it, so landing
+    # measures nothing and its distance reads 0.0; a check that measured no
+    # probe fails
+    text = FIXTURES["coiso-line"].replace(
+        "domain = -2 2\n", "domain = -2 2\ndomain = -0.004 0.004\ndomain = -2 2\n", 1)
+    landings = []
+    real = cli.full_fiber_landing
+
+    def recording(*args, **kwargs):
+        landings.append(real(*args, **kwargs))
+        return landings[-1]
+
+    monkeypatch.setattr(cli, "full_fiber_landing", recording)
+    code, rep, _ = run_scene(parse_scene(text), "saturate", steps_override=32)
+    assert [(land["checked"], land["skipped"]) for land in landings] == [(0, 10)]
+    stage = rep["stages"]["saturate"]
+    assert (code, stage["status"], stage["landing_distance"]) == (2, "fail", 0.0)
+    assert stage["max_residual"] <= stage["tol_saturation"]
+
+
 PRE_POISSON_LINE = """\
 [poisson]
 dim = 4
@@ -502,6 +560,11 @@ def _line_scene(entry="x", component="0"):
     pytest.param(_line_scene(entry="1/0"), "division", id="1/0-division"),
     # a constant chart component is evaluated like any other
     pytest.param(_line_scene(component="1e400"), "evaluation", id="component 1e400-evaluation"),
+    # 0*e, 0/e and e^0 fold only when e reads a variable or is a finite literal
+    pytest.param(_line_scene(entry="0/0"), "division", id="0/0-division"),
+    pytest.param(_line_scene(entry="0*(1/0)"), "division", id="0*(1/0)-division"),
+    pytest.param(_line_scene(entry="0*1e400"), "evaluation", id="0*1e400-evaluation"),
+    pytest.param(_line_scene(entry="(1/0)^0"), "division", id="(1/0)^0-division"),
     pytest.param('[presymplectic]\ndim = 2\nentry = 1 2 "x + 1/0"\n', "division",
                  id="presymplectic x + 1/0-division"),
 ])

@@ -70,6 +70,12 @@ def test_eval_error_mentions_operation_and_point():
     ("exp(1000*x) + 1/(x - x)", "exp"),
     ("1/(x - x) + exp(1000*x)", "division"),
     ("-(x/(x - x))", "division"),  # negation is not checked
+    # 0*e, 0/e and e^0 fold only when e reads a variable or is a finite
+    # literal, so non-finite literal arithmetic reaches evaluate
+    ("0/0", "division"),
+    ("0*(1/0)", "division"),
+    ("0*1e400", "evaluation"),  # folds as literal arithmetic, to nan
+    ("(1/0)^0", "division"),
 ])
 def test_eval_error_label_table(text, label):
     with pytest.raises(EvalError) as err:

@@ -224,29 +224,28 @@ def test_dual_pair_sympl_plane():
     bv = symplectic_r4()
     plane = Chart(2, 4, ["u", "v", "0", "0"], names=["u", "v"])
     rep = dual_pair_check(bv, plane, [0.2, -0.1], steps=64)
-    assert rep.realization == (2, 2, True)
-    assert rep.property2 == (0, 0, True)
-    assert rep.property1[1]
-    assert rep.ok
+    assert (rep["realization_dim"], rep["realization_expected"]) == (2, 2)
+    assert (rep["triple_dim"], rep["triple_expected"]) == (0, 0)
+    assert rep["pairing"] <= 1e-8
 
 
 def test_dual_pair_zero_structure_line():
     bv = zero_structure(3)
     line = Chart(1, 3, ["u", "0", "0"], names=["u"])
     rep = dual_pair_check(bv, line, [0.3], steps=16)
-    assert rep.ranks["s2"] == 3
-    assert rep.property2 == (2, 2, True)
-    assert rep.realization == (3, 3, True)
-    assert rep.ok
+    assert rep["ranks"]["s2"] == 3
+    assert (rep["triple_dim"], rep["triple_expected"]) == (2, 2)
+    assert (rep["realization_dim"], rep["realization_expected"]) == (3, 3)
+    assert rep["pairing"] <= 1e-8
 
 
 def test_dual_pair_coiso_line():
     bv = flat_rank2_r3()
     line = Chart(1, 3, ["u", "0", "0"], names=["u"])
     rep = dual_pair_check(bv, line, [0.4], steps=64)
-    assert rep.property2 == (1, 1, True)
-    assert rep.realization == (2, 2, True)
-    assert rep.ok
+    assert (rep["triple_dim"], rep["triple_expected"]) == (1, 1)
+    assert (rep["realization_dim"], rep["realization_expected"]) == (2, 2)
+    assert rep["pairing"] <= 1e-8
 
 
 def test_dual_pair_rejects_irregular_point():
