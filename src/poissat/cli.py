@@ -33,7 +33,7 @@ from . import CONVENTION, __version__
 from .expr import EvalError, Neg, compile_kernel, parse
 from .field import BivectorField, JacobiError
 from .fixtures import FIXTURES
-from .linear import RankDeficient, dirac_graph_many
+from .linear import RankDeficient, dirac_graph_many, rank_svd
 from .model import (
     COMPLEMENT_MODES,
     RADIUS_FLOOR,
@@ -410,7 +410,7 @@ class _PoissonStages:
         invariants = {}
         if comp.mode == "pre_poisson":
             rows = marle_invariants(comp, grid)
-            invariants = {"quotient_rank": int(rows[0]["quotient"].rank()),
+            invariants = {"quotient_rank": int(rank_svd(rows[0]["quotient"])[0]),
                           "cross_residual": max(r["cross_residual"] for r in rows)}
         tols = self.model_tolerances
         ok = (zero_resid <= tols["eta_zero_section"] and closed <= tols["eta_closedness"]
@@ -423,7 +423,7 @@ class _PoissonStages:
             "status": "pass" if ok else "fail",
             "rank_perp": int(comp.rank_perp),
             "cap_dim": int(comp.cap_dim),
-            "sigma_rank": int(sigma.rank()),
+            "sigma_rank": int(rank_svd(sigma)[0]),
             "tau_max": float(np.abs(tau).max(initial=0.0)),
             "eta_zero_section_residual": zero_resid,
             "eta_closedness_residual": float(closed),

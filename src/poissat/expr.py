@@ -17,6 +17,7 @@ straight-line numpy function for repeated evaluation.
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from dataclasses import dataclass, fields
@@ -169,21 +170,32 @@ def _settled(e):
     return any(isinstance(n, Var) for n in _nodes(e))
 
 
+def _fold(node, a, b):
+    """node(a, b), as one literal when a and b are literals and the
+    arithmetic stays finite; otherwise evaluate names the operation."""
+    if _is_num(a) and _is_num(b):
+        try:
+            value = node.op(a.value, b.value)
+            if math.isfinite(value):
+                return Num(value)
+        except ArithmeticError:  # 1/0
+            pass
+    return node(a, b)
+
+
 def add(a, b):
     if _is_num(a, 0.0):
         return b
     if _is_num(b, 0.0):
         return a
-    if _is_num(a) and _is_num(b):
-        return Num(a.value + b.value)
-    return Add(a, b)
+    return _fold(Add, a, b)
 
 
 def sub(a, b):
     if _is_num(b, 0.0):
         return a
     if _is_num(a) and _is_num(b):
-        return Num(a.value - b.value)
+        return _fold(Sub, a, b)
     if _is_num(a, 0.0):
         return neg(b)
     return Sub(a, b)
@@ -196,9 +208,7 @@ def mul(a, b):
         return b
     if _is_num(b, 1.0):
         return a
-    if _is_num(a) and _is_num(b):
-        return Num(a.value * b.value)
-    return Mul(a, b)
+    return _fold(Mul, a, b)
 
 
 def div(a, b):
@@ -206,9 +216,7 @@ def div(a, b):
         return Num(0.0)
     if _is_num(b, 1.0):
         return a
-    if _is_num(a) and _is_num(b) and b.value != 0.0:
-        return Num(a.value / b.value)
-    return Div(a, b)
+    return _fold(Div, a, b)
 
 
 def pow_(base, k):

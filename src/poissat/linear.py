@@ -415,57 +415,15 @@ def annihilator(basis):
     return null(np.atleast_2d(np.asarray(basis, dtype=float)).T)
 
 
-class SkewForm:
-    """Skew bilinear form; stores the strict lower triangle only, so the
-    reconstructed matrix is antisymmetric exactly, by construction."""
-
-    def __init__(self, matrix):
-        m = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("square matrix required")
-        self._lower = _strict_lower(m)
-
-    @property
-    def n(self):
-        return self._lower.shape[0]
-
-    @property
-    def matrix(self):
-        return self._lower - self._lower.T
-
-    def rank(self):
-        return rank_svd(self.matrix)[0]
-
-
-def _strict_lower(m):
-    """Strict lower triangle of the antisymmetric part of every matrix of m."""
-    return np.tril((m - np.swapaxes(m, -1, -2)) / 2.0, -1)
-
-
-def _skew_rows(forms):
-    """SkewForm(f).matrix (f.matrix for a SkewForm) of every form, stacked.
-
-    The forms that are matrices go through one _strict_lower as a stack, a
-    SkewForm gives its stored lower triangle, and the stack of lower
-    triangles L gives L - L^T; every step is elementwise, so each row is
-    bitwise its SkewForm's .matrix.  A (g, n, n) array is one stack as it is.
-    """
-    if isinstance(forms, np.ndarray) and forms.ndim == 3:
-        ms = forms.astype(float, copy=False)
-        if ms.shape[1] != ms.shape[2]:
-            raise ValueError("square matrix required")
-        lower = _strict_lower(ms)
-    else:
-        lowers = [f._lower if isinstance(f, SkewForm) else None for f in forms]
-        raw = [i for i, f in enumerate(lowers) if f is None]
-        if raw:
-            ms = [np.atleast_2d(np.asarray(forms[i], dtype=float)) for i in raw]
-            if any(m.shape[0] != m.shape[1] for m in ms):
-                raise ValueError("square matrix required")
-            for i, f in zip(raw, _strict_lower(np.stack(ms))):
-                lowers[i] = f
-        lower = np.stack(lowers)
-    return lower - np.swapaxes(lower, 1, 2)
+def skew(m):
+    """The exactly antisymmetric part of an (n, n) matrix or of every matrix
+    of a (g, n, n) stack: L - L^T for L the strict lower triangle of
+    (m - m^T)/2.  Every step is elementwise, so skew is bitwise idempotent."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError("square matrix required")
+    lower = np.tril((m - np.swapaxes(m, -1, -2)) / 2.0, -1)
+    return lower - np.swapaxes(lower, -1, -2)
 
 
 def dirac_pairing(n):
@@ -598,7 +556,7 @@ def dirac_graph(obj, kind):
     """Graph Dirac space of a bivector or a two-form.
 
     kind="bivector": {(P a, a)} for the antisymmetric matrix P.
-    kind="two_form": {(v, i_v omega)} for a SkewForm (or matrix) omega.
+    kind="two_form": {(v, i_v omega)} for skew(omega).
     """
     if kind == "bivector":
         obj = np.atleast_2d(np.asarray(obj, dtype=float))
@@ -613,7 +571,7 @@ def dirac_graph_many(objs, kind):
         eyes = np.broadcast_to(np.eye(ps.shape[-1]), ps.shape)
         return dirac_spaces(np.concatenate([ps, eyes], axis=1))
     if kind == "two_form":
-        cs = _skew_rows(objs)
+        cs = skew(objs)
         eyes = np.broadcast_to(np.eye(cs.shape[-1]), cs.shape)
         return dirac_spaces(np.concatenate([eyes, np.swapaxes(cs, 1, 2)], axis=1))
     raise ValueError(f"kind must be 'bivector' or 'two_form', got {kind!r}")
@@ -629,7 +587,7 @@ def dirac_gauge_many(spaces, etas):
     """dirac_gauge of every (L, eta) pair, in stacked steps."""
 
     def step(spaces, etas):
-        cs = _skew_rows(etas)
+        cs = skew(etas)
         bases = np.stack([space.basis for space in spaces])
         n = bases.shape[1] // 2
         if cs.shape[-1] != n:

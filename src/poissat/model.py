@@ -31,11 +31,9 @@ from .linear import (
     DiracSpace,
     NotPoisson,
     RankDeficient,
-    SkewForm,
     align_frames,
     dirac_gauge,
     dirac_gauge_many,
-    dirac_graph,
     dirac_graph_many,
     dirac_pullback,
     dirac_pullback_many,
@@ -53,6 +51,7 @@ from .linear import (
     rank_svd,
     rank_svd_many,
     raise_first,
+    skew,
     spans_equal,
     subspace_equal,
     subspace_intersect,
@@ -325,7 +324,7 @@ def sigma_tau(comp: ComplementChoice, u):
     velocities with included covectors, tau[a, p] = <dX e_a, J e_p>.
     """
     fr = comp.at(u)
-    sigma = SkewForm(fr.j.T @ fr.p.T @ fr.j)
+    sigma = skew(fr.j.T @ fr.p.T @ fr.j)
     tau = fr.dx.T @ fr.j
     return sigma, tau
 
@@ -406,7 +405,7 @@ def eta_zero_section(comp, u):
     out = np.zeros((k + r, k + r))
     out[:k, k:] = -tau
     out[k:, :k] = tau.T
-    out[k:, k:] = -sigma.matrix
+    out[k:, k:] = -sigma
     return out
 
 
@@ -465,7 +464,7 @@ def local_model_bivector(comp, u, zeta, steps=1024, eta_source="flow"):
         eta = eta_canonical_form_source(comp, u, zeta)
     else:
         raise ValueError(f"unknown eta source {eta_source!r}")
-    return SkewForm(raise_first(_models_from_etas(_lifts(comp, [u]), [eta]))[0])
+    return raise_first(_models_from_etas(_lifts(comp, [u]), [eta]))[0]
 
 
 def _lifts(comp, us):
@@ -753,12 +752,12 @@ def marle_invariants(comp, us):
         fr = comp.at(u)
         c = fr.cap_dim
         sigma, _ = sigma_tau(comp, u)
-        cross = float(np.abs(sigma.matrix[:c, :]).max()) if c else 0.0
+        cross = float(np.abs(sigma[:c, :]).max()) if c else 0.0
         dirac = pullback_dirac(comp.bv, comp.chart, fr, ref_corank=comp.corank)
         out.append({
             "u": tuple(float(v) for v in np.atleast_1d(u)),
             "dirac": dirac,
-            "quotient": SkewForm(sigma.matrix[c:, c:]),
+            "quotient": sigma[c:, c:],
             "cross_residual": cross,
         })
     return out
@@ -803,8 +802,7 @@ def compare_complements(comp_a, comp_b, steps=1024, count=20, radius=0.1, seed=3
         _require_inside(res_b)
         pbs = raise_first(_models_from_etas(_lifts(comp_b, params[:, :k]), etas_b))
         worst_mismatch = max([0.0, *_pushforward_mismatches(
-            jas[kept], [SkewForm(models_a[i]).matrix for i in kept],
-            [jb @ SkewForm(pb).matrix @ jb.T for jb, pb in zip(jbs, pbs)])])
+            jas[kept], [models_a[i] for i in kept], [jb @ pb @ jb.T for jb, pb in zip(jbs, pbs)])])
     return {"max_mismatch": worst_mismatch, "max_projection_distance": max([0.0, *dists]),
             "checked": len(kept), "skipped": len(us) - len(kept)}
 
@@ -813,25 +811,20 @@ class GotayModel(FrameAligner):
     """Coisotropic-embedding model of a Dirac chart.
 
     Given Dirac data L on R^k with constant-rank tangent kernel K (l_source
-    is a constant SkewForm, or a callable that maps an (m, k) stack of
-    points to their m Dirac spaces, a failed row holding its error as a
-    stacked Dirac step's outcomes do), the ambient space is the bundle chart
-    R^k x R^m of K-dual fibers; the bivector is extracted from the
-    canonical-form gauge of the lifted structure.  Frames are aligned to
-    those at the origin for smoothness, every kernel and complement frame
-    of a batch in one stacked alignment, and the fiber inclusion is the
-    solve ComplementChoice uses.  Every bivector comes from one batch path,
+    maps an (m, k) stack of points to their m Dirac spaces, a failed row
+    holding its error as a stacked Dirac step's outcomes do), the ambient
+    space is the bundle chart R^k x R^m of K-dual fibers; the bivector is
+    extracted from the canonical-form gauge of the lifted structure.
+    Frames are aligned to those at the origin for smoothness, every kernel
+    and complement frame of a batch in one stacked alignment, and the fiber
+    inclusion is the solve ComplementChoice uses.  Every bivector comes from one batch path,
     _bivectors, which computes L and the fiber inclusion once per distinct
     point that one call's gauge stencils read.
     """
 
     def __init__(self, dim, l_source):
         self.dim = k = int(dim)
-        if isinstance(l_source, SkewForm):
-            graph = dirac_graph(l_source, "two_form")
-            self._l_at = lambda xs: [graph] * len(xs)
-        else:
-            self._l_at = l_source
+        self._l_at = l_source
         self._refs = {}
         self._vertical = orth(np.vstack([np.eye(k), np.zeros((k, k))]))
         [l0] = raise_first(self._l_at(np.zeros((1, k))))

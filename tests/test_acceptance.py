@@ -18,7 +18,7 @@ from poissat.field import (
     symplectic_r4,
     zero_structure,
 )
-from poissat.linear import SkewForm, dirac_graph, null, orth, principal_angles, rank_svd, subspace_intersect
+from poissat.linear import dirac_graph, null, orth, principal_angles, rank_svd, subspace_intersect
 from poissat.model import (
     ComplementChoice,
     GotayModel,
@@ -289,8 +289,8 @@ def test_criterion_09_specialization_identities():
         comp = ComplementChoice(bv, chart, mode=mode)
         for u in chart.grid(3):
             sigma, _ = sigma_tau(comp, u)
-            if mode == "coisotropic" and sigma.matrix.size:
-                sigma_worst = max(sigma_worst, float(np.abs(sigma.matrix).max()))
+            if mode == "coisotropic" and sigma.size:
+                sigma_worst = max(sigma_worst, float(np.abs(sigma).max()))
         sharp, cap = _complement_conditions(bv, chart, comp, chart.grid(3))
         sharp_worst = max(sharp_worst, sharp)
         cap_worst = max(cap_worst, cap)
@@ -302,9 +302,9 @@ def test_criterion_09_specialization_identities():
 
 
 def test_criterion_10_coisotropic_embedding():
-    got = GotayModel(3, SkewForm(np.array([[0.0, 1.0, 0.0],
-                                           [-1.0, 0.0, 0.0],
-                                           [0.0, 0.0, 0.0]])))
+    graph = dirac_graph(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                        "two_form")
+    got = GotayModel(3, lambda xs: [graph] * len(xs))
     rep = got.verify(samples=20, radius=0.1)
     ok = (rep["jacobi_fd"] <= 1e-10 and rep["coisotropy"] <= 1e-10
           and rep["reproduction_angle"] <= 1e-8)
@@ -335,7 +335,7 @@ def test_criterion_12_fiber_reflection():
         r = int(rng.integers(1, 4))
         s = rng.normal(size=(k, k))
         if rng.uniform() < 0.5:
-            l_base = dirac_graph(SkewForm(s - s.T), "two_form")
+            l_base = dirac_graph(s - s.T, "two_form")
         else:
             l_base = dirac_graph(s - s.T, "bivector")
         a = rng.normal(size=(k, k))

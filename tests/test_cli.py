@@ -394,6 +394,7 @@ def test_negative_seed_exits_4_before_any_stage(tmp_path, fixture, command):
 
 
 @pytest.mark.parametrize("fixture", list(FIXTURES))
+@pytest.mark.build_independent
 def test_seed_sweep_keeps_every_verdict(tmp_path, fixture):
     # the seed moves sample points and probe directions, never a verdict:
     # at [model] seed 1-9, `all` gives seed 0's exit code and stage statuses
@@ -563,7 +564,7 @@ def _line_scene(entry="x", component="0"):
     # 0*e, 0/e and e^0 fold only when e reads a variable or is a finite literal
     pytest.param(_line_scene(entry="0/0"), "division", id="0/0-division"),
     pytest.param(_line_scene(entry="0*(1/0)"), "division", id="0*(1/0)-division"),
-    pytest.param(_line_scene(entry="0*1e400"), "evaluation", id="0*1e400-evaluation"),
+    pytest.param(_line_scene(entry="0*1e400"), "multiplication", id="0*1e400-multiplication"),
     pytest.param(_line_scene(entry="(1/0)^0"), "division", id="(1/0)^0-division"),
     pytest.param('[presymplectic]\ndim = 2\nentry = 1 2 "x + 1/0"\n', "division",
                  id="presymplectic x + 1/0-division"),
@@ -637,6 +638,7 @@ def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, arg
                                                ("gotay-verify", 1, 3409),
                                                ("verify-figure-eight", 1, 2280)],
                          ids=["analyze-cubic-graph", "gotay-verify", "verify-figure-eight"])
+@pytest.mark.build_independent
 def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
     # every matrix that reaches a rank decision is counted where it enters:
     # one per rank_svd call, one per matrix of a rank_svd_many batch, so
@@ -668,8 +670,9 @@ def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
             if getattr(mod, "rank_svd_many", None) is real_many:
                 monkeypatch.setattr(mod, "rank_svd_many", counted_many)
     if job == "gotay-verify":
-        omega = linear.SkewForm(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-        model.GotayModel(3, omega).verify(samples=20)
+        omega = linear.dirac_graph(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                                   "two_form")
+        model.GotayModel(3, lambda xs: [omega] * len(xs)).verify(samples=20)
     elif job == "verify-figure-eight":
         code, _ = run_main(["verify", write_fixture(tmp_path, "figure-eight"), "--steps", "32"])
         assert code == 0
@@ -679,6 +682,7 @@ def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
     assert count == {"single": single, "stacked": stacked}
 
 
+@pytest.mark.build_independent
 def test_svd_rows_are_exact(tmp_path, monkeypatch):
     # every matrix np.linalg.svd receives is counted, one per matrix of a
     # stack: the rank rules run it once per distinct matrix of a call, so the
@@ -921,6 +925,7 @@ def test_tolerances_must_be_finite_and_positive(tmp_path, key, value):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.build_independent
 def test_gotay_verify_alone_matches_all(tmp_path, seed):
     # the alignment references are fixed at construction, so the model
     # stage that `all` runs first does not change the verify numbers
@@ -1028,6 +1033,35 @@ def test_all_reports_match_golden_digests(name):
                                     want_csv=True)
     rep.pop("generated_at")
     assert (code, digest(cli.report_text(rep)), digest(csv_text)) == GOLDEN_ALL_STEPS_32[name]
+
+
+# The same digests for the pre_poisson model stage, whose sigma_rank,
+# quotient_rank and cross_residual no fixture reaches.
+PRE_POISSON_SCENES = {
+    "pre-poisson-line": PRE_POISSON_LINE,
+    "coiso-line-pre-poisson": FIXTURES["coiso-line"].replace("mode = coisotropic",
+                                                             "mode = pre_poisson"),
+}
+GOLDEN_PRE_POISSON_STEPS_32 = {
+    "pre-poisson-line": (0, "286b4e8edad8a83771ebb45bf65b9a63581efa8de182403b9ef969d337df1199",
+        "4ac0022c7131fcd5e350a76ad0c2da37741c95e0e188a1ce15604f9097d9e73c"),
+    "coiso-line-pre-poisson": (0,
+        "9a67fd87e5cfe5db4dda369db686af534d6fbf25bd49cfb5296f43f6b03ba393",
+        "635672099cdf2b459a2503c7b90da8f2c5b677791b413b047fee47dd0ad28017"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_PRE_POISSON_STEPS_32))
+def test_pre_poisson_reports_match_golden_digests(name):
+    def digest(text):
+        return None if text is None else hashlib.sha256(text.encode()).hexdigest()
+
+    assert "mode = pre_poisson" in PRE_POISSON_SCENES[name]
+    code, rep, csv_text = run_scene(parse_scene(PRE_POISSON_SCENES[name]), "all", scene_name=name,
+                                    steps_override=32, want_csv=True)
+    rep.pop("generated_at")
+    assert "quotient_rank" in rep["stages"]["model"]
+    assert (code, digest(cli.report_text(rep)), digest(csv_text)) == GOLDEN_PRE_POISSON_STEPS_32[name]
 
 
 def test_report_field_order_stable():

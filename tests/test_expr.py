@@ -74,9 +74,16 @@ def test_eval_error_mentions_operation_and_point():
     # literal, so non-finite literal arithmetic reaches evaluate
     ("0/0", "division"),
     ("0*(1/0)", "division"),
-    ("0*1e400", "evaluation"),  # folds as literal arithmetic, to nan
     ("(1/0)^0", "division"),
+    # two literals fold only to a finite literal; overflow and NaN keep the node
+    ("0*1e400", "multiplication"),
+    ("1e200*1e200", "multiplication"),
+    ("1e308+1e308", "addition"),
+    ("-1e308-1e308", "subtraction"),
+    ("1e300/1e-300", "division"),
+    ("x + 0*1e400", "multiplication"),
 ])
+@pytest.mark.build_independent
 def test_eval_error_label_table(text, label):
     with pytest.raises(EvalError) as err:
         evaluate(parse(text, 1), [1.0])

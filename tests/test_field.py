@@ -53,6 +53,7 @@ def test_all_standard_structures_certify():
     (field.flat_rank2_r3s1, True),
     (field.zero_structure, True),
 ])
+@pytest.mark.build_independent
 def test_constant_structures_certify_without_partials(monkeypatch, make, constant):
     bv = make()
     assert bv.constant is constant

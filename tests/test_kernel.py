@@ -204,6 +204,7 @@ CONSTANT_SLOTS = [
 ]
 
 
+@pytest.mark.build_independent
 def test_constant_kernel_matches_its_uncached_result_bitwise():
     kernel = compile_kernel(CONSTANT_SLOTS, (3, 3))
     assert kernel.constant and not compile_kernel([((0,), Var(0))], (1,)).constant
@@ -222,6 +223,7 @@ def test_constant_kernel_matches_its_uncached_result_bitwise():
     assert np.signbit(kernel(pts)[:, 0, 1]).all()
 
 
+@pytest.mark.build_independent
 def test_constant_kernel_returns_a_fresh_writable_array_per_call():
     kernel = compile_kernel(CONSTANT_SLOTS, (3, 3))
     pts = np.zeros((4, 2))
@@ -241,6 +243,7 @@ def test_constant_kernel_returns_a_fresh_writable_array_per_call():
     (Num(float("inf")), "evaluation"),  # the kernel fills inf without raising
     (Call("exp", Num(1000.0)), "exp"),
 ])
+@pytest.mark.build_independent
 def test_constant_kernel_failure_is_never_cached(tree, operation):
     kernel = compile_kernel([((0,), Num(2.0)), ((1,), tree)], (2,))
     assert kernel.constant

@@ -8,7 +8,6 @@ from poissat.linear import (
     DiracSpace,
     NotPoisson,
     RankDeficient,
-    SkewForm,
     annihilator,
     dirac_gauge,
     dirac_graph,
@@ -36,10 +35,10 @@ def random_dirac(rng, n):
     if kind == 0:
         return dirac_graph(random_skew(rng, n), "bivector")
     if kind == 1:
-        return dirac_graph(SkewForm(random_skew(rng, n)), "two_form")
+        return dirac_graph(random_skew(rng, n), "two_form")
     big = dirac_graph(random_skew(rng, n + 1), "bivector")
     a = rng.standard_normal((n + 1, n))
-    return dirac_pullback(dirac_gauge(big, SkewForm(random_skew(rng, n + 1))), a)
+    return dirac_pullback(dirac_gauge(big, random_skew(rng, n + 1)), a)
 
 
 def test_rank_svd_so3_frozen():
@@ -63,6 +62,7 @@ def test_rank_svd_near_rank_boundary():
     assert rank_svd(np.diag([1e-3, 5e-9]), scale=1.0)[0] == 1  # ... or with scale
 
 
+@pytest.mark.build_independent
 def test_empty_spans_take_the_general_path():
     # callers take annihilators and complements of empty spans with no
     # branch of their own: null of a (0, n) matrix is eye(n) and orth of an
@@ -107,15 +107,6 @@ def test_subspace_intersect():
     assert np.allclose(np.abs(cap[:, 0]), [1.0, 0.0, 0.0])
 
 
-def test_skewform_exact_antisymmetry():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((5, 5))
-    f = SkewForm(m)
-    assert np.array_equal(f.matrix, -f.matrix.T)
-    u, w = rng.standard_normal(5), rng.standard_normal(5)
-    assert u @ f.matrix @ w == pytest.approx(-(w @ f.matrix @ u), abs=0.0)
-
-
 def test_dirac_graph_isotropy_and_blocks():
     p = np.array([[0.0, 1.0], [-1.0, 0.0]])
     L = dirac_graph(p, "bivector")
@@ -124,7 +115,7 @@ def test_dirac_graph_isotropy_and_blocks():
     v = np.concatenate([p @ [0, 1], [0, 1]])
     coeff = L.basis.T @ v
     assert np.linalg.norm(L.basis @ coeff - v) <= 1e-12
-    G = dirac_graph(SkewForm(p), "two_form")
+    G = dirac_graph(p, "two_form")
     assert G.kernel_dim() == 0
     with pytest.raises(ValueError):
         dirac_graph(p, "volume_form")
@@ -142,10 +133,10 @@ def test_gauge_is_a_group_action():
         n = int(rng.integers(1, 6))
         L = random_dirac(rng, n)
         a, b = random_skew(rng, n), random_skew(rng, n)
-        lhs = dirac_gauge(dirac_gauge(L, SkewForm(a)), SkewForm(b))
-        rhs = dirac_gauge(L, SkewForm(a + b))
+        lhs = dirac_gauge(dirac_gauge(L, a), b)
+        rhs = dirac_gauge(L, a + b)
         assert subspace_equal(lhs.basis, rhs.basis)
-        zero = dirac_gauge(L, SkewForm(np.zeros((n, n))))
+        zero = dirac_gauge(L, np.zeros((n, n)))
         assert subspace_equal(zero.basis, L.basis)
 
 
@@ -161,7 +152,7 @@ def test_bivector_round_trip():
 def test_two_form_graph_extraction_inverse():
     # graph of an invertible two-form C extracts to -C^{-1}
     c = np.array([[0.0, -1.0], [1.0, 0.0]])
-    p = dirac_to_bivector(dirac_graph(SkewForm(c), "two_form"))
+    p = dirac_to_bivector(dirac_graph(c, "two_form"))
     assert np.allclose(p, -np.linalg.inv(c))
 
 
@@ -169,7 +160,7 @@ def test_not_poisson_defect_dimension():
     # two-form with kernel: graph meets V + 0 in the kernel directions
     c = np.zeros((3, 3))
     c[0, 1], c[1, 0] = 1.0, -1.0
-    L = dirac_graph(SkewForm(c), "two_form")
+    L = dirac_graph(c, "two_form")
     with pytest.raises(NotPoisson) as err:
         dirac_to_bivector(L)
     assert err.value.defect == 1
@@ -204,7 +195,7 @@ def test_pullback_of_bivector_graph_along_submersion():
 
 def test_pullback_rank_deficiency_detected():
     c = np.zeros((2, 2))
-    L = dirac_graph(SkewForm(c), "two_form")  # {(v, 0)}
+    L = dirac_graph(c, "two_form")  # {(v, 0)}
     # map into the zero tangent directions only: backward image collapses
     a = np.zeros((2, 3))
     with pytest.raises(RankDeficient):
@@ -225,8 +216,8 @@ def test_fiberwise_minus_one_gauge_identity():
         c[:k, k:] = j
         c[k:, :k] = -j.T
         mirror = np.diag(np.concatenate([np.ones(k), -np.ones(r)]))
-        lhs = dirac_pullback(dirac_gauge(big, SkewForm(c)), mirror)
-        rhs = dirac_gauge(big, SkewForm(-c))
+        lhs = dirac_pullback(dirac_gauge(big, c), mirror)
+        rhs = dirac_gauge(big, -c)
         assert subspace_equal(lhs.basis, rhs.basis, tol=1e-10)
 
 
@@ -282,6 +273,7 @@ def _align_reference(basis, ref):
 
 
 @pytest.mark.parametrize("layout", ["svd-columns", "transposed-rows"])
+@pytest.mark.build_independent
 def test_stacked_align_frames_is_bitwise_per_row(layout):
     # seeded stacks in the layouts rank_svd hands out (column slices of U, the
     # transposed row slices of V^T as null returns them), each row bitwise
@@ -332,6 +324,7 @@ def _stack_cases(rng):
     return [cases[i] for i in order]
 
 
+@pytest.mark.build_independent
 def test_stacked_rank_svd_many_is_bitwise_rank_svd():
     cases = _stack_cases(np.random.default_rng(7))
     many = linear.rank_svd_many([m for m, _ in cases], scales=[s for _, s in cases])
@@ -355,6 +348,7 @@ def _intersect_per_row(a, b):
     return linear.orth(qa @ ns[: qa.shape[1]])
 
 
+@pytest.mark.build_independent
 def test_stacked_subspace_intersect_many_is_bitwise_per_pair():
     rng = np.random.default_rng(8)
     pairs = []
@@ -417,6 +411,7 @@ def _same(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.build_independent
 def test_stacked_rank_rules_mixed_rows(monkeypatch):
     rng = np.random.default_rng(17)
     rows = []
@@ -483,16 +478,22 @@ def _space_ref(basis):
     return basis
 
 
+def _skew_ref(m):
+    # the per-matrix antisymmetrisation that linear.skew stacks
+    lower = np.tril((m - m.T) / 2.0, -1)
+    return lower - lower.T
+
+
 def _graph_ref(obj, kind):
     if kind == "bivector":
         return _space_ref(np.vstack([obj, np.eye(len(obj))]))
-    c = obj.matrix if isinstance(obj, SkewForm) else SkewForm(obj).matrix
+    c = _skew_ref(obj)
     return _space_ref(np.vstack([np.eye(len(c)), c.T]))
 
 
 def _gauge_ref(basis, eta):
     n = basis.shape[0] // 2
-    c = SkewForm(eta).matrix
+    c = _skew_ref(eta)
     return _space_ref(np.vstack([basis[:n], basis[n:] + c.T @ basis[:n]]))
 
 
@@ -534,11 +535,12 @@ def _forms(rng, n, count):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+@pytest.mark.build_independent
 def test_stacked_dirac_graph_and_spaces_are_bitwise_per_row(n):
     rng = np.random.default_rng(20 + n)
     forms = _forms(rng, n, 9)
     for kind, objs in [("bivector", forms), ("two_form", forms),
-                       ("two_form", [SkewForm(f) for f in forms]),
+                       ("two_form", linear.skew(forms)), ("two_form", list(forms)),
                        ("two_form", rng.standard_normal((9, n, n)))]:
         graphs = linear.dirac_graph_many(objs, kind)
         assert len(graphs) == 9
@@ -556,13 +558,14 @@ def test_stacked_dirac_graph_and_spaces_are_bitwise_per_row(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.build_independent
 def test_stacked_dirac_gauge_and_extraction_are_bitwise_per_row(n):
     rng = np.random.default_rng(30 + n)
     forms = _forms(rng, n, 12)
     spaces = (linear.dirac_graph_many(forms[:6], "bivector")
               + linear.dirac_graph_many(forms[6:], "two_form"))
     etas = 0.3 * rng.standard_normal((12, n, n))
-    for gauged_etas in (etas, list(etas), [SkewForm(e) for e in etas]):
+    for gauged_etas in (etas, list(etas), linear.skew(etas)):
         gauged = linear.dirac_gauge_many(spaces, gauged_etas)
         for space, eta, got in zip(spaces, etas, gauged):
             assert _same(got.basis, dirac_gauge(space, eta).basis)
@@ -584,6 +587,7 @@ def test_stacked_dirac_gauge_and_extraction_are_bitwise_per_row(n):
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (3, 3), (2, 4), (4, 6), (4, 0)])
+@pytest.mark.build_independent
 def test_stacked_dirac_pullback_is_bitwise_per_row(n, k):
     rng = np.random.default_rng(40 + 10 * n + k)
     forms = _forms(rng, n, 8)
@@ -604,6 +608,7 @@ def _raised(fn):
 
 
 @pytest.mark.parametrize("order", ["isotropy-first", "dimension-first"])
+@pytest.mark.build_independent
 def test_stacked_dirac_spaces_raises_as_per_row(order):
     # a later step's failure in an earlier row wins over an earlier step's
     # failure in a later row, as the per-row loop would raise it
@@ -637,6 +642,7 @@ def test_stacked_dirac_spaces_raises_as_per_row(order):
         assert _same(got.basis, ref)
 
 
+@pytest.mark.build_independent
 def test_stacked_dirac_pullback_raises_as_per_row():
     rng = np.random.default_rng(51)
     n, k = 4, 2
@@ -664,6 +670,7 @@ def test_stacked_dirac_pullback_raises_as_per_row():
         assert _same(outcomes[i].basis, got.basis)
 
 
+@pytest.mark.build_independent
 def test_stacked_dirac_to_bivector_keeps_not_poisson_per_row():
     # NotPoisson is a per-row outcome: the other rows still extract, bitwise
     rng = np.random.default_rng(52)
@@ -683,6 +690,7 @@ def test_stacked_dirac_to_bivector_keeps_not_poisson_per_row():
     assert linear.dirac_to_bivector_many([]) == []
 
 
+@pytest.mark.build_independent
 def test_stacked_on_live_keeps_errors_and_groups_in_order():
     calls = []
 
@@ -725,35 +733,47 @@ def test_lagrangian_complement_rejects_nan_at_each_check():
         lagrangian_complement(np.eye(2), omega, [[1.0], [0.0]], ref=[[np.nan], [np.nan]])
 
 
-def _skew_ref(f):
-    # the per-form path the stacked antisymmetrisation replaced
-    return (f if isinstance(f, SkewForm) else SkewForm(f)).matrix
+def _outcomes(rows):
+    """Each row's basis bytes, or its error's type and message."""
+    return [(type(r), str(r)) if isinstance(r, Exception) else r.basis.tobytes() for r in rows]
 
 
-def test_stacked_skew_rows_is_bitwise_per_form():
+@pytest.mark.build_independent
+def test_skew_is_the_per_matrix_arithmetic_bitwise():
+    # one stacked antisymmetrisation: bitwise the per-matrix arithmetic on
+    # +-0, NaN and huge entries, idempotent, and what the Dirac steps that
+    # take forms apply themselves, so feeding them skew(c) changes no bit
     rng = np.random.default_rng(23)
     for n in (1, 2, 3, 5):
-        forms = [rng.standard_normal((n, n)) for _ in range(6)]
-        forms[1] = -np.zeros((n, n))  # every entry -0.0
+        forms = rng.standard_normal((8, n, n))
+        forms[1] = -0.0
         forms[2][-1, 0] = -0.0
         forms[3][0, -1] = np.nan  # the NaN lands in the lower triangle
-        forms[4] = 1e300 * forms[4]
-        stored = [SkewForm(f) for f in forms[:3]]
-        mixed = [stored[0], forms[0], forms[3], stored[1], forms[4].tolist(), stored[2]]
-        for case in (np.array(forms), forms, stored, mixed):
-            got = linear._skew_rows(case)
-            assert got.shape == (len(case), n, n)
-            for row, f in zip(got, case):
-                assert _same(row, _skew_ref(f))
-    # a SkewForm gives its stored triangle, whatever matrix it came from
-    form = SkewForm(np.eye(2))
-    form._lower = np.array([[0.0, 0.0], [-0.0, 0.0]])
-    assert _same(linear._skew_rows([form, np.eye(2)])[0], form.matrix)
-    for case in (np.zeros((2, 2, 3)), [np.eye(2), np.zeros((2, 3))], [SkewForm(np.eye(2)), [1.0, 2.0]]):
+        forms[4] *= 1e300
+        forms[5] = rng.choice([0.0, -0.0], size=(n, n))
+        forms[6] = random_skew(rng, n)
+        got = linear.skew(forms)
+        assert got.shape == forms.shape
+        for form, row in zip(forms, got):
+            assert _same(row, _skew_ref(form))
+            assert _same(linear.skew(form), row)
+            assert _same(linear.skew(row), row)
+        finite = np.isfinite(got).all(axis=(1, 2))
+        assert np.array_equal(got[finite], -np.swapaxes(got[finite], 1, 2))
+        assert _same(linear.skew(forms.tolist()), got)
+        tame = forms[[0, 1, 2, 5, 6, 7]]  # no NaN or overflow for the Dirac checks
+        spaces = linear.dirac_graph_many(tame, "two_form")
+        assert _outcomes(spaces) == _outcomes(linear.dirac_graph_many(linear.skew(tame), "two_form"))
+        etas = rng.standard_normal((6, n, n))
+        etas[1:3] = tame[1:3]
+        assert _outcomes(linear.dirac_gauge_many(spaces, etas)) == _outcomes(
+            linear.dirac_gauge_many(spaces, linear.skew(etas)))
+    for bad in (np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros(3), np.zeros((1, 2, 2, 2))):
         with pytest.raises(ValueError, match="square matrix required"):
-            linear._skew_rows(case)
+            linear.skew(bad)
 
 
+@pytest.mark.build_independent
 def test_stacked_intersect_orth_many_is_bitwise_per_pair():
     # mixed shapes, mixed ranks and zero-column bases in one call: each pair
     # is bitwise the one-pair call and the per-pair np.hstack loop
@@ -779,6 +799,7 @@ def test_stacked_intersect_orth_many_is_bitwise_per_pair():
     assert dims == {0, 1, 2} and len(shapes) > 6 and min(s[0][1] for s in shapes) == 0
 
 
+@pytest.mark.build_independent
 def test_stacked_rank_svd_joined_is_bitwise_per_row_hstack_and_vstack():
     rng = np.random.default_rng(25)
     pairs = []
@@ -799,6 +820,7 @@ def test_stacked_rank_svd_joined_is_bitwise_per_row_hstack_and_vstack():
     assert linear.rank_svd_joined([]) == []
 
 
+@pytest.mark.build_independent
 def test_stacked_orth_and_null_of_a_mixed_rank_stack_keep_per_row_strides():
     # one (g, d, k) stack of every rank: its orth and null rows are views
     # handed out per rank group, equal to per-row rank_svd in bits, shape and
@@ -819,6 +841,7 @@ def test_stacked_orth_and_null_of_a_mixed_rank_stack_keep_per_row_strides():
             assert sorted(r[0] for r in many) == sorted(ranks.tolist())
 
 
+@pytest.mark.build_independent
 def test_rank_rows_decide_each_distinct_matrix_once(monkeypatch):
     # repeated matrices, matrices that differ only by the sign of a zero,
     # mixed ranks, an all-zero row and per-row scales (one matrix repeated
@@ -877,6 +900,7 @@ def _angles_ref(a, b):
                     np.arccos(np.clip(cosines, -1.0, 1.0)))
 
 
+@pytest.mark.build_independent
 def test_stacked_principal_angles_and_subspace_equal_are_bitwise_per_pair():
     # pairs of several shapes in one call: orthonormal and loose bases,
     # rank-deficient ones, empty spans, equal and nearly equal spans, and a

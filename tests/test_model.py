@@ -23,7 +23,7 @@ from poissat.fixtures import FIXTURES
 from poissat.linear import (
     NotPoisson,
     RankDeficient,
-    SkewForm,
+    skew,
     dirac_gauge,
     dirac_graph,
     dirac_graph_many,
@@ -149,6 +149,7 @@ def test_frame_the_mode_never_reads_rejected_before_any_frame(coiso_line, monkey
         model.ComplementChoice(*coiso_line, mode=mode, **frames)
 
 
+@pytest.mark.build_independent
 def test_custom_mode_without_w_rejected_before_any_frame(coiso_line, monkeypatch):
     # the custom mode's one frame column is required: a missing W is named,
     # not left to fail as a shape error inside the inclusion solve
@@ -169,6 +170,7 @@ def _frame_points(chart):
     (field.flat_rank2_r3(), submanifold.Chart(2, 3, ["u1", "0.1*u2^2", "u2"])),
     (field.symplectic_r4(), submanifold.Chart(3, 4, ["u1", "u2", "u3", "0.1*u1*u3"])),
 ], ids=["coiso-line", "flat-parabola", "r4-hypersurface"])
+@pytest.mark.build_independent
 def test_coisotropic_complement_is_the_pre_poisson_case(bv, chart):
     # on a coisotropic chart the cap TXperp cap TX is all of TXperp and
     # H = 0, so both modes build the same W (and hence the same j) up to
@@ -299,6 +301,7 @@ def figure_eight():
     ("iso_line_r4", "pre_poisson", None),
     ("coiso_line", "custom", lambda u: np.array([[0.3 * u[0], 0.0], [1.0, 0.0], [0.0, 1.0]])),
 ], ids=["default-figure-eight", "coisotropic", "pre_poisson", "custom-callable"])
+@pytest.mark.build_independent
 def test_stacked_frames_are_bitwise_per_row(request, name, mode, w):
     # one frames call over many rows gives every frame bitwise as per-row at
     # gives it on a fresh complement, read in reverse order; figure-eight's
@@ -319,6 +322,7 @@ def test_stacked_frames_are_bitwise_per_row(request, name, mode, w):
         assert (a.cap_dim, a.corank, a.conditions) == (b.cap_dim, b.corank, b.conditions)
 
 
+@pytest.mark.build_independent
 def test_stacked_frames_exactness_violation_raises_as_per_row():
     # a tiny constant bivector against a chart differential that grows to
     # 1e10: exactness breaks decisively from about u = 0.35 on, so the
@@ -378,6 +382,7 @@ def _generic_plane_circle():
 
 @pytest.mark.parametrize("name", ["figure-eight", "transversal-ray", "sympl-plane",
                                   "generic-plane-circle"])
+@pytest.mark.build_independent
 def test_stacked_frames_match_a_per_row_reference(name):
     # the stacked default-mode steps against a row-by-row reference of their
     # arithmetic, with references taken from the anchor's point data as the
@@ -428,6 +433,7 @@ def _lagrangian_until_late():
     ("pre_poisson", RankDeficient,
      "reference frame dimension mismatch for 'cap': 2 columns in the reference, 0 in the basis"),
 ], ids=["alignment", "inclusion", "coisotropic-split", "pre-poisson-split"])
+@pytest.mark.build_independent
 def test_stacked_frame_steps_raise_as_per_row(case, error, message):
     # the first failing miss raises what reading row by row raises; the
     # misses before it are memoised, none after it
@@ -456,6 +462,7 @@ def test_stacked_frame_steps_raise_as_per_row(case, error, message):
         assert comp._memo[key].j.tobytes() == alone._memo[key].j.tobytes()
 
 
+@pytest.mark.build_independent
 def test_stacked_annihilation_check_rejects_nan(coiso_line, monkeypatch):
     # a non-finite inclusion fails the annihilation check instead of passing it
     real = model._solve_inclusions
@@ -492,6 +499,7 @@ def _per_axis_diffs(f, u, h, vec=None):
 
 @pytest.mark.parametrize("case", ["figure-eight-j", "so3-circle-j", "gotay-inclusions",
                                   "zero-parameters"])
+@pytest.mark.build_independent
 def test_stacked_central_diff_is_bitwise_per_axis(figure_eight, case):
     # one subtraction over the stacked stencil values, then each axis's own
     # matvec, keeps every bit of the per-axis central difference; figure-eight's
@@ -533,6 +541,7 @@ def test_stacked_central_diff_is_bitwise_per_axis(figure_eight, case):
 
 @pytest.mark.parametrize("name, rows", [("figure-eight", 40), ("transversal-ray", 1),
                                         ("sympl-plane", 7)])
+@pytest.mark.build_independent
 def test_stacked_bundle_flow_products_are_bitwise_per_row(name, rows):
     # dPhi = jac[:n] @ de and eta = -de^T omega de, each one product over the
     # stacks, keep every bit of the per-row products; de is rebuilt row by
@@ -560,7 +569,7 @@ def test_sigma_tau_coiso_line(coiso_line):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
     sigma, tau = model.sigma_tau(comp, [0.3])
-    assert np.abs(sigma.matrix).max() == 0.0
+    assert np.abs(sigma).max() == 0.0
     assert np.allclose(tau, [[1.0]])
 
 
@@ -573,8 +582,8 @@ def test_sigma_tau_transversal_ray(so3_ray):
         sigma, tau = model.sigma_tau(comp, u)
         assert np.abs(tau).max() <= 1e-14
         x = float(u[0]) + 1.0
-        assert np.allclose(np.abs(sigma.matrix), [[0.0, x], [x, 0.0]], atol=1e-12)
-        assert sigma.rank() == 2
+        assert np.allclose(np.abs(sigma), [[0.0, x], [x, 0.0]], atol=1e-12)
+        assert rank_svd(sigma)[0] == 2
 
 
 def test_sigma_zero_structure():
@@ -583,7 +592,7 @@ def test_sigma_zero_structure():
     comp = model.ComplementChoice(bv, chart, mode="default")
     assert comp.rank_perp == 0
     sigma, tau = model.sigma_tau(comp, [0.2])
-    assert sigma.matrix.shape == (0, 0)
+    assert sigma.shape == (0, 0)
     assert tau.shape == (1, 0)
 
 
@@ -627,13 +636,13 @@ def test_model_bivector_coiso_line_closed_form(coiso_line):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
     p = model.local_model_bivector(comp, [0.3], [0.15], steps=64)
-    assert np.allclose(p.matrix, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
+    assert np.allclose(p, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
     # canonical-form route gives the reflected model (coisotropic sign)
     pc = model.local_model_bivector(comp, [0.3], [0.15], steps=64,
                                     eta_source="canonical_form")
-    assert np.allclose(pc.matrix, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
+    assert np.allclose(pc, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
     m = np.diag([1.0, -1.0])
-    assert np.allclose(m @ pc.matrix @ m.T, p.matrix, atol=1e-12)
+    assert np.allclose(m @ pc @ m.T, p, atol=1e-12)
 
 
 def test_model_bivector_ray_rank(so3_ray):
@@ -641,7 +650,7 @@ def test_model_bivector_ray_rank(so3_ray):
     comp = model.ComplementChoice(bv, chart, mode="default")
     p0 = model.local_model_bivector(comp, [0.2], [0.0, 0.0], steps=256)
     sigma, _ = model.sigma_tau(comp, [0.2])
-    assert rank_svd(p0.matrix)[0] == sigma.rank() == 2
+    assert rank_svd(p0)[0] == rank_svd(sigma)[0] == 2
 
 
 def test_model_bivector_zero_structure():
@@ -649,20 +658,20 @@ def test_model_bivector_zero_structure():
     chart = submanifold.Chart(1, 3, ["u", "0", "0"], domain=[[-1.0, 1.0]])
     comp = model.ComplementChoice(bv, chart, mode="default")
     p = model.local_model_bivector(comp, [0.4], [], steps=16)
-    assert p.matrix.shape == (1, 1)
-    assert np.abs(p.matrix).max() == 0.0
+    assert p.shape == (1, 1)
+    assert np.abs(p).max() == 0.0
 
 
 def test_model_matches_gotay_at_zero_section(coiso_line):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="coisotropic")
     # induced Dirac data on the line is the zero bivector in dim 1
-    got = model.GotayModel(1, SkewForm(np.zeros((1, 1))))
+    got = model.GotayModel(1, _constant(np.zeros((1, 1))))
     assert got.fiber_dim == 1
     pg = got.bivector_at([0.3], [0.0])
     pc = model.local_model_bivector(comp, [0.3], [0.0], steps=64,
                                     eta_source="canonical_form")
-    assert np.allclose(pc.matrix, pg, atol=1e-12)
+    assert np.allclose(pc, pg, atol=1e-12)
 
 
 def test_extraction_radius_positive(coiso_line, so3_ray):
@@ -779,6 +788,7 @@ def _zero_section_loop(us, zetas, dim, frames, jacs):
 @pytest.mark.parametrize("mismatch,defects,failing", [
     (4, [], "mismatch-4"), (4, [1], "defect-1"), (4, [6], "mismatch-4"),
     (8, [4], "defect-4"), (None, [5, 2], "defect-2"), (8, [8], "defect-8")])
+@pytest.mark.build_independent
 def test_zero_section_check_raises_the_first_failing_sample(coiso_line, monkeypatch,
                                                             mismatch, defects, failing):
     # rows 0, 4 and 8 of the 3 x (1 + 3) grid are zero rows; a mismatch
@@ -826,6 +836,7 @@ def test_saturation_radius_halving():
 
 @pytest.mark.parametrize("steps", [32, None], ids=["steps-32", "steps-default"])
 @pytest.mark.parametrize("name", ["figure-eight", "coiso-line", "sympl-plane", "zero-structure"])
+@pytest.mark.build_independent
 def test_saturation_oracle_constant_structures(name, steps):
     # on a constant structure the spray is a straight line, so every
     # saturation point is Phi(u, zeta) = X(u) + PI J(u) zeta and the fiber
@@ -841,6 +852,7 @@ def test_saturation_oracle_constant_structures(name, steps):
 
 
 @pytest.mark.parametrize("steps", [32, None], ids=["steps-32", "steps-default"])
+@pytest.mark.build_independent
 def test_saturation_oracle_so3_rotation(steps):
     # on so(3)* the frozen-covector spray from x along xi is the rotation of
     # x about xi by the angle |xi|, so the transversal ray saturates to
@@ -940,6 +952,7 @@ def test_tubular_rank_check_flows_once(coiso_line, monkeypatch):
     assert calls == [50]
 
 
+@pytest.mark.build_independent
 def test_tubular_frames_do_not_depend_on_call_order():
     # the tube frame is aligned to the one at the anchor u0, fixed when the
     # complement is built, whichever of the two asks for a frame first
@@ -1105,9 +1118,15 @@ def test_batched_eta_forms_match_per_row_eta(name):
 # --- Gotay embedding ---
 
 
+def _constant(form):
+    """l_source of a constant two-form: its graph, built once, at every point."""
+    graph = dirac_graph(form, "two_form")
+    return lambda xs: [graph] * len(xs)
+
+
 def test_gotay_presymplectic_plane_closed_form():
-    omega = SkewForm(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    got = model.GotayModel(3, omega)
+    omega = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    got = model.GotayModel(3, _constant(omega))
     assert got.fiber_dim == 1
     expected = np.array([
         [0.0, 1.0, 0.0, 0.0],
@@ -1123,17 +1142,17 @@ def test_gotay_presymplectic_plane_closed_form():
 
 
 def test_gotay_symplectic_input_inverts():
-    omega = SkewForm(np.array([[0.0, 2.0], [-2.0, 0.0]]))
-    got = model.GotayModel(2, omega)
+    omega = np.array([[0.0, 2.0], [-2.0, 0.0]])
+    got = model.GotayModel(2, _constant(omega))
     assert got.fiber_dim == 0
     p = got.bivector_at(np.zeros(2), [])
-    assert np.allclose(p, np.linalg.inv(omega.matrix).T * -1.0, atol=1e-12) or np.allclose(
-        p, -np.linalg.inv(omega.matrix), atol=1e-12)
+    assert np.allclose(p, np.linalg.inv(omega).T * -1.0, atol=1e-12) or np.allclose(
+        p, -np.linalg.inv(omega), atol=1e-12)
 
 
 def test_gotay_fully_isotropic_tangent():
     # L = TX-graph (zero two-form): ambient is the full cotangent chart
-    got = model.GotayModel(2, SkewForm(np.zeros((2, 2))))
+    got = model.GotayModel(2, _constant(np.zeros((2, 2))))
     assert got.fiber_dim == 2
     rep = got.verify(samples=10)
     assert rep["coisotropy"] <= 1e-10
@@ -1160,7 +1179,7 @@ def _x3_form_r4(x):
 
 def _gotay(dim, form):
     return model.GotayModel(
-        dim, lambda xs: dirac_graph_many([SkewForm(form(x)) for x in xs], "two_form"))
+        dim, lambda xs: dirac_graph_many([form(x) for x in xs], "two_form"))
 
 
 def _record_rows(monkeypatch, got, rows):
@@ -1210,6 +1229,7 @@ def test_gotay_memo_is_bitwise_exact(monkeypatch, dim, form, fiber, origin_first
 
 
 @pytest.mark.parametrize("dim, form", [(3, _form_r3), (4, _form_r4)], ids=["r3", "r4"])
+@pytest.mark.build_independent
 def test_stacked_gotay_inclusions_are_bitwise_per_row(monkeypatch, dim, form):
     # verify computes every inclusion in one stacked step, once per distinct
     # point its gauge stencils read, each bitwise the one computed alone
@@ -1238,6 +1258,7 @@ def test_stacked_gotay_inclusions_are_bitwise_per_row(monkeypatch, dim, form):
 
 
 @pytest.mark.parametrize("dim, form", [(3, _form_r3), (4, _form_r4)], ids=["r3", "r4"])
+@pytest.mark.build_independent
 def test_stacked_gotay_verify_is_bitwise_per_row(monkeypatch, dim, form):
     # the per-row reference sends every row of verify through the batch path
     # on its own
@@ -1268,6 +1289,7 @@ def test_stacked_gotay_verify_is_bitwise_per_row(monkeypatch, dim, form):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, ref_seen))
 
 
+@pytest.mark.build_independent
 def test_stacked_gotay_kernel_rank_jump_raises_as_per_row(monkeypatch):
     got = _gotay(4, _x3_form_r4)
     assert got.fiber_dim == 4
@@ -1292,8 +1314,8 @@ def test_gotay_verify_computes_each_inclusion_once(monkeypatch):
         return real(qas, qbs)
 
     monkeypatch.setattr(model, "intersect_orth_many", counted)
-    omega = SkewForm(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    model.GotayModel(3, omega).verify(samples=20)
+    omega = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    model.GotayModel(3, _constant(omega)).verify(samples=20)
     # construction computes the origin's kernel, then its inclusion, which
     # sets the alignment references; verify then makes one stacked
     # _inclusions call with one kernel per distinct point its gauge stencils
@@ -1303,7 +1325,7 @@ def test_gotay_verify_computes_each_inclusion_once(monkeypatch):
 
 def test_gotay_nonconstant_kernel_rejected():
     def l_at(xs):
-        return [dirac_graph(SkewForm(np.array([[0.0, float(x[0])], [-float(x[0]), 0.0]])),
+        return [dirac_graph(np.array([[0.0, float(x[0])], [-float(x[0]), 0.0]]),
                             "two_form") for x in xs]
 
     with pytest.raises(RankDeficient):
@@ -1321,7 +1343,7 @@ def test_marle_invariants_pre_poisson(iso_line_r4):
     rows = model.marle_invariants(comp, chart.grid(5))
     for row in rows:
         assert row["cross_residual"] <= 1e-10
-        assert np.allclose(np.abs(row["quotient"].matrix), [[0.0, 1.0], [1.0, 0.0]], atol=1e-10)
+        assert np.allclose(np.abs(row["quotient"]), [[0.0, 1.0], [1.0, 0.0]], atol=1e-10)
         assert row["dirac"].n == 1
 
 
@@ -1329,13 +1351,13 @@ def test_marle_quotient_specializations(coiso_line, so3_ray):
     bv, chart = coiso_line
     comp = model.ComplementChoice(bv, chart, mode="pre_poisson")
     rows = model.marle_invariants(comp, [[0.1]])
-    assert rows[0]["quotient"].matrix.shape == (0, 0)
+    assert rows[0]["quotient"].shape == (0, 0)
 
     bv, chart = so3_ray
     comp = model.ComplementChoice(bv, chart, mode="pre_poisson")
     sigma, _ = model.sigma_tau(comp, [0.2])
     rows = model.marle_invariants(comp, [[0.2]])
-    assert np.allclose(rows[0]["quotient"].matrix, sigma.matrix, atol=1e-12)
+    assert np.allclose(rows[0]["quotient"], sigma, atol=1e-12)
 
 
 def test_marle_requires_pre_poisson_mode(coiso_line):
@@ -1357,9 +1379,9 @@ def test_fiberwise_reflection_identity_random():
         a = a - a.T
         b = rng.normal(size=(k, r))
         if rng.random() < 0.5:
-            l_base = dirac_graph(SkewForm(rng.normal(size=(k, k))), "two_form")
+            l_base = dirac_graph(rng.normal(size=(k, k)), "two_form")
         else:
-            l_base = dirac_graph(SkewForm(rng.normal(size=(k, k))).matrix, "bivector")
+            l_base = dirac_graph(skew(rng.normal(size=(k, k))), "bivector")
         assert model.fiberwise_reflection_residual(l_base, a, b) <= 1e-12
 
 
@@ -1372,7 +1394,7 @@ def test_fiberwise_reflection_on_fixture_models(coiso_line):
         p_flow = model.local_model_bivector(comp, u, z, steps=64)
         p_can = model.local_model_bivector(comp, u, [-z[0]], steps=64,
                                            eta_source="canonical_form")
-        assert np.allclose(m @ p_can.matrix @ m.T, p_flow.matrix, atol=1e-12)
+        assert np.allclose(m @ p_can @ m.T, p_flow, atol=1e-12)
 
 
 # --- stacked Dirac steps in the model, against one row at a time ---
@@ -1397,6 +1419,7 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("case", ["coiso-line", "sphere-so3"])
+@pytest.mark.build_independent
 def test_stacked_saturation_residuals_are_bitwise_per_row(request, case):
     bv, chart = request.getfixturevalue(case.replace("-", "_"))
     sat = model.saturation_chart(model.ComplementChoice(bv, chart), steps=32, u_counts=3,
@@ -1415,6 +1438,7 @@ def test_stacked_saturation_residuals_are_bitwise_per_row(request, case):
 
 @pytest.mark.parametrize("case, mode, eta_source", [
     ("so3_ray", "default", "flow"), ("coiso_line", "coisotropic", "canonical_form")])
+@pytest.mark.build_independent
 def test_stacked_verify_normal_form_is_bitwise_per_row(request, case, mode, eta_source):
     # lifts, gauges, extractions and pushforward frames of all samples in
     # stacked steps give the per-row loop's mismatches bit for bit
@@ -1434,6 +1458,7 @@ def test_stacked_verify_normal_form_is_bitwise_per_row(request, case, mode, eta_
     assert model._pushforward_mismatches(sat.jacs, models, targets) == mismatches
 
 
+@pytest.mark.build_independent
 def test_stacked_dirac_lifts_are_bitwise_per_row(so3_ray):
     bv, chart = so3_ray
     comp = model.ComplementChoice(bv, chart)
@@ -1448,6 +1473,7 @@ def test_stacked_dirac_lifts_are_bitwise_per_row(so3_ray):
         assert _bits(space.basis) == _bits(submanifold.pullback_dirac(bv, chart, pd).basis)
 
 
+@pytest.mark.build_independent
 def test_stacked_dirac_model_rows_are_bitwise_per_row(coiso_line, so3_ray, monkeypatch):
     # every row that compare_complements, extraction_radius and
     # GotayModel.verify gauge and extract in one batch is bitwise the
@@ -1491,6 +1517,7 @@ def test_stacked_dirac_model_rows_are_bitwise_per_row(coiso_line, so3_ray, monke
     assert [len(out) for _, _, out in pulls][-2:] == [2 * 9, 2]
 
 
+@pytest.mark.build_independent
 def test_stacked_dirac_extraction_raises_as_per_row(coiso_line):
     # rows with no bivector presentation inside a batch: each keeps its own
     # NotPoisson, the rest extract, and a caller that needs every row raises
@@ -1522,6 +1549,7 @@ def test_stacked_dirac_extraction_raises_as_per_row(coiso_line):
 
 @pytest.mark.parametrize("jump_row, flat_row", [(2, 1), (1, 2)],
                          ids=["extraction-first", "lift-first"])
+@pytest.mark.build_independent
 def test_stacked_dirac_lift_and_extraction_raise_as_per_row(coiso_line, monkeypatch,
                                                             jump_row, flat_row):
     # a corank jump that fails one sample's lift, and a plain-lift eta that
@@ -1551,6 +1579,7 @@ def test_stacked_dirac_lift_and_extraction_raise_as_per_row(coiso_line, monkeypa
     assert type(batch.value) is (NotPoisson if flat_row < jump_row else RankDeficient)
 
 
+@pytest.mark.build_independent
 def test_stacked_gotay_form_at_is_bitwise_per_row_and_raises_as_per_row(monkeypatch):
     # the scene's L comes from one kernel call over a stack of points; a
     # non-finite form names the first failing row, as one row at a time did

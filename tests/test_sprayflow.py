@@ -315,6 +315,7 @@ def assert_bitwise(a, b):
     (zero_structure(), ([2.5, 0.5, 0.5], [1.0, -1.0, 0.5])),
 ], ids=["constant", "linear", "non-polynomial", "symplectic-r4", "flat-r3s1", "zero"])
 @pytest.mark.parametrize("with_omega", [False, True], ids=["jac", "omega"])
+@pytest.mark.build_independent
 def test_flow_matches_full_variational_reference_bitwise(bv, exit_state, with_omega):
     rng = np.random.default_rng(3)
     x0 = rng.uniform(-1.0, 1.0, (6, bv.dim))
@@ -334,6 +335,7 @@ def test_flow_matches_full_variational_reference_bitwise(bv, exit_state, with_om
         assert res.omega is None
 
 
+@pytest.mark.build_independent
 def test_linear_flow_forms_dpi_xi_once(monkeypatch):
     # dPI of so(3)* reads no coordinate and xi is frozen, so a jac or omega
     # flow forms dPI . xi once; the non-polynomial structure forms it at
@@ -432,6 +434,7 @@ def exact_so3_flow(x0, xi):
             np.block([[zero, int_a.T], [-int_a, int_b.T - int_b]]))
 
 
+@pytest.mark.build_independent
 def test_exact_variational_flow_on_so3():
     # the flow's x, full jac (the dx/dxi block too) and full omega (the
     # xi-xi block too) against the block exponential; each tolerance is a

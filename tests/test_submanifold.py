@@ -354,6 +354,7 @@ def sin_plane_r3():
                                    names=["u"])),
     lambda: (so3_star(), Chart(0, 3, ["0.5", "0", "0"])),
 ], ids=["figure-eight", "sin-plane-2d", "sin-plane-helix", "point"])
+@pytest.mark.build_independent
 def test_stacked_point_data_rows_is_bitwise_per_row(make):
     bv, chart = make()
     us = np.vstack([chart.grid(9), chart.sample(25, seed=3)])
@@ -377,6 +378,7 @@ def _exactness_breaking():
     return bv, Chart(1, 3, ["0", "0", "exp(20*u)"], names=["u"])
 
 
+@pytest.mark.build_independent
 def test_stacked_exactness_violation_raises_as_per_row():
     bv, chart = _exactness_breaking()
     us = np.array([[-0.5], [0.0], [0.9], [0.6], [0.2]])
@@ -393,6 +395,7 @@ def test_stacked_exactness_violation_raises_as_per_row():
     assert len(point_data_rows(bv, chart, us[[0, 1, 4]])) == 3
 
 
+@pytest.mark.build_independent
 def test_stacked_non_finite_rows_raise_as_per_row():
     # the batch kernel reaches the (1, 2) slot first, failing at row 0.5; row
     # by row, the (2, 3) slot of row -0.2 fails first
