@@ -10,6 +10,9 @@ Convention (recorded in reports): pairing on V + V* is
 <(u,a),(v,b)> = a(v) + b(u), no 1/2 factor; a bivector P acts as
 sharp(a) = P @ a; a two-form C acts as omega(u,w) = u^T C w with
 i_v omega having coefficient vector C^T v.
+
+Skew forms and Dirac spaces are plain arrays; a Dirac space on R^n is a
+(2n, n) basis that dirac_spaces checked.
 """
 
 from __future__ import annotations
@@ -318,14 +321,11 @@ def _angles(qas, qbs):
     return on_live(step, list(zip(qas, qbs)), key=lambda p: (p[0].shape, p[1].shape))
 
 
-def _is_orthonormal(m):
-    return _orthonormal_each([np.asarray(m, dtype=float)])[0]
-
-
 def _orthonormal_each(ms):
-    """_is_orthonormal of every array, with one stacked test per group of
-    2-D matrices that share shape and strides (the strides the product
-    has for one matrix, see _stack_rows)."""
+    """Per array: are its columns orthonormal, as np.allclose(m.T @ m, eye,
+    atol=1e-12) judges?  One stacked test per group of 2-D matrices that
+    share shape and strides (the strides the product has for one matrix,
+    see _stack_rows)."""
 
     def step(group):
         if group[0].ndim != 2:
@@ -433,45 +433,6 @@ def dirac_pairing(n):
     return p
 
 
-class DiracSpace:
-    """Maximal isotropic subspace of V + V*, dim V = n.
-
-    Basis is a (2n, n) orthonormal matrix, tangent block in rows 0..n-1
-    and cotangent block in rows n..2n-1.  Construction enforces dimension
-    exactly n and isotropy under <(u,a),(v,b)> = a(v) + b(u) to 1e-10.
-    It is the one-row case of dirac_spaces.
-    """
-
-    def __init__(self, basis):
-        basis = np.atleast_2d(np.asarray(basis, dtype=float))
-        [self.basis] = raise_first(_dirac_rows(basis[None]))
-        self.n = self.basis.shape[0] // 2
-
-    @classmethod
-    def _checked(cls, basis):
-        space = cls.__new__(cls)
-        space.basis, space.n = basis, basis.shape[0] // 2
-        return space
-
-    @property
-    def tangent(self):
-        return self.basis[: self.n]
-
-    @property
-    def cotangent(self):
-        return self.basis[self.n :]
-
-    def tangent_part(self):
-        """Orthonormal basis of L cap (V + 0), as tangent vectors."""
-        ns = null(self.cotangent)
-        if ns.shape[1] == 0:
-            return np.zeros((self.n, 0))
-        return orth(self.tangent @ ns)
-
-    def kernel_dim(self):
-        return self.tangent_part().shape[1]
-
-
 # Stacked Dirac steps.  Each takes a batch of rows of one shape and runs
 # every SVD, inverse and product of a step on the whole batch.  It returns
 # one outcome per row: the row's result, bitwise what the one-row function
@@ -514,10 +475,16 @@ def on_live(step, rows, *extras, key=None):
     return out
 
 
-def _dirac_rows(stack):
-    """DiracSpace's checks on every (2n, m) basis of a stack: per row the
-    checked basis, or the error the row raises alone."""
-    g, rows, m = stack.shape
+def dirac_spaces(bases):
+    """The one check of Dirac spaces, on every (2n, m) basis of a (g, 2n, m)
+    stack: per row the checked basis, or the error the row raises alone;
+    [] for an empty stack.  A checked basis is (2n, n), orthonormal (a basis
+    of m != n or of loose columns gives way to its orth), tangent block over
+    cotangent block, and isotropic to 1e-10; every Dirac step's result is one."""
+    stack = np.asarray(bases, dtype=float)
+    if not len(stack):
+        return []
+    _, rows, m = stack.shape
     if rows % 2 != 0:
         raise ValueError("basis rows must split into tangent/cotangent blocks")
     n = rows // 2
@@ -542,14 +509,6 @@ def _dirac_rows(stack):
                 else basis for basis, worst in zip(bases, np.abs(pairings).max(axis=(1, 2)))]
 
     return on_live(isotropic, on_live(orthonormal, out))
-
-
-def dirac_spaces(bases):
-    """DiracSpace of every basis of a (g, 2n, m) stack, in stacked steps."""
-    bases = np.asarray(bases, dtype=float)
-    if not len(bases):
-        return []
-    return on_live(lambda checked: [DiracSpace._checked(b) for b in checked], _dirac_rows(bases))
 
 
 def dirac_graph(obj, kind):
@@ -588,7 +547,7 @@ def dirac_gauge_many(spaces, etas):
 
     def step(spaces, etas):
         cs = skew(etas)
-        bases = np.stack([space.basis for space in spaces])
+        bases = np.stack(spaces)
         n = bases.shape[1] // 2
         if cs.shape[-1] != n:
             raise ValueError("gauge form dimension mismatch")
@@ -615,7 +574,7 @@ def dirac_pullback_many(spaces, maps):
 
     def step(spaces, maps):
         maps = np.asarray(maps, dtype=float)
-        bases = np.stack([space.basis for space in spaces])
+        bases = np.stack(spaces)
         _, n, k = maps.shape
         if n != bases.shape[1] // 2:
             raise ValueError("map target dimension mismatch")
@@ -651,7 +610,7 @@ def dirac_to_bivector_many(spaces):
     steps: per row its P, or the NotPoisson the row raises alone."""
 
     def step(spaces):
-        bases = np.stack([space.basis for space in spaces])
+        bases = np.stack(spaces)
         n = bases.shape[1] // 2
         return on_live(extract, [basis if rank >= n else NotPoisson(
             f"no bivector presentation, defect dimension {n - rank}", n - rank)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .field import BivectorField
 from .linear import (
-    DiracSpace,
     NotPoisson,
     RankDeficient,
     align_frames,
@@ -811,15 +810,16 @@ class GotayModel(FrameAligner):
     """Coisotropic-embedding model of a Dirac chart.
 
     Given Dirac data L on R^k with constant-rank tangent kernel K (l_source
-    maps an (m, k) stack of points to their m Dirac spaces, a failed row
-    holding its error as a stacked Dirac step's outcomes do), the ambient
-    space is the bundle chart R^k x R^m of K-dual fibers; the bivector is
-    extracted from the canonical-form gauge of the lifted structure.
-    Frames are aligned to those at the origin for smoothness, every kernel
-    and complement frame of a batch in one stacked alignment, and the fiber
-    inclusion is the solve ComplementChoice uses.  Every bivector comes from one batch path,
-    _bivectors, which computes L and the fiber inclusion once per distinct
-    point that one call's gauge stencils read.
+    maps an (m, k) stack of points to their m Dirac spaces, each a checked
+    (2k, k) basis, a failed row holding its error as a stacked Dirac step's
+    outcomes do), the ambient space is the bundle chart R^k x R^m of K-dual
+    fibers; the bivector is extracted from the canonical-form gauge of the
+    lifted structure.  Frames are aligned to those at the origin for
+    smoothness, every kernel and complement frame of a batch in one stacked
+    alignment, and the fiber inclusion is the solve ComplementChoice uses.
+    Every bivector comes from one batch path, _bivectors, which computes L
+    and the fiber inclusion once per distinct point that one call's gauge
+    stencils read.
     """
 
     def __init__(self, dim, l_source):
@@ -837,7 +837,7 @@ class GotayModel(FrameAligner):
         """Aligned frame of the tangent kernel of every Dirac space in ls, in
         one stacked alignment; the first failing row raises its first error."""
         k = self.dim
-        qls = orth_many([l.basis for l in ls])
+        qls = orth_many(ls)
         caps = intersect_orth_many(qls, [self._vertical] * len(qls))
         return raise_first(self._aligned_many("k", [
             RankDeficient("tangent kernel rank is not constant")
@@ -893,8 +893,11 @@ class GotayModel(FrameAligner):
         and the _FD_H-stencil of (x, c), whose bivectors give the Jacobi
         gradients; a failure of its stacked step comes before any extraction.
         The pullbacks that reproduce L along the zero section are one
-        stacked step, and so are their principal angles against L.
+        stacked step, and so are their principal angles against L.  At
+        least one sample is required: none would measure nothing.
         """
+        if samples < 1:
+            raise ValueError(f"verify needs samples >= 1, got {samples}")
         k, m = self.dim, self.fiber_dim
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-radius, radius, size=(samples, k))
@@ -908,8 +911,7 @@ class GotayModel(FrameAligner):
         conormal = np.vstack([np.zeros((k, m)), np.eye(m)])
         backs = raise_first(dirac_pullback_many(
             dirac_graph_many(np.array(ps[::span]), "bivector"), [incl] * samples))
-        angs = principal_angles_many([back.basis for back in backs],
-                                     [ls[i].basis for i in range(0, len(ps), span)])
+        angs = principal_angles_many(backs, ls[::span])
         for i, ang in zip(range(0, len(ps), span), angs):
             p, p0, *stencil = ps[i:i + span]
             image = p @ conormal
@@ -923,8 +925,9 @@ class GotayModel(FrameAligner):
         return {"coisotropy": coiso, "reproduction_angle": angles, "jacobi_fd": jacobi}
 
 
-def fiberwise_reflection_residual(l_base: DiracSpace, a_block, b_block):
-    """Residual of the fiberwise -1 gauge identity at one instance.
+def fiberwise_reflection_residual(l_base, a_block, b_block):
+    """Residual of the fiberwise -1 gauge identity at one instance, for the
+    (2k, k) Dirac basis l_base on R^k.
 
     Gauge forms of the canonical-form shape [[A, B], [-B^T, 0]] with the
     base block A odd in the fiber coordinate satisfy: pulling the gauged
@@ -933,7 +936,7 @@ def fiberwise_reflection_residual(l_base: DiracSpace, a_block, b_block):
     negated form.  Returns the largest principal angle between the two
     spaces, zero to machine precision.
     """
-    k = l_base.n
+    k = len(l_base) // 2
     a = np.asarray(a_block, dtype=float)
     b = np.atleast_2d(np.asarray(b_block, dtype=float))
     r = b.shape[1]
@@ -944,6 +947,6 @@ def fiberwise_reflection_residual(l_base: DiracSpace, a_block, b_block):
     lifted = dirac_pullback(l_base, dpr)
     left = dirac_pullback(dirac_gauge(lifted, eta_mirror), m)
     right = dirac_gauge(lifted, -eta_here)
-    ang = principal_angles(left.basis, right.basis)
-    fixed = principal_angles(dirac_pullback(lifted, m).basis, lifted.basis)
+    ang = principal_angles(left, right)
+    fixed = principal_angles(dirac_pullback(lifted, m), lifted)
     return float(max(ang.max(initial=0.0), fixed.max(initial=0.0)))

@@ -38,8 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import BivectorField
-# rank_svd is unused: perfbench's rebinding-guard test counts its holders (ROADMAP item 2)
-from .linear import RankDeficient, null, orth, rank_svd, subspace_intersect
+from .linear import RankDeficient, null, orth, subspace_intersect
 from .submanifold import Chart, nearby_point_data, point_data
 
 

@@ -20,11 +20,11 @@ from . import expr, linear
 from .expr import Num, compile_kernel, derive
 from .field import BivectorField
 from .linear import (
-    DiracSpace,
     RankDeficient,
     annihilator,
     dirac_graph_many,
     dirac_pullback_many,
+    dirac_spaces,
     fix_signs,
     on_live,
     orth,
@@ -306,7 +306,8 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
 
 
 def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_corank=None):
-    """Pull the bivector graph back to the chart at the point of pd.
+    """Pull the bivector graph back to the chart at the point of pd: the
+    (2k, k) Dirac basis that dirac_spaces checked, k the chart's dimension.
 
     pd is point_data(bv, chart, u); nothing of it is recomputed.
     route="generic" takes the backward image along the chart Jacobian (the
@@ -333,7 +334,7 @@ def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_cor
         rank, basis, _ = rank_svd(np.reshape(cols, (len(cols), 2 * k)).T)
         if rank != k:
             raise RankDeficient(f"perp route produced dimension {rank}")
-        return DiracSpace(basis)
+        return raise_first(dirac_spaces(basis[None]))[0]
     raise ValueError(f"unknown route {route!r}")
 
 

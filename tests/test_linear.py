@@ -3,9 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from poissat import linear
+from poissat import field, linear, model, submanifold
 from poissat.linear import (
-    DiracSpace,
     NotPoisson,
     RankDeficient,
     annihilator,
@@ -39,6 +38,12 @@ def random_dirac(rng, n):
     big = dirac_graph(random_skew(rng, n + 1), "bivector")
     a = rng.standard_normal((n + 1, n))
     return dirac_pullback(dirac_gauge(big, random_skew(rng, n + 1)), a)
+
+
+def _defect(basis):
+    # dim of L cap (V + 0): n minus the rank of the cotangent block
+    n = len(basis) // 2
+    return n - rank_svd(basis[n:])[0]
 
 
 def test_rank_svd_so3_frozen():
@@ -110,13 +115,13 @@ def test_subspace_intersect():
 def test_dirac_graph_isotropy_and_blocks():
     p = np.array([[0.0, 1.0], [-1.0, 0.0]])
     L = dirac_graph(p, "bivector")
-    assert L.n == 2
+    assert L.shape == (4, 2)
     # graph contains (sharp(dy), dy) = (e1, e2*)
     v = np.concatenate([p @ [0, 1], [0, 1]])
-    coeff = L.basis.T @ v
-    assert np.linalg.norm(L.basis @ coeff - v) <= 1e-12
+    coeff = L.T @ v
+    assert np.linalg.norm(L @ coeff - v) <= 1e-12
     G = dirac_graph(p, "two_form")
-    assert G.kernel_dim() == 0
+    assert _defect(G) == 0
     with pytest.raises(ValueError):
         dirac_graph(p, "volume_form")
 
@@ -124,7 +129,7 @@ def test_dirac_graph_isotropy_and_blocks():
 def test_dirac_rejects_non_isotropic():
     bad = np.vstack([np.eye(2), np.eye(2)])  # <(e,a),(e,a)> = 2
     with pytest.raises(ValueError):
-        DiracSpace(bad)
+        linear.raise_first(linear.dirac_spaces(bad[None]))
 
 
 def test_gauge_is_a_group_action():
@@ -135,9 +140,9 @@ def test_gauge_is_a_group_action():
         a, b = random_skew(rng, n), random_skew(rng, n)
         lhs = dirac_gauge(dirac_gauge(L, a), b)
         rhs = dirac_gauge(L, a + b)
-        assert subspace_equal(lhs.basis, rhs.basis)
+        assert subspace_equal(lhs, rhs)
         zero = dirac_gauge(L, np.zeros((n, n)))
-        assert subspace_equal(zero.basis, L.basis)
+        assert subspace_equal(zero, L)
 
 
 def test_bivector_round_trip():
@@ -164,7 +169,7 @@ def test_not_poisson_defect_dimension():
     with pytest.raises(NotPoisson) as err:
         dirac_to_bivector(L)
     assert err.value.defect == 1
-    assert L.kernel_dim() == 1
+    assert _defect(L) == 1
 
 
 def test_pullback_composes_contravariantly():
@@ -176,7 +181,7 @@ def test_pullback_composes_contravariantly():
         b = rng.standard_normal((m, k))
         one = dirac_pullback(L, a @ b)
         two = dirac_pullback(dirac_pullback(L, a), b)
-        assert subspace_equal(one.basis, two.basis)
+        assert subspace_equal(one, two)
 
 
 def test_pullback_of_bivector_graph_along_submersion():
@@ -185,12 +190,12 @@ def test_pullback_of_bivector_graph_along_submersion():
     L = dirac_graph(p, "bivector")
     dpr = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     up = dirac_pullback(L, dpr)
-    assert up.n == 3
+    assert up.shape == (6, 3)
     # contains the whole fiber direction
     fiber = np.zeros(6)
     fiber[2] = 1.0
-    coeff = up.basis.T @ fiber
-    assert np.linalg.norm(up.basis @ coeff - fiber) <= 1e-12
+    coeff = up.T @ fiber
+    assert np.linalg.norm(up @ coeff - fiber) <= 1e-12
 
 
 def test_pullback_rank_deficiency_detected():
@@ -218,7 +223,7 @@ def test_fiberwise_minus_one_gauge_identity():
         mirror = np.diag(np.concatenate([np.ones(k), -np.ones(r)]))
         lhs = dirac_pullback(dirac_gauge(big, c), mirror)
         rhs = dirac_gauge(big, -c)
-        assert subspace_equal(lhs.basis, rhs.basis, tol=1e-10)
+        assert subspace_equal(lhs, rhs, tol=1e-10)
 
 
 def test_lagrangian_complement_postconditions():
@@ -385,7 +390,7 @@ def test_is_orthonormal_agrees_with_allclose_at_the_boundary():
         cases.append(np.array([[a]]))
     cases += [np.array([[np.nan]]), np.array([[np.inf], [0.0]]), np.array([[1.0, np.nan]]),
               np.zeros((3, 0)), np.eye(3)]
-    verdicts = [linear._is_orthonormal(m) for m in cases]
+    verdicts = linear._orthonormal_each(cases)
     assert verdicts == [old(m) for m in cases]
     assert verdicts[:2] == [True, True] and verdicts[2] is False  # the boundary is inclusive
     assert True in verdicts[3:10] and False in verdicts[3:10]
@@ -460,7 +465,7 @@ def _orthonormal_ref(m):
 
 
 def _space_ref(basis):
-    # DiracSpace's checks one basis at a time, as before stacking
+    # dirac_spaces' checks one basis at a time, as before stacking
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     n = basis.shape[0] // 2
     if basis.shape[1] != n:
@@ -545,15 +550,15 @@ def test_stacked_dirac_graph_and_spaces_are_bitwise_per_row(n):
         graphs = linear.dirac_graph_many(objs, kind)
         assert len(graphs) == 9
         for obj, graph in zip(objs, graphs):
-            assert graph.n == n
-            assert _same(graph.basis, dirac_graph(obj, kind).basis)
-            assert _same(graph.basis, _graph_ref(obj, kind))
+            assert graph.shape == (2 * n, n)
+            assert _same(graph, dirac_graph(obj, kind))
+            assert _same(graph, _graph_ref(obj, kind))
     # spaces given in (2n, m) bases with m != n take the rank step first
-    bases = np.array([np.hstack([g.basis, g.basis @ rng.standard_normal((n, 1))])
+    bases = np.array([np.hstack([g, g @ rng.standard_normal((n, 1))])
                       for g in linear.dirac_graph_many(forms, "two_form")])
     for space, basis in zip(linear.dirac_spaces(bases), bases):
-        assert _same(space.basis, DiracSpace(basis).basis)
-        assert _same(space.basis, _space_ref(basis))
+        assert _same(space, linear.raise_first(linear.dirac_spaces(basis[None]))[0])
+        assert _same(space, _space_ref(basis))
     assert linear.dirac_spaces(np.zeros((0, 2 * n, n))) == []
 
 
@@ -568,13 +573,13 @@ def test_stacked_dirac_gauge_and_extraction_are_bitwise_per_row(n):
     for gauged_etas in (etas, list(etas), linear.skew(etas)):
         gauged = linear.dirac_gauge_many(spaces, gauged_etas)
         for space, eta, got in zip(spaces, etas, gauged):
-            assert _same(got.basis, dirac_gauge(space, eta).basis)
-            assert _same(got.basis, _gauge_ref(space.basis, eta))
+            assert _same(got, dirac_gauge(space, eta))
+            assert _same(got, _gauge_ref(space, eta))
     outcomes = linear.dirac_to_bivector_many(spaces + gauged)
     defects = []
     for space, got in zip(spaces + gauged, outcomes):
         try:
-            ref = _to_bivector_ref(space.basis)
+            ref = _to_bivector_ref(space)
         except NotPoisson as exc:
             assert isinstance(got, NotPoisson)
             assert (str(got), got.defect) == (str(exc), exc.defect)
@@ -596,9 +601,74 @@ def test_stacked_dirac_pullback_is_bitwise_per_row(n, k):
     maps = rng.standard_normal((8, n, k))
     pulled = linear.dirac_pullback_many(spaces, maps)
     for space, a, got in zip(spaces, maps, pulled):
-        assert got.n == k
-        assert _same(got.basis, dirac_pullback(space, a).basis)
-        assert _same(got.basis, _pullback_ref(space.basis, a))
+        assert got.shape == (2 * k, k)
+        assert _same(got, dirac_pullback(space, a))
+        assert _same(got, _pullback_ref(space, a))
+
+
+def _graphs(kind):
+    def case(rng):
+        forms = _forms(rng, 3, 6)
+        return linear.dirac_graph_many(forms, kind), [_graph_ref(f, kind) for f in forms]
+    return case
+
+
+def _gauged(rng):
+    spaces = linear.dirac_graph_many(_forms(rng, 3, 6), "bivector")
+    etas = rng.standard_normal((6, 3, 3))
+    return linear.dirac_gauge_many(spaces, etas), [_gauge_ref(s, e) for s, e in zip(spaces, etas)]
+
+
+def _pulled(rng):
+    spaces = linear.dirac_graph_many(_forms(rng, 3, 6), "two_form")
+    maps = rng.standard_normal((6, 3, 2))
+    return (linear.dirac_pullback_many(spaces, maps),
+            [_pullback_ref(s, a) for s, a in zip(spaces, maps)])
+
+
+def _chart_pullbacks(route):
+    def case(rng):
+        bv = field.so3_star()
+        chart = submanifold.Chart(2, 3, ["cos(u)*cos(v)", "sin(u)*cos(v)", "sin(v)"],
+                                  domain=[[-0.6, 0.6], [-0.6, 0.6]])
+        pds = submanifold.point_data_rows(bv, chart, chart.sample(4, seed=int(rng.integers(99))))
+        got = [submanifold.pullback_dirac(bv, chart, pd, route=route, ref_corank=pd.corank)
+               for pd in pds]
+        if route == "perp":
+            # the route's SVD basis is orthonormal and isotropic: the check keeps it
+            return got, [_space_ref(space) for space in got]
+        return got, [_pullback_ref(_graph_ref(pd.p, "bivector"), pd.dx) for pd in pds]
+    return case
+
+
+def _marle(rng):
+    bv = field.symplectic_r4()
+    chart = submanifold.Chart(1, 4, ["0", "u", "0", "0"], domain=[[-1.0, 1.0]])
+    comp = model.ComplementChoice(bv, chart, mode="pre_poisson")
+    us = chart.sample(3, seed=int(rng.integers(99)))
+    return ([row["dirac"] for row in model.marle_invariants(comp, us)],
+            [_pullback_ref(_graph_ref(fr.p, "bivector"), fr.dx) for fr in comp.frames(us)])
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_graphs("bivector"), id="dirac_graph_many-bivector"),
+    pytest.param(_graphs("two_form"), id="dirac_graph_many-two_form"),
+    pytest.param(_gauged, id="dirac_gauge_many"),
+    pytest.param(_pulled, id="dirac_pullback_many"),
+    pytest.param(_chart_pullbacks("generic"), id="pullback_dirac-generic"),
+    pytest.param(_chart_pullbacks("perp"), id="pullback_dirac-perp"),
+    pytest.param(_marle, id="marle_invariants"),
+])
+@pytest.mark.build_independent
+def test_dirac_spaces_are_checked_arrays(case):
+    # every producer of Dirac spaces hands out plain (2n, n) arrays, bitwise
+    # the per-row reference checks
+    got, refs = case(np.random.default_rng(60))
+    assert len(got) == len(refs) > 0
+    for space, ref in zip(got, refs):
+        n = len(space) // 2
+        assert type(space) is np.ndarray and space.shape == (2 * n, n)
+        assert _same(space, ref)
 
 
 def _raised(fn):
@@ -614,7 +684,7 @@ def test_stacked_dirac_spaces_raises_as_per_row(order):
     # failure in a later row, as the per-row loop would raise it
     rng = np.random.default_rng(50)
     n = 3
-    good = dirac_graph(random_skew(rng, n), "bivector").basis
+    good = dirac_graph(random_skew(rng, n), "bivector")
     flat = np.vstack([np.eye(n), np.diag([1.0, 2.0, 3.0])])  # symmetric: not isotropic
     wide = rng.standard_normal((2 * n, n + 1))  # dimension n + 1
     extra = rng.standard_normal((n, 1))
@@ -626,7 +696,7 @@ def test_stacked_dirac_spaces_raises_as_per_row(order):
 
     def per_row():
         for b in rows:
-            DiracSpace(b)
+            linear.raise_first(linear.dirac_spaces(b[None]))
 
     assert batch == _raised(per_row) == _raised(lambda: [_space_ref(b) for b in rows])
     assert batch[0] is ValueError
@@ -639,7 +709,7 @@ def test_stacked_dirac_spaces_raises_as_per_row(order):
         except ValueError as exc:
             assert type(got) is ValueError and str(got) == str(exc)
             continue
-        assert _same(got.basis, ref)
+        assert _same(got, ref)
 
 
 @pytest.mark.build_independent
@@ -657,17 +727,17 @@ def test_stacked_dirac_pullback_raises_as_per_row():
         for space, a in zip(spaces, maps):
             dirac_pullback(space, a)
 
-    ref = _raised(lambda: [_pullback_ref(s.basis, a) for s, a in zip(spaces, maps)])
+    ref = _raised(lambda: [_pullback_ref(s, a) for s, a in zip(spaces, maps)])
     assert batch == _raised(per_row) == ref
     assert batch == (RankDeficient, "pullback along a rank-deficient map")
-    assert [type(got) for got in outcomes] == [DiracSpace, RankDeficient] * 2
+    assert [type(got) for got in outcomes] == [np.ndarray, RankDeficient] * 2
     # the passing rows, in the batch or alone, are bitwise those of the
     # one-row function
     kept = [0, 2]
     alone = linear.dirac_pullback_many([spaces[i] for i in kept], maps[kept])
     for i, got in zip(kept, alone):
-        assert _same(got.basis, dirac_pullback(spaces[i], maps[i]).basis)
-        assert _same(outcomes[i].basis, got.basis)
+        assert _same(got, dirac_pullback(spaces[i], maps[i]))
+        assert _same(outcomes[i], got)
 
 
 @pytest.mark.build_independent
@@ -735,7 +805,7 @@ def test_lagrangian_complement_rejects_nan_at_each_check():
 
 def _outcomes(rows):
     """Each row's basis bytes, or its error's type and message."""
-    return [(type(r), str(r)) if isinstance(r, Exception) else r.basis.tobytes() for r in rows]
+    return [(type(r), str(r)) if isinstance(r, Exception) else r.tobytes() for r in rows]
 
 
 @pytest.mark.build_independent
