@@ -256,7 +256,7 @@ def default_names(arity: int) -> dict:
             names[alias] = 3
     if arity == 1:
         names["t"] = 0
-    if arity <= 2:
+    if 1 <= arity <= 2:
         names["u"] = 0
         if arity == 2:
             names["v"] = 1

@@ -82,9 +82,9 @@ def _rank_rows(ms, scales):
     The rows of one rank get their orth and null as views of their U and
     V^T (copied once per rank when a group holds several), with the strides
     u[:, :rank] and vt[rank:].T have for one matrix, on which BLAS picks
-    its summation order (see _stack_rows).  It groups by shape itself
-    rather than through on_live: its rows never hold errors, and it is the
-    hottest loop of the stacked layer.
+    its summation order (see _stack_rows).  It groups by shape itself, in
+    one np.array copy per group, rather than through on_live: its rows
+    never hold errors, and it is the hottest loop of the stacked layer.
 
     Stages hand it the same matrix many times (every sample of a constant
     structure repeats PI and its frames), so a group runs the SVD on the
@@ -102,7 +102,7 @@ def _rank_rows(ms, scales):
         shapes = {}
         for i, m in enumerate(ms):
             shapes.setdefault(m.shape, []).append(i)
-        groups = ((np.array(rows), np.stack([ms[i] for i in rows])) for rows in shapes.values())
+        groups = ((np.array(rows), np.array([ms[i] for i in rows])) for rows in shapes.values())
     for rows, stack in groups:
         g, d, k = stack.shape
         live = stack.reshape(g, d * k).any(axis=1)
@@ -309,8 +309,8 @@ def _angles(qas, qbs):
         if not mn:
             return [np.zeros(0)] * len(pairs)
         ms = [qa.T @ qb for qa, qb in pairs]
-        cosines = np.linalg.svd(np.stack(ms), compute_uv=False)  # angle ascending
-        sines = np.sort(np.linalg.svd(np.stack([qb - qa @ m for (qa, qb), m in zip(pairs, ms)]),
+        cosines = np.linalg.svd(np.array(ms), compute_uv=False)  # angle ascending
+        sines = np.sort(np.linalg.svd(np.array([qb - qa @ m for (qa, qb), m in zip(pairs, ms)]),
                                       compute_uv=False), axis=1)[:, :mn]
         return np.where(
             cosines**2 >= 0.5,
@@ -399,7 +399,7 @@ def rank_svd_joined(pairs, axis=1, negate=False):
     row is bitwise rank_svd of its np.hstack (np.vstack)."""
 
     def step(group):
-        a, b = np.stack([p[0] for p in group]), np.stack([p[1] for p in group])
+        a, b = np.array([p[0] for p in group]), np.array([p[1] for p in group])
         return rank_svd_many(np.concatenate([a, -b if negate else b], axis=axis + 1))
 
     return on_live(step, list(pairs), key=lambda p: (p[0].shape, p[1].shape))
@@ -497,13 +497,13 @@ def dirac_spaces(bases):
         return out
 
     def orthonormal(bases):
-        loose = np.flatnonzero(~_orthonormal_rows(np.stack(bases)))
+        loose = np.flatnonzero(~_orthonormal_rows(np.array(bases)))
         for i, q in zip(loose, orth_many([bases[i] for i in loose])):
             bases[i] = q if q.shape[1] == n else ValueError("Dirac basis is rank deficient")
         return bases
 
     def isotropic(bases):
-        stacked = np.stack(bases)
+        stacked = np.array(bases)
         pairings = np.swapaxes(stacked, 1, 2) @ dirac_pairing(n) @ stacked
         return [ValueError(f"not isotropic: pairing residual {worst:.2e}") if worst > 1e-10
                 else basis for basis, worst in zip(bases, np.abs(pairings).max(axis=(1, 2)))]
@@ -547,7 +547,7 @@ def dirac_gauge_many(spaces, etas):
 
     def step(spaces, etas):
         cs = skew(etas)
-        bases = np.stack(spaces)
+        bases = np.array(spaces)
         n = bases.shape[1] // 2
         if cs.shape[-1] != n:
             raise ValueError("gauge form dimension mismatch")
@@ -574,7 +574,7 @@ def dirac_pullback_many(spaces, maps):
 
     def step(spaces, maps):
         maps = np.asarray(maps, dtype=float)
-        bases = np.stack(spaces)
+        bases = np.array(spaces)
         _, n, k = maps.shape
         if n != bases.shape[1] // 2:
             raise ValueError("map target dimension mismatch")
@@ -591,7 +591,7 @@ def dirac_pullback_many(spaces, maps):
             return [basis if rank == k else RankDeficient(
                 f"pullback produced dimension {rank}, expected {k}") for rank, basis, _ in images]
 
-        return on_live(lambda images: dirac_spaces(np.stack(images)), on_live(images, rows))
+        return on_live(lambda images: dirac_spaces(np.array(images)), on_live(images, rows))
 
     return on_live(step, spaces, maps)
 
@@ -610,14 +610,14 @@ def dirac_to_bivector_many(spaces):
     steps: per row its P, or the NotPoisson the row raises alone."""
 
     def step(spaces):
-        bases = np.stack(spaces)
+        bases = np.array(spaces)
         n = bases.shape[1] // 2
         return on_live(extract, [basis if rank >= n else NotPoisson(
             f"no bivector presentation, defect dimension {n - rank}", n - rank)
             for basis, (rank, _, _) in zip(bases, rank_svd_many(bases[:, n:]))])
 
     def extract(bases):
-        bases = np.stack(bases)
+        bases = np.array(bases)
         n = bases.shape[1] // 2
         p = bases[:, :n] @ np.linalg.inv(bases[:, n:])
         pt = np.swapaxes(p, 1, 2)

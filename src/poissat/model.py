@@ -94,7 +94,7 @@ def _solve_inclusions(perps, ws, failure):
 
     def solve(spanning):
         try:
-            return list(np.linalg.solve(np.swapaxes(np.stack(spanning), 1, 2),
+            return list(np.linalg.solve(np.swapaxes(np.array(spanning), 1, 2),
                                         np.broadcast_to(np.eye(n, r), (len(spanning), n, r))))
         except np.linalg.LinAlgError as err:
             return [err] * len(spanning)
@@ -109,12 +109,12 @@ def _framed(splits, pds):
     rows it solved.  Per row its frame, or its error: RankDeficient where
     TXperp and W do not span, or where j does not annihilate W to 1e-10 (a
     non-finite product does not)."""
-    ws = np.stack([split[1] for split in splits])
-    js = _solve_inclusions(np.stack([split[0] for split in splits]), ws,
+    ws = np.array([split[1] for split in splits])
+    js = _solve_inclusions(np.array([split[0] for split in splits]), ws,
                            "complement does not span with TXperp")
 
     def checked(js, ws, splits, pds):
-        products = np.swapaxes(np.stack(ws), 1, 2) @ np.stack(js)
+        products = np.swapaxes(np.array(ws), 1, 2) @ np.array(js)
         worst = np.abs(products).max(axis=(1, 2), initial=0.0)
         return [ComplementFrame(pd, t, w, j, c, cond) if value <= 1e-10
                 else RankDeficient("inclusion does not annihilate the complement")
@@ -224,7 +224,7 @@ class ComplementChoice(FrameAligner):
         got = {key: self._memo[key] for key in keys if key in self._memo}
         misses = {key: u for key, u in zip(keys, us) if key not in got}
         if misses:  # stacked into a fresh array: a frame is frozen, never alias
-            pds = point_data_rows(self.bv, self.chart, np.stack(list(misses.values())))
+            pds = point_data_rows(self.bv, self.chart, np.array(list(misses.values())))
             for key, fr in zip(misses, self._frame_rows(pds)):
                 got[key] = self._memo[key] = raise_first([fr])[0].freeze()
         return [got[key] for key in keys]
@@ -372,9 +372,9 @@ def _bundle_flow(comp, us, zetas, steps, with_omega=False):
         frames.append(fr)
         des.append(de)
         covs.append(fr.j @ zeta)
-    res = flow(comp.bv, np.stack([fr.x for fr in frames]), np.stack(covs),
+    res = flow(comp.bv, np.array([fr.x for fr in frames]), np.array(covs),
                steps=steps, with_jac=True, with_omega=with_omega)
-    des = np.stack(des)
+    des = np.array(des)
     dphi = res.jac[:, :res.jac.shape[1] // 2] @ des
     etas = -np.swapaxes(des, 1, 2) @ res.omega @ des if with_omega else None
     return frames, res, dphi, etas
@@ -661,7 +661,7 @@ def full_fiber_landing(sat: SaturationChart, radius=0.05, seed=1):
     rng = np.random.default_rng(seed)
     us = chart.sample(10, seed=seed + 1)
     covs = [a * (radius / np.linalg.norm(a)) for a in rng.normal(size=(len(us), bv.dim))]
-    res = flow(bv, np.stack([chart.point_at(u) for u in us]), np.stack(covs), steps=sat.steps)
+    res = flow(bv, np.array([chart.point_at(u) for u in us]), np.array(covs), steps=sat.steps)
     kept = np.flatnonzero(~res.exited)
     inits = np.hstack([us[kept], np.zeros((kept.size, sat.comp.rank_perp))])
     _, dists = sat.project(res.x[kept], inits)

@@ -247,9 +247,8 @@ def regularity_scan(bv: BivectorField, chart: Chart, counts=9, seed=0):
     if refined_params:
         points += point_data_rows(bv, chart, refined_params)
     all_params = params if not refined_params else np.vstack([params, refined_params])
-    witnesses = {}
-    for u, pd in zip(all_params, points):
-        witnesses.setdefault(pd.rank_perp, tuple(float(v) for v in u))
+    by_row = [pd.rank_perp for pd in points]  # one witness tuple per rank, at its first row
+    witnesses = {r: tuple(all_params[by_row.index(r)].tolist()) for r in dict.fromkeys(by_row)}
     return ScanResult(all_params, points, witnesses, len(refined_params))
 
 
@@ -271,8 +270,9 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
     poisson_submanifold => regular, coisotropic and regular =>
     pre_poisson) hold by construction of the rank tests.  scan is the
     regularity_scan(bv, chart, counts, seed) result when the caller
-    already has it; otherwise it is run here.  The scan's point data is
-    reused, so only the 10 extra samples are computed here.
+    already has it (otherwise it is run here); only the 10 extra samples
+    get new point data.  A cap dimension is dim TX + dim TXperp - the sum
+    rank, on the basis widths, which stay exact where dX loses rank.
     """
     if scan is None:
         scan = regularity_scan(bv, chart, counts, seed)
@@ -281,10 +281,9 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
     if k:
         points += point_data_rows(bv, chart, chart.sample(10, seed=seed + 1))
     perp_ranks = np.array([pd.rank_perp for pd in points])
-    caps = linear.subspace_intersect_many([pd.txperp for pd in points], [pd.tx for pd in points])
-    cap_dims = np.array([cap.shape[1] for cap in caps])
     sums = linear.rank_svd_joined([(pd.tx, pd.txperp) for pd in points])
     sum_ranks = np.array([r[0] for r in sums])
+    cap_dims = np.array([pd.tx.shape[1] for pd in points]) + perp_ranks - sum_ranks
     tangent = linear.rank_svd_joined([(pd.tx, pd.p) for pd in points])
     poisson_sub = all(r[0] == k for r in tangent)
     regular = len(set(perp_ranks.tolist())) == 1

@@ -382,6 +382,20 @@ def test_bad_steps_exit_4_before_any_stage(tmp_path, command, steps):
 
 
 @pytest.mark.parametrize("command", ["analyze", "all"])
+@pytest.mark.build_independent
+def test_u_in_a_point_chart_exits_4_before_any_stage(tmp_path, command):
+    # a 0-parameter chart has no variable u: its component is a parse error,
+    # not a kernel that fails inside the analyze stage
+    path = tmp_path / "point.scene"
+    path.write_text(FIXTURES["coiso-line"].replace("params = 1", "params = 0"))
+    code, out = run_main([command, str(path)])
+    assert code == 4
+    rep = strict_json(out)
+    assert rep["error"] == "unknown variable 'u' for arity 0 (position 0)"
+    assert "stages" not in rep
+
+
+@pytest.mark.parametrize("command", ["analyze", "all"])
 @pytest.mark.parametrize("fixture", ["coiso-line", "gotay-presymplectic"])
 def test_negative_seed_exits_4_before_any_stage(tmp_path, fixture, command):
     path = tmp_path / "seed.scene"
@@ -634,21 +648,23 @@ def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, arg
     assert calls == {"frame_rows": frames, "pullback_dirac": lifts, "gate_rows": gate}
 
 
-@pytest.mark.parametrize("job,single,stacked", [("analyze-cubic-graph", 0, 2706),
+@pytest.mark.parametrize("job,single,stacked", [("analyze-cubic-graph", 0, 1640),
                                                ("gotay-verify", 1, 3409),
-                                               ("verify-figure-eight", 1, 2280)],
+                                               ("verify-figure-eight", 1, 1916)],
                          ids=["analyze-cubic-graph", "gotay-verify", "verify-figure-eight"])
 @pytest.mark.build_independent
 def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
     # every matrix that reaches a rank decision is counted where it enters:
     # one per rank_svd call, one per matrix of a rank_svd_many batch, so
     # moving work into a batch cannot hide it.  analyze decides no single
-    # matrix (the chart's immersion check stacks its 14 points).  GotayModel.verify
+    # matrix (the chart's immersion check stacks its 14 points), and classify
+    # reads each cap dimension from the sum rank it decides, so its 271
+    # samples on cubic-graph take no intersection.  GotayModel.verify
     # decides one (the vertical frame, at construction) and stacks the rest:
     # L of the constant form once, kernels and inclusions at the 500
     # distinct points that its stencils read, 140 lifts (one per distinct
     # x), the gauge and extraction of all 200 rows, and 20 pullbacks.
-    # verify on figure-eight decides 2281 matrices; every complement frame's
+    # verify on figure-eight decides 1917 matrices; every complement frame's
     # null and inclusion rank are stacked over the memo misses of one frames
     # call, and the zero-section check stacks the ranks of its 25 expected
     # frames and reuses dPhi's, so 1 remains single
@@ -686,9 +702,9 @@ def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
 def test_svd_rows_are_exact(tmp_path, monkeypatch):
     # every matrix np.linalg.svd receives is counted, one per matrix of a
     # stack: the rank rules run it once per distinct matrix of a call, so the
-    # 2281 rank-decided matrices of verify on figure-eight reach it as 210
-    # rows (2356 decisions were 2356 rows before), and the zero-section
-    # check's principal angles add two singular-value rows per zero sample (50)
+    # 1917 rank-decided matrices of verify on figure-eight reach it as 172
+    # rows, and the zero-section check's principal angles add two
+    # singular-value rows per zero sample (50)
     real = np.linalg.svd
     rows = []
 
@@ -699,7 +715,7 @@ def test_svd_rows_are_exact(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     code, _ = run_main(["verify", write_fixture(tmp_path, "figure-eight"), "--steps", "32"])
     assert code == 0
-    assert sum(rows) == 260
+    assert sum(rows) == 222
 
 
 @pytest.mark.parametrize("target", [pytest.param("pullback_dirac_rows", id="pullback_dirac"),

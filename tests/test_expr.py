@@ -200,6 +200,16 @@ def test_arity_zero_constant():
     assert evaluate(e, np.zeros((1, 0))) == pytest.approx([6.5])
 
 
+@pytest.mark.build_independent
+def test_arity_zero_has_no_u():
+    # u names slot 0 at arity 1 or 2 only: at arity 0 there is no slot, and
+    # a tree reading one would fail only when its compiled kernel runs
+    with pytest.raises(ExprError, match="unknown variable 'u' for arity 0"):
+        parse("u", 0)
+    assert "u" not in expr.default_names(0)
+    assert expr.default_names(1)["u"] == expr.default_names(2)["u"] == 0
+
+
 def test_unary_minus_and_powers():
     assert evaluate(parse("-y", 3), [0, 2.0, 0]) == -2.0
     assert evaluate(parse("x^-2", 1), [2.0]) == 0.25

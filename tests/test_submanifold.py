@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from poissat import cli, linear, submanifold
 from poissat.field import (
     BivectorField,
     flat_rank2_r3,
@@ -13,7 +14,7 @@ from poissat.field import (
     so3_star,
     symplectic_r4,
 )
-from poissat import linear, submanifold
+from poissat.fixtures import FIXTURES
 from poissat.linear import RankDeficient, subspace_equal
 from poissat.submanifold import (
     Chart,
@@ -410,3 +411,60 @@ def test_stacked_non_finite_rows_raise_as_per_row():
     assert type(stacked.value) is type(per_row.value)
     assert str(stacked.value) == str(per_row.value)
     assert "-0.2" in str(stacked.value)
+
+
+def _cap_dims_against_intersection(monkeypatch, bv, chart, seed):
+    # every sample classify sees (the scan grid, its refinements and the 10
+    # extra samples) is collected where submanifold computes it; per sample,
+    # dim TX + dim TXperp - dim(TX + TXperp), on the basis widths and the sum
+    # rank classify decides, must be the intersection's column count
+    seen = []
+
+    def collected(bv, chart, us):
+        pds = point_data_rows(bv, chart, us)
+        seen.extend(pds)
+        return pds
+
+    with monkeypatch.context() as m:
+        m.setattr(submanifold, "point_data_rows", collected)
+        cl = classify(bv, chart, counts=9, seed=seed)
+    sums = linear.rank_svd_joined([(pd.tx, pd.txperp) for pd in seen])
+    derived = [pd.tx.shape[1] + pd.rank_perp - rank for pd, (rank, _, _) in zip(seen, sums)]
+    caps = [cap.shape[1] for cap in linear.subspace_intersect_many(
+        [pd.txperp for pd in seen], [pd.tx for pd in seen])]
+    assert derived == caps
+    assert cl.sample_count == len(seen)
+    assert cl.ranks["cap"] == sorted(set(caps))
+    assert cl["poisson_dirac"] == (cl["regular"] and not any(caps))
+    assert cl["transversal"] == (cl.ranks["sum"] == [bv.dim] and not any(caps))
+    return set(caps)
+
+
+@pytest.mark.parametrize("name", [name for name, text in FIXTURES.items() if "[poisson]" in text])
+@pytest.mark.build_independent
+def test_cap_dims_match_the_intersection_on_fixtures(monkeypatch, name):
+    scene = cli.parse_scene(FIXTURES[name])
+    bv = cli.build_bivector(scene)
+    chart = cli.build_chart(scene, bv.dim)
+    for seed in range(10):
+        _cap_dims_against_intersection(monkeypatch, bv, chart, seed)
+
+
+@pytest.mark.parametrize("make", [
+    so3_star,
+    lambda: BivectorField(4, {(0, 1): "x3"}, domain=[[-2.0, 2.0]] * 4),
+], ids=["so3-star", "x3-d1-d2"])
+@pytest.mark.build_independent
+def test_cap_dims_match_the_intersection_on_random_affine_charts(monkeypatch, make):
+    bv, rng = make(), np.random.default_rng(5)
+    names = ["u", "v", "w"]
+    dims = set()
+    for _ in range(20):
+        for k in range(bv.dim):  # k = 0 is a point chart
+            base, dirs = rng.uniform(-1, 1, bv.dim), rng.normal(size=(bv.dim, k))
+            comps = [f"{base[i]:.6f}" + "".join(f" + ({dirs[i, a]:.6f})*{names[a]}"
+                                                for a in range(k)) for i in range(bv.dim)]
+            chart = Chart(k, bv.dim, comps, domain=[[-0.5, 0.5]] * k, names=names[:k])
+            dims |= _cap_dims_against_intersection(monkeypatch, bv, chart, int(rng.integers(100)))
+    assert dims == {0, 1}
+
