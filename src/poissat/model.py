@@ -68,7 +68,7 @@ class ComplementFrame(PointData):
     with the complement W and the inclusion j."""
 
     def __init__(self, pd, txperp, w, j, cap_dim=0, conditions=None):
-        super().__init__(pd.u, pd.x, pd.dx, pd.p, pd.tx, txperp, pd.corank)
+        super().__init__(pd.u, pd.x, pd.dx, pd.p, pd.tx, txperp)
         self.w = w  # (n, n-r)
         self.j = j  # (n, r), image is W0, pairs with txperp as identity
         self.cap_dim = cap_dim

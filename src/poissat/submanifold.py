@@ -2,9 +2,10 @@
 
 A Chart is a parametrization u -> X(u) (never a level set), with exact
 Jacobian trees; components and Jacobian are compiled once into numpy
-kernels.  point_data collects the tangent space TX, its annihilator TX0,
-the bivector image TXperp = sharp(TX0) and the pulled back Dirac space
+kernels.  point_data checks that dX has rank k and collects the tangent
+space TX, its annihilator TX0 and the bivector image TXperp = sharp(TX0)
 (point_data_rows does so at many parameters with stacked rank decisions);
+pullback_dirac pulls the bivector graph back to the chart;
 regularity_scan samples the rank of TXperp over a parameter grid and
 refines near rank boundaries; classify reduces the sampled ranks to the
 standard submanifold classes.
@@ -30,12 +31,14 @@ from .linear import (
     orth,
     raise_first,
     rank_svd,
-    rank_svd_many,
 )
 
 
 class Chart:
-    """Immersed parametrization of a k-dim patch in R^n.
+    """Parametrization of a k-dim patch in R^n, meant to be immersed.
+
+    Nothing is evaluated on construction: point_data_rows decides the rank
+    of dX at every parameter it visits and rejects a row where it is not k.
 
     Args:
         param_dim: number of parameters k (0 allowed: a single point).
@@ -45,7 +48,7 @@ class Chart:
         names: optional name table for parsing text components.
     """
 
-    def __init__(self, param_dim, ambient_dim, components, domain=None, names=None, check=True):
+    def __init__(self, param_dim, ambient_dim, components, domain=None, names=None):
         if len(components) != ambient_dim:
             raise ValueError("need one component per ambient coordinate")
         self.param_dim = int(param_dim)
@@ -67,14 +70,6 @@ class Chart:
              if d != Num(0.0)],
             (self.ambient_dim, self.param_dim),
         )
-        if check and self.param_dim:
-            self._immersion_check()
-
-    def _immersion_check(self):
-        pts = np.vstack([self.grid(3), self.sample(5, seed=11)])
-        for u, (rank, _, _) in zip(pts, rank_svd_many(self.jacobian(pts))):
-            if rank != self.param_dim:
-                raise ValueError(f"chart is not an immersion at u = {tuple(u.tolist())}")
 
     def points(self, us):
         return self._points_kernel(np.atleast_2d(np.asarray(us, dtype=float)))
@@ -116,27 +111,29 @@ class Chart:
 class PointData:
     """Pointwise linear data of (chart, bivector) at a parameter value."""
 
-    def __init__(self, u, x, dx, p, tx, txperp, corank):
+    def __init__(self, u, x, dx, p, tx, txperp):
         self.u = u
         self.x = x
         self.dx = dx  # (n, k) chart differential
         self.p = p  # (n, n) bivector matrix at x
         self.tx = tx  # (n, k) orthonormal
         self.txperp = txperp  # (n, r) orthonormal
-        self.corank = corank  # dim(ker sharp cap TX0)
 
     @property
     def rank_perp(self):
         return self.txperp.shape[1]
 
+    @property
+    def corank(self):
+        """dim(ker sharp cap TX0), by rank-nullity of sharp on TX0: sharp
+        maps TX0 (dimension n - k) onto TXperp."""
+        n, k = self.tx.shape
+        return n - k - self.rank_perp
+
 
 def point_data(bv: BivectorField, chart: Chart, u):
-    """Tangent data at X(u); checks exactness of the defining sequence.
-
-    dim TXperp + dim(ker sharp cap TX0) must equal n - k; a decisive
-    violation (rank decisions well separated from their thresholds)
-    raises, borderline points never do.
-    """
+    """Tangent data at X(u): TX, TXperp = sharp(TX0) and, from their
+    widths, the corank; raises ValueError where dX has rank below k."""
     return point_data_rows(bv, chart, np.atleast_1d(np.asarray(u, dtype=float))[None, :])[0]
 
 
@@ -144,7 +141,7 @@ def point_data_rows(bv: BivectorField, chart: Chart, us):
     """point_data at every row of us: one chart, Jacobian and bivector
     kernel call each, and one SVD call per matrix shape at each rank
     decision, so every row is bitwise what it is alone.  Failures are
-    those of the rows in order: the first row breaking exactness raises."""
+    those of the rows in order: the first row where dX loses rank raises."""
     us = np.asarray(us, dtype=float).reshape(len(us), chart.param_dim)
     try:
         xs, dxs = chart.points(us), chart.jacobian(us)
@@ -156,28 +153,18 @@ def point_data_rows(bv: BivectorField, chart: Chart, us):
             for u in us:
                 point_data_rows(bv, chart, u[None, :])
         raise
-    n, k = bv.dim, chart.param_dim
+    k = chart.param_dim
     txs = linear.orth_many(dxs)
     anns = linear.null_many([tx.T for tx in txs])
-    images = [p @ ann for p, ann in zip(ps, anns)]
     # the image scale is judged against p itself: an analytically zero
     # product must come out rank 0, not rank "noise"
-    perps = linear.rank_svd_many(images, scales=np.linalg.norm(ps, 2, axis=(1, 2)))
-    stacks = np.concatenate([ps, dxs.transpose(0, 2, 1)], axis=1)
-    coranks = [n - r[0] for r in linear.rank_svd_many(stacks)]
+    perps = linear.rank_svd_many([p @ ann for p, ann in zip(ps, anns)],
+                                 scales=np.linalg.norm(ps, 2, axis=(1, 2)))
     out = []
-    for u, x, dx, p, tx, image, (r, txperp, _), stack, corank in zip(
-            us, xs, dxs, ps, txs, images, perps, stacks, coranks):
-        if r + corank != n - k:
-            sv_img = np.linalg.svd(image, compute_uv=False) if image.size else np.zeros(0)
-            sv_stk = np.linalg.svd(stack, compute_uv=False)
-            decisive = _decisive(sv_img, r) and _decisive(sv_stk, n - corank)
-            if decisive:
-                raise ValueError(
-                    f"exactness violation at u = {tuple(u.tolist())}: "
-                    f"rank {r} + corank {corank} != {n - k}"
-                )
-        out.append(PointData(u, x, dx, p, tx, txperp, corank))
+    for u, x, dx, p, tx, (_, txperp, _) in zip(us, xs, dxs, ps, txs, perps):
+        if tx.shape[1] != k:
+            raise ValueError(f"chart is not an immersion at u = {tuple(u.tolist())}")
+        out.append(PointData(u, x, dx, p, tx, txperp))
     return out
 
 
@@ -189,16 +176,6 @@ def nearby_point_data(bv: BivectorField, chart: Chart, u, seed):
     for _ in range(10 if chart.param_dim else 0):
         nearby = u + rng.uniform(-0.01, 0.01, chart.param_dim) * span
         yield point_data(bv, chart, np.clip(nearby, chart.domain[:, 0], chart.domain[:, 1]))
-
-
-def _decisive(sv, rank):
-    if sv.size == 0:
-        return True
-    gap = 10.0
-    tol = linear.TOL_REL * sv[0]
-    kept = sv[rank - 1] if rank > 0 else np.inf
-    dropped = sv[rank] if rank < sv.size else 0.0
-    return kept > gap * tol and dropped < tol / gap
 
 
 class ScanResult:
@@ -266,13 +243,15 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
     """Sampled classification flags for the chart inside the structure.
 
     Flags: regular, transversal, poisson_submanifold, coisotropic,
-    pre_poisson, poisson_dirac.  Implications (transversal => regular,
-    poisson_submanifold => regular, coisotropic and regular =>
-    pre_poisson) hold by construction of the rank tests.  scan is the
+    pre_poisson, poisson_dirac.  Every flag reads three ranks that point
+    data decides: rank dX = k (point data enforces it), rank TXperp, and
+    the sum rank of [TX | TXperp]; a cap dimension is k + rank TXperp -
+    the sum rank.  Implications (transversal => regular,
+    poisson_submanifold (TXperp = 0 everywhere) => regular, coisotropic
+    and regular => pre_poisson) hold by construction.  scan is the
     regularity_scan(bv, chart, counts, seed) result when the caller
     already has it (otherwise it is run here); only the 10 extra samples
-    get new point data.  A cap dimension is dim TX + dim TXperp - the sum
-    rank, on the basis widths, which stay exact where dX loses rank.
+    get new point data.
     """
     if scan is None:
         scan = regularity_scan(bv, chart, counts, seed)
@@ -283,15 +262,13 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
     perp_ranks = np.array([pd.rank_perp for pd in points])
     sums = linear.rank_svd_joined([(pd.tx, pd.txperp) for pd in points])
     sum_ranks = np.array([r[0] for r in sums])
-    cap_dims = np.array([pd.tx.shape[1] for pd in points]) + perp_ranks - sum_ranks
-    tangent = linear.rank_svd_joined([(pd.tx, pd.p) for pd in points])
-    poisson_sub = all(r[0] == k for r in tangent)
+    cap_dims = k + perp_ranks - sum_ranks
     regular = len(set(perp_ranks.tolist())) == 1
     coiso = bool(np.all(sum_ranks == k))
     flags = {
         "regular": regular,
         "transversal": bool(np.all(sum_ranks == n) and np.all(cap_dims == 0)),
-        "poisson_submanifold": poisson_sub,
+        "poisson_submanifold": bool(np.all(perp_ranks == 0)),
         "coisotropic": coiso,
         "pre_poisson": len(set(sum_ranks.tolist())) == 1,
         "poisson_dirac": regular and bool(np.all(cap_dims == 0)),
@@ -366,8 +343,9 @@ def make_transversal(bv: BivectorField, chart: Chart, thickness=0.5):
 
     The frame E spans a complement of TX + sharp(TXperp-dual image) at
     the chart's center and is kept constant (flat specialization), so the
-    result stays a closed-form chart.  Transversality (TX + image of
-    sharp spans R^n) is checked at e = 0 over a 5-per-axis chart grid.
+    result stays a closed-form chart.  Transversality (TX and TXperp
+    span R^n, their widths summing to n) is checked at e = 0 over a
+    5-per-axis chart grid, by one joined rank of [TX | TXperp].
     """
     pd = point_data(bv, chart, chart.center())
     n, k = bv.dim, chart.param_dim
@@ -375,7 +353,7 @@ def make_transversal(bv: BivectorField, chart: Chart, thickness=0.5):
     e_frame = fix_signs(linear.null(span.T))
     e_dim = e_frame.shape[1]
     if e_dim == 0:
-        return Chart(k, n, list(chart.components), chart.domain, check=False)
+        return Chart(k, n, list(chart.components), chart.domain)
     comps = []
     for i in range(n):
         acc = chart.components[i]
@@ -386,8 +364,8 @@ def make_transversal(bv: BivectorField, chart: Chart, thickness=0.5):
     thick = Chart(k + e_dim, n, comps, domain)
     grid = chart.grid(5)
     tpds = point_data_rows(bv, thick, np.hstack([grid, np.zeros((len(grid), e_dim))]))
-    caps = linear.subspace_intersect_many([t.txperp for t in tpds], [t.tx for t in tpds])
-    for u, tpd, cap in zip(grid, tpds, caps):
-        if tpd.rank_perp + k + e_dim != n or cap.shape[1] != 0:
+    sums = linear.rank_svd_joined([(t.tx, t.txperp) for t in tpds])
+    for u, tpd, (sum_rank, _, _) in zip(grid, tpds, sums):
+        if tpd.rank_perp + k + e_dim != n or sum_rank != n:
             raise RankDeficient(f"thickened chart not transversal at u = {tuple(u.tolist())}")
     return thick

@@ -279,6 +279,18 @@ def test_analyze_nonregular_exits_3(tmp_path):
     assert rep["exit_code"] == 3
 
 
+@pytest.mark.build_independent
+def test_analyze_names_a_chart_that_is_not_an_immersion(tmp_path):
+    # dX = 3 (u - 0.5)^2 e1 vanishes at u = 0.5, a point of the scan's grid:
+    # the chart is at fault there, not the structure
+    scene = tmp_path / "cube.scene"
+    scene.write_text(FIXTURES["coiso-line"].replace('component = "u"',
+                                                    'component = "(u - 0.5)^3"'))
+    code, out = run_main(["analyze", str(scene)])
+    assert code == 4
+    assert json.loads(out)["error"] == "chart is not an immersion at u = (0.5,)"
+
+
 def test_analyze_cubic_graph_witness_on_fold_line(tmp_path):
     code, out = run_main(["analyze", write_fixture(tmp_path, "cubic-graph")])
     assert code == 3
@@ -648,23 +660,24 @@ def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, arg
     assert calls == {"frame_rows": frames, "pullback_dirac": lifts, "gate_rows": gate}
 
 
-@pytest.mark.parametrize("job,single,stacked", [("analyze-cubic-graph", 0, 1640),
+@pytest.mark.parametrize("job,single,stacked", [("analyze-cubic-graph", 0, 1084),
                                                ("gotay-verify", 1, 3409),
-                                               ("verify-figure-eight", 1, 1916)],
+                                               ("verify-figure-eight", 1, 1594)],
                          ids=["analyze-cubic-graph", "gotay-verify", "verify-figure-eight"])
 @pytest.mark.build_independent
 def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
     # every matrix that reaches a rank decision is counted where it enters:
     # one per rank_svd call, one per matrix of a rank_svd_many batch, so
     # moving work into a batch cannot hide it.  analyze decides no single
-    # matrix (the chart's immersion check stacks its 14 points), and classify
-    # reads each cap dimension from the sum rank it decides, so its 271
-    # samples on cubic-graph take no intersection.  GotayModel.verify
+    # matrix: each of the 271 samples classify sees on cubic-graph takes
+    # four stacked ones (the orth of dX, the null of TX^T, TXperp and the
+    # sum [TX | TXperp]), and every flag, the corank and the cap dimension
+    # are read from those ranks.  GotayModel.verify
     # decides one (the vertical frame, at construction) and stacks the rest:
     # L of the constant form once, kernels and inclusions at the 500
     # distinct points that its stencils read, 140 lifts (one per distinct
     # x), the gauge and extraction of all 200 rows, and 20 pullbacks.
-    # verify on figure-eight decides 1917 matrices; every complement frame's
+    # verify on figure-eight decides 1595 matrices; every complement frame's
     # null and inclusion rank are stacked over the memo misses of one frames
     # call, and the zero-section check stacks the ranks of its 25 expected
     # frames and reuses dPhi's, so 1 remains single
@@ -702,7 +715,7 @@ def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
 def test_svd_rows_are_exact(tmp_path, monkeypatch):
     # every matrix np.linalg.svd receives is counted, one per matrix of a
     # stack: the rank rules run it once per distinct matrix of a call, so the
-    # 1917 rank-decided matrices of verify on figure-eight reach it as 172
+    # 1595 rank-decided matrices of verify on figure-eight reach it as 126
     # rows, and the zero-section check's principal angles add two
     # singular-value rows per zero sample (50)
     real = np.linalg.svd
@@ -715,7 +728,7 @@ def test_svd_rows_are_exact(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     code, _ = run_main(["verify", write_fixture(tmp_path, "figure-eight"), "--steps", "32"])
     assert code == 0
-    assert sum(rows) == 222
+    assert sum(rows) == 176
 
 
 @pytest.mark.parametrize("target", [pytest.param("pullback_dirac_rows", id="pullback_dirac"),

@@ -175,7 +175,7 @@ def test_eval_error_unchanged_through_kernels():
         bv.matrix_jac(point)
     assert "integer power" in str(err.value)
 
-    chart = Chart(1, 2, ["1/u", "u"], domain=[(-1, 1)], check=False)
+    chart = Chart(1, 2, ["1/u", "u"], domain=[(-1, 1)])
     with pytest.raises(EvalError) as err:
         chart.points([[0.0]])
     assert str(err.value) == "non-finite result from division at point (0.0,)"

@@ -1,5 +1,7 @@
 """Charts, pointwise tangent data, regularity scans, classification."""
 
+import io
+import json
 import re
 
 import numpy as np
@@ -64,13 +66,24 @@ def test_chart_points_and_jacobian():
     assert np.array_equal(single, jac[0])
 
 
-def test_chart_immersion_rejected():
+def test_chart_immersion_rejected(tmp_path):
+    # point data decides the rank of dX at every row it visits; the
     # derivative (2u, 0, 0) vanishes at the domain center
+    bv = flat_rank2_r3()
+    chart = Chart(1, 3, ["u^2", "0", "0"], names=["u"])
+    assert len(point_data_rows(bv, chart, [[0.5], [-1.0]])) == 2
     with pytest.raises(ValueError, match=re.escape("not an immersion at u = (0.0,)")):
-        Chart(1, 3, ["u^2", "0", "0"], names=["u"])
+        point_data_rows(bv, chart, chart.grid(9))
     # rank 1 on the whole line u = 0: the first grid point on it is named
+    chart = Chart(2, 3, ["u^2", "v", "u^2*v"], names=["u", "v"])
     with pytest.raises(ValueError, match=re.escape("not an immersion at u = (0.0, -1.0)")):
-        Chart(2, 3, ["u^2", "v", "u^2*v"], names=["u", "v"])
+        point_data_rows(bv, chart, chart.grid(9))
+    # analyze reports it at top level (exit 4)
+    scene = tmp_path / "square.scene"
+    scene.write_text(FIXTURES["coiso-line"].replace('component = "u"', 'component = "u^2"'))
+    out = io.StringIO()
+    assert cli.main(["analyze", str(scene)], stream=out) == 4
+    assert json.loads(out.getvalue())["error"] == "chart is not an immersion at u = (0.0,)"
 
 
 def test_chart_zero_parameters():
@@ -318,23 +331,16 @@ def test_pullback_random_lines_routes_agree():
 
 
 def _point_data_reference(bv, chart, u):
-    # the one-row-at-a-time point_data that point_data_rows replaced
+    # point_data one row at a time, with its own rank decisions
     u = np.atleast_1d(np.asarray(u, dtype=float))
     x, dx = chart.point_at(u), chart.jac_at(u)
     n, k = bv.dim, chart.param_dim
     tx = linear.orth(dx) if k else np.zeros((n, 0))
+    if tx.shape[1] != k:
+        raise ValueError(f"chart is not an immersion at u = {tuple(u.tolist())}")
     p = bv.matrix_at(x)
-    image = p @ linear.annihilator(tx)
-    r, txperp, _ = linear.rank_svd(image, scale=np.linalg.norm(p, 2))
-    stack = np.vstack([p, dx.T])
-    corank = n - linear.rank_svd(stack)[0]
-    if r + corank != n - k:
-        sv_img = np.linalg.svd(image, compute_uv=False) if image.size else np.zeros(0)
-        sv_stk = np.linalg.svd(stack, compute_uv=False)
-        if submanifold._decisive(sv_img, r) and submanifold._decisive(sv_stk, n - corank):
-            raise ValueError(f"exactness violation at u = {tuple(u.tolist())}: "
-                             f"rank {r} + corank {corank} != {n - k}")
-    return submanifold.PointData(u, x, dx, p, tx, txperp, corank)
+    _, txperp, _ = linear.rank_svd(p @ linear.annihilator(tx), scale=np.linalg.norm(p, 2))
+    return submanifold.PointData(u, x, dx, p, tx, txperp)
 
 
 def figure_eight():
@@ -371,17 +377,12 @@ def test_stacked_point_data_rows_is_bitwise_per_row(make):
             assert got.corank == ref.corank
 
 
-def _exactness_breaking():
-    # a tiny constant bivector against a chart differential that grows to
-    # 1e10: the bordered matrix [P; dX^T] loses P's rows below its relative
-    # threshold from about u = 0.35 on, a decisive (numerical) violation
-    bv = BivectorField(3, {(0, 1): "1e-5"})
-    return bv, Chart(1, 3, ["0", "0", "exp(20*u)"], names=["u"])
-
-
 @pytest.mark.build_independent
-def test_stacked_exactness_violation_raises_as_per_row():
-    bv, chart = _exactness_breaking()
+def test_stacked_immersion_failure_raises_as_per_row():
+    # dX = 3 (u - 0.9)^2 e3 vanishes at u = 0.9 only, so the batch raises at
+    # that row, read third, as reading row by row does
+    bv = BivectorField(3, {(0, 1): "1e-5"})
+    chart = Chart(1, 3, ["0", "0", "(u - 0.9)^3"], names=["u"])
     us = np.array([[-0.5], [0.0], [0.9], [0.6], [0.2]])
     with pytest.raises(ValueError) as per_row:
         for u in us:
@@ -389,10 +390,7 @@ def test_stacked_exactness_violation_raises_as_per_row():
     with pytest.raises(ValueError) as stacked:
         point_data_rows(bv, chart, us)
     assert str(stacked.value) == str(per_row.value)
-    message = str(stacked.value)
-    assert message.startswith("exactness violation at u = (0.9,)")
-    assert "np.float64" not in message  # the text does not depend on the numpy version
-    assert message.endswith("rank 2 + corank 2 != 2")
+    assert str(stacked.value) == "chart is not an immersion at u = (0.9,)"
     assert len(point_data_rows(bv, chart, us[[0, 1, 4]])) == 3
 
 
@@ -413,11 +411,9 @@ def test_stacked_non_finite_rows_raise_as_per_row():
     assert "-0.2" in str(stacked.value)
 
 
-def _cap_dims_against_intersection(monkeypatch, bv, chart, seed):
-    # every sample classify sees (the scan grid, its refinements and the 10
-    # extra samples) is collected where submanifold computes it; per sample,
-    # dim TX + dim TXperp - dim(TX + TXperp), on the basis widths and the sum
-    # rank classify decides, must be the intersection's column count
+def _classified(monkeypatch, bv, chart, seed):
+    # classify, with every sample it sees (the scan grid, its refinements
+    # and the 10 extra samples) collected where submanifold computes it
     seen = []
 
     def collected(bv, chart, us):
@@ -428,16 +424,42 @@ def _cap_dims_against_intersection(monkeypatch, bv, chart, seed):
     with monkeypatch.context() as m:
         m.setattr(submanifold, "point_data_rows", collected)
         cl = classify(bv, chart, counts=9, seed=seed)
+    assert cl.sample_count == len(seen)
+    return cl, seen
+
+
+def _cap_dims_against_intersection(monkeypatch, bv, chart, seed):
+    # per sample, dim TX + dim TXperp - dim(TX + TXperp), on the basis
+    # widths and the sum rank classify decides, must be the intersection's
+    # column count
+    cl, seen = _classified(monkeypatch, bv, chart, seed)
     sums = linear.rank_svd_joined([(pd.tx, pd.txperp) for pd in seen])
     derived = [pd.tx.shape[1] + pd.rank_perp - rank for pd, (rank, _, _) in zip(seen, sums)]
     caps = [cap.shape[1] for cap in linear.subspace_intersect_many(
         [pd.txperp for pd in seen], [pd.tx for pd in seen])]
     assert derived == caps
-    assert cl.sample_count == len(seen)
     assert cl.ranks["cap"] == sorted(set(caps))
     assert cl["poisson_dirac"] == (cl["regular"] and not any(caps))
     assert cl["transversal"] == (cl.ranks["sum"] == [bv.dim] and not any(caps))
     return set(caps)
+
+
+def _derived_ranks_against_bordered(monkeypatch, bv, chart, seed):
+    # the corank and the Poisson-submanifold flag come from the widths of TX
+    # and TXperp; the oracle decides them from other matrices: the corank
+    # from the bordered matrix [P; dX^T], and TX as a Poisson submanifold
+    # where [TX | P] has rank k.  Both judge P against a scale that is not
+    # its own (see the reparametrisation test below), so they are an oracle
+    # only on charts of moderate speed and structures of moderate size
+    cl, seen = _classified(monkeypatch, bv, chart, seed)
+    n, k = bv.dim, chart.param_dim
+    bordered = [n - r for r, _, _ in linear.rank_svd_joined(
+        [(pd.p, pd.dx.T) for pd in seen], axis=0)]
+    assert [pd.corank for pd in seen] == bordered
+    tangent = [r == k for r, _, _ in linear.rank_svd_joined([(pd.tx, pd.p) for pd in seen])]
+    assert [pd.rank_perp == 0 for pd in seen] == tangent
+    assert cl["poisson_submanifold"] == all(tangent)
+    return set(bordered)
 
 
 @pytest.mark.parametrize("name", [name for name, text in FIXTURES.items() if "[poisson]" in text])
@@ -450,21 +472,88 @@ def test_cap_dims_match_the_intersection_on_fixtures(monkeypatch, name):
         _cap_dims_against_intersection(monkeypatch, bv, chart, seed)
 
 
+@pytest.mark.parametrize("name", [name for name, text in FIXTURES.items() if "[poisson]" in text])
+@pytest.mark.build_independent
+def test_derived_ranks_match_the_bordered_oracle_on_fixtures(monkeypatch, name):
+    scene = cli.parse_scene(FIXTURES[name])
+    bv = cli.build_bivector(scene)
+    chart = cli.build_chart(scene, bv.dim)
+    for seed in range(10):
+        _derived_ranks_against_bordered(monkeypatch, bv, chart, seed)
+
+
+def _random_affine_charts(bv, seed, count=20):
+    # count charts of every dimension k < n (k = 0 is a point chart), with a
+    # classify seed each
+    rng, names = np.random.default_rng(seed), ["u", "v", "w"]
+    for _ in range(count):
+        for k in range(bv.dim):
+            base, dirs = rng.uniform(-1, 1, bv.dim), rng.normal(size=(bv.dim, k))
+            comps = [f"{base[i]:.6f}" + "".join(f" + ({dirs[i, a]:.6f})*{names[a]}"
+                                                for a in range(k)) for i in range(bv.dim)]
+            yield (Chart(k, bv.dim, comps, domain=[[-0.5, 0.5]] * k, names=names[:k]),
+                   int(rng.integers(100)))
+
+
 @pytest.mark.parametrize("make", [
     so3_star,
     lambda: BivectorField(4, {(0, 1): "x3"}, domain=[[-2.0, 2.0]] * 4),
 ], ids=["so3-star", "x3-d1-d2"])
 @pytest.mark.build_independent
 def test_cap_dims_match_the_intersection_on_random_affine_charts(monkeypatch, make):
-    bv, rng = make(), np.random.default_rng(5)
-    names = ["u", "v", "w"]
+    bv = make()
     dims = set()
-    for _ in range(20):
-        for k in range(bv.dim):  # k = 0 is a point chart
-            base, dirs = rng.uniform(-1, 1, bv.dim), rng.normal(size=(bv.dim, k))
-            comps = [f"{base[i]:.6f}" + "".join(f" + ({dirs[i, a]:.6f})*{names[a]}"
-                                                for a in range(k)) for i in range(bv.dim)]
-            chart = Chart(k, bv.dim, comps, domain=[[-0.5, 0.5]] * k, names=names[:k])
-            dims |= _cap_dims_against_intersection(monkeypatch, bv, chart, int(rng.integers(100)))
+    for chart, seed in _random_affine_charts(bv, 5):
+        dims |= _cap_dims_against_intersection(monkeypatch, bv, chart, seed)
     assert dims == {0, 1}
 
+
+@pytest.mark.build_independent
+def test_derived_ranks_match_the_bordered_oracle_on_random_affine_charts(monkeypatch):
+    bv = so3_star()
+    coranks = set()
+    for chart, seed in _random_affine_charts(bv, 6):
+        coranks |= _derived_ranks_against_bordered(monkeypatch, bv, chart, seed)
+    assert coranks == {0, 1}
+
+
+def _z_axis(entry="1", scale=0):
+    # X(u) = (0, 0, 2^s u) on the domain |u| <= 2^-s under entry * d1^d2: a
+    # Poisson transversal at every s
+    return ('[poisson]\ndim = 3\nentry = 1 2 "%s"\ndomain = -2 2\n'
+            '[submanifold]\nparams = 1\ncomponent = "0"\ncomponent = "0"\n'
+            'component = "%r*u"\ndomain = %r %r\n'
+            % (entry, 2.0 ** scale, -2.0 ** -scale, 2.0 ** -scale))
+
+
+def _transversal_ray(scale=0):
+    text = FIXTURES["transversal-ray"]
+    return (text.replace('component = "u + 1"', f'component = "{2.0 ** scale!r}*u + 1"')
+            .replace("domain = -0.5 0.5", f"domain = {-0.5 * 2.0 ** -scale!r} "
+                                          f"{0.5 * 2.0 ** -scale!r}"))
+
+
+def _analyzed(text):
+    code, report, _ = cli.run_scene(cli.parse_scene(text), "analyze")
+    stage = report["stages"]["analyze"]
+    return code, stage["rank_sets"], stage["flags"]
+
+
+@pytest.mark.parametrize("scene", [_z_axis, _transversal_ray], ids=["z-axis", "transversal-ray"])
+@pytest.mark.parametrize("scale", [-20, 34])
+@pytest.mark.build_independent
+def test_analyze_keeps_its_verdict_under_a_power_of_two_reparametrisation(scene, scale):
+    # X(2^s u) on a domain scaled by 2^-s is the same submanifold sampled at
+    # the same points, and rescaling by a power of two is exact: the ranks
+    # and flags must not see the chart's speed
+    assert _analyzed(scene(scale=scale)) == _analyzed(scene(scale=0))
+    assert _analyzed(scene(scale=0))[0] == 0
+
+
+@pytest.mark.build_independent
+def test_a_faint_transversal_is_not_a_poisson_submanifold():
+    # TX + TXperp = R^3 under 1e-9 d1^d2 as under d1^d2: TXperp is not 0
+    code, ranks, flags = _analyzed(_z_axis(entry="1e-9"))
+    assert code == 0
+    assert ranks["perp"] == [2] and flags["transversal"]
+    assert not flags["poisson_submanifold"]
