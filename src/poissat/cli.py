@@ -50,7 +50,7 @@ from .model import (
     sigma_tau,
     verify_normal_form,
 )
-from .submanifold import Chart, classify, regularity_scan
+from .submanifold import Chart, classify
 
 _MISSING = object()
 
@@ -338,10 +338,8 @@ class _PoissonStages:
         return _complement_frames(self.scene, self.chart)
 
     def analyze(self):
-        bv, chart = self.bv, self.chart
-        seed = self.p["seed"]
-        scan = regularity_scan(bv, chart, counts=9, seed=seed)
-        self.classification = cls = classify(bv, chart, counts=9, seed=seed, scan=scan)
+        self.classification = cls = classify(self.bv, self.chart, counts=9, seed=self.p["seed"])
+        scan = cls.scan
         out = {
             "status": "pass" if scan.regular_on_samples else "fail",
             "observed_ranks": sorted(int(r) for r in scan.witnesses),

@@ -174,9 +174,12 @@ class ComplementChoice(FrameAligner):
     G and H default to Euclidean complements inside TX and TXperp; all
     frames are aligned to those at the anchor u0, the chart's center, so
     they vary smoothly and no frame depends on which is read first.
-    A frame is the PointData at u plus W and j, memoised on the bits of
-    u and frozen: the grid rows and the finite-difference stencils of the
-    bundle embedding revisit the same parameters many times.  Frames are
+    The "perp" alignment refuses a TXperp of another width than the
+    anchor's, so every frame keeps the anchor's rank TXperp and corank:
+    that is where regularity is enforced per frame.  A frame is the
+    PointData at u plus W and j, memoised on the bits of u and frozen: the
+    grid rows and the finite-difference stencils of the bundle embedding
+    revisit the same parameters many times.  Frames are
     computed per batch of memo misses, from one point_data_rows call, in
     one path for all four modes: one stacked alignment of the TXperp
     frames, then W (default: one null_many and one stacked alignment; the
@@ -207,7 +210,6 @@ class ComplementChoice(FrameAligner):
         self._aligned("tube", _tube_basis(anchor))
         self.rank_perp = anchor.rank_perp
         self.cap_dim = anchor.cap_dim
-        self.corank = anchor.corank
 
     def at(self, u) -> ComplementFrame:
         """The frame at u: the one-row case of frames."""
@@ -474,8 +476,7 @@ def _lifts(comp, us):
     frames = comp.frames(us)
     distinct = {id(fr): fr for fr in frames}
     dpr = np.eye(comp.chart.param_dim, comp.chart.param_dim + comp.rank_perp)  # bundle projection
-    bases = pullback_dirac_rows(comp.bv, comp.chart, list(distinct.values()),
-                                ref_corank=comp.corank)
+    bases = pullback_dirac_rows(list(distinct.values()))
     made = dict(zip(distinct, dirac_pullback_many(bases, [dpr] * len(distinct))))
     return [made[id(fr)] for fr in frames]
 
@@ -752,7 +753,7 @@ def marle_invariants(comp, us):
         c = fr.cap_dim
         sigma, _ = sigma_tau(comp, u)
         cross = float(np.abs(sigma[:c, :]).max()) if c else 0.0
-        dirac = pullback_dirac(comp.bv, comp.chart, fr, ref_corank=comp.corank)
+        dirac = pullback_dirac(fr)
         out.append({
             "u": tuple(float(v) for v in np.atleast_1d(u)),
             "dirac": dirac,

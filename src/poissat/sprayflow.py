@@ -39,7 +39,7 @@ import numpy as np
 
 from .field import BivectorField
 from .linear import RankDeficient, null, orth, subspace_intersect
-from .submanifold import Chart, nearby_point_data, point_data
+from .submanifold import Chart, point_data, point_data_rows
 
 
 def canonical_matrix(n: int):
@@ -264,7 +264,13 @@ def dual_pair_check(bv: BivectorField, chart: Chart, u, steps=1024):
     pd = point_data(bv, chart, u)
     n, k = bv.dim, chart.param_dim
     r = pd.rank_perp
-    if any(q.rank_perp != r for q in nearby_point_data(bv, chart, u, seed=7)):
+    # u is regular when 10 seeded probes within 1 % of the box span, clipped
+    # to the box, share its rank TXperp
+    rng = np.random.default_rng(7)
+    lo, hi = chart.domain[:, 0], chart.domain[:, 1]
+    probes = np.clip(u + np.array([rng.uniform(-0.01, 0.01, k) for _ in range(10)]) * (hi - lo),
+                     lo, hi)
+    if k and any(q.rank_perp != r for q in point_data_rows(bv, chart, probes)):
         raise RankDeficient(f"chart is not regular near u = {tuple(u.tolist())}")
     res = flow(bv, pd.x[None, :], np.zeros((1, n)), steps=steps, with_omega=True)
     if res.exited.any():

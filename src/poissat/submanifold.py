@@ -27,7 +27,6 @@ from .linear import (
     dirac_pullback_many,
     dirac_spaces,
     fix_signs,
-    on_live,
     orth,
     raise_first,
     rank_svd,
@@ -168,16 +167,6 @@ def point_data_rows(bv: BivectorField, chart: Chart, us):
     return out
 
 
-def nearby_point_data(bv: BivectorField, chart: Chart, u, seed):
-    """PointData at 10 seeded parameters within 1 % of the box span of u,
-    clipped to the box; computed lazily, none for a 0-parameter chart."""
-    rng = np.random.default_rng(seed)
-    span = chart.domain[:, 1] - chart.domain[:, 0]
-    for _ in range(10 if chart.param_dim else 0):
-        nearby = u + rng.uniform(-0.01, 0.01, chart.param_dim) * span
-        yield point_data(bv, chart, np.clip(nearby, chart.domain[:, 0], chart.domain[:, 1]))
-
-
 class ScanResult:
     def __init__(self, params, points, witnesses, refined):
         self.params = params
@@ -230,16 +219,17 @@ def regularity_scan(bv: BivectorField, chart: Chart, counts=9, seed=0):
 
 
 class Classification:
-    def __init__(self, flags, ranks, sample_count):
+    def __init__(self, flags, ranks, sample_count, scan):
         self.flags = flags
         self.ranks = ranks
         self.sample_count = sample_count
+        self.scan = scan  # the regularity_scan result whose samples it read
 
     def __getitem__(self, key):
         return self.flags[key]
 
 
-def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
+def classify(bv: BivectorField, chart: Chart, counts=9, seed=0):
     """Sampled classification flags for the chart inside the structure.
 
     Flags: regular, transversal, poisson_submanifold, coisotropic,
@@ -248,13 +238,11 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
     the sum rank of [TX | TXperp]; a cap dimension is k + rank TXperp -
     the sum rank.  Implications (transversal => regular,
     poisson_submanifold (TXperp = 0 everywhere) => regular, coisotropic
-    and regular => pre_poisson) hold by construction.  scan is the
-    regularity_scan(bv, chart, counts, seed) result when the caller
-    already has it (otherwise it is run here); only the 10 extra samples
-    get new point data.
+    and regular => pre_poisson) hold by construction.  The samples are
+    those of regularity_scan(bv, chart, counts, seed), kept as the
+    result's scan, and 10 seeded extra ones.
     """
-    if scan is None:
-        scan = regularity_scan(bv, chart, counts, seed)
+    scan = regularity_scan(bv, chart, counts, seed)
     n, k = bv.dim, chart.param_dim
     points = list(scan.points)
     if k:
@@ -278,27 +266,24 @@ def classify(bv: BivectorField, chart: Chart, counts=9, seed=0, scan=None):
         "cap": sorted(set(int(c) for c in cap_dims)),
         "sum": sorted(set(int(s) for s in sum_ranks)),
     }
-    return Classification(flags, ranks, len(points))
+    return Classification(flags, ranks, len(points), scan)
 
 
-def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_corank=None):
+def pullback_dirac(pd, route="generic"):
     """Pull the bivector graph back to the chart at the point of pd: the
-    (2k, k) Dirac basis that dirac_spaces checked, k the chart's dimension.
+    (2k, k) Dirac basis that dirac_spaces checked, k = rank dX.
 
-    pd is point_data(bv, chart, u); nothing of it is recomputed.
-    route="generic" takes the backward image along the chart Jacobian (the
-    one-row case of pullback_dirac_rows); route="perp" realizes the same
-    space as sharp(a) + i*a over covectors a annihilating TXperp.  The
-    point must be regular: the corank is compared against ref_corank (or
-    against seeded nearby samples) and a jump raises RankDeficient.
+    pd is a PointData; nothing of it is recomputed.  route="generic" takes
+    the backward image along the chart Jacobian (the one-row case of
+    pullback_dirac_rows); route="perp" realizes the same space as
+    sharp(a) + i*a over covectors a annihilating TXperp.  The point is
+    taken to be regular: regularity_scan decides that, and the frames of a
+    ComplementChoice keep the TXperp width of its anchor.
     """
     if route == "generic":
-        return raise_first(pullback_dirac_rows(bv, chart, [pd], ref_corank))[0]
-    err = _corank_error(bv, chart, pd, ref_corank)
-    if err is not None:
-        raise err
+        return raise_first(pullback_dirac_rows([pd]))[0]
     if route == "perp":
-        k, dx = chart.param_dim, pd.dx
+        dx, k = pd.dx, pd.dx.shape[1]
         ann = annihilator(pd.txperp)
         cols = []
         for a in ann.T:
@@ -314,28 +299,12 @@ def pullback_dirac(bv: BivectorField, chart: Chart, pd, route="generic", ref_cor
     raise ValueError(f"unknown route {route!r}")
 
 
-def pullback_dirac_rows(bv: BivectorField, chart: Chart, pds, ref_corank=None):
-    """pullback_dirac's generic route at every PointData of pds, as the
-    outcomes of a stacked Dirac step: each corank is checked, then the
-    graphs and backward images of the rows that pass are stacked steps,
-    each row bitwise what it is alone."""
-    return on_live(lambda pds: dirac_pullback_many(
-        dirac_graph_many(np.array([pd.p for pd in pds]), "bivector"), [pd.dx for pd in pds]),
-        [_corank_error(bv, chart, pd, ref_corank) or pd for pd in pds])
-
-
-def _corank_error(bv, chart, pd, ref_corank):
-    """The RankDeficient of a corank that is not regular at pd, or None."""
-    if ref_corank is None:
-        if any(q.corank != pd.corank for q in nearby_point_data(bv, chart, pd.u, seed=0)):
-            return RankDeficient(
-                f"corank jumps near u = {tuple(pd.u.tolist())}: pullback is not smooth there"
-            )
-    elif pd.corank != ref_corank:
-        return RankDeficient(
-            f"corank {pd.corank} at u = {tuple(pd.u.tolist())} differs from reference {ref_corank}"
-        )
-    return None
+def pullback_dirac_rows(pds):
+    """pullback_dirac's generic route at every PointData of pds: the graphs,
+    then their backward images, in stacked steps, with one outcome per row,
+    each bitwise what it is alone."""
+    return dirac_pullback_many(dirac_graph_many(np.array([pd.p for pd in pds]), "bivector"),
+                               [pd.dx for pd in pds])
 
 
 def make_transversal(bv: BivectorField, chart: Chart, thickness=0.5):

@@ -178,7 +178,7 @@ def test_bad_frame_column_exits_4_before_any_stage(tmp_path, monkeypatch, comman
     # never reads
     path = tmp_path / "frame.scene"
     path.write_text(FIXTURES["coiso-line"].replace("mode = coisotropic", columns))
-    monkeypatch.setattr(cli, "regularity_scan", None)  # any stage would call it
+    monkeypatch.setattr(cli, "classify", None)  # any stage would call it
     code, out = run_main([command, str(path), "--steps", "32"])
     assert code == 4
     rep = strict_json(out)
@@ -644,9 +644,9 @@ def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, arg
         calls["frame_rows"] += len(us)
         return real_frame_rows(bv, chart, us)
 
-    def pullback_dirac_rows(bv, chart, pds, **kwargs):
+    def pullback_dirac_rows(pds):
         calls["pullback_dirac"] += len(pds)
-        return real_pullback(bv, chart, pds, **kwargs)
+        return real_pullback(pds)
 
     def point_data_rows(bv, chart, us):
         calls["gate_rows"] += len(us)

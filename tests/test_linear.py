@@ -632,8 +632,7 @@ def _chart_pullbacks(route):
         chart = submanifold.Chart(2, 3, ["cos(u)*cos(v)", "sin(u)*cos(v)", "sin(v)"],
                                   domain=[[-0.6, 0.6], [-0.6, 0.6]])
         pds = submanifold.point_data_rows(bv, chart, chart.sample(4, seed=int(rng.integers(99))))
-        got = [submanifold.pullback_dirac(bv, chart, pd, route=route, ref_corank=pd.corank)
-               for pd in pds]
+        got = [submanifold.pullback_dirac(pd, route=route) for pd in pds]
         if route == "perp":
             # the route's SVD basis is orthonormal and isotropic: the check keeps it
             return got, [_space_ref(space) for space in got]

@@ -127,6 +127,23 @@ def test_pre_poisson_frame_off_a_pre_poisson_chart_is_rank_deficient(late_area, 
     assert str(err.value) == reason
 
 
+@pytest.mark.parametrize("mode,kwargs", [("default", {}), ("coisotropic", {}),
+                                         ("pre_poisson", {}), ("custom", {"w": np.eye(3)})])
+@pytest.mark.build_independent
+def test_frame_off_the_anchor_rank_is_rank_deficient(mode, kwargs):
+    # the cubic graph z = x^3 in (R^3, dx^dy) has rank TXperp 0 on the fold
+    # line u = 0, the anchor's, and 1 off it: the "perp" alignment refuses
+    # the wider frame in every mode, so no frame has another corank than the
+    # anchor's and the pullback need not check one
+    scene = cli.parse_scene(FIXTURES["cubic-graph"])
+    bv = cli.build_bivector(scene)
+    comp = model.ComplementChoice(bv, cli.build_chart(scene, bv.dim), mode=mode, **kwargs)
+    with pytest.raises(RankDeficient) as err:
+        comp.at([0.5, 0.0])
+    assert str(err.value) == ("reference frame dimension mismatch for 'perp': "
+                              "0 columns in the reference, 1 in the basis")
+
+
 def test_unknown_complement_mode_rejected_before_any_frame(coiso_line, monkeypatch):
     def no_frames(*args, **kwargs):
         raise AssertionError("a frame was computed")
@@ -1413,7 +1430,7 @@ def _lift_ref(comp, u):
     fr = comp.at(u)
     k = comp.chart.param_dim
     dpr = np.hstack([np.eye(k), np.zeros((k, comp.rank_perp))])
-    base = submanifold.pullback_dirac(comp.bv, comp.chart, fr, ref_corank=comp.corank)
+    base = submanifold.pullback_dirac(fr)
     return dirac_pullback(base, dpr)
 
 
@@ -1477,8 +1494,8 @@ def test_stacked_dirac_lifts_are_bitwise_per_row(so3_ray):
     for u, lift in zip(us, lifts):
         assert _bits(lift) == _bits(_lift_ref(ref_comp, u))
     pds = comp.frames(us)
-    for pd, space in zip(pds, submanifold.pullback_dirac_rows(bv, chart, pds, ref_corank=0)):
-        assert _bits(space) == _bits(submanifold.pullback_dirac(bv, chart, pd))
+    for pd, space in zip(pds, submanifold.pullback_dirac_rows(pds)):
+        assert _bits(space) == _bits(submanifold.pullback_dirac(pd))
 
 
 @pytest.mark.build_independent
@@ -1560,26 +1577,28 @@ def test_stacked_dirac_extraction_raises_as_per_row(coiso_line):
 @pytest.mark.build_independent
 def test_stacked_dirac_lift_and_extraction_raise_as_per_row(coiso_line, monkeypatch,
                                                             jump_row, flat_row):
-    # a corank jump that fails one sample's lift, and a plain-lift eta that
-    # leaves another with no bivector presentation: verify_normal_form
-    # raises the error of the first failing sample in read order, whichever
-    # step finds it, as the per-row chain lift, gauge, extract does
+    # a lift that fails at one sample, and a plain-lift eta that leaves
+    # another with no bivector presentation: verify_normal_form raises the
+    # error of the first failing sample in read order, whichever step finds
+    # it, as the per-row chain lift, gauge, extract does
     bv, chart = coiso_line
     sat = model.saturation_chart(model.ComplementChoice(bv, chart), steps=16, u_counts=4,
                                  radius=0.05, per_u=1)
     sat.etas[flat_row] = 0.0
     jump = sat.us[jump_row].tobytes()
-    real = submanifold._corank_error
+    failure = RankDeficient(f"lift fails at u = {tuple(sat.us[jump_row].tolist())}")
+    real = model.pullback_dirac_rows
 
-    def corank_error(bv, chart, pd, ref_corank):
-        if pd.u.tobytes() == jump:
-            return RankDeficient(f"corank jumps near u = {tuple(pd.u.tolist())}")
-        return real(bv, chart, pd, ref_corank)
+    def failing_at_jump(pds):
+        return [failure if pd.u.tobytes() == jump else out
+                for pd, out in zip(pds, real(pds))]
 
-    monkeypatch.setattr(submanifold, "_corank_error", corank_error)
+    monkeypatch.setattr(model, "pullback_dirac_rows", failing_at_jump)
     ref_comp = model.ComplementChoice(bv, chart)
     with pytest.raises(ValueError) as ref:
         for u, eta in zip(sat.us, sat.etas):
+            if u.tobytes() == jump:
+                raise failure
             dirac_to_bivector(dirac_gauge(_lift_ref(ref_comp, u), eta))
     with pytest.raises(ValueError) as batch:
         model.verify_normal_form(sat)

@@ -155,8 +155,10 @@ def test_classify_plane_in_so3():
 
 
 def test_classify_reuses_a_given_scan(monkeypatch):
+    # one classify call runs its own scan and computes each point-data row
+    # once, one batch per step: the grid, the refinement between grid points
+    # of different rank, then the 10 extra samples
     bv, chart = flat_rank2_r3(), cubic_graph()
-    scan = regularity_scan(bv, chart, counts=9, seed=2)
     rows = []
 
     def counted(bv, chart, us):
@@ -165,13 +167,12 @@ def test_classify_reuses_a_given_scan(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(submanifold, "point_data_rows", counted)
-        given = classify(bv, chart, counts=9, seed=2, scan=scan)
-    # the scan's point data is reused: only the 10 extra samples are new,
-    # computed in one batch
-    assert rows == [10]
-    own = classify(bv, chart, counts=9, seed=2)
-    assert given.flags == own.flags and given.ranks == own.ranks
-    assert given.sample_count == own.sample_count == len(scan.params) + 10
+        cl = classify(bv, chart, counts=9, seed=2)
+    assert rows == [9, 20, 10] and cl.scan.refined == 20
+    assert cl.sample_count == len(cl.scan.params) + 10 == sum(rows)
+    scan = regularity_scan(bv, chart, counts=9, seed=2)
+    assert cl.scan.witnesses == scan.witnesses
+    assert np.array_equal(cl.scan.params, scan.params)
 
 
 def test_classify_transversal_ray():
@@ -261,26 +262,24 @@ def test_pullback_routes_agree():
     ]
     for bv, ch, u in cases:
         pd = point_data(bv, ch, u)
-        generic = pullback_dirac(bv, ch, pd, route="generic")
-        perp = pullback_dirac(bv, ch, pd, route="perp")
+        generic = pullback_dirac(pd, route="generic")
+        perp = pullback_dirac(pd, route="perp")
         assert subspace_equal(generic, perp, tol=1e-8)
 
 
 def test_pullback_coiso_line_frozen():
     bv, ch = flat_rank2_r3(), coiso_line()
-    l = pullback_dirac(bv, ch, point_data(bv, ch, [0.4]))
+    l = pullback_dirac(point_data(bv, ch, [0.4]))
     expected = np.array([[1.0], [0.0]])
     assert subspace_equal(l, expected)
     assert 1 - linear.rank_svd(l[1:])[0] == 0  # n - rank of the cotangent block
 
 
 def test_pullback_corank_jump():
+    # away from the jump at u = 0 the pullback is a line's Dirac space; the
+    # jump itself is regularity_scan's to catch (test_scan_cubic_graph)
     bv, ch = flat_rank2_r3(), cubic_graph()
-    with pytest.raises(RankDeficient, match="corank"):
-        pullback_dirac(bv, ch, point_data(bv, ch, [0.0]))
-    with pytest.raises(RankDeficient, match="reference"):
-        pullback_dirac(bv, ch, point_data(bv, ch, [0.0]), ref_corank=0)
-    l = pullback_dirac(bv, ch, point_data(bv, ch, [0.5]), ref_corank=0)
+    l = pullback_dirac(point_data(bv, ch, [0.5]))
     assert l.shape == (2, 1)
 
 
@@ -323,8 +322,8 @@ def test_pullback_random_lines_routes_agree():
         u = rng.uniform(-0.2, 0.2, 1)
         try:
             pd = point_data(bv, ch, u)
-            generic = pullback_dirac(bv, ch, pd, route="generic")
-            perp = pullback_dirac(bv, ch, pd, route="perp")
+            generic = pullback_dirac(pd, route="generic")
+            perp = pullback_dirac(pd, route="perp")
         except RankDeficient:
             continue
         assert subspace_equal(generic, perp, tol=1e-8)
