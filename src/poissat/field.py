@@ -153,12 +153,25 @@ def jacobi_residual(bv: BivectorField, pts):
     p = bv.matrix(pts)
     if bv.constant:
         return np.zeros(len(pts))
-    dj = bv.matrix_jac(pts)
     with np.errstate(all="ignore"):
-        t1 = np.einsum("mlk,mijl->mijk", p, dj)
-        t2 = np.einsum("mli,mjkl->mijk", p, dj)
-        t3 = np.einsum("mlj,mkil->mijk", p, dj)
-        return np.max(np.abs(t1 + t2 + t3), axis=(1, 2, 3))
+        return np.max(np.abs(jacobi_tensor(p, bv.matrix_jac(pts))), axis=(1, 2, 3))
+
+
+def jacobi_tensor(p, dj):
+    """J^ijk of every point, from PI (m, n, n) and its partials (m, n, n, n)
+    in the matrix_jac layout, dj[:, i, j, l] = d_l PI^ij.
+
+    The three terms of J are one tensor read three ways: S^abc = sum_l
+    PI^la d_l PI^bc is formed once, by broadcast products summed in l
+    order onto +0.0 (as a contraction sums, so a -0.0 product adds up to
+    +0.0), and J^ijk = S^kij + S^ijk + S^jki is the sum of its transposed
+    views in that order.
+    """
+    m, n = p.shape[:2]
+    s = np.zeros((m, n, n, n))
+    for l in range(n):
+        s += p[:, l, :, None, None] * dj[:, None, :, :, l]
+    return s.transpose(0, 2, 3, 1) + s + s.transpose(0, 3, 1, 2)
 
 
 # Standard structures used across tests and shipped scenes.

@@ -17,6 +17,8 @@ Skew forms and Dirac spaces are plain arrays; a Dirac space on R^n is a
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 TOL_REL = 1e-8
@@ -131,21 +133,40 @@ def _svd_distinct(stack):
     """np.linalg.svd of a (g, d, k) stack, run on the first occurrence of
     each distinct matrix only and gathered back to every row by index, so
     every row gets a fresh copy of its matrix's U, s and V^T."""
-    g = len(stack)
-    if g > 1:
-        flat = np.ascontiguousarray(stack).reshape(g, -1)
-        keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
-        # in the reversed pairs each matrix's first row comes last, so it wins
-        first = dict(zip(keys[::-1], range(g - 1, -1, -1)))
-        if len(first) < g:
-            at = np.fromiter(map(first.__getitem__, keys), dtype=np.intp, count=g)
-            distinct = np.flatnonzero(at == np.arange(g))
-            slot = np.empty(g, dtype=np.intp)
-            slot[distinct] = np.arange(len(distinct))
-            gather = slot[at]
-            u, s, vt = np.linalg.svd(stack[distinct], full_matrices=True)
+    if len(stack) > 1:
+        firsts, gather = _first_by_bits([stack])
+        if len(firsts) < len(stack):
+            u, s, vt = np.linalg.svd(stack[firsts], full_matrices=True)
             return u[gather], s[gather], vt[gather]
     return np.linalg.svd(stack, full_matrices=True)
+
+
+def _first_by_bits(columns):
+    """The first row of each distinct row of the columns, in first-seen
+    order, and per row the position of its distinct row among them.
+
+    Each column is one item per row: a float stack, keyed per row on its
+    raw bytes, or a list, keyed per item on its shape and raw bytes (an
+    error on its identity).  -0.0 and +0.0, and NaN payloads, stay apart.
+    """
+    keys = [_bit_keys(column) for column in columns]
+    keys = keys[0] if len(keys) == 1 else list(zip(*keys))
+    g = len(keys)
+    # in the reversed pairs each key's first row comes last, so it wins
+    first = dict(zip(keys[::-1], range(g - 1, -1, -1)))
+    at = np.fromiter(map(first.__getitem__, keys), dtype=np.intp, count=g)
+    firsts = np.flatnonzero(at == np.arange(g))
+    slot = np.empty(g, dtype=np.intp)
+    slot[firsts] = np.arange(len(firsts))
+    return firsts, slot[at]
+
+
+def _bit_keys(column):
+    if isinstance(column, np.ndarray) and column.dtype == float and column.ndim > 1 and column.size:
+        flat = np.ascontiguousarray(column).reshape(len(column), -1)
+        return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
+    return [id(item) if isinstance(item, Exception) else (item.shape, item.tobytes())
+            for item in column]
 
 
 def orth(m):
@@ -475,6 +496,28 @@ def on_live(step, rows, *extras, key=None):
     return out
 
 
+def on_distinct(step, rows, *extras):
+    """One stacked step run once per distinct row, with one outcome per row.
+
+    step maps a list of rows, and the matching items of each extra list, to
+    one outcome per row that is a function of the bits of that row and its
+    extras alone.  It runs on the first occurrence of each distinct (row,
+    extras), by raw bytes and shape (see _first_by_bits), in first-seen
+    order, and the outcomes come back in row order.  A repeated row gets a
+    fresh copy of an array outcome, with its strides, so no two rows alias;
+    an error outcome is shared.  When no row repeats, step takes the rows
+    and the extras as they are.
+    """
+    firsts, gather = _first_by_bits([rows, *extras])
+    if len(firsts) == len(gather):
+        return list(step(rows, *extras))
+    done = list(step(*[[column[i] for i in firsts.tolist()] for column in (rows, *extras)]))
+    counts = np.bincount(gather, minlength=len(done)).tolist()
+    outcomes = [iter(_stack_rows([res] * count)) if count > 1 and isinstance(res, np.ndarray)
+                else repeat(res) for res, count in zip(done, counts)]
+    return [next(outcomes[slot]) for slot in gather.tolist()]
+
+
 def dirac_spaces(bases):
     """The one check of Dirac spaces, on every (2n, m) basis of a (g, 2n, m)
     stack: per row the checked basis, or the error the row raises alone;
@@ -524,16 +567,19 @@ def dirac_graph(obj, kind):
 
 
 def dirac_graph_many(objs, kind):
-    """dirac_graph of every bivector or two-form of objs, in stacked steps."""
-    if kind == "bivector":
-        ps = np.asarray(objs, dtype=float)
-        eyes = np.broadcast_to(np.eye(ps.shape[-1]), ps.shape)
-        return dirac_spaces(np.concatenate([ps, eyes], axis=1))
-    if kind == "two_form":
-        cs = skew(objs)
-        eyes = np.broadcast_to(np.eye(cs.shape[-1]), cs.shape)
-        return dirac_spaces(np.concatenate([eyes, np.swapaxes(cs, 1, 2)], axis=1))
-    raise ValueError(f"kind must be 'bivector' or 'two_form', got {kind!r}")
+    """dirac_graph of every bivector or two-form of objs, in stacked steps,
+    once per distinct matrix (see on_distinct)."""
+    if kind not in ("bivector", "two_form"):
+        raise ValueError(f"kind must be 'bivector' or 'two_form', got {kind!r}")
+
+    def step(objs):
+        ms = np.asarray(objs, dtype=float)
+        eyes = np.broadcast_to(np.eye(ms.shape[-1]), ms.shape)
+        if kind == "bivector":
+            return dirac_spaces(np.concatenate([ms, eyes], axis=1))
+        return dirac_spaces(np.concatenate([eyes, np.swapaxes(skew(ms), 1, 2)], axis=1))
+
+    return on_distinct(step, np.asarray(objs, dtype=float))
 
 
 def dirac_gauge(L, eta):

@@ -26,7 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .field import BivectorField
+from .field import BivectorField, jacobi_tensor
 from .linear import (
     NotPoisson,
     RankDeficient,
@@ -42,6 +42,7 @@ from .linear import (
     lagrangian_complement,
     null,
     null_many,
+    on_distinct,
     on_live,
     orth,
     orth_many,
@@ -858,28 +859,32 @@ class GotayModel(FrameAligner):
         """Model bivector at every row (x, c) of qs, and L at every x.
 
         Each row's x and its gauge stencil are listed once, and the distinct
-        points among them on their bits, in read order.  L comes from one
-        l_source call and every inclusion from one stacked step.  Then the
-        rows' lifts of L along the bundle projection (one per distinct x),
-        gauges and extractions each run as one stacked step, so every row
-        is bitwise what it is alone.  A failure of L or of the inclusions is
-        that of the first failing row of its step; after them each row keeps
-        the first error of its chain, and the first failing row raises.
+        points among them on their bits, in read order; L comes from one
+        l_source call.  Then every step runs once per distinct input (see
+        on_distinct), as one stacked step: the inclusions once per distinct
+        L, the lifts of L along the bundle projection once per distinct L,
+        and the gauges and extractions once per distinct (lift, eta), so
+        every row is bitwise what it is alone.  A failure of L or of the
+        inclusions is that of the first failing row of its step; after them
+        each row keeps the first error of its chain, and the first failing
+        row raises.
         """
         k = self.dim
         qs = np.asarray(qs, dtype=float)
         reads = [[x, *_stencil(x, _FD_H)] for x in qs[:, :k]]
         points = {y.tobytes(): y for row in reads for y in row}
         ls = dict(zip(points, raise_first(self._l_at(np.array(list(points.values()))))))
-        incls = dict(zip(ls, self._inclusions(list(ls.values()))))
+        incls = dict(zip(ls, on_distinct(self._inclusions, list(ls.values()))))
         etas = []
         for q, row in zip(qs, reads):
             vals = np.array([incls[y.tobytes()] for y in row])
             etas.append(_canonical_form_gauge(vals[0], vals[1:], q[k:], _FD_H))
         keys = [q[:k].tobytes() for q in qs]
         xs = list(dict.fromkeys(keys))
-        lifts = dict(zip(xs, dirac_pullback_many([ls[x] for x in xs], [self._dpr] * len(xs))))
-        out = raise_first(_models_from_etas([lifts[key] for key in keys], np.array(etas)))
+        lifts = dict(zip(xs, on_distinct(dirac_pullback_many, [ls[x] for x in xs],
+                                         [self._dpr] * len(xs))))
+        out = raise_first(on_distinct(_models_from_etas, [lifts[key] for key in keys],
+                                      np.array(etas)))
         return out, [ls[key] for key in keys]
 
     def bivector_at(self, x, c):
@@ -893,9 +898,11 @@ class GotayModel(FrameAligner):
         One _bivectors call takes the rows of every sample x: (x, 0), (x, c)
         and the _FD_H-stencil of (x, c), whose bivectors give the Jacobi
         gradients; a failure of its stacked step comes before any extraction.
-        The pullbacks that reproduce L along the zero section are one
-        stacked step, and so are their principal angles against L.  At
-        least one sample is required: none would measure nothing.
+        The zero-section bivectors are graphed in one stacked step, once per
+        distinct bivector; the pullbacks that reproduce L along the zero
+        section are one stacked step, and so are their principal angles
+        against L.  The Jacobi tensors of every sample are one jacobi_tensor
+        call.  At least one sample is required: none would measure nothing.
         """
         if samples < 1:
             raise ValueError(f"verify needs samples >= 1, got {samples}")
@@ -913,16 +920,17 @@ class GotayModel(FrameAligner):
         backs = raise_first(dirac_pullback_many(
             dirac_graph_many(np.array(ps[::span]), "bivector"), [incl] * samples))
         angs = principal_angles_many(backs, ls[::span])
-        for i, ang in zip(range(0, len(ps), span), angs):
-            p, p0, *stencil = ps[i:i + span]
+        by_sample = np.reshape(ps, (samples, span, k + m, k + m))
+        # grads[s, i, j, l] = d_l P^ij at sample s: the matrix_jac layout
+        grads = _central_diff(np.moveaxis(by_sample[:, 2:], 1, -1).T, _FD_H).T
+        with np.errstate(all="ignore"):
+            cyclic = np.abs(jacobi_tensor(by_sample[:, 1], grads)).max(axis=(1, 2, 3))
+        for p, ang, worst in zip(by_sample[:, 0], angs, cyclic.tolist()):
             image = p @ conormal
             resid = image - incl @ (incl.T @ image)
             coiso = max(coiso, float(np.abs(resid).max(initial=0.0)))
             angles = max(angles, float(ang.max(initial=0.0)))
-            grads = _central_diff(np.array(stencil), _FD_H)
-            cyclic = (np.einsum("lk,lij->ijk", p0, grads) + np.einsum("li,ljk->ijk", p0, grads)
-                      + np.einsum("lj,lki->ijk", p0, grads))
-            jacobi = max(jacobi, float(np.abs(cyclic).max()))
+            jacobi = max(jacobi, worst)
         return {"coisotropy": coiso, "reproduction_angle": angles, "jacobi_fd": jacobi}
 
 

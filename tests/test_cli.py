@@ -661,8 +661,8 @@ def test_frames_and_lifts_once_per_parameter(tmp_path, monkeypatch, fixture, arg
 
 
 @pytest.mark.parametrize("job,single,stacked", [("analyze-cubic-graph", 0, 1084),
-                                               ("gotay-verify", 1, 3409),
-                                               ("verify-figure-eight", 1, 1594)],
+                                               ("gotay-verify", 1, 80),
+                                               ("verify-figure-eight", 1, 1570)],
                          ids=["analyze-cubic-graph", "gotay-verify", "verify-figure-eight"])
 @pytest.mark.build_independent
 def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
@@ -674,13 +674,15 @@ def test_rank_svd_calls_are_exact(tmp_path, monkeypatch, job, single, stacked):
     # sum [TX | TXperp]), and every flag, the corank and the cap dimension
     # are read from those ranks.  GotayModel.verify
     # decides one (the vertical frame, at construction) and stacks the rest:
-    # L of the constant form once, kernels and inclusions at the 500
-    # distinct points that its stencils read, 140 lifts (one per distinct
-    # x), the gauge and extraction of all 200 rows, and 20 pullbacks.
-    # verify on figure-eight decides 1595 matrices; every complement frame's
-    # null and inclusion rank are stacked over the memo misses of one frames
-    # call, and the zero-section check stacks the ranks of its 25 expected
-    # frames and reuses dPhi's, so 1 remains single
+    # the origin's kernel and inclusion at construction (9), then, once per
+    # distinct input, the one kernel and inclusion of the constant form's
+    # one L (5), its one lift (3), the one graph of a zero-section bivector
+    # and the one gauge (2), and the one extraction (1), and the 20
+    # reproduction pullbacks (60).  verify on figure-eight decides 1571
+    # matrices; every complement frame's null and inclusion rank are stacked
+    # over the memo misses of one frames call, the constant structure's 25
+    # bivector graphs are one graph, and the zero-section check stacks the
+    # ranks of its 25 expected frames and reuses dPhi's, so 1 remains single
     real, real_many = linear.rank_svd, linear.rank_svd_many
     count = {"single": 0, "stacked": 0}
 
@@ -737,16 +739,20 @@ def test_extraction_radius_rank_failure_exits_3(tmp_path, monkeypatch, target):
     # a rank failure does not depend on the fiber radius: it must stop the
     # model stage with its reason, not halve the radius down to 0.0; the
     # model lifts and gauges through the stacked entry points, so those are
-    # patched (the ids keep the names of the one-row steps they batch)
+    # patched (the ids keep the names of the one-row steps they batch).  The
+    # message is the one the "perp" frame alignment raises when TXperp
+    # changes width
+    reason = ("reference frame dimension mismatch for 'perp': "
+              "1 columns in the reference, 2 in the basis")
+
     def rank_deficient(*args, **kwargs):
-        raise model.RankDeficient("corank 1 at u = (0.0,) differs from reference 0")
+        raise model.RankDeficient(reason)
 
     monkeypatch.setattr(model, target, rank_deficient)
     code, out = run_main(["model", write_fixture(tmp_path, "coiso-line"), "--steps", "32"])
     assert code == 3
     stage = json.loads(out)["stages"]["model"]
-    assert stage == {"status": "fail",
-                     "reason": "corank 1 at u = (0.0,) differs from reference 0"}
+    assert stage == {"status": "fail", "reason": reason}
 
 
 LATE_AREA = ('[poisson]\ndim = 4\nentry = 1 2 "1"\nentry = 3 4 "1"\ndomain = -2 2\n'

@@ -148,6 +148,76 @@ def test_jacobi_formula_against_fd_oracle():
         assert fast == pytest.approx(slow, rel=1e-6, abs=1e-8)
 
 
+def _three_einsum_jacobi(p, dj):
+    # the reference: the three terms of J^ijk as separate contractions
+    return (np.einsum("mlk,mijl->mijk", p, dj) + np.einsum("mli,mjkl->mijk", p, dj)
+            + np.einsum("mlj,mkil->mijk", p, dj))
+
+
+def _with_specials(rng, a, specials):
+    # a scattering of the special entries
+    flat = a.reshape(-1)
+    at = rng.permutation(flat.size)[:max(4, flat.size // 10)]
+    flat[at] = np.resize(specials, len(at))
+    return a
+
+
+@pytest.mark.build_independent
+def test_jacobi_tensor_is_bitwise_the_three_einsums():
+    # one Schouten tensor read three ways gives the bits of the three
+    # contractions, for finite stacks with signed zeros, in jacobi_residual's
+    # layout and in GotayModel.verify's (grads[l] = d_l P, moved to the
+    # matrix_jac layout); with infs and NaNs too it gives the same values and
+    # NaNs in the same places, whose sign bit no IEEE rule fixes, so the same
+    # max-abs residuals
+    rng = np.random.default_rng(7)
+    with np.errstate(all="ignore"):
+        for n in range(2, 13):
+            for specials in ([0.0, -0.0], [0.0, -0.0, np.inf, np.nan, -np.inf]):
+                p = _with_specials(rng, rng.normal(size=(30, n, n)), specials)
+                dj = _with_specials(rng, rng.normal(size=(30, n, n, n)), specials)
+                got, ref = field.jacobi_tensor(p, dj), _three_einsum_jacobi(p, dj)
+                if len(specials) == 2:
+                    assert got.tobytes() == ref.tobytes()
+                assert np.array_equal(got, ref, equal_nan=True)
+                assert (np.abs(got).max(axis=(1, 2, 3)).tobytes()
+                        == np.abs(ref).max(axis=(1, 2, 3)).tobytes())
+        for n in range(2, 9):
+            p0, grads = rng.normal(size=(20, n, n)), rng.normal(size=(20, n, n, n))
+            ref = [np.einsum("lk,lij->ijk", a, g) + np.einsum("li,ljk->ijk", a, g)
+                   + np.einsum("lj,lki->ijk", a, g) for a, g in zip(p0, grads)]
+            got = field.jacobi_tensor(p0, np.moveaxis(grads, 1, -1))
+            assert got.tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.build_independent
+def test_jacobi_residual_matches_the_three_einsums():
+    # the same residuals as the three contractions, overflowing points
+    # included (1e200 entries: NaN there, 0 at the origin, +0 or -0), and the
+    # same EvalError point where an entry is not finite
+    def reference(bv, pts):
+        with np.errstate(all="ignore"):
+            return np.max(np.abs(_three_einsum_jacobi(bv.matrix(pts), bv.matrix_jac(pts))),
+                          axis=(1, 2, 3))
+
+    pts = np.vstack([np.random.default_rng(3).uniform(-1, 1, size=(50, 3)),
+                     [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]]])
+    for entries in ({(0, 1): "z + 0.1*x^2", (1, 2): "x", (2, 0): "y"},
+                    {(0, 1): "1e200*z", (1, 2): "1e200*x", (2, 0): "1e200*x"}):
+        bv = BivectorField(3, entries, certify=False)
+        got, ref = jacobi_residual(bv, pts), reference(bv, pts)
+        assert got.tobytes() == ref.tobytes()
+    assert np.isnan(got[:50]).all() and not got[50:].any()
+    bad = BivectorField(3, {(0, 1): "1/x", (1, 2): "y"}, certify=False)
+    pts = [[0.5, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 2.0, 0.0]]
+    errors = []
+    for fn in (jacobi_residual, reference):
+        with pytest.raises(EvalError) as err:
+            fn(bad, pts)
+        errors.append((str(err.value), err.value.point))
+    assert errors[0] == errors[1] and errors[0][1] == (0.0, 1.0, 0.0)
+
+
 def test_sharp_convention_and_batch():
     bv = field.so3_star()
     # sharp(dx) at (0,0,1) is (0,-1,0) under sharp(a) = PI @ a

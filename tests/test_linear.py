@@ -790,6 +790,65 @@ def test_stacked_on_live_keeps_errors_and_groups_in_order():
     assert linear.on_live(step, [err], [0]) == [err]
 
 
+@pytest.mark.build_independent
+def test_on_distinct_runs_each_distinct_row_once_and_copies_back():
+    calls = []
+    err = RankDeficient("row failed")
+
+    def step(rows, tags):
+        calls.append((len(rows), list(tags)))
+        return [err if tag < 0 else row[:, ::2] * tag for row, tag in zip(rows, tags)]
+
+    a, b = np.arange(6.0).reshape(2, 3), np.arange(6.0).reshape(3, 2)
+    zero = np.zeros((2, 3))
+    rows = [a, b, a.copy(), zero, -zero, a, zero]
+    tags = np.array([2.0, 2.0, 2.0, 1.0, 1.0, -1.0, 1.0])
+    out = linear.on_distinct(step, rows, tags)
+    # one call, on the first row of each distinct (row, tag) by shape and
+    # bits, in first-seen order: b has a's bits in another shape, and -0.0
+    # is not +0.0
+    assert calls == [(5, [2.0, 2.0, 1.0, 1.0, -1.0])]
+    assert all(got.tobytes() == (row[:, ::2] * tag).tobytes()
+               for got, row, tag in zip(out, rows, tags) if tag > 0)
+    assert out[5] is err
+    # every repeated array outcome is a fresh copy with its strides: writing
+    # to one row moves no other
+    assert out[0].strides == out[2].strides == (a[:, ::2] * 2.0).strides
+    arrays = [i for i, o in enumerate(out) if isinstance(o, np.ndarray)]
+    before = {i: out[i].copy() for i in arrays}
+    for i in arrays:
+        out[i][...] = np.nan
+        assert all(_same(out[j], before[j]) for j in arrays if j != i)
+        out[i][...] = before[i]
+    # no row repeats: the step takes the rows and the extras as they are
+    calls.clear()
+    stack = np.stack([a, a + 1.0])
+    assert [o.tobytes() for o in linear.on_distinct(step, stack, tags[:2])] == [
+        (a[:, ::2] * 2.0).tobytes(), ((a + 1.0)[:, ::2] * 2.0).tobytes()]
+    assert calls == [(2, [2.0, 2.0])]
+    assert linear.on_distinct(step, [], []) == []
+
+
+@pytest.mark.build_independent
+def test_dirac_graph_many_graphs_each_distinct_matrix_once(monkeypatch):
+    # a stack that repeats one form is graphed and checked once; every row
+    # is bitwise the graph of its form alone, and no two rows alias
+    rng = np.random.default_rng(11)
+    forms = [random_skew(rng, 3) for _ in range(2)]
+    stack = np.array([forms[0], forms[1], forms[0], forms[0]])
+    checked = []
+    real = linear.dirac_spaces
+    monkeypatch.setattr(linear, "dirac_spaces", lambda bases: checked.append(len(bases))
+                        or real(bases))
+    for kind in ("two_form", "bivector"):
+        checked.clear()
+        out = linear.dirac_graph_many(stack, kind)
+        assert checked == [2]
+        assert all(_same(got, dirac_graph(form, kind)) for got, form in zip(out, stack))
+        out[0][...] = 0.0
+        assert _same(out[2], dirac_graph(forms[0], kind)) and _same(out[3], out[2])
+
+
 def test_lagrangian_complement_rejects_nan_at_each_check():
     # every check fails on NaN input instead of passing it
     omega = [[0.0, 1.0], [-1.0, 0.0]]

@@ -18,7 +18,7 @@ import re
 import numpy as np
 import pytest
 
-from poissat import cli, field, model, submanifold
+from poissat import cli, field, linear, model, submanifold
 from poissat.fixtures import FIXTURES
 from poissat.linear import (
     NotPoisson,
@@ -1207,59 +1207,71 @@ def _gotay(dim, form):
         dim, lambda xs: dirac_graph_many([form(x) for x in xs], "two_form"))
 
 
-def _record_rows(monkeypatch, got, rows):
-    """Record every (x, c) row that got's batch path is asked for."""
+def _record_rows(monkeypatch, got, rows, outs=None):
+    """Record every (x, c) row that got's batch path is asked for, and into
+    outs, if given, every bivector it returns."""
     real = got._bivectors
 
     def recording(qs):
         rows.extend(np.asarray(qs, dtype=float))
-        return real(qs)
+        ps, ls = real(qs)
+        if outs is not None:
+            outs.extend(ps)
+        return ps, ls
 
     monkeypatch.setattr(got, "_bivectors", recording)
 
 
 @pytest.mark.parametrize("origin_first", [False, True], ids=["verify-first", "origin-first"])
-@pytest.mark.parametrize("dim, form, fiber", [(3, _form_r3, 1), (4, _form_r4, 2)],
+@pytest.mark.parametrize("dim, form, fiber, extracted", [(3, _form_r3, 1, 120),
+                                                       (4, _form_r4, 2, 200)],
                          ids=["r3-fiber1", "r4-fiber2"])
-def test_gotay_memo_is_bitwise_exact(monkeypatch, dim, form, fiber, origin_first):
-    # the model keeps nothing between calls: every bivector verify extracts is
+def test_gotay_memo_is_bitwise_exact(monkeypatch, dim, form, fiber, extracted, origin_first):
+    # the model keeps nothing between calls: every bivector verify gets is
     # bitwise the one bivector_at gives for that row alone, and reading the
-    # origin first changes neither the bivectors nor the report
+    # origin first changes neither the bivectors nor the report.  Of verify's
+    # 20 * (2 * (dim + fiber) + 2) rows, only the distinct (lift, eta) pairs
+    # are extracted: a form that ignores some coordinates repeats them
     def run(first):
         got = _gotay(dim, form)
         assert got.fiber_dim == fiber
-        rows, seen = [], []
+        rows, outs, seen = [], [], []
 
         def recording(spaces):
             seen.extend(to_bivector(spaces))
             return seen[-len(spaces):]
 
-        _record_rows(monkeypatch, got, rows)
+        _record_rows(monkeypatch, got, rows, outs)
         with monkeypatch.context() as m:
             m.setattr(model, "dirac_to_bivector_many", recording)
             if first:
                 got.bivector_at(np.zeros(dim), np.zeros(fiber))
             rep = got.verify(samples=20)
-        return rep, rows, seen
+        return rep, rows, outs, seen
 
     to_bivector = model.dirac_to_bivector_many
-    rep, rows, seen = run(origin_first)
-    ref_rep, _, ref_seen = run(False)
+    rep, rows, outs, seen = run(origin_first)
+    ref_rep, _, ref_outs, ref_seen = run(False)
     assert rep == ref_rep
-    assert len(rows) == len(seen) == (1 if origin_first else 0) + 20 * (2 * (dim + fiber) + 2)
+    assert len(rows) == len(outs) == (1 if origin_first else 0) + 20 * (2 * (dim + fiber) + 2)
+    assert len(seen) == (1 if origin_first else 0) + extracted
     assert all(a.tobytes() == b.tobytes() for a, b in zip(seen[-len(ref_seen):], ref_seen))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(outs[-len(ref_outs):], ref_outs))
     alone = _gotay(dim, form)
-    for q, p in zip(rows, seen):
+    for q, p in zip(rows, outs):
         assert p.tobytes() == alone.bivector_at(q[:dim], q[dim:]).tobytes()
 
 
-@pytest.mark.parametrize("dim, form", [(3, _form_r3), (4, _form_r4)], ids=["r3", "r4"])
+@pytest.mark.parametrize("dim, form, distinct", [(3, _form_r3, 15), (4, _form_r4, 39)],
+                         ids=["r3", "r4"])
 @pytest.mark.build_independent
-def test_stacked_gotay_inclusions_are_bitwise_per_row(monkeypatch, dim, form):
-    # verify computes every inclusion in one stacked step, once per distinct
-    # point its gauge stencils read, each bitwise the one computed alone
+def test_stacked_gotay_inclusions_are_bitwise_per_row(monkeypatch, dim, form, distinct):
+    # verify reads L once per distinct point its gauge stencils read, and
+    # computes every inclusion in one stacked step, once per distinct L among
+    # them (a form that ignores some coordinates repeats L), each bitwise the
+    # one computed alone
     got = _gotay(dim, form)
-    batches, points = [], []
+    batches, points, spaces = [], [], []
     real, real_l = got._inclusions, got._l_at
 
     def counted(ls):
@@ -1268,13 +1280,15 @@ def test_stacked_gotay_inclusions_are_bitwise_per_row(monkeypatch, dim, form):
 
     def listed(xs):
         points.extend(x.tobytes() for x in xs)
-        return real_l(xs)
+        spaces.extend(real_l(xs))
+        return spaces[-len(xs):]
 
     monkeypatch.setattr(got, "_inclusions", counted)
     monkeypatch.setattr(got, "_l_at", listed)
     rep = got.verify(samples=3)
     [(ls, incls)] = batches
-    assert len(ls) == len(points) == len(set(points))
+    assert len(points) == len(set(points)) > len(ls)
+    assert len(ls) == len({l.tobytes() for l in ls}) == len({l.tobytes() for l in spaces}) == distinct
     assert got.verify(samples=3) == rep and len(batches) == 2
     per_row = _gotay(dim, form)
     for l, incl in zip(reversed(ls), reversed(incls)):
@@ -1282,14 +1296,16 @@ def test_stacked_gotay_inclusions_are_bitwise_per_row(monkeypatch, dim, form):
         assert incl.tobytes() == ref.tobytes() and incl.shape == ref.shape
 
 
-@pytest.mark.parametrize("dim, form", [(3, _form_r3), (4, _form_r4)], ids=["r3", "r4"])
+@pytest.mark.parametrize("dim, form, extracted", [(3, _form_r3, 30), (4, _form_r4, 50)],
+                         ids=["r3", "r4"])
 @pytest.mark.build_independent
-def test_stacked_gotay_verify_is_bitwise_per_row(monkeypatch, dim, form):
+def test_stacked_gotay_verify_is_bitwise_per_row(monkeypatch, dim, form, extracted):
     # the per-row reference sends every row of verify through the batch path
-    # on its own
+    # on its own, and so extracts every row; the stacked path extracts each
+    # distinct (lift, eta) once
     def run(stacked):
         got = _gotay(dim, form)
-        seen = []
+        seen, outs = [], []
 
         def recording(spaces):
             seen.extend(to_bivector(spaces))
@@ -1299,19 +1315,25 @@ def test_stacked_gotay_verify_is_bitwise_per_row(monkeypatch, dim, form):
             alone = [real(q[None]) for q in np.asarray(qs, dtype=float)]
             return [ps[0] for ps, _ in alone], [ls[0] for _, ls in alone]
 
+        def batch(qs):
+            ps, ls = (real if stacked else per_row)(qs)
+            outs.extend(ps)
+            return ps, ls
+
         real = got._bivectors
         with monkeypatch.context() as m:
             m.setattr(model, "dirac_to_bivector_many", recording)
-            if not stacked:
-                m.setattr(got, "_bivectors", per_row)
+            m.setattr(got, "_bivectors", batch)
             rep = got.verify(samples=5)
-        return rep, seen
+        return rep, seen, outs
 
     to_bivector = model.dirac_to_bivector_many
-    (rep, seen), (ref_rep, ref_seen) = run(True), run(False)
+    (rep, seen, outs), (ref_rep, ref_seen, ref_outs) = run(True), run(False)
     assert rep == ref_rep
-    assert len(seen) == len(ref_seen) == 5 * (2 * (dim + (dim - 2)) + 2)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, ref_seen))
+    assert len(outs) == len(ref_outs) == len(ref_seen) == 5 * (2 * (dim + (dim - 2)) + 2)
+    assert len(seen) == extracted
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(outs, ref_outs))
+    assert {a.tobytes() for a in seen} == {b.tobytes() for b in ref_seen}
 
 
 @pytest.mark.build_independent
@@ -1330,6 +1352,62 @@ def test_stacked_gotay_kernel_rank_jump_raises_as_per_row(monkeypatch):
     assert str(verified.value) == str(per_row.value) == "tangent kernel rank is not constant"
 
 
+def _per_row(step, rows, *extras):
+    # on_distinct without the dedupe: every row through the step alone
+    return [step([row], *[[extra[i]] for extra in extras])[0] for i, row in enumerate(rows)]
+
+
+@pytest.mark.build_independent
+def test_gotay_verify_on_the_constant_fixture_form_runs_each_step_once(monkeypatch):
+    # the fixture's form dx^dy is constant, so every point one verify reads
+    # has one L: _inclusions gets that one L, the form's graph is checked
+    # once, and every bivector is still bitwise bivector_at of its row alone
+    def stages():
+        got = cli._GotayStages(cli.parse_scene(FIXTURES["gotay-presymplectic"]), {"seed": 0},
+                               False)
+        got.analyze()
+        return got
+
+    got = stages()
+    graph = np.vstack([np.eye(3), skew(got.kernel(np.zeros((1, 3)))[0]).T]).tobytes()
+    batches, graphs, rows, outs = [], [], [], []
+    real_incl, real_spaces = got.gotay._inclusions, linear.dirac_spaces
+
+    def checked(bases):
+        graphs.extend(basis.tobytes() == graph for basis in bases)
+        return real_spaces(bases)
+
+    monkeypatch.setattr(got.gotay, "_inclusions", lambda ls: batches.append(len(ls))
+                        or real_incl(ls))
+    monkeypatch.setattr(linear, "dirac_spaces", checked)
+    _record_rows(monkeypatch, got.gotay, rows, outs)
+    got.verify()
+    assert batches == [1] and graphs.count(True) == 1
+    monkeypatch.undo()
+    alone = stages().gotay
+    assert len(rows) == len(outs) == 20 * 10
+    for q, p in zip(rows, outs):
+        assert p.tobytes() == alone.bivector_at(q[:3], q[3:]).tobytes()
+
+
+@pytest.mark.build_independent
+def test_deduped_gotay_raises_the_per_row_first_error(monkeypatch):
+    # the kernel rank of x3 dx1^dx2 jumps off x3 = 0: with every step run once
+    # per distinct input, verify raises the error that the per-row steps
+    # raise first
+    errors = []
+    for per_row in (False, True):
+        with monkeypatch.context() as m:
+            if per_row:
+                m.setattr(model, "on_distinct", _per_row)
+                m.setattr(linear, "on_distinct", _per_row)
+            got = _gotay(4, _x3_form_r4)
+            with pytest.raises(Exception) as err:
+                got.verify(samples=20)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1] == (RankDeficient, "tangent kernel rank is not constant")
+
+
 def test_gotay_verify_computes_each_inclusion_once(monkeypatch):
     rows = []
     real = model.intersect_orth_many
@@ -1343,9 +1421,9 @@ def test_gotay_verify_computes_each_inclusion_once(monkeypatch):
     model.GotayModel(3, _constant(omega)).verify(samples=20)
     # construction computes the origin's kernel, then its inclusion, which
     # sets the alignment references; verify then makes one stacked
-    # _inclusions call with one kernel per distinct point its gauge stencils
-    # read: 500 of the 20 * 70 = 1400 reads
-    assert rows == [1, 1, 500]
+    # _inclusions call with one kernel per distinct L at the 500 distinct
+    # points of its 20 * 70 = 1400 reads: the constant form has one L
+    assert rows == [1, 1, 1]
 
 
 def test_gotay_nonconstant_kernel_rejected():
@@ -1533,13 +1611,16 @@ def test_stacked_dirac_model_rows_are_bitwise_per_row(coiso_line, so3_ray, monke
                     dirac_to_bivector(dirac_gauge(lift, eta))
             else:
                 assert _bits(p) == _bits(dirac_to_bivector(dirac_gauge(lift, eta)))
-    assert len(batches) >= 4 and rows >= 5 + 5 + 6 + 2 * 14
+    # GotayModel.verify's 2 * 14 rows reach the step as 20 distinct (lift, eta)
+    assert len(batches) >= 4 and rows >= 5 + 5 + 6 + 20
     for spaces, maps, out in pulls:
         for space, a, got in zip(spaces, maps, out):
             assert _bits(got) == _bits(dirac_pullback(space, a))
-    # GotayModel.verify: one lift per distinct x (x and its 8 base-direction
-    # stencil points, per sample), then one reproduction pullback per sample
-    assert [len(out) for _, _, out in pulls][-2:] == [2 * 9, 2]
+    # GotayModel.verify: one lift per distinct L at the 2 * 9 distinct x (x
+    # and its 8 base-direction stencil points, per sample; the form reads x2
+    # and x4 only, so x -+ h e1 and x -+ h e3 repeat L at x), then one
+    # reproduction pullback per sample
+    assert [len(out) for _, _, out in pulls][-2:] == [2 * 5, 2]
 
 
 @pytest.mark.build_independent
