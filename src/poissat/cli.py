@@ -39,16 +39,15 @@ from .model import (
     RADIUS_FLOOR,
     ComplementChoice,
     GotayModel,
-    eta_closedness_residual,
-    eta_forms,
+    eta_checks,
     eta_zero_section,
-    extraction_radius,
     full_fiber_landing,
     marle_invariants,
     saturation_chart,
     saturation_residuals,
     sigma_tau,
     verify_normal_form,
+    worst_of,
 )
 from .submanifold import Chart, classify
 
@@ -396,20 +395,18 @@ class _PoissonStages:
         sigma, tau = sigma_tau(comp, u0)
         fr = comp.at(u0)
         grid = comp.chart.grid(3)
-        etas = eta_forms(comp, grid, np.zeros((len(grid), comp.rank_perp)), steps=p["steps"])
-        zero_resid = max([0.0, *(float(np.abs(eta - eta_zero_section(comp, u)).max())
-                                 for u, eta in zip(grid, etas))])
         zeta = np.full(comp.rank_perp, p["xi_radius"] / 4)
-        closed = eta_closedness_residual(comp, u0, zeta, steps=min(p["steps"], 256))
-        radius = extraction_radius(comp, u0, steps=min(p["steps"], 256), start=p["xi_radius"],
-                                   seed=p["seed"])
+        etas, closed, radius = eta_checks(comp, u0, grid, zeta, steps=p["steps"],
+                                          start=p["xi_radius"], seed=p["seed"])
+        zero_resid = worst_of(float(np.abs(eta - eta_zero_section(comp, u)).max())
+                              for u, eta in zip(grid, etas))
         conditions = {k: bool(v) if isinstance(v, (bool, np.bool_)) else float(v)
                       for k, v in fr.conditions.items()}
         invariants = {}
         if comp.mode == "pre_poisson":
             rows = marle_invariants(comp, grid)
             invariants = {"quotient_rank": int(rank_svd(rows[0]["quotient"])[0]),
-                          "cross_residual": max(r["cross_residual"] for r in rows)}
+                          "cross_residual": worst_of(r["cross_residual"] for r in rows)}
         tols = self.model_tolerances
         ok = (zero_resid <= tols["eta_zero_section"] and closed <= tols["eta_closedness"]
               and radius > tols["extraction_radius"]

@@ -556,7 +556,7 @@ def compile_kernel(slots, shape):
 
     def kernel(pts):
         out = np.zeros((pts.shape[0],) + shape)
-        cols = tuple(np.ascontiguousarray(pts[:, i]) for i in range(pts.shape[1]))
+        cols = pts.T.copy()  # row i is the contiguous column of variable i
         try:
             with np.errstate(all="ignore"):
                 fill(cols, out)

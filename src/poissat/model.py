@@ -61,6 +61,21 @@ from .submanifold import Chart, PointData, point_data_rows, pullback_dirac, pull
 
 RADIUS_FLOOR = 1e-3
 _FD_H = 1e-5  # central-difference step of J, the tube frame and the gauge forms
+_CLOSED_H = 1e-4  # central-difference step of the closedness probe of eta
+
+
+def worst_of(values):
+    """The largest of 0.0 and values, the fold of every check: the first
+    NaN among values, if any, and otherwise what max([0.0, *values])
+    returns.  Python's max drops a NaN that comes after a number, so a
+    NaN measure would pass a check."""
+    out = 0.0
+    for value in values:
+        if value != value:
+            return value
+        if value > out:
+            out = value
+    return out
 
 
 class ComplementFrame(PointData):
@@ -383,15 +398,15 @@ def _bundle_flow(comp, us, zetas, steps, with_omega=False):
     return frames, res, dphi, etas
 
 
-def _require_inside(res):
-    if res.exited.any():
+def _require_inside(exited):
+    if exited.any():
         raise LeftDomain("state flows out of the domain box")
 
 
 def eta_forms(comp, us, zetas, steps=1024):
     """eta = -e*(averaged flow form) at every (u, zeta) row, in one flow."""
     _, res, _, etas = _bundle_flow(comp, us, zetas, steps, with_omega=True)
-    _require_inside(res)
+    _require_inside(res.exited)
     return etas
 
 
@@ -443,14 +458,24 @@ def _gauge_blocks(a, b):
 
 def eta_closedness_residual(comp, u, zeta, steps=256):
     """Max finite-difference exterior-derivative component of eta."""
-    h = 1e-4
+    return _closedness_sum(eta_forms(comp, *_closedness_rows(comp, u, zeta), steps=steps))
+
+
+def _closedness_rows(comp, u, zeta):
+    """The (us, zetas) rows of the closedness probe at (u, zeta): the
+    _CLOSED_H-stencil of the bundle point, which needs no row at the point."""
     k = comp.chart.param_dim
     zeta = np.asarray(zeta, dtype=float).reshape(comp.rank_perp)
-    point = np.concatenate([np.atleast_1d(u), zeta])
-    ps = _stencil(point, h)
-    grads = _central_diff(eta_forms(comp, ps[:, :k], ps[:, k:], steps=steps), h)
-    return max([0.0, *(abs(grads[a][b, c] + grads[b][c, a] + grads[c][a, b])
-                       for a, b, c in combinations(range(len(point)), 3))])
+    ps = _stencil(np.concatenate([np.atleast_1d(u), zeta]), _CLOSED_H)
+    return ps[:, :k], ps[:, k:]
+
+
+def _closedness_sum(etas):
+    """The largest cyclic sum of the central-difference gradients of eta,
+    from eta at the rows of _closedness_rows."""
+    grads = _central_diff(etas, _CLOSED_H)
+    return worst_of(abs(grads[a][b, c] + grads[b][c, a] + grads[c][a, b])
+                    for a, b, c in combinations(range(len(grads)), 3))
 
 
 def local_model_bivector(comp, u, zeta, steps=1024, eta_source="flow"):
@@ -506,21 +531,98 @@ def extraction_radius(comp, u, steps=256, start=0.5, seed=0):
     leaves the box (LeftDomain); the frame and lift at u are fetched once,
     before the first radius, and their errors propagate.
     """
-    r, count = comp.rank_perp, 6
-    if r == 0:
+    dirs = _extraction_dirs(comp, seed)
+    if dirs is None:
         return start
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(count, r))
+    lifts = raise_first(_lifts(comp, [u])) * len(dirs)
+    return _first_extracting(lifts, _halvings(start), lambda radius: eta_forms(
+        comp, [u] * len(dirs), radius * dirs, steps=steps))
+
+
+def _extraction_dirs(comp, seed):
+    """The 6 seeded unit fiber directions that the extraction radius
+    probes, or None on a 0-dimensional fiber, which has none."""
+    if comp.rank_perp == 0:
+        return None
+    dirs = np.random.default_rng(seed).normal(size=(6, comp.rank_perp))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    lifts = raise_first(_lifts(comp, [u])) * count
-    for radius in _halvings(start):
+    return dirs
+
+
+def _first_extracting(lifts, radii, etas_at):
+    """The first of radii at which every direction extracts, else 0.0;
+    etas_at(radius) gives eta at the rows of that radius.  Only what the
+    radius changes fails it, an extraction failure (NotPoisson) or a flow
+    that leaves the box (LeftDomain); any other error propagates."""
+    for radius in radii:
         try:
-            etas = eta_forms(comp, [u] * count, radius * dirs, steps=steps)
-            raise_first(_models_from_etas(lifts, etas))
+            raise_first(_models_from_etas(lifts, etas_at(radius)))
             return radius
         except (NotPoisson, LeftDomain):
             continue
     return 0.0
+
+
+def eta_checks(comp, u, grid, zeta, steps=1024, start=0.5, seed=0):
+    """The model stage's three measures of eta at the anchor u, as
+    (etas, closedness, radius): eta at every zero-section row (g, 0) of
+    grid, flowed over steps, then eta_closedness_residual(comp, u, zeta)
+    and extraction_radius(comp, u, start=start, seed=seed), both flowed
+    over min(steps, 256).
+
+    Their first flows go out together, as one _bundle_flow call per
+    distinct step count, and each check reads its own rows, which are
+    bitwise those of its own flow.  An exit in the grid or stencil rows
+    fails the merged path; one in the first radius's rows fails that
+    radius, and later radii flow as extraction_radius flows them.
+    """
+    short = min(steps, 256)
+    try:
+        return _eta_checks_merged(comp, u, grid, zeta, steps, short, start, seed)
+    except Exception:
+        # whatever failed, the three standalone calls in their order raise
+        # the error, message and point that the stage reports
+        return (eta_forms(comp, grid, np.zeros((len(grid), comp.rank_perp)), steps=steps),
+                eta_closedness_residual(comp, u, zeta, steps=short),
+                extraction_radius(comp, u, steps=short, start=start, seed=seed))
+
+
+def _eta_checks_merged(comp, u, grid, zeta, steps, short, start, seed):
+    dirs = _extraction_dirs(comp, seed)
+    batches = [(list(grid), np.zeros((len(grid), comp.rank_perp)), steps),
+               (*_closedness_rows(comp, u, zeta), short)]
+    if dirs is not None:
+        lifts = raise_first(_lifts(comp, [u])) * len(dirs)
+        batches.append(([u] * len(dirs), start * dirs, short))
+    (grid_exited, etas), (stencil_exited, stencil_etas), *first = _batched_etas(comp, batches)
+    _require_inside(grid_exited)
+    _require_inside(stencil_exited)
+    closed = _closedness_sum(stencil_etas)
+    if dirs is None:
+        return etas, closed, start
+
+    def etas_at(radius):
+        if radius == start:  # flowed with the other batches
+            _require_inside(first[0][0])
+            return first[0][1]
+        return eta_forms(comp, [u] * len(dirs), radius * dirs, steps=short)
+
+    return etas, closed, _first_extracting(lifts, _halvings(start), etas_at)
+
+
+def _batched_etas(comp, batches):
+    """(exited, eta) of every (us, zetas, steps) batch, from one _bundle_flow
+    call per distinct steps; each batch's rows are its own slice."""
+    out = [None] * len(batches)
+    for steps in dict.fromkeys(b[2] for b in batches):
+        picked = [i for i, b in enumerate(batches) if b[2] == steps]
+        _, res, _, etas = _bundle_flow(comp, [y for i in picked for y in batches[i][0]],
+                                       np.vstack([batches[i][1] for i in picked]), steps,
+                                       with_omega=True)
+        bounds = np.cumsum([0, *(len(batches[i][0]) for i in picked)])
+        for i, lo, hi in zip(picked, bounds, bounds[1:]):
+            out[i] = res.exited[lo:hi], etas[lo:hi].copy()
+    return out
 
 
 def _halvings(start):
@@ -576,7 +678,7 @@ class SaturationChart:
     def map_and_jac(self, us, zetas):
         """Phi and dPhi at every (u, zeta) row, in one flow."""
         _, res, dphi, _ = _bundle_flow(self.comp, us, zetas, self.steps)
-        _require_inside(res)
+        _require_inside(res.exited)
         return res.x, dphi
 
     def project(self, ys, inits, max_iter=50, tol=1e-10):
@@ -667,7 +769,7 @@ def full_fiber_landing(sat: SaturationChart, radius=0.05, seed=1):
     kept = np.flatnonzero(~res.exited)
     inits = np.hstack([us[kept], np.zeros((kept.size, sat.comp.rank_perp))])
     _, dists = sat.project(res.x[kept], inits)
-    worst = max([0.0, *dists])
+    worst = worst_of(dists)
     return {"max_distance": worst, "checked": int(kept.size),
             "skipped": int(len(us) - kept.size)}
 
@@ -693,7 +795,7 @@ def verify_normal_form(sat: SaturationChart, eta_source="flow"):
         etas = np.array([eta_canonical_form_source(sat.comp, u, z)
                          for u, z in zip(sat.us, sat.zetas)])
     models = raise_first(_models_from_etas(_lifts(sat.comp, sat.us), etas))
-    worst = max([0.0, *_pushforward_mismatches(sat.jacs, models, sat.bv.matrix(sat.points))])
+    worst = worst_of(_pushforward_mismatches(sat.jacs, models, sat.bv.matrix(sat.points)))
     return {"max_mismatch": worst, "radius_used": sat.radius_used, "samples": len(sat.us),
             "steps": sat.steps}
 
@@ -791,7 +893,7 @@ def compare_complements(comp_a, comp_b, steps=1024, count=20, radius=0.1, seed=3
                 np.linalg.norm(zeta), 1e-12)
         zetas.append(zeta)
     _, res_a, jas, etas = _bundle_flow(comp_a, us, zetas, steps, with_omega=True)
-    _require_inside(res_a)
+    _require_inside(res_a.exited)
     models_a = raise_first(_models_from_etas(_lifts(comp_a, us), etas), keep=NotPoisson)
     kept = [i for i, p in enumerate(models_a) if not isinstance(p, NotPoisson)]
     worst_mismatch, dists = 0.0, []
@@ -800,11 +902,11 @@ def compare_complements(comp_a, comp_b, steps=1024, count=20, radius=0.1, seed=3
         params, dists = sat_b.project(res_a.x[kept], inits)
         _, res_b, jbs, etas_b = _bundle_flow(comp_b, params[:, :k], params[:, k:], steps,
                                              with_omega=True)
-        _require_inside(res_b)
+        _require_inside(res_b.exited)
         pbs = raise_first(_models_from_etas(_lifts(comp_b, params[:, :k]), etas_b))
-        worst_mismatch = max([0.0, *_pushforward_mismatches(
-            jas[kept], [models_a[i] for i in kept], [jb @ pb @ jb.T for jb, pb in zip(jbs, pbs)])])
-    return {"max_mismatch": worst_mismatch, "max_projection_distance": max([0.0, *dists]),
+        worst_mismatch = worst_of(_pushforward_mismatches(
+            jas[kept], [models_a[i] for i in kept], [jb @ pb @ jb.T for jb, pb in zip(jbs, pbs)]))
+    return {"max_mismatch": worst_mismatch, "max_projection_distance": worst_of(dists),
             "checked": len(kept), "skipped": len(us) - len(kept)}
 
 
@@ -914,7 +1016,6 @@ class GotayModel(FrameAligner):
                 for x, q in zip(xs, points)]
         span = 2 * (k + m) + 2
         ps, ls = self._bivectors(np.reshape(rows, (-1, k + m)))
-        coiso = angles = jacobi = 0.0
         incl = np.vstack([np.eye(k), np.zeros((m, k))])
         conormal = np.vstack([np.zeros((k, m)), np.eye(m)])
         backs = raise_first(dirac_pullback_many(
@@ -925,13 +1026,12 @@ class GotayModel(FrameAligner):
         grads = _central_diff(np.moveaxis(by_sample[:, 2:], 1, -1).T, _FD_H).T
         with np.errstate(all="ignore"):
             cyclic = np.abs(jacobi_tensor(by_sample[:, 1], grads)).max(axis=(1, 2, 3))
-        for p, ang, worst in zip(by_sample[:, 0], angs, cyclic.tolist()):
-            image = p @ conormal
-            resid = image - incl @ (incl.T @ image)
-            coiso = max(coiso, float(np.abs(resid).max(initial=0.0)))
-            angles = max(angles, float(ang.max(initial=0.0)))
-            jacobi = max(jacobi, worst)
-        return {"coisotropy": coiso, "reproduction_angle": angles, "jacobi_fd": jacobi}
+        images = (p @ conormal for p in by_sample[:, 0])
+        coiso = worst_of(float(np.abs(image - incl @ (incl.T @ image)).max(initial=0.0))
+                         for image in images)
+        angles = worst_of(float(ang.max(initial=0.0)) for ang in angs)
+        return {"coisotropy": coiso, "reproduction_angle": angles,
+                "jacobi_fd": worst_of(cyclic.tolist())}
 
 
 def fiberwise_reflection_residual(l_base, a_block, b_block):
@@ -958,4 +1058,4 @@ def fiberwise_reflection_residual(l_base, a_block, b_block):
     right = dirac_gauge(lifted, -eta_here)
     ang = principal_angles(left, right)
     fixed = principal_angles(dirac_pullback(lifted, m), lifted)
-    return float(max(ang.max(initial=0.0), fixed.max(initial=0.0)))
+    return float(worst_of([ang.max(initial=0.0), fixed.max(initial=0.0)]))

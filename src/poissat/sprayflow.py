@@ -27,7 +27,10 @@ serves as all four stages of every step, and the step's increment
 exit test and the accumulators are those of the general path, bit for
 bit.  On either path a step adds its increment as it is while every
 trajectory is alive (the gate would multiply it by 1.0, which is exact),
-and gated from the step after the first exit.  When PI
+and gated from the step after the first exit; a trajectory that starts
+outside the box is gated from the first step, so it stays at x0.  The
+increment is summed in place, in the order of the plain expression, and
+the per-step box test reads the domain bounds once per flow.  When PI
 is linear (dPI reads no coordinate, as on so(3)*), dPI is one array and
 xi is frozen, so bmat = dPI . xi is formed once per flow and every stage
 contracts it with its own T; each stage still evaluates PI at its state.
@@ -106,15 +109,22 @@ def _rhs(bv, x, xi, top, bmat=None):
     return xdot, tdot
 
 
+def _rk4_sum(h, k1, k2, k3, k4):
+    """(h/6)(k1 + 2 k2 + 2 k3 + k4) in one fresh array, summed in place in
+    the order ((k1 + 2 k2) + 2 k3) + k4 and then scaled, the bits of the
+    plain expression; the slopes are left as they are."""
+    out = 2 * k2
+    out += k1
+    out += 2 * k3
+    out += k4
+    out *= h / 6.0
+    return out
+
+
 def _increment(h, kx, kt):
-    """The RK4 increment (h/6)(k1 + 2 k2 + 2 k3 + k4) of x and of top
-    (None without a variational block), from the four stages' slopes."""
-    k1, k2, k3, k4 = kx
-    dx = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if kt[0] is None:
-        return dx, None
-    k1, k2, k3, k4 = kt
-    return dx, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """The RK4 increment of x and of top (None without a variational
+    block), from the four stages' slopes."""
+    return _rk4_sum(h, *kx), None if kt[0] is None else _rk4_sum(h, *kt)
 
 
 def flow(
@@ -130,7 +140,8 @@ def flow(
 
     Batched over leading axes of x0/xi0, which must have the same shape.
     Trajectories that leave the domain box freeze at the exit step and
-    are flagged; the partial state is returned.  steps must be even (the
+    are flagged; the partial state is returned.  One that starts outside
+    the box is flagged and never moves.  steps must be even (the
     node grid doubles as the Simpson grid) and at least 16.
     """
     if np.shape(x0) != np.shape(xi0):
@@ -169,7 +180,10 @@ def flow(
         # entry that fails raises before its partial does
         bv.matrix(x)
         bmat = _dpi_xi(bv, x, xi)
-    every = True  # every trajectory is alive: the gate is all 1.0, and x * 1.0 is x
+    # while every trajectory is alive the gate is all 1.0, and x * 1.0 is x;
+    # a trajectory that starts outside the box is gated from the first step
+    every = bool(alive.all())
+    lo, hi = bv.domain[:, 0], bv.domain[:, 1]  # bv.inside's box, read once
     for s in range(steps):
         if fixed is None:
             k1x, k1t = _rhs(bv, x, xi, top, bmat)
@@ -188,7 +202,7 @@ def flow(
         x += dx
         if top is not None:
             top += dtop
-        alive &= bv.inside(x)
+        alive &= np.all((x >= lo) & (x <= hi), axis=1)
         every = every and bool(alive.all())
         if with_omega:
             w = (h / 3.0) * (1.0 if s == steps - 1 else (4.0 if s % 2 == 0 else 2.0))

@@ -603,11 +603,19 @@ def test_literal_arithmetic_error_exits_4_naming_the_operation(tmp_path, scene, 
     assert json.loads(out)["error"].startswith(f"non-finite result from {operation} at point (")
 
 
-@pytest.mark.parametrize("command,flows", [("all", 9), ("verify", 1)])
-def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch, command, flows):
+@pytest.mark.parametrize("command,steps,flows", [
+    ("all", ["--steps", "32"], [20, 10, 10, 10, 10, 9, 15]),
+    ("all", [], [20, 10, 10, 10, 10, 9, 3, 12]),
+    ("verify", ["--steps", "32"], [20]),
+], ids=["all-7", "all-8-scene-defaults", "verify-1"])
+def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch, command, steps, flows):
     # saturate: grid 1, landing probes 1, lockstep projection 4 iterations;
-    # model: zero-section grid 1, closedness 1, extraction 1; verify reads
-    # the saturate stage's grid, and alone it flows that grid once
+    # model: one flow per distinct step count for its three eta batches,
+    # the zero-section grid (3 rows, the scene's steps), the closedness
+    # stencil (6 rows) and the first extraction radius (6 rows), both at
+    # min(steps, 256); so one flow at --steps 32, and two at the scene's
+    # 1024 steps.  verify reads the saturate stage's grid, and alone it
+    # flows that grid once.  Rows per flow, in call order
     calls = []
     real_flow = model.flow
 
@@ -616,10 +624,9 @@ def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch, command, flows):
         return real_flow(*args, **kwargs)
 
     monkeypatch.setattr(model, "flow", counting_flow)
-    code, _ = run_main([command, write_fixture(tmp_path, "transversal-ray"), "--steps", "32"])
+    code, _ = run_main([command, write_fixture(tmp_path, "transversal-ray"), *steps])
     assert code == 0
-    assert len(calls) == flows
-    assert min(calls) > 1  # no single-trajectory flows remain
+    assert calls == flows  # no single-trajectory flows remain
 
 
 @pytest.mark.parametrize("fixture,argv,frames,lifts,gate", [
@@ -830,7 +837,7 @@ def clean_all(tmp_path_factory):
     pytest.param("coiso-line", "analyze", cli, "classify", id="poisson-analyze"),
     pytest.param("coiso-line", "saturate", cli, "full_fiber_landing",
                  id="poisson-saturate"),
-    pytest.param("coiso-line", "model", cli, "extraction_radius", id="poisson-model"),
+    pytest.param("coiso-line", "model", cli, "eta_checks", id="poisson-model"),
     pytest.param("coiso-line", "verify", cli, "verify_normal_form", id="poisson-verify"),
     pytest.param("gotay-presymplectic", "analyze", cli, "GotayModel",
                  id="presymplectic-analyze"),
@@ -862,6 +869,36 @@ def test_stage_outcomes_map_to_one_exit_code_table(tmp_path, monkeypatch, clean_
     assert list(rep["stages"]) == names[:names.index(stage) + 1]
     assert all(rep["stages"][s] == clean["stages"][s] for s in names[:names.index(stage)])
     assert rep["stages"][stage] == {"status": status, "reason": str(make())}
+
+
+def test_nan_jacobi_tensor_fails_presymplectic_verify(tmp_path, monkeypatch):
+    # a NaN Jacobi tensor at every sample: the fold of the samples once
+    # dropped it and reported jacobi_fd 0.0, which passed the 1e-10 bound
+    monkeypatch.setattr(model, "jacobi_tensor", lambda p, grads: np.full(grads.shape, np.nan))
+    code, out = run_main(["verify", write_fixture(tmp_path, "gotay-presymplectic")])
+    assert code == 2
+    stage = json.loads(out)["stages"]["verify"]
+    assert stage["status"] == "fail" and np.isnan(stage["jacobi_fd"])
+    assert stage["coisotropy"] == 0.0
+
+
+def test_nan_eta_fails_the_model_stage(tmp_path, monkeypatch):
+    # eta NaN at every zero-section row (zeta = 0) of every bundle flow: the
+    # fold of the grid once dropped the NaN residuals and the stage passed
+    real_bundle_flow = model._bundle_flow
+
+    def nan_on_zero_section(comp, us, zetas, steps, with_omega=False):
+        frames, res, dphi, etas = real_bundle_flow(comp, us, zetas, steps, with_omega)
+        if etas is not None:
+            etas[~np.asarray(zetas, dtype=float).any(axis=1)] = np.nan
+        return frames, res, dphi, etas
+
+    monkeypatch.setattr(model, "_bundle_flow", nan_on_zero_section)
+    code, out = run_main(["model", write_fixture(tmp_path, "coiso-line"), "--steps", "32"])
+    assert code == 2
+    stage = json.loads(out)["stages"]["model"]
+    assert stage["status"] == "fail" and np.isnan(stage["eta_zero_section_residual"])
+    assert stage["eta_closedness_residual"] <= 1e-6 and stage["extraction_radius"] == 0.2
 
 
 def test_presymplectic_overflow_in_verify_is_a_stage_error(tmp_path):

@@ -736,6 +736,19 @@ def test_extraction_radius_halves_on_leaving_the_box(so3_ray, monkeypatch):
     assert lifts == [1]
 
 
+@pytest.mark.build_independent
+def test_worst_of_keeps_max_and_propagates_nan():
+    # without a NaN it returns what max([0.0, *values]) returns, the same
+    # object; a NaN anywhere, even after a larger number, comes back
+    values = [np.float64(0.5), 2.0, np.float64(2.0), 1.0]
+    assert model.worst_of(values) is max([0.0, *values])
+    assert model.worst_of([]) == 0.0 and model.worst_of(iter([-1.0])) == 0.0
+    for at in range(4):
+        with_nan = values[:at] + [np.nan] + values[at:]
+        assert max([0.0, *with_nan]) == 2.0  # the NaN is dropped
+        assert np.isnan(model.worst_of(with_nan))
+
+
 def test_halvings_reject_a_non_finite_start():
     # inf * 0.5 is inf: the loop would never reach the floor
     assert list(model._halvings(0.004)) == [0.004, 0.002, 0.001]
@@ -1076,6 +1089,59 @@ def scene_parts(name):
     """The bivector, chart and complement that a run of the fixture builds."""
     stages = fixture_stages(name)
     return stages.bv, stages.chart, stages.comp
+
+
+# coiso-line at xi_radius 3: the first extraction radius leaves the box, and
+# the radius halves to 1.5
+FIRST_RADIUS_FAILS = FIXTURES["coiso-line"] + "\n[flow]\nxi_radius = 3\n"
+
+
+@pytest.mark.parametrize("text", [FIXTURES["transversal-ray"], FIXTURES["coiso-line"],
+                                  FIRST_RADIUS_FAILS],
+                         ids=["transversal-ray", "coiso-line", "first-radius-fails"])
+@pytest.mark.parametrize("steps", [32, None], ids=["steps-32", "scene-defaults"])
+@pytest.mark.build_independent
+def test_model_stage_eta_checks_are_bitwise_the_standalone_calls(monkeypatch, text, steps):
+    # the model stage's three eta batches flow together, once per distinct
+    # step count, and each check reads its own rows: eta on the zero
+    # section, the closedness residual and the extraction radius are
+    # bitwise what eta_forms, eta_closedness_residual and extraction_radius
+    # give alone, on a complement of their own.  The merged path calls
+    # neither standalone check; only radii after the first flow apart
+    def analyzed():
+        sc = cli.parse_scene(text)
+        stages = cli._PoissonStages(sc, cli.scene_parameters(sc, steps), want_csv=False)
+        stages.analyze()
+        return stages.p, stages.comp
+
+    p, comp = analyzed()
+    u0, grid = comp.chart.center(), comp.chart.grid(3)
+    zeta = np.full(comp.rank_perp, p["xi_radius"] / 4)
+    short = min(p["steps"], 256)
+    calls, real_flow = [], model.flow
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["steps"])
+        return real_flow(*args, **kwargs)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the merged path fell back")
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "flow", counted)
+        m.setattr(model, "eta_closedness_residual", unreachable)
+        m.setattr(model, "extraction_radius", unreachable)
+        etas, closed, radius = model.eta_checks(comp, u0, grid, zeta, steps=p["steps"],
+                                                start=p["xi_radius"], seed=p["seed"])
+    halvings = round(np.log2(p["xi_radius"] / radius))
+    assert calls == list(dict.fromkeys([p["steps"], short])) + [short] * halvings
+    assert (halvings > 0) == (text is FIRST_RADIUS_FAILS)
+    _, alone = analyzed()
+    ref = model.eta_forms(alone, grid, np.zeros((len(grid), alone.rank_perp)), steps=p["steps"])
+    assert _bits(etas) == _bits(ref)
+    assert _bits(closed) == _bits(model.eta_closedness_residual(alone, u0, zeta, steps=short))
+    assert radius == model.extraction_radius(alone, u0, steps=short, start=p["xi_radius"],
+                                             seed=p["seed"])
 
 
 def project_one(sat, y, init, max_iter=50, tol=1e-10):

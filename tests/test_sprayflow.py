@@ -303,7 +303,9 @@ def assert_bitwise(a, b):
 
 
 # (structure, exit state): row 0 of each case leaves the box and freezes;
-# the zero structure cannot move a point, so its row 0 starts outside
+# the zero structure cannot move a point, so its row 0 starts outside.
+# Row 1 starts outside the box in every case: it is flagged at once and
+# never moves, on the constant path and on the stage loop alike
 @pytest.mark.parametrize("bv,exit_state", [
     (flat_rank2_r3(), ([1.8, 1.8, 0.5], [-1.5, 1.5, 0.0])),
     (so3_star(), ([1.8, 1.8, 0.5], [-1.5, 1.5, 0.0])),
@@ -321,9 +323,11 @@ def test_flow_matches_full_variational_reference_bitwise(bv, exit_state, with_om
     x0 = rng.uniform(-1.0, 1.0, (6, bv.dim))
     xi = rng.normal(scale=0.6, size=(6, bv.dim))
     x0[0], xi[0] = exit_state
+    x0[1, 0] = bv.domain[0, 1] + 0.5
     res = flow(bv, x0, xi, steps=64, with_jac=True, with_omega=with_omega)
     x, jac, omega = flow_ref(bv, x0, xi, steps=64, with_omega=with_omega)
-    assert res.exited[0] and not res.exited.all()
+    assert res.exited[:2].all() and not res.exited.all()
+    assert_bitwise(res.x[1], x0[1])
     assert_bitwise(res.x, x)
     assert_bitwise(res.jac, jac)
     if with_omega:
