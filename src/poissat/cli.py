@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 from datetime import datetime, timezone
@@ -363,17 +364,23 @@ class _PoissonStages:
                                 f"analyze saw rank_sets {self.classification.ranks}")
         return ComplementChoice(self.bv, self.chart, mode=mode, **self.frames)
 
+    # saturate sets it before it builds the chart, so the landing probes ride
+    # the chart's grid flow; verify alone builds the chart without them
+    _landing = False
+
     @cached_property
     def sat(self):
         p = self.p
         return saturation_chart(self.comp, steps=p["steps"], u_counts=p["u_counts"],
-                                radius=p["xi_radius"], per_u=p["per_u"], seed=p["seed"])
+                                radius=p["xi_radius"], per_u=p["per_u"], seed=p["seed"],
+                                landing=self._landing)
 
     def saturate(self):
-        p, sat, tols = self.p, self.sat, self.p["tolerances"]
+        self._landing = True
+        sat, tols = self.sat, self.p["tolerances"]
         res = saturation_residuals(sat)
         worst = float(res.max(initial=0.0))
-        land = full_fiber_landing(sat, radius=min(0.05, p["xi_radius"]), seed=p["seed"] + 1)
+        land = full_fiber_landing(sat)
         if self.want_csv:
             self.csv = _csv_text(sat, res)
         ok = (worst <= tols["saturation"] and land["checked"] > 0
@@ -561,8 +568,20 @@ def _csv_text(sat, res):
     return "\n".join(lines) + "\n"
 
 
+def _json_value(value):
+    """value with every non-finite float written as the string "NaN",
+    "Infinity" or "-Infinity": neither bare token is JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def report_text(report):
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(_json_value(report), indent=2, allow_nan=False) + "\n"
 
 
 # Entry point

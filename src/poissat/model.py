@@ -26,6 +26,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .expr import EvalError
 from .field import BivectorField, jacobi_tensor
 from .linear import (
     NotPoisson,
@@ -364,7 +365,7 @@ def _central_diff(vals, h, vec=None):
     return diff / (2 * h)
 
 
-def _bundle_flow(comp, us, zetas, steps, with_omega=False):
+def _bundle_flow(comp, us, zetas, steps, with_omega=False, extra=None):
     """Embed every (u, zeta) row as e(u, zeta) = (X(u), J(u) zeta) and flow
     all of them in one batch, with jac.
 
@@ -372,7 +373,9 @@ def _bundle_flow(comp, us, zetas, steps, with_omega=False):
     call; de(u, zeta) has dJ/du zeta from their J.  Returns the frame of
     every u, the FlowResult, dPhi = d(exp)_base . de at every row (the top
     half of jac) and, with omega, eta = -de^T omega de at every row, else
-    None; batched rows are bitwise those of single-row flows.
+    None; batched rows are bitwise those of single-row flows.  extra, a
+    pair (x, xi) of state rows, rides the same flow after the bundle rows:
+    the FlowResult holds them last, and dPhi and eta do not.
     """
     us = [np.atleast_1d(np.asarray(u, dtype=float)) for u in us]
     got = comp.frames([y for u in us for y in (u, *_stencil(u, _FD_H))])
@@ -390,11 +393,14 @@ def _bundle_flow(comp, us, zetas, steps, with_omega=False):
         frames.append(fr)
         des.append(de)
         covs.append(fr.j @ zeta)
-    res = flow(comp.bv, np.array([fr.x for fr in frames]), np.array(covs),
-               steps=steps, with_jac=True, with_omega=with_omega)
+    xs, covs = np.array([fr.x for fr in frames]), np.array(covs)
+    if extra is not None:
+        xs, covs = np.vstack([xs, extra[0]]), np.vstack([covs, extra[1]])
+    res = flow(comp.bv, xs, covs, steps=steps, with_jac=True, with_omega=with_omega)
     des = np.array(des)
-    dphi = res.jac[:, :res.jac.shape[1] // 2] @ des
-    etas = -np.swapaxes(des, 1, 2) @ res.omega @ des if with_omega else None
+    m = len(des)
+    dphi = res.jac[:m, :res.jac.shape[1] // 2] @ des
+    etas = -np.swapaxes(des, 1, 2) @ res.omega[:m] @ des if with_omega else None
     return frames, res, dphi, etas
 
 
@@ -656,14 +662,21 @@ class SaturationChart:
     """Sampled parametrization Phi(u, zeta) = exp(e(u, zeta)) of P.
 
     Per sample (u, zeta): the point Phi, its differential dPhi and the
-    gauge form eta = -e*(averaged flow form), all from one flow.
+    gauge form eta = -e*(averaged flow form), all from one flow.  radius
+    and seed are the ones the grid was drawn with, and so fix the landing
+    probes (_landing_probes); landing holds their parameters, end points
+    and exit flags when they rode the grid's flow, else None.
     """
 
-    def __init__(self, comp, steps, us, zetas, points, jacs, etas, radius_used):
+    def __init__(self, comp, steps, us, zetas, points, jacs, etas, radius_used, radius, seed,
+                 landing=None):
         self.bv = comp.bv
         self.chart = comp.chart
         self.comp = comp
         self.steps = steps
+        self.radius = radius
+        self.seed = seed
+        self.landing = landing
         self.us = us
         self.zetas = zetas
         self.points = points
@@ -718,11 +731,15 @@ class SaturationChart:
         return self.comp._aligned("tube", _tube_basis(self.comp.at(u)))
 
 
-def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
+def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0, landing=False):
     """Sample the saturation chart over a (u, zeta) grid in one jac + omega flow.
 
-    The fiber radius is halved (down to a floor) until no trajectory
-    leaves the domain box; the radius actually used is recorded.
+    The fiber radius is halved (down to a floor) until no grid trajectory
+    leaves the domain box; the radius actually used is recorded.  With
+    landing, full_fiber_landing's probes ride every radius's flow after the
+    grid rows, and the last one's are kept as sat.landing; if that merged
+    flow raises anything, the grid flows alone and the probes are left to
+    full_fiber_landing, so every error keeps its stage, message and order.
     Immersion rank and the zero-section tangent identity
     TP = span[dX, sharp(J)] are checked at every sample, in stacked steps:
     the ranks of dPhi come from one rank_svd_many call, whose orths also
@@ -730,14 +747,19 @@ def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
     the zero rows (a second rank_svd_many call).  The first failing sample
     in read order raises, its rank defect before its tangent mismatch.
     """
-    for radius_used in _halvings(radius):
-        us, zetas = _sigma_grid(comp, u_counts, radius_used, per_u, seed)
-        frames, res, jacs, etas = _bundle_flow(comp, us, zetas, steps, with_omega=True)
-        if not res.exited.any():
-            break
-    else:
-        raise ValueError("flow leaves the domain box even at the radius floor")
-    sat = SaturationChart(comp, steps, us, zetas, res.x, jacs, etas, radius_used)
+    probes = None
+    if landing:
+        try:
+            probes = _landing_probes(comp, radius, seed)
+            sampled = _sampled_grid(comp, steps, u_counts, radius, per_u, seed, probes[1:])
+        except Exception:  # the grid alone, then the probes' own flow, raise in order
+            probes = None
+    if probes is None:
+        sampled = _sampled_grid(comp, steps, u_counts, radius, per_u, seed)
+    radius_used, us, zetas, frames, res, jacs, etas = sampled
+    m = len(us)
+    sat = SaturationChart(comp, steps, us, zetas, res.x[:m], jacs, etas, radius_used, radius,
+                          seed, None if probes is None else (probes[0], res.x[m:], res.exited[m:]))
     decided = rank_svd_many(jacs)
     defect = next((i for i, r in enumerate(decided) if r[0] != sat.model_dim), len(us))
     # the samples before the first rank defect whose zeta passes np.allclose(zeta, 0.0)
@@ -754,21 +776,55 @@ def saturation_chart(comp, steps=1024, u_counts=5, radius=0.2, per_u=3, seed=0):
     return sat
 
 
-def full_fiber_landing(sat: SaturationChart, radius=0.05, seed=1):
-    """Distance from exp of 10 full-fiber covectors to the chart image.
+def _sampled_grid(comp, steps, u_counts, radius, per_u, seed, extra=None):
+    """saturation_chart's halving loop: (radius_used, us, zetas, frames,
+    res, jacs, etas) of the first radius whose grid rows stay in the box;
+    the extra rows ride every radius's flow, and their exits halve
+    nothing."""
+    for radius_used in _halvings(radius):
+        us, zetas = _sigma_grid(comp, u_counts, radius_used, per_u, seed)
+        frames, res, jacs, etas = _bundle_flow(comp, us, zetas, steps, with_omega=True,
+                                               extra=extra)
+        if not res.exited[:len(us)].any():
+            return radius_used, us, zetas, frames, res, jacs, etas
+    raise ValueError("flow leaves the domain box even at the radius floor")
 
-    All probes flow in one batch and are projected together.  Probes
-    whose flow leaves the domain box are skipped; the largest distance of
-    the checked probes comes back with both counts.
-    """
-    bv, chart = sat.bv, sat.chart
+
+def _landing_probes(comp, radius, seed):
+    """The 10 landing probes of a chart sampled at radius and seed, as
+    (parameters, base points, covectors): the covectors have norm
+    min(0.05, radius), and both draws are seeded from seed + 1."""
+    chart, radius, seed = comp.chart, min(0.05, radius), seed + 1
     rng = np.random.default_rng(seed)
     us = chart.sample(10, seed=seed + 1)
-    covs = [a * (radius / np.linalg.norm(a)) for a in rng.normal(size=(len(us), bv.dim))]
-    res = flow(bv, np.array([chart.point_at(u) for u in us]), np.array(covs), steps=sat.steps)
-    kept = np.flatnonzero(~res.exited)
+    covs = [a * (radius / np.linalg.norm(a)) for a in rng.normal(size=(len(us), comp.bv.dim))]
+    try:
+        xs = chart.points(us)
+    except EvalError:
+        for u in us:  # the first failing row raises, as it does alone
+            chart.point_at(u)
+        raise
+    return us, xs, np.array(covs)
+
+
+def full_fiber_landing(sat: SaturationChart):
+    """Distance from exp of the 10 landing probes to the chart image.
+
+    The probes' end points come from sat.landing when they rode the
+    chart's grid flow; otherwise all probes flow here, in one batch.  They
+    are projected together.  Probes whose flow leaves the domain box are
+    skipped; the largest distance of the checked probes comes back with
+    both counts.
+    """
+    if sat.landing is None:
+        us, xs, covs = _landing_probes(sat.comp, sat.radius, sat.seed)
+        res = flow(sat.bv, xs, covs, steps=sat.steps)
+        ends, exited = res.x, res.exited
+    else:
+        us, ends, exited = sat.landing
+    kept = np.flatnonzero(~exited)
     inits = np.hstack([us[kept], np.zeros((kept.size, sat.comp.rank_perp))])
-    _, dists = sat.project(res.x[kept], inits)
+    _, dists = sat.project(ends[kept], inits)
     worst = worst_of(dists)
     return {"max_distance": worst, "checked": int(kept.size),
             "skipped": int(len(us) - kept.size)}

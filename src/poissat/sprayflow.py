@@ -25,15 +25,21 @@ does not depend on the state, so it is evaluated once per flow and
 serves as all four stages of every step, and the step's increment
 (h/6)(k1 + 2 k2 + 2 k3 + k4) is formed once per flow too; the steps, the
 exit test and the accumulators are those of the general path, bit for
-bit.  On either path a step adds its increment as it is while every
-trajectory is alive (the gate would multiply it by 1.0, which is exact),
-and gated from the step after the first exit; a trajectory that starts
-outside the box is gated from the first step, so it stays at x0.  The
-increment is summed in place, in the order of the plain expression, and
-the per-step box test reads the domain bounds once per flow.  When PI
-is linear (dPI reads no coordinate, as on so(3)*), dPI is one array and
-xi is frozen, so bmat = dPI . xi is formed once per flow and every stage
-contracts it with its own T; each stage still evaluates PI at its state.
+bit.  The same fixed right-hand side serves a flow whose covectors are
+all +-0, as at the zero section: sharp(xi) and dPI . xi sum +-0 products
+to +0, so x never moves and every stage reads PI (and dPI) at x0, unless
+a coordinate of x0 is -0.0, which the first stage state x + (h/2)(+0)
+turns into +0.0, where PI may differ; such a flow takes the stage loop.
+On either path a step adds its increment as it is while every trajectory
+is alive (the gate would multiply it by 1.0, which is exact), and gated
+from the step after the first exit; a trajectory that starts outside the
+box is gated from the first step, so it stays at x0.  The increment is
+summed in place, in the order of the plain expression, and the per-step
+box test reads the domain bounds once per flow.  When PI is linear (dPI
+reads no coordinate, as on so(3)*) and some covector is not +-0, dPI is
+one array and xi is frozen, so bmat = dPI . xi is formed once per flow
+and every stage contracts it with its own T; each stage still evaluates
+PI at its state.
 """
 
 from __future__ import annotations
@@ -168,13 +174,16 @@ def flow(
     # for a constant PI every stage has the same xdot, and tdot is [0 | p]:
     # the general path's bmat @ top term is all +-0 there, and adding a
     # zero of either sign to top leaves its bits, so one call serves the
-    # flow, and so does the step's increment (h/6)(k1 + 2 k2 + 2 k3 + k4)
+    # flow, and so does the step's increment (h/6)(k1 + 2 k2 + 2 k3 + k4).
+    # With every covector +-0 and no -0.0 in x, every stage state is x
+    # itself, bit for bit, and its bmat @ top is +0: the same holds for any
+    # PI, and the one call evaluates PI first and then dPI, as a stage does
     fixed = None
-    if bv.constant:
+    if bv.constant or not (xi.any() or np.signbit(x[x == 0]).any()):
         kx, kt = _rhs(bv, x, xi, top)
         fixed = _increment(h, [kx] * 4, [kt] * 4)
     bmat = None
-    if top is not None and bv.linear and not bv.constant:
+    if fixed is None and top is not None and bv.linear:
         # a linear PI's kernel returns one dPI at every x, so this is every
         # stage's bmat, bit for bit; PI comes first, as in each stage, so an
         # entry that fails raises before its partial does

@@ -185,7 +185,7 @@ def test_criterion_06_saturation_geometry():
     planar = float(np.abs(sat.points[:, 2]).max())
     ranks_ok = all(rank_svd(j)[0] == 2 for j in sat.jacs)
     resid = float(saturation_residuals(sat).max())
-    land = full_fiber_landing(sat, radius=0.05)
+    land = full_fiber_landing(sat)  # probes at min(0.05, the chart's radius 0.2)
 
     so3 = so3_star()
     sphere = Chart(2, 3, ["cos(u)*cos(v)", "sin(u)*cos(v)", "sin(v)"],

@@ -493,6 +493,63 @@ def test_saturate_fails_when_every_landing_probe_leaves_the_box(monkeypatch):
     assert stage["max_residual"] <= stage["tol_saturation"]
 
 
+@pytest.mark.parametrize("case,code", [("merged-only", 0), ("probe-error", 4),
+                                       ("grid-rank-first", 3)])
+@pytest.mark.build_independent
+def test_landing_fallback_keeps_the_stage_message_and_memo_order(tmp_path, monkeypatch, case,
+                                                                 code):
+    # when the grid flow that carries the landing probes raises, the grid
+    # flows alone and full_fiber_landing flows its own probes, so the run
+    # is the one in which the probes never rode the grid's flow: the same
+    # exit code, report and order in which the complement memoised its
+    # frames.  merged-only: only the merged flow raises, as a dPI error at
+    # a probe would (the probes' own flow has no jac); probe-error: the
+    # probes' own flow raises too, the saturate stage's error; and
+    # grid-rank-first: the grid's zero-section tangents mismatch as well,
+    # a RankDeficient that comes before any probe's error
+    path = write_fixture(tmp_path, "coiso-line")
+    error = EvalError("non-finite result from exp at point (9.0, 0.0, 0.0)", (9.0, 0.0, 0.0))
+    real_flow, real_chart, real_comp = model.flow, cli.saturation_chart, cli.ComplementChoice
+    if case == "grid-rank-first":
+        monkeypatch.setattr(model, "spans_equal", lambda jacs, *a, **kw: [False] * len(jacs))
+
+    def run(carried):
+        comps, merged = [], []
+
+        def flow(*args, **kwargs):
+            rows = len(args[1])
+            merged.append(rows == 20 + 10)  # the grid's 20 rows and the 10 probes
+            if merged[-1] or (case != "merged-only" and rows == 10
+                              and not kwargs.get("with_jac")):
+                raise error
+            return real_flow(*args, **kwargs)
+
+        def chart(*args, **kwargs):
+            return real_chart(*args, **{**kwargs, "landing": carried and kwargs["landing"]})
+
+        def complement(*args, **kwargs):
+            comps.append(real_comp(*args, **kwargs))
+            return comps[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(model, "flow", flow)
+            m.setattr(cli, "saturation_chart", chart)
+            m.setattr(cli, "ComplementChoice", complement)
+            got, out = run_main(["all", path, "--steps", "32"])
+        assert any(merged) == carried
+        rep = strict_json(out)
+        del rep["generated_at"]
+        return got, rep, list(comps[0]._memo)
+
+    got, rep, memo = run(carried=True)
+    assert (got, rep, memo) == run(carried=False)
+    assert got == code
+    if code:
+        stage = rep["stages"]["saturate"]
+        assert stage["reason"] == (str(error) if code == 4 else
+                                   "zero-section tangent mismatch at u = (-1.0,)")
+
+
 PRE_POISSON_LINE = """\
 [poisson]
 dim = 4
@@ -604,18 +661,19 @@ def test_literal_arithmetic_error_exits_4_naming_the_operation(tmp_path, scene, 
 
 
 @pytest.mark.parametrize("command,steps,flows", [
-    ("all", ["--steps", "32"], [20, 10, 10, 10, 10, 9, 15]),
-    ("all", [], [20, 10, 10, 10, 10, 9, 3, 12]),
+    ("all", ["--steps", "32"], [30, 10, 10, 10, 9, 15]),
+    ("all", [], [30, 10, 10, 10, 9, 3, 12]),
     ("verify", ["--steps", "32"], [20]),
 ], ids=["all-7", "all-8-scene-defaults", "verify-1"])
 def test_all_transversal_ray_flow_calls(tmp_path, monkeypatch, command, steps, flows):
-    # saturate: grid 1, landing probes 1, lockstep projection 4 iterations;
-    # model: one flow per distinct step count for its three eta batches,
-    # the zero-section grid (3 rows, the scene's steps), the closedness
-    # stencil (6 rows) and the first extraction radius (6 rows), both at
-    # min(steps, 256); so one flow at --steps 32, and two at the scene's
-    # 1024 steps.  verify reads the saturate stage's grid, and alone it
-    # flows that grid once.  Rows per flow, in call order
+    # saturate: one flow of the grid (20 rows) with the 10 landing probes
+    # after it, then the lockstep projection, 4 iterations; model: one flow
+    # per distinct step count for its three eta batches, the zero-section
+    # grid (3 rows, the scene's steps), the closedness stencil (6 rows) and
+    # the first extraction radius (6 rows), both at min(steps, 256); so one
+    # flow at --steps 32, and two at the scene's 1024 steps.  verify reads
+    # the saturate stage's grid, and alone it flows that grid once, without
+    # probes.  Rows per flow, in call order
     calls = []
     real_flow = model.flow
 
@@ -877,9 +935,19 @@ def test_nan_jacobi_tensor_fails_presymplectic_verify(tmp_path, monkeypatch):
     monkeypatch.setattr(model, "jacobi_tensor", lambda p, grads: np.full(grads.shape, np.nan))
     code, out = run_main(["verify", write_fixture(tmp_path, "gotay-presymplectic")])
     assert code == 2
-    stage = json.loads(out)["stages"]["verify"]
-    assert stage["status"] == "fail" and np.isnan(stage["jacobi_fd"])
+    stage = strict_json(out)["stages"]["verify"]  # the NaN is written as a string
+    assert stage["status"] == "fail" and stage["jacobi_fd"] == "NaN"
     assert stage["coisotropy"] == 0.0
+
+
+@pytest.mark.build_independent
+def test_report_text_writes_non_finite_floats_as_strings():
+    # json.dumps would write the bare tokens NaN, Infinity and -Infinity
+    rep = {"a": float("nan"), "b": [np.float64("inf"), (-np.inf, 1.5)],
+           "c": {"d": -0.0, "e": "NaN"}}
+    assert strict_json(cli.report_text(rep)) == {
+        "a": "NaN", "b": ["Infinity", ["-Infinity", 1.5]], "c": {"d": -0.0, "e": "NaN"}}
+    assert cli.report_text({"d": -0.0, "f": [1e-300]}) == '{\n  "d": -0.0,\n  "f": [\n    1e-300\n  ]\n}\n'
 
 
 def test_nan_eta_fails_the_model_stage(tmp_path, monkeypatch):
@@ -896,8 +964,8 @@ def test_nan_eta_fails_the_model_stage(tmp_path, monkeypatch):
     monkeypatch.setattr(model, "_bundle_flow", nan_on_zero_section)
     code, out = run_main(["model", write_fixture(tmp_path, "coiso-line"), "--steps", "32"])
     assert code == 2
-    stage = json.loads(out)["stages"]["model"]
-    assert stage["status"] == "fail" and np.isnan(stage["eta_zero_section_residual"])
+    stage = strict_json(out)["stages"]["model"]  # the NaN is written as a string
+    assert stage["status"] == "fail" and stage["eta_zero_section_residual"] == "NaN"
     assert stage["eta_closedness_residual"] <= 1e-6 and stage["extraction_radius"] == 0.2
 
 

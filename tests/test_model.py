@@ -772,13 +772,21 @@ def test_saturation_coiso_line(coiso_line):
     assert land["max_distance"] <= 1e-4 and (land["checked"], land["skipped"]) == (10, 0)
 
 
-def test_landing_fails_when_every_probe_leaves_the_box(coiso_line):
-    bv, chart = coiso_line
-    comp = model.ComplementChoice(bv, chart, mode="coisotropic")
-    sat = model.saturation_chart(comp, steps=16, u_counts=3, radius=0.2)
-    land = model.full_fiber_landing(sat, radius=1e3)
-    assert (land["checked"], land["skipped"]) == (0, 10)
-    assert land["max_distance"] == 0.0  # nothing measured: the saturate stage fails it
+# coiso-line in a box 0.008 thin across the leaf: the saturation grid fits
+# at a halved radius, but every landing probe (radius 0.05) leaves the box
+THIN_BOX = FIXTURES["coiso-line"].replace(
+    "domain = -2 2\n", "domain = -2 2\ndomain = -0.004 0.004\ndomain = -2 2\n", 1)
+
+
+def test_landing_fails_when_every_probe_leaves_the_box():
+    # whether the probes rode the grid's flow or flow alone
+    for landing in (True, False):
+        comp = fixture_stages_of(THIN_BOX, steps=16).comp
+        sat = model.saturation_chart(comp, steps=16, u_counts=3, radius=0.2, landing=landing)
+        assert sat.radius_used < 0.2 and (sat.landing is not None) == landing
+        land = model.full_fiber_landing(sat)
+        assert (land["checked"], land["skipped"]) == (0, 10)
+        assert land["max_distance"] == 0.0  # nothing measured: the saturate stage fails it
 
 
 def test_saturation_sphere_rank0(sphere_so3):
@@ -1076,13 +1084,19 @@ def test_compare_complements_rejects_different_structures(coiso_line):
 # --- batched bundle flows ---
 
 
-def fixture_stages(name, steps=None):
-    """The stages of a run of the fixture, analyzed, at steps (None keeps the
-    scene's)."""
-    sc = cli.parse_scene(FIXTURES[name])
+def fixture_stages_of(text, steps=None):
+    """The stages of a run of the scene text, analyzed, at steps (None keeps
+    the scene's)."""
+    sc = cli.parse_scene(text)
     stages = cli._PoissonStages(sc, cli.scene_parameters(sc, steps), want_csv=False)
     stages.analyze()
     return stages
+
+
+def fixture_stages(name, steps=None):
+    """The stages of a run of the fixture, analyzed, at steps (None keeps the
+    scene's)."""
+    return fixture_stages_of(FIXTURES[name], steps)
 
 
 def scene_parts(name):
@@ -1142,6 +1156,82 @@ def test_model_stage_eta_checks_are_bitwise_the_standalone_calls(monkeypatch, te
     assert _bits(closed) == _bits(model.eta_closedness_residual(alone, u0, zeta, steps=short))
     assert radius == model.extraction_radius(alone, u0, steps=short, start=p["xi_radius"],
                                              seed=p["seed"])
+
+
+@pytest.mark.parametrize("text", [FIXTURES["transversal-ray"], FIXTURES["coiso-line"],
+                                  FIXTURES["zero-structure"], FIRST_RADIUS_FAILS, THIN_BOX],
+                         ids=["transversal-ray", "coiso-line", "zero-structure",
+                              "grid-halves", "probes-leave"])
+@pytest.mark.build_independent
+def test_landing_probes_ride_the_grid_flow_bitwise(monkeypatch, text):
+    # with landing, the 10 landing probes ride the grid's flow at every
+    # radius tried, and only the grid rows' exits halve it: the chart and
+    # the landing are bitwise those of the grid and the probes flowed
+    # apart, on a complement of their own, and full_fiber_landing flows
+    # only its projections
+    stages = fixture_stages_of(text, steps=32)
+    p = stages.p
+    args = dict(steps=32, u_counts=p["u_counts"], radius=p["xi_radius"], per_u=p["per_u"],
+                seed=p["seed"])
+    calls, real_flow = [], model.flow
+
+    def counted(*a, **kw):
+        calls.append((len(a[1]), kw.get("with_jac", False)))
+        return real_flow(*a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "flow", counted)
+        sat = model.saturation_chart(stages.comp, landing=True, **args)
+        grid_flows = calls[:]
+        land = model.full_fiber_landing(sat)
+    tries = 1 + round(np.log2(p["xi_radius"] / sat.radius_used))
+    assert grid_flows == [(len(sat.us) + 10, True)] * tries
+    assert all(with_jac for _, with_jac in calls[tries:])
+    assert (tries > 1) == (text in (FIRST_RADIUS_FAILS, THIN_BOX))
+    alone = model.saturation_chart(fixture_stages_of(text, steps=32).comp, **args)
+    assert alone.landing is None and sat.radius_used == alone.radius_used
+    for key in ("us", "zetas", "points", "jacs", "etas"):
+        assert _bits(getattr(sat, key)) == _bits(getattr(alone, key))
+    us, xs, covs = model._landing_probes(alone.comp, p["xi_radius"], p["seed"])
+    ref = real_flow(alone.bv, xs, covs, steps=32)
+    assert _bits(sat.landing[0]) == _bits(us)
+    assert _bits(sat.landing[1]) == _bits(ref.x)
+    assert _bits(sat.landing[2]) == _bits(ref.exited)
+    assert (text is THIN_BOX) == bool(ref.exited.all())
+    ref_land = model.full_fiber_landing(alone)
+    assert _bits(land["max_distance"]) == _bits(ref_land["max_distance"])
+    assert land == ref_land
+
+
+@pytest.mark.build_independent
+def test_first_projection_flow_evaluates_pi_once(monkeypatch):
+    # project starts Gauss-Newton at zeta = 0, where Phi(u, 0) = X(u): every
+    # covector of its first flow is +-0, so that flow evaluates PI once;
+    # the later iterates leave the zero section and evaluate it at every
+    # stage of every step, after the linear so(3)*'s one bmat call
+    stages = fixture_stages("transversal-ray", steps=32)
+    sat = model.saturation_chart(stages.comp, steps=32, landing=True)
+    per_flow, in_flow, real_flow = [], [], model.flow
+
+    def counted_flow(*a, **kw):
+        per_flow.append(0)
+        in_flow.append(True)
+        try:
+            return real_flow(*a, **kw)
+        finally:
+            in_flow.pop()
+
+    def counted_matrix(pts, real=stages.bv.matrix):
+        if in_flow:  # frames evaluate PI too, between the flows
+            per_flow[-1] += 1
+        return real(pts)
+
+    with monkeypatch.context() as m:
+        m.setattr(model, "flow", counted_flow)
+        m.setattr(stages.bv, "matrix", counted_matrix)
+        model.full_fiber_landing(sat)
+    assert per_flow[0] == 1 and len(per_flow) > 1
+    assert per_flow[1:] == [1 + 4 * 32] * (len(per_flow) - 1)
 
 
 def project_one(sat, y, init, max_iter=50, tol=1e-10):

@@ -255,6 +255,10 @@ def test_dual_pair_rejects_irregular_point():
         dual_pair_check(bv, cubic, [0.0], steps=64)
 
 
+# f dx^dy is Poisson on R^3 for any f
+NON_POLYNOMIAL = BivectorField(3, {(0, 1): "exp(z)*cos(x) + 2"}, domain=[[-2, 2]] * 3)
+
+
 def rhs_ref(bv, x, xi, jac):
     p = bv.matrix(x)
     xdot = np.einsum("bij,bj->bi", p, xi)
@@ -309,9 +313,7 @@ def assert_bitwise(a, b):
 @pytest.mark.parametrize("bv,exit_state", [
     (flat_rank2_r3(), ([1.8, 1.8, 0.5], [-1.5, 1.5, 0.0])),
     (so3_star(), ([1.8, 1.8, 0.5], [-1.5, 1.5, 0.0])),
-    # f dx^dy is Poisson on R^3 for any f
-    (BivectorField(3, {(0, 1): "exp(z)*cos(x) + 2"}, domain=[[-2, 2]] * 3),
-     ([1.8, 1.8, 0.5], [-1.5, 1.5, 0.0])),
+    (NON_POLYNOMIAL, ([1.8, 1.8, 0.5], [-1.5, 1.5, 0.0])),
     (symplectic_r4(), ([1.8, 1.8, 0.5, 0.5], [-1.5, 1.5, 0.0, 0.0])),
     (flat_rank2_r3s1(), ([0.5, 0.5, 3.8, 3.8], [0.0, 0.0, -1.5, 1.5])),
     (zero_structure(), ([2.5, 0.5, 0.5], [1.0, -1.0, 0.5])),
@@ -344,14 +346,13 @@ def test_linear_flow_forms_dpi_xi_once(monkeypatch):
     # dPI of so(3)* reads no coordinate and xi is frozen, so a jac or omega
     # flow forms dPI . xi once; the non-polynomial structure forms it at
     # each of the 4 stages of every step
-    non_polynomial = BivectorField(3, {(0, 1): "exp(z)*cos(x) + 2"}, domain=[[-2, 2]] * 3)
     assert flat_rank2_r3().constant and flat_rank2_r3().linear
     assert so3_star().linear and not so3_star().constant
-    assert not non_polynomial.linear
+    assert not NON_POLYNOMIAL.linear
     rng = np.random.default_rng(4)
     x0 = rng.uniform(-1.0, 1.0, (3, 3))
     xi = rng.normal(scale=0.6, size=(3, 3))
-    for bv, per_flow in ((so3_star(), 1), (non_polynomial, 4 * 32)):
+    for bv, per_flow in ((so3_star(), 1), (NON_POLYNOMIAL, 4 * 32)):
         calls = []
 
         def counted(pts, real=bv.matrix_jac):
@@ -374,6 +375,99 @@ def test_linear_flow_forms_dpi_xi_once(monkeypatch):
         with pytest.raises(EvalError) as err:
             flow(bv, np.zeros(3), np.ones(3), steps=16, **kw)
         assert str(err.value) == "non-finite result from division at point (0.0, 0.0, 0.0)"
+
+
+
+
+# every covector +-0: x never moves, so one right-hand side serves the flow,
+# as for a constant PI.  Row 1 starts outside the box and is flagged at
+# once; rows 2 and 3 hold -0.0 covector entries, and row 3 a +0.0
+# coordinate, which x + 0.5 h (+0) leaves as it is
+@pytest.mark.parametrize("bv", [flat_rank2_r3(), so3_star(), NON_POLYNOMIAL],
+                         ids=["constant", "linear", "non-polynomial"])
+@pytest.mark.parametrize("kw", [{}, {"with_jac": True}, {"with_omega": True}],
+                         ids=["x", "jac", "omega"])
+@pytest.mark.build_independent
+def test_zero_covector_flow_is_the_stage_loop_bitwise(monkeypatch, bv, kw):
+    rng = np.random.default_rng(11)
+    x0 = rng.uniform(-1.0, 1.0, (4, 3))
+    x0[1, 0] = bv.domain[0, 1] + 0.5
+    x0[3, 1] = 0.0
+    xi = np.zeros((4, 3))
+    xi[2] = -0.0
+    xi[3, 0] = -0.0
+    calls = []
+
+    def counted(pts, real=bv.matrix):
+        calls.append(len(pts))
+        return real(pts)
+
+    with monkeypatch.context() as m:
+        m.setattr(bv, "matrix", counted)
+        res = flow(bv, x0, xi, steps=32, with_traj=True, **kw)
+    assert calls == [4]  # one PI-kernel call per flow
+    x, jac, omega = flow_ref(bv, x0, xi, steps=32, with_omega=True)
+    assert res.exited.tolist() == [False, True, False, False]
+    assert_bitwise(res.x, x)
+    assert_bitwise(res.x, x0)
+    assert_bitwise(res.trajectory, np.repeat(x0[:, None], 33, axis=1))
+    if kw:
+        assert_bitwise(res.jac, jac)
+    if "with_omega" in kw:
+        assert_bitwise(res.omega, omega)
+
+
+@pytest.mark.build_independent
+def test_zero_covector_flow_with_a_negative_zero_coordinate_takes_the_stage_loop(monkeypatch):
+    # the first stage state x + 0.5 h (+0) turns -0.0 into +0.0, where PI
+    # may differ: exp(1/x) + 1 is 1 at -0.0 and overflows at +0.0, so the
+    # loop's second stage raises there, naming 1/x, the first non-finite node
+    bv = BivectorField(3, {(0, 1): "exp(1/x) + 1"}, certify=False)
+    x0 = np.array([[-0.0, 0.5, 0.5]])
+    assert bv.matrix(x0)[0, 0, 1] == 1.0
+    with pytest.raises(EvalError, match=r"^non-finite result from division at point "
+                                        r"\(0\.0, 0\.5, 0\.5\)$"):
+        flow(bv, x0, np.zeros((1, 3)), steps=16)
+    # so(3)* is the same at both zeros: the loop evaluates PI at each of
+    # the 4 stages of every step, after the bmat hoist's one call, and
+    # matches the reference bitwise
+    bv = so3_star()
+    x0 = np.array([[-0.0, 0.5, 0.2], [0.3, 0.1, 0.2]])
+    calls = []
+
+    def counted(pts, real=bv.matrix):
+        calls.append(len(pts))
+        return real(pts)
+
+    with monkeypatch.context() as m:
+        m.setattr(bv, "matrix", counted)
+        res = flow(bv, x0, np.zeros((2, 3)), steps=16, with_omega=True)
+    assert calls == [2] * (1 + 4 * 16)
+    x, jac, omega = flow_ref(bv, x0, np.zeros((2, 3)), steps=16, with_omega=True)
+    assert_bitwise(res.x, x)
+    assert_bitwise(res.jac, jac)
+    assert_bitwise(res.omega, omega)
+
+
+@pytest.mark.build_independent
+def test_zero_covector_flow_raises_as_the_stage_loop():
+    # exp(-1/(x*x)) is 0.0 at x = 0, but its partial is 0 * inf there: the
+    # one right-hand side still evaluates dPI with jac, PI first, so the
+    # partial's error raises, and a failing PI entry raises before it
+    bv = BivectorField(3, {(0, 1): "exp(-1/(x*x))"}, certify=False)
+    x0, xi = np.array([[0.0, 0.5, 0.5]]), np.zeros((1, 3))
+    with pytest.raises(EvalError) as partial:
+        bv.matrix_jac(x0)
+    assert_bitwise(flow(bv, x0, xi, steps=16).x, x0)
+    for kw in ({"with_jac": True}, {"with_omega": True}):
+        with pytest.raises(EvalError) as err:
+            flow(bv, x0, xi, steps=16, **kw)
+        assert str(err.value) == str(partial.value)
+    bv = BivectorField(3, {(0, 1): "exp(-1/(x*x))", (0, 2): "exp(1000 + y)"}, certify=False)
+    for kw in ({}, {"with_jac": True}):
+        with pytest.raises(EvalError) as err:
+            flow(bv, x0, xi, steps=16, **kw)
+        assert str(err.value) == "non-finite result from exp at point (0.0, 0.5, 0.5)"
 
 
 # Pade coefficients of degree 13 for exp (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
